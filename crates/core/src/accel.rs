@@ -6,7 +6,7 @@ use matraptor_mem::Hbm;
 use matraptor_sim::stats::CycleBreakdown;
 use matraptor_sim::trace::StageBreakdown;
 use matraptor_sim::watchdog::mix_signature;
-use matraptor_sim::{Cycle, SourceId, SourceState, Watchdog, WatchdogReport};
+use matraptor_sim::{Cycle, IdTable, SourceId, SourceState, Watchdog, WatchdogReport};
 use matraptor_sparse::{abft, spgemm, C2sr, Csr};
 
 use crate::checkpoint::{
@@ -183,7 +183,8 @@ struct RunContext<'m> {
 struct RunState {
     t: u64,
     next_id: u64,
-    route: BTreeMap<u64, usize>,
+    /// In-flight request id → issuing lane.
+    route: IdTable<usize>,
     lanes: Vec<Lane>,
     hbm: Hbm,
     stream_fault: Option<StreamInjector>,
@@ -508,10 +509,9 @@ impl Accelerator {
         let bc = C2sr::from_csr(b, lanes_n);
 
         let regions = Regions::DEFAULT;
-        let entry = cfg.entry_bytes as u64;
-        let a_layout = matrix_layout(&cfg.mem, regions.a_info, regions.a_data, entry);
-        let b_layout = matrix_layout(&cfg.mem, regions.b_info, regions.b_data, entry);
-        let c_layout = matrix_layout(&cfg.mem, regions.c_info, regions.c_data, entry);
+        let a_layout = matrix_layout(cfg, regions.a_info, regions.a_data);
+        let b_layout = matrix_layout(cfg, regions.b_info, regions.b_data);
+        let c_layout = matrix_layout(cfg, regions.c_info, regions.c_data);
 
         let ratio = cfg.mem_clock_ratio();
         // Generous budget: SpGEMM needs at least one cycle per product;
@@ -534,21 +534,27 @@ impl Accelerator {
         (watchdog, lane_sources, hbm_source)
     }
 
+    /// Builds every lane in its cycle-0 state.
+    fn build_lanes(&self, ctx: &RunContext<'_>) -> Vec<Lane> {
+        let cfg = &self.cfg;
+        (0..cfg.num_lanes)
+            .map(|l| Lane {
+                spal: SpAl::new(l, cfg, &ctx.ac, ctx.a_layout),
+                spbl: SpBl::new(cfg, ctx.b_layout),
+                pe: Pe::new(cfg),
+                writer: Writer::new(l, cfg, ctx.c_layout),
+                spal_out: VecDeque::new(),
+                pe_in: VecDeque::new(),
+            })
+            .collect()
+    }
+
     /// Builds the machine at cycle 0 and arms the fault plan, if any.
     fn fresh_state(&self, ctx: &RunContext<'_>, plan: Option<&FaultPlan>) -> RunState {
         let cfg = &self.cfg;
         let lanes_n = cfg.num_lanes;
         let mut hbm = Hbm::new(cfg.mem.clone());
-        let mut lanes: Vec<Lane> = (0..lanes_n)
-            .map(|l| Lane {
-                spal: SpAl::new(l, cfg, &ctx.ac),
-                spbl: SpBl::new(cfg),
-                pe: Pe::new(cfg),
-                writer: Writer::new(l, cfg, ctx.c_layout.data_base),
-                spal_out: VecDeque::new(),
-                pe_in: VecDeque::new(),
-            })
-            .collect();
+        let mut lanes = self.build_lanes(ctx);
 
         // Arm the injected fault, if any. Lane-targeted faults are
         // remapped to a lane that actually has work so a sampled site on
@@ -593,7 +599,7 @@ impl Accelerator {
         RunState {
             t: 0,
             next_id: 0,
-            route: BTreeMap::new(),
+            route: IdTable::new(),
             lanes,
             hbm,
             stream_fault,
@@ -614,7 +620,7 @@ impl Accelerator {
                 b_fingerprint: fingerprint_matrix(ctx.b),
                 t: state.t,
                 next_id: state.next_id,
-                route: state.route.iter().map(|(&id, &l)| (id, l as u64)).collect(),
+                route: state.route.iter().map(|(id, &l)| (id, l as u64)).collect(),
                 lanes: state
                     .lanes
                     .iter()
@@ -683,16 +689,7 @@ impl Accelerator {
         }
 
         let hbm = Hbm::restore(cfg.mem.clone(), &st.hbm);
-        let mut lanes: Vec<Lane> = (0..lanes_n)
-            .map(|l| Lane {
-                spal: SpAl::new(l, cfg, &ctx.ac),
-                spbl: SpBl::new(cfg),
-                pe: Pe::new(cfg),
-                writer: Writer::new(l, cfg, ctx.c_layout.data_base),
-                spal_out: VecDeque::new(),
-                pe_in: VecDeque::new(),
-            })
-            .collect();
+        let mut lanes = self.build_lanes(ctx);
         for (lane, ls) in lanes.iter_mut().zip(&st.lanes) {
             lane.spal.restore(&ls.spal);
             lane.spbl.restore(&ls.spbl);
@@ -768,6 +765,9 @@ impl Accelerator {
         let ratio = ctx.ratio;
         let fallback = |row: u32| reference_row(ctx.a, ctx.b, row as usize);
         let mut inboxes: Vec<Vec<u64>> = vec![Vec::new(); lanes_n];
+        // Read once per drive: an environment lookup takes a process-wide
+        // lock and scans the environment, far too slow for every cycle.
+        let debug = std::env::var_os("MATRAPTOR_DEBUG").is_some();
 
         let RunState {
             t,
@@ -781,12 +781,15 @@ impl Accelerator {
             hbm_source,
         } = state;
 
+        // The memory clock is `t / ratio`. It and the phase within it are
+        // stepped with `t`, so the loop never divides.
+        let mut mem_now = Cycle(*t / ratio);
+        let mut mem_phase = *t % ratio;
         loop {
             if pause_at.is_some_and(|k| *t >= k) {
                 return Ok(false);
             }
-            let mem_now = Cycle(*t / ratio);
-            if t.is_multiple_of(ratio) {
+            if mem_phase == 0 {
                 hbm.tick(mem_now);
                 while let Some(resp) = hbm.pop_response(mem_now) {
                     // Every in-flight response id was recorded in `route`
@@ -794,7 +797,7 @@ impl Accelerator {
                     // injected memory corruption) fabricated a response.
                     // Propagate it instead of panicking so services above
                     // the driver survive the broken run.
-                    let Some(lane) = route.remove(&resp.id.0) else {
+                    let Some(lane) = route.remove(resp.id.0) else {
                         return Err(SimError::ProtocolViolation {
                             detail: "HBM response for an unissued request id",
                         });
@@ -802,7 +805,7 @@ impl Accelerator {
                     inboxes[lane].push(resp.id.0);
                 }
                 if let Some(s) = sampler.as_deref_mut() {
-                    s.record_queue_depths(&hbm.queue_depths());
+                    s.record_queue_depths(hbm.queue_depths());
                 }
             }
 
@@ -824,18 +827,9 @@ impl Accelerator {
 
                 let upstream_done =
                     lane.spal.is_done() && lane.spbl.is_done() && lane.spal_out.is_empty();
-                lane.pe.tick(
-                    &mut lane.pe_in,
-                    &mut lane.writer,
-                    cfg,
-                    &ctx.c_layout,
-                    &fallback,
-                    upstream_done,
-                );
+                lane.pe.tick(&mut lane.pe_in, &mut lane.writer, cfg, &fallback, upstream_done);
                 lane.spbl.tick(
                     &mut port,
-                    cfg,
-                    &ctx.b_layout,
                     &ctx.bc,
                     &mut lane.spal_out,
                     &mut lane.pe_in,
@@ -843,14 +837,7 @@ impl Accelerator {
                     lane.spal.is_done(),
                 );
                 let fifo_len_before = lane.spal_out.len();
-                lane.spal.tick(
-                    &mut port,
-                    cfg,
-                    &ctx.a_layout,
-                    &ctx.ac,
-                    &mut lane.spal_out,
-                    cfg.coupling_fifo_depth,
-                );
+                lane.spal.tick(&mut port, &ctx.ac, &mut lane.spal_out, cfg.coupling_fifo_depth);
                 if let Some(inj) = stream_fault.as_mut() {
                     inj.inspect(l, lane.spal_out.len() > fifo_len_before, &mut lane.spal_out);
                 }
@@ -876,7 +863,7 @@ impl Accelerator {
                 all_done &= lane_done;
             }
 
-            if std::env::var_os("MATRAPTOR_DEBUG").is_some() && t.is_multiple_of(100_000) {
+            if debug && t.is_multiple_of(100_000) {
                 let l0 = &lanes[0];
                 eprintln!(
                     "t={t} hbm_inflight={} spal={:?} spbl={:?} spal_out={} pe_in={}",
@@ -914,19 +901,7 @@ impl Accelerator {
                     sig = mix_signature(sig, lane.pe_in.len() as u64);
                     watchdog.observe(lane_sources[l], Cycle(*t), sig);
                 }
-                // The HBM's signature must only move when it *services*
-                // something: queue depths, in-flight count, and per-channel
-                // busy counters. Fault counters are deliberately excluded —
-                // a stalled channel accumulating stall ticks is not
-                // progress.
-                let mut sig = mix_signature(0, hbm.in_flight() as u64);
-                for depth in hbm.queue_depths() {
-                    sig = mix_signature(sig, depth as u64);
-                }
-                for ch in hbm.channel_stats() {
-                    sig = mix_signature(sig, ch.busy_cycles.get());
-                }
-                watchdog.observe(*hbm_source, Cycle(*t), sig);
+                watchdog.observe(*hbm_source, Cycle(*t), hbm.progress_signature());
                 if let Some(report) = watchdog.check(Cycle(*t)) {
                     return Err(SimError::Deadlock(deadlock_diagnostic(&report, lanes, hbm)));
                 }
@@ -940,6 +915,11 @@ impl Accelerator {
             }
 
             *t += 1;
+            mem_phase += 1;
+            if mem_phase == ratio {
+                mem_phase = 0;
+                mem_now = mem_now.next();
+            }
             if *t >= ctx.budget {
                 return Err(SimError::CycleBudgetExceeded { budget: ctx.budget, cycles: *t });
             }
@@ -1075,7 +1055,6 @@ fn deadlock_diagnostic(report: &WatchdogReport, lanes: &[Lane], hbm: &Hbm) -> De
         .collect();
     let channels = hbm
         .queue_depths()
-        .into_iter()
         .enumerate()
         .map(|(channel, queue_depth)| ChannelDiagnostic { channel, queue_depth })
         .collect();

@@ -1,7 +1,10 @@
 //! Memory layout of the three C²SR matrices in the flat address space.
 
-use matraptor_mem::HbmConfig;
+use matraptor_mem::AddressMap;
+use matraptor_sim::Divisor;
 use matraptor_sparse::C2srRow;
+
+use crate::config::MatRaptorConfig;
 
 /// Base addresses of the six regions (A/B/C × info/data).
 ///
@@ -35,11 +38,20 @@ impl Regions {
 /// *(value, col id)* data lives as per-channel streams: entry `e` of
 /// channel `ch` sits at channel-local byte `e × entry_bytes`, mapped to a
 /// flat address by the interleaving.
+///
+/// The layout also carries the precomputed address arithmetic the loaders
+/// and writers use every cycle, so none of them divides by a
+/// configuration constant.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MatrixLayout {
     pub info_base: u64,
-    pub data_base: u64,
-    pub entry_bytes: u64,
+    /// Channel-local byte offset where the data region begins.
+    pub data_base_local: u64,
+    /// Bytes per *(value, col id)* entry.
+    pub entry: Divisor,
+    /// Streaming request size: data requests are cut at its multiples.
+    pub chunk: Divisor,
+    pub map: AddressMap,
 }
 
 /// Bytes per *(row length, row pointer)* metadata pair.
@@ -51,42 +63,93 @@ impl MatrixLayout {
         self.info_base + row as u64 * INFO_BYTES as u64
     }
 
-    /// The burst-clipped read/write requests covering a row's data within
-    /// its channel: returns `(flat_addr, bytes)` pairs, each confined to
-    /// one interleave block so no request splits across channels.
-    pub(crate) fn row_data_requests(
-        &self,
-        cfg: &HbmConfig,
-        channel: usize,
-        info: C2srRow,
-        request_bytes: u32,
-    ) -> Vec<(u64, u32)> {
-        let start = self.data_base_local() + info.offset as u64 * self.entry_bytes;
-        let end = start + info.len as u64 * self.entry_bytes;
-        let mut out = Vec::new();
-        let mut pos = start;
-        let chunk = request_bytes as u64;
-        while pos < end {
-            // Clip to the next request-size boundary in channel-local space
-            // so each request is a single aligned streaming access.
-            let boundary = (pos / chunk + 1) * chunk;
-            let stop = boundary.min(end);
-            out.push((cfg.channel_local_to_flat(channel, pos), (stop - pos) as u32));
-            pos = stop;
+    /// The requests streaming a row's data within its channel.
+    pub(crate) fn row_plan(&self, channel: usize, info: C2srRow) -> RowPlan {
+        let pos = self.data_base_local + info.offset as u64 * self.entry.get();
+        RowPlan { channel, pos, end: pos + info.len as u64 * self.entry.get() }
+    }
+
+    /// Entries carried by a data request of `bytes`.
+    pub(crate) fn entries_in(&self, bytes: u32) -> u32 {
+        // At most `bytes`, which is a u32.
+        self.entry.quotient(bytes as u64) as u32
+    }
+}
+
+/// The data requests covering one row, generated on demand rather than
+/// materialised per row: the channel-local byte range `[pos, end)` of
+/// `channel`, cut at request-size boundaries so each request is one
+/// aligned streaming access confined to one interleave block (so no
+/// request splits across channels).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RowPlan {
+    channel: usize,
+    pos: u64,
+    end: u64,
+}
+
+impl RowPlan {
+    /// Whether every request has been issued.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pos >= self.end
+    }
+
+    /// Channel-local end of the next request.
+    fn next_stop(&self, layout: &MatrixLayout) -> u64 {
+        ((layout.chunk.quotient(self.pos) + 1) * layout.chunk.get()).min(self.end)
+    }
+
+    /// The next request as `(flat_addr, bytes)`.
+    pub(crate) fn front(&self, layout: &MatrixLayout) -> Option<(u64, u32)> {
+        if self.is_empty() {
+            return None;
+        }
+        let stop = self.next_stop(layout);
+        // At most one request size, which is a u32.
+        Some((layout.map.local_to_flat(self.channel, self.pos), (stop - self.pos) as u32))
+    }
+
+    /// Drops the next request (it was issued).
+    pub(crate) fn pop_front(&mut self, layout: &MatrixLayout) {
+        self.pos = self.next_stop(layout);
+    }
+
+    /// Requests left to issue.
+    pub(crate) fn len(&self, layout: &MatrixLayout) -> usize {
+        if self.is_empty() {
+            return 0;
+        }
+        // Bounded by the row's entry count, which is a usize.
+        (layout.chunk.quotient(self.end - 1) - layout.chunk.quotient(self.pos) + 1) as usize
+    }
+
+    /// The remaining requests, in issue order — the checkpoint form.
+    pub(crate) fn requests(mut self, layout: &MatrixLayout) -> Vec<(u64, u32)> {
+        let mut out = Vec::with_capacity(self.len(layout));
+        while let Some(req) = self.front(layout) {
+            out.push(req);
+            self.pop_front(layout);
         }
         out
     }
 
-    /// Channel-local byte offset where this matrix's data region begins.
+    /// Rebuilds a plan from its checkpoint form.
     ///
-    /// The flat `data_base` is a multiple of `interleave × channels`, so
-    /// in every channel's local space the region starts at
-    /// `data_base / num_channels`.
-    fn data_base_local(&self) -> u64 {
-        // Recovered lazily by the caller's config; stored flat base is in
-        // units that divide evenly. To keep this self-contained we stash
-        // the local base directly in `data_base` at construction time.
-        self.data_base
+    /// # Panics
+    ///
+    /// Panics if `reqs` is not the tail of one row's request stream — a
+    /// checkpoint can only hold what [`RowPlan::requests`] produced.
+    pub(crate) fn from_requests(layout: &MatrixLayout, reqs: &[(u64, u32)]) -> RowPlan {
+        let (Some(&(first, _)), Some(&(last, last_len))) = (reqs.first(), reqs.last()) else {
+            return RowPlan::default();
+        };
+        let plan = RowPlan {
+            channel: layout.map.channel_of(first),
+            pos: layout.map.local_offset(first),
+            end: layout.map.local_offset(last) + last_len as u64,
+        };
+        assert_eq!(plan.requests(layout), reqs, "checkpointed request plan is not a row stream");
+        plan
     }
 }
 
@@ -97,24 +160,41 @@ impl MatrixLayout {
 /// apart, so alignment never causes overlap); its channel-local
 /// equivalent is the aligned base divided by the channel count.
 pub(crate) fn matrix_layout(
-    cfg: &HbmConfig,
+    cfg: &MatRaptorConfig,
     info_base: u64,
     data_base_flat: u64,
-    entry_bytes: u64,
 ) -> MatrixLayout {
-    let stripe = cfg.interleave_bytes as u64 * cfg.num_channels as u64;
+    let mem = &cfg.mem;
+    let stripe = mem.interleave_bytes as u64 * mem.num_channels as u64;
     let aligned = data_base_flat / stripe * stripe;
-    MatrixLayout { info_base, data_base: aligned / cfg.num_channels as u64, entry_bytes }
+    MatrixLayout {
+        info_base,
+        data_base_local: aligned / mem.num_channels as u64,
+        entry: Divisor::new(cfg.entry_bytes as u64),
+        chunk: Divisor::new(cfg.read_request_bytes as u64),
+        map: AddressMap::new(mem),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use matraptor_mem::HbmConfig;
+
+    /// A layout over `mem` with 8 B entries and 64 B requests.
+    fn layout(mem: HbmConfig, info_base: u64, data_base: u64) -> MatrixLayout {
+        let cfg = MatRaptorConfig {
+            mem,
+            entry_bytes: 8,
+            read_request_bytes: 64,
+            ..MatRaptorConfig::default()
+        };
+        matrix_layout(&cfg, info_base, data_base)
+    }
 
     #[test]
     fn info_addresses_are_dense() {
-        let cfg = HbmConfig::with_channels(2);
-        let l = matrix_layout(&cfg, 0x100, 0x1000, 8);
+        let l = layout(HbmConfig::with_channels(2), 0x100, 0x1000);
         assert_eq!(l.info_addr(0), 0x100);
         assert_eq!(l.info_addr(3), 0x118);
     }
@@ -122,10 +202,12 @@ mod tests {
     #[test]
     fn row_requests_stay_on_channel_and_cover_row() {
         let cfg = HbmConfig::with_channels(4);
-        let l = matrix_layout(&cfg, 0, 0x1000, 8);
+        let l = layout(cfg.clone(), 0, 0x1000);
         // Row with 20 entries (160 B) starting at entry 5 (byte 40) on
         // channel 3.
-        let reqs = l.row_data_requests(&cfg, 3, C2srRow { len: 20, offset: 5 }, 64);
+        let plan = l.row_plan(3, C2srRow { len: 20, offset: 5 });
+        let reqs = plan.requests(&l);
+        assert_eq!(plan.len(&l), reqs.len());
         let total: u32 = reqs.iter().map(|&(_, b)| b).sum();
         assert_eq!(total, 160);
         for &(addr, bytes) in &reqs {
@@ -138,18 +220,54 @@ mod tests {
     }
 
     #[test]
+    fn plan_issues_the_same_stream_one_request_at_a_time() {
+        let cfg = HbmConfig::default();
+        let l = layout(cfg.clone(), 0, 0x3000_0000);
+        let mut plan = l.row_plan(5, C2srRow { len: 37, offset: 3 });
+        let all = plan.requests(&l);
+        // The flat addresses follow the channel-local stream exactly.
+        let base = l.data_base_local + 3 * 8;
+        let mut local = base;
+        for &(addr, bytes) in &all {
+            assert_eq!(addr, cfg.channel_local_to_flat(5, local));
+            local += bytes as u64;
+        }
+        assert_eq!(local, base + 37 * 8);
+        for (k, &req) in all.iter().enumerate() {
+            assert_eq!(plan.len(&l), all.len() - k);
+            // Every tail round-trips through its checkpoint form.
+            assert_eq!(RowPlan::from_requests(&l, &all[k..]), plan);
+            assert_eq!(plan.front(&l), Some(req));
+            plan.pop_front(&l);
+        }
+        assert!(plan.is_empty());
+        assert_eq!(plan.front(&l), None);
+        assert_eq!(plan.len(&l), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a row stream")]
+    fn a_gapped_checkpoint_plan_is_rejected() {
+        let l = layout(HbmConfig::default(), 0, 0);
+        let reqs = l.row_plan(0, C2srRow { len: 24, offset: 0 }).requests(&l);
+        let _ = RowPlan::from_requests(&l, &[reqs[0], reqs[2]]);
+    }
+
+    #[test]
     fn empty_row_has_no_requests() {
-        let cfg = HbmConfig::with_channels(2);
-        let l = matrix_layout(&cfg, 0, 0, 8);
-        assert!(l.row_data_requests(&cfg, 0, C2srRow { len: 0, offset: 9 }, 64).is_empty());
+        let l = layout(HbmConfig::with_channels(2), 0, 0);
+        let plan = l.row_plan(0, C2srRow { len: 0, offset: 9 });
+        assert!(plan.is_empty());
+        assert!(plan.requests(&l).is_empty());
+        assert_eq!(RowPlan::from_requests(&l, &[]), RowPlan::default());
     }
 
     #[test]
     fn misaligned_base_is_rounded_down() {
         let cfg = HbmConfig::with_channels(8);
-        let l = matrix_layout(&cfg, 0, 100, 8);
+        let l = layout(cfg.clone(), 0, 100);
         // 100 rounds down to 0 under a 512 B stripe.
-        let reqs = l.row_data_requests(&cfg, 0, C2srRow { len: 1, offset: 0 }, 64);
+        let reqs = l.row_plan(0, C2srRow { len: 1, offset: 0 }).requests(&l);
         assert_eq!(cfg.channel_of_addr(reqs[0].0), 0);
     }
 

@@ -7,7 +7,6 @@ use matraptor_sim::watchdog::mix_signature;
 
 use crate::checkpoint::{BreakdownState, PeState};
 use crate::config::MatRaptorConfig;
-use crate::layout::MatrixLayout;
 use crate::queue::{QueueSet, VectorMode};
 use crate::tokens::PeTok;
 use crate::writer::Writer;
@@ -104,11 +103,10 @@ impl Pe {
         input: &mut VecDeque<PeTok>,
         writer: &mut Writer,
         cfg: &MatRaptorConfig,
-        layout: &MatrixLayout,
         fallback: &dyn Fn(u32) -> (Vec<u32>, Vec<f64>),
         upstream_done: bool,
     ) {
-        self.tick_phase2(writer, cfg, layout);
+        self.tick_phase2(writer, cfg);
         let class = self.tick_phase1(input, writer, fallback, upstream_done);
         if !matches!(class, CycleClass::Idle) {
             self.phase1_cycles.incr();
@@ -129,11 +127,11 @@ impl Pe {
         }
     }
 
-    fn tick_phase2(&mut self, writer: &mut Writer, cfg: &MatRaptorConfig, layout: &MatrixLayout) {
+    fn tick_phase2(&mut self, writer: &mut Writer, cfg: &MatRaptorConfig) {
         let Some(ph) = self.phase2 else { return };
         let set = &mut self.sets[ph.set];
         if set.is_empty() {
-            writer.finish_row(ph.row, cfg, layout);
+            writer.finish_row(ph.row);
             set.reset_for_new_row();
             self.phase2 = None;
         } else if writer.can_accept() {

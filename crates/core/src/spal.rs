@@ -1,14 +1,15 @@
 //! Sparse Matrix A Loader (SpAL).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use matraptor_sim::trace::{StageBreakdown, StageClass};
 use matraptor_sim::watchdog::mix_signature;
+use matraptor_sim::IdTable;
 use matraptor_sparse::C2sr;
 
 use crate::checkpoint::{SpAlSpanState, SpAlState};
 use crate::config::MatRaptorConfig;
-use crate::layout::{MatrixLayout, INFO_BYTES};
+use crate::layout::{MatrixLayout, RowPlan, INFO_BYTES};
 use crate::port::MemPort;
 use crate::tokens::ATok;
 
@@ -26,18 +27,23 @@ pub struct SpAl {
     lane: usize,
     // conformance:allow(checkpoint-coverage): row assignment is derived from (lane, layout) at construction, identical across a restore of the same job
     rows: Vec<u32>,
+    /// Where matrix A lives.
+    // conformance:allow(checkpoint-coverage): derived from the config at construction, identical across a restore of the same job
+    layout: MatrixLayout,
     /// Next row whose info fetch may be issued.
     info_cursor: usize,
     /// Next row whose data fetches may be issued (gated on its info).
     data_cursor: usize,
     /// Rows whose info response has arrived.
     info_ready: Vec<bool>,
-    /// Planned data requests for the row currently being issued.
-    current_plan: VecDeque<(u64, u32)>,
+    /// Data requests still to issue for the row currently being issued.
+    current_plan: RowPlan,
     /// Entry cursor within the current row (for decode bookkeeping).
     entries_issued: u32,
-    pending_info: BTreeMap<u64, usize>,
-    pending_data: BTreeMap<u64, DataSpan>,
+    /// In-flight info fetches: request id → row position.
+    pending_info: IdTable<usize>,
+    /// In-flight data fetches: request id → the entries they carry.
+    pending_data: IdTable<DataSpan>,
     /// Decoded tokens awaiting the downstream FIFO.
     staging: VecDeque<ATok>,
     /// In-flight request budget.
@@ -63,19 +69,25 @@ struct DataSpan {
 impl SpAl {
     /// Builds the loader for `lane`, taking the global row → lane
     /// round-robin assignment from the C²SR matrix itself.
-    pub(crate) fn new(lane: usize, cfg: &MatRaptorConfig, a: &C2sr<f64>) -> Self {
+    pub(crate) fn new(
+        lane: usize,
+        cfg: &MatRaptorConfig,
+        a: &C2sr<f64>,
+        layout: MatrixLayout,
+    ) -> Self {
         let rows: Vec<u32> = (lane..a.rows()).step_by(cfg.num_lanes).map(|r| r as u32).collect();
         let n = rows.len();
         SpAl {
             lane,
             rows,
+            layout,
             info_cursor: 0,
             data_cursor: 0,
             info_ready: vec![false; n],
-            current_plan: VecDeque::new(),
+            current_plan: RowPlan::default(),
             entries_issued: 0,
-            pending_info: BTreeMap::new(),
-            pending_data: BTreeMap::new(),
+            pending_info: IdTable::new(),
+            pending_data: IdTable::new(),
             staging: VecDeque::new(),
             in_flight: 0,
             max_outstanding: cfg.outstanding_requests,
@@ -90,12 +102,12 @@ impl SpAl {
     /// Handles a memory response routed to this unit. Returns `true` if
     /// the id belonged to SpAL.
     pub(crate) fn on_response(&mut self, id: u64, a: &C2sr<f64>) -> bool {
-        if let Some(row_pos) = self.pending_info.remove(&id) {
+        if let Some(row_pos) = self.pending_info.remove(id) {
             self.info_ready[row_pos] = true;
             self.in_flight -= 1;
             return true;
         }
-        if let Some(span) = self.pending_data.remove(&id) {
+        if let Some(span) = self.pending_data.remove(id) {
             self.in_flight -= 1;
             let row = self.rows[span.row_pos] as usize;
             let (cols, vals) = a.row_slices(row);
@@ -118,12 +130,11 @@ impl SpAl {
     pub(crate) fn tick(
         &mut self,
         port: &mut MemPort<'_>,
-        cfg: &MatRaptorConfig,
-        layout: &MatrixLayout,
         a: &C2sr<f64>,
         out: &mut VecDeque<ATok>,
         out_cap: usize,
     ) {
+        let layout = &self.layout;
         // Attribution bookkeeping only — `moved` never gates behaviour, so
         // the traced and untraced dynamics are identical by construction.
         let mut moved = false;
@@ -185,31 +196,29 @@ impl SpAl {
                     moved = true;
                     continue;
                 }
-                self.current_plan = layout
-                    .row_data_requests(&cfg.mem, self.lane, info, cfg.read_request_bytes)
-                    .into();
+                self.current_plan = layout.row_plan(self.lane, info);
                 self.entries_issued = 0;
             }
             // Issue as many of the planned reads as the budget allows.
             let mut progressed = false;
-            while let Some(&(addr, bytes)) = self.current_plan.front() {
+            while let Some((addr, bytes)) = self.current_plan.front(layout) {
                 if self.in_flight >= self.max_outstanding {
                     break;
                 }
                 match port.try_read(addr, bytes) {
                     Some(id) => {
-                        let count = bytes as u64 / layout.entry_bytes;
+                        let count = layout.entries_in(bytes);
                         self.pending_data.insert(
                             id,
                             DataSpan {
                                 row_pos: self.data_cursor,
                                 first_entry: self.entries_issued,
-                                count: count as u32,
+                                count,
                             },
                         );
-                        self.entries_issued += count as u32;
+                        self.entries_issued += count;
                         self.in_flight += 1;
-                        self.current_plan.pop_front();
+                        self.current_plan.pop_front(layout);
                         progressed = true;
                     }
                     None => break,
@@ -268,7 +277,7 @@ impl SpAl {
         sig = mix_signature(sig, self.staging.len() as u64);
         sig = mix_signature(sig, self.pending_info.len() as u64);
         sig = mix_signature(sig, self.pending_data.len() as u64);
-        sig = mix_signature(sig, self.current_plan.len() as u64);
+        sig = mix_signature(sig, self.current_plan.len(&self.layout) as u64);
         mix_signature(sig, self.entries_issued as u64)
     }
 
@@ -290,13 +299,13 @@ impl SpAl {
             info_cursor: self.info_cursor as u64,
             data_cursor: self.data_cursor as u64,
             info_ready: self.info_ready.clone(),
-            current_plan: self.current_plan.iter().copied().collect(),
+            current_plan: self.current_plan.requests(&self.layout),
             entries_issued: self.entries_issued,
-            pending_info: self.pending_info.iter().map(|(&id, &pos)| (id, pos as u64)).collect(),
+            pending_info: self.pending_info.iter().map(|(id, &pos)| (id, pos as u64)).collect(),
             pending_data: self
                 .pending_data
                 .iter()
-                .map(|(&id, span)| {
+                .map(|(id, span)| {
                     (
                         id,
                         SpAlSpanState {
@@ -324,7 +333,7 @@ impl SpAl {
         self.info_cursor = state.info_cursor as usize;
         self.data_cursor = state.data_cursor as usize;
         self.info_ready = state.info_ready.clone();
-        self.current_plan = state.current_plan.iter().copied().collect();
+        self.current_plan = RowPlan::from_requests(&self.layout, &state.current_plan);
         self.entries_issued = state.entries_issued;
         self.pending_info =
             state.pending_info.iter().map(|&(id, pos)| (id, pos as usize)).collect();

@@ -1,14 +1,15 @@
 //! Sparse Matrix B Loader (SpBL).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use matraptor_sim::trace::{StageBreakdown, StageClass};
 use matraptor_sim::watchdog::mix_signature;
+use matraptor_sim::IdTable;
 use matraptor_sparse::C2sr;
 
 use crate::checkpoint::{JobState, SpBlState};
 use crate::config::MatRaptorConfig;
-use crate::layout::{MatrixLayout, INFO_BYTES};
+use crate::layout::{MatrixLayout, RowPlan, INFO_BYTES};
 use crate::port::MemPort;
 use crate::tokens::{ATok, PeTok};
 
@@ -25,18 +26,27 @@ use crate::tokens::{ATok, PeTok};
 /// (Section VI-B).
 #[derive(Debug)]
 pub struct SpBl {
+    /// Where matrix B lives.
+    // conformance:allow(checkpoint-coverage): derived from the config at construction, identical across a restore of the same job
+    layout: MatrixLayout,
     jobs: VecDeque<Job>,
     next_seq: u64,
-    pending_info: BTreeMap<u64, u64>,
-    pending_data: BTreeMap<u64, DataSpan>,
+    /// In-flight info fetches: request id → job sequence number.
+    pending_info: IdTable<u64>,
+    /// In-flight data fetches: request id → the entries they carry.
+    pending_data: IdTable<DataSpan>,
+    /// The jobs [`Job::issuable`] says have requests to issue, as a bitset
+    /// over `seq % 64` (the window holds at most 32 consecutive sequence
+    /// numbers, so bits never collide). The issue loop visits just these
+    /// instead of scanning the whole window every cycle.
+    // conformance:allow(checkpoint-coverage): derived from `jobs`; restore recomputes it
+    issuable: u64,
     staging: VecDeque<PeTok>,
     in_flight: usize,
     // conformance:allow(checkpoint-coverage): fixed hardware constant from config, never mutated after construction
     max_outstanding: usize,
     // conformance:allow(checkpoint-coverage): fixed hardware constant from config, never mutated after construction
     staging_cap: usize,
-    // conformance:allow(checkpoint-coverage): fixed hardware constant from config, never mutated after construction
-    job_window: usize,
     /// Diagnostic counters: (blocked-on-data, blocked-on-info, staging-full, no-jobs) cycles.
     pub(crate) blocked: [u64; 4],
     /// Set when an incoming A token referenced a B row outside the
@@ -64,13 +74,29 @@ struct Job {
     last_in_row: bool,
     info_requested: bool,
     info_ready: bool,
-    plan: Option<VecDeque<(u64, u32)>>,
+    /// Data requests still to issue, once the row info has arrived.
+    plan: Option<RowPlan>,
     len: u32,
     /// Entries whose data responses have arrived (contiguous prefix —
     /// per-channel ordering guarantees in-order arrival within a job).
     ready_entries: u32,
     /// Entries already turned into product tokens.
     drained_entries: u32,
+}
+
+impl Job {
+    /// Whether the issue loop has work for this job: its row info is still
+    /// to request, or the info has arrived and data is left to fetch.
+    fn issuable(&self) -> bool {
+        self.kind == JobKind::Fetch
+            && (!self.info_requested
+                || (self.info_ready && self.plan.is_none_or(|plan| !plan.is_empty())))
+    }
+}
+
+/// `seq`'s bit in [`SpBl::issuable`].
+fn seq_bit(seq: u64) -> u64 {
+    1 << (seq % 64)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,18 +107,23 @@ enum JobKind {
     EmptyRow,
 }
 
+/// Jobs SpBL holds at once: at most 64, the width of `SpBl::issuable`.
+const JOB_WINDOW: usize = 32;
+const _: () = assert!(JOB_WINDOW <= 64);
+
 impl SpBl {
-    pub(crate) fn new(cfg: &MatRaptorConfig) -> Self {
+    pub(crate) fn new(cfg: &MatRaptorConfig, layout: MatrixLayout) -> Self {
         SpBl {
+            layout,
             jobs: VecDeque::new(),
             next_seq: 0,
-            pending_info: BTreeMap::new(),
-            pending_data: BTreeMap::new(),
+            pending_info: IdTable::new(),
+            pending_data: IdTable::new(),
+            issuable: 0,
             staging: VecDeque::new(),
             in_flight: 0,
             max_outstanding: cfg.outstanding_requests,
             staging_cap: 4 * cfg.coupling_fifo_depth,
-            job_window: 32,
             blocked: [0; 4],
             malformed: None,
             attribution: StageBreakdown::default(),
@@ -101,14 +132,17 @@ impl SpBl {
 
     /// Routes a memory response to this unit. Returns `true` if consumed.
     pub(crate) fn on_response(&mut self, id: u64) -> bool {
-        if let Some(seq) = self.pending_info.remove(&id) {
+        if let Some(seq) = self.pending_info.remove(id) {
             self.in_flight -= 1;
             if let Some(job) = self.job_mut(seq) {
                 job.info_ready = true;
+                if job.issuable() {
+                    self.issuable |= seq_bit(seq);
+                }
             }
             return true;
         }
-        if let Some(span) = self.pending_data.remove(&id) {
+        if let Some(span) = self.pending_data.remove(id) {
             self.in_flight -= 1;
             if let Some(job) = self.job_mut(span.job_seq) {
                 job.ready_entries += span.count;
@@ -128,18 +162,16 @@ impl SpBl {
     /// SpAL has fully finished, which disambiguates "idle because the
     /// pipeline is draining" from "queue-stalled on a starved input FIFO"
     /// in the cycle attribution — it gates no behaviour.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn tick(
         &mut self,
         port: &mut MemPort<'_>,
-        cfg: &MatRaptorConfig,
-        layout: &MatrixLayout,
         b: &C2sr<f64>,
         input: &mut VecDeque<ATok>,
         out: &mut VecDeque<PeTok>,
         out_cap: usize,
         upstream_done: bool,
     ) {
+        let layout = &self.layout;
         // Attribution bookkeeping only — never gates behaviour.
         let mut moved = false;
 
@@ -152,7 +184,7 @@ impl SpBl {
         }
 
         // Accept new A tokens into the job window.
-        while self.jobs.len() < self.job_window {
+        while self.jobs.len() < JOB_WINDOW {
             let Some(tok) = input.pop_front() else { break };
             // Bounds check at the stream boundary: a corrupted C²SR
             // stream can carry a column id outside B's row space, which
@@ -188,64 +220,67 @@ impl SpBl {
                     last_in_row: true,
                     info_requested: true,
                     info_ready: true,
-                    plan: Some(VecDeque::new()),
+                    plan: Some(RowPlan::default()),
                     len: 0,
                     ready_entries: 0,
                     drained_entries: 0,
                 },
             };
+            if job.issuable() {
+                self.issuable |= seq_bit(job.seq);
+            }
             self.jobs.push_back(job);
             self.next_seq += 1;
             moved = true;
         }
 
-        // Issue info and data requests in job order.
+        // Issue info and data requests in job order, visiting only the
+        // jobs that have any to issue.
         if self.staging.len() < self.staging_cap {
-            for idx in 0..self.jobs.len() {
+            let front_seq = self.jobs.front().map_or(0, |j| j.seq);
+            let mut todo = self.issuable.rotate_right((front_seq % 64) as u32);
+            while todo != 0 {
                 if self.in_flight >= self.max_outstanding {
                     break;
                 }
-                let (seq, kind, b_row, info_requested, info_ready, plan_built) = {
-                    let j = &self.jobs[idx];
-                    (j.seq, j.kind, j.b_row, j.info_requested, j.info_ready, j.plan.is_some())
-                };
-                if kind == JobKind::EmptyRow {
-                    continue;
-                }
-                if !info_requested {
-                    let addr = layout.info_addr(b_row as usize);
-                    if let Some(id) = port.try_read(addr, INFO_BYTES) {
-                        self.pending_info.insert(id, seq);
+                let job = &mut self.jobs[todo.trailing_zeros() as usize];
+                todo &= todo - 1;
+                if !job.info_requested {
+                    if let Some(id) =
+                        port.try_read(layout.info_addr(job.b_row as usize), INFO_BYTES)
+                    {
+                        self.pending_info.insert(id, job.seq);
                         self.in_flight += 1;
-                        self.jobs[idx].info_requested = true;
+                        job.info_requested = true;
                         moved = true;
                     }
-                    continue;
-                }
-                if info_ready && !plan_built {
-                    let info = b.row_info(b_row as usize);
-                    let channel = b.channel_of(b_row as usize);
-                    let plan =
-                        layout.row_data_requests(&cfg.mem, channel, info, cfg.read_request_bytes);
-                    self.jobs[idx].len = info.len;
-                    self.jobs[idx].plan = Some(plan.into());
-                }
-                if let Some(plan) = self.jobs[idx].plan.as_mut() {
-                    while let Some(&(addr, bytes)) = plan.front() {
-                        if self.in_flight >= self.max_outstanding {
-                            break;
-                        }
-                        match port.try_read(addr, bytes) {
-                            Some(id) => {
-                                plan.pop_front();
-                                let count = (bytes as u64 / layout.entry_bytes) as u32;
-                                self.pending_data.insert(id, DataSpan { job_seq: seq, count });
-                                self.in_flight += 1;
-                                moved = true;
+                } else {
+                    if job.info_ready && job.plan.is_none() {
+                        let info = b.row_info(job.b_row as usize);
+                        job.len = info.len;
+                        job.plan = Some(layout.row_plan(b.channel_of(job.b_row as usize), info));
+                    }
+                    if let Some(plan) = job.plan.as_mut() {
+                        while let Some((addr, bytes)) = plan.front(layout) {
+                            if self.in_flight >= self.max_outstanding {
+                                break;
                             }
-                            None => break,
+                            match port.try_read(addr, bytes) {
+                                Some(id) => {
+                                    plan.pop_front(layout);
+                                    let count = layout.entries_in(bytes);
+                                    self.pending_data
+                                        .insert(id, DataSpan { job_seq: job.seq, count });
+                                    self.in_flight += 1;
+                                    moved = true;
+                                }
+                                None => break,
+                            }
                         }
                     }
+                }
+                if !job.issuable() {
+                    self.issuable &= !seq_bit(job.seq);
                 }
             }
         }
@@ -288,7 +323,7 @@ impl SpBl {
                         self.jobs.front_mut().expect("front exists").drained_entries += 1;
                         drained_any = true;
                     } else if front.drained_entries == front.len
-                        && front.plan.as_ref().is_some_and(VecDeque::is_empty)
+                        && front.plan.as_ref().is_some_and(RowPlan::is_empty)
                     {
                         if front.len > 0 {
                             self.staging.push_back(PeTok::EndOfVector);
@@ -377,7 +412,10 @@ impl SpBl {
             sig = mix_signature(sig, u64::from(f.info_requested) | u64::from(f.info_ready) << 1);
             sig = mix_signature(sig, f.ready_entries as u64);
             sig = mix_signature(sig, f.drained_entries as u64);
-            sig = mix_signature(sig, f.plan.as_ref().map_or(u64::MAX, |p| p.len() as u64));
+            sig = mix_signature(
+                sig,
+                f.plan.as_ref().map_or(u64::MAX, |p| p.len(&self.layout) as u64),
+            );
         }
         sig
     }
@@ -404,18 +442,18 @@ impl SpBl {
                     last_in_row: j.last_in_row,
                     info_requested: j.info_requested,
                     info_ready: j.info_ready,
-                    plan: j.plan.as_ref().map(|p| p.iter().copied().collect()),
+                    plan: j.plan.map(|p| p.requests(&self.layout)),
                     len: j.len,
                     ready_entries: j.ready_entries,
                     drained_entries: j.drained_entries,
                 })
                 .collect(),
             next_seq: self.next_seq,
-            pending_info: self.pending_info.iter().map(|(&id, &seq)| (id, seq)).collect(),
+            pending_info: self.pending_info.iter().map(|(id, &seq)| (id, seq)).collect(),
             pending_data: self
                 .pending_data
                 .iter()
-                .map(|(&id, span)| (id, span.job_seq, span.count))
+                .map(|(id, span)| (id, span.job_seq, span.count))
                 .collect(),
             staging: self.staging.iter().copied().collect(),
             in_flight: self.in_flight as u64,
@@ -440,7 +478,7 @@ impl SpBl {
                 last_in_row: j.last_in_row,
                 info_requested: j.info_requested,
                 info_ready: j.info_ready,
-                plan: j.plan.as_ref().map(|p| p.iter().copied().collect()),
+                plan: j.plan.as_ref().map(|p| RowPlan::from_requests(&self.layout, p)),
                 len: j.len,
                 ready_entries: j.ready_entries,
                 drained_entries: j.drained_entries,
@@ -458,5 +496,7 @@ impl SpBl {
         self.blocked = state.blocked;
         self.malformed = state.malformed;
         self.attribution = StageBreakdown::from_array(state.attribution);
+        self.issuable =
+            self.jobs.iter().filter(|j| j.issuable()).fold(0, |bits, j| bits | seq_bit(j.seq));
     }
 }

@@ -218,8 +218,8 @@ impl TraceSampler {
     }
 
     /// Records one memory-clock tick's queue depths.
-    pub(crate) fn record_queue_depths(&mut self, depths: &[usize]) {
-        for (ch, &d) in self.channels.iter_mut().zip(depths) {
+    pub(crate) fn record_queue_depths(&mut self, depths: impl IntoIterator<Item = usize>) {
+        for (ch, d) in self.channels.iter_mut().zip(depths) {
             ch.queue_depth.record(d as u64);
         }
     }
@@ -303,8 +303,8 @@ mod tests {
     fn sampler_turns_cumulative_counters_into_window_deltas() {
         let cfg = TraceConfig { window: 10, queue_depth_bounds: vec![1, 4] };
         let mut sampler = TraceSampler::new(&cfg, 1, 1);
-        sampler.record_queue_depths(&[0]);
-        sampler.record_queue_depths(&[5]);
+        sampler.record_queue_depths([0]);
+        sampler.record_queue_depths([5]);
 
         let mut st = ChannelStats::default();
         st.read_bytes.add(100);
@@ -351,7 +351,7 @@ mod tests {
             let mut sampler = TraceSampler::new(&cfg, 2, 1);
             let mut st = ChannelStats::default();
             st.read_bytes.add(64);
-            sampler.record_queue_depths(&[1, 3]);
+            sampler.record_queue_depths([1, 3]);
             sampler.finish(8, 2, &[st, ChannelStats::default()], &attrs(8))
         };
         let trace = build();

@@ -1,9 +1,10 @@
 //! Per-lane output writer: streams finished C rows to the lane's channel.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use matraptor_sim::trace::{StageBreakdown, StageClass};
 use matraptor_sim::watchdog::mix_signature;
+use matraptor_sim::IdTable;
 
 use crate::checkpoint::WriterState;
 use crate::config::MatRaptorConfig;
@@ -37,7 +38,7 @@ pub(crate) struct Writer {
     /// Write requests accepted by the buffer but not yet by the HBM.
     queue: VecDeque<(u64, u32)>,
     /// Ids of writes in flight.
-    pending: BTreeSet<u64>,
+    pending: IdTable<()>,
     /// Current row being assembled.
     cur_row: Option<u32>,
     cur_cols: Vec<u32>,
@@ -48,9 +49,9 @@ pub(crate) struct Writer {
     entry_bytes: u32,
     // conformance:allow(checkpoint-coverage): fixed hardware constant, never mutated after construction
     queue_cap: usize,
-    /// Channel-local base of the C data region.
-    // conformance:allow(checkpoint-coverage): derived from the matrix layout at construction, identical across a restore of the same job
-    data_base_local: u64,
+    /// Where matrix C lives.
+    // conformance:allow(checkpoint-coverage): derived from the config at construction, identical across a restore of the same job
+    layout: MatrixLayout,
     /// Total entries accepted via `push_entry` (fault bookkeeping).
     entries_pushed: u64,
     /// Fault injection: silently drop the append with this ordinal.
@@ -63,14 +64,14 @@ pub(crate) struct Writer {
 }
 
 impl Writer {
-    pub(crate) fn new(lane: usize, cfg: &MatRaptorConfig, data_base_local: u64) -> Self {
+    pub(crate) fn new(lane: usize, cfg: &MatRaptorConfig, layout: MatrixLayout) -> Self {
         Writer {
-            data_base_local,
+            layout,
             lane,
             local_cursor: 0,
             buffered_bytes: 0,
             queue: VecDeque::new(),
-            pending: BTreeSet::new(),
+            pending: IdTable::new(),
             cur_row: None,
             cur_cols: Vec::new(),
             cur_vals: Vec::new(),
@@ -110,18 +111,18 @@ impl Writer {
         self.cur_vals.push(val);
         self.buffered_bytes = self.buffered_bytes.saturating_add(self.entry_bytes);
         if self.buffered_bytes as u64 >= cfg.mem.interleave_bytes as u64 {
-            self.flush_data_burst(cfg);
+            self.flush_data_burst();
         }
     }
 
     /// Completes row `row`: flushes the partial burst and writes the
     /// *(length, pointer)* metadata pair.
-    pub(crate) fn finish_row(&mut self, row: u32, cfg: &MatRaptorConfig, layout: &MatrixLayout) {
+    pub(crate) fn finish_row(&mut self, row: u32) {
         debug_assert!(self.cur_row.is_none() || self.cur_row == Some(row));
         if self.buffered_bytes > 0 {
-            self.flush_data_burst(cfg);
+            self.flush_data_burst();
         }
-        self.queue.push_back((layout.info_addr(row as usize), INFO_BYTES));
+        self.queue.push_back((self.layout.info_addr(row as usize), INFO_BYTES));
         self.finished.push(FinishedRow {
             row,
             cols: std::mem::take(&mut self.cur_cols),
@@ -148,18 +149,12 @@ impl Writer {
         self.finished.push(FinishedRow { row, cols, vals, padded_entries: upper_bound_entries });
     }
 
-    fn flush_data_burst(&mut self, cfg: &MatRaptorConfig) {
-        let addr =
-            cfg.mem.channel_local_to_flat(self.lane, self.data_local_base() + self.local_cursor);
+    fn flush_data_burst(&mut self) {
+        let local = self.layout.data_base_local + self.local_cursor;
+        let addr = self.layout.map.local_to_flat(self.lane, local);
         self.queue.push_back((addr, self.buffered_bytes));
         self.local_cursor += self.buffered_bytes as u64;
         self.buffered_bytes = 0;
-    }
-
-    /// Channel-local base of the C data region; stored on the layout at
-    /// construction time, duplicated here to keep flushes self-contained.
-    fn data_local_base(&self) -> u64 {
-        self.data_base_local
     }
 
     /// One accelerator cycle: issue at most one queued write.
@@ -167,7 +162,7 @@ impl Writer {
         let mut issued = false;
         if let Some(&(addr, bytes)) = self.queue.front() {
             if let Some(id) = port.try_write(addr, bytes) {
-                self.pending.insert(id);
+                self.pending.insert(id, ());
                 self.queue.pop_front();
                 issued = true;
             }
@@ -191,7 +186,7 @@ impl Writer {
 
     /// Routes a write acknowledgement. Returns `true` if consumed.
     pub(crate) fn on_response(&mut self, id: u64) -> bool {
-        self.pending.remove(&id)
+        self.pending.remove(id).is_some()
     }
 
     /// Whether every accepted entry has been written and acknowledged.
@@ -224,7 +219,7 @@ impl Writer {
             local_cursor: self.local_cursor,
             buffered_bytes: self.buffered_bytes,
             queue: self.queue.iter().copied().collect(),
-            pending: self.pending.iter().copied().collect(),
+            pending: self.pending.iter().map(|(id, ())| id).collect(),
             cur_row: self.cur_row,
             cur_cols: self.cur_cols.clone(),
             cur_vals: self.cur_vals.clone(),
@@ -242,7 +237,7 @@ impl Writer {
         self.local_cursor = state.local_cursor;
         self.buffered_bytes = state.buffered_bytes;
         self.queue = state.queue.iter().copied().collect();
-        self.pending = state.pending.iter().copied().collect();
+        self.pending = state.pending.iter().map(|&id| (id, ())).collect();
         self.cur_row = state.cur_row;
         self.cur_cols = state.cur_cols.clone();
         self.cur_vals = state.cur_vals.clone();

@@ -4,7 +4,7 @@ use matraptor_sim::stats::Counter;
 use matraptor_sim::{Cycle, Fifo};
 
 use crate::snapshot::{BankState, ChannelState, ChannelStatsState, FragmentState};
-use crate::{HbmConfig, MemKind, RequestId};
+use crate::{AddressMap, HbmConfig, MemKind, RequestId};
 
 /// One burst-sized piece of a memory request, bound to a single channel.
 ///
@@ -18,6 +18,11 @@ pub(crate) struct Fragment {
     pub addr: u64,
     /// Useful bytes this fragment carries (≤ one burst).
     pub bytes: u32,
+    /// DRAM row of `addr` within its channel, decoded once at split time
+    /// so the controller's per-cycle lookahead does no address arithmetic.
+    pub row: u64,
+    /// Bank holding `row`.
+    pub bank: usize,
 }
 
 /// Per-channel accounting.
@@ -39,6 +44,25 @@ pub struct ChannelStats {
     /// Bursts that had to open a new DRAM row.
     pub row_misses: Counter,
 }
+
+impl Fragment {
+    /// A fragment of request `req_id` at `addr`, with its DRAM coordinates
+    /// decoded through `map`.
+    pub(crate) fn new(
+        map: &AddressMap,
+        req_id: RequestId,
+        kind: MemKind,
+        addr: u64,
+        bytes: u32,
+    ) -> Self {
+        let (row, bank) = map.dram_coords(addr);
+        Fragment { req_id, kind, addr, bytes, row, bank }
+    }
+}
+
+/// Deepest lookahead the controller models (`HbmConfig::bank_lookahead`
+/// is clamped to it).
+const LOOKAHEAD_MAX: usize = 16;
 
 impl ChannelStats {
     /// Useful bytes in either direction.
@@ -75,6 +99,19 @@ pub(crate) struct Channel {
     in_service: Option<(Fragment, Cycle)>,
     banks: Vec<Bank>,
     stats: ChannelStats,
+    /// Queued fragments scanned for early activations.
+    // conformance:allow(checkpoint-coverage): fixed hardware constant from config, rebuilt by restore
+    lookahead: usize,
+    // conformance:allow(checkpoint-coverage): fixed hardware constant from config, rebuilt by restore
+    row_miss_penalty: u64,
+    // conformance:allow(checkpoint-coverage): fixed hardware constant from config, rebuilt by restore
+    burst_cycles: u64,
+    /// Earliest cycle at which the activation scan can start anything,
+    /// given no change to the queue or the banks since the last scan. Every
+    /// such change resets it, so the skipped scans are exactly the ones
+    /// that would have found nothing to do.
+    // conformance:allow(checkpoint-coverage): derived; a restored channel scans on its first tick
+    scan_at: Cycle,
 }
 
 impl Channel {
@@ -84,6 +121,10 @@ impl Channel {
             in_service: None,
             banks: vec![Bank::default(); cfg.banks_per_channel],
             stats: ChannelStats::default(),
+            lookahead: cfg.bank_lookahead.min(LOOKAHEAD_MAX),
+            row_miss_penalty: cfg.row_miss_penalty,
+            burst_cycles: cfg.burst_cycles(),
+            scan_at: Cycle::ZERO,
         }
     }
 
@@ -115,16 +156,46 @@ impl Channel {
             .try_push(frag)
             // conformance:allow(panic-safety): documented contract: callers must check can_accept first
             .unwrap_or_else(|_| panic!("channel queue overflow; check can_accept first"));
+        self.scan_at = Cycle::ZERO;
     }
 
-    fn row_and_bank(&self, cfg: &HbmConfig, addr: u64) -> (u64, usize) {
-        let row = cfg.channel_local_offset(addr) / cfg.row_bytes;
-        (row, (row % self.banks.len() as u64) as usize)
+    /// Starts row activations for fragments near the head of the queue.
+    /// The first fragment touching a bank "claims" it, so a later fragment
+    /// can never close a row an earlier one still needs.
+    ///
+    /// Returns the earliest cycle a rescan could start another activation
+    /// if neither the queue nor any bank changes before then: the soonest
+    /// `ready_at` among claimed banks that are only waiting for time.
+    fn start_activations(&mut self, now: Cycle) -> Cycle {
+        let mut next = Cycle(u64::MAX);
+        let mut claimed = 0u64; // bitset over banks (≤ 64 banks)
+        for f in self.queue.iter().take(self.lookahead) {
+            let bit = 1u64 << (f.bank % 64);
+            if claimed & bit != 0 {
+                continue;
+            }
+            claimed |= bit;
+            let b = &mut self.banks[f.bank];
+            if b.open_row == Some(f.row) || b.prep_row.is_some() {
+                // Open, being prepared, or blocked behind another row's
+                // activation until the head issues on this bank.
+                continue;
+            }
+            if now >= b.ready_at {
+                b.prep_row = Some(f.row);
+                b.open_row = None;
+                b.ready_at = now + self.row_miss_penalty;
+                self.stats.row_misses.incr();
+            } else {
+                next = next.min(b.ready_at);
+            }
+        }
+        next
     }
 
     /// Advances one cycle. Returns a fragment whose burst completed at
     /// exactly this cycle, if any.
-    pub(crate) fn tick(&mut self, now: Cycle, cfg: &HbmConfig) -> Option<Fragment> {
+    pub(crate) fn tick(&mut self, now: Cycle) -> Option<Fragment> {
         // Complete the in-flight burst first so the bus frees this cycle.
         let completed = match self.in_service {
             Some((frag, done_at)) if done_at <= now => {
@@ -134,38 +205,13 @@ impl Channel {
             _ => None,
         };
 
-        // Start activations for fragments near the head of the queue. The
-        // first fragment touching a bank "claims" it, so a later fragment
-        // can never close a row an earlier one still needs.
-        let mut claimed = 0u64; // bitset over banks (≤ 64 banks)
-        let mut window = [(0u64, 0usize); 16];
-        let mut wlen = 0;
-        for f in self.queue.iter().take(cfg.bank_lookahead.min(16)) {
-            window[wlen] = self.row_and_bank(cfg, f.addr);
-            wlen += 1;
-        }
-        for &(row, bank) in &window[..wlen] {
-            let bit = 1u64 << (bank % 64);
-            if claimed & bit != 0 {
-                continue;
-            }
-            claimed |= bit;
-            let b = &mut self.banks[bank];
-            if b.open_row == Some(row) || b.prep_row == Some(row) {
-                continue;
-            }
-            if b.prep_row.is_none() && now >= b.ready_at {
-                b.open_row = None;
-                b.prep_row = Some(row);
-                b.ready_at = now + cfg.row_miss_penalty;
-                self.stats.row_misses.incr();
-            }
+        if now >= self.scan_at {
+            self.scan_at = self.start_activations(now);
         }
 
         // Put the head fragment on the bus when it is free.
         if self.in_service.is_none() {
-            if let Some(&frag) = self.queue.front() {
-                let (row, bank) = self.row_and_bank(cfg, frag.addr);
+            if let Some(&Fragment { row, bank, .. }) = self.queue.front() {
                 let b = &mut self.banks[bank];
                 let start = if b.open_row == Some(row) || b.prep_row == Some(row) {
                     now.max(b.ready_at)
@@ -174,7 +220,7 @@ impl Channel {
                     // window of 0 or bank conflict): pay it inline.
                     b.open_row = None;
                     b.prep_row = Some(row);
-                    b.ready_at = now + cfg.row_miss_penalty;
+                    b.ready_at = now + self.row_miss_penalty;
                     self.stats.row_misses.incr();
                     b.ready_at
                 } else {
@@ -183,7 +229,8 @@ impl Channel {
                 };
                 // conformance:allow(panic-safety): invariant: loop condition proved the queue is non-empty
                 let frag = self.queue.pop().expect("front exists");
-                let end = start + cfg.burst_cycles();
+                self.scan_at = Cycle::ZERO;
+                let end = start + self.burst_cycles;
                 self.in_service = Some((frag, end));
                 let b = &mut self.banks[bank];
                 b.open_row = Some(row);
@@ -249,12 +296,14 @@ impl Channel {
     ///
     /// Panics if the capture is inconsistent with `cfg` (queue deeper
     /// than `cfg.queue_depth`, bank count mismatch).
-    pub(crate) fn restore(cfg: &HbmConfig, state: &ChannelState) -> Self {
+    pub(crate) fn restore(cfg: &HbmConfig, map: &AddressMap, state: &ChannelState) -> Self {
         assert_eq!(
             state.banks.len(),
             cfg.banks_per_channel,
             "channel restore: bank count mismatch"
         );
+        let fragment_of =
+            |f: &FragmentState| Fragment::new(map, RequestId(f.req_id), f.kind, f.addr, f.bytes);
         let items: Vec<Fragment> = state.queue.iter().map(fragment_of).collect();
         let mut stats = ChannelStats::default();
         stats.busy_cycles.add(state.stats.busy_cycles);
@@ -277,6 +326,7 @@ impl Channel {
                 })
                 .collect(),
             stats,
+            ..Channel::new(cfg)
         }
     }
 }
@@ -285,22 +335,19 @@ fn frag_state(f: &Fragment) -> FragmentState {
     FragmentState { req_id: f.req_id.0, kind: f.kind, addr: f.addr, bytes: f.bytes }
 }
 
-fn fragment_of(f: &FragmentState) -> Fragment {
-    Fragment { req_id: RequestId(f.req_id), kind: f.kind, addr: f.addr, bytes: f.bytes }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn frag(id: u64, addr: u64, bytes: u32) -> Fragment {
-        Fragment { req_id: RequestId(id), kind: MemKind::Read, addr, bytes }
+    /// A read fragment of request `id` at flat address `addr`.
+    fn frag(cfg: &HbmConfig, id: u64, addr: u64, bytes: u32) -> Fragment {
+        Fragment::new(&AddressMap::new(cfg), RequestId(id), MemKind::Read, addr, bytes)
     }
 
-    fn drive(ch: &mut Channel, cfg: &HbmConfig, until: u64) -> Vec<(u64, u64)> {
+    fn drive(ch: &mut Channel, until: u64) -> Vec<(u64, u64)> {
         let mut done = Vec::new();
         for t in 0..until {
-            if let Some(f) = ch.tick(Cycle(t), cfg) {
+            if let Some(f) = ch.tick(Cycle(t)) {
                 done.push((f.req_id.0, t));
             }
         }
@@ -311,8 +358,8 @@ mod tests {
     fn cold_burst_pays_activation_plus_burst() {
         let cfg = HbmConfig::default(); // burst 4, activation 22
         let mut ch = Channel::new(&cfg);
-        ch.enqueue(frag(1, 0, 64));
-        let done = drive(&mut ch, &cfg, 100);
+        ch.enqueue(frag(&cfg, 1, 0, 64));
+        let done = drive(&mut ch, 100);
         // Prep starts at t=0 (in the lookahead window), transfer waits for
         // it: ready at 22, burst done at 26.
         assert_eq!(done, vec![(1, 26)]);
@@ -322,9 +369,9 @@ mod tests {
     fn open_row_hits_are_back_to_back() {
         let cfg = HbmConfig::default();
         let mut ch = Channel::new(&cfg);
-        ch.enqueue(frag(1, 0, 64));
-        ch.enqueue(frag(2, 64, 64));
-        let done = drive(&mut ch, &cfg, 200);
+        ch.enqueue(frag(&cfg, 1, 0, 64));
+        ch.enqueue(frag(&cfg, 2, 64, 64));
+        let done = drive(&mut ch, 200);
         assert_eq!(done[0], (1, 26));
         assert_eq!(done[1], (2, 30));
         assert_eq!(ch.stats().row_misses.get(), 1);
@@ -339,10 +386,10 @@ mod tests {
         let mut ch = Channel::new(&cfg);
         // Four bursts in row 0, then one in row 1.
         for i in 0..4 {
-            ch.enqueue(frag(i, i * 64, 64));
+            ch.enqueue(frag(&cfg, i, i * 64, 64));
         }
-        ch.enqueue(frag(9, 1024, 64));
-        let done = drive(&mut ch, &cfg, 300);
+        ch.enqueue(frag(&cfg, 9, 1024, 64));
+        let done = drive(&mut ch, 300);
         let last = done.last().unwrap();
         // Row-0 bursts finish at 26,30,34,38. Row 1's activation started
         // once it entered the 4-deep window (t=4, after the first pop),
@@ -358,9 +405,9 @@ mod tests {
         let cfg = HbmConfig::with_channels(1);
         let nbanks = cfg.banks_per_channel as u64;
         let mut ch = Channel::new(&cfg);
-        ch.enqueue(frag(1, 0, 64));
-        ch.enqueue(frag(2, nbanks * cfg.row_bytes, 64));
-        let done = drive(&mut ch, &cfg, 300);
+        ch.enqueue(frag(&cfg, 1, 0, 64));
+        ch.enqueue(frag(&cfg, 2, nbanks * cfg.row_bytes, 64));
+        let done = drive(&mut ch, 300);
         // Second activation cannot start until the first transfer ends
         // (t=26): ready 48, done 52.
         assert_eq!(done, vec![(1, 26), (2, 52)]);
@@ -371,9 +418,9 @@ mod tests {
     fn narrow_read_still_occupies_full_burst() {
         let cfg = HbmConfig::default();
         let mut ch = Channel::new(&cfg);
-        ch.enqueue(frag(1, 0, 8));
-        ch.enqueue(frag(2, 8, 8));
-        let done = drive(&mut ch, &cfg, 200);
+        ch.enqueue(frag(&cfg, 1, 0, 8));
+        ch.enqueue(frag(&cfg, 2, 8, 8));
+        let done = drive(&mut ch, 200);
         // Same row: 4-cycle bursts back to back despite 8 B payloads.
         assert_eq!(done[1].1 - done[0].1, 4);
         assert_eq!(ch.stats().useful_bytes(), 16);
@@ -384,8 +431,8 @@ mod tests {
         let cfg = HbmConfig { queue_depth: 2, ..HbmConfig::default() };
         let mut ch = Channel::new(&cfg);
         assert!(ch.is_idle());
-        ch.enqueue(frag(1, 0, 64));
-        ch.enqueue(frag(2, 64, 64));
+        ch.enqueue(frag(&cfg, 1, 0, 64));
+        ch.enqueue(frag(&cfg, 2, 64, 64));
         assert!(!ch.can_accept());
         assert_eq!(ch.free_slots(), 0);
         assert!(!ch.is_idle());

@@ -1,5 +1,7 @@
 //! HBM configuration.
 
+use matraptor_sim::Divisor;
+
 /// Parameters of the HBM model.
 ///
 /// Defaults reproduce the paper's evaluated configuration (Section V): up
@@ -138,9 +140,120 @@ impl HbmConfig {
     }
 }
 
+/// The address arithmetic of an [`HbmConfig`], precomputed for the cycle
+/// loop: the same mappings as [`HbmConfig::channel_of_addr`],
+/// [`HbmConfig::channel_local_offset`] and
+/// [`HbmConfig::channel_local_to_flat`], plus the DRAM row and bank of an
+/// address, with every division by a configuration constant reduced to a
+/// shift and mask when the constant is a power of two.
+///
+/// # Example
+///
+/// ```rust
+/// use matraptor_mem::{AddressMap, HbmConfig};
+///
+/// let cfg = HbmConfig::default();
+/// let map = AddressMap::new(&cfg);
+/// let addr = cfg.channel_local_to_flat(3, 5_000);
+/// assert_eq!(map.channel_of(addr), 3);
+/// assert_eq!(map.local_offset(addr), 5_000);
+/// assert_eq!(map.dram_coords(addr), (4, 4)); // row 5000 / 1024, bank 4 % 16
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AddressMap {
+    interleave: Divisor,
+    channels: Divisor,
+    row: Divisor,
+    banks: Divisor,
+    burst: Divisor,
+}
+
+impl AddressMap {
+    /// Precomputes the mapping of `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a geometry field is zero (see [`HbmConfig::validate`]).
+    pub fn new(cfg: &HbmConfig) -> Self {
+        AddressMap {
+            interleave: Divisor::new(cfg.interleave_bytes as u64),
+            channels: Divisor::new(cfg.num_channels as u64),
+            row: Divisor::new(cfg.row_bytes),
+            banks: Divisor::new(cfg.banks_per_channel as u64),
+            burst: Divisor::new(cfg.burst_bytes as u64),
+        }
+    }
+
+    /// The channel owning flat address `addr`.
+    #[inline]
+    pub fn channel_of(&self, addr: u64) -> usize {
+        // Below num_channels, which is a usize.
+        self.channels.remainder(self.interleave.quotient(addr)) as usize
+    }
+
+    /// The byte offset of `addr` within its channel's address space.
+    #[inline]
+    pub fn local_offset(&self, addr: u64) -> u64 {
+        let block = self.interleave.quotient(addr);
+        self.channels.quotient(block) * self.interleave.get() + self.interleave.remainder(addr)
+    }
+
+    /// The flat address of channel-local byte `local_offset` of `channel`.
+    #[inline]
+    pub fn local_to_flat(&self, channel: usize, local_offset: u64) -> u64 {
+        let il = self.interleave.get();
+        let block = self.interleave.quotient(local_offset);
+        (block * self.channels.get() + channel as u64) * il
+            + self.interleave.remainder(local_offset)
+    }
+
+    /// The DRAM `(row, bank)` holding `addr` within its channel: rows are
+    /// `row_bytes` of channel-local space, striped across the banks.
+    #[inline]
+    pub fn dram_coords(&self, addr: u64) -> (u64, usize) {
+        let row = self.row.quotient(self.local_offset(addr));
+        // Below banks_per_channel, which is a usize.
+        (row, self.banks.remainder(row) as usize)
+    }
+
+    /// The first address past the burst containing `addr`.
+    #[inline]
+    pub fn burst_end(&self, addr: u64) -> u64 {
+        (self.burst.quotient(addr) + 1) * self.burst.get()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn address_map_matches_the_reference_formulas() {
+        // Power-of-two geometries take the shift path; the odd ones the
+        // division fallback. Both must agree with HbmConfig exactly.
+        let configs = [
+            HbmConfig::default(),
+            HbmConfig::with_channels(2),
+            HbmConfig::with_channels(3),
+            HbmConfig { interleave_bytes: 96, burst_bytes: 32, ..HbmConfig::with_channels(5) },
+            HbmConfig { row_bytes: 1000, banks_per_channel: 7, ..HbmConfig::default() },
+        ];
+        for cfg in &configs {
+            let map = AddressMap::new(cfg);
+            for addr in (0..50_000u64).step_by(37).chain([1 << 40, 0x5000_0000 + 13]) {
+                let local = cfg.channel_local_offset(addr);
+                assert_eq!(map.channel_of(addr), cfg.channel_of_addr(addr), "{cfg:?} {addr}");
+                assert_eq!(map.local_offset(addr), local, "{cfg:?} {addr}");
+                let row = local / cfg.row_bytes;
+                let bank = (row % cfg.banks_per_channel as u64) as usize;
+                assert_eq!(map.dram_coords(addr), (row, bank), "{cfg:?} {addr}");
+                let burst = cfg.burst_bytes as u64;
+                assert_eq!(map.burst_end(addr), (addr / burst + 1) * burst);
+                let ch = addr as usize % cfg.num_channels;
+                assert_eq!(map.local_to_flat(ch, addr), cfg.channel_local_to_flat(ch, addr));
+            }
+        }
+    }
 
     #[test]
     fn paper_configuration() {

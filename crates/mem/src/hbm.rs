@@ -1,13 +1,12 @@
 //! The multi-channel HBM device.
 
-use std::collections::BTreeMap;
-
-use matraptor_sim::{Cycle, LatencyPipe};
+use matraptor_sim::watchdog::mix_signature;
+use matraptor_sim::{Cycle, IdTable, LatencyPipe};
 
 use crate::channel::{Channel, Fragment};
 use crate::fault::{FaultCounters, MemFaults};
 use crate::snapshot::{HbmState, PendingState, ResponseState};
-use crate::{ChannelStats, HbmConfig, MemKind, MemRequest, MemResponse, RequestId};
+use crate::{AddressMap, ChannelStats, HbmConfig, MemKind, MemRequest, MemResponse, RequestId};
 
 /// Aggregate statistics across all channels.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -92,9 +91,13 @@ impl HbmStats {
 pub struct Hbm {
     // conformance:allow(checkpoint-coverage): configuration is fingerprint-checked separately; restore takes it as a constructor argument
     cfg: HbmConfig,
+    /// `cfg`'s address arithmetic, precomputed.
+    // conformance:allow(checkpoint-coverage): derived from the configuration, which restore takes as an argument
+    map: AddressMap,
     channels: Vec<Channel>,
-    /// In-flight request bookkeeping: fragments remaining + original size.
-    pending: BTreeMap<RequestId, PendingRequest>,
+    /// In-flight request bookkeeping, keyed by request id: fragments
+    /// remaining + original size.
+    pending: IdTable<PendingRequest>,
     /// Completed requests waiting out the access latency.
     response_pipe: LatencyPipe<MemResponse>,
     completed_requests: u64,
@@ -102,6 +105,10 @@ pub struct Hbm {
     /// Installed fault schedule (empty by default; see [`MemFaults`]).
     faults: MemFaults,
     fault_counters: FaultCounters,
+    /// Per-channel fragment counts of the request being admitted; all zero
+    /// between calls, so admission never allocates.
+    // conformance:allow(checkpoint-coverage): scratch space, all zero between calls
+    need: Vec<u32>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -124,9 +131,11 @@ impl Hbm {
         let channels = (0..cfg.num_channels).map(|_| Channel::new(&cfg)).collect();
         let response_pipe = LatencyPipe::new(cfg.access_latency);
         Hbm {
+            map: AddressMap::new(&cfg),
+            need: vec![0; cfg.num_channels],
             cfg,
             channels,
-            pending: BTreeMap::new(),
+            pending: IdTable::new(),
             response_pipe,
             completed_requests: 0,
             latency_sum: 0,
@@ -152,39 +161,58 @@ impl Hbm {
     }
 
     /// Current depth of each channel's request queue (occupancy only; an
-    /// in-service burst is not counted). Used by deadlock diagnostics.
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.channels.iter().map(Channel::queue_len).collect()
+    /// in-service burst is not counted), in channel order. Used by
+    /// deadlock diagnostics and the trace sampler.
+    pub fn queue_depths(&self) -> impl Iterator<Item = usize> + '_ {
+        self.channels.iter().map(Channel::queue_len)
     }
 
-    /// Splits a request into burst fragments (without enqueueing).
-    fn fragments(&self, req: &MemRequest) -> Vec<(usize, Fragment)> {
-        let burst = self.cfg.burst_bytes as u64;
-        let mut out = Vec::new();
-        let mut addr = req.addr;
-        let end = req.addr + req.bytes as u64;
-        while addr < end {
-            let burst_end = (addr / burst + 1) * burst;
-            let frag_end = burst_end.min(end);
-            out.push((
-                self.cfg.channel_of_addr(addr),
-                Fragment { req_id: req.id, kind: req.kind, addr, bytes: (frag_end - addr) as u32 },
-            ));
-            addr = frag_end;
+    /// Splits a request at burst boundaries into `(channel, addr, bytes)`
+    /// pieces — lazily, so admission allocates nothing.
+    fn pieces(&self, req: &MemRequest) -> impl Iterator<Item = (usize, u64, u32)> + Clone {
+        let map = self.map;
+        let mut at = req.addr;
+        let end = at + req.bytes as u64;
+        std::iter::from_fn(move || {
+            (at < end).then(|| {
+                let piece_end = map.burst_end(at).min(end);
+                // At most one burst, which is a u32.
+                let piece = (map.channel_of(at), at, (piece_end - at) as u32);
+                at = piece_end;
+                piece
+            })
+        })
+    }
+
+    /// Splits a request into its burst fragments, each with its channel.
+    fn fragments(&self, req: &MemRequest) -> impl Iterator<Item = (usize, Fragment)> {
+        let (map, id, kind) = (self.map, req.id, req.kind);
+        self.pieces(req)
+            .map(move |(ch, addr, bytes)| (ch, Fragment::new(&map, id, kind, addr, bytes)))
+    }
+
+    /// Whether every fragment of `req` finds a slot in its channel queue.
+    /// `need` holds per-channel counts; it is all zero on entry and exit.
+    fn fits(&self, req: &MemRequest, need: &mut [u32]) -> bool {
+        let pieces = self.pieces(req);
+        let mut fits = true;
+        for (ch, ..) in pieces.clone() {
+            need[ch] += 1;
+            fits &= self.channels[ch].free_slots() >= need[ch] as usize;
         }
-        out
+        for (ch, ..) in pieces {
+            need[ch] = 0;
+        }
+        fits
+    }
+
+    fn admissible(&self, req: &MemRequest, need: &mut [u32]) -> bool {
+        req.bytes != 0 && !self.pending.contains_key(req.id.0) && self.fits(req, need)
     }
 
     /// Whether [`Hbm::submit`] would currently accept `req`.
     pub fn can_accept(&self, req: &MemRequest) -> bool {
-        if req.bytes == 0 || self.pending.contains_key(&req.id) {
-            return false;
-        }
-        let mut need: BTreeMap<usize, usize> = BTreeMap::new();
-        for (ch, _) in self.fragments(req) {
-            *need.entry(ch).or_insert(0) += 1;
-        }
-        need.iter().all(|(&ch, &n)| self.channels[ch].free_slots() >= n)
+        self.admissible(req, &mut vec![0; self.channels.len()])
     }
 
     /// Submits a request; returns `false` (and changes nothing) if any
@@ -192,27 +220,32 @@ impl Hbm {
     /// an installed refusal fault covers a target channel this cycle.
     pub fn submit(&mut self, now: Cycle, req: MemRequest) -> bool {
         if !self.faults.is_empty()
-            && self.fragments(&req).iter().any(|&(ch, _)| self.faults.refusing(ch, now.as_u64()))
+            && self.pieces(&req).any(|(ch, ..)| self.faults.refusing(ch, now.as_u64()))
         {
             self.fault_counters.refused_submits += 1;
             return false;
         }
-        if !self.can_accept(&req) {
+        // Fast refusal: the first fragment's queue is full. Requesters
+        // retry refused reads every cycle, so this is the common case
+        // under memory pressure.
+        if self.channels[self.map.channel_of(req.addr)].free_slots() == 0 {
             return false;
         }
-        let frags = self.fragments(&req);
-        self.pending.insert(
-            req.id,
-            PendingRequest {
-                kind: req.kind,
-                bytes: req.bytes,
-                fragments_left: frags.len() as u32,
-                submitted: now,
-            },
-        );
-        for (ch, frag) in frags {
-            self.channels[ch].enqueue(frag);
+        let mut need = std::mem::take(&mut self.need);
+        let admitted = self.admissible(&req, &mut need);
+        self.need = need;
+        if !admitted {
+            return false;
         }
+        let mut fragments_left = 0;
+        for (ch, frag) in self.fragments(&req) {
+            self.channels[ch].enqueue(frag);
+            fragments_left += 1;
+        }
+        self.pending.insert(
+            req.id.0,
+            PendingRequest { kind: req.kind, bytes: req.bytes, fragments_left, submitted: now },
+        );
         true
     }
 
@@ -225,11 +258,11 @@ impl Hbm {
                     self.fault_counters.stalled_cycles.saturating_add(1);
                 continue;
             }
-            if let Some(frag) = ch.tick(now, &self.cfg) {
+            if let Some(frag) = ch.tick(now) {
                 let done = {
                     let p = self
                         .pending
-                        .get_mut(&frag.req_id)
+                        .get_mut(frag.req_id.0)
                         // conformance:allow(panic-safety): invariant: fragments complete only for requests still pending
                         .expect("fragment completed for unknown request");
                     p.fragments_left -= 1;
@@ -237,7 +270,7 @@ impl Hbm {
                 };
                 if done {
                     // conformance:allow(panic-safety): invariant: presence checked two lines above
-                    let p = self.pending.remove(&frag.req_id).expect("just seen");
+                    let p = self.pending.remove(frag.req_id.0).expect("just seen");
                     self.completed_requests += 1;
                     self.latency_sum = self
                         .latency_sum
@@ -271,6 +304,22 @@ impl Hbm {
         self.channels.iter().map(Channel::stats).collect()
     }
 
+    /// Forward-progress signature for a watchdog. It moves only when the
+    /// device services something: the in-flight count, queue depths and
+    /// per-channel busy cycles. Fault counters are left out — a stalled
+    /// channel accumulating stall ticks is not progress. Allocation-free,
+    /// unlike [`Hbm::channel_stats`].
+    pub fn progress_signature(&self) -> u64 {
+        let mut sig = mix_signature(0, self.in_flight() as u64);
+        for depth in self.queue_depths() {
+            sig = mix_signature(sig, depth as u64);
+        }
+        for ch in &self.channels {
+            sig = mix_signature(sig, ch.stats().busy_cycles.get());
+        }
+        sig
+    }
+
     /// Captures the full mutable device state as plain data for
     /// checkpointing. The configuration is *not* captured — restore with
     /// [`Hbm::restore`] against the same [`HbmConfig`].
@@ -281,7 +330,7 @@ impl Hbm {
                 .pending
                 .iter()
                 .map(|(id, p)| PendingState {
-                    id: id.0,
+                    id,
                     kind: p.kind,
                     bytes: p.bytes,
                     fragments_left: p.fragments_left,
@@ -316,13 +365,14 @@ impl Hbm {
     pub fn restore(cfg: HbmConfig, state: &HbmState) -> Self {
         cfg.validate();
         assert_eq!(state.channels.len(), cfg.num_channels, "HBM restore: channel count mismatch");
-        let channels = state.channels.iter().map(|c| Channel::restore(&cfg, c)).collect();
+        let map = AddressMap::new(&cfg);
+        let channels = state.channels.iter().map(|c| Channel::restore(&cfg, &map, c)).collect();
         let pending = state
             .pending
             .iter()
             .map(|p| {
                 (
-                    RequestId(p.id),
+                    p.id,
                     PendingRequest {
                         kind: p.kind,
                         bytes: p.bytes,
@@ -346,6 +396,8 @@ impl Hbm {
                 .collect(),
         );
         Hbm {
+            map,
+            need: vec![0; cfg.num_channels],
             cfg,
             channels,
             pending,
@@ -453,7 +505,7 @@ mod tests {
         let cfg = HbmConfig::default();
         let hbm = Hbm::new(cfg);
         // 64 B starting at offset 32: fragments [32..64) and [64..96).
-        let frags = hbm.fragments(&MemRequest::read(1, 32, 64));
+        let frags: Vec<_> = hbm.fragments(&MemRequest::read(1, 32, 64)).collect();
         assert_eq!(frags.len(), 2);
         assert_eq!(frags[0].1.bytes, 32);
         assert_eq!(frags[1].1.bytes, 32);

@@ -117,7 +117,7 @@ pub fn measure_bandwidth(
                 completed,
                 total: total_requests,
                 in_flight: hbm.in_flight(),
-                channel_queue_depths: hbm.queue_depths(),
+                channel_queue_depths: hbm.queue_depths().collect(),
             });
         }
         let now = Cycle(t);
@@ -301,7 +301,7 @@ mod tests {
         }
         assert!(!hbm.is_idle(), "stalled channel must not drain");
         assert_eq!(hbm.in_flight(), 1);
-        assert_eq!(hbm.queue_depths(), vec![1]);
+        assert_eq!(hbm.queue_depths().collect::<Vec<_>>(), vec![1]);
         assert_eq!(hbm.fault_counters().stalled_cycles, 200);
 
         // And through the drain API: a stream that can never complete

@@ -32,7 +32,6 @@
 //!   core pause path, flush replies, then join every thread — counting
 //!   panicked joins so a campaign can assert zero.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::rc::Rc;
@@ -43,7 +42,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::service::{DrainSummary, Service, ServiceConfig};
-use crate::{JobSpec, Rejected, TenantId};
+use crate::{JobRecord, JobSpec, Rejected, TenantId};
 
 use super::frame::{
     decode_request, disposition_code, encode_frame, encode_response, read_frame, JobState, Op,
@@ -249,14 +248,22 @@ impl DrainLite {
     }
 }
 
+/// [`Engine::record_at`] entry of a job that has not resolved.
+const UNRESOLVED: usize = usize::MAX;
+
 /// The engine: the single owner of the deterministic service.
 struct Engine {
     service: Service,
     drain_slice_cycles: u64,
-    /// Every job id this engine ever issued.
-    issued: BTreeSet<u64>,
-    /// Resolved jobs: id → (disposition code, attempts, finished cycle).
-    resolved: BTreeMap<u64, (u8, u32, u64)>,
+    /// Position in `service.records()` of each issued job's record,
+    /// indexed by job id ([`UNRESOLVED`] until it resolves). The service
+    /// numbers accepted jobs consecutively from 0, so the ids this engine
+    /// issued are exactly `0..record_at.len()`. One word per job, where
+    /// id-keyed ordered maps cost several: the table grows with every job
+    /// a long-lived server has served.
+    record_at: Vec<usize>,
+    /// Issued jobs that have resolved.
+    resolved: u64,
     /// Cursor into `service.records()` for incremental absorption.
     records_seen: usize,
     /// Set once a drain has run; submissions after it are refused.
@@ -269,21 +276,37 @@ impl Engine {
         Some(Engine {
             service,
             drain_slice_cycles,
-            issued: BTreeSet::new(),
-            resolved: BTreeMap::new(),
+            record_at: Vec::new(),
+            resolved: 0,
             records_seen: 0,
             drained: None,
         })
     }
 
-    /// Pulls newly resolved records into the id-indexed map.
+    /// Indexes newly resolved records by job id.
     fn absorb(&mut self) {
         let records = self.service.records();
-        for r in &records[self.records_seen.min(records.len())..] {
-            self.resolved
-                .insert(r.id.0, (disposition_code(r.disposition), r.attempts, r.finished_at.0));
+        for (at, r) in records.iter().enumerate().skip(self.records_seen) {
+            let slot = usize::try_from(r.id.0).ok().and_then(|id| self.record_at.get_mut(id));
+            if let Some(slot) = slot {
+                if *slot == UNRESOLVED {
+                    self.resolved += 1;
+                }
+                *slot = at;
+            }
         }
         self.records_seen = records.len();
+    }
+
+    /// Whether this engine issued `job`.
+    fn issued(&self, job: u64) -> bool {
+        usize::try_from(job).is_ok_and(|id| id < self.record_at.len())
+    }
+
+    /// The record of `job`, once it has resolved.
+    fn record(&self, job: u64) -> Option<&JobRecord> {
+        let at = *self.record_at.get(usize::try_from(job).ok()?)?;
+        self.service.records().get(at)
     }
 
     fn map_rejection(r: Rejected) -> Response {
@@ -313,7 +336,8 @@ impl Engine {
                 };
                 match self.service.submit(spec) {
                     Ok(id) => {
-                        self.issued.insert(id.0);
+                        debug_assert_eq!(id.0, self.record_at.len() as u64, "job ids are dense");
+                        self.record_at.push(UNRESOLVED);
                         Response::Submitted { job: id.0 }
                     }
                     Err(r) => Self::map_rejection(r),
@@ -321,7 +345,7 @@ impl Engine {
             }
             Request::Poll { job } => {
                 self.absorb();
-                if !self.issued.contains(&job) {
+                if !self.issued(job) {
                     return Response::Error {
                         code: RejectCode::UnknownJob,
                         detail: format!("job {job} was never issued"),
@@ -330,23 +354,27 @@ impl Engine {
                 // Drive the service forward (in submission-stream order)
                 // until the polled job resolves or the queue empties; every
                 // record absorbed along the way answers later polls.
-                while !self.resolved.contains_key(&job) {
+                while self.record(job).is_none() {
                     if self.service.step().is_none() {
                         break;
                     }
                     self.absorb();
                 }
-                match self.resolved.get(&job) {
-                    Some(&(disposition, attempts, finished_at)) => Response::Status {
+                match self.record(job) {
+                    Some(r) => Response::Status {
                         job,
-                        state: JobState::Resolved { disposition, attempts, finished_at },
+                        state: JobState::Resolved {
+                            disposition: disposition_code(r.disposition),
+                            attempts: r.attempts,
+                            finished_at: r.finished_at.0,
+                        },
                     },
                     None => Response::Status { job, state: JobState::Queued },
                 }
             }
             Request::Cancel { job } => {
                 self.absorb();
-                if !self.issued.contains(&job) {
+                if !self.issued(job) {
                     return Response::Error {
                         code: RejectCode::UnknownJob,
                         detail: format!("job {job} was never issued"),
@@ -375,8 +403,8 @@ impl Engine {
         self.absorb();
         EngineFinal {
             drain: self.drained,
-            jobs_accepted: self.issued.len() as u64,
-            jobs_resolved: self.resolved.len() as u64,
+            jobs_accepted: self.record_at.len() as u64,
+            jobs_resolved: self.resolved,
         }
     }
 }
@@ -872,6 +900,14 @@ mod tests {
             Response::Submitted { job } => job,
             other => panic!("expected Submitted, got {other:?}"),
         };
+        // Issued ids are exactly 0..=job: the next id and the largest are
+        // unknown.
+        for never in [job + 1, u64::MAX] {
+            match client.poll(never).expect("poll") {
+                Response::Error { code, .. } => assert_eq!(code, RejectCode::UnknownJob),
+                other => panic!("expected UnknownJob for {never}, got {other:?}"),
+            }
+        }
         match client.cancel(job).expect("cancel") {
             Response::CancelResult { ok, .. } => assert!(ok, "queued job cancels"),
             other => panic!("expected CancelResult, got {other:?}"),

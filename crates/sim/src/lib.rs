@@ -19,6 +19,10 @@
 //!   queues");
 //! * [`LatencyPipe`] — a delay line for modelling fixed-latency paths such
 //!   as DRAM access latency;
+//! * [`IdTable`] — a dense map keyed by counter-allocated request ids, the
+//!   allocation-free bookkeeping of in-flight memory requests;
+//! * [`Divisor`] — division by a configuration constant, reduced to a
+//!   shift and mask for the power-of-two geometries of the memory system;
 //! * [`Watchdog`] — a forward-progress tracker: components report cheap
 //!   occupancy signatures each cycle and the top level learns, with a
 //!   structured per-source diagnostic, when no token has moved for a
@@ -35,13 +39,17 @@
 #![warn(missing_debug_implementations)]
 
 mod clock;
+mod divisor;
 mod fifo;
+pub mod idtable;
 mod latency;
 pub mod stats;
 pub mod trace;
 pub mod watchdog;
 
 pub use clock::{Cycle, SimClock};
+pub use divisor::Divisor;
 pub use fifo::Fifo;
+pub use idtable::IdTable;
 pub use latency::LatencyPipe;
 pub use watchdog::{SourceId, SourceReport, SourceState, Watchdog, WatchdogReport};
