@@ -1,7 +1,7 @@
 //! Fault-injection campaign: survival and detection rates per fault kind.
 //!
 //! Sweeps every [`FaultKind`] across a range of seeds, runs each plan
-//! through [`Accelerator::try_run_with_faults`], and classifies the
+//! through a fresh [`Accelerator::execute`] request, and classifies the
 //! outcome: *survived* (the machine tolerated the fault and the verified
 //! output is correct), *detected* (the run terminated with a structured
 //! `SimError`), or *escaped* (the fault produced neither — a silent
@@ -25,7 +25,8 @@
 
 use matraptor_bench::print_table;
 use matraptor_core::{
-    classify, Accelerator, Checkpoint, FaultKind, FaultPlan, MatRaptorConfig, Verdict,
+    classify, Accelerator, Checkpoint, FaultKind, FaultPlan, MatRaptorConfig, RunOutcome,
+    RunRequest, RunStart, SimError, SliceRun, Verdict,
 };
 use matraptor_sparse::{gen, Csr};
 
@@ -80,13 +81,25 @@ fn parse_args() -> CampaignOptions {
     opts
 }
 
+/// A fresh run of `a * b` with `plan` armed, to completion.
+fn run_faulted(
+    accel: &Accelerator,
+    a: &Csr<f64>,
+    b: &Csr<f64>,
+    plan: &FaultPlan,
+) -> Result<RunOutcome, SimError> {
+    let start = RunStart::Fresh { plan: Some(plan), trace: None };
+    let req = RunRequest { start, ..RunRequest::new(a, b) };
+    accel.execute(&req).map_err(|failed| failed.error)?.0.completed()
+}
+
 /// Replays one survivable faulted run (a bounded burst refusal) from a
 /// checkpoint taken halfway, round-tripping the checkpoint through its
 /// byte serialization, and requires bit-identical cycles and output.
 /// Returns true on success.
 fn resume_check(accel: &Accelerator, a: &Csr<f64>, b: &Csr<f64>, lanes: usize) -> bool {
     let plan = FaultPlan::sample(FaultKind::BurstRefusal, 1, lanes);
-    let full = match accel.try_run_with_faults(a, b, Some(&plan)) {
+    let full = match run_faulted(accel, a, b, &plan) {
         Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("resume-check: baseline faulted run failed: {e}");
@@ -94,14 +107,19 @@ fn resume_check(accel: &Accelerator, a: &Csr<f64>, b: &Csr<f64>, lanes: usize) -
         }
     };
     let half = full.stats.total_cycles / 2;
-    let ck = match accel.try_run_to_checkpoint(a, b, Some(&plan), half) {
-        Ok(Some(ck)) => ck,
-        Ok(None) => {
+    let start = RunStart::Fresh { plan: Some(&plan), trace: None };
+    let req = RunRequest { start, pause_at: Some(half), ..RunRequest::new(a, b) };
+    let ck = match accel.execute(&req) {
+        Ok((SliceRun::Paused(ck), _)) => ck,
+        // A run that drains before the pause cycle leaves no checkpoint.
+        // The baseline above ran past `half`, so this replay cannot drain
+        // first unless determinism broke.
+        Ok((SliceRun::Completed(_), _)) => {
             eprintln!("resume-check: run completed before cycle {half}");
             return false;
         }
-        Err(e) => {
-            eprintln!("resume-check: checkpointing run failed: {e}");
+        Err(failed) => {
+            eprintln!("resume-check: checkpointing run failed: {}", failed.error);
             return false;
         }
     };
@@ -115,13 +133,15 @@ fn resume_check(accel: &Accelerator, a: &Csr<f64>, b: &Csr<f64>, lanes: usize) -
             return false;
         }
     };
-    let resumed = match accel.try_run_from(a, b, &ck) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("resume-check: resumed run failed: {e}");
-            return false;
-        }
-    };
+    let req = RunRequest { start: RunStart::Resume(&ck), ..RunRequest::new(a, b) };
+    let resumed =
+        match accel.execute(&req).map_err(|failed| failed.error).and_then(|r| r.0.completed()) {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                eprintln!("resume-check: resumed run failed: {e}");
+                return false;
+            }
+        };
     if resumed.stats.total_cycles != full.stats.total_cycles {
         eprintln!(
             "resume-check: cycle mismatch — full {} vs resumed {}",
@@ -181,7 +201,7 @@ fn main() {
         let mut escaped = 0u64;
         for seed in 0..opts.seeds {
             let plan = FaultPlan::sample(kind, opts.seed ^ seed, lanes);
-            let result = accel.try_run_with_faults(&a, &b, Some(&plan));
+            let result = run_faulted(&accel, &a, &b, &plan);
             match classify(kind, &result) {
                 Verdict::Survived => survived += 1,
                 Verdict::Detected => detected += 1,

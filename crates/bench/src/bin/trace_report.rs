@@ -1,7 +1,7 @@
 //! Observability report over the Table II synthetic suite.
 //!
-//! For every suite matrix this runs A×A through
-//! [`Accelerator::try_run_traced`] and checks the layer's two contracts:
+//! For every suite matrix this runs A×A through a traced
+//! [`Accelerator::execute`] request and checks the layer's two contracts:
 //!
 //! 1. **Attribution totality** — for every lane and every pipeline stage
 //!    (SpAL, SpBL, PE, Writer), busy + mem-stall + queue-stall + idle
@@ -23,7 +23,7 @@
 use std::fmt::Write as _;
 
 use matraptor_bench::{json, load_suite, print_table, Options};
-use matraptor_core::{Accelerator, MatRaptorConfig, RunTrace, TraceConfig};
+use matraptor_core::{Accelerator, MatRaptorConfig, RunRequest, RunStart, RunTrace, TraceConfig};
 use matraptor_sim::trace::{fnv1a64, MetricsRegistry, StageBreakdown};
 
 struct ReportOptions {
@@ -148,9 +148,14 @@ fn run_suite(opts: &ReportOptions) -> SuiteReport {
     let mut matrices = Vec::new();
     for m in &suite {
         let id = m.spec.id;
-        let (outcome, trace) = accel
-            .try_run_traced(&m.matrix, &m.matrix, None, &trace_cfg)
-            .unwrap_or_else(|e| panic!("clean traced run failed on `{id}`: {e}"));
+        let start = RunStart::Fresh { plan: None, trace: Some(&trace_cfg) };
+        let req = RunRequest { start, ..RunRequest::new(&m.matrix, &m.matrix) };
+        let (run, trace) = accel
+            .execute(&req)
+            .unwrap_or_else(|failed| panic!("clean traced run failed on `{id}`: {}", failed.error));
+        let outcome =
+            run.completed().unwrap_or_else(|e| panic!("clean traced run failed on `{id}`: {e}"));
+        let trace = trace.unwrap_or_else(|| panic!("traced run on `{id}` returned no trace"));
         let stats = &outcome.stats;
         let violations = check_attribution(id, &trace, stats);
 

@@ -59,46 +59,103 @@ pub struct RunOutcome {
     pub stats: MatRaptorStats,
 }
 
-/// How a deadline-bounded run ended: finished inside the budget, or
-/// cancelled at the deadline with the machine state captured via the
-/// checkpoint path (so a scheduler that changes its mind — or a debugger —
-/// can still resume the cancelled work with [`Accelerator::try_run_from`]).
-#[derive(Debug)]
-pub enum DeadlineRun {
-    /// The run drained before the deadline. Boxed to keep the enum near
-    /// pointer size next to the slim `Cancelled` payload.
-    Completed(Box<RunOutcome>),
-    /// The run was cancelled at the deadline cycle; the payload is the
-    /// full machine state at the moment of cancellation.
-    Cancelled(Box<Checkpoint>),
+/// Where a [`RunRequest`] starts. The fault plan and the trace live on the
+/// fresh start because they only mean something from cycle 0: a resumed
+/// run's armed fault state rides its checkpoint, and a trace sampler's
+/// window deltas start at zero.
+#[derive(Debug, Clone, Copy)]
+pub enum RunStart<'r> {
+    /// Build the machine at cycle 0.
+    Fresh {
+        /// Fault to arm, if any (see [`FaultKind`]).
+        plan: Option<&'r FaultPlan>,
+        /// Record a [`RunTrace`] with this configuration. Tracing is
+        /// observational only: cycles, output, and statistics are
+        /// bit-identical to the untraced run.
+        trace: Option<&'r TraceConfig>,
+    },
+    /// Resume a [`Checkpoint`] of the same operands under the same
+    /// configuration; fingerprint mismatches are rejected with
+    /// [`SimError::CheckpointMismatch`] instead of silently diverging.
+    Resume(&'r Checkpoint),
 }
 
-/// Outcome of one bounded execution slice ([`Accelerator::try_run_slice`]):
-/// the job either drained inside the slice or was paused at the slice
-/// boundary with a resumable [`Checkpoint`] to hand to the next slice —
-/// possibly on a *different* worker holding an identically-configured
+/// One run of `a * b`, as the host's `mtx` handshake describes it: the
+/// operands, where the run starts, and where it stops.
+#[derive(Debug, Clone, Copy)]
+pub struct RunRequest<'r> {
+    /// Left operand.
+    pub a: &'r Csr<f64>,
+    /// Right operand.
+    pub b: &'r Csr<f64>,
+    /// Fresh start (with optional fault plan and trace) or resume.
+    pub start: RunStart<'r>,
+    /// Pause at the top of this accelerator cycle if the machine has not
+    /// drained by then, returning [`SliceRun::Paused`]. A scheduler's slice
+    /// boundary or cycle deadline; `None` runs to completion.
+    pub pause_at: Option<u64>,
+    /// Take a checkpoint every this many cycles (`0` disables), so a
+    /// failure carries the last one in [`FailedRun::checkpoint`] — the
+    /// input to the recovery ladder's resume rung.
+    pub checkpoint_every: u64,
+}
+
+impl<'r> RunRequest<'r> {
+    /// A fresh, fault-free, untraced run to completion. Other shapes are
+    /// this plus struct-update syntax, e.g.
+    /// `RunRequest { pause_at: Some(64), ..RunRequest::new(a, b) }`.
+    pub fn new(a: &'r Csr<f64>, b: &'r Csr<f64>) -> Self {
+        RunRequest {
+            a,
+            b,
+            start: RunStart::Fresh { plan: None, trace: None },
+            pause_at: None,
+            checkpoint_every: 0,
+        }
+    }
+}
+
+/// How an [`Accelerator::execute`] run ended: the job drained, or it paused
+/// at [`RunRequest::pause_at`] with a resumable [`Checkpoint`] — possibly
+/// resumed on a *different* worker holding an identically-configured
 /// accelerator, which is exactly the fleet re-dispatch path.
 #[derive(Debug)]
 pub enum SliceRun {
-    /// The run drained at or before the slice boundary. Boxed to keep the
+    /// The run drained at or before the pause cycle. Boxed to keep the
     /// enum near pointer size next to the slim `Paused` payload.
     Completed(Box<RunOutcome>),
-    /// The run paused at the slice boundary; the payload resumes it via
-    /// another `try_run_slice` call (or [`Accelerator::try_run_from`]).
+    /// The run paused; resume it with [`RunStart::Resume`].
     Paused(Box<Checkpoint>),
 }
 
-/// A failed checkpointing run: the error plus the last checkpoint taken
-/// before the failure, if any — the input to the recovery ladder's
+impl SliceRun {
+    /// The outcome of a request without a pause cycle, which always
+    /// drains (periodic checkpoints resume internally).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::ProtocolViolation`] if the run paused anyway.
+    pub fn completed(self) -> Result<RunOutcome, SimError> {
+        match self {
+            SliceRun::Completed(outcome) => Ok(*outcome),
+            SliceRun::Paused(_) => {
+                Err(SimError::ProtocolViolation { detail: "a run without a pause cycle paused" })
+            }
+        }
+    }
+}
+
+/// A failed run: the error plus the last checkpoint taken before the
+/// failure, if any — the input to the recovery ladder's
 /// resume-from-checkpoint rung.
 #[derive(Debug)]
 pub struct FailedRun {
     /// Why the run failed.
     pub error: SimError,
-    /// The most recent checkpoint preceding the failure. `None` when the
-    /// run failed before the first checkpoint interval elapsed. Boxed:
-    /// a checkpoint holds the whole machine state, and the happy path
-    /// should not pay its size in the `Result`.
+    /// The most recent periodic checkpoint preceding the failure. `None`
+    /// when checkpointing was off or the run failed before the first
+    /// interval elapsed. Boxed: a checkpoint holds the whole machine
+    /// state, and the happy path should not pay its size in the `Result`.
     pub checkpoint: Option<Box<Checkpoint>>,
 }
 
@@ -273,222 +330,69 @@ impl Accelerator {
     /// [`SimError::OutputCorrupted`] when an integrity check fails.
     #[must_use = "dropping the Result loses both the run outcome and any fault diagnosis"]
     pub fn try_run(&self, a: &Csr<f64>, b: &Csr<f64>) -> Result<RunOutcome, SimError> {
-        self.try_run_with_faults(a, b, None)
+        self.execute(&RunRequest::new(a, b)).map_err(|failed| failed.error)?.0.completed()
     }
 
-    /// [`Accelerator::try_run`] with an optional injected fault — the
-    /// entry point fault campaigns drive.
+    /// Runs one [`RunRequest`] — the single entry point behind fault
+    /// campaigns, traces, checkpoints, deadlines, slices, and recovery.
+    ///
+    /// Starts fresh (arming the plan) or restores the checkpoint, then
+    /// drives until the machine drains or reaches `pause_at`. A drained
+    /// run is finalized (integrity checks included); a paused one is
+    /// captured as a [`Checkpoint`], and resuming it yields bit-identical
+    /// cycle counts and output values to the uninterrupted run — the
+    /// replay-determinism invariant of DESIGN.md §9. A deadline is a
+    /// `pause_at` whose checkpoint the caller drops: a cancelled job costs
+    /// exactly the deadline in simulated cycles, never more. The trace, if
+    /// requested, covers every cycle the request ran.
     ///
     /// # Errors
     ///
-    /// As [`Accelerator::try_run`]; which variant depends on the fault
-    /// (see [`FaultKind`]).
-    #[must_use = "dropping the Result loses both the run outcome and any fault diagnosis"]
-    pub fn try_run_with_faults(
-        &self,
-        a: &Csr<f64>,
-        b: &Csr<f64>,
-        plan: Option<&FaultPlan>,
-    ) -> Result<RunOutcome, SimError> {
-        let ctx = self.prepare_context(a, b)?;
-        let mut state = self.fresh_state(&ctx, plan);
-        let completed = self.drive(&ctx, &mut state, None)?;
-        debug_assert!(completed, "unbounded drive returned without completing");
-        self.finalize(&ctx, &state)
-    }
-
-    /// [`Accelerator::try_run_with_faults`] with heavy tracing enabled:
-    /// alongside the normal outcome, records windowed per-channel traffic
-    /// timelines, queue-occupancy histograms, and per-lane stage
-    /// attribution timelines ([`RunTrace`]), exportable as
-    /// `chrome://tracing` JSON.
-    ///
-    /// Tracing is observational only — the run's cycles, output, and
-    /// statistics are bit-identical to the untraced entry points.
-    ///
-    /// # Errors
-    ///
-    /// As [`Accelerator::try_run_with_faults`]. No trace is returned for a
-    /// failed run.
-    #[must_use = "dropping the Result loses both the run outcome and any fault diagnosis"]
-    pub fn try_run_traced(
-        &self,
-        a: &Csr<f64>,
-        b: &Csr<f64>,
-        plan: Option<&FaultPlan>,
-        trace_cfg: &TraceConfig,
-    ) -> Result<(RunOutcome, RunTrace), SimError> {
-        let ctx = self.prepare_context(a, b)?;
-        let mut state = self.fresh_state(&ctx, plan);
-        let mut sampler =
-            TraceSampler::new(trace_cfg, self.cfg.mem.num_channels, self.cfg.num_lanes);
-        let completed = self.drive_observed(&ctx, &mut state, None, Some(&mut sampler))?;
-        debug_assert!(completed, "unbounded drive returned without completing");
-        let outcome = self.finalize(&ctx, &state)?;
-        let attrs: Vec<LaneAttribution> = state.lanes.iter().map(Lane::attribution).collect();
-        let trace = sampler.finish(state.t + 1, ctx.ratio, &state.hbm.channel_stats(), &attrs);
-        Ok((outcome, trace))
-    }
-
-    /// Runs until accelerator cycle `at_cycle` and captures a resumable
-    /// [`Checkpoint`] of the full machine state, or `None` if the run
-    /// drained before reaching that cycle.
-    ///
-    /// Resuming the checkpoint with [`Accelerator::try_run_from`] yields
-    /// bit-identical cycle counts and output values to the uninterrupted
-    /// run — the replay-determinism invariant of DESIGN.md §9.
-    ///
-    /// # Errors
-    ///
-    /// As [`Accelerator::try_run`], for failures occurring *before* the
-    /// checkpoint cycle.
-    #[must_use = "dropping the Result loses the checkpoint or the fault diagnosis"]
-    pub fn try_run_to_checkpoint(
-        &self,
-        a: &Csr<f64>,
-        b: &Csr<f64>,
-        plan: Option<&FaultPlan>,
-        at_cycle: u64,
-    ) -> Result<Option<Checkpoint>, SimError> {
-        let ctx = self.prepare_context(a, b)?;
-        let mut state = self.fresh_state(&ctx, plan);
-        if self.drive(&ctx, &mut state, Some(at_cycle))? {
-            Ok(None)
-        } else {
-            Ok(Some(self.snapshot_run(&ctx, &state)))
-        }
-    }
-
-    /// Runs `a * b` under a hard per-job cycle budget: if the machine has
-    /// not drained by accelerator cycle `deadline`, the run is *cancelled*
-    /// — the drive loop pauses at the deadline exactly as the checkpoint
-    /// path does, and the machine state at that cycle is returned as the
-    /// cancellation artifact. This is the cancellation hook the multi-job
-    /// service layer's deadline enforcement is built on: a cancelled job
-    /// costs exactly `deadline` simulated cycles, never more.
-    ///
-    /// # Errors
-    ///
-    /// As [`Accelerator::try_run`], for failures occurring *before* the
-    /// deadline cycle.
-    #[must_use = "dropping the Result loses the deadline verdict"]
-    pub fn try_run_deadline(
-        &self,
-        a: &Csr<f64>,
-        b: &Csr<f64>,
-        plan: Option<&FaultPlan>,
-        deadline: u64,
-    ) -> Result<DeadlineRun, SimError> {
-        let ctx = self.prepare_context(a, b)?;
-        let mut state = self.fresh_state(&ctx, plan);
-        if self.drive(&ctx, &mut state, Some(deadline))? {
-            self.finalize(&ctx, &state).map(|outcome| DeadlineRun::Completed(Box::new(outcome)))
-        } else {
-            Ok(DeadlineRun::Cancelled(Box::new(self.snapshot_run(&ctx, &state))))
-        }
-    }
-
-    /// Executes one bounded *slice* of a run: starts fresh (arming `plan`)
-    /// when `from` is `None`, otherwise resumes the given checkpoint, and
-    /// drives until the machine drains or accelerator cycle `until_cycle`
-    /// is reached — whichever comes first.
-    ///
-    /// This is the checkpoint-handoff primitive of the worker fleet: a
-    /// worker runs a job slice-by-slice, heartbeating between slices, and
-    /// on a crash the last `Paused` checkpoint re-dispatches the job to
-    /// any identically-configured worker with bit-identical results
-    /// (DESIGN.md §9 replay invariant — the checkpoint's config and input
-    /// fingerprints enforce the "identically configured" part).
-    ///
-    /// When resuming, `plan` is ignored: armed fault state rides the
-    /// checkpoint, exactly as in [`Accelerator::try_run_from`].
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::CheckpointMismatch`] for foreign checkpoints; otherwise
-    /// as [`Accelerator::try_run`], for failures inside the slice.
-    #[must_use = "dropping the Result loses the slice outcome or pause checkpoint"]
-    pub fn try_run_slice(
-        &self,
-        a: &Csr<f64>,
-        b: &Csr<f64>,
-        plan: Option<&FaultPlan>,
-        from: Option<&Checkpoint>,
-        until_cycle: u64,
-    ) -> Result<SliceRun, SimError> {
-        let ctx = self.prepare_context(a, b)?;
-        let mut state = match from {
-            Some(checkpoint) => self.restore_run(&ctx, checkpoint)?,
-            None => self.fresh_state(&ctx, plan),
+    /// A [`FailedRun`] carrying the [`SimError`] —
+    /// [`SimError::CheckpointMismatch`] for a foreign checkpoint, otherwise
+    /// as [`Accelerator::try_run`] for failures before the pause cycle —
+    /// and the last periodic checkpoint taken before the failure.
+    #[must_use = "dropping the Result loses the run outcome, pause checkpoint, or fault diagnosis"]
+    pub fn execute(&self, req: &RunRequest<'_>) -> Result<(SliceRun, Option<RunTrace>), FailedRun> {
+        let fail = |error| FailedRun { error, checkpoint: None };
+        let ctx = self.prepare_context(req.a, req.b).map_err(fail)?;
+        let (mut state, mut sampler) = match req.start {
+            RunStart::Fresh { plan, trace } => (
+                self.fresh_state(&ctx, plan),
+                trace.map(|t| TraceSampler::new(t, self.cfg.mem.num_channels, self.cfg.num_lanes)),
+            ),
+            RunStart::Resume(checkpoint) => {
+                (self.restore_run(&ctx, checkpoint).map_err(fail)?, None)
+            }
         };
-        if self.drive(&ctx, &mut state, Some(until_cycle))? {
-            self.finalize(&ctx, &state).map(|outcome| SliceRun::Completed(Box::new(outcome)))
-        } else {
-            Ok(SliceRun::Paused(Box::new(self.snapshot_run(&ctx, &state))))
-        }
-    }
-
-    /// Resumes a run from a [`Checkpoint`] and drives it to completion.
-    ///
-    /// The operands must be the same matrices the checkpoint was taken
-    /// from, under the same configuration; fingerprint mismatches are
-    /// rejected with [`SimError::CheckpointMismatch`] instead of silently
-    /// diverging.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::CheckpointMismatch`] for foreign checkpoints; otherwise
-    /// as [`Accelerator::try_run`].
-    #[must_use = "dropping the Result loses the resumed run outcome"]
-    pub fn try_run_from(
-        &self,
-        a: &Csr<f64>,
-        b: &Csr<f64>,
-        checkpoint: &Checkpoint,
-    ) -> Result<RunOutcome, SimError> {
-        let ctx = self.prepare_context(a, b)?;
-        let mut state = self.restore_run(&ctx, checkpoint)?;
-        let completed = self.drive(&ctx, &mut state, None)?;
-        debug_assert!(completed, "unbounded drive returned without completing");
-        self.finalize(&ctx, &state)
-    }
-
-    /// [`Accelerator::try_run_with_faults`] that additionally takes a
-    /// checkpoint every `every` accelerator cycles (`0` disables
-    /// checkpointing), so a failure returns the last pre-failure machine
-    /// state alongside the error — the entry point of the recovery
-    /// ladder's resume rung.
-    ///
-    /// # Errors
-    ///
-    /// A [`FailedRun`] carrying the [`SimError`] and the most recent
-    /// checkpoint taken before the failure (if any).
-    #[must_use = "dropping the Result loses the run outcome and its checkpoints"]
-    pub fn try_run_with_checkpoints(
-        &self,
-        a: &Csr<f64>,
-        b: &Csr<f64>,
-        plan: Option<&FaultPlan>,
-        every: u64,
-    ) -> Result<RunOutcome, FailedRun> {
-        let ctx = match self.prepare_context(a, b) {
-            Ok(ctx) => ctx,
-            Err(error) => return Err(FailedRun { error, checkpoint: None }),
-        };
-        let mut state = self.fresh_state(&ctx, plan);
         let mut last: Option<Box<Checkpoint>> = None;
-        loop {
-            let pause = if every == 0 { None } else { Some(state.t + every) };
-            match self.drive(&ctx, &mut state, pause) {
-                Ok(true) => {
-                    return self
-                        .finalize(&ctx, &state)
-                        .map_err(|error| FailedRun { error, checkpoint: last });
+        let drained = loop {
+            let periodic =
+                (req.checkpoint_every > 0).then(|| state.t.saturating_add(req.checkpoint_every));
+            let pause = [periodic, req.pause_at].into_iter().flatten().min();
+            match self.drive(&ctx, &mut state, pause, sampler.as_mut()) {
+                Ok(drained) if drained || req.pause_at.is_some_and(|k| state.t >= k) => {
+                    break drained
                 }
-                Ok(false) => last = Some(Box::new(self.snapshot_run(&ctx, &state))),
+                Ok(_) => last = Some(Box::new(self.snapshot_run(&ctx, &state))),
                 Err(error) => return Err(FailedRun { error, checkpoint: last }),
             }
-        }
+        };
+        let run = if drained {
+            let outcome = self
+                .finalize(&ctx, &state)
+                .map_err(|error| FailedRun { error, checkpoint: last })?;
+            SliceRun::Completed(Box::new(outcome))
+        } else {
+            SliceRun::Paused(Box::new(self.snapshot_run(&ctx, &state)))
+        };
+        let trace = sampler.map(|sampler| {
+            let attrs: Vec<LaneAttribution> = state.lanes.iter().map(Lane::attribution).collect();
+            // A drained run's last cycle is `t`; a paused one stops before it.
+            let cycles = if drained { state.t + 1 } else { state.t };
+            sampler.finish(cycles, ctx.ratio, &state.hbm.channel_stats(), &attrs)
+        });
+        Ok((run, trace))
     }
 
     /// Validates operands and derives the read-only run context.
@@ -738,22 +642,12 @@ impl Accelerator {
     /// The pause point is the **top** of a cycle, before any component has
     /// ticked — the one point where no cross-component state (delivered
     /// responses) is in flight, which is what makes snapshots exact.
-    fn drive(
-        &self,
-        ctx: &RunContext<'_>,
-        state: &mut RunState,
-        pause_at: Option<u64>,
-    ) -> Result<bool, SimError> {
-        self.drive_observed(ctx, state, pause_at, None)
-    }
-
-    /// [`drive`](Accelerator::drive) with an optional trace sampler.
     ///
-    /// Every untraced entry point passes `None`, and the sampler is purely
+    /// Untraced runs pass no sampler, and the sampler is purely
     /// observational (it reads counters, never machine state), so the
     /// traced and untraced machines tick bit-identically — the
     /// zero-overhead-when-disabled contract of the observability layer.
-    fn drive_observed(
+    fn drive(
         &self,
         ctx: &RunContext<'_>,
         state: &mut RunState,
@@ -1182,17 +1076,30 @@ mod tests {
         assert_eq!((outcome.c.rows(), outcome.c.cols()), (40, 30));
     }
 
+    /// `a * a` paused at cycle `k`: the checkpoint, or `None` if the run
+    /// drained first.
+    fn paused_at(accel: &Accelerator, a: &Csr<f64>, k: u64) -> Option<Box<Checkpoint>> {
+        match accel.execute(&RunRequest { pause_at: Some(k), ..RunRequest::new(a, a) }) {
+            Ok((SliceRun::Paused(ck), _)) => Some(ck),
+            Ok((SliceRun::Completed(_), _)) => None,
+            Err(failed) => panic!("checkpointing run failed: {}", failed.error),
+        }
+    }
+
+    /// Resumes `ck` on operands `a * a` and runs it to completion.
+    fn resumed(accel: &Accelerator, a: &Csr<f64>, ck: &Checkpoint) -> Result<RunOutcome, SimError> {
+        let req = RunRequest { start: RunStart::Resume(ck), ..RunRequest::new(a, a) };
+        accel.execute(&req).map_err(|failed| failed.error)?.0.completed()
+    }
+
     #[test]
     fn checkpoint_before_completion_resumes_to_identical_outcome() {
         let a = gen::uniform(48, 48, 300, 21);
         let accel = Accelerator::new(MatRaptorConfig::small_test());
         let full = accel.try_run(&a, &a).expect("clean run");
-        let ck = accel
-            .try_run_to_checkpoint(&a, &a, None, 64)
-            .expect("checkpointing run")
-            .expect("run longer than 64 cycles");
+        let ck = paused_at(&accel, &a, 64).expect("run longer than 64 cycles");
         assert_eq!(ck.cycle(), 64);
-        let resumed = accel.try_run_from(&a, &a, &ck).expect("resume");
+        let resumed = resumed(&accel, &a, &ck).expect("resume");
         assert_eq!(resumed.stats.total_cycles, full.stats.total_cycles);
         assert_eq!(resumed.c, full.c);
     }
@@ -1201,7 +1108,7 @@ mod tests {
     fn checkpoint_after_completion_is_none() {
         let eye = Csr::<f64>::identity(8);
         let accel = Accelerator::new(MatRaptorConfig::small_test());
-        let ck = accel.try_run_to_checkpoint(&eye, &eye, None, u64::MAX).expect("run");
+        let ck = paused_at(&accel, &eye, u64::MAX);
         assert!(ck.is_none(), "run should drain before u64::MAX cycles");
     }
 
@@ -1210,22 +1117,23 @@ mod tests {
         let a = gen::uniform(48, 48, 300, 21);
         let accel = Accelerator::new(MatRaptorConfig::small_test());
         let full = accel.try_run(&a, &a).expect("clean run");
-        match accel.try_run_deadline(&a, &a, None, 64).expect("bounded run") {
-            DeadlineRun::Cancelled(ck) => {
+        let deadline = |k: u64| RunRequest { pause_at: Some(k), ..RunRequest::new(&a, &a) };
+        match accel.execute(&deadline(64)).expect("bounded run").0 {
+            SliceRun::Paused(ck) => {
                 assert_eq!(ck.cycle(), 64, "cancellation is exact: the deadline cycle");
                 // Cancelled work is a checkpoint — resuming it finishes
                 // the run bit-identically to the unbounded machine.
-                let resumed = accel.try_run_from(&a, &a, &ck).expect("resume");
+                let resumed = resumed(&accel, &a, &ck).expect("resume");
                 assert_eq!(resumed.stats.total_cycles, full.stats.total_cycles);
                 assert_eq!(resumed.c, full.c);
             }
-            DeadlineRun::Completed(_) => panic!("48x48 product cannot drain in 64 cycles"),
+            SliceRun::Completed(_) => panic!("48x48 product cannot drain in 64 cycles"),
         }
-        match accel.try_run_deadline(&a, &a, None, u64::MAX).expect("bounded run") {
-            DeadlineRun::Completed(outcome) => {
+        match accel.execute(&deadline(u64::MAX)).expect("bounded run").0 {
+            SliceRun::Completed(outcome) => {
                 assert_eq!(outcome.stats.total_cycles, full.stats.total_cycles);
             }
-            DeadlineRun::Cancelled(_) => panic!("run should drain before u64::MAX"),
+            SliceRun::Paused(_) => panic!("run should drain before u64::MAX"),
         }
     }
 
@@ -1234,11 +1142,8 @@ mod tests {
         let a = gen::uniform(48, 48, 300, 22);
         let other = gen::uniform(48, 48, 300, 23);
         let accel = Accelerator::new(MatRaptorConfig::small_test());
-        let ck = accel
-            .try_run_to_checkpoint(&a, &a, None, 64)
-            .expect("checkpointing run")
-            .expect("checkpoint");
-        match accel.try_run_from(&other, &other, &ck) {
+        let ck = paused_at(&accel, &a, 64).expect("checkpoint");
+        match resumed(&accel, &other, &ck) {
             Err(SimError::CheckpointMismatch { .. }) => {}
             other => panic!("expected CheckpointMismatch, got {other:?}"),
         }

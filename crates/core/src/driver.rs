@@ -12,7 +12,7 @@ use matraptor_mem::HbmConfig;
 use matraptor_sim::stats::CycleBreakdown;
 use matraptor_sparse::{spgemm, C2sr, Csr, SparseError};
 
-use crate::accel::{Accelerator, DeadlineRun, FailedRun, RunOutcome, SliceRun};
+use crate::accel::{Accelerator, FailedRun, RunOutcome, RunRequest, RunStart, SliceRun};
 use crate::checkpoint::Checkpoint;
 use crate::error::SimError;
 use crate::fault::FaultPlan;
@@ -93,7 +93,7 @@ pub enum MtxWrite {
 /// # Example
 ///
 /// ```rust
-/// use matraptor_core::{Accelerator, Driver, MatRaptorConfig, MtxWrite};
+/// use matraptor_core::{Accelerator, Driver, MatRaptorConfig, MtxWrite, RecoveryPolicy};
 /// use matraptor_sparse::gen;
 ///
 /// let a = gen::uniform(32, 32, 160, 1);
@@ -102,8 +102,10 @@ pub enum MtxWrite {
 /// driver.mtx(MtxWrite::ARows(32));
 /// driver.mtx(MtxWrite::BRows(32));
 /// driver.mtx(MtxWrite::X0(1));
-/// let outcome = driver.launch(&a, &a).expect("configured");
+/// let (outcome, report) =
+///     driver.launch_with_policy(&a, &a, None, &RecoveryPolicy::default()).expect("configured");
 /// assert_eq!(outcome.c.rows(), 32);
+/// assert_eq!(report.attempts, 1);
 /// ```
 #[derive(Debug)]
 pub struct Driver<'a> {
@@ -135,15 +137,6 @@ pub enum DriverError {
     /// The accelerator declared a fault mid-run and terminated with a
     /// structured diagnostic instead of an output.
     AcceleratorFault(SimError),
-    /// A deadline-bounded launch did not finish within its cycle budget
-    /// and was cancelled at the deadline (see
-    /// [`Driver::launch_with_deadline`]). This is a *scheduling* outcome,
-    /// not a hardware fault: the machine was healthy, the job was simply
-    /// too expensive for the budget it was admitted under.
-    DeadlineExceeded {
-        /// The cycle budget the job was cancelled at.
-        deadline_cycles: u64,
-    },
 }
 
 impl std::fmt::Display for DriverError {
@@ -156,9 +149,6 @@ impl std::fmt::Display for DriverError {
             ),
             DriverError::InvalidInput(e) => write!(f, "input matrix rejected: {e}"),
             DriverError::AcceleratorFault(e) => write!(f, "accelerator fault: {e}"),
-            DriverError::DeadlineExceeded { deadline_cycles } => {
-                write!(f, "job cancelled at its deadline of {deadline_cycles} cycles")
-            }
         }
     }
 }
@@ -230,7 +220,7 @@ pub struct RecoveryAttempt {
     pub fault: Option<SimError>,
 }
 
-/// What [`Driver::launch_with_recovery`] did to finish a run: the full
+/// What [`Driver::launch_with_policy`] did to finish a run: the full
 /// attempt trail, plus summary flags for the common questions (did it
 /// degrade? resume? fall back to software?).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -281,7 +271,19 @@ impl<'a> Driver<'a> {
     }
 
     /// Launches the configured run, as the hardware would on seeing
-    /// `x0 == 1`, and blocks until completion (the host's wait loop).
+    /// `x0 == 1`, for one bounded slice ([`RunRequest::pause_at`]):
+    /// starts fresh (arming `plan`) when `from` is `None` and resumes the
+    /// handed-over checkpoint otherwise, running until the machine drains
+    /// or reaches accelerator cycle `until_cycle`. The start bit stays set
+    /// across paused slices — the job is still in flight from the host's
+    /// point of view — and hardware clears it when a slice completes the
+    /// run. A cycle deadline is a slice whose pause the caller treats as
+    /// cancellation.
+    ///
+    /// Each re-entry repeats the full preflight (start bit, dimension
+    /// registers, input structure): a fleet re-dispatching a checkpoint to
+    /// a different worker re-programs that worker's registers, and this is
+    /// where a mis-programmed hand-off is caught.
     ///
     /// # Errors
     ///
@@ -292,68 +294,8 @@ impl<'a> Driver<'a> {
     /// [`DriverError::InvalidInput`] if either matrix fails structural
     /// validation; [`DriverError::AcceleratorFault`] if the accelerator
     /// terminates the run abnormally (deadlock, queue overflow, corrupted
-    /// output, ...).
-    pub fn launch(&mut self, a: &Csr<f64>, b: &Csr<f64>) -> Result<RunOutcome, DriverError> {
-        self.preflight(a, b)?;
-        let outcome = self.accel.try_run(a, b).map_err(DriverError::AcceleratorFault)?;
-        // Completion: hardware clears the start bit.
-        self.regs.x0 = 0;
-        Ok(outcome)
-    }
-
-    /// [`Driver::launch`] under a hard per-job cycle budget: the run is
-    /// cancelled at accelerator cycle `deadline_cycles` if it has not
-    /// drained by then, via the checkpoint pause path
-    /// ([`Accelerator::try_run_deadline`]). A cancelled job costs exactly
-    /// the deadline in simulated cycles — the cancellation hook the
-    /// multi-job service layer's admission deadlines rely on. `plan`
-    /// optionally arms an injected fault, as in
-    /// [`Driver::launch_with_recovery`].
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Driver::launch`] reports, plus
-    /// [`DriverError::DeadlineExceeded`] when the budget expires first.
-    pub fn launch_with_deadline(
-        &mut self,
-        a: &Csr<f64>,
-        b: &Csr<f64>,
-        plan: Option<&FaultPlan>,
-        deadline_cycles: u64,
-    ) -> Result<RunOutcome, DriverError> {
-        self.preflight(a, b)?;
-        match self.accel.try_run_deadline(a, b, plan, deadline_cycles) {
-            Ok(DeadlineRun::Completed(outcome)) => {
-                self.regs.x0 = 0;
-                Ok(*outcome)
-            }
-            // The cancellation checkpoint is dropped here: the driver's
-            // contract is cancel-and-report. Callers that want to resume
-            // cancelled work use `Accelerator::try_run_deadline` directly.
-            Ok(DeadlineRun::Cancelled(_)) => Err(DriverError::DeadlineExceeded { deadline_cycles }),
-            Err(e) => Err(DriverError::AcceleratorFault(e)),
-        }
-    }
-
-    /// Slice-wise driver re-entry ([`Accelerator::try_run_slice`]): runs
-    /// one bounded slice of the configured job, starting fresh when `from`
-    /// is `None` and resuming the handed-over checkpoint otherwise. The
-    /// start bit stays set across paused slices — the job is still in
-    /// flight from the host's point of view — and is cleared only when a
-    /// slice completes the run, mirroring [`Driver::launch`].
-    ///
-    /// Each re-entry repeats the full preflight (start bit, dimension
-    /// registers, input structure): a fleet re-dispatching a checkpoint to
-    /// a different worker re-programs that worker's registers, and this is
-    /// where a mis-programmed hand-off is caught.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Driver::launch`] reports; a foreign or incompatible
-    /// checkpoint surfaces as [`DriverError::AcceleratorFault`] carrying
-    /// [`SimError::CheckpointMismatch`].
-    ///
-    /// [`SimError::CheckpointMismatch`]: crate::SimError::CheckpointMismatch
+    /// output, a foreign checkpoint's [`SimError::CheckpointMismatch`],
+    /// ...).
     pub fn launch_slice(
         &mut self,
         a: &Csr<f64>,
@@ -363,45 +305,34 @@ impl<'a> Driver<'a> {
         until_cycle: u64,
     ) -> Result<SliceRun, DriverError> {
         self.preflight(a, b)?;
-        match self.accel.try_run_slice(a, b, plan, from, until_cycle) {
-            Ok(SliceRun::Completed(outcome)) => {
-                self.regs.x0 = 0;
-                Ok(SliceRun::Completed(outcome))
-            }
-            Ok(paused @ SliceRun::Paused(_)) => Ok(paused),
-            Err(e) => Err(DriverError::AcceleratorFault(e)),
+        let start = from.map_or(RunStart::Fresh { plan, trace: None }, RunStart::Resume);
+        let req = RunRequest { start, pause_at: Some(until_cycle), ..RunRequest::new(a, b) };
+        let (run, _) = self
+            .accel
+            .execute(&req)
+            .map_err(|failed| DriverError::AcceleratorFault(failed.error))?;
+        if matches!(run, SliceRun::Completed(_)) {
+            self.regs.x0 = 0;
         }
+        Ok(run)
     }
 
-    /// [`Driver::launch`] with the default [`RecoveryPolicy`]: transient
-    /// faults resume from the last checkpoint, persistent faults walk the
-    /// degradation ladder down to a host-software fallback.
+    /// Launches the configured run to completion under a
+    /// [`RecoveryPolicy`]: transient faults resume from the last
+    /// checkpoint, persistent faults walk the degradation ladder down to a
+    /// host-software fallback.
     ///
     /// `plan` injects a fault into the *first* attempt only (the
     /// transient-fault model); retries run clean hardware.
     ///
     /// # Errors
     ///
-    /// Everything [`Driver::launch`] reports; an [`AcceleratorFault`]
+    /// Everything [`Driver::launch_slice`] reports; an [`AcceleratorFault`]
     /// means the ladder was exhausted (or the fault was malformed input,
     /// which no rung can outrun), and its payload is the *last* attempt's
     /// fault.
     ///
     /// [`AcceleratorFault`]: DriverError::AcceleratorFault
-    pub fn launch_with_recovery(
-        &mut self,
-        a: &Csr<f64>,
-        b: &Csr<f64>,
-        plan: Option<&FaultPlan>,
-    ) -> Result<(RunOutcome, RecoveryReport), DriverError> {
-        self.launch_with_policy(a, b, plan, &RecoveryPolicy::default())
-    }
-
-    /// [`Driver::launch_with_recovery`] under an explicit policy.
-    ///
-    /// # Errors
-    ///
-    /// As [`Driver::launch_with_recovery`].
     pub fn launch_with_policy(
         &mut self,
         a: &Csr<f64>,
@@ -422,9 +353,15 @@ impl<'a> Driver<'a> {
 
         // Attempt 1: the full machine, with the injected fault (if any)
         // and periodic checkpoints so a transient failure can resume.
-        let every = policy.checkpoint_interval.unwrap_or(0);
-        let (first_fault, checkpoint) = match self.accel.try_run_with_checkpoints(a, b, plan, every)
-        {
+        let first = RunRequest {
+            start: RunStart::Fresh { plan, trace: None },
+            checkpoint_every: policy.checkpoint_interval.unwrap_or(0),
+            ..RunRequest::new(a, b)
+        };
+        let result = self.accel.execute(&first).and_then(|(run, _)| {
+            run.completed().map_err(|error| FailedRun { error, checkpoint: None })
+        });
+        let (first_fault, checkpoint) = match result {
             Ok(outcome) => {
                 self.regs.x0 = 0;
                 report.trail.push(RecoveryAttempt {
@@ -486,7 +423,10 @@ impl<'a> Driver<'a> {
             report.backoff_cycles = report.backoff_cycles.saturating_add(backoff);
             let (action, result) = match rung {
                 Rung::Resume(ck) => {
-                    (RecoveryAction::ResumeCheckpoint, self.accel.try_run_from(a, b, &ck))
+                    let resume =
+                        RunRequest { start: RunStart::Resume(&ck), ..RunRequest::new(a, b) };
+                    let result = self.accel.execute(&resume).map_err(|failed| failed.error);
+                    (RecoveryAction::ResumeCheckpoint, result.and_then(|(run, _)| run.completed()))
                 }
                 Rung::Lanes(n) => {
                     let mut cfg = self.accel.config().clone();
@@ -612,11 +552,17 @@ mod tests {
         d.mtx(MtxWrite::ARows(24));
         d.mtx(MtxWrite::BRows(24));
         d.mtx(MtxWrite::X0(1));
-        let outcome = d.launch(&a, &a).expect("launch");
+        let outcome = match d.launch_slice(&a, &a, None, None, u64::MAX).expect("launch") {
+            SliceRun::Completed(outcome) => outcome,
+            SliceRun::Paused(ck) => panic!("unbounded launch paused at {}", ck.cycle()),
+        };
         assert!(outcome.c.approx_eq(&spgemm::gustavson(&a, &a), 1e-9));
         // Hardware clears x0 on completion; relaunching needs a new start.
         assert_eq!(d.registers().x0, 0);
-        assert!(matches!(d.launch(&a, &a), Err(DriverError::NotStarted)));
+        assert!(matches!(
+            d.launch_slice(&a, &a, None, None, u64::MAX),
+            Err(DriverError::NotStarted)
+        ));
     }
 
     #[test]
@@ -628,7 +574,7 @@ mod tests {
         d.mtx(MtxWrite::BRows(16));
         d.mtx(MtxWrite::X0(1));
         assert!(matches!(
-            d.launch(&a, &a),
+            d.launch_slice(&a, &a, None, None, u64::MAX),
             Err(DriverError::DimensionMismatch { register: "a_rows", .. })
         ));
     }
@@ -647,7 +593,10 @@ mod tests {
         d.mtx(MtxWrite::ARows(16));
         d.mtx(MtxWrite::BRows(16));
         d.mtx(MtxWrite::X0(1));
-        assert!(matches!(d.launch(&bad, &a), Err(DriverError::InvalidInput(_))));
+        assert!(matches!(
+            d.launch_slice(&bad, &a, None, None, u64::MAX),
+            Err(DriverError::InvalidInput(_))
+        ));
         // The start bit stays set: the accelerator never ran.
         assert_eq!(d.registers().x0, 1);
     }
@@ -718,16 +667,21 @@ mod tests {
         d.mtx(MtxWrite::ARows(32));
         d.mtx(MtxWrite::BRows(32));
         d.mtx(MtxWrite::X0(1));
-        // A 100-cycle budget cannot cover the product: cancelled.
-        match d.launch_with_deadline(&a, &a, None, 100) {
-            Err(DriverError::DeadlineExceeded { deadline_cycles: 100 }) => {}
+        // A 100-cycle budget cannot cover the product: paused exactly at
+        // the deadline, which the caller treats as cancellation.
+        match d.launch_slice(&a, &a, None, None, 100) {
+            Ok(SliceRun::Paused(ck)) => assert_eq!(ck.cycle(), 100),
             other => panic!("expected deadline cancellation, got {other:?}"),
         }
         // The start bit stays set — the job never completed.
         assert_eq!(d.registers().x0, 1);
         // A generous budget lets the same job finish normally.
-        let outcome = d.launch_with_deadline(&a, &a, None, u64::MAX).expect("within deadline");
-        assert!(outcome.c.approx_eq(&spgemm::gustavson(&a, &a), 1e-9));
+        match d.launch_slice(&a, &a, None, None, u64::MAX).expect("within deadline") {
+            SliceRun::Completed(outcome) => {
+                assert!(outcome.c.approx_eq(&spgemm::gustavson(&a, &a), 1e-9));
+            }
+            SliceRun::Paused(ck) => panic!("unbounded launch paused at {}", ck.cycle()),
+        }
         assert_eq!(d.registers().x0, 0);
     }
 
@@ -745,7 +699,7 @@ mod tests {
         let plan = FaultPlan::sample(FaultKind::ChannelStall, 7, accel.config().num_lanes);
         // Watchdog (2k window) fires long before the generous deadline, so
         // the fault wins and is reported as a fault, not a cancellation.
-        match d.launch_with_deadline(&a, &a, Some(&plan), u64::MAX) {
+        match d.launch_slice(&a, &a, Some(&plan), None, u64::MAX) {
             Err(DriverError::AcceleratorFault(SimError::Deadlock(_))) => {}
             other => panic!("expected deadlock fault, got {other:?}"),
         }
@@ -759,7 +713,8 @@ mod tests {
         d.mtx(MtxWrite::ARows(24));
         d.mtx(MtxWrite::BRows(24));
         d.mtx(MtxWrite::X0(1));
-        let (outcome, report) = d.launch_with_recovery(&a, &a, None).expect("clean");
+        let (outcome, report) =
+            d.launch_with_policy(&a, &a, None, &RecoveryPolicy::default()).expect("clean");
         assert_eq!(
             report,
             RecoveryReport {
@@ -792,7 +747,7 @@ mod tests {
         d.mtx(MtxWrite::ARows(32));
         d.mtx(MtxWrite::BRows(32));
         d.mtx(MtxWrite::X0(1));
-        match d.launch_with_recovery(&a, &b, None) {
+        match d.launch_with_policy(&a, &b, None, &RecoveryPolicy::default()) {
             Err(DriverError::AcceleratorFault(SimError::MalformedInput(_))) => {}
             other => panic!("expected un-retried MalformedInput, got {other:?}"),
         }
@@ -814,7 +769,9 @@ mod tests {
         d.mtx(MtxWrite::BRows(32));
         d.mtx(MtxWrite::X0(1));
         let plan = FaultPlan::sample(FaultKind::QueueOverflowForce, 11, 1);
-        let (outcome, report) = d.launch_with_recovery(&a, &a, Some(&plan)).expect("fell back");
+        let (outcome, report) = d
+            .launch_with_policy(&a, &a, Some(&plan), &RecoveryPolicy::default())
+            .expect("fell back");
         assert!(report.used_cpu_fallback);
         assert!(report.degraded);
         assert_eq!(report.attempts, 2);
@@ -836,11 +793,9 @@ mod tests {
         assert!(fault.to_string().contains("accelerator fault"));
         let invalid = DriverError::InvalidInput(SparseError::NonFiniteValue { row: 0, col: 1 });
         assert!(invalid.to_string().contains("rejected"));
-        let late = DriverError::DeadlineExceeded { deadline_cycles: 512 };
-        assert!(late.to_string().contains("deadline") && late.to_string().contains("512"));
         // All variants usable as a trait object (the `Box<dyn Error>`
         // plumbing downstream tooling relies on).
-        for e in [not_started, dim, fault, invalid, late] {
+        for e in [not_started, dim, fault, invalid] {
             let boxed: Box<dyn std::error::Error> = Box::new(e);
             assert!(!boxed.to_string().is_empty());
         }

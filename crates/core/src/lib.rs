@@ -31,29 +31,29 @@
 //! * [`Accelerator::try_run`] is the fallible end-to-end entry point — it
 //!   returns [`SimError`] instead of panicking or hanging, with a
 //!   structured [`DeadlockDiagnostic`] when the watchdog declares a wedge;
+//! * [`Accelerator::execute`] runs one [`RunRequest`]: a fresh start
+//!   (optionally arming a [`FaultPlan`] and recording a [`RunTrace`]) or
+//!   a [`Checkpoint`] resume, bounded by an optional pause cycle and
+//!   optionally checkpointing periodically;
 //! * [`FaultPlan`] describes a deterministic, seeded fault injection
 //!   (channel stalls, corrupted or truncated C²SR streams, forced
-//!   sorting-queue overflow, dropped writer appends) compiled onto the
-//!   machine by [`Accelerator::try_run_with_faults`];
+//!   sorting-queue overflow, dropped writer appends);
 //! * [`classify`] maps a faulty run's result to a campaign [`Verdict`]
 //!   (survived / detected / escaped);
-//! * [`Accelerator::try_run_to_checkpoint`] captures the full machine
-//!   state in a versioned, checksummed [`Checkpoint`] that
-//!   [`Accelerator::try_run_from`] resumes with **bit-identical** cycle
+//! * a paused run returns the full machine state in a versioned,
+//!   checksummed [`Checkpoint`] that resumes with **bit-identical** cycle
 //!   counts and output values (DESIGN.md §9);
 //! * with `abft_verification` enabled, every finished run is self-checked
 //!   with ABFT row checksums + Freivalds probes
 //!   ([`matraptor_sparse::abft`]), so silent output corruption surfaces
 //!   as [`SimError::OutputCorrupted`] with the offending rows;
-//! * [`Driver::launch_with_recovery`] walks a [`RecoveryPolicy`] ladder —
+//! * [`Driver::launch_with_policy`] walks a [`RecoveryPolicy`] ladder —
 //!   resume-from-checkpoint for transient faults, reduced-lane retries,
 //!   CPU fallback — and reports the full attempt trail.
 //!
 //! [`Hbm`]: matraptor_mem::Hbm
 //! [`Accelerator::try_run`]: accel::Accelerator::try_run
-//! [`Accelerator::try_run_with_faults`]: accel::Accelerator::try_run_with_faults
-//! [`Accelerator::try_run_to_checkpoint`]: accel::Accelerator::try_run_to_checkpoint
-//! [`Accelerator::try_run_from`]: accel::Accelerator::try_run_from
+//! [`Accelerator::execute`]: accel::Accelerator::execute
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -76,7 +76,7 @@ mod tokens;
 mod trace;
 mod writer;
 
-pub use accel::{Accelerator, DeadlineRun, FailedRun, RunOutcome, SliceRun};
+pub use accel::{Accelerator, FailedRun, RunOutcome, RunRequest, RunStart, SliceRun};
 pub use checkpoint::{fingerprint_inputs, Checkpoint, CheckpointError, CHECKPOINT_VERSION};
 pub use config::MatRaptorConfig;
 pub use convert::{

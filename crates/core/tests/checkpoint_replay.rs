@@ -4,9 +4,12 @@
 //! structure, same value bits — for any *k*. This is the invariant of
 //! DESIGN.md §9, and the CI `checkpoint-replay` job runs this file.
 
+mod common;
+
+use common::{checkpoint_at, resume, run_faulted};
 use matraptor_core::{
-    Accelerator, Checkpoint, CheckpointError, FaultKind, FaultPlan, MatRaptorConfig, SimError,
-    CHECKPOINT_VERSION,
+    Accelerator, Checkpoint, CheckpointError, FaultKind, FaultPlan, MatRaptorConfig, RunRequest,
+    RunStart, SimError, CHECKPOINT_VERSION,
 };
 use matraptor_sparse::{gen, Csr};
 
@@ -33,8 +36,7 @@ fn replay_is_bit_identical_across_snapshot_cycles() {
     let total = full.stats.total_cycles;
     assert!(total > 1_000, "test matrices should run for a while, got {total}");
     for k in [1, 64, 333, total / 2, total - 2] {
-        let ck = accel
-            .try_run_to_checkpoint(&a, &b, None, k)
+        let ck = checkpoint_at(&accel, &a, &b, None, k)
             .expect("checkpointing run")
             .unwrap_or_else(|| panic!("run should not drain before cycle {k}"));
         assert_eq!(ck.cycle(), k);
@@ -44,7 +46,7 @@ fn replay_is_bit_identical_across_snapshot_cycles() {
         let bytes = ck.to_bytes();
         let ck = Checkpoint::from_bytes(&bytes).expect("round-trip");
         assert_eq!(ck.cycle(), k);
-        let resumed = accel.try_run_from(&a, &b, &ck).expect("resume");
+        let resumed = resume(&accel, &a, &b, &ck).expect("resume");
         assert_eq!(resumed.stats.total_cycles, total, "cycle count diverged at k={k}");
         assert_eq!(resumed.stats.breakdown, full.stats.breakdown, "breakdown diverged at k={k}");
         assert_eq!(resumed.stats.bytes_read, full.stats.bytes_read);
@@ -63,20 +65,20 @@ fn faulted_run_resumes_bit_identically() {
     let (a, b) = test_matrices();
     let accel = accel();
     let plan = FaultPlan::sample(FaultKind::BurstRefusal, 5, 2);
-    let full = accel.try_run_with_faults(&a, &b, Some(&plan)).expect("survivable fault");
+    let full = run_faulted(&accel, &a, &b, Some(&plan)).expect("survivable fault");
     let k = full.stats.total_cycles / 3;
-    let ck = accel
-        .try_run_to_checkpoint(&a, &b, Some(&plan), k)
+    let ck = checkpoint_at(&accel, &a, &b, Some(&plan), k)
         .expect("checkpointing run")
         .expect("checkpoint");
-    let resumed = accel.try_run_from(&a, &b, &ck).expect("resume");
+    let resumed = resume(&accel, &a, &b, &ck).expect("resume");
     assert_eq!(resumed.stats.total_cycles, full.stats.total_cycles);
     assert_eq!(value_bits(&resumed.c), value_bits(&full.c));
 }
 
-/// `try_run_with_checkpoints` hands the last pre-failure checkpoint to
-/// the caller, and disarming its fault state lets the resume complete —
-/// the recovery ladder's resume rung, exercised end to end.
+/// A periodically checkpointing request hands the last pre-failure
+/// checkpoint to the caller, and disarming its fault state lets the
+/// resume complete — the recovery ladder's resume rung, exercised end to
+/// end.
 #[test]
 fn disarmed_checkpoint_resumes_past_a_channel_stall() {
     let (a, b) = test_matrices();
@@ -84,13 +86,16 @@ fn disarmed_checkpoint_resumes_past_a_channel_stall() {
     cfg.watchdog_window = 2_000;
     let accel = Accelerator::new(cfg);
     let plan = FaultPlan::sample(FaultKind::ChannelStall, 7, 2);
-    let failed = accel
-        .try_run_with_checkpoints(&a, &b, Some(&plan), 256)
-        .expect_err("a permanent stall must fail");
+    let req = RunRequest {
+        start: RunStart::Fresh { plan: Some(&plan), trace: None },
+        checkpoint_every: 256,
+        ..RunRequest::new(&a, &b)
+    };
+    let failed = accel.execute(&req).expect_err("a permanent stall must fail");
     assert!(matches!(failed.error, SimError::Deadlock(_)));
     let mut ck = failed.checkpoint.expect("checkpoints were taken before the wedge");
     ck.disarm_faults();
-    let recovered = accel.try_run_from(&a, &b, &ck).expect("disarmed resume completes");
+    let recovered = resume(&accel, &a, &b, &ck).expect("disarmed resume completes");
     // The timeline differs from a clean run (the stall was real until the
     // checkpoint), but the functional output must be correct.
     let clean = accel.try_run(&a, &b).expect("clean run");
@@ -106,14 +111,12 @@ fn disarmed_checkpoint_resumes_past_a_channel_stall() {
 fn checkpoint_rejection_paths() {
     let (a, b) = test_matrices();
     let accel = accel();
-    let ck = accel
-        .try_run_to_checkpoint(&a, &b, None, 64)
-        .expect("checkpointing run")
-        .expect("checkpoint");
+    let ck =
+        checkpoint_at(&accel, &a, &b, None, 64).expect("checkpointing run").expect("checkpoint");
 
     // Wrong operands: fingerprint mismatch.
     let (other_a, other_b) = (gen::uniform(48, 48, 400, 90), gen::uniform(48, 48, 400, 91));
-    match accel.try_run_from(&other_a, &other_b, &ck) {
+    match resume(&accel, &other_a, &other_b, &ck) {
         Err(SimError::CheckpointMismatch { .. }) => {}
         other => panic!("expected CheckpointMismatch, got {other:?}"),
     }
@@ -121,7 +124,7 @@ fn checkpoint_rejection_paths() {
     // Wrong configuration: also a fingerprint mismatch.
     let mut cfg = MatRaptorConfig::small_test();
     cfg.coupling_fifo_depth += 1;
-    match Accelerator::new(cfg).try_run_from(&a, &b, &ck) {
+    match resume(&Accelerator::new(cfg), &a, &b, &ck) {
         Err(SimError::CheckpointMismatch { .. }) => {}
         other => panic!("expected CheckpointMismatch, got {other:?}"),
     }

@@ -3,6 +3,9 @@
 //! injected fault must terminate in a structured error or a survivable
 //! outcome — never a hang, never a panic.
 
+mod common;
+
+use common::run_faulted;
 use matraptor_core::{
     classify, Accelerator, Driver, FaultKind, FaultPlan, MalformedInput, MatRaptorConfig, MtxWrite,
     RecoveryPolicy, SimError, Verdict,
@@ -66,7 +69,7 @@ fn channel_stall_is_detected_as_deadlock_within_the_window() {
     let lanes = cfg.num_lanes;
     let accel = Accelerator::new(cfg);
     let plan = FaultPlan::sample(FaultKind::ChannelStall, 3, lanes);
-    match accel.try_run_with_faults(&a, &b, Some(&plan)) {
+    match run_faulted(&accel, &a, &b, Some(&plan)) {
         Err(SimError::Deadlock(diag)) => {
             assert!(!diag.lanes.is_empty(), "per-lane diagnostic must be populated");
             assert_eq!(diag.lanes.len(), lanes);
@@ -93,7 +96,7 @@ fn campaign_sweep_produces_no_undetected_escapes() {
     for kind in FaultKind::ALL {
         for seed in 0..4u64 {
             let plan = FaultPlan::sample(kind, seed, lanes);
-            let result = accel.try_run_with_faults(&a, &b, Some(&plan));
+            let result = run_faulted(&accel, &a, &b, Some(&plan));
             let verdict = classify(kind, &result);
             assert_ne!(
                 verdict,
@@ -121,7 +124,7 @@ fn campaign_is_deterministic_across_sweeps() {
                 (0..3u64).map(move |seed| (kind, seed, FaultPlan::sample(kind, seed, lanes)))
             })
             .map(|(kind, seed, plan)| {
-                let result = accel.try_run_with_faults(&a, &b, Some(&plan));
+                let result = run_faulted(&accel, &a, &b, Some(&plan));
                 let verdict = classify(kind, &result);
                 let cycles = result.ok().map(|o| o.stats.total_cycles);
                 (kind, seed, plan.site, verdict, cycles)
@@ -193,7 +196,7 @@ fn forced_queue_overflow_is_reported_with_lane_and_row() {
     let lanes = cfg.num_lanes;
     let accel = Accelerator::new(cfg);
     let plan = FaultPlan::sample(FaultKind::QueueOverflowForce, 1, lanes);
-    match accel.try_run_with_faults(&a, &b, Some(&plan)) {
+    match run_faulted(&accel, &a, &b, Some(&plan)) {
         Err(SimError::QueueOverflow { lane, row }) => {
             assert!(lane < lanes);
             assert!((row as usize) < a.rows());
@@ -211,7 +214,7 @@ fn corrupted_stream_is_rejected_at_the_spbl_boundary() {
     let lanes = cfg.num_lanes;
     let accel = Accelerator::new(cfg);
     let plan = FaultPlan::sample(FaultKind::StreamCorruption, 2, lanes);
-    match accel.try_run_with_faults(&a, &b, Some(&plan)) {
+    match run_faulted(&accel, &a, &b, Some(&plan)) {
         Err(SimError::MalformedInput(MalformedInput::ColumnOutOfRange { col, bound, .. })) => {
             assert!(col >= bound);
             assert_eq!(bound as usize, b.rows());
@@ -234,7 +237,7 @@ fn abft_catches_dropped_write_without_the_reference_check() {
     let mut localised = 0;
     for seed in 0..4u64 {
         let plan = FaultPlan::sample(FaultKind::DroppedWrite, seed, lanes);
-        match accel.try_run_with_faults(&a, &b, Some(&plan)) {
+        match run_faulted(&accel, &a, &b, Some(&plan)) {
             Err(SimError::OutputCorrupted { rows, .. }) => {
                 assert!(!rows.is_empty(), "ABFT must name the corrupted rows");
                 assert!(rows.iter().all(|&r| (r as usize) < a.rows()));
@@ -263,7 +266,7 @@ fn silent_corruption_escapes_without_any_verification() {
     for kind in [FaultKind::DroppedWrite, FaultKind::StreamTruncation] {
         for seed in 0..4u64 {
             let plan = FaultPlan::sample(kind, seed, lanes);
-            let result = accel.try_run_with_faults(&a, &b, Some(&plan));
+            let result = run_faulted(&accel, &a, &b, Some(&plan));
             if classify(kind, &result) == Verdict::Escaped {
                 let outcome = result.expect("an escape is an Ok result");
                 assert!(
@@ -289,7 +292,7 @@ fn dropped_write_is_caught_by_output_verification() {
     let mut caught = 0;
     for seed in 0..4u64 {
         let plan = FaultPlan::sample(FaultKind::DroppedWrite, seed, lanes);
-        match accel.try_run_with_faults(&a, &b, Some(&plan)) {
+        match run_faulted(&accel, &a, &b, Some(&plan)) {
             Err(SimError::OutputCorrupted { .. }) | Err(SimError::Deadlock(_)) => caught += 1,
             Err(other) => panic!("unexpected error for dropped write: {other:?}"),
             Ok(_) => panic!("dropped write escaped verification"),

@@ -10,6 +10,9 @@
 //! the division fallbacks, queue overflows, and the two memory faults that
 //! act inside the HBM model.
 
+mod common;
+
+use common::{checkpoint_at, run_faulted};
 use matraptor_core::{Accelerator, FaultKind, FaultPlan, MatRaptorConfig};
 use matraptor_mem::HbmConfig;
 use matraptor_sim::trace::fnv1a64;
@@ -84,13 +87,12 @@ fn simulated_results_match_the_pins() {
     for (case, &pin) in cases.iter().zip(&PINS) {
         let accel = Accelerator::new(case.cfg.clone());
         let plan = case.fault.map(|kind| FaultPlan::sample(kind, 42, case.cfg.num_lanes));
-        let run = match accel.try_run_with_faults(&case.a, &case.a, plan.as_ref()) {
+        let run = match run_faulted(&accel, &case.a, &case.a, plan.as_ref()) {
             Ok(outcome) => format!("{:?}", (&outcome.stats, &outcome.c)),
             Err(error) => format!("{error:?}"),
         };
         let pause = plan.map_or(PAUSE, |p| (p.start + 50) * case.cfg.mem_clock_ratio());
-        let checkpoint = accel
-            .try_run_to_checkpoint(&case.a, &case.a, plan.as_ref(), pause)
+        let checkpoint = checkpoint_at(&accel, &case.a, &case.a, plan.as_ref(), pause)
             .expect("no failure before the pause")
             .expect("the run is longer than the pause");
         let got = (case.name, fnv1a64(run.as_bytes()), fnv1a64(&checkpoint.to_bytes()));

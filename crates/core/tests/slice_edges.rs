@@ -7,6 +7,9 @@
 //! byte-identical to the result it kept, so suppression never hides a
 //! divergent answer.
 
+mod common;
+
+use common::{resume, slice};
 use matraptor_core::{Accelerator, MatRaptorConfig, SliceRun};
 use matraptor_sparse::{gen, Csr};
 
@@ -30,7 +33,7 @@ fn zero_row_operands_drain_through_the_slice_path() {
         let full = accel.try_run(&a, &b).expect("empty product");
         assert_eq!(full.c.nnz(), 0);
         let total = full.stats.total_cycles;
-        match accel.try_run_slice(&a, &b, None, None, total + 1).expect("one generous slice") {
+        match slice(&accel, &a, &b, None, total + 1).expect("one generous slice") {
             SliceRun::Completed(out) => {
                 assert_eq!(out.c.rows(), a.rows());
                 assert_eq!(out.c.nnz(), 0);
@@ -46,7 +49,7 @@ fn zero_row_operands_drain_through_the_slice_path() {
         let mut boundary = 2;
         let out = loop {
             assert!(boundary <= total + 2, "empty job still pausing past its drain cycle");
-            match accel.try_run_slice(&a, &b, None, ck.as_deref(), boundary).expect("tiny slice") {
+            match slice(&accel, &a, &b, ck.as_deref(), boundary).expect("tiny slice") {
                 SliceRun::Completed(out) => break out,
                 SliceRun::Paused(next) => ck = Some(next),
             }
@@ -66,12 +69,12 @@ fn zero_length_slice_pauses_at_cycle_zero_and_resumes_identically() {
     let a = gen::uniform(48, 48, 400, 11);
     let b = gen::uniform(48, 48, 400, 12);
     let full = accel.try_run(&a, &b).expect("clean run");
-    let ck = match accel.try_run_slice(&a, &b, None, None, 0).expect("zero-length slice") {
+    let ck = match slice(&accel, &a, &b, None, 0).expect("zero-length slice") {
         SliceRun::Paused(ck) => ck,
         SliceRun::Completed(_) => panic!("a zero-length slice cannot complete a real job"),
     };
     assert_eq!(ck.cycle(), 0, "nothing executed before the pause");
-    let resumed = accel.try_run_from(&a, &b, &ck).expect("resume from cycle 0");
+    let resumed = resume(&accel, &a, &b, &ck).expect("resume from cycle 0");
     assert_eq!(resumed.stats.total_cycles, full.stats.total_cycles);
     assert_eq!(resumed.c.row_ptr(), full.c.row_ptr());
     assert_eq!(resumed.c.col_idx(), full.c.col_idx());
@@ -90,7 +93,7 @@ fn checkpoint_at_the_final_cycle_of_a_slice_resumes_identically() {
     let full = accel.try_run(&a, &b).expect("clean run");
     let total = full.stats.total_cycles;
     assert!(total > 2, "test matrices should do real work");
-    let ck = match accel.try_run_slice(&a, &b, None, None, total - 1).expect("penultimate slice") {
+    let ck = match slice(&accel, &a, &b, None, total - 1).expect("penultimate slice") {
         SliceRun::Paused(ck) => ck,
         SliceRun::Completed(out) => panic!(
             "the run drained in {} cycles inside a {}-cycle slice",
@@ -99,7 +102,7 @@ fn checkpoint_at_the_final_cycle_of_a_slice_resumes_identically() {
         ),
     };
     assert_eq!(ck.cycle(), total - 1, "paused exactly at the slice boundary");
-    match accel.try_run_slice(&a, &b, None, Some(&ck), total + 1).expect("final slice") {
+    match slice(&accel, &a, &b, Some(&ck), total + 1).expect("final slice") {
         SliceRun::Completed(out) => {
             assert_eq!(out.stats.total_cycles, total);
             assert_eq!(out.c.row_ptr(), full.c.row_ptr());
@@ -126,16 +129,13 @@ fn redispatched_final_slice_is_byte_identical_on_a_second_worker() {
     let first_worker = accel();
     let full = first_worker.try_run(&a, &b).expect("clean run");
     let total = full.stats.total_cycles;
-    let ck =
-        match first_worker.try_run_slice(&a, &b, None, None, total - 1).expect("penultimate slice")
-        {
-            SliceRun::Paused(ck) => ck,
-            SliceRun::Completed(_) => panic!("run drained a cycle early"),
-        };
+    let ck = match slice(&first_worker, &a, &b, None, total - 1).expect("penultimate slice") {
+        SliceRun::Paused(ck) => ck,
+        SliceRun::Completed(_) => panic!("run drained a cycle early"),
+    };
     // The checkpoint survives the wire (re-dispatch serializes it).
     let ck = matraptor_core::Checkpoint::from_bytes(&ck.to_bytes()).expect("round-trip");
-    let run_final_slice = |worker: &Accelerator| match worker
-        .try_run_slice(&a, &b, None, Some(&ck), total + 1)
+    let run_final_slice = |worker: &Accelerator| match slice(worker, &a, &b, Some(&ck), total + 1)
         .expect("final slice")
     {
         SliceRun::Completed(out) => out,

@@ -12,8 +12,12 @@
 //!    untraced run, and the attribution counters ride checkpoints so
 //!    strict replay covers them.
 
+mod common;
+
+use common::{checkpoint_at, resume, run_faulted, run_traced};
 use matraptor_core::{
-    Accelerator, FaultKind, FaultPlan, LaneAttribution, MatRaptorConfig, TraceConfig,
+    Accelerator, FaultKind, FaultPlan, LaneAttribution, MatRaptorConfig, RunRequest, RunStart,
+    SliceRun, TraceConfig,
 };
 use matraptor_sparse::gen::suite::table2;
 use matraptor_sparse::{gen, Csr};
@@ -46,8 +50,7 @@ fn attribution_buckets_sum_to_total_cycles_across_the_suite() {
     let tcfg = TraceConfig { window: 128, ..TraceConfig::default() };
     for spec in table2() {
         let m = spec.generate(512, 7);
-        let (outcome, trace) = accel
-            .try_run_traced(&m, &m, None, &tcfg)
+        let (outcome, trace) = run_traced(&accel, &m, &m, &tcfg)
             .unwrap_or_else(|e| panic!("clean traced run failed on `{}`: {e}", spec.id));
         let stats = &outcome.stats;
         assert_totality(spec.id, &stats.per_lane_attribution, stats.total_cycles);
@@ -80,7 +83,7 @@ fn traced_runs_are_bit_identical_to_untraced_runs() {
     for spec in table2().into_iter().take(4) {
         let m = spec.generate(512, 9);
         let plain = accel.try_run(&m, &m).expect("clean run");
-        let (traced, _) = accel.try_run_traced(&m, &m, None, &tcfg).expect("clean traced run");
+        let (traced, _) = run_traced(&accel, &m, &m, &tcfg).expect("clean traced run");
         assert_eq!(traced.stats, plain.stats, "{}: stats diverged under tracing", spec.id);
         assert_eq!(traced.c.row_ptr(), plain.c.row_ptr());
         assert_eq!(traced.c.col_idx(), plain.c.col_idx());
@@ -106,7 +109,7 @@ fn attribution_totality_survives_every_fault_kind() {
             let plan = FaultPlan::sample(kind, 11 ^ seed, lanes);
             // Detected faults abort without stats — nothing to check; any
             // run that *completes* must still account for every cycle.
-            if let Ok(outcome) = accel.try_run_with_faults(&a, &b, Some(&plan)) {
+            if let Ok(outcome) = run_faulted(&accel, &a, &b, Some(&plan)) {
                 completed += 1;
                 assert_totality(
                     &format!("{}/seed{}", kind.name(), seed),
@@ -128,15 +131,45 @@ fn attribution_survives_checkpoint_restore() {
     let b: Csr<f64> = gen::uniform(48, 48, 400, 22);
     let full = accel.try_run(&a, &b).expect("clean run");
     let half = full.stats.total_cycles / 2;
-    let ck = accel
-        .try_run_to_checkpoint(&a, &b, None, half)
+    let ck = checkpoint_at(&accel, &a, &b, None, half)
         .expect("checkpointing run")
         .expect("run reaches the halfway cycle");
     let ck = matraptor_core::Checkpoint::from_bytes(&ck.to_bytes()).expect("round-trip");
-    let resumed = accel.try_run_from(&a, &b, &ck).expect("resume");
+    let resumed = resume(&accel, &a, &b, &ck).expect("resume");
     assert_eq!(
         resumed.stats.per_lane_attribution, full.stats.per_lane_attribution,
         "attribution buckets must be identical across pause/serialize/resume"
     );
     assert_totality("resumed", &resumed.stats.per_lane_attribution, resumed.stats.total_cycles);
+}
+
+/// A traced request that pauses returns the trace of the cycles it ran:
+/// the trace ends at the pause cycle, and every stage's window deltas sum
+/// to exactly that many cycles.
+#[test]
+fn paused_traced_run_covers_the_cycles_before_the_pause() {
+    let accel = Accelerator::new(campaign_config());
+    let a: Csr<f64> = gen::uniform(48, 48, 400, 21);
+    let b: Csr<f64> = gen::uniform(48, 48, 400, 22);
+    let half = accel.try_run(&a, &b).expect("clean run").stats.total_cycles / 2;
+    let tcfg = TraceConfig { window: 64, ..TraceConfig::default() };
+    let req = RunRequest {
+        start: RunStart::Fresh { plan: None, trace: Some(&tcfg) },
+        pause_at: Some(half),
+        ..RunRequest::new(&a, &b)
+    };
+    let (run, trace) = accel.execute(&req).expect("traced slice");
+    assert!(matches!(run, SliceRun::Paused(ref ck) if ck.cycle() == half));
+    let trace = trace.expect("a traced request returns its trace");
+    assert_eq!(trace.total_cycles, half);
+    for lane in &trace.lanes {
+        for pick in 0..4usize {
+            let windowed: u64 = lane
+                .windows
+                .iter()
+                .map(|w| [w.spal, w.spbl, w.pe, w.writer][pick].iter().sum::<u64>())
+                .sum();
+            assert_eq!(windowed, half, "lane{} stage {pick} lost cycles", lane.lane);
+        }
+    }
 }

@@ -3,8 +3,8 @@
 /// Energy per bit for the memory technologies in the evaluation.
 ///
 /// The paper takes HBM energy from the JEDEC HBM2 announcement it cites
-/// ([45]) and GDDR5X figures from [3]; DDR4 comes from the memory-wall
-/// lecture notes it cites ([6]). The constants below are the commonly
+/// (\[45\]) and GDDR5X figures from \[3\]; DDR4 comes from the memory-wall
+/// lecture notes it cites (\[6\]). The constants below are the commonly
 /// quoted pJ/bit values from those sources.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramEnergy {

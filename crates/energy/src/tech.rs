@@ -5,7 +5,7 @@
 ///
 /// Dynamic power is `α·f·C·V²`; switching activity is node-independent,
 /// capacitance scales with CPP², and the voltage term with Vdd. The CPP /
-/// Vdd values below follow the WikiChip pages the paper cites ([52]–[55]);
+/// Vdd values below follow the WikiChip pages the paper cites (\[52\]–\[55\]);
 /// they are representative foundry numbers, not vendor-exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]

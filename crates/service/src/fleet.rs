@@ -14,7 +14,8 @@
 //!
 //! The failure lifecycle:
 //!
-//! * jobs run in bounded **slices** ([`Driver::launch_slice`]) of
+//! * jobs run in bounded **slices** ([`Driver::launch_slice`], through the
+//!   slice step every service engine shares) of
 //!   `slice_cycles` accelerator cycles, each boundary both a heartbeat and
 //!   a checkpoint;
 //! * a **crash** is detected immediately (process death is loud); a
@@ -40,7 +41,6 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use matraptor_core::{classify, Driver, DriverError, MtxWrite, SliceRun, Verdict};
 use matraptor_sim::trace::{fnv1a64, MetricsRegistry};
 use matraptor_sim::{Cycle, SimClock};
 use matraptor_sparse::{spgemm, Csr};
@@ -52,8 +52,9 @@ use crate::quarantine::Quarantine;
 use crate::sched::{DrrScheduler, Pending};
 use crate::service::{admit, fault_cycle_charge, ServiceConfig, ServiceCounters, ServiceError};
 use crate::worker::{
-    Assignment, ScheduledEvent, SliceOutcome, Worker, WorkerClass, WorkerFault, WorkerFaultPlan,
-    WorkerId, WorkerState, WorkerStatus,
+    escaped, ladder_step, run_slice, Assignment, LadderStep, ScheduledEvent, SliceOutcome,
+    SliceStep, Worker, WorkerClass, WorkerFault, WorkerFaultPlan, WorkerId, WorkerState,
+    WorkerStatus,
 };
 
 /// Full fleet configuration: the shared service front end plus the worker
@@ -712,44 +713,26 @@ impl Fleet {
             worker.status = WorkerStatus::Idle;
             return;
         };
-        let deadline = asg.job.deadline_cycles.max(1);
-        let target = asg.executed.saturating_add(slice).min(deadline);
-        let result = {
-            let mut driver = Driver::new(accel);
-            driver.mtx(MtxWrite::ARows(asg.job.a.rows() as u64));
-            driver.mtx(MtxWrite::BRows(asg.job.b.rows() as u64));
-            driver.mtx(MtxWrite::X0(1));
-            driver.launch_slice(
-                &asg.job.a,
-                &asg.job.b,
-                asg.job.plan.as_ref(),
-                asg.checkpoint.as_deref(),
-                target,
-            )
+        let job = &asg.job;
+        let from = asg.checkpoint.as_deref();
+        let step =
+            run_slice(accel, &job.a, &job.b, job.plan.as_ref(), from, slice, job.deadline_cycles);
+        // The slice occupies the worker from `executed` to the cycle it
+        // reached (a refusal never ran and is charged the 1-cycle minimum).
+        let reached = match &step {
+            SliceStep::Completed(o) => o.stats.total_cycles.max(1),
+            SliceStep::Paused(ck) => ck.cycle(),
+            SliceStep::DeadlineExceeded(at) => *at,
+            SliceStep::Faulted(e) => fault_cycle_charge(e, job.deadline_cycles),
+            SliceStep::Refused => 0,
         };
-        let (delta, outcome) = match result {
-            Ok(SliceRun::Completed(o)) => {
-                let d = o.stats.total_cycles.max(1).saturating_sub(asg.executed).max(1);
-                (d, SliceOutcome::Completed(o))
-            }
-            Ok(SliceRun::Paused(ck)) => {
-                let at_cycle = ck.cycle();
-                let d = at_cycle.saturating_sub(asg.executed).max(1);
-                if at_cycle >= deadline {
-                    (d, SliceOutcome::Cancelled)
-                } else {
-                    (d, SliceOutcome::Paused(ck))
-                }
-            }
-            Err(DriverError::AcceleratorFault(e)) => {
-                let charge = fault_cycle_charge(&e, deadline);
-                (charge.saturating_sub(asg.executed).max(1), SliceOutcome::Faulted)
-            }
-            Err(_) => (1, SliceOutcome::Refused),
-        };
-        let wall = delta.saturating_mul(worker.slow_factor.max(1));
-        worker.pending =
-            Some(ScheduledEvent { at: Cycle(now.0.saturating_add(wall)), began: now, outcome });
+        let wall =
+            reached.saturating_sub(asg.executed).max(1).saturating_mul(worker.slow_factor.max(1));
+        worker.pending = Some(ScheduledEvent {
+            at: Cycle(now.0.saturating_add(wall)),
+            began: now,
+            outcome: SliceOutcome::Accel(step),
+        });
         worker.status = WorkerStatus::Busy;
     }
 
@@ -806,7 +789,7 @@ impl Fleet {
         }
         self.workers[w].slices_executed = self.workers[w].slices_executed.saturating_add(1);
         match event.outcome {
-            SliceOutcome::Completed(outcome) => {
+            SliceOutcome::Accel(SliceStep::Completed(outcome)) => {
                 self.breaker.record_success(now);
                 self.probe_worker = None;
                 self.counters.completed_accel += 1;
@@ -815,14 +798,8 @@ impl Fleet {
                     return;
                 };
                 let fingerprint = fingerprint_output(&outcome.c);
-                if let Some(plan) = &asg.job.plan {
-                    // Completion under an injected fault is only
-                    // acceptable for survivable kinds; anything else is a
-                    // silent escape the campaign must flag.
-                    let probe = Ok(*outcome);
-                    if classify(plan.kind, &probe) == Verdict::Escaped {
-                        self.counters.escapes += 1;
-                    }
+                if escaped(asg.job.plan.as_ref(), *outcome) {
+                    self.counters.escapes += 1;
                 }
                 self.resolve(&asg, w, Disposition::Completed, Some(fingerprint));
                 self.workers[w].stats.completed = self.workers[w].stats.completed.saturating_add(1);
@@ -841,7 +818,7 @@ impl Fleet {
                     self.workers[w].status = WorkerStatus::Idle;
                 }
             }
-            SliceOutcome::Paused(checkpoint) => {
+            SliceOutcome::Accel(SliceStep::Paused(checkpoint)) => {
                 if let Some(asg) = self.workers[w].assignment.as_mut() {
                     asg.executed = checkpoint.cycle();
                     asg.checkpoint = Some(checkpoint);
@@ -859,7 +836,7 @@ impl Fleet {
                     self.begin_slice(w);
                 }
             }
-            SliceOutcome::Cancelled => {
+            SliceOutcome::Accel(SliceStep::DeadlineExceeded(_)) => {
                 self.counters.deadline_exceeded = self.counters.deadline_exceeded.saturating_add(1);
                 self.workers[w].beat(now);
                 let Some(asg) = self.workers[w].assignment.take() else {
@@ -870,7 +847,7 @@ impl Fleet {
                 self.workers[w].stats.completed = self.workers[w].stats.completed.saturating_add(1);
                 self.workers[w].status = WorkerStatus::Idle;
             }
-            SliceOutcome::Faulted => {
+            SliceOutcome::Accel(SliceStep::Faulted(_)) => {
                 self.breaker.record_failure(now);
                 self.probe_worker = None;
                 self.workers[w].beat(now);
@@ -910,7 +887,7 @@ impl Fleet {
                     self.workers[w].status = WorkerStatus::Idle;
                 }
             }
-            SliceOutcome::Refused => {
+            SliceOutcome::Accel(SliceStep::Refused) => {
                 // Preflight refusal is deterministic; retrying cannot
                 // help — fail and strike, as the single-machine service.
                 self.counters.failed += 1;
@@ -962,25 +939,22 @@ impl Fleet {
         worker.slow_factor = 1;
         worker.crash_after_complete = false;
         worker.restarts = worker.restarts.saturating_add(1);
-        let full = self.cfg.max_restarts;
-        let total = full.saturating_add(self.cfg.max_degraded_restarts);
-        if worker.restarts <= full {
-            self.fleet.worker_restarts = self.fleet.worker_restarts.saturating_add(1);
-            self.workers[w].status = WorkerStatus::Restarting {
-                until: Cycle(now.0.saturating_add(self.cfg.restart_cycles)),
-            };
-        } else if worker.restarts <= total {
+        let step =
+            ladder_step(worker.restarts, self.cfg.max_restarts, self.cfg.max_degraded_restarts);
+        if step == LadderStep::Retire {
+            self.retire(w);
+            return;
+        }
+        if step == LadderStep::Degrade {
             worker.lanes = (worker.lanes / 2).max(1);
             let lanes = worker.lanes;
             self.fleet.worker_degradations = self.fleet.worker_degradations.saturating_add(1);
-            self.fleet.worker_restarts = self.fleet.worker_restarts.saturating_add(1);
             self.log(w, RecoveryKind::Degraded { lanes });
-            self.workers[w].status = WorkerStatus::Restarting {
-                until: Cycle(now.0.saturating_add(self.cfg.restart_cycles)),
-            };
-        } else {
-            self.retire(w);
         }
+        self.fleet.worker_restarts = self.fleet.worker_restarts.saturating_add(1);
+        self.workers[w].status = WorkerStatus::Restarting {
+            until: Cycle(now.0.saturating_add(self.cfg.restart_cycles)),
+        };
     }
 
     /// Remove a worker from dispatch permanently; the CPU tier absorbs

@@ -3,12 +3,13 @@
 //!
 //! Life of a job: the main loop pushes a [`DispatchItem`] into the SPMC
 //! dispatch ring; some worker pops it, parks a copy in its supervision
-//! mailbox, and runs it slice by slice ([`Driver::launch_slice`]),
-//! updating the mailbox checkpoint at every slice boundary; on resolution
-//! it clears the mailbox and pushes a [`ParRecord`] through the MPSC
-//! completion ring; the main loop merges completions in arrival order into
-//! an id-keyed map (at-most-once: later completions for a resolved id are
-//! counted and dropped) and emits the final report sorted by id.
+//! mailbox, and runs it slice by slice (the service layer's shared slice
+//! step over [`Driver::launch_slice`]), updating the mailbox checkpoint
+//! at every slice boundary; on resolution it clears the mailbox and
+//! pushes a [`ParRecord`] through the MPSC completion ring; the main loop
+//! merges completions in arrival order into an id-keyed map
+//! (at-most-once: later completions for a resolved id are counted and
+//! dropped) and emits the final report sorted by id.
 //!
 //! Failure is the point. The whole worker body runs under
 //! [`std::panic::catch_unwind`]: a panic — injected or organic — becomes a
@@ -18,6 +19,8 @@
 //! are detected by the heartbeat poll and recycled the same way. If every
 //! slot retires, the main thread finishes the backlog inline at full width
 //! rather than deadlocking.
+//!
+//! [`Driver::launch_slice`]: matraptor_core::Driver::launch_slice
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,20 +28,16 @@ use std::sync::{Arc, Once};
 use std::thread;
 use std::time::Duration;
 
-use matraptor_core::{
-    Accelerator, Checkpoint, Driver, DriverError, FaultPlan, MatRaptorConfig, MtxWrite, SliceRun,
-};
+use matraptor_core::{Accelerator, Checkpoint, FaultPlan, MatRaptorConfig};
 use matraptor_sparse::Csr;
 
 use crate::fleet::fingerprint_output;
 use crate::job::Disposition;
-use crate::worker::WorkerFault;
+use crate::worker::{run_slice, LadderStep, SliceStep, WorkerFault};
 use crate::{JobId, RecoveryKind};
 
 use super::ring::{RingFull, SeqRing};
-use super::supervisor::{
-    lock_unpoisoned, FailCause, GenShared, InjectStats, LadderStep, Supervisor,
-};
+use super::supervisor::{lock_unpoisoned, FailCause, GenShared, InjectStats, Supervisor};
 use super::{
     PanicRecord, ParCounters, ParJob, ParRecord, ParReport, ParallelConfig, ParallelError,
 };
@@ -89,6 +88,18 @@ impl DispatchItem {
     pub(crate) fn bump_redispatch(mut self) -> Self {
         self.redispatches = self.redispatches.saturating_add(1);
         self
+    }
+
+    /// Take the item onto a machine `lanes` wide. A checkpoint taken at
+    /// another lane width cannot resume there (checkpoints encode machine
+    /// shape), so the job restarts from scratch instead.
+    fn adopt(&mut self, lanes: usize) {
+        if self.checkpoint.is_some() && self.checkpoint_lanes != lanes {
+            self.checkpoint = None;
+            self.executed = 0;
+        }
+        self.checkpoint_lanes = lanes;
+        self.resumed = self.resumed || self.checkpoint.is_some();
     }
 }
 
@@ -286,16 +297,8 @@ fn run_item(
     mut item: DispatchItem,
 ) -> ItemExit {
     let degraded = lanes != ctx.template_lanes;
-    // A checkpoint taken at another lane width cannot resume here (the
-    // machine shape differs); restart the job from scratch instead.
-    if item.checkpoint.is_some() && item.checkpoint_lanes != lanes {
-        item.checkpoint = None;
-        item.executed = 0;
-    }
-    item.checkpoint_lanes = lanes;
-    item.resumed = item.resumed || item.checkpoint.is_some();
+    item.adopt(lanes);
     *lock_unpoisoned(&shared.mailbox) = Some(item.clone());
-    let deadline = item.deadline.max(1);
     let mut crash_after = false;
     loop {
         if ctx.stopping() || shared.abandoned.load(Ordering::Acquire) {
@@ -337,100 +340,66 @@ fn run_item(
         if slow > 1 {
             thread::sleep(Duration::from_micros(ctx.slow_unit_us.saturating_mul(slow)));
         }
-        let target = item
-            .executed
-            .saturating_add(ctx.slice_cycles)
-            .min(deadline)
-            .max(item.executed.saturating_add(1));
-        let result = {
-            let mut driver = Driver::new(accel);
-            driver.mtx(MtxWrite::ARows(item.a.rows() as u64));
-            driver.mtx(MtxWrite::BRows(item.b.rows() as u64));
-            driver.mtx(MtxWrite::X0(1));
-            driver.launch_slice(
-                &item.a,
-                &item.b,
-                item.plan.as_ref(),
-                item.checkpoint.as_deref(),
-                target,
-            )
-        };
+        let resolved = advance(&mut item, accel, ctx.slice_cycles, ctx.max_attempts, idx, degraded);
         stats.slices.fetch_add(1, Ordering::Relaxed);
         shared.beats.fetch_add(1, Ordering::Relaxed);
-        match result {
-            Ok(SliceRun::Completed(outcome)) => {
-                let record = ParRecord {
-                    id: item.id,
-                    disposition: Disposition::Completed,
-                    worker: idx,
-                    attempts: item.attempts,
-                    redispatches: item.redispatches,
-                    resumed_from_checkpoint: item.resumed,
-                    degraded_width: degraded,
-                    executed_cycles: outcome.stats.total_cycles,
-                    output_fingerprint: Some(fingerprint_output(&outcome.c)),
-                };
-                return ItemExit::Resolved(record, crash_after);
-            }
-            Ok(SliceRun::Paused(cp)) => {
+        match resolved {
+            Some(record) => return ItemExit::Resolved(record, crash_after),
+            None => *lock_unpoisoned(&shared.mailbox) = Some(item.clone()),
+        }
+    }
+}
+
+/// Runs `item`'s next slice on `accel` and folds the result into it:
+/// `Some(record)` once the job resolves, `None` while it continues (paused
+/// at a slice boundary, or a faulted attempt being retried from scratch).
+fn advance(
+    item: &mut DispatchItem,
+    accel: &Accelerator,
+    slice_cycles: u64,
+    max_attempts: u32,
+    worker: usize,
+    degraded_width: bool,
+) -> Option<ParRecord> {
+    let (a, b, plan, from) = (&item.a, &item.b, item.plan.as_ref(), item.checkpoint.as_deref());
+    let (disposition, executed_cycles, output_fingerprint) =
+        match run_slice(accel, a, b, plan, from, slice_cycles, item.deadline) {
+            SliceStep::Completed(outcome) => (
+                Disposition::Completed,
+                outcome.stats.total_cycles,
+                Some(fingerprint_output(&outcome.c)),
+            ),
+            SliceStep::Paused(cp) => {
                 item.executed = cp.cycle();
-                if item.executed >= deadline {
-                    let record = ParRecord {
-                        id: item.id,
-                        disposition: Disposition::DeadlineExceeded,
-                        worker: idx,
-                        attempts: item.attempts,
-                        redispatches: item.redispatches,
-                        resumed_from_checkpoint: item.resumed,
-                        degraded_width: degraded,
-                        executed_cycles: item.executed,
-                        output_fingerprint: None,
-                    };
-                    return ItemExit::Resolved(record, crash_after);
-                }
                 item.checkpoint = Some(cp);
-                *lock_unpoisoned(&shared.mailbox) = Some(item.clone());
+                return None;
             }
-            Err(DriverError::AcceleratorFault(_)) => {
-                if item.attempts >= ctx.max_attempts {
-                    let record = ParRecord {
-                        id: item.id,
-                        disposition: Disposition::Failed,
-                        worker: idx,
-                        attempts: item.attempts,
-                        redispatches: item.redispatches,
-                        resumed_from_checkpoint: item.resumed,
-                        degraded_width: degraded,
-                        executed_cycles: item.executed,
-                        output_fingerprint: None,
-                    };
-                    return ItemExit::Resolved(record, crash_after);
-                }
+            SliceStep::DeadlineExceeded(at) => (Disposition::DeadlineExceeded, at, None),
+            SliceStep::Faulted(_) if item.attempts < max_attempts => {
                 // Retry from scratch: input-borne fault plans persist, but
                 // a transient machine state is discarded with the attempt.
                 item.attempts = item.attempts.saturating_add(1);
                 item.checkpoint = None;
                 item.executed = 0;
-                *lock_unpoisoned(&shared.mailbox) = Some(item.clone());
+                return None;
             }
-            Err(_) => {
-                // Preflight refusals are not retried: the inputs cannot
-                // become valid by re-running them.
-                let record = ParRecord {
-                    id: item.id,
-                    disposition: Disposition::Failed,
-                    worker: idx,
-                    attempts: item.attempts,
-                    redispatches: item.redispatches,
-                    resumed_from_checkpoint: item.resumed,
-                    degraded_width: degraded,
-                    executed_cycles: item.executed,
-                    output_fingerprint: None,
-                };
-                return ItemExit::Resolved(record, crash_after);
+            // Out of attempts, or refused by preflight: refusals are never
+            // retried, since the inputs cannot become valid by re-running.
+            SliceStep::Faulted(_) | SliceStep::Refused => {
+                (Disposition::Failed, item.executed, None)
             }
-        }
-    }
+        };
+    Some(ParRecord {
+        id: item.id,
+        disposition,
+        worker,
+        attempts: item.attempts,
+        redispatches: item.redispatches,
+        resumed_from_checkpoint: item.resumed,
+        degraded_width,
+        executed_cycles,
+        output_fingerprint,
+    })
 }
 
 /// Run `jobs` to resolution on `cfg.threads` worker threads and merge the
@@ -453,7 +422,9 @@ fn run_item(
 /// bounded budget before the error returns).
 pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, ParallelError> {
     let cfg = cfg.normalized();
-    Accelerator::try_new(cfg.accel.clone())
+    // Built once up front: it validates the template and runs the inline
+    // fallback if every slot retires.
+    let inline_accel = Accelerator::try_new(cfg.accel.clone())
         .map_err(|e| ParallelError::InvalidAccelConfig(format!("{e:?}")))?;
     let mut seen = std::collections::BTreeSet::new();
     for job in &jobs {
@@ -576,7 +547,7 @@ pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, Parallel
                     continue;
                 }
                 counters.inline_fallbacks = counters.inline_fallbacks.saturating_add(1);
-                let record = run_inline(&cfg, item);
+                let record = run_inline(&inline_accel, &cfg, item);
                 merge(record, &mut records, &mut counters, &mut sup);
             }
             // Completions from dying workers may still be in flight; fall
@@ -738,93 +709,15 @@ pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, Parallel
 }
 
 /// Main-thread fallback execution at full width, used only after every
-/// worker slot retired.
-fn run_inline(cfg: &ParallelConfig, mut item: DispatchItem) -> ParRecord {
-    let fail = |item: &DispatchItem, executed: u64| ParRecord {
-        id: item.id,
-        disposition: Disposition::Failed,
-        worker: INLINE_WORKER,
-        attempts: item.attempts,
-        redispatches: item.redispatches,
-        resumed_from_checkpoint: item.resumed,
-        degraded_width: false,
-        executed_cycles: executed,
-        output_fingerprint: None,
-    };
-    let Ok(accel) = Accelerator::try_new(cfg.accel.clone()) else {
-        return fail(&item, 0);
-    };
-    // Inline runs at template width; a checkpoint from another width
-    // cannot resume.
-    if item.checkpoint.is_some() && item.checkpoint_lanes != cfg.accel.num_lanes {
-        item.checkpoint = None;
-        item.executed = 0;
-    }
-    item.resumed = item.resumed || item.checkpoint.is_some();
-    let deadline = item.deadline.max(1);
+/// worker slot retired: the same slice loop as a worker, without the
+/// injection, mailbox, and heartbeats.
+fn run_inline(accel: &Accelerator, cfg: &ParallelConfig, mut item: DispatchItem) -> ParRecord {
+    item.adopt(cfg.accel.num_lanes);
     loop {
-        let target = item
-            .executed
-            .saturating_add(cfg.slice_cycles)
-            .min(deadline)
-            .max(item.executed.saturating_add(1));
-        let result = {
-            let mut driver = Driver::new(&accel);
-            driver.mtx(MtxWrite::ARows(item.a.rows() as u64));
-            driver.mtx(MtxWrite::BRows(item.b.rows() as u64));
-            driver.mtx(MtxWrite::X0(1));
-            driver.launch_slice(
-                &item.a,
-                &item.b,
-                item.plan.as_ref(),
-                item.checkpoint.as_deref(),
-                target,
-            )
-        };
-        match result {
-            Ok(SliceRun::Completed(outcome)) => {
-                return ParRecord {
-                    id: item.id,
-                    disposition: Disposition::Completed,
-                    worker: INLINE_WORKER,
-                    attempts: item.attempts,
-                    redispatches: item.redispatches,
-                    resumed_from_checkpoint: item.resumed,
-                    degraded_width: false,
-                    executed_cycles: outcome.stats.total_cycles,
-                    output_fingerprint: Some(fingerprint_output(&outcome.c)),
-                };
-            }
-            Ok(SliceRun::Paused(cp)) => {
-                item.executed = cp.cycle();
-                if item.executed >= deadline {
-                    return ParRecord {
-                        id: item.id,
-                        disposition: Disposition::DeadlineExceeded,
-                        worker: INLINE_WORKER,
-                        attempts: item.attempts,
-                        redispatches: item.redispatches,
-                        resumed_from_checkpoint: item.resumed,
-                        degraded_width: false,
-                        executed_cycles: item.executed,
-                        output_fingerprint: None,
-                    };
-                }
-                item.checkpoint = Some(cp);
-            }
-            Err(DriverError::AcceleratorFault(_)) => {
-                if item.attempts >= cfg.max_attempts {
-                    let executed = item.executed;
-                    return fail(&item, executed);
-                }
-                item.attempts = item.attempts.saturating_add(1);
-                item.checkpoint = None;
-                item.executed = 0;
-            }
-            Err(_) => {
-                let executed = item.executed;
-                return fail(&item, executed);
-            }
+        let resolved =
+            advance(&mut item, accel, cfg.slice_cycles, cfg.max_attempts, INLINE_WORKER, false);
+        if let Some(record) = resolved {
+            return record;
         }
     }
 }

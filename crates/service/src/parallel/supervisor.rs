@@ -23,7 +23,7 @@ use std::time::Duration;
 use matraptor_sim::Cycle;
 
 use crate::bounded::BoundedLog;
-use crate::worker::{WorkerFault, WorkerId};
+use crate::worker::{ladder_step, LadderStep, WorkerFault, WorkerId};
 use crate::{RecoveryEvent, RecoveryKind};
 
 use super::executor::DispatchItem;
@@ -138,17 +138,6 @@ impl Slot {
     }
 }
 
-/// What the ladder decided for a failed slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LadderStep {
-    /// Respawn at the slot's current width.
-    Restart,
-    /// Halve lanes, then respawn.
-    Degrade,
-    /// Remove the slot from dispatch permanently.
-    Retire,
-}
-
 /// The supervisor bookkeeping: slots, the recovery log, and ladder
 /// tunables. Thread spawning stays in the executor (it owns the rings and
 /// worker configuration); the supervisor owns *decisions*.
@@ -205,23 +194,17 @@ impl Supervisor {
     }
 
     /// Walk slot `idx` one rung down the ladder, recording the decision.
-    /// Returns the step plus the slot's (possibly halved) width; `Retire`
-    /// means the caller must not respawn.
+    /// `Retire` means the caller must not respawn.
     pub(crate) fn ladder(&mut self, idx: usize, counters: &mut ParCounters) -> LadderStep {
-        let (step, lanes) = {
-            let slot = &mut self.slots[idx];
-            slot.restarts = slot.restarts.saturating_add(1);
-            if slot.restarts <= self.max_restarts {
-                (LadderStep::Restart, slot.lanes)
-            } else if slot.restarts <= self.max_restarts.saturating_add(self.max_degraded_restarts)
-            {
-                slot.lanes = (slot.lanes / 2).max(1);
-                (LadderStep::Degrade, slot.lanes)
-            } else {
-                slot.retired = true;
-                (LadderStep::Retire, slot.lanes)
-            }
-        };
+        let slot = &mut self.slots[idx];
+        slot.restarts = slot.restarts.saturating_add(1);
+        let step = ladder_step(slot.restarts, self.max_restarts, self.max_degraded_restarts);
+        match step {
+            LadderStep::Restart => {}
+            LadderStep::Degrade => slot.lanes = (slot.lanes / 2).max(1),
+            LadderStep::Retire => slot.retired = true,
+        }
+        let lanes = slot.lanes;
         match step {
             LadderStep::Restart => {
                 counters.worker_restarts = counters.worker_restarts.saturating_add(1);

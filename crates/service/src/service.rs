@@ -1,8 +1,7 @@
 //! The service proper: admission, dispatch, and resolution.
 
 use matraptor_core::{
-    classify, fingerprint_inputs, Accelerator, ConfigError, Driver, DriverError, MatRaptorConfig,
-    MtxWrite, RunOutcome, SimError, SliceRun, Verdict,
+    fingerprint_inputs, Accelerator, ConfigError, MatRaptorConfig, RunOutcome, SimError,
 };
 use matraptor_sim::trace::{fnv1a64, MetricsRegistry};
 use matraptor_sim::{Cycle, SimClock};
@@ -12,6 +11,7 @@ use crate::breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBrea
 use crate::job::{estimate_flops, Disposition, JobId, JobRecord, JobSpec, Rejected, TenantId};
 use crate::quarantine::Quarantine;
 use crate::sched::{DrrScheduler, Pending};
+use crate::worker::{escaped, run_slice, SliceStep};
 
 /// How a tenant's cycle deadlines are derived from the admission-time flop
 /// estimate: `deadline = base_cycles + flops × cycles_per_flop`.
@@ -158,6 +158,8 @@ pub struct ServiceCounters {
     /// Faulted jobs that completed on the accelerator with a verdict of
     /// [`Verdict::Escaped`] — silent corruption the ABFT net missed. The
     /// stress campaign's strict mode fails on any non-zero value.
+    ///
+    /// [`Verdict::Escaped`]: matraptor_core::Verdict::Escaped
     pub escapes: u64,
 }
 
@@ -390,6 +392,8 @@ impl Service {
     /// byte-identically. Faulted drain attempts are not retried (drain
     /// wants the machine parked, not healed) but still strike the
     /// quarantine and feed the breaker.
+    ///
+    /// [`Driver::launch_slice`]: matraptor_core::Driver::launch_slice
     pub fn drain(&mut self, slice_budget: u64) -> DrainSummary {
         let mut summary = DrainSummary::default();
         while let Some(job) = self.sched.pop() {
@@ -400,63 +404,40 @@ impl Service {
                 summary.completed_cpu += 1;
                 continue;
             }
-            let budget = slice_budget.max(1).min(job.deadline_cycles.max(1));
-            let result = {
-                let mut driver = Driver::new(&self.accel);
-                driver.mtx(MtxWrite::ARows(job.a.rows() as u64));
-                driver.mtx(MtxWrite::BRows(job.b.rows() as u64));
-                driver.mtx(MtxWrite::X0(1));
-                driver.launch_slice(&job.a, &job.b, job.plan.as_ref(), None, budget)
-            };
-            let record = match result {
-                Ok(SliceRun::Completed(outcome)) => {
-                    self.clock.advance(outcome.stats.total_cycles.max(1));
-                    self.breaker.record_success(self.clock.now());
-                    self.counters.completed_accel += 1;
+            let (a, b, plan) = (&job.a, &job.b, job.plan.as_ref());
+            let step = run_slice(&self.accel, a, b, plan, None, slice_budget, job.deadline_cycles);
+            let record = match step {
+                SliceStep::Completed(outcome) => {
                     summary.completed_accel += 1;
-                    if let Some(plan) = &job.plan {
-                        let probe: Result<RunOutcome, SimError> = Ok(*outcome);
-                        if classify(plan.kind, &probe) == Verdict::Escaped {
-                            self.counters.escapes += 1;
-                        }
-                    }
-                    self.resolve(&job, started, 1, Disposition::Completed)
+                    self.complete_on_accel(&job, started, 1, *outcome)
                 }
-                Ok(SliceRun::Paused(checkpoint)) => {
+                SliceStep::DeadlineExceeded(_) => {
+                    summary.deadline_exceeded = summary.deadline_exceeded.saturating_add(1);
+                    self.cancel_at_deadline(&job, started, 1)
+                }
+                SliceStep::Paused(checkpoint) => {
                     let at = checkpoint.cycle();
                     self.clock.advance(at.max(1));
-                    if at >= job.deadline_cycles {
-                        self.counters.deadline_exceeded =
-                            self.counters.deadline_exceeded.saturating_add(1);
-                        summary.deadline_exceeded = summary.deadline_exceeded.saturating_add(1);
-                        self.resolve(&job, started, 1, Disposition::DeadlineExceeded)
-                    } else {
-                        let bytes = checkpoint.to_bytes();
-                        summary.checkpoints.push(DrainedCheckpoint {
-                            job: job.id,
-                            tenant: job.tenant,
-                            paused_at_cycle: at,
-                            serialized_bytes: bytes.len(),
-                            fingerprint: fnv1a64(&bytes),
-                        });
-                        self.counters.checkpointed_at_drain =
-                            self.counters.checkpointed_at_drain.saturating_add(1);
-                        self.resolve(&job, started, 1, Disposition::CheckpointedAtDrain)
-                    }
+                    let bytes = checkpoint.to_bytes();
+                    summary.checkpoints.push(DrainedCheckpoint {
+                        job: job.id,
+                        tenant: job.tenant,
+                        paused_at_cycle: at,
+                        serialized_bytes: bytes.len(),
+                        fingerprint: fnv1a64(&bytes),
+                    });
+                    self.counters.checkpointed_at_drain =
+                        self.counters.checkpointed_at_drain.saturating_add(1);
+                    self.resolve(&job, started, 1, Disposition::CheckpointedAtDrain)
                 }
-                Err(DriverError::AcceleratorFault(e)) => {
-                    self.clock.advance(fault_cycle_charge(&e, job.deadline_cycles));
-                    self.breaker.record_failure(self.clock.now());
-                    self.counters.failed += 1;
+                SliceStep::Faulted(e) => {
+                    self.charge_fault(&e, &job);
                     summary.failed += 1;
-                    self.quarantine.strike(job.fingerprint);
-                    self.resolve(&job, started, 1, Disposition::Failed)
+                    self.fail(&job, started, 1)
                 }
-                Err(_) => {
-                    self.counters.failed += 1;
+                SliceStep::Refused => {
                     summary.failed += 1;
-                    self.quarantine.strike(job.fingerprint);
-                    self.resolve(&job, started, 1, Disposition::Failed)
+                    self.fail(&job, started, 1)
                 }
             };
             self.records.push(record);
@@ -472,43 +453,18 @@ impl Service {
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            let result = {
-                let mut driver = Driver::new(&self.accel);
-                driver.mtx(MtxWrite::ARows(job.a.rows() as u64));
-                driver.mtx(MtxWrite::BRows(job.b.rows() as u64));
-                driver.mtx(MtxWrite::X0(1));
-                driver.launch_with_deadline(&job.a, &job.b, job.plan.as_ref(), job.deadline_cycles)
-            };
-            match result {
-                Ok(outcome) => {
-                    self.clock.advance(outcome.stats.total_cycles.max(1));
-                    self.breaker.record_success(self.clock.now());
-                    self.counters.completed_accel += 1;
-                    if let Some(plan) = &job.plan {
-                        // Completion under an injected fault is only
-                        // acceptable for survivable kinds; anything else
-                        // is a silent escape the campaign must flag.
-                        let probe: Result<RunOutcome, SimError> = Ok(outcome);
-                        if classify(plan.kind, &probe) == Verdict::Escaped {
-                            self.counters.escapes += 1;
-                        }
-                    }
-                    return self.resolve(&job, started, attempts, Disposition::Completed);
+            let (a, b, plan) = (&job.a, &job.b, job.plan.as_ref());
+            match run_slice(&self.accel, a, b, plan, None, u64::MAX, job.deadline_cycles) {
+                SliceStep::Completed(outcome) => {
+                    return self.complete_on_accel(&job, started, attempts, *outcome);
                 }
-                Err(DriverError::DeadlineExceeded { deadline_cycles }) => {
-                    // The machine genuinely ran to the deadline before the
-                    // cancel: charge exactly that.
-                    self.clock.advance(deadline_cycles.max(1));
-                    self.counters.deadline_exceeded =
-                        self.counters.deadline_exceeded.saturating_add(1);
-                    // No quarantine strike: a deadline kill reflects the
-                    // tenant's budget, not input health. No retry either —
-                    // the same run would be cancelled again.
-                    return self.resolve(&job, started, attempts, Disposition::DeadlineExceeded);
+                // An unbounded slice only pauses at the deadline. No retry:
+                // the same run would be cancelled again.
+                SliceStep::Paused(_) | SliceStep::DeadlineExceeded(_) => {
+                    return self.cancel_at_deadline(&job, started, attempts);
                 }
-                Err(DriverError::AcceleratorFault(e)) => {
-                    self.clock.advance(fault_cycle_charge(&e, job.deadline_cycles));
-                    self.breaker.record_failure(self.clock.now());
+                SliceStep::Faulted(e) => {
+                    self.charge_fault(&e, &job);
                     if attempts < max_attempts {
                         self.counters.retries += 1;
                         if self.breaker.admits(self.clock.now()) {
@@ -517,20 +473,54 @@ impl Service {
                         // The breaker opened under us: shed the retry.
                         return self.run_on_cpu(job, started, attempts);
                     }
-                    self.counters.failed += 1;
-                    self.quarantine.strike(job.fingerprint);
-                    return self.resolve(&job, started, attempts, Disposition::Failed);
+                    return self.fail(&job, started, attempts);
                 }
-                Err(_) => {
-                    // NotStarted / DimensionMismatch / InvalidInput: the
-                    // operands defeated preflight deterministically, so
-                    // retrying cannot help — fail and strike.
-                    self.counters.failed += 1;
-                    self.quarantine.strike(job.fingerprint);
-                    return self.resolve(&job, started, attempts, Disposition::Failed);
-                }
+                // The operands defeated preflight deterministically, so
+                // retrying cannot help — fail and strike.
+                SliceStep::Refused => return self.fail(&job, started, attempts),
             }
         }
+    }
+
+    /// A run that drained on the accelerator: charge its cycles, close the
+    /// breaker's books, and count a silent fault escape.
+    fn complete_on_accel(
+        &mut self,
+        job: &Pending,
+        started: Cycle,
+        attempts: u32,
+        outcome: RunOutcome,
+    ) -> JobRecord {
+        self.clock.advance(outcome.stats.total_cycles.max(1));
+        self.breaker.record_success(self.clock.now());
+        self.counters.completed_accel += 1;
+        if escaped(job.plan.as_ref(), outcome) {
+            self.counters.escapes += 1;
+        }
+        self.resolve(job, started, attempts, Disposition::Completed)
+    }
+
+    /// A run cancelled at its deadline: the machine genuinely ran to the
+    /// deadline before the cancel, so charge exactly that. No quarantine
+    /// strike: a deadline kill reflects the tenant's budget, not input
+    /// health.
+    fn cancel_at_deadline(&mut self, job: &Pending, started: Cycle, attempts: u32) -> JobRecord {
+        self.clock.advance(job.deadline_cycles.max(1));
+        self.counters.deadline_exceeded = self.counters.deadline_exceeded.saturating_add(1);
+        self.resolve(job, started, attempts, Disposition::DeadlineExceeded)
+    }
+
+    /// Charge a faulted attempt's cycles and feed the breaker.
+    fn charge_fault(&mut self, e: &SimError, job: &Pending) {
+        self.clock.advance(fault_cycle_charge(e, job.deadline_cycles));
+        self.breaker.record_failure(self.clock.now());
+    }
+
+    /// Resolve a job as failed and strike its inputs in the quarantine.
+    fn fail(&mut self, job: &Pending, started: Cycle, attempts: u32) -> JobRecord {
+        self.counters.failed += 1;
+        self.quarantine.strike(job.fingerprint);
+        self.resolve(job, started, attempts, Disposition::Failed)
     }
 
     /// The shed path: compute on the host, charge the (much slower) CPU

@@ -4,7 +4,8 @@
 //! accelerator instance (its own lanes and HBM, modeled by
 //! [`Accelerator`]) or a degraded CPU-fallback slot (the SparseZipper-style
 //! host tier — orders of magnitude slower, assumed reliable). Workers run
-//! jobs in bounded *slices* ([`Driver::launch_slice`]), heartbeating into
+//! jobs in bounded *slices* ([`run_slice`], the one place the service
+//! layer programs a [`Driver`]), heartbeating into
 //! a per-worker [`Watchdog`] at every slice boundary; a worker that stops
 //! producing slice events is detected by the fleet's liveness poll when
 //! its heartbeat goes silent for longer than the configured window.
@@ -16,12 +17,19 @@
 //! fault poisons one run; a worker fault takes down the machine under
 //! whatever job it happens to be running.
 //!
-//! [`Driver::launch_slice`]: matraptor_core::Driver::launch_slice
+//! A failed worker walks the recovery ladder ([`ladder_step`]) that the
+//! threaded executor's supervisor shares.
+//!
+//! [`Driver`]: matraptor_core::Driver
 
-use matraptor_core::{Accelerator, Checkpoint, MatRaptorConfig, RunOutcome};
+use matraptor_core::{
+    classify, Accelerator, Checkpoint, Driver, DriverError, FaultPlan, MatRaptorConfig, MtxWrite,
+    RunOutcome, SimError, SliceRun, Verdict,
+};
 use matraptor_sim::watchdog::mix_signature;
 use matraptor_sim::{Cycle, SourceId, Watchdog};
 use matraptor_sparse::rng::ChaCha8Rng;
+use matraptor_sparse::Csr;
 
 use crate::sched::Pending;
 
@@ -216,22 +224,96 @@ pub(crate) struct Assignment {
     pub resumed: bool,
 }
 
+/// How one slice of a job ended — the classification every service
+/// engine (the single-machine service, the fleet, and the threaded
+/// executor) acts on.
+#[derive(Debug)]
+pub(crate) enum SliceStep {
+    /// The job drained inside the slice.
+    Completed(Box<RunOutcome>),
+    /// The slice ended short of the deadline; the job resumes from here.
+    Paused(Box<Checkpoint>),
+    /// The job reached its cycle deadline at this accelerator cycle and
+    /// is cancelled.
+    DeadlineExceeded(u64),
+    /// The accelerator faulted inside the slice.
+    Faulted(SimError),
+    /// Preflight refused the job (structurally bad operands that slipped
+    /// past shape-only admission); deterministic, so never retried.
+    Refused,
+}
+
+/// Runs the next slice of a job: programs a driver from the operands,
+/// starts fresh (arming `plan`) or resumes `from`, and launches to
+/// `min(executed + slice, deadline)`, where `executed` is the resumed
+/// checkpoint's cycle (0 for a fresh start) — at least one cycle past it,
+/// so every slice makes progress.
+pub(crate) fn run_slice(
+    accel: &Accelerator,
+    a: &Csr<f64>,
+    b: &Csr<f64>,
+    plan: Option<&FaultPlan>,
+    from: Option<&Checkpoint>,
+    slice: u64,
+    deadline: u64,
+) -> SliceStep {
+    let deadline = deadline.max(1);
+    let executed = from.map_or(0, |ck| ck.cycle());
+    let until = executed.saturating_add(slice).min(deadline).max(executed.saturating_add(1));
+    let mut driver = Driver::new(accel);
+    driver.mtx(MtxWrite::ARows(a.rows() as u64));
+    driver.mtx(MtxWrite::BRows(b.rows() as u64));
+    driver.mtx(MtxWrite::X0(1));
+    match driver.launch_slice(a, b, plan, from, until) {
+        Ok(SliceRun::Completed(outcome)) => SliceStep::Completed(outcome),
+        Ok(SliceRun::Paused(ck)) if ck.cycle() >= deadline => {
+            SliceStep::DeadlineExceeded(ck.cycle())
+        }
+        Ok(SliceRun::Paused(ck)) => SliceStep::Paused(ck),
+        Err(DriverError::AcceleratorFault(e)) => SliceStep::Faulted(e),
+        Err(_) => SliceStep::Refused,
+    }
+}
+
+/// Whether a run that completed under `plan` is a silent escape:
+/// completion under an injected fault is only acceptable for survivable
+/// kinds, and anything else is an escape the campaigns must flag.
+pub(crate) fn escaped(plan: Option<&FaultPlan>, outcome: RunOutcome) -> bool {
+    plan.is_some_and(|plan| classify(plan.kind, &Ok(outcome)) == Verdict::Escaped)
+}
+
+/// What the recovery ladder decided for a failed worker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LadderStep {
+    /// Restart at the worker's current width.
+    Restart,
+    /// Halve the lanes (to at least one), then restart.
+    Degrade,
+    /// Remove the worker from dispatch permanently.
+    Retire,
+}
+
+/// The ladder rung for a worker's `restarts`-th failure: `max_restarts`
+/// full-width restarts, then `max_degraded` halving restarts, then
+/// retirement. The fleet and the threaded supervisor each keep their own
+/// counters and recovery log around this one decision.
+pub(crate) fn ladder_step(restarts: u32, max_restarts: u32, max_degraded: u32) -> LadderStep {
+    if restarts <= max_restarts {
+        LadderStep::Restart
+    } else if restarts <= max_restarts.saturating_add(max_degraded) {
+        LadderStep::Degrade
+    } else {
+        LadderStep::Retire
+    }
+}
+
 /// What a scheduled worker event resolves to when it fires. Computed
 /// eagerly when the slice starts (the simulation is deterministic, so the
 /// outcome is known), applied when simulated time reaches the event.
 #[derive(Debug)]
 pub(crate) enum SliceOutcome {
-    /// The job drained inside this slice.
-    Completed(Box<RunOutcome>),
-    /// The slice ended at its boundary; the job continues.
-    Paused(Box<Checkpoint>),
-    /// The job hit its cycle deadline at this slice boundary.
-    Cancelled,
-    /// The accelerator faulted inside this slice.
-    Faulted,
-    /// Preflight refused the job (structurally bad operands that slipped
-    /// past shape-only admission); deterministic, so never retried.
-    Refused,
+    /// An accelerator slice ended this way.
+    Accel(SliceStep),
     /// A CPU-fallback worker finished the job; the payload is the output
     /// fingerprint.
     CpuCompleted(u64),

@@ -123,7 +123,14 @@ fn lost_ack_duplicate_is_suppressed() {
 #[test]
 fn exhausted_ladder_retires_and_falls_back_inline() {
     // One thread, zero restart budget: the first crash retires the only
-    // worker and the main thread must finish the backlog inline.
+    // worker and the main thread must finish the backlog inline. The
+    // backlog ends with a deadline-bound job and a persistently faulted
+    // one, so the inline path's cancellation and fault-exhaustion
+    // branches run as well as its completion branch.
+    let mut list = jobs(10, u64::MAX);
+    list[8].deadline_cycles = 40;
+    list[9].plan = Some(FaultPlan::sample(FaultKind::StreamTruncation, 7, 4));
+    let healthy = parallel::run(base_cfg(1), list.clone()).expect("healthy run");
     let mut cfg = base_cfg(1);
     cfg.max_restarts = 0;
     cfg.max_degraded_restarts = 0;
@@ -132,11 +139,25 @@ fn exhausted_ladder_retires_and_falls_back_inline() {
         after_slices: 2,
         kind: WorkerFault::Crash,
     }]));
-    let report = parallel::run(cfg, jobs(8, u64::MAX)).expect("run");
-    assert_eq!(report.records.len(), 8);
+    let report = parallel::run(cfg, list).expect("run");
+    assert_eq!(report.records.len(), 10);
     assert_eq!(report.counters.worker_retirements, 1);
     assert!(report.counters.inline_fallbacks >= 1, "retired fleet must not deadlock");
-    assert!(report.records.iter().all(|r| r.disposition == Disposition::Completed));
+    assert!(report.records[..8].iter().all(|r| r.disposition == Disposition::Completed));
+    assert_eq!(report.records[8].disposition, Disposition::DeadlineExceeded);
+    assert_eq!(report.records[9].disposition, Disposition::Failed);
+    // The main thread reports itself as worker `usize::MAX`.
+    let inline: Vec<_> = report.records.iter().filter(|r| r.worker == usize::MAX).collect();
+    assert!(inline.iter().any(|r| r.id == 8) && inline.iter().any(|r| r.id == 9));
+    for r in inline {
+        let h = &healthy.records[r.id as usize];
+        assert_eq!(
+            (r.disposition, r.executed_cycles, r.output_fingerprint),
+            (h.disposition, h.executed_cycles, h.output_fingerprint),
+            "inline job {} diverged from the healthy run",
+            r.id
+        );
+    }
 }
 
 #[test]

@@ -75,7 +75,7 @@ impl<T: Scalar> Csr<T> {
     /// matrix built through the public API this only adds the finiteness
     /// scan — NaN and ±∞ values pass [`Csr::from_parts`] (they are
     /// structurally fine) but poison the accelerator's merge comparisons
-    /// and the reference cross-check. `Driver::launch` calls this at the
+    /// and the reference cross-check. Every `Driver` launch calls this at the
     /// host/accelerator boundary so malformed inputs are rejected with a
     /// structured error instead of mis-simulating.
     ///
