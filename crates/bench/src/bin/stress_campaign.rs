@@ -33,7 +33,7 @@ use std::rc::Rc;
 use matraptor_bench::harness::percentile;
 use matraptor_core::{FaultKind, FaultPlan, MatRaptorConfig};
 use matraptor_service::{
-    BreakerConfig, BreakerState, Disposition, JobSpec, Rejected, Service, ServiceConfig,
+    BreakerConfig, BreakerState, Disposition, JobRecord, JobSpec, Rejected, Service, ServiceConfig,
     TenantConfig, TenantId,
 };
 use matraptor_sim::trace::fnv1a64;
@@ -277,7 +277,7 @@ fn run_campaign(opts: &Options) -> CampaignResult {
                 service.submit(spec).expect("burst submission");
                 // Resolve immediately so the consecutive-failure window is
                 // not diluted by queued clean jobs.
-                while service.pending() > 0 {
+                while service.fleet().pending() > 0 {
                     service.step();
                 }
             }
@@ -316,21 +316,22 @@ fn run_campaign(opts: &Options) -> CampaignResult {
             Err(Rejected::Quarantined { .. }) | Err(Rejected::QueueFull { .. }) => {}
             Err(e) => panic!("background job {j} rejected: {e}"),
         }
-        while service.pending() > TARGET_BACKLOG {
+        while service.fleet().pending() > TARGET_BACKLOG {
             service.step();
         }
     }
     while service.step().is_some() {}
 
     // ---- report ----
-    let c = *service.counters();
-    let records = service.records();
+    let fleet = service.fleet();
+    let c = *fleet.counters();
+    let records: Vec<&JobRecord> = fleet.records().iter().map(|r| &r.record).collect();
     let resolved = records.len() as u64;
     let mut queue_waits: Vec<u64> = records.iter().map(|r| r.queue_wait()).collect();
     let mut service_cycles: Vec<u64> = records.iter().map(|r| r.service_cycles()).collect();
     queue_waits.sort_unstable();
     service_cycles.sort_unstable();
-    let final_cycle = service.now().0;
+    let final_cycle = fleet.now().0;
     let flops_done: u64 = records
         .iter()
         .filter(|r| matches!(r.disposition, Disposition::Completed | Disposition::CompletedOnCpu))
@@ -348,7 +349,7 @@ fn run_campaign(opts: &Options) -> CampaignResult {
     };
 
     let mut tallies: Vec<TenantTally> = (0..4).map(|_| TenantTally::default()).collect();
-    for r in records {
+    for r in &records {
         let t = &mut tallies[r.tenant.0];
         t.resolved += 1;
         t.queue_waits.push(r.queue_wait());
@@ -380,7 +381,7 @@ fn run_campaign(opts: &Options) -> CampaignResult {
         })
         .collect();
 
-    let transitions = service.breaker_transitions();
+    let transitions = fleet.breaker_transitions();
     let transition_objects: Vec<String> = transitions
         .iter()
         .map(|t| {
@@ -398,9 +399,9 @@ fn run_campaign(opts: &Options) -> CampaignResult {
     let full_breaker_cycle = has_edge(BreakerState::Closed, BreakerState::Open)
         && has_edge(BreakerState::Open, BreakerState::HalfOpen)
         && has_edge(BreakerState::HalfOpen, BreakerState::Closed);
-    let breaker_final = service.breaker_state();
-    let pending_at_end = service.pending();
-    let quarantined_inputs = service.quarantined_inputs();
+    let breaker_final = fleet.breaker_state();
+    let pending_at_end = fleet.pending();
+    let quarantined_inputs = fleet.quarantined_inputs();
 
     let body = format!(
         "{{\"campaign\":{{\"seed\":{},\"jobs_target\":{},\"tenants\":4}},\

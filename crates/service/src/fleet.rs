@@ -1,9 +1,11 @@
 //! A deterministic fault-tolerant fleet of simulated workers.
 //!
-//! The [`Fleet`] scales the single-machine [`Service`](crate::Service)
-//! model out to N accelerator workers plus M CPU-fallback workers behind
-//! the *same* admission front end (bounded tenant queues, flop-estimate
-//! deadlines, DRR fairness, circuit breaker, fleet-wide quarantine). It is
+//! The [`Fleet`] is the crate's one simulated-time engine: N accelerator
+//! workers plus M CPU-fallback workers behind one admission front end
+//! (bounded tenant queues, flop-estimate deadlines, DRR fairness, circuit
+//! breaker, fleet-wide quarantine). The single-machine
+//! [`Service`](crate::Service) is this engine with one accelerator worker
+//! and one CPU worker. It is
 //! a discrete-event simulation in fleet cycles: every worker schedules its
 //! next event (slice completion, heartbeat deadline, restart completion),
 //! the fleet processes the earliest event (ties broken by worker id), and
@@ -39,18 +41,21 @@
 //! [`Driver::launch_slice`]: matraptor_core::Driver::launch_slice
 //! [`Watchdog`]: matraptor_sim::Watchdog
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
+use matraptor_core::{fingerprint_inputs, SimError};
 use matraptor_sim::trace::{fnv1a64, MetricsRegistry};
 use matraptor_sim::{Cycle, SimClock};
 use matraptor_sparse::{spgemm, Csr};
 
 use crate::bounded::BoundedLog;
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
-use crate::job::{Disposition, JobId, JobRecord, JobSpec, Rejected};
+use crate::job::{estimate_flops, Disposition, JobId, JobRecord, JobSpec, Rejected};
 use crate::quarantine::Quarantine;
 use crate::sched::{DrrScheduler, Pending};
-use crate::service::{admit, fault_cycle_charge, ServiceConfig, ServiceCounters, ServiceError};
+use crate::service::{
+    DrainSummary, DrainedCheckpoint, ServiceConfig, ServiceCounters, ServiceError,
+};
 use crate::worker::{
     escaped, ladder_step, run_slice, Assignment, LadderStep, ScheduledEvent, SliceOutcome,
     SliceStep, Worker, WorkerClass, WorkerFault, WorkerFaultPlan, WorkerId, WorkerState,
@@ -67,7 +72,7 @@ pub struct FleetConfig {
     /// Accelerator workers (clamped to ≥ 1).
     pub accel_workers: usize,
     /// CPU-fallback workers (clamped to ≥ 1 — the host always offers at
-    /// least one shed slot, as in the single-machine service).
+    /// least one shed slot).
     pub cpu_workers: usize,
     /// Accelerator cycles per execution slice — the heartbeat interval.
     /// Smaller slices mean tighter liveness detection and less work lost
@@ -226,8 +231,9 @@ pub struct FleetCounters {
 pub struct FleetRecord {
     /// The service-level bookkeeping record.
     pub record: JobRecord,
-    /// The worker that resolved the job.
-    pub worker: WorkerId,
+    /// The worker that resolved the job; `None` for a job cancelled while
+    /// still queued, which never reached a worker.
+    pub worker: Option<WorkerId>,
     /// Worker failures this job survived (re-queue count).
     pub redispatches: u32,
     /// Whether any dispatch resumed from a mid-job checkpoint.
@@ -299,7 +305,12 @@ pub struct Fleet {
     redispatch: VecDeque<Assignment>,
     // conformance:allow(checkpoint-coverage): in-flight payloads, recovered through job checkpoints
     shed_cpu: VecDeque<Assignment>,
-    resolved: BTreeSet<u64>,
+    /// Indexed by job id (ids are issued consecutively from 0, so the
+    /// table's length is the next id): the position of the job's record
+    /// in `records`, [`UNRESOLVED`], or [`RESOLVED_BEFORE_RESTORE`]. One
+    /// word per job answers both the at-most-once guard and
+    /// [`Fleet::record`].
+    record_at: Vec<usize>,
     // conformance:allow(checkpoint-coverage): append-only history, not replay state
     records: Vec<FleetRecord>,
     // conformance:allow(checkpoint-coverage): append-only history, not replay state
@@ -308,9 +319,26 @@ pub struct Fleet {
     job_metrics: MetricsRegistry,
     // conformance:allow(checkpoint-coverage): consumed schedule; a resumed campaign re-arms its own plan
     faults: Option<WorkerFaultPlan>,
-    next_id: u64,
     probe_worker: Option<usize>,
+    // conformance:allow(checkpoint-coverage): set only inside `Fleet::drain`, which runs to idle before returning
+    draining: Option<Drain>,
 }
+
+/// A graceful drain in progress: the one slice every job still gets, and
+/// the checkpoints of the jobs that paused in it.
+#[derive(Debug)]
+struct Drain {
+    slice_budget: u64,
+    checkpoints: Vec<DrainedCheckpoint>,
+}
+
+/// [`Fleet::record_at`] entry of a job that has not resolved.
+const UNRESOLVED: usize = usize::MAX;
+
+/// [`Fleet::record_at`] entry of a job that resolved before a
+/// [`Fleet::restore`]: the id is spent, but its record is history the
+/// restored fleet does not hold.
+const RESOLVED_BEFORE_RESTORE: usize = usize::MAX - 1;
 
 /// Bucket bounds (in cycles) for the job latency histograms recorded at
 /// resolution time.
@@ -359,13 +387,13 @@ impl Fleet {
             workers,
             redispatch: VecDeque::new(),
             shed_cpu: VecDeque::new(),
-            resolved: BTreeSet::new(),
+            record_at: Vec::new(),
             records: Vec::new(),
             recovery_log,
             job_metrics: MetricsRegistry::new(),
             faults,
-            next_id: 0,
             probe_worker: None,
+            draining: None,
         })
     }
 
@@ -400,6 +428,20 @@ impl Fleet {
     /// All resolved jobs, in resolution order.
     pub fn records(&self) -> &[FleetRecord] {
         &self.records
+    }
+
+    /// The record of job `id`, once it has resolved.
+    pub fn record(&self, id: JobId) -> Option<&FleetRecord> {
+        let at = *self.record_at.get(usize::try_from(id.0).ok()?)?;
+        self.records.get(at)
+    }
+
+    /// Whether job `id` has resolved (the at-most-once guard).
+    fn is_resolved(&self, id: JobId) -> bool {
+        usize::try_from(id.0)
+            .ok()
+            .and_then(|i| self.record_at.get(i))
+            .is_some_and(|&at| at != UNRESOLVED)
     }
 
     /// The retained recovery log, in event order. Bounded by
@@ -444,19 +486,94 @@ impl Fleet {
         self.quarantine.quarantined_count()
     }
 
-    /// Submit a job through the shared admission front end — identical
-    /// semantics (and counter evolution) to
-    /// [`Service::submit`](crate::Service::submit).
+    /// Submit a job. Admission is synchronous and total: the result is
+    /// either a [`JobId`] (the job is queued) or an explicit [`Rejected`].
+    /// Quarantine refusal, flop estimation, deadline derivation, and DRR
+    /// enqueue happen here, with every counter bump in one place.
     pub fn submit(&mut self, spec: JobSpec) -> Result<JobId, Rejected> {
-        admit(
-            &self.cfg.service.tenants,
-            &self.quarantine,
-            &mut self.sched,
-            &mut self.counters,
-            &mut self.next_id,
-            self.clock.now(),
-            spec,
-        )
+        let c = &mut self.counters;
+        c.submitted += 1;
+        let t = spec.tenant.0;
+        let Some(tenant) = self.cfg.service.tenants.get(t) else {
+            c.rejected_invalid += 1;
+            return Err(Rejected::UnknownTenant { tenant: spec.tenant });
+        };
+        let fingerprint = fingerprint_inputs(&spec.a, &spec.b);
+        if self.quarantine.is_quarantined(fingerprint) {
+            c.rejected_quarantined += 1;
+            return Err(Rejected::Quarantined { fingerprint });
+        }
+        let Some(flops) = estimate_flops(&spec.a, &spec.b) else {
+            c.rejected_invalid += 1;
+            return Err(Rejected::InvalidShape { a_cols: spec.a.cols(), b_rows: spec.b.rows() });
+        };
+        let id = JobId(self.record_at.len() as u64);
+        let pending = Pending {
+            id,
+            tenant: spec.tenant,
+            a: spec.a,
+            b: spec.b,
+            plan: spec.plan,
+            fingerprint,
+            estimated_flops: flops,
+            deadline_cycles: tenant.deadline.deadline_for(flops),
+            submitted_at: self.clock.now(),
+        };
+        if self.sched.try_enqueue(pending).is_err() {
+            c.rejected_queue_full += 1;
+            return Err(Rejected::QueueFull {
+                tenant: spec.tenant,
+                capacity: tenant.queue_capacity,
+            });
+        }
+        c.accepted += 1;
+        self.record_at.push(UNRESOLVED);
+        Ok(id)
+    }
+
+    /// Cancel a job that is still queued. Returns the cancellation record
+    /// when `id` was waiting (the job resolves as
+    /// [`Disposition::Cancelled`] with zero service cycles, zero
+    /// accelerator attempts, and no worker), or `None` when it is unknown
+    /// or already dispatched — mid-flight work is bounded by its deadline,
+    /// not by cancellation.
+    pub fn cancel(&mut self, id: JobId) -> Option<&FleetRecord> {
+        let job = self.sched.remove(id)?;
+        self.counters.cancelled += 1;
+        let asg = fresh_assignment(job, self.clock.now());
+        self.resolve(&asg, None, Disposition::Cancelled, None);
+        self.records.last()
+    }
+
+    /// Gracefully drain the fleet: every unresolved job gets at most one
+    /// more slice of `slice_budget` accelerator cycles (a job already
+    /// mid-slice finishes that slice instead). A job that completes,
+    /// reaches its deadline, or faults in it resolves as usual, except
+    /// that a fault is not retried (drain wants the machines parked, not
+    /// healed); it still strikes the quarantine and feeds the breaker. A
+    /// job that pauses resolves [`Disposition::CheckpointedAtDrain`], and
+    /// its checkpoint — serialized through the core checkpoint path, so a
+    /// host that restarts can resume from it — is fingerprinted into the
+    /// summary. Dispatch, breaker, and CPU shedding follow the normal
+    /// rules, so a drained campaign replays byte-identically. Afterwards
+    /// the fleet is empty (`pending() == 0`); nothing stops new
+    /// submissions — a server that wants to refuse them does so at its
+    /// own admission edge.
+    pub fn drain(&mut self, slice_budget: u64) -> DrainSummary {
+        let first = self.records.len();
+        self.draining = Some(Drain { slice_budget, checkpoints: Vec::new() });
+        self.run_to_idle();
+        let checkpoints = self.draining.take().map_or_else(Vec::new, |d| d.checkpoints);
+        let drained = &self.records[first..];
+        let count =
+            |d: Disposition| drained.iter().filter(|r| r.record.disposition == d).count() as u64;
+        DrainSummary {
+            completed_accel: count(Disposition::Completed),
+            completed_cpu: count(Disposition::CompletedOnCpu),
+            deadline_exceeded: count(Disposition::DeadlineExceeded),
+            failed: count(Disposition::Failed),
+            checkpoints,
+        }
     }
 
     /// Run until every admitted job resolves and every worker is idle,
@@ -470,26 +587,21 @@ impl Fleet {
     /// dispatchable backlog).
     pub fn step(&mut self) -> bool {
         self.pump();
-        if let Some((at, w)) = self.next_event() {
-            self.clock.advance_to(at);
-            self.process(w);
-            return true;
-        }
-        // No worker events. A remaining backlog can only be waiting on the
-        // open breaker's cooldown: advance idle time to the reopen and try
-        // once more.
-        if self.backlog() > 0 {
+        if self.next_event().is_none() && self.backlog() > 0 {
+            // No worker events. A remaining backlog can only be waiting on
+            // the open breaker's cooldown: advance idle time to the reopen
+            // and try once more.
             if let Some(reopen) = self.breaker.reopens_at() {
                 self.clock.advance_to(reopen);
                 self.pump();
-                if let Some((at, w)) = self.next_event() {
-                    self.clock.advance_to(at);
-                    self.process(w);
-                    return true;
-                }
             }
         }
-        false
+        let Some((at, w)) = self.next_event() else {
+            return false;
+        };
+        self.clock.advance_to(at);
+        self.process(w);
+        true
     }
 
     /// Undispatched jobs (scheduler plus recovery queues).
@@ -498,11 +610,13 @@ impl Fleet {
     }
 
     /// Whether CPU worker `w` may pull *fresh* jobs from the scheduler:
-    /// all slots activate while the breaker sheds, and one slot activates
-    /// per retired accelerator worker (the "shed its share" rule).
+    /// all slots activate while the breaker is open, and one slot
+    /// activates per retired accelerator worker (the "shed its share"
+    /// rule). A half-open breaker does not shed: queued jobs wait for the
+    /// probe's verdict.
     fn cpu_slot_active(&self, w: usize) -> bool {
         let idx = w.saturating_sub(self.cfg.accel_workers);
-        if self.breaker.state() != BreakerState::Closed {
+        if self.breaker.state() == BreakerState::Open {
             return true;
         }
         let retired = self
@@ -544,6 +658,11 @@ impl Fleet {
             }
             match self.workers[w].class() {
                 WorkerClass::Accelerator => {
+                    // Consult the breaker only for a real dispatch: an
+                    // expired cooldown turns half-open on the probe itself.
+                    if self.redispatch.is_empty() && self.sched.len() == 0 {
+                        continue;
+                    }
                     if !self.breaker.admits(now) {
                         continue;
                     }
@@ -606,7 +725,7 @@ impl Fleet {
     /// guard).
     fn take_redispatch(&mut self, w: usize) -> Option<Assignment> {
         while let Some(asg) = self.redispatch.pop_front() {
-            if self.resolved.contains(&asg.job.id.0) {
+            if self.is_resolved(asg.job.id) {
                 self.fleet.duplicates_suppressed =
                     self.fleet.duplicates_suppressed.saturating_add(1);
                 self.log(w, RecoveryKind::DuplicateCompletionSuppressed { job: asg.job.id });
@@ -624,20 +743,14 @@ impl Fleet {
     fn dispatch_accel(&mut self, w: usize, mut asg: Assignment) {
         self.workers[w].stats.dispatches = self.workers[w].stats.dispatches.saturating_add(1);
         let job = asg.job.id;
-        if asg.checkpoint.is_some() {
-            if self.workers[w].matches_template() {
-                asg.resumed = true;
-                self.fleet.resumed_from_checkpoint =
-                    self.fleet.resumed_from_checkpoint.saturating_add(1);
-                self.log(w, RecoveryKind::ResumedFromCheckpoint { job, at_cycle: asg.executed });
-            } else {
-                asg.checkpoint = None;
-                asg.executed = 0;
-                self.fleet.restarted_from_scratch =
-                    self.fleet.restarted_from_scratch.saturating_add(1);
-                self.log(w, RecoveryKind::RestartedFromScratch { job });
-            }
-        } else if asg.redispatches > 0 {
+        if asg.checkpoint.is_some() && self.workers[w].matches_template() {
+            asg.resumed = true;
+            self.fleet.resumed_from_checkpoint =
+                self.fleet.resumed_from_checkpoint.saturating_add(1);
+            self.log(w, RecoveryKind::ResumedFromCheckpoint { job, at_cycle: asg.executed });
+        } else if asg.checkpoint.is_some() || asg.redispatches > 0 {
+            asg.checkpoint = None;
+            asg.executed = 0;
             self.fleet.restarted_from_scratch = self.fleet.restarted_from_scratch.saturating_add(1);
             self.log(w, RecoveryKind::RestartedFromScratch { job });
         }
@@ -703,7 +816,7 @@ impl Fleet {
                 }
             }
         }
-        let slice = self.cfg.slice_cycles;
+        let slice = self.draining.as_ref().map_or(self.cfg.slice_cycles, |d| d.slice_budget);
         let worker = &mut self.workers[w];
         let Some(asg) = worker.assignment.as_mut() else {
             worker.status = WorkerStatus::Idle;
@@ -723,7 +836,7 @@ impl Fleet {
             SliceStep::Completed(o) => o.stats.total_cycles.max(1),
             SliceStep::Paused(ck) => ck.cycle(),
             SliceStep::DeadlineExceeded(at) => *at,
-            SliceStep::Faulted(e) => fault_cycle_charge(e, job.deadline_cycles),
+            SliceStep::Faulted(e) => Self::fault_cycle_charge(e, job.deadline_cycles),
             SliceStep::Refused => 0,
         };
         let wall =
@@ -734,6 +847,19 @@ impl Fleet {
             outcome: SliceOutcome::Accel(step),
         });
         worker.status = WorkerStatus::Busy;
+    }
+
+    /// Cycles a failed attempt occupied the machine for. Deadlocks report
+    /// the cycle the watchdog fired; budget blowouts report the cycles
+    /// executed; everything else is charged the job's deadline — a
+    /// pessimistic but deterministic bound (detection happened somewhere
+    /// inside the run).
+    fn fault_cycle_charge(e: &SimError, deadline_cycles: u64) -> u64 {
+        match e {
+            SimError::Deadlock(d) => d.declared_at.max(1),
+            SimError::CycleBudgetExceeded { cycles, .. } => (*cycles).max(1),
+            _ => deadline_cycles.max(1),
+        }
     }
 
     /// Process worker `w`'s due event at the (already advanced) clock.
@@ -788,22 +914,18 @@ impl Fleet {
             stats.busy_cycles = stats.busy_cycles.saturating_add(wall);
         }
         self.workers[w].slices_executed = self.workers[w].slices_executed.saturating_add(1);
+        self.workers[w].beat(now);
         match event.outcome {
             SliceOutcome::Accel(SliceStep::Completed(outcome)) => {
                 self.breaker.record_success(now);
                 self.probe_worker = None;
                 self.counters.completed_accel += 1;
-                let Some(asg) = self.workers[w].assignment.take() else {
-                    self.workers[w].status = WorkerStatus::Idle;
-                    return;
-                };
                 let fingerprint = fingerprint_output(&outcome.c);
-                if escaped(asg.job.plan.as_ref(), *outcome) {
+                let plan = self.workers[w].assignment.as_ref().and_then(|a| a.job.plan.as_ref());
+                if escaped(plan, *outcome) {
                     self.counters.escapes += 1;
                 }
-                self.resolve(&asg, w, Disposition::Completed, Some(fingerprint));
-                self.workers[w].stats.completed = self.workers[w].stats.completed.saturating_add(1);
-                self.workers[w].beat(now);
+                let asg = self.finish(w, Disposition::Completed, Some(fingerprint));
                 if self.workers[w].crash_after_complete {
                     // The lost-ack race: the result is recorded, but the
                     // worker dies before recovery bookkeeping sees the
@@ -812,18 +934,31 @@ impl Fleet {
                     // suppress the re-dispatch.
                     self.fleet.worker_crashes = self.fleet.worker_crashes.saturating_add(1);
                     self.log(w, RecoveryKind::CrashDetected);
-                    self.workers[w].assignment = Some(asg);
+                    self.workers[w].assignment = asg;
                     self.fail_worker(w);
-                } else {
-                    self.workers[w].status = WorkerStatus::Idle;
                 }
+            }
+            SliceOutcome::Accel(SliceStep::Paused(checkpoint)) if self.draining.is_some() => {
+                // The job's one drain slice ended short: park it.
+                let bytes = checkpoint.to_bytes();
+                let asg = self.workers[w].assignment.as_ref();
+                if let (Some(drain), Some(asg)) = (self.draining.as_mut(), asg) {
+                    drain.checkpoints.push(DrainedCheckpoint {
+                        job: asg.job.id,
+                        tenant: asg.job.tenant,
+                        paused_at_cycle: checkpoint.cycle(),
+                        serialized_bytes: bytes.len(),
+                        fingerprint: fnv1a64(&bytes),
+                    });
+                }
+                self.counters.checkpointed_at_drain += 1;
+                self.finish(w, Disposition::CheckpointedAtDrain, None);
             }
             SliceOutcome::Accel(SliceStep::Paused(checkpoint)) => {
                 if let Some(asg) = self.workers[w].assignment.as_mut() {
                     asg.executed = checkpoint.cycle();
                     asg.checkpoint = Some(checkpoint);
                 }
-                self.workers[w].beat(now);
                 if wall > self.cfg.heartbeat_window {
                     // The slice took longer than the liveness window: to
                     // every observer this worker was dead. Recycle it; the
@@ -838,19 +973,11 @@ impl Fleet {
             }
             SliceOutcome::Accel(SliceStep::DeadlineExceeded(_)) => {
                 self.counters.deadline_exceeded = self.counters.deadline_exceeded.saturating_add(1);
-                self.workers[w].beat(now);
-                let Some(asg) = self.workers[w].assignment.take() else {
-                    self.workers[w].status = WorkerStatus::Idle;
-                    return;
-                };
-                self.resolve(&asg, w, Disposition::DeadlineExceeded, None);
-                self.workers[w].stats.completed = self.workers[w].stats.completed.saturating_add(1);
-                self.workers[w].status = WorkerStatus::Idle;
+                self.finish(w, Disposition::DeadlineExceeded, None);
             }
             SliceOutcome::Accel(SliceStep::Faulted(_)) => {
                 self.breaker.record_failure(now);
                 self.probe_worker = None;
-                self.workers[w].beat(now);
                 let max_attempts = self.cfg.service.max_attempts.max(1);
                 let Some(asg) = self.workers[w].assignment.as_mut() else {
                     self.workers[w].status = WorkerStatus::Idle;
@@ -861,57 +988,56 @@ impl Fleet {
                 // resume would refault identically.
                 asg.checkpoint = None;
                 asg.executed = 0;
-                if asg.attempts < max_attempts {
-                    self.counters.retries += 1;
-                    if self.breaker.admits(now) {
-                        if let Some(asg) = self.workers[w].assignment.as_mut() {
-                            asg.attempts = asg.attempts.saturating_add(1);
-                        }
-                        self.begin_slice(w);
-                    } else if let Some(asg) = self.workers[w].assignment.take() {
-                        // The breaker opened under us: shed the retry to
-                        // the CPU tier, as the single-machine service does.
-                        self.shed_cpu.push_back(asg);
-                        self.workers[w].status = WorkerStatus::Idle;
-                    }
-                } else {
-                    self.counters.failed += 1;
-                    let Some(asg) = self.workers[w].assignment.take() else {
-                        self.workers[w].status = WorkerStatus::Idle;
-                        return;
-                    };
-                    self.quarantine.strike(asg.job.fingerprint);
-                    self.resolve(&asg, w, Disposition::Failed, None);
-                    self.workers[w].stats.completed =
-                        self.workers[w].stats.completed.saturating_add(1);
+                if asg.attempts >= max_attempts || self.draining.is_some() {
+                    self.fail_job(w);
+                    return;
+                }
+                self.counters.retries += 1;
+                if self.breaker.admits(now) {
+                    asg.attempts = asg.attempts.saturating_add(1);
+                    self.begin_slice(w);
+                } else if let Some(asg) = self.workers[w].assignment.take() {
+                    // The breaker opened under us: shed the retry to the
+                    // CPU tier.
+                    self.shed_cpu.push_back(asg);
                     self.workers[w].status = WorkerStatus::Idle;
                 }
             }
-            SliceOutcome::Accel(SliceStep::Refused) => {
-                // Preflight refusal is deterministic; retrying cannot
-                // help — fail and strike, as the single-machine service.
-                self.counters.failed += 1;
-                self.workers[w].beat(now);
-                let Some(asg) = self.workers[w].assignment.take() else {
-                    self.workers[w].status = WorkerStatus::Idle;
-                    return;
-                };
-                self.quarantine.strike(asg.job.fingerprint);
-                self.resolve(&asg, w, Disposition::Failed, None);
-                self.workers[w].status = WorkerStatus::Idle;
-            }
+            // Preflight refusal is deterministic; retrying cannot help.
+            // The run never started, so it does not feed the breaker; the
+            // slice was charged the 1-cycle minimum.
+            SliceOutcome::Accel(SliceStep::Refused) => self.fail_job(w),
             SliceOutcome::CpuCompleted(fingerprint) => {
                 self.counters.completed_cpu += 1;
-                self.workers[w].beat(now);
-                let Some(asg) = self.workers[w].assignment.take() else {
-                    self.workers[w].status = WorkerStatus::Idle;
-                    return;
-                };
-                self.resolve(&asg, w, Disposition::CompletedOnCpu, Some(fingerprint));
-                self.workers[w].stats.completed = self.workers[w].stats.completed.saturating_add(1);
-                self.workers[w].status = WorkerStatus::Idle;
+                self.finish(w, Disposition::CompletedOnCpu, Some(fingerprint));
             }
         }
+    }
+
+    /// Resolve worker `w`'s job as failed and strike its inputs in the
+    /// quarantine.
+    fn fail_job(&mut self, w: usize) {
+        self.counters.failed += 1;
+        if let Some(asg) = self.workers[w].assignment.as_ref() {
+            self.quarantine.strike(asg.job.fingerprint);
+        }
+        self.finish(w, Disposition::Failed, None);
+    }
+
+    /// Resolve worker `w`'s job and return the worker to the idle pool,
+    /// handing back the resolved assignment.
+    fn finish(
+        &mut self,
+        w: usize,
+        disposition: Disposition,
+        output_fingerprint: Option<u64>,
+    ) -> Option<Assignment> {
+        self.workers[w].status = WorkerStatus::Idle;
+        let asg = self.workers[w].assignment.take()?;
+        self.resolve(&asg, Some(w), disposition, output_fingerprint);
+        let stats = &mut self.workers[w].stats;
+        stats.completed = stats.completed.saturating_add(1);
+        Some(asg)
     }
 
     /// The worker-failure path shared by crash, hang, and slowness
@@ -924,7 +1050,7 @@ impl Fleet {
             self.probe_worker = None;
         }
         if let Some(mut asg) = self.workers[w].assignment.take() {
-            if self.resolved.contains(&asg.job.id.0) {
+            if self.is_resolved(asg.job.id) {
                 self.fleet.duplicates_suppressed =
                     self.fleet.duplicates_suppressed.saturating_add(1);
                 self.log(w, RecoveryKind::DuplicateCompletionSuppressed { job: asg.job.id });
@@ -970,13 +1096,18 @@ impl Fleet {
     fn resolve(
         &mut self,
         asg: &Assignment,
-        w: usize,
+        w: Option<usize>,
         disposition: Disposition,
         output_fingerprint: Option<u64>,
     ) {
-        if !self.resolved.insert(asg.job.id.0) {
-            self.fleet.duplicate_completions = self.fleet.duplicate_completions.saturating_add(1);
-            return;
+        let slot = usize::try_from(asg.job.id.0).ok().and_then(|i| self.record_at.get_mut(i));
+        match slot {
+            Some(at) if *at == UNRESOLVED => *at = self.records.len(),
+            _ => {
+                self.fleet.duplicate_completions =
+                    self.fleet.duplicate_completions.saturating_add(1);
+                return;
+            }
         }
         let fr = FleetRecord {
             record: JobRecord {
@@ -990,7 +1121,7 @@ impl Fleet {
                 attempts: asg.attempts,
                 disposition,
             },
-            worker: WorkerId(w),
+            worker: w.map(WorkerId),
             redispatches: asg.redispatches,
             resumed_from_checkpoint: asg.resumed,
             output_fingerprint,
@@ -1013,8 +1144,7 @@ impl Fleet {
     }
 
     /// Snapshot the fleet's bookkeeping into the workspace's metrics
-    /// vocabulary: all `service.*` counters (same names as
-    /// [`Service::metrics`](crate::Service::metrics)), `fleet.*` recovery
+    /// vocabulary: the `service.*` admission and resolution counters, `fleet.*` recovery
     /// counters, per-worker `worker.<i>.*` utilization counters, and the
     /// job latency histograms. Deterministic, so its fingerprint can ride
     /// a `--strict` replay gate.
@@ -1079,10 +1209,12 @@ impl Fleet {
     pub fn snapshot(&self) -> FleetState {
         FleetState {
             now: self.clock.now(),
-            next_id: self.next_id,
+            next_id: self.record_at.len() as u64,
             counters: self.counters,
             fleet: self.fleet,
-            resolved: self.resolved.iter().copied().collect(),
+            resolved: (0..self.record_at.len() as u64)
+                .filter(|&id| self.is_resolved(JobId(id)))
+                .collect(),
             probe_worker: self.probe_worker,
             workers: self.workers.iter().map(Worker::snapshot).collect(),
         }
@@ -1092,15 +1224,22 @@ impl Fleet {
     /// with the same worker topology. `false` (and no mutation) if the
     /// worker counts disagree.
     pub fn restore(&mut self, s: &FleetState) -> bool {
+        let Ok(issued) = usize::try_from(s.next_id) else {
+            return false;
+        };
         if s.workers.len() != self.workers.len() {
             return false;
         }
         self.clock = SimClock::new();
         self.clock.advance_to(s.now);
-        self.next_id = s.next_id;
+        self.record_at = vec![UNRESOLVED; issued];
+        for id in &s.resolved {
+            if let Some(at) = usize::try_from(*id).ok().and_then(|i| self.record_at.get_mut(i)) {
+                *at = RESOLVED_BEFORE_RESTORE;
+            }
+        }
         self.counters = s.counters;
         self.fleet = s.fleet;
-        self.resolved = s.resolved.iter().copied().collect();
         self.probe_worker = s.probe_worker;
         for (worker, ws) in self.workers.iter_mut().zip(&s.workers) {
             worker.restore(ws);
@@ -1127,7 +1266,9 @@ mod tests {
     use super::*;
     use crate::job::TenantId;
     use crate::worker::WorkerFaultEvent;
+    use matraptor_core::{FaultKind, FaultPlan};
     use matraptor_sparse::gen;
+    use std::collections::BTreeSet;
     use std::rc::Rc;
 
     fn spec(tenant: usize, seed: u64) -> JobSpec {
@@ -1158,7 +1299,7 @@ mod tests {
         for r in fleet.records() {
             bytes.extend_from_slice(&r.record.id.0.to_le_bytes());
             bytes.extend_from_slice(&r.record.finished_at.0.to_le_bytes());
-            bytes.extend_from_slice(&(r.worker.0 as u64).to_le_bytes());
+            bytes.extend_from_slice(&r.worker.map_or(u64::MAX, |w| w.0 as u64).to_le_bytes());
             bytes.extend_from_slice(r.record.disposition.label().as_bytes());
             bytes.extend_from_slice(&r.output_fingerprint.unwrap_or(0).to_le_bytes());
             bytes.extend_from_slice(&u64::from(r.redispatches).to_le_bytes());
@@ -1190,7 +1331,8 @@ mod tests {
             assert_eq!(fleet.records().len(), 12);
             assert_eq!(fleet.pending(), 0);
             assert!(fleet.records().iter().all(|r| r.record.disposition == Disposition::Completed));
-            let distinct: BTreeSet<usize> = fleet.records().iter().map(|r| r.worker.0).collect();
+            let distinct: BTreeSet<WorkerId> =
+                fleet.records().iter().filter_map(|r| r.worker).collect();
             assert!(distinct.len() >= 2, "work must spread across workers: {distinct:?}");
             assert_eq!(fleet.fleet_counters().duplicate_completions, 0);
             runs.push((report_signature(&fleet), fleet.metrics().fingerprint()));
@@ -1388,6 +1530,37 @@ mod tests {
         let c2 = spgemm::gustavson(&b, &a);
         assert_eq!(fingerprint_output(&c1), fingerprint_output(&c1));
         assert_ne!(fingerprint_output(&c1), fingerprint_output(&c2));
+    }
+
+    #[test]
+    fn half_open_breaker_holds_fresh_jobs_for_the_probe() {
+        let mut cfg = FleetConfig::small_test();
+        cfg.accel_workers = 1;
+        cfg.cpu_workers = 1;
+        cfg.slice_cycles = u64::MAX;
+        cfg.service.max_attempts = 1;
+        cfg.service.breaker.failure_threshold = 1;
+        cfg.service.breaker.cooldown_cycles = 1_000;
+        let lanes = cfg.service.accel.num_lanes;
+        let mut fleet = Fleet::new(cfg).unwrap();
+        let plan = FaultPlan::sample(FaultKind::ChannelStall, 1, lanes);
+        fleet.submit(JobSpec { plan: Some(plan), ..spec(0, 40) }).unwrap();
+        fleet.run_to_idle();
+        assert_eq!(fleet.breaker_state(), BreakerState::Open);
+        // The cooldown lapses in idle time; the next dispatch is the probe.
+        let after_cooldown = Cycle(fleet.now().0 + 2_000);
+        fleet.advance_to(after_cooldown);
+        let probe = fleet.submit(spec(0, 41)).unwrap();
+        let held = fleet.submit(spec(0, 42)).unwrap();
+        fleet.run_to_idle();
+        let probe = fleet.record(probe).unwrap();
+        let held = fleet.record(held).unwrap();
+        assert_eq!(probe.record.disposition, Disposition::Completed);
+        assert_eq!(held.record.disposition, Disposition::Completed, "not shed to the CPU");
+        assert_eq!(held.worker, Some(WorkerId(0)));
+        assert_eq!(held.record.started_at, probe.record.finished_at, "waits for the probe");
+        assert_eq!(fleet.counters().completed_cpu, 0);
+        assert_eq!(fleet.breaker_state(), BreakerState::Closed);
     }
 
     #[test]

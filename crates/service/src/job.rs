@@ -6,8 +6,9 @@ use matraptor_core::FaultPlan;
 use matraptor_sim::Cycle;
 use matraptor_sparse::Csr;
 
-/// Service-assigned job identifier, unique per [`Service`](crate::Service)
-/// instance, issued in submission order.
+/// Job identifier, unique per [`Fleet`](crate::Fleet) instance (and so per
+/// [`Service`](crate::Service)), issued consecutively from 0 in
+/// admission order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct JobId(pub u64);
 

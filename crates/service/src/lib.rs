@@ -29,14 +29,18 @@
 //! makes "this input has failed twice, refuse it" a sound policy (contrast
 //! with the transient-fault model of the PR 3 recovery ladder).
 //!
-//! On top of the single-machine [`Service`], the [`Fleet`] scales the same
-//! front end across N simulated accelerator workers plus M CPU-fallback
-//! workers with a full worker-failure lifecycle: a seeded
-//! [`WorkerFaultPlan`] injects crashes, hangs, and slowdowns; per-worker
-//! heartbeats (built on the sim watchdog) detect silent death; in-flight
-//! jobs re-dispatch from their last checkpoint with at-most-once
-//! completion accounting; and each worker walks an escalating recovery
-//! ladder (restart → reduced-lanes → retire, shedding to the CPU tier).
+//! One simulated-time engine runs all of it: the [`Fleet`], N accelerator
+//! workers plus M CPU-fallback workers behind that front end, with a full
+//! worker-failure lifecycle: a seeded [`WorkerFaultPlan`] injects crashes,
+//! hangs, and slowdowns; per-worker heartbeats (built on the sim
+//! watchdog) detect silent death; in-flight jobs re-dispatch from their
+//! last checkpoint with at-most-once completion accounting; and each
+//! worker walks an escalating recovery ladder (restart → reduced-lanes →
+//! retire, shedding to the CPU tier). The single-machine [`Service`] — the
+//! paper's one MatRaptor beside its host CPU — is a fleet of one
+//! accelerator worker and one CPU-fallback worker, stepped one resolved
+//! job at a time. The CPU tier takes fresh jobs only while the breaker is
+//! open; a half-open breaker holds them for its probe.
 //!
 //! The `stress_campaign` bench binary drives the single-machine service
 //! with thousands of mixed jobs; `fleet_campaign` drives a multi-worker

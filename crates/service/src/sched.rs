@@ -74,11 +74,6 @@ impl DrrScheduler {
         self.len
     }
 
-    /// Jobs waiting for one tenant.
-    pub(crate) fn tenant_len(&self, tenant: usize) -> usize {
-        self.queues.get(tenant).map_or(0, |q| q.len())
-    }
-
     /// Admit a job to its tenant's queue, or report the bounded queue full
     /// (the job is handed back for explicit backpressure).
     pub(crate) fn try_enqueue(&mut self, job: Pending) -> Result<(), Pending> {

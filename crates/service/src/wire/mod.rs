@@ -21,7 +21,7 @@
 //!   backpressure ([`RejectCode::Busy`], [`RejectCode::FrameTooLarge`]);
 //! * graceful drain ([`Op::Drain`], [`server::WireServer::shutdown`])
 //!   stops admission, finishes or checkpoints every in-flight job through
-//!   the core checkpoint pause path ([`crate::Service::drain`]), and
+//!   the core checkpoint pause path ([`crate::Fleet::drain`]), and
 //!   flushes replies before the process exits;
 //! * a seeded wire-fault injector ([`fault`]) replays the whole hostile
 //!   repertoire — truncated/oversized/corrupted frames, garbage

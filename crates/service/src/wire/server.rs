@@ -42,7 +42,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::service::{DrainSummary, Service, ServiceConfig};
-use crate::{JobRecord, JobSpec, Rejected, TenantId};
+use crate::{JobId, JobRecord, JobSpec, Rejected, TenantId};
 
 use super::frame::{
     decode_request, disposition_code, encode_frame, encode_response, read_frame, JobState, Op,
@@ -248,24 +248,10 @@ impl DrainLite {
     }
 }
 
-/// [`Engine::record_at`] entry of a job that has not resolved.
-const UNRESOLVED: usize = usize::MAX;
-
 /// The engine: the single owner of the deterministic service.
 struct Engine {
     service: Service,
     drain_slice_cycles: u64,
-    /// Position in `service.records()` of each issued job's record,
-    /// indexed by job id ([`UNRESOLVED`] until it resolves). The service
-    /// numbers accepted jobs consecutively from 0, so the ids this engine
-    /// issued are exactly `0..record_at.len()`. One word per job, where
-    /// id-keyed ordered maps cost several: the table grows with every job
-    /// a long-lived server has served.
-    record_at: Vec<usize>,
-    /// Issued jobs that have resolved.
-    resolved: u64,
-    /// Cursor into `service.records()` for incremental absorption.
-    records_seen: usize,
     /// Set once a drain has run; submissions after it are refused.
     drained: Option<DrainLite>,
 }
@@ -273,40 +259,18 @@ struct Engine {
 impl Engine {
     fn new(cfg: ServiceConfig, drain_slice_cycles: u64) -> Option<Engine> {
         let service = Service::new(cfg).ok()?;
-        Some(Engine {
-            service,
-            drain_slice_cycles,
-            record_at: Vec::new(),
-            resolved: 0,
-            records_seen: 0,
-            drained: None,
-        })
+        Some(Engine { service, drain_slice_cycles, drained: None })
     }
 
-    /// Indexes newly resolved records by job id.
-    fn absorb(&mut self) {
-        let records = self.service.records();
-        for (at, r) in records.iter().enumerate().skip(self.records_seen) {
-            let slot = usize::try_from(r.id.0).ok().and_then(|id| self.record_at.get_mut(id));
-            if let Some(slot) = slot {
-                if *slot == UNRESOLVED {
-                    self.resolved += 1;
-                }
-                *slot = at;
-            }
-        }
-        self.records_seen = records.len();
-    }
-
-    /// Whether this engine issued `job`.
+    /// Whether this engine issued `job`: the service numbers accepted
+    /// jobs consecutively from 0.
     fn issued(&self, job: u64) -> bool {
-        usize::try_from(job).is_ok_and(|id| id < self.record_at.len())
+        job < self.service.fleet().counters().accepted
     }
 
     /// The record of `job`, once it has resolved.
     fn record(&self, job: u64) -> Option<&JobRecord> {
-        let at = *self.record_at.get(usize::try_from(job).ok()?)?;
-        self.service.records().get(at)
+        self.service.fleet().record(JobId(job)).map(|r| &r.record)
     }
 
     fn map_rejection(r: Rejected) -> Response {
@@ -335,16 +299,11 @@ impl Engine {
                     plan: None,
                 };
                 match self.service.submit(spec) {
-                    Ok(id) => {
-                        debug_assert_eq!(id.0, self.record_at.len() as u64, "job ids are dense");
-                        self.record_at.push(UNRESOLVED);
-                        Response::Submitted { job: id.0 }
-                    }
+                    Ok(id) => Response::Submitted { job: id.0 },
                     Err(r) => Self::map_rejection(r),
                 }
             }
             Request::Poll { job } => {
-                self.absorb();
                 if !self.issued(job) {
                     return Response::Error {
                         code: RejectCode::UnknownJob,
@@ -353,12 +312,11 @@ impl Engine {
                 }
                 // Drive the service forward (in submission-stream order)
                 // until the polled job resolves or the queue empties; every
-                // record absorbed along the way answers later polls.
+                // record resolved along the way answers later polls.
                 while self.record(job).is_none() {
                     if self.service.step().is_none() {
                         break;
                     }
-                    self.absorb();
                 }
                 match self.record(job) {
                     Some(r) => Response::Status {
@@ -373,23 +331,20 @@ impl Engine {
                 }
             }
             Request::Cancel { job } => {
-                self.absorb();
                 if !self.issued(job) {
                     return Response::Error {
                         code: RejectCode::UnknownJob,
                         detail: format!("job {job} was never issued"),
                     };
                 }
-                let ok = self.service.cancel(crate::JobId(job)).is_some();
-                self.absorb();
+                let ok = self.service.fleet_mut().cancel(JobId(job)).is_some();
                 Response::CancelResult { job, ok }
             }
             Request::Drain => {
                 if let Some(d) = &self.drained {
                     return d.report();
                 }
-                let summary = self.service.drain(self.drain_slice_cycles);
-                self.absorb();
+                let summary = self.service.fleet_mut().drain(self.drain_slice_cycles);
                 let lite = DrainLite::from_summary(&summary);
                 let report = lite.report();
                 self.drained = Some(lite);
@@ -399,12 +354,12 @@ impl Engine {
         }
     }
 
-    fn finish(mut self) -> EngineFinal {
-        self.absorb();
+    fn finish(self) -> EngineFinal {
+        let fleet = self.service.fleet();
         EngineFinal {
             drain: self.drained,
-            jobs_accepted: self.record_at.len() as u64,
-            jobs_resolved: self.resolved,
+            jobs_accepted: fleet.counters().accepted,
+            jobs_resolved: fleet.records().len() as u64,
         }
     }
 }
@@ -434,7 +389,6 @@ struct Shared {
 pub struct WireServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    cfg_max_frame_len: u32,
     accept_handle: Option<JoinHandle<()>>,
     engine_handle: Option<JoinHandle<EngineFinal>>,
     engine_tx: mpsc::Sender<EngineCall>,
@@ -485,7 +439,6 @@ impl WireServer {
         Ok(WireServer {
             addr: local,
             shared,
-            cfg_max_frame_len: cfg.max_frame_len,
             accept_handle: Some(accept_handle),
             engine_handle: Some(engine_handle),
             engine_tx,
@@ -539,13 +492,12 @@ impl WireServer {
 
         // Route the final drain through the engine channel so it is
         // ordered after every request already in flight; replies to those
-        // requests flush before the drain runs.
+        // requests flush before the drain runs. The blocking `recv` waits
+        // for it; the report itself is read back from the engine's final
+        // state below.
         let (reply_tx, reply_rx) = mpsc::channel();
-        let mut drain_report = None;
         if self.engine_tx.send(EngineCall { req: Request::Drain, reply: reply_tx }).is_ok() {
-            if let Ok(resp) = reply_rx.recv() {
-                drain_report = Some(resp);
-            }
+            let _ = reply_rx.recv();
         }
 
         // Unblock every connection thread and join them.
@@ -578,7 +530,6 @@ impl WireServer {
         };
 
         let drain = engine_final.drain.unwrap_or_default();
-        let _ = (drain_report, self.cfg_max_frame_len);
         WireShutdown {
             drained_completed: drain.completed,
             drained_checkpointed: drain.checkpointed,

@@ -224,9 +224,8 @@ pub(crate) struct Assignment {
     pub resumed: bool,
 }
 
-/// How one slice of a job ended — the classification every service
-/// engine (the single-machine service, the fleet, and the threaded
-/// executor) acts on.
+/// How one slice of a job ended — the classification both service
+/// engines (the simulated-time fleet and the threaded executor) act on.
 #[derive(Debug)]
 pub(crate) enum SliceStep {
     /// The job drained inside the slice.
