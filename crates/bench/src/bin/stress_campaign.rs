@@ -430,7 +430,7 @@ fn run_campaign(opts: &Options) -> CampaignResult {
         tenant_objects.join(","),
         breaker_final.label(),
         transition_objects.join(","),
-        service.metrics().fingerprint(),
+        fleet.metrics().fingerprint(),
     );
     let json = format!("{body},\"report_fnv1a\":\"{:#018x}\"}}", fnv1a64(body.as_bytes()));
 

@@ -2,7 +2,6 @@
 //! report, and the one-accelerator [`Fleet`] that runs it.
 
 use matraptor_core::{ConfigError, MatRaptorConfig};
-use matraptor_sim::trace::MetricsRegistry;
 
 use crate::breaker::BreakerConfig;
 use crate::fleet::{Fleet, FleetConfig};
@@ -257,48 +256,6 @@ impl Service {
         }
         self.fleet.records().last().map(|r| &r.record)
     }
-
-    /// The pre-fleet metrics vocabulary, kept so the stress report's
-    /// metrics fingerprint can be compared across the engine change.
-    pub fn metrics(&self) -> MetricsRegistry {
-        const CYCLE_BOUNDS: [u64; 10] =
-            [16, 64, 256, 1_024, 4_096, 16_384, 65_536, 262_144, 1_048_576, 4_194_304];
-        let f = &self.fleet;
-        let mut m = MetricsRegistry::new();
-        let c = f.counters();
-        for (name, value) in [
-            ("service.submitted", c.submitted),
-            ("service.accepted", c.accepted),
-            ("service.rejected_queue_full", c.rejected_queue_full),
-            ("service.rejected_quarantined", c.rejected_quarantined),
-            ("service.rejected_invalid", c.rejected_invalid),
-            ("service.completed_accel", c.completed_accel),
-            ("service.completed_cpu", c.completed_cpu),
-            ("service.deadline_exceeded", c.deadline_exceeded),
-            ("service.failed", c.failed),
-            ("service.cancelled", c.cancelled),
-            ("service.checkpointed_at_drain", c.checkpointed_at_drain),
-            ("service.retries", c.retries),
-            ("service.escapes", c.escapes),
-            ("service.pending", f.pending() as u64),
-            ("service.quarantined_inputs", f.quarantined_inputs() as u64),
-            ("service.breaker_transitions", f.breaker_transitions().len() as u64),
-        ] {
-            m.set_counter(name, value);
-        }
-        for r in f.records() {
-            let r = &r.record;
-            let t = r.tenant.0;
-            m.add_counter(&format!("tenant.{t}.{}", r.disposition.label()), 1);
-            m.record("job.queue_wait", &CYCLE_BOUNDS, r.queue_wait());
-            m.record("job.service_cycles", &CYCLE_BOUNDS, r.service_cycles());
-            m.record("job.deadline_slack", &CYCLE_BOUNDS, r.deadline_slack());
-            m.record(&format!("tenant.{t}.queue_wait"), &CYCLE_BOUNDS, r.queue_wait());
-            m.record(&format!("tenant.{t}.service_cycles"), &CYCLE_BOUNDS, r.service_cycles());
-            m.record(&format!("tenant.{t}.deadline_slack"), &CYCLE_BOUNDS, r.deadline_slack());
-        }
-        m
-    }
 }
 
 #[cfg(test)]
@@ -471,7 +428,7 @@ mod tests {
             s
         };
         let s = run();
-        let m = s.metrics();
+        let m = s.fleet().metrics();
         assert_eq!(m.counter("service.submitted"), Some(3));
         assert_eq!(m.counter("service.completed_accel"), Some(3));
         assert_eq!(m.counter("service.pending"), Some(0));
@@ -485,8 +442,8 @@ mod tests {
             assert!(r.record.deadline_slack() <= r.record.deadline_cycles);
         }
         // Same history → byte-identical rendering → same fingerprint.
-        assert_eq!(m.fingerprint(), run().metrics().fingerprint());
-        assert_eq!(m.to_json(), run().metrics().to_json());
+        assert_eq!(m.fingerprint(), run().fleet().metrics().fingerprint());
+        assert_eq!(m.to_json(), run().fleet().metrics().to_json());
     }
 
     #[test]
