@@ -466,9 +466,7 @@ fn run_campaign(opts: &Options) -> CampaignResult {
     let quarantined_inputs = fleet.quarantined_inputs();
     let cpu_records = records
         .iter()
-        .filter(|r| {
-            r.worker.is_some_and(|w| fleet.workers()[w.0].class() == WorkerClass::CpuFallback)
-        })
+        .filter(|r| fleet.workers()[r.worker.0].class() == WorkerClass::CpuFallback)
         .count() as u64;
 
     let body = format!(

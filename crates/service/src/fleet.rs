@@ -231,9 +231,10 @@ pub struct FleetCounters {
 pub struct FleetRecord {
     /// The service-level bookkeeping record.
     pub record: JobRecord,
-    /// The worker that resolved the job; `None` for a job cancelled while
-    /// still queued, which never reached a worker.
-    pub worker: Option<WorkerId>,
+    /// The worker that resolved the job. A job cancelled while still
+    /// queued never ran: the host front end resolved it, so it names the
+    /// first CPU-fallback worker (the host tier).
+    pub worker: WorkerId,
     /// Worker failures this job survived (re-queue count).
     pub redispatches: u32,
     /// Whether any dispatch resumed from a mid-job checkpoint.
@@ -307,10 +308,11 @@ pub struct Fleet {
     shed_cpu: VecDeque<Assignment>,
     /// Indexed by job id (ids are issued consecutively from 0, so the
     /// table's length is the next id): the position of the job's record
-    /// in `records`, [`UNRESOLVED`], or [`RESOLVED_BEFORE_RESTORE`]. One
-    /// word per job answers both the at-most-once guard and
-    /// [`Fleet::record`].
-    record_at: Vec<usize>,
+    /// in `records`, [`UNRESOLVED`], or [`UNINDEXED`]. Four bytes per job
+    /// answer both the at-most-once guard and [`Fleet::record`] — a
+    /// long-lived server keeps this table and the records for every job it
+    /// has served.
+    record_at: Vec<u32>,
     // conformance:allow(checkpoint-coverage): append-only history, not replay state
     records: Vec<FleetRecord>,
     // conformance:allow(checkpoint-coverage): append-only history, not replay state
@@ -333,12 +335,13 @@ struct Drain {
 }
 
 /// [`Fleet::record_at`] entry of a job that has not resolved.
-const UNRESOLVED: usize = usize::MAX;
+const UNRESOLVED: u32 = u32::MAX;
 
-/// [`Fleet::record_at`] entry of a job that resolved before a
-/// [`Fleet::restore`]: the id is spent, but its record is history the
-/// restored fleet does not hold.
-const RESOLVED_BEFORE_RESTORE: usize = usize::MAX - 1;
+/// [`Fleet::record_at`] entry of a resolved job whose record has no
+/// index: it resolved before a [`Fleet::restore`] (the id is spent, but
+/// the record is history the restored fleet does not hold), or past the
+/// table's position range.
+const UNINDEXED: u32 = u32::MAX - 1;
 
 /// Bucket bounds (in cycles) for the job latency histograms recorded at
 /// resolution time.
@@ -412,7 +415,7 @@ impl Fleet {
     /// flight).
     pub fn pending(&self) -> usize {
         let in_flight = self.workers.iter().filter(|w| w.assignment.is_some()).count();
-        self.sched.len() + self.redispatch.len() + self.shed_cpu.len() + in_flight
+        self.backlog() + in_flight
     }
 
     /// Shared service counters.
@@ -432,16 +435,14 @@ impl Fleet {
 
     /// The record of job `id`, once it has resolved.
     pub fn record(&self, id: JobId) -> Option<&FleetRecord> {
-        let at = *self.record_at.get(usize::try_from(id.0).ok()?)?;
-        self.records.get(at)
+        let at = self.record_at.get(usize::try_from(id.0).ok()?).filter(|&&at| at < UNINDEXED)?;
+        self.records.get(usize::try_from(*at).ok()?)
     }
 
     /// Whether job `id` has resolved (the at-most-once guard).
     fn is_resolved(&self, id: JobId) -> bool {
-        usize::try_from(id.0)
-            .ok()
-            .and_then(|i| self.record_at.get(i))
-            .is_some_and(|&at| at != UNRESOLVED)
+        let at = usize::try_from(id.0).ok().and_then(|i| self.record_at.get(i));
+        at.is_some_and(|&at| at != UNRESOLVED)
     }
 
     /// The retained recovery log, in event order. Bounded by
@@ -533,32 +534,28 @@ impl Fleet {
 
     /// Cancel a job that is still queued. Returns the cancellation record
     /// when `id` was waiting (the job resolves as
-    /// [`Disposition::Cancelled`] with zero service cycles, zero
-    /// accelerator attempts, and no worker), or `None` when it is unknown
-    /// or already dispatched — mid-flight work is bounded by its deadline,
-    /// not by cancellation.
+    /// [`Disposition::Cancelled`] with zero service cycles and zero
+    /// accelerator attempts, attributed to the host tier), or `None` when
+    /// it is unknown or already dispatched — mid-flight work is bounded by
+    /// its deadline, not by cancellation.
     pub fn cancel(&mut self, id: JobId) -> Option<&FleetRecord> {
         let job = self.sched.remove(id)?;
         self.counters.cancelled += 1;
         let asg = fresh_assignment(job, self.clock.now());
-        self.resolve(&asg, None, Disposition::Cancelled, None);
+        self.resolve(&asg, self.cfg.accel_workers, Disposition::Cancelled, None);
         self.records.last()
     }
 
     /// Gracefully drain the fleet: every unresolved job gets at most one
     /// more slice of `slice_budget` accelerator cycles (a job already
-    /// mid-slice finishes that slice instead). A job that completes,
-    /// reaches its deadline, or faults in it resolves as usual, except
-    /// that a fault is not retried (drain wants the machines parked, not
-    /// healed); it still strikes the quarantine and feeds the breaker. A
-    /// job that pauses resolves [`Disposition::CheckpointedAtDrain`], and
-    /// its checkpoint — serialized through the core checkpoint path, so a
-    /// host that restarts can resume from it — is fingerprinted into the
-    /// summary. Dispatch, breaker, and CPU shedding follow the normal
-    /// rules, so a drained campaign replays byte-identically. Afterwards
-    /// the fleet is empty (`pending() == 0`); nothing stops new
-    /// submissions — a server that wants to refuse them does so at its
-    /// own admission edge.
+    /// mid-slice finishes that slice instead), under the normal dispatch,
+    /// breaker, and shedding rules. A fault in it is not retried (drain
+    /// wants the machines parked, not healed). A job that pauses resolves
+    /// [`Disposition::CheckpointedAtDrain`]; its checkpoint, serialized
+    /// through the core checkpoint path so a restarted host could resume
+    /// it, is fingerprinted into the summary. Afterwards `pending() == 0`;
+    /// nothing stops new submissions — a server that wants to refuse them
+    /// does so at its own admission edge.
     pub fn drain(&mut self, slice_budget: u64) -> DrainSummary {
         let first = self.records.len();
         self.draining = Some(Drain { slice_budget, checkpoints: Vec::new() });
@@ -671,7 +668,12 @@ impl Fleet {
                         // Exactly one probe flows while half-open.
                         continue;
                     }
-                    let Some(asg) = self.take_accel_work(w, now) else {
+                    // Recovery queue first (resuming beats starting), then
+                    // the DRR scheduler.
+                    let Some(asg) = self
+                        .take_redispatch(w)
+                        .or_else(|| self.sched.pop().map(|p| fresh_assignment(p, now)))
+                    else {
                         continue;
                     };
                     self.dispatch_accel(w, asg);
@@ -709,15 +711,6 @@ impl Fleet {
                 }
             }
         }
-    }
-
-    /// Next assignment for an accelerator worker: recovery queue first
-    /// (resuming beats starting), then the DRR scheduler.
-    fn take_accel_work(&mut self, w: usize, now: Cycle) -> Option<Assignment> {
-        if let Some(asg) = self.take_redispatch(w) {
-            return Some(asg);
-        }
-        self.sched.pop().map(|p| fresh_assignment(p, now))
     }
 
     /// Pop the re-dispatch queue, suppressing entries that already
@@ -909,12 +902,10 @@ impl Fleet {
             return;
         };
         let wall = event.at.0.saturating_sub(event.began.0);
-        {
-            let stats = &mut self.workers[w].stats;
-            stats.busy_cycles = stats.busy_cycles.saturating_add(wall);
-        }
-        self.workers[w].slices_executed = self.workers[w].slices_executed.saturating_add(1);
-        self.workers[w].beat(now);
+        let worker = &mut self.workers[w];
+        worker.stats.busy_cycles = worker.stats.busy_cycles.saturating_add(wall);
+        worker.slices_executed = worker.slices_executed.saturating_add(1);
+        worker.beat(now);
         match event.outcome {
             SliceOutcome::Accel(SliceStep::Completed(outcome)) => {
                 self.breaker.record_success(now);
@@ -1034,7 +1025,7 @@ impl Fleet {
     ) -> Option<Assignment> {
         self.workers[w].status = WorkerStatus::Idle;
         let asg = self.workers[w].assignment.take()?;
-        self.resolve(&asg, Some(w), disposition, output_fingerprint);
+        self.resolve(&asg, w, disposition, output_fingerprint);
         let stats = &mut self.workers[w].stats;
         stats.completed = stats.completed.saturating_add(1);
         Some(asg)
@@ -1096,13 +1087,15 @@ impl Fleet {
     fn resolve(
         &mut self,
         asg: &Assignment,
-        w: Option<usize>,
+        w: usize,
         disposition: Disposition,
         output_fingerprint: Option<u64>,
     ) {
         let slot = usize::try_from(asg.job.id.0).ok().and_then(|i| self.record_at.get_mut(i));
         match slot {
-            Some(at) if *at == UNRESOLVED => *at = self.records.len(),
+            Some(at) if *at == UNRESOLVED => {
+                *at = u32::try_from(self.records.len()).map_or(UNINDEXED, |p| p.min(UNINDEXED));
+            }
             _ => {
                 self.fleet.duplicate_completions =
                     self.fleet.duplicate_completions.saturating_add(1);
@@ -1121,7 +1114,7 @@ impl Fleet {
                 attempts: asg.attempts,
                 disposition,
             },
-            worker: w.map(WorkerId),
+            worker: WorkerId(w),
             redispatches: asg.redispatches,
             resumed_from_checkpoint: asg.resumed,
             output_fingerprint,
@@ -1144,9 +1137,9 @@ impl Fleet {
     }
 
     /// Snapshot the fleet's bookkeeping into the workspace's metrics
-    /// vocabulary: the `service.*` admission and resolution counters, `fleet.*` recovery
-    /// counters, per-worker `worker.<i>.*` utilization counters, and the
-    /// job latency histograms. Deterministic, so its fingerprint can ride
+    /// vocabulary: the `service.*` admission and resolution counters,
+    /// `fleet.*` recovery counters, per-worker `worker.<i>.*` utilization
+    /// counters, and the job latency histograms. Deterministic, so its fingerprint can ride
     /// a `--strict` replay gate.
     ///
     /// The histograms and tenant disposition counters are accumulated
@@ -1235,7 +1228,7 @@ impl Fleet {
         self.record_at = vec![UNRESOLVED; issued];
         for id in &s.resolved {
             if let Some(at) = usize::try_from(*id).ok().and_then(|i| self.record_at.get_mut(i)) {
-                *at = RESOLVED_BEFORE_RESTORE;
+                *at = UNINDEXED;
             }
         }
         self.counters = s.counters;
@@ -1299,7 +1292,7 @@ mod tests {
         for r in fleet.records() {
             bytes.extend_from_slice(&r.record.id.0.to_le_bytes());
             bytes.extend_from_slice(&r.record.finished_at.0.to_le_bytes());
-            bytes.extend_from_slice(&r.worker.map_or(u64::MAX, |w| w.0 as u64).to_le_bytes());
+            bytes.extend_from_slice(&(r.worker.0 as u64).to_le_bytes());
             bytes.extend_from_slice(r.record.disposition.label().as_bytes());
             bytes.extend_from_slice(&r.output_fingerprint.unwrap_or(0).to_le_bytes());
             bytes.extend_from_slice(&u64::from(r.redispatches).to_le_bytes());
@@ -1331,8 +1324,7 @@ mod tests {
             assert_eq!(fleet.records().len(), 12);
             assert_eq!(fleet.pending(), 0);
             assert!(fleet.records().iter().all(|r| r.record.disposition == Disposition::Completed));
-            let distinct: BTreeSet<WorkerId> =
-                fleet.records().iter().filter_map(|r| r.worker).collect();
+            let distinct: BTreeSet<WorkerId> = fleet.records().iter().map(|r| r.worker).collect();
             assert!(distinct.len() >= 2, "work must spread across workers: {distinct:?}");
             assert_eq!(fleet.fleet_counters().duplicate_completions, 0);
             runs.push((report_signature(&fleet), fleet.metrics().fingerprint()));
@@ -1557,7 +1549,7 @@ mod tests {
         let held = fleet.record(held).unwrap();
         assert_eq!(probe.record.disposition, Disposition::Completed);
         assert_eq!(held.record.disposition, Disposition::Completed, "not shed to the CPU");
-        assert_eq!(held.worker, Some(WorkerId(0)));
+        assert_eq!(held.worker, WorkerId(0));
         assert_eq!(held.record.started_at, probe.record.finished_at, "waits for the probe");
         assert_eq!(fleet.counters().completed_cpu, 0);
         assert_eq!(fleet.breaker_state(), BreakerState::Closed);

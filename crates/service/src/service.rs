@@ -479,6 +479,8 @@ mod tests {
         assert_eq!(record.disposition, Disposition::Cancelled);
         assert_eq!(record.attempts, 0);
         assert_eq!(record.service_cycles(), 0);
+        let host = s.fleet().record(second).map(|r| r.worker);
+        assert_eq!(host, Some(crate::WorkerId(1)), "the host tier resolves a cancellation");
         assert_eq!(s.fleet().counters().cancelled, 1);
         assert_eq!(s.fleet().pending(), 1);
         // Unknown and already-resolved ids are not cancellable.
