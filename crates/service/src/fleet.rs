@@ -5,14 +5,13 @@
 //! (bounded tenant queues, flop-estimate deadlines, DRR fairness, circuit
 //! breaker, fleet-wide quarantine). The single-machine
 //! [`Service`](crate::Service) is this engine with one accelerator worker
-//! and one CPU worker. It is
-//! a discrete-event simulation in fleet cycles: every worker schedules its
-//! next event (slice completion, heartbeat deadline, restart completion),
-//! the fleet processes the earliest event (ties broken by worker id), and
-//! all state evolves deterministically from the submission sequence and
-//! the seeded [`WorkerFaultPlan`] — so a 10k-job campaign that crashes,
-//! hangs, degrades, and retires workers mid-flight still replays
-//! byte-identically.
+//! and one CPU worker. It is a discrete-event simulation in fleet cycles:
+//! every worker schedules its next event (slice completion, heartbeat
+//! deadline, restart completion), the fleet processes the earliest event
+//! (ties broken by worker id), and all state evolves deterministically
+//! from the submission sequence and the seeded [`WorkerFaultPlan`] — so a
+//! 10k-job campaign that crashes, hangs, degrades, and retires workers
+//! mid-flight still replays byte-identically.
 //!
 //! The failure lifecycle:
 //!
