@@ -583,21 +583,26 @@ impl Fleet {
     /// dispatchable backlog).
     pub fn step(&mut self) -> bool {
         self.pump();
-        if self.next_event().is_none() && self.backlog() > 0 {
-            // No worker events. A remaining backlog can only be waiting on
-            // the open breaker's cooldown: advance idle time to the reopen
-            // and try once more.
+        if let Some((at, w)) = self.next_event() {
+            self.clock.advance_to(at);
+            self.process(w);
+            return true;
+        }
+        // No worker events. A remaining backlog can only be waiting on the
+        // open breaker's cooldown: advance idle time to the reopen and try
+        // once more.
+        if self.backlog() > 0 {
             if let Some(reopen) = self.breaker.reopens_at() {
                 self.clock.advance_to(reopen);
                 self.pump();
+                if let Some((at, w)) = self.next_event() {
+                    self.clock.advance_to(at);
+                    self.process(w);
+                    return true;
+                }
             }
         }
-        let Some((at, w)) = self.next_event() else {
-            return false;
-        };
-        self.clock.advance_to(at);
-        self.process(w);
-        true
+        false
     }
 
     /// Undispatched jobs (scheduler plus recovery queues).
@@ -667,12 +672,7 @@ impl Fleet {
                         // Exactly one probe flows while half-open.
                         continue;
                     }
-                    // Recovery queue first (resuming beats starting), then
-                    // the DRR scheduler.
-                    let Some(asg) = self
-                        .take_redispatch(w)
-                        .or_else(|| self.sched.pop().map(|p| fresh_assignment(p, now)))
-                    else {
+                    let Some(asg) = self.take_accel_work(w, now) else {
                         continue;
                     };
                     self.dispatch_accel(w, asg);
@@ -712,6 +712,15 @@ impl Fleet {
         }
     }
 
+    /// Next assignment for an accelerator worker: recovery queue first
+    /// (resuming beats starting), then the DRR scheduler.
+    fn take_accel_work(&mut self, w: usize, now: Cycle) -> Option<Assignment> {
+        if let Some(asg) = self.take_redispatch(w) {
+            return Some(asg);
+        }
+        self.sched.pop().map(|p| fresh_assignment(p, now))
+    }
+
     /// Pop the re-dispatch queue, suppressing entries that already
     /// resolved (the belt to the requeue-time braces of the at-most-once
     /// guard).
@@ -735,14 +744,20 @@ impl Fleet {
     fn dispatch_accel(&mut self, w: usize, mut asg: Assignment) {
         self.workers[w].stats.dispatches = self.workers[w].stats.dispatches.saturating_add(1);
         let job = asg.job.id;
-        if asg.checkpoint.is_some() && self.workers[w].matches_template() {
-            asg.resumed = true;
-            self.fleet.resumed_from_checkpoint =
-                self.fleet.resumed_from_checkpoint.saturating_add(1);
-            self.log(w, RecoveryKind::ResumedFromCheckpoint { job, at_cycle: asg.executed });
-        } else if asg.checkpoint.is_some() || asg.redispatches > 0 {
-            asg.checkpoint = None;
-            asg.executed = 0;
+        if asg.checkpoint.is_some() {
+            if self.workers[w].matches_template() {
+                asg.resumed = true;
+                self.fleet.resumed_from_checkpoint =
+                    self.fleet.resumed_from_checkpoint.saturating_add(1);
+                self.log(w, RecoveryKind::ResumedFromCheckpoint { job, at_cycle: asg.executed });
+            } else {
+                asg.checkpoint = None;
+                asg.executed = 0;
+                self.fleet.restarted_from_scratch =
+                    self.fleet.restarted_from_scratch.saturating_add(1);
+                self.log(w, RecoveryKind::RestartedFromScratch { job });
+            }
+        } else if asg.redispatches > 0 {
             self.fleet.restarted_from_scratch = self.fleet.restarted_from_scratch.saturating_add(1);
             self.log(w, RecoveryKind::RestartedFromScratch { job });
         }
@@ -901,10 +916,12 @@ impl Fleet {
             return;
         };
         let wall = event.at.0.saturating_sub(event.began.0);
-        let worker = &mut self.workers[w];
-        worker.stats.busy_cycles = worker.stats.busy_cycles.saturating_add(wall);
-        worker.slices_executed = worker.slices_executed.saturating_add(1);
-        worker.beat(now);
+        {
+            let stats = &mut self.workers[w].stats;
+            stats.busy_cycles = stats.busy_cycles.saturating_add(wall);
+        }
+        self.workers[w].slices_executed = self.workers[w].slices_executed.saturating_add(1);
+        self.workers[w].beat(now);
         match event.outcome {
             SliceOutcome::Accel(SliceStep::Completed(outcome)) => {
                 self.breaker.record_success(now);
@@ -1015,13 +1032,18 @@ impl Fleet {
     }
 
     /// Resolve worker `w`'s job and return the worker to the idle pool,
-    /// handing back the resolved assignment.
+    /// handing back the resolved assignment. A half-open probe that
+    /// leaves without a breaker verdict (deadline, preflight refusal,
+    /// drain pause) frees the probe slot: the next dispatch probes.
     fn finish(
         &mut self,
         w: usize,
         disposition: Disposition,
         output_fingerprint: Option<u64>,
     ) -> Option<Assignment> {
+        if self.probe_worker == Some(w) {
+            self.probe_worker = None;
+        }
         self.workers[w].status = WorkerStatus::Idle;
         let asg = self.workers[w].assignment.take()?;
         self.resolve(&asg, w, disposition, output_fingerprint);

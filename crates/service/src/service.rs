@@ -277,6 +277,78 @@ mod tests {
         JobSpec { tenant: TenantId(tenant), a, b, plan }
     }
 
+    /// A job with a NaN operand. `Csr::from_parts` checks structure only,
+    /// so it passes admission and the driver's preflight refuses it.
+    fn nan_spec(tenant: usize) -> JobSpec {
+        let rows = || (vec![0, 1, 2], vec![0, 1]);
+        let (p, i) = rows();
+        let a =
+            Rc::new(matraptor_sparse::Csr::from_parts(2, 2, p, i, vec![f64::NAN, 1.0]).unwrap());
+        let (p, i) = rows();
+        let b = Rc::new(matraptor_sparse::Csr::from_parts(2, 2, p, i, vec![1.0, 1.0]).unwrap());
+        JobSpec { tenant: TenantId(tenant), a, b, plan: None }
+    }
+
+    /// A service whose breaker is open with its cooldown lapsed: the next
+    /// accelerator dispatch is the half-open probe. Tenant 1 has a 50-cycle
+    /// deadline, too tight for any job to finish.
+    fn service_awaiting_probe() -> Service {
+        let mut cfg = ServiceConfig::small_test();
+        cfg.breaker = BreakerConfig { failure_threshold: 1, cooldown_cycles: 1_000, ..cfg.breaker };
+        cfg.max_attempts = 1;
+        cfg.tenants[1].deadline = DeadlinePolicy { base_cycles: 50, cycles_per_flop: 0 };
+        let lanes = cfg.accel.num_lanes;
+        let mut s = Service::new(cfg).unwrap();
+        s.submit(spec(0, 91, Some(FaultPlan::sample(FaultKind::ChannelStall, 5, lanes)))).unwrap();
+        assert_eq!(s.step().unwrap().disposition, Disposition::Failed);
+        assert_eq!(s.fleet().breaker_state(), BreakerState::Open);
+        let lapsed = Cycle(s.fleet().now().0 + 2_000);
+        s.fleet_mut().advance_to(lapsed);
+        s
+    }
+
+    /// Serve `probe` as the half-open probe with a clean job queued behind
+    /// it; the clean job must become the next probe and close the breaker.
+    fn probe_without_a_verdict_frees_the_slot(probe: JobSpec, expect: Disposition) {
+        let mut s = service_awaiting_probe();
+        let probe = s.submit(probe).unwrap();
+        let behind = s.submit(spec(0, 96, None)).unwrap();
+        while s.step().is_some() {}
+        assert_eq!(s.fleet().pending(), 0, "every queued job resolves");
+        let f = s.fleet();
+        assert_eq!(f.record(probe).map(|r| r.record.disposition), Some(expect));
+        let behind = f.record(behind).unwrap();
+        assert_eq!(behind.record.disposition, Disposition::Completed);
+        assert_eq!(behind.worker, crate::WorkerId(0), "the next probe runs on the accelerator");
+        assert_eq!(f.breaker_state(), BreakerState::Closed);
+    }
+
+    #[test]
+    fn a_probe_past_its_deadline_frees_the_probe_slot() {
+        probe_without_a_verdict_frees_the_slot(spec(1, 93, None), Disposition::DeadlineExceeded);
+    }
+
+    #[test]
+    fn a_refused_probe_frees_the_probe_slot() {
+        probe_without_a_verdict_frees_the_slot(nan_spec(0), Disposition::Failed);
+    }
+
+    #[test]
+    fn a_probe_paused_by_drain_frees_the_probe_slot() {
+        let mut s = service_awaiting_probe();
+        s.submit(spec(0, 97, None)).unwrap();
+        s.submit(spec(0, 98, None)).unwrap();
+        let summary = s.fleet_mut().drain(200);
+        assert_eq!(s.fleet().pending(), 0, "drain must empty the queue");
+        assert_eq!(summary.checkpoints.len(), 2, "each job probes in turn and pauses");
+        assert_eq!(s.fleet().breaker_state(), BreakerState::HalfOpen);
+        // The slot stays free after the drain: a clean job probes and
+        // closes the breaker.
+        s.submit(spec(0, 99, None)).unwrap();
+        assert_eq!(s.step().unwrap().disposition, Disposition::Completed);
+        assert_eq!(s.fleet().breaker_state(), BreakerState::Closed);
+    }
+
     #[test]
     fn clean_jobs_complete_and_the_clock_advances() {
         let mut s = Service::new(ServiceConfig::small_test()).unwrap();
@@ -542,15 +614,7 @@ mod tests {
         // A hair-trigger breaker: one fed failure would open it.
         cfg.breaker.failure_threshold = 1;
         let mut s = Service::new(cfg).unwrap();
-        // `Csr::from_parts` checks structure only, so a NaN operand passes
-        // admission and the driver's preflight refuses the job.
-        let rows = || (vec![0, 1, 2], vec![0, 1]);
-        let (p, i) = rows();
-        let a =
-            Rc::new(matraptor_sparse::Csr::from_parts(2, 2, p, i, vec![f64::NAN, 1.0]).unwrap());
-        let (p, i) = rows();
-        let b = Rc::new(matraptor_sparse::Csr::from_parts(2, 2, p, i, vec![1.0, 1.0]).unwrap());
-        let nan = JobSpec { tenant: TenantId(0), a, b, plan: None };
+        let nan = nan_spec(0);
         s.submit(nan.clone()).unwrap();
         let r = s.step().unwrap().clone();
         assert_eq!(r.disposition, Disposition::Failed);
