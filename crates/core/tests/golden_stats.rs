@@ -9,13 +9,20 @@
 //! geometry (3 channels, 1000 B rows, 7 banks, clock ratio 3) that takes
 //! the division fallbacks, queue overflows, and the two memory faults that
 //! act inside the HBM model.
+//!
+//! A second set pins runs whose lanes spend most cycles stalled — the
+//! paper geometry on the `facebook` (power-law, merge-heavy) and
+//! `offshore` (banded) stand-ins of Table II — stage by stage: every
+//! lane's attribution buckets, the PE phase cycles, a mid-run checkpoint
+//! and the window series of a traced run.
 
 mod common;
 
-use common::{checkpoint_at, run_faulted};
-use matraptor_core::{Accelerator, FaultKind, FaultPlan, MatRaptorConfig};
+use common::{checkpoint_at, run_faulted, run_traced};
+use matraptor_core::{Accelerator, FaultKind, FaultPlan, MatRaptorConfig, TraceConfig};
 use matraptor_mem::HbmConfig;
 use matraptor_sim::trace::fnv1a64;
+use matraptor_sparse::gen::suite;
 use matraptor_sparse::{gen, Csr};
 
 /// Accelerator cycle at which a fault-free case is checkpointed; each run
@@ -97,5 +104,72 @@ fn simulated_results_match_the_pins() {
             .expect("the run is longer than the pause");
         let got = (case.name, fnv1a64(run.as_bytes()), fnv1a64(&checkpoint.to_bytes()));
         assert_eq!(got, pin, "{}: simulated results changed", case.name);
+    }
+}
+
+/// Table II size divisor of the stall-heavy cases: small enough for a
+/// debug-profile test (`fb` is held at its 176-row minimum by the
+/// generator's row-degree floor at any divisor above 23).
+const STALL_SCALE: usize = 256;
+
+/// One stall-heavy run's pins: digests of the run (statistics and output)
+/// and of the per-lane attribution, the PE phase-I and phase-II cycles
+/// summed over lanes, and digests of the checkpoint at half the run and of
+/// the run's trace windows (`RunTrace::fingerprint`). The run is traced;
+/// tracing is bit-identical to the untraced run (`trace_attribution.rs`).
+#[derive(Debug, PartialEq)]
+struct StallPin {
+    id: &'static str,
+    run: u64,
+    attribution: u64,
+    phase1: u64,
+    phase2: u64,
+    checkpoint: u64,
+    trace: u64,
+}
+
+const STALL_PINS: [StallPin; 2] = [
+    StallPin {
+        id: "fb",
+        run: 0x1beb5aec377ddb23,
+        attribution: 0x627a8ce13fe3009,
+        phase1: 792306,
+        phase2: 39851,
+        checkpoint: 0xe625c2210ba6d492,
+        trace: 0x23ee3ee1d8c9e1fb,
+    },
+    StallPin {
+        id: "of",
+        run: 0xe3a14a77ff1db66c,
+        attribution: 0xbf511b75ace2c434,
+        phase1: 782503,
+        phase2: 78022,
+        checkpoint: 0xa51f4c8373b17ef5,
+        trace: 0x90eb32ccd206f323,
+    },
+];
+
+#[test]
+fn stall_heavy_runs_match_the_pins() {
+    let cfg = MatRaptorConfig { verify_against_reference: false, ..MatRaptorConfig::default() };
+    let accel = Accelerator::new(cfg);
+    let trace_cfg = TraceConfig { window: 256, ..TraceConfig::default() };
+    for pin in &STALL_PINS {
+        let a = suite::by_id(pin.id).expect("a Table II id").generate(STALL_SCALE, 1);
+        let (outcome, trace) = run_traced(&accel, &a, &a, &trace_cfg).expect("clean run");
+        let stats = &outcome.stats;
+        let checkpoint = checkpoint_at(&accel, &a, &a, None, stats.total_cycles / 2)
+            .expect("no failure before the pause")
+            .expect("the run is longer than its half");
+        let got = StallPin {
+            id: pin.id,
+            run: fnv1a64(format!("{:?}", (stats, &outcome.c)).as_bytes()),
+            attribution: fnv1a64(format!("{:?}", stats.per_lane_attribution).as_bytes()),
+            phase1: stats.phase1_cycles,
+            phase2: stats.phase2_cycles,
+            checkpoint: fnv1a64(&checkpoint.to_bytes()),
+            trace: trace.fingerprint(),
+        };
+        assert_eq!(&got, pin, "{}: simulated results changed", pin.id);
     }
 }
