@@ -166,9 +166,40 @@ struct Lane {
     writer: Writer,
     spal_out: VecDeque<ATok>,
     pe_in: VecDeque<PeTok>,
+    /// The lane's last tick changed nothing but per-cycle counters, so
+    /// until it wakes each cycle only replays them (DESIGN.md §4 item 7).
+    /// Derived: every lane starts awake, also after a restore.
+    asleep: bool,
+    /// The channels the lane's last tick was refused on
+    /// ([`MemPort::refused`]); a slot freed on one of them wakes it.
+    waits_on: u64,
 }
 
 impl Lane {
+    /// Whether every stage's last tick changed nothing but its counters.
+    fn is_quiet(&self) -> bool {
+        self.spal.is_quiet() && self.spbl.is_quiet() && self.pe.is_quiet() && self.writer.is_quiet()
+    }
+
+    /// A sleeping lane's cycle: every stage repeats its last tick's
+    /// counter updates.
+    fn replay_stall(&mut self) {
+        self.pe.replay_stall();
+        self.spbl.replay_stall();
+        self.spal.replay_stall();
+        self.writer.replay_stall();
+    }
+
+    /// Whether the lane has fetched, merged and written everything.
+    fn is_done(&self) -> bool {
+        self.spal.is_done()
+            && self.spbl.is_done()
+            && self.spal_out.is_empty()
+            && self.pe_in.is_empty()
+            && self.pe.is_done(self.pe_in.is_empty())
+            && self.writer.is_done()
+    }
+
     /// The lane's per-stage cycle attribution, with the PE's existing
     /// Fig. 9 breakdown mapped onto the common four-bucket vocabulary.
     fn attribution(&self) -> LaneAttribution {
@@ -449,6 +480,8 @@ impl Accelerator {
                 writer: Writer::new(l, cfg, ctx.c_layout),
                 spal_out: VecDeque::new(),
                 pe_in: VecDeque::new(),
+                asleep: false,
+                waits_on: 0,
             })
             .collect()
     }
@@ -647,6 +680,12 @@ impl Accelerator {
     /// observational (it reads counters, never machine state), so the
     /// traced and untraced machines tick bit-identically — the
     /// zero-overhead-when-disabled contract of the observability layer.
+    ///
+    /// A lane whose tick changed nothing but per-cycle counters sleeps: its
+    /// next tick reads nothing new unless a response arrives for it or a
+    /// channel that refused it frees a queue slot, so until then each cycle
+    /// replays the stall's counter updates instead of ticking. Under a
+    /// fault schedule admission depends on the cycle, and no lane sleeps.
     fn drive(
         &self,
         ctx: &RunContext<'_>,
@@ -659,9 +698,6 @@ impl Accelerator {
         let ratio = ctx.ratio;
         let fallback = |row: u32| reference_row(ctx.a, ctx.b, row as usize);
         let mut inboxes: Vec<Vec<u64>> = vec![Vec::new(); lanes_n];
-        // Read once per drive: an environment lookup takes a process-wide
-        // lock and scans the environment, far too slow for every cycle.
-        let debug = std::env::var_os("MATRAPTOR_DEBUG").is_some();
 
         let RunState {
             t,
@@ -679,12 +715,15 @@ impl Accelerator {
         // stepped with `t`, so the loop never divides.
         let mut mem_now = Cycle(*t / ratio);
         let mut mem_phase = *t % ratio;
+        let can_sleep = !hbm.has_faults();
         loop {
             if pause_at.is_some_and(|k| *t >= k) {
                 return Ok(false);
             }
+            let mut freed = 0;
             if mem_phase == 0 {
                 hbm.tick(mem_now);
+                freed = hbm.freed_channels();
                 while let Some(resp) = hbm.pop_response(mem_now) {
                     // Every in-flight response id was recorded in `route`
                     // when issued; a miss means the interconnect model (or
@@ -705,6 +744,11 @@ impl Accelerator {
 
             let mut all_done = true;
             for (l, lane) in lanes.iter_mut().enumerate() {
+                if lane.asleep && inboxes[l].is_empty() && lane.waits_on & freed == 0 {
+                    lane.replay_stall();
+                    all_done &= lane.is_done();
+                    continue;
+                }
                 // Deliver responses.
                 for id in inboxes[l].drain(..) {
                     if lane.spal.on_response(id, &ctx.ac) {
@@ -717,7 +761,7 @@ impl Accelerator {
                     debug_assert!(consumed, "orphan response {id}");
                 }
 
-                let mut port = MemPort { hbm, mem_now, next_id, route, lane: l };
+                let mut port = MemPort { hbm, mem_now, next_id, route, lane: l, refused: 0 };
 
                 let upstream_done =
                     lane.spal.is_done() && lane.spbl.is_done() && lane.spal_out.is_empty();
@@ -736,6 +780,8 @@ impl Accelerator {
                     inj.inspect(l, lane.spal_out.len() > fifo_len_before, &mut lane.spal_out);
                 }
                 lane.writer.tick(&mut port);
+                lane.waits_on = port.refused;
+                lane.asleep = can_sleep && lane.is_quiet();
 
                 if let Some((col, bound)) = lane.spbl.malformed_input() {
                     return Err(SimError::MalformedInput(MalformedInput::ColumnOutOfRange {
@@ -748,39 +794,9 @@ impl Accelerator {
                     return Err(SimError::QueueOverflow { lane: l, row });
                 }
 
-                let lane_done = lane.spal.is_done()
-                    && lane.spbl.is_done()
-                    && lane.spal_out.is_empty()
-                    && lane.pe_in.is_empty()
-                    && lane.pe.is_done(lane.pe_in.is_empty())
-                    && lane.writer.is_done();
-                all_done &= lane_done;
+                all_done &= lane.is_done();
             }
 
-            if debug && t.is_multiple_of(100_000) {
-                let l0 = &lanes[0];
-                eprintln!(
-                    "t={t} hbm_inflight={} spal={:?} spbl={:?} spal_out={} pe_in={}",
-                    hbm.in_flight(),
-                    l0.spal.debug_state(),
-                    l0.spbl.debug_state(),
-                    l0.spal_out.len(),
-                    l0.pe_in.len()
-                );
-                let ch: Vec<String> = hbm
-                    .channel_stats()
-                    .iter()
-                    .map(|c| {
-                        format!("{:.2}", c.busy_cycles.get() as f64 / ((*t).max(1) / ratio) as f64)
-                    })
-                    .collect();
-                eprintln!(
-                    "  spbl blocked [data, info, staging_full, no_jobs] = {:?}; mean mem latency = {:.1}; ch busy = {:?}",
-                    l0.spbl.blocked,
-                    hbm.stats().mean_latency(),
-                    ch
-                );
-            }
             if all_done && hbm.is_idle() && inboxes.iter().all(Vec::is_empty) {
                 break;
             }

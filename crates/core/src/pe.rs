@@ -63,6 +63,14 @@ pub struct Pe {
     /// Set when a row overflowed while `cpu_fallback` was disabled; the
     /// accelerator polls this and aborts with `SimError::QueueOverflow`.
     pub(crate) fatal_overflow: Option<u32>,
+    /// Whether the last tick changed nothing but the per-cycle counters
+    /// (`breakdown` and the phase cycles).
+    // conformance:allow(checkpoint-coverage): derived by every tick; a restored lane starts awake and ticks before it is read
+    quiet: bool,
+    /// The class the last tick charged, which [`Pe::replay_stall`]
+    /// charges again.
+    // conformance:allow(checkpoint-coverage): derived by every tick; read only while `quiet`
+    charged: CycleClass,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -91,6 +99,8 @@ impl Pe {
             fault_force_overflow_after: None,
             cpu_fallback: true,
             fatal_overflow: None,
+            quiet: false,
+            charged: CycleClass::Idle,
         }
     }
 
@@ -106,19 +116,35 @@ impl Pe {
         fallback: &dyn Fn(u32) -> (Vec<u32>, Vec<f64>),
         upstream_done: bool,
     ) {
-        self.tick_phase2(writer, cfg);
+        let drained = self.tick_phase2(writer, cfg);
+        self.quiet = false;
         let class = self.tick_phase1(input, writer, fallback, upstream_done);
+        self.quiet &= !drained;
+        self.charged = class;
+        self.charge(class);
+    }
+
+    /// Whether the last tick changed nothing but the per-cycle counters,
+    /// so with the same input the next tick would repeat it exactly.
+    pub(crate) fn is_quiet(&self) -> bool {
+        self.quiet
+    }
+
+    /// Repeats the last tick's only effects, its counter updates — the
+    /// tick of a sleeping lane.
+    pub(crate) fn replay_stall(&mut self) {
+        self.charge(self.charged);
+    }
+
+    /// Charges the cycle just ticked: the phase counters of the phases
+    /// that ran and exactly one attribution bucket.
+    fn charge(&mut self, class: CycleClass) {
         if !matches!(class, CycleClass::Idle) {
             self.phase1_cycles.incr();
         }
         if self.phase2.is_some() {
             self.phase2_cycles.incr();
         }
-        self.charge(class);
-    }
-
-    /// Charges exactly one attribution bucket for the cycle just ticked.
-    fn charge(&mut self, class: CycleClass) {
         match class {
             CycleClass::Busy => self.breakdown.busy.incr(),
             CycleClass::MergeStall => self.breakdown.merge_stall.incr(),
@@ -127,13 +153,15 @@ impl Pe {
         }
     }
 
-    fn tick_phase2(&mut self, writer: &mut Writer, cfg: &MatRaptorConfig) {
-        let Some(ph) = self.phase2 else { return };
+    /// Phase II's step; returns whether it drained anything.
+    fn tick_phase2(&mut self, writer: &mut Writer, cfg: &MatRaptorConfig) -> bool {
+        let Some(ph) = self.phase2 else { return false };
         let set = &mut self.sets[ph.set];
         if set.is_empty() {
             writer.finish_row(ph.row);
             set.reset_for_new_row();
             self.phase2 = None;
+            true
         } else if writer.can_accept() {
             // conformance:allow(panic-safety): invariant: caller checked the set is non-empty before popping
             let (col, val, popped) = set.pop_min().expect("set not empty");
@@ -143,8 +171,18 @@ impl Pe {
             if val != 0.0 {
                 writer.push_entry(ph.row, col, val, cfg);
             }
+            true
+        } else {
+            // Write buffer full — Phase II stalls this cycle.
+            false
         }
-        // else: write buffer full — Phase II stalls this cycle.
+    }
+
+    /// A Phase I exit that changed nothing if `first` — no free action ran
+    /// before it this cycle.
+    fn wait(&mut self, class: CycleClass, first: bool) -> CycleClass {
+        self.quiet = first;
+        class
     }
 
     fn tick_phase1(
@@ -158,7 +196,7 @@ impl Pe {
         // datapath and Phase I must wait — the ablation of Fig. 5b's
         // duplicated queue sets.
         if !self.double_buffering && self.phase2.is_some() {
-            return CycleClass::MergeStall;
+            return self.wait(CycleClass::MergeStall, true);
         }
         // Fault injection: pretend the active queue just filled. Only
         // mid-vector (the states in which a real overflow can occur), and
@@ -173,7 +211,7 @@ impl Pe {
         // Overflow-skip mode: discard the rest of the row.
         if self.skipping {
             return match input.pop_front() {
-                None => self.starved(upstream_done),
+                None => self.wait(self.starved(upstream_done), true),
                 Some(PeTok::Product { .. }) => {
                     self.products_in_row += 1;
                     CycleClass::MergeStall
@@ -184,7 +222,7 @@ impl Pe {
                     // II; recording now would write rows out of order.
                     if self.phase2.is_some() {
                         input.push_front(PeTok::EndOfRow { row });
-                        return CycleClass::MergeStall;
+                        return self.wait(CycleClass::MergeStall, true);
                     }
                     if !self.cpu_fallback {
                         // No CPU to delegate to: the row is unrecoverable.
@@ -206,15 +244,15 @@ impl Pe {
 
         // Bounded loop: marker handling and queue selection are free
         // (combinational); exactly one costed action is taken per cycle.
-        for _ in 0..8 {
+        for step in 0..8 {
             match self.vec_mode {
                 None => match input.front().copied() {
-                    None => return self.starved(upstream_done),
+                    None => return self.wait(self.starved(upstream_done), step == 0),
                     Some(PeTok::EndOfRow { row }) => {
                         if self.phase2.is_some() {
                             // Other set still merging: the double buffer is
                             // full — the stall Fig. 9 charges to "merge".
-                            return CycleClass::MergeStall;
+                            return self.wait(CycleClass::MergeStall, step == 0);
                         }
                         self.phase2 = Some(Phase2 { set: self.fill, row });
                         self.fill ^= 1;
@@ -232,7 +270,7 @@ impl Pe {
                     }
                 },
                 Some(VectorMode::Direct { queue }) => match input.front().copied() {
-                    None => return self.starved(upstream_done),
+                    None => return self.wait(self.starved(upstream_done), step == 0),
                     Some(PeTok::Product { val, col }) => {
                         if self.sets[self.fill].queue_ref(queue).is_full() {
                             self.begin_overflow();
@@ -261,7 +299,7 @@ impl Pe {
                         None => {
                             // Cannot advance the merge without knowing the
                             // next incoming column id.
-                            return self.starved(upstream_done);
+                            return self.wait(self.starved(upstream_done), step == 0);
                         }
                         Some(PeTok::Product { val, col }) => match src_front {
                             Some(sc) if sc < col => {

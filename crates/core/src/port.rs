@@ -20,30 +20,29 @@ pub(crate) struct MemPort<'a> {
     pub route: &'a mut IdTable<usize>,
     /// The lane currently ticking.
     pub lane: usize,
+    /// The channels of every request the HBM refused through this port,
+    /// as an [`Hbm::channel_mask`] union: what a stalled lane waits on.
+    pub refused: u64,
 }
 
 impl MemPort<'_> {
     /// Attempts to issue a read; returns the request id if accepted.
     pub(crate) fn try_read(&mut self, addr: u64, bytes: u32) -> Option<u64> {
-        let id = *self.next_id;
-        if self.hbm.submit(self.mem_now, MemRequest::read(id, addr, bytes)) {
-            self.route.insert(id, self.lane);
-            *self.next_id += 1;
-            Some(id)
-        } else {
-            None
-        }
+        self.try_submit(MemRequest::read(*self.next_id, addr, bytes))
     }
 
     /// Attempts to issue a write; returns the request id if accepted.
     pub(crate) fn try_write(&mut self, addr: u64, bytes: u32) -> Option<u64> {
-        let id = *self.next_id;
-        if self.hbm.submit(self.mem_now, MemRequest::write(id, addr, bytes)) {
-            self.route.insert(id, self.lane);
-            *self.next_id += 1;
-            Some(id)
-        } else {
-            None
+        self.try_submit(MemRequest::write(*self.next_id, addr, bytes))
+    }
+
+    fn try_submit(&mut self, req: MemRequest) -> Option<u64> {
+        if !self.hbm.submit(self.mem_now, req) {
+            self.refused |= self.hbm.channel_mask(&req);
+            return None;
         }
+        self.route.insert(req.id.0, self.lane);
+        *self.next_id += 1;
+        Some(req.id.0)
     }
 }

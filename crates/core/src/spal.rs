@@ -56,6 +56,13 @@ pub struct SpAl {
     /// Per-cycle attribution: exactly one bucket is charged per tick, so
     /// the buckets sum to the cycles this unit was ticked.
     attribution: StageBreakdown,
+    /// Whether the last tick changed nothing but `attribution`.
+    // conformance:allow(checkpoint-coverage): derived by every tick; a restored lane starts awake and ticks before it is read
+    quiet: bool,
+    /// The bucket the last tick charged, which [`SpAl::replay_stall`]
+    /// charges again.
+    // conformance:allow(checkpoint-coverage): derived by every tick; read only while `quiet`
+    charged: StageClass,
 }
 
 /// Which entries of which row a data response carries.
@@ -96,6 +103,8 @@ impl SpAl {
             // hundreds of rows ahead only inflates queueing delay.
             staging_cap: 2 * cfg.coupling_fifo_depth,
             attribution: StageBreakdown::default(),
+            quiet: false,
+            charged: StageClass::Idle,
         }
     }
 
@@ -138,6 +147,8 @@ impl SpAl {
         // Attribution bookkeeping only — `moved` never gates behaviour, so
         // the traced and untraced dynamics are identical by construction.
         let mut moved = false;
+        // Whether the tick changed state without moving anything.
+        let mut planned = false;
 
         // Forward one decoded token per cycle.
         if out.len() < out_cap {
@@ -149,7 +160,9 @@ impl SpAl {
 
         if self.staging.len() >= self.staging_cap {
             // downstream backpressure: stop fetching ahead
-            self.attribution.charge(if moved { StageClass::Busy } else { StageClass::QueueStall });
+            self.quiet = !moved;
+            self.charged = if moved { StageClass::Busy } else { StageClass::QueueStall };
+            self.attribution.charge(self.charged);
             return;
         }
 
@@ -198,6 +211,7 @@ impl SpAl {
                 }
                 self.current_plan = layout.row_plan(self.lane, info);
                 self.entries_issued = 0;
+                planned = true;
             }
             // Issue as many of the planned reads as the budget allows.
             let mut progressed = false;
@@ -239,7 +253,8 @@ impl SpAl {
         // forward because the downstream FIFO is full is queue-stalled;
         // everything else (responses in flight, refused requests) is
         // memory-stalled.
-        self.attribution.charge(if moved {
+        self.quiet = !moved && !planned;
+        self.charged = if moved {
             StageClass::Busy
         } else if self.is_done() {
             StageClass::Idle
@@ -247,7 +262,20 @@ impl SpAl {
             StageClass::QueueStall
         } else {
             StageClass::MemStall
-        });
+        };
+        self.attribution.charge(self.charged);
+    }
+
+    /// Whether the last tick changed nothing but the attribution, so with
+    /// the same memory answers the next tick would repeat it exactly.
+    pub(crate) fn is_quiet(&self) -> bool {
+        self.quiet
+    }
+
+    /// Repeats the last tick's only effect, its charge — the tick of a
+    /// sleeping lane.
+    pub(crate) fn replay_stall(&mut self) {
+        self.attribution.charge(self.charged);
     }
 
     /// Per-cycle busy/stall attribution for this unit.
@@ -285,11 +313,6 @@ impl SpAl {
     /// `(in_flight, staging, rows_remaining)`.
     pub(crate) fn occupancy(&self) -> (usize, usize, usize) {
         (self.in_flight, self.staging.len(), self.rows.len().saturating_sub(self.data_cursor))
-    }
-
-    #[doc(hidden)]
-    pub fn debug_state(&self) -> (usize, usize, usize, usize) {
-        (self.in_flight, self.staging.len(), self.data_cursor, self.info_cursor)
     }
 
     /// Captures all mutable state for a checkpoint. The lane index, row

@@ -55,6 +55,16 @@ pub struct SpBl {
     malformed: Option<(u32, u32)>,
     /// Per-cycle attribution: exactly one bucket is charged per tick.
     attribution: StageBreakdown,
+    /// Whether the last tick changed nothing but `attribution` and one
+    /// `blocked` counter.
+    // conformance:allow(checkpoint-coverage): derived by every tick; a restored lane starts awake and ticks before it is read
+    quiet: bool,
+    /// The bucket the last tick charged and the `blocked` counter it
+    /// bumped, which [`SpBl::replay_stall`] charges again.
+    // conformance:allow(checkpoint-coverage): derived by every tick; read only while `quiet`
+    charged: StageClass,
+    // conformance:allow(checkpoint-coverage): derived by every tick; read only while `quiet`
+    blocked_on: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -127,6 +137,9 @@ impl SpBl {
             blocked: [0; 4],
             malformed: None,
             attribution: StageBreakdown::default(),
+            quiet: false,
+            charged: StageClass::Idle,
+            blocked_on: 0,
         }
     }
 
@@ -174,6 +187,8 @@ impl SpBl {
         let layout = &self.layout;
         // Attribution bookkeeping only — never gates behaviour.
         let mut moved = false;
+        // Whether the tick changed state without moving anything.
+        let mut changed = false;
 
         // Forward one token per cycle to the PE.
         if out.len() < out_cap {
@@ -193,6 +208,7 @@ impl SpBl {
             if let ATok::Entry { col, .. } = tok {
                 if col as usize >= b.rows() {
                     self.malformed = Some((col, b.rows() as u32));
+                    changed = true;
                     break;
                 }
             }
@@ -259,6 +275,7 @@ impl SpBl {
                         let info = b.row_info(job.b_row as usize);
                         job.len = info.len;
                         job.plan = Some(layout.row_plan(b.channel_of(job.b_row as usize), info));
+                        changed = true;
                     }
                     if let Some(plan) = job.plan.as_mut() {
                         while let Some((addr, bytes)) = plan.front(layout) {
@@ -285,20 +302,15 @@ impl SpBl {
             }
         }
 
-        // Drain the front job into staging, in order.
+        // Drain the front job into staging, in order, until it blocks on
+        // one of the `blocked` reasons.
         let mut drained_any = false;
-        loop {
+        let blocked_on = loop {
             if self.staging.len() >= self.staging_cap {
-                if !drained_any {
-                    self.blocked[2] += 1;
-                }
-                break;
+                break 2;
             }
             let Some(front) = self.jobs.front() else {
-                if !drained_any {
-                    self.blocked[3] += 1;
-                }
-                break;
+                break 3;
             };
             match front.kind {
                 JobKind::EmptyRow => {
@@ -308,10 +320,7 @@ impl SpBl {
                 }
                 JobKind::Fetch => {
                     if !front.info_ready || front.plan.is_none() {
-                        if !drained_any {
-                            self.blocked[1] += 1;
-                        }
-                        break;
+                        break 1;
                     }
                     if front.drained_entries < front.ready_entries {
                         let (b_cols, b_vals) = b.row_slices(front.b_row as usize);
@@ -334,13 +343,13 @@ impl SpBl {
                         self.jobs.pop_front();
                         moved = true;
                     } else {
-                        if !drained_any {
-                            self.blocked[0] += 1;
-                        }
-                        break; // waiting for data responses
+                        break 0; // waiting for data responses
                     }
                 }
             }
+        };
+        if !drained_any {
+            self.blocked[blocked_on] += 1;
         }
         moved |= drained_any;
 
@@ -349,8 +358,11 @@ impl SpBl {
         // queue-stalled (starved input FIFO) while it has not. Otherwise
         // the stall is a queue stall when the only obstruction is a full
         // staging/output FIFO, and a memory stall when the front job is
-        // waiting on row info or data responses.
-        self.attribution.charge(if moved {
+        // waiting on row info or data responses. A tick that moved nothing
+        // bumped exactly one `blocked` counter.
+        self.quiet = !moved && !changed;
+        self.blocked_on = blocked_on;
+        self.charged = if moved {
             StageClass::Busy
         } else if self.jobs.is_empty() && self.staging.is_empty() && self.in_flight == 0 {
             if upstream_done {
@@ -364,27 +376,26 @@ impl SpBl {
             StageClass::QueueStall
         } else {
             StageClass::MemStall
-        });
+        };
+        self.attribution.charge(self.charged);
+    }
+
+    /// Whether the last tick changed nothing but its counters, so with the
+    /// same memory answers the next tick would repeat it exactly.
+    pub(crate) fn is_quiet(&self) -> bool {
+        self.quiet
+    }
+
+    /// Repeats the last tick's only effects, its counter updates — the
+    /// tick of a sleeping lane.
+    pub(crate) fn replay_stall(&mut self) {
+        self.blocked[self.blocked_on] += 1;
+        self.attribution.charge(self.charged);
     }
 
     /// Per-cycle busy/stall attribution for this unit.
     pub(crate) fn attribution(&self) -> &StageBreakdown {
         &self.attribution
-    }
-
-    #[doc(hidden)]
-    pub fn debug_state(&self) -> (usize, usize, usize, bool, bool, u32, u32, u32) {
-        let f = self.jobs.front();
-        (
-            self.in_flight,
-            self.jobs.len(),
-            self.staging.len(),
-            f.map(|j| j.info_ready).unwrap_or(false),
-            f.map(|j| j.plan.is_some()).unwrap_or(false),
-            f.map(|j| j.len).unwrap_or(0),
-            f.map(|j| j.ready_entries).unwrap_or(0),
-            f.map(|j| j.drained_entries).unwrap_or(0),
-        )
     }
 
     /// Whether all accepted jobs have been fully forwarded.

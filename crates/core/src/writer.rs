@@ -61,6 +61,13 @@ pub(crate) struct Writer {
     pub(crate) dropped_appends: u64,
     /// Per-cycle attribution: exactly one bucket is charged per tick.
     attribution: StageBreakdown,
+    /// Whether the last tick changed nothing but `attribution`.
+    // conformance:allow(checkpoint-coverage): derived by every tick; a restored lane starts awake and ticks before it is read
+    quiet: bool,
+    /// The bucket the last tick charged, which [`Writer::replay_stall`]
+    /// charges again.
+    // conformance:allow(checkpoint-coverage): derived by every tick; read only while `quiet`
+    charged: StageClass,
 }
 
 impl Writer {
@@ -82,6 +89,8 @@ impl Writer {
             fault_drop_append: None,
             dropped_appends: 0,
             attribution: StageBreakdown::default(),
+            quiet: false,
+            charged: StageClass::Idle,
         }
     }
 
@@ -170,13 +179,27 @@ impl Writer {
         // A writer with queued-but-refused or in-flight writes is waiting
         // on memory; one merely assembling a row (or drained) has no work
         // of its own and is idle.
-        self.attribution.charge(if issued {
+        self.quiet = !issued;
+        self.charged = if issued {
             StageClass::Busy
         } else if !self.queue.is_empty() || !self.pending.is_empty() {
             StageClass::MemStall
         } else {
             StageClass::Idle
-        });
+        };
+        self.attribution.charge(self.charged);
+    }
+
+    /// Whether the last tick changed nothing but the attribution, so with
+    /// the same memory answers the next tick would repeat it exactly.
+    pub(crate) fn is_quiet(&self) -> bool {
+        self.quiet
+    }
+
+    /// Repeats the last tick's only effect, its charge — the tick of a
+    /// sleeping lane.
+    pub(crate) fn replay_stall(&mut self) {
+        self.attribution.charge(self.charged);
     }
 
     /// Per-cycle busy/stall attribution for this unit.

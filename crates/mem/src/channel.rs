@@ -128,12 +128,6 @@ impl Channel {
         }
     }
 
-    /// Whether another fragment can be accepted this cycle.
-    #[cfg_attr(not(test), allow(dead_code))] // part of the channel API, exercised in tests
-    pub(crate) fn can_accept(&self) -> bool {
-        !self.queue.is_full()
-    }
-
     /// Free queue slots, used by `Hbm` to admit multi-fragment requests
     /// atomically.
     pub(crate) fn free_slots(&self) -> usize {
@@ -150,12 +144,12 @@ impl Channel {
     /// # Panics
     ///
     /// Panics if the queue is full — callers must check
-    /// [`Channel::can_accept`] first (hardware backpressure).
+    /// [`Channel::free_slots`] first (hardware backpressure).
     pub(crate) fn enqueue(&mut self, frag: Fragment) {
         self.queue
             .try_push(frag)
-            // conformance:allow(panic-safety): documented contract: callers must check can_accept first
-            .unwrap_or_else(|_| panic!("channel queue overflow; check can_accept first"));
+            // conformance:allow(panic-safety): documented contract: callers must check free_slots first
+            .unwrap_or_else(|_| panic!("channel queue overflow; check free_slots first"));
         self.scan_at = Cycle::ZERO;
     }
 
@@ -433,7 +427,6 @@ mod tests {
         assert!(ch.is_idle());
         ch.enqueue(frag(&cfg, 1, 0, 64));
         ch.enqueue(frag(&cfg, 2, 64, 64));
-        assert!(!ch.can_accept());
         assert_eq!(ch.free_slots(), 0);
         assert!(!ch.is_idle());
     }

@@ -61,11 +61,15 @@ impl HbmStats {
 ///
 /// Interaction protocol (all methods take the current [`Cycle`]):
 ///
-/// 1. [`Hbm::can_accept`] / [`Hbm::submit`] — admission is atomic per
-///    request: either every burst-fragment fits in its channel queue, or
-///    the request is refused and the requester stalls (this is where CSR's
-///    channel conflicts turn into lost cycles);
-/// 2. [`Hbm::tick`] — advance every channel one cycle;
+/// 1. [`Hbm::submit`] — admission is atomic per request: either every
+///    burst-fragment fits in its channel queue, or the request is refused
+///    and the requester stalls (this is where CSR's channel conflicts turn
+///    into lost cycles). [`Hbm::channel_mask`] names the channels a
+///    refused request waits on;
+/// 2. [`Hbm::tick`] — advance every channel one cycle. Only a tick frees
+///    queue slots, and [`Hbm::freed_channels`] names the channels it freed
+///    one on, so without a fault schedule a refused request stays refused
+///    until a tick frees a slot on one of its channels;
 /// 3. [`Hbm::pop_response`] — collect completions, `access_latency` cycles
 ///    after a request's last fragment left its channel.
 ///
@@ -109,6 +113,16 @@ pub struct Hbm {
     /// between calls, so admission never allocates.
     // conformance:allow(checkpoint-coverage): scratch space, all zero between calls
     need: Vec<u32>,
+    /// Channels whose queue gained a free slot in the last tick, as a
+    /// [`channel_bit`] set.
+    // conformance:allow(checkpoint-coverage): rewritten by every tick; a restored device's requesters resume by submitting, not by waiting on it
+    freed: u64,
+}
+
+/// `channel`'s bit in a channel set. Channels past 64 share bits, so a set
+/// can name a channel that did not change, never miss one that did.
+fn channel_bit(channel: usize) -> u64 {
+    1 << (channel % 64)
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -141,6 +155,7 @@ impl Hbm {
             latency_sum: 0,
             faults: MemFaults::none(),
             fault_counters: FaultCounters::default(),
+            freed: 0,
         }
     }
 
@@ -153,6 +168,12 @@ impl Hbm {
     /// default) leaves behaviour bit-identical to a fault-free device.
     pub fn set_faults(&mut self, faults: MemFaults) {
         self.faults = faults;
+    }
+
+    /// Whether a fault schedule is installed. Under one, admission and
+    /// service depend on the cycle, not only on queue state.
+    pub fn has_faults(&self) -> bool {
+        !self.faults.is_empty()
     }
 
     /// How often the installed fault schedule actually bit.
@@ -210,9 +231,17 @@ impl Hbm {
         req.bytes != 0 && !self.pending.contains_key(req.id.0) && self.fits(req, need)
     }
 
-    /// Whether [`Hbm::submit`] would currently accept `req`.
-    pub fn can_accept(&self, req: &MemRequest) -> bool {
-        self.admissible(req, &mut vec![0; self.channels.len()])
+    /// The channels `req` has fragments on, as a set of channel bits (bit
+    /// `channel % 64`). Without a fault schedule a refused `req` stays
+    /// refused until [`Hbm::freed_channels`] meets this set.
+    pub fn channel_mask(&self, req: &MemRequest) -> u64 {
+        self.pieces(req).fold(0, |mask, (ch, ..)| mask | channel_bit(ch))
+    }
+
+    /// The channels whose request queue gained a free slot in the last
+    /// [`Hbm::tick`], as a set of channel bits (bit `channel % 64`).
+    pub fn freed_channels(&self) -> u64 {
+        self.freed
     }
 
     /// Submits a request; returns `false` (and changes nothing) if any
@@ -252,13 +281,19 @@ impl Hbm {
     /// Advances all channels one cycle and matures completed requests into
     /// the response pipe.
     pub fn tick(&mut self, now: Cycle) {
+        self.freed = 0;
         for (ch_idx, ch) in self.channels.iter_mut().enumerate() {
             if !self.faults.is_empty() && self.faults.stalled(ch_idx, now.as_u64()) {
                 self.fault_counters.stalled_cycles =
                     self.fault_counters.stalled_cycles.saturating_add(1);
                 continue;
             }
-            if let Some(frag) = ch.tick(now) {
+            let queued = ch.queue_len();
+            let completed = ch.tick(now);
+            if ch.queue_len() < queued {
+                self.freed |= channel_bit(ch_idx);
+            }
+            if let Some(frag) = completed {
                 let done = {
                     let p = self
                         .pending
@@ -406,6 +441,7 @@ impl Hbm {
             latency_sum: state.latency_sum,
             faults: state.faults.clone(),
             fault_counters: state.fault_counters,
+            freed: 0,
         }
     }
 
@@ -533,6 +569,51 @@ mod tests {
         assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 64)));
         // Same channel, queue full (depth 1, first not yet serviced).
         assert!(!hbm.submit(Cycle(0), MemRequest::read(2, 512, 64)));
+    }
+
+    #[test]
+    fn a_refused_request_is_admitted_after_the_tick_that_frees_its_channel() {
+        let cfg = HbmConfig { queue_depth: 1, ..HbmConfig::default() };
+        let stride = cfg.interleave_bytes as u64 * cfg.num_channels as u64;
+        let mut hbm = Hbm::new(cfg);
+        assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 64)));
+        // Same channel, whose one slot is taken: refused, waiting on channel 0.
+        let waiting = MemRequest::read(2, stride, 64);
+        assert!(!hbm.submit(Cycle(0), waiting));
+        assert_eq!(hbm.channel_mask(&waiting), 1);
+        // The first tick moves request 1 onto the bus, freeing the slot.
+        hbm.tick(Cycle(0));
+        assert_eq!(hbm.freed_channels(), 1);
+        assert!(hbm.submit(Cycle(1), waiting));
+    }
+
+    #[test]
+    fn a_tick_that_dequeues_nothing_frees_no_channel() {
+        let cfg = HbmConfig::default();
+        let stride = cfg.interleave_bytes as u64 * cfg.num_channels as u64;
+        let mut hbm = Hbm::new(cfg);
+        hbm.tick(Cycle(0));
+        assert_eq!(hbm.freed_channels(), 0, "an idle device frees nothing");
+        assert!(hbm.submit(Cycle(1), MemRequest::read(1, 0, 64)));
+        assert!(hbm.submit(Cycle(1), MemRequest::read(2, stride, 64)));
+        hbm.tick(Cycle(1));
+        assert_eq!(hbm.freed_channels(), 1, "request 1 went onto the bus");
+        // Request 1 holds the bus through its activation and burst, so
+        // request 2 stays queued.
+        hbm.tick(Cycle(2));
+        assert_eq!(hbm.freed_channels(), 0);
+    }
+
+    #[test]
+    fn the_refusal_mask_of_a_split_request_names_both_channels() {
+        let cfg = HbmConfig { queue_depth: 1, ..HbmConfig::default() };
+        let block = cfg.interleave_bytes as u64;
+        let mut hbm = Hbm::new(cfg);
+        // Fill channel 1, then ask for 128 B straddling channels 0 and 1.
+        assert!(hbm.submit(Cycle(0), MemRequest::read(1, block, 64)));
+        let split = MemRequest::read(2, 0, 128);
+        assert!(!hbm.submit(Cycle(0), split));
+        assert_eq!(hbm.channel_mask(&split), 0b11);
     }
 
     #[test]
