@@ -3,10 +3,12 @@
 //! The stall-attribution contract (DESIGN.md §11) is that every stage
 //! tick charges *exactly one* breakdown bucket per cycle — the Fig. 9
 //! fractions only sum to 1 if no path through `tick()` charges zero or
-//! two buckets. This rule checks the shape statically for every
-//! sim-state struct holding a `StageBreakdown`/`CycleBreakdown` field:
+//! two buckets. A sleeping lane's cycle runs each stage's `replay_stall()`
+//! instead of its `tick()`, so the same holds there. This rule checks the
+//! shape statically for both methods of every sim-state struct holding a
+//! `StageBreakdown`/`CycleBreakdown` field:
 //!
-//! * `tick()` must contain at least one `.charge(...)` call;
+//! * the method must contain at least one `.charge(...)` call;
 //! * no `?` operator (it exits without charging);
 //! * every `return` must be immediately preceded by `.charge(...);`;
 //! * the body's final statement must be a `.charge(...);`;
@@ -24,14 +26,18 @@ use crate::Analysis;
 
 pub struct AttributionTotality;
 
+/// The methods that account for one cycle of a stage: its tick, and the
+/// replay of a stalled tick that a sleeping lane runs instead.
+const CYCLE_METHODS: [&str; 2] = ["tick", "replay_stall"];
+
 impl Rule for AttributionTotality {
     fn name(&self) -> &'static str {
         "attribution-totality"
     }
     fn description(&self) -> &'static str {
-        "every tick() of a stage holding a Stage/CycleBreakdown must charge \
-         exactly one bucket on every path (charge immediately before every \
-         return and as the final statement)"
+        "every tick() and replay_stall() of a stage holding a \
+         Stage/CycleBreakdown must charge exactly one bucket on every path \
+         (charge immediately before every return and as the final statement)"
     }
     fn check(&self, a: &Analysis) -> Vec<Violation> {
         let mut out = Vec::new();
@@ -50,11 +56,13 @@ impl Rule for AttributionTotality {
                 if !attributed {
                     continue;
                 }
-                for (tfm, tick) in a.model.methods_of(krate, &decl.name, "tick") {
-                    if a.is_test_line(&tfm.rel, tick.line) {
-                        continue;
+                for method in CYCLE_METHODS {
+                    for (mfm, def) in a.model.methods_of(krate, &decl.name, method) {
+                        if a.is_test_line(&mfm.rel, def.line) {
+                            continue;
+                        }
+                        audit_cycle_method(&mfm.rel, &decl.name, def, &mut out);
                     }
-                    audit_tick(&tfm.rel, &decl.name, tick, &mut out);
                 }
             }
         }
@@ -66,8 +74,9 @@ fn violation(file: &str, line: usize, message: String) -> Violation {
     Violation { rule: "attribution-totality", file: file.to_string(), line, message }
 }
 
-fn audit_tick(rel: &str, ty: &str, tick: &FnDef, out: &mut Vec<Violation>) {
-    let body = &tick.body;
+fn audit_cycle_method(rel: &str, ty: &str, def: &FnDef, out: &mut Vec<Violation>) {
+    let body = &def.body;
+    let name = format!("{ty}::{}", def.name);
     // Indices of the `charge` identifier in `.charge(` call sites.
     let charges: Vec<usize> = (0..body.len())
         .filter(|&i| {
@@ -80,9 +89,9 @@ fn audit_tick(rel: &str, ty: &str, tick: &FnDef, out: &mut Vec<Violation>) {
     if charges.is_empty() {
         out.push(violation(
             rel,
-            tick.line,
+            def.line,
             format!(
-                "`{ty}::tick` never charges its attribution breakdown; every cycle \
+                "`{name}` never charges its attribution breakdown; every cycle \
                  must charge exactly one bucket"
             ),
         ));
@@ -94,7 +103,7 @@ fn audit_tick(rel: &str, ty: &str, tick: &FnDef, out: &mut Vec<Violation>) {
                 rel,
                 t.line,
                 format!(
-                    "`?` in `{ty}::tick` can exit without charging a bucket; \
+                    "`?` in `{name}` can exit without charging a bucket; \
                      restructure so every path charges exactly once"
                 ),
             ));
@@ -104,19 +113,19 @@ fn audit_tick(rel: &str, ty: &str, tick: &FnDef, out: &mut Vec<Violation>) {
                 rel,
                 t.line,
                 format!(
-                    "return path in `{ty}::tick` does not charge immediately before \
+                    "return path in `{name}` does not charge immediately before \
                      returning; this cycle would go unattributed"
                 ),
             ));
         }
     }
     if !ends_with_charge(body, body.len()) {
-        let line = body.last().map(|t| t.line).unwrap_or(tick.line);
+        let line = body.last().map(|t| t.line).unwrap_or(def.line);
         out.push(violation(
             rel,
             line,
             format!(
-                "`{ty}::tick` must end by charging exactly one bucket (final \
+                "`{name}` must end by charging exactly one bucket (final \
                  statement is not a `.charge(...);`)"
             ),
         ));
@@ -136,7 +145,7 @@ fn audit_tick(rel: &str, ty: &str, tick: &FnDef, out: &mut Vec<Violation>) {
                 rel,
                 body[c].line,
                 format!(
-                    "`.charge(...)` in `{ty}::tick` is not the final action of its \
+                    "`.charge(...)` in `{name}` is not the final action of its \
                      path; a later statement could charge a second bucket this cycle"
                 ),
             ));

@@ -166,13 +166,19 @@ fn checkpoint_coverage_rule_fires_and_suppresses() {
 #[test]
 fn attribution_totality_rule_fires_and_suppresses() {
     let report = fixture("attribution");
-    assert_eq!(report.violations.len(), 1, "{}", report.human());
+    assert_eq!(report.violations.len(), 2, "{}", report.human());
     let v = &report.violations[0];
     assert_eq!(v.rule, "attribution-totality");
     assert_eq!(v.file, "crates/core/src/lib.rs");
     assert_eq!(v.line, 18);
     assert!(v.message.contains("`Stage::tick`"));
     assert!(v.message.contains("does not charge immediately before returning"));
+    // A stall replay is a cycle too: its early return skips the charge.
+    let replay = &report.violations[1];
+    assert_eq!(replay.rule, "attribution-totality");
+    assert_eq!(replay.line, 54);
+    assert!(replay.message.contains("`Replayer::replay_stall`"));
+    assert!(replay.message.contains("does not charge immediately before returning"));
     // `Helper::tick` defers charging by design and carries an allow comment.
     assert_eq!(report.suppressed, 1);
 }

@@ -37,3 +37,22 @@ impl Helper {
         self.attribution.charge(0);
     }
 }
+
+/// A stage whose stall replay skips its charge on one path.
+pub struct Replayer {
+    attribution: StageBreakdown,
+    quiet: bool,
+}
+
+impl Replayer {
+    pub fn tick(&mut self) {
+        self.attribution.charge(0);
+    }
+
+    pub fn replay_stall(&mut self) {
+        if !self.quiet {
+            return;
+        }
+        self.attribution.charge(0);
+    }
+}
