@@ -26,6 +26,16 @@ fn base_cfg(threads: usize) -> ParallelConfig {
     cfg
 }
 
+/// One worker with `event` injected. The event names a slot and a slice
+/// count; with one worker every slice runs on slot 0, so the event always
+/// fires. With more, another slot can drain the ring before slot 0 starts
+/// the addressed slice.
+fn faulted_cfg(event: WorkerFaultEvent) -> ParallelConfig {
+    let mut cfg = base_cfg(1);
+    cfg.worker_faults = Some(WorkerFaultPlan::new(vec![event]));
+    cfg
+}
+
 #[test]
 fn resolution_core_is_identical_across_thread_counts() {
     let mut fingerprints = Vec::new();
@@ -43,12 +53,8 @@ fn resolution_core_is_identical_across_thread_counts() {
 #[test]
 fn injected_panic_is_caught_and_recovered() {
     let clean = parallel::run(base_cfg(2), jobs(12, u64::MAX)).expect("clean");
-    let mut cfg = base_cfg(2);
-    cfg.worker_faults = Some(WorkerFaultPlan::new(vec![WorkerFaultEvent {
-        worker: 0,
-        after_slices: 2,
-        kind: WorkerFault::Crash,
-    }]));
+    let cfg =
+        faulted_cfg(WorkerFaultEvent { worker: 0, after_slices: 2, kind: WorkerFault::Crash });
     let report = parallel::run(cfg, jobs(12, u64::MAX)).expect("faulted run");
     assert_eq!(report.records.len(), 12);
     assert_eq!(report.counters.injected_panics, 1);
@@ -65,15 +71,10 @@ fn injected_panic_is_caught_and_recovered() {
 #[test]
 fn injected_hang_is_detected_by_the_heartbeat_budget() {
     let clean = parallel::run(base_cfg(2), jobs(12, u64::MAX)).expect("clean");
-    let mut cfg = base_cfg(2);
     // Keep the default hang budget (400 polls ≈ 80ms): a tighter budget
     // false-positives on ordinary scheduler noise, and a false recycle can
     // drop the still-pending injected hang from the slot's schedule.
-    cfg.worker_faults = Some(WorkerFaultPlan::new(vec![WorkerFaultEvent {
-        worker: 0,
-        after_slices: 2,
-        kind: WorkerFault::Hang,
-    }]));
+    let cfg = faulted_cfg(WorkerFaultEvent { worker: 0, after_slices: 2, kind: WorkerFault::Hang });
     let report = parallel::run(cfg, jobs(12, u64::MAX)).expect("faulted run");
     assert_eq!(report.records.len(), 12);
     assert_eq!(report.counters.injected_hangs, 1);
@@ -85,13 +86,12 @@ fn injected_hang_is_detected_by_the_heartbeat_budget() {
 #[test]
 fn terminal_slowdown_is_recycled() {
     let clean = parallel::run(base_cfg(2), jobs(12, u64::MAX)).expect("clean");
-    let mut cfg = base_cfg(2);
-    cfg.terminal_slow_factor = 4;
-    cfg.worker_faults = Some(WorkerFaultPlan::new(vec![WorkerFaultEvent {
+    let mut cfg = faulted_cfg(WorkerFaultEvent {
         worker: 0,
         after_slices: 2,
         kind: WorkerFault::SlowDown { factor: 16 },
-    }]));
+    });
+    cfg.terminal_slow_factor = 4;
     let report = parallel::run(cfg, jobs(12, u64::MAX)).expect("faulted run");
     assert_eq!(report.records.len(), 12);
     assert_eq!(report.counters.injected_slowdowns, 1);
@@ -102,12 +102,11 @@ fn terminal_slowdown_is_recycled() {
 #[test]
 fn lost_ack_duplicate_is_suppressed() {
     let clean = parallel::run(base_cfg(2), jobs(12, u64::MAX)).expect("clean");
-    let mut cfg = base_cfg(2);
-    cfg.worker_faults = Some(WorkerFaultPlan::new(vec![WorkerFaultEvent {
+    let cfg = faulted_cfg(WorkerFaultEvent {
         worker: 0,
         after_slices: 1,
         kind: WorkerFault::CrashAfterCompletion,
-    }]));
+    });
     let report = parallel::run(cfg, jobs(12, u64::MAX)).expect("faulted run");
     assert_eq!(report.records.len(), 12, "every id resolves exactly once");
     assert_eq!(report.counters.injected_lost_acks, 1);
