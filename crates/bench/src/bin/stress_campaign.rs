@@ -325,7 +325,7 @@ fn run_campaign(opts: &Options) -> CampaignResult {
     // ---- report ----
     let fleet = service.fleet();
     let c = *fleet.counters();
-    let records: Vec<&JobRecord> = fleet.records().iter().map(|r| &r.record).collect();
+    let records: Vec<JobRecord> = fleet.records().iter().map(|r| r.record).collect();
     let resolved = records.len() as u64;
     let mut queue_waits: Vec<u64> = records.iter().map(|r| r.queue_wait()).collect();
     let mut service_cycles: Vec<u64> = records.iter().map(|r| r.service_cycles()).collect();

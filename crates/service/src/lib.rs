@@ -67,8 +67,8 @@ mod worker;
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker};
 pub use fleet::{
-    fingerprint_output, Fleet, FleetConfig, FleetCounters, FleetRecord, FleetState, RecoveryEvent,
-    RecoveryKind,
+    fingerprint_output, Fleet, FleetConfig, FleetCounters, FleetRecord, FleetState, Records,
+    RecordsIter, RecoveryEvent, RecoveryKind,
 };
 pub use job::{estimate_flops, Disposition, JobId, JobRecord, JobSpec, Rejected, TenantId};
 pub use parallel::{

@@ -247,14 +247,14 @@ impl Service {
     /// completion, deadline, or failure; the simulated clock advances
     /// accordingly) and return its record. `None` when the service is
     /// idle.
-    pub fn step(&mut self) -> Option<&JobRecord> {
+    pub fn step(&mut self) -> Option<JobRecord> {
         let resolved = self.fleet.records().len();
         while self.fleet.records().len() == resolved {
             if !self.fleet.step() {
                 return None;
             }
         }
-        self.fleet.records().last().map(|r| &r.record)
+        self.fleet.records().last().map(|r| r.record)
     }
 }
 

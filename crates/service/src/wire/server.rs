@@ -269,8 +269,8 @@ impl Engine {
     }
 
     /// The record of `job`, once it has resolved.
-    fn record(&self, job: u64) -> Option<&JobRecord> {
-        self.service.fleet().record(JobId(job)).map(|r| &r.record)
+    fn record(&self, job: u64) -> Option<JobRecord> {
+        self.service.fleet().record(JobId(job)).map(|r| r.record)
     }
 
     fn map_rejection(r: Rejected) -> Response {
