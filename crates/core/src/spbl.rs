@@ -48,7 +48,7 @@ pub struct SpBl {
     // conformance:allow(checkpoint-coverage): fixed hardware constant from config, never mutated after construction
     staging_cap: usize,
     /// Diagnostic counters: (blocked-on-data, blocked-on-info, staging-full, no-jobs) cycles.
-    pub(crate) blocked: [u64; 4],
+    blocked: [u64; 4],
     /// Set when an incoming A token referenced a B row outside the
     /// matrix — a corrupted stream. `(col, bound)`; the accelerator
     /// polls this and aborts with `SimError::MalformedInput`.
@@ -59,10 +59,12 @@ pub struct SpBl {
     /// `blocked` counter.
     // conformance:allow(checkpoint-coverage): derived by every tick; a restored lane starts awake and ticks before it is read
     quiet: bool,
-    /// The bucket the last tick charged and the `blocked` counter it
-    /// bumped, which [`SpBl::replay_stall`] charges again.
+    /// The bucket the last tick charged, which [`SpBl::replay_stall`]
+    /// charges again.
     // conformance:allow(checkpoint-coverage): derived by every tick; read only while `quiet`
     charged: StageClass,
+    /// The `blocked` counter the last tick bumped, which
+    /// [`SpBl::replay_stall`] bumps again.
     // conformance:allow(checkpoint-coverage): derived by every tick; read only while `quiet`
     blocked_on: usize,
 }

@@ -34,17 +34,6 @@ pub struct HbmStats {
 }
 
 impl HbmStats {
-    /// Mean request latency in memory cycles (0 when nothing completed).
-    pub fn mean_latency(&self) -> f64 {
-        if self.requests_completed == 0 {
-            0.0
-        } else {
-            self.total_latency as f64 / self.requests_completed as f64
-        }
-    }
-}
-
-impl HbmStats {
     /// Achieved bandwidth in GB/s over an elapsed window of memory-clock
     /// cycles.
     pub fn achieved_bandwidth_gbs(&self, elapsed_cycles: u64, clock_ghz: f64) -> f64 {
