@@ -744,6 +744,8 @@ impl Accelerator {
 
             let mut all_done = true;
             for (l, lane) in lanes.iter_mut().enumerate() {
+                // Nothing the sleeping lane reads has changed: its tick
+                // would repeat the last one, so only its counters move.
                 if lane.asleep && inboxes[l].is_empty() && lane.waits_on & freed == 0 {
                     lane.replay_stall();
                     all_done &= lane.is_done();
