@@ -90,7 +90,7 @@ fn run_faulted(
 ) -> Result<RunOutcome, SimError> {
     let start = RunStart::Fresh { plan: Some(plan), trace: None };
     let req = RunRequest { start, ..RunRequest::new(a, b) };
-    accel.execute(&req).map_err(|failed| failed.error)?.0.completed()
+    accel.execute(&req)?.0.completed()
 }
 
 /// Replays one survivable faulted run (a bounded burst refusal) from a
@@ -118,8 +118,8 @@ fn resume_check(accel: &Accelerator, a: &Csr<f64>, b: &Csr<f64>, lanes: usize) -
             eprintln!("resume-check: run completed before cycle {half}");
             return false;
         }
-        Err(failed) => {
-            eprintln!("resume-check: checkpointing run failed: {}", failed.error);
+        Err(e) => {
+            eprintln!("resume-check: checkpointing run failed: {e}");
             return false;
         }
     };
@@ -134,14 +134,13 @@ fn resume_check(accel: &Accelerator, a: &Csr<f64>, b: &Csr<f64>, lanes: usize) -
         }
     };
     let req = RunRequest { start: RunStart::Resume(&ck), ..RunRequest::new(a, b) };
-    let resumed =
-        match accel.execute(&req).map_err(|failed| failed.error).and_then(|r| r.0.completed()) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                eprintln!("resume-check: resumed run failed: {e}");
-                return false;
-            }
-        };
+    let resumed = match accel.execute(&req).and_then(|r| r.0.completed()) {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            eprintln!("resume-check: resumed run failed: {e}");
+            return false;
+        }
+    };
     if resumed.stats.total_cycles != full.stats.total_cycles {
         eprintln!(
             "resume-check: cycle mismatch — full {} vs resumed {}",

@@ -152,7 +152,7 @@ fn run_suite(opts: &ReportOptions) -> SuiteReport {
         let req = RunRequest { start, ..RunRequest::new(&m.matrix, &m.matrix) };
         let (run, trace) = accel
             .execute(&req)
-            .unwrap_or_else(|failed| panic!("clean traced run failed on `{id}`: {}", failed.error));
+            .unwrap_or_else(|e| panic!("clean traced run failed on `{id}`: {e}"));
         let outcome =
             run.completed().unwrap_or_else(|e| panic!("clean traced run failed on `{id}`: {e}"));
         let trace = trace.unwrap_or_else(|| panic!("traced run on `{id}` returned no trace"));

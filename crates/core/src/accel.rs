@@ -1,6 +1,8 @@
 //! The top-level accelerator: lanes over a shared HBM.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Deref;
 
 use matraptor_mem::Hbm;
 use matraptor_sim::stats::CycleBreakdown;
@@ -94,10 +96,6 @@ pub struct RunRequest<'r> {
     /// drained by then, returning [`SliceRun::Paused`]. A scheduler's slice
     /// boundary or cycle deadline; `None` runs to completion.
     pub pause_at: Option<u64>,
-    /// Take a checkpoint every this many cycles (`0` disables), so a
-    /// failure carries the last one in [`FailedRun::checkpoint`] — the
-    /// input to the recovery ladder's resume rung.
-    pub checkpoint_every: u64,
 }
 
 impl<'r> RunRequest<'r> {
@@ -105,13 +103,7 @@ impl<'r> RunRequest<'r> {
     /// this plus struct-update syntax, e.g.
     /// `RunRequest { pause_at: Some(64), ..RunRequest::new(a, b) }`.
     pub fn new(a: &'r Csr<f64>, b: &'r Csr<f64>) -> Self {
-        RunRequest {
-            a,
-            b,
-            start: RunStart::Fresh { plan: None, trace: None },
-            pause_at: None,
-            checkpoint_every: 0,
-        }
+        RunRequest { a, b, start: RunStart::Fresh { plan: None, trace: None }, pause_at: None }
     }
 }
 
@@ -130,7 +122,7 @@ pub enum SliceRun {
 
 impl SliceRun {
     /// The outcome of a request without a pause cycle, which always
-    /// drains (periodic checkpoints resume internally).
+    /// drains.
     ///
     /// # Errors
     ///
@@ -143,20 +135,6 @@ impl SliceRun {
             }
         }
     }
-}
-
-/// A failed run: the error plus the last checkpoint taken before the
-/// failure, if any — the input to the recovery ladder's
-/// resume-from-checkpoint rung.
-#[derive(Debug)]
-pub struct FailedRun {
-    /// Why the run failed.
-    pub error: SimError,
-    /// The most recent periodic checkpoint preceding the failure. `None`
-    /// when checkpointing was off or the run failed before the first
-    /// interval elapsed. Boxed: a checkpoint holds the whole machine
-    /// state, and the happy path should not pay its size in the `Result`.
-    pub checkpoint: Option<Box<Checkpoint>>,
 }
 
 struct Lane {
@@ -252,9 +230,9 @@ impl StreamInjector {
 /// and a resume is guaranteed to see the exact layouts and budgets the
 /// original run saw (the fingerprints in the checkpoint enforce that the
 /// inputs really are the same).
-struct RunContext<'m> {
-    a: &'m Csr<f64>,
-    b: &'m Csr<f64>,
+struct RunContext<M> {
+    a: M,
+    b: M,
     ac: C2sr<f64>,
     bc: C2sr<f64>,
     a_layout: MatrixLayout,
@@ -262,6 +240,106 @@ struct RunContext<'m> {
     c_layout: MatrixLayout,
     ratio: u64,
     budget: u64,
+    /// The configuration, A and B fingerprints a checkpoint carries,
+    /// hashed on first use: a run that never snapshots or restores never
+    /// pays for them, and a resident run pays once.
+    identity: OnceCell<[u64; 3]>,
+}
+
+impl<M: Deref<Target = Csr<f64>>> RunContext<M> {
+    /// The `(config, A, B)` fingerprints of this run.
+    fn identity(&self, cfg: &MatRaptorConfig) -> [u64; 3] {
+        *self.identity.get_or_init(|| {
+            [fingerprint_config(cfg), fingerprint_matrix(&self.a), fingerprint_matrix(&self.b)]
+        })
+    }
+}
+
+/// A run held live between slices: the machine and its read-only context,
+/// owned together with the operands (`M` is a `&Csr`, `Rc<Csr>` or
+/// `Arc<Csr>`) and a copy of the configuration. This is how the host's
+/// `mtx` handshake works in the paper — the accelerator is programmed once
+/// per job, and its state stays on chip until C drains — so a scheduler
+/// that runs a job in slices pays for validation, C²SR conversion and
+/// restore once per dispatch instead of once per slice. A [`Checkpoint`]
+/// is only taken when the job has to leave the machine
+/// ([`Run::snapshot`]).
+///
+/// # Example
+///
+/// ```rust
+/// use matraptor_core::{Accelerator, MatRaptorConfig, RunStart};
+/// use matraptor_sparse::gen;
+///
+/// let a = gen::uniform(32, 32, 160, 1);
+/// let accel = Accelerator::new(MatRaptorConfig::small_test());
+/// let mut run =
+///     accel.start(&a, &a, RunStart::Fresh { plan: None, trace: None }).expect("valid operands");
+/// while !run.advance(run.cycle() + 256).expect("clean run") {}
+/// let outcome = run.finish().expect("drained");
+/// assert_eq!(outcome.stats.total_cycles, accel.run(&a, &a).stats.total_cycles);
+/// ```
+pub struct Run<M: Deref<Target = Csr<f64>>> {
+    accel: Accelerator,
+    ctx: RunContext<M>,
+    state: RunState,
+    // conformance:allow(checkpoint-coverage): observational only, and a resumed run records no trace
+    sampler: Option<TraceSampler>,
+    // conformance:allow(checkpoint-coverage): a drained run is finished, never snapshotted
+    drained: bool,
+}
+
+impl<M: Deref<Target = Csr<f64>>> std::fmt::Debug for Run<M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Run")
+            .field("cycle", &self.state.t)
+            .field("drained", &self.drained)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<M: Deref<Target = Csr<f64>>> Run<M> {
+    /// The accelerator cycle the machine stands at: the top of the next
+    /// cycle to run while paused, the last cycle once drained.
+    pub fn cycle(&self) -> u64 {
+        self.state.t
+    }
+
+    /// Runs until the machine drains (`Ok(true)`) or reaches the top of
+    /// accelerator cycle `until` (`Ok(false)`). A drained run stays
+    /// drained. After an error the run is dead: drop it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Accelerator::try_run`], for failures before `until`.
+    pub fn advance(&mut self, until: u64) -> Result<bool, SimError> {
+        if !self.drained {
+            let Run { accel, ctx, state, sampler, .. } = self;
+            self.drained = accel.drive(ctx, state, until, sampler.as_mut())?;
+        }
+        Ok(self.drained)
+    }
+
+    /// The paused machine as a resumable [`Checkpoint`]: byte-identical to
+    /// the one a run paused at the same cycle by [`Accelerator::execute`]
+    /// would return.
+    pub fn snapshot(&self) -> Checkpoint {
+        self.accel.snapshot_run(&self.ctx, &self.state)
+    }
+
+    /// Assembles the drained run's output and statistics, applying the
+    /// configured integrity checks.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::ProtocolViolation`] if the run has not drained, and
+    /// [`SimError::OutputCorrupted`] when an integrity check fails.
+    pub fn finish(self) -> Result<RunOutcome, SimError> {
+        if !self.drained {
+            return Err(SimError::ProtocolViolation { detail: "finish before the run drained" });
+        }
+        self.accel.finalize(&self.ctx, &self.state)
+    }
 }
 
 /// The complete mutable state of a run — exactly what a [`Checkpoint`]
@@ -361,11 +439,12 @@ impl Accelerator {
     /// [`SimError::OutputCorrupted`] when an integrity check fails.
     #[must_use = "dropping the Result loses both the run outcome and any fault diagnosis"]
     pub fn try_run(&self, a: &Csr<f64>, b: &Csr<f64>) -> Result<RunOutcome, SimError> {
-        self.execute(&RunRequest::new(a, b)).map_err(|failed| failed.error)?.0.completed()
+        self.execute(&RunRequest::new(a, b))?.0.completed()
     }
 
-    /// Runs one [`RunRequest`] — the single entry point behind fault
-    /// campaigns, traces, checkpoints, deadlines, slices, and recovery.
+    /// Runs one [`RunRequest`] — a [`Run`] started, advanced once and
+    /// ended — the entry point behind fault campaigns, traces,
+    /// checkpoints, deadlines and slices.
     ///
     /// Starts fresh (arming the plan) or restores the checkpoint, then
     /// drives until the machine drains or reaches `pause_at`. A drained
@@ -379,59 +458,59 @@ impl Accelerator {
     ///
     /// # Errors
     ///
-    /// A [`FailedRun`] carrying the [`SimError`] —
     /// [`SimError::CheckpointMismatch`] for a foreign checkpoint, otherwise
-    /// as [`Accelerator::try_run`] for failures before the pause cycle —
-    /// and the last periodic checkpoint taken before the failure.
+    /// as [`Accelerator::try_run`] for failures before the pause cycle.
     #[must_use = "dropping the Result loses the run outcome, pause checkpoint, or fault diagnosis"]
-    pub fn execute(&self, req: &RunRequest<'_>) -> Result<(SliceRun, Option<RunTrace>), FailedRun> {
-        let fail = |error| FailedRun { error, checkpoint: None };
-        let ctx = self.prepare_context(req.a, req.b).map_err(fail)?;
-        let (mut state, mut sampler) = match req.start {
+    pub fn execute(&self, req: &RunRequest<'_>) -> Result<(SliceRun, Option<RunTrace>), SimError> {
+        let mut run = self.start(req.a, req.b, req.start)?;
+        let drained = run.advance(req.pause_at.unwrap_or(u64::MAX))?;
+        let trace = run.sampler.take().map(|sampler| {
+            let attrs: Vec<LaneAttribution> =
+                run.state.lanes.iter().map(Lane::attribution).collect();
+            // A drained run's last cycle is `t`; a paused one stops before it.
+            let cycles = if drained { run.state.t + 1 } else { run.state.t };
+            sampler.finish(cycles, run.ctx.ratio, &run.state.hbm.channel_stats(), &attrs)
+        });
+        let run = if drained {
+            SliceRun::Completed(Box::new(run.finish()?))
+        } else {
+            SliceRun::Paused(Box::new(run.snapshot()))
+        };
+        Ok((run, trace))
+    }
+
+    /// Starts a [`Run`] of `a * b` that holds its machine live between
+    /// [`Run::advance`] calls: fresh (arming the plan, recording the
+    /// trace) or restored from a checkpoint. The operands are owned by the
+    /// run, as references or shared handles.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MalformedInput`] if the inner dimensions disagree and
+    /// [`SimError::CheckpointMismatch`] for a foreign checkpoint.
+    pub fn start<M: Deref<Target = Csr<f64>>>(
+        &self,
+        a: M,
+        b: M,
+        start: RunStart<'_>,
+    ) -> Result<Run<M>, SimError> {
+        let ctx = self.prepare_context(a, b)?;
+        let (state, sampler) = match start {
             RunStart::Fresh { plan, trace } => (
                 self.fresh_state(&ctx, plan),
                 trace.map(|t| TraceSampler::new(t, self.cfg.mem.num_channels, self.cfg.num_lanes)),
             ),
-            RunStart::Resume(checkpoint) => {
-                (self.restore_run(&ctx, checkpoint).map_err(fail)?, None)
-            }
+            RunStart::Resume(checkpoint) => (self.restore_run(&ctx, checkpoint)?, None),
         };
-        let mut last: Option<Box<Checkpoint>> = None;
-        let drained = loop {
-            let periodic =
-                (req.checkpoint_every > 0).then(|| state.t.saturating_add(req.checkpoint_every));
-            let pause = [periodic, req.pause_at].into_iter().flatten().min();
-            match self.drive(&ctx, &mut state, pause, sampler.as_mut()) {
-                Ok(drained) if drained || req.pause_at.is_some_and(|k| state.t >= k) => {
-                    break drained
-                }
-                Ok(_) => last = Some(Box::new(self.snapshot_run(&ctx, &state))),
-                Err(error) => return Err(FailedRun { error, checkpoint: last }),
-            }
-        };
-        let run = if drained {
-            let outcome = self
-                .finalize(&ctx, &state)
-                .map_err(|error| FailedRun { error, checkpoint: last })?;
-            SliceRun::Completed(Box::new(outcome))
-        } else {
-            SliceRun::Paused(Box::new(self.snapshot_run(&ctx, &state)))
-        };
-        let trace = sampler.map(|sampler| {
-            let attrs: Vec<LaneAttribution> = state.lanes.iter().map(Lane::attribution).collect();
-            // A drained run's last cycle is `t`; a paused one stops before it.
-            let cycles = if drained { state.t + 1 } else { state.t };
-            sampler.finish(cycles, ctx.ratio, &state.hbm.channel_stats(), &attrs)
-        });
-        Ok((run, trace))
+        Ok(Run { accel: self.clone(), ctx, state, sampler, drained: false })
     }
 
     /// Validates operands and derives the read-only run context.
-    fn prepare_context<'m>(
+    fn prepare_context<M: Deref<Target = Csr<f64>>>(
         &self,
-        a: &'m Csr<f64>,
-        b: &'m Csr<f64>,
-    ) -> Result<RunContext<'m>, SimError> {
+        a: M,
+        b: M,
+    ) -> Result<RunContext<M>, SimError> {
         if a.cols() != b.rows() {
             return Err(SimError::MalformedInput(MalformedInput::InnerDimensionMismatch {
                 a_cols: a.cols(),
@@ -440,8 +519,8 @@ impl Accelerator {
         }
         let cfg = &self.cfg;
         let lanes_n = cfg.num_lanes;
-        let ac = C2sr::from_csr(a, lanes_n);
-        let bc = C2sr::from_csr(b, lanes_n);
+        let ac = C2sr::from_csr(&a, lanes_n);
+        let bc = C2sr::from_csr(&b, lanes_n);
 
         let regions = Regions::DEFAULT;
         let a_layout = matrix_layout(cfg, regions.a_info, regions.a_data);
@@ -451,10 +530,21 @@ impl Accelerator {
         let ratio = cfg.mem_clock_ratio();
         // Generous budget: SpGEMM needs at least one cycle per product;
         // allow a large constant factor for memory stalls.
-        let flops = spgemm::multiply_count(a, b);
+        let flops = spgemm::multiply_count(&a, &b);
         let budget = (flops * 200 + a.nnz() as u64 * 400 + 1_000_000) * ratio;
 
-        Ok(RunContext { a, b, ac, bc, a_layout, b_layout, c_layout, ratio, budget })
+        Ok(RunContext {
+            a,
+            b,
+            ac,
+            bc,
+            a_layout,
+            b_layout,
+            c_layout,
+            ratio,
+            budget,
+            identity: OnceCell::new(),
+        })
     }
 
     /// Builds the watchdog with one source per lane plus the HBM —
@@ -470,7 +560,7 @@ impl Accelerator {
     }
 
     /// Builds every lane in its cycle-0 state.
-    fn build_lanes(&self, ctx: &RunContext<'_>) -> Vec<Lane> {
+    fn build_lanes<M>(&self, ctx: &RunContext<M>) -> Vec<Lane> {
         let cfg = &self.cfg;
         (0..cfg.num_lanes)
             .map(|l| Lane {
@@ -487,7 +577,7 @@ impl Accelerator {
     }
 
     /// Builds the machine at cycle 0 and arms the fault plan, if any.
-    fn fresh_state(&self, ctx: &RunContext<'_>, plan: Option<&FaultPlan>) -> RunState {
+    fn fresh_state<M>(&self, ctx: &RunContext<M>, plan: Option<&FaultPlan>) -> RunState {
         let cfg = &self.cfg;
         let lanes_n = cfg.num_lanes;
         let mut hbm = Hbm::new(cfg.mem.clone());
@@ -548,13 +638,18 @@ impl Accelerator {
 
     /// Serializes the machine at the top of cycle `state.t`, fingerprinted
     /// against this accelerator's configuration and the run's operands.
-    fn snapshot_run(&self, ctx: &RunContext<'_>, state: &RunState) -> Checkpoint {
+    fn snapshot_run<M: Deref<Target = Csr<f64>>>(
+        &self,
+        ctx: &RunContext<M>,
+        state: &RunState,
+    ) -> Checkpoint {
         let (wd_last, wd_states) = state.watchdog.export_state();
+        let [cfg_fingerprint, a_fingerprint, b_fingerprint] = ctx.identity(&self.cfg);
         Checkpoint {
             state: CheckpointState {
-                cfg_fingerprint: fingerprint_config(&self.cfg),
-                a_fingerprint: fingerprint_matrix(ctx.a),
-                b_fingerprint: fingerprint_matrix(ctx.b),
+                cfg_fingerprint,
+                a_fingerprint,
+                b_fingerprint,
                 t: state.t,
                 next_id: state.next_id,
                 route: state.route.iter().map(|(id, &l)| (id, l as u64)).collect(),
@@ -593,24 +688,25 @@ impl Accelerator {
 
     /// Rebuilds a [`RunState`] from a checkpoint, verifying that it was
     /// taken by a run of the same configuration over the same operands.
-    fn restore_run(
+    fn restore_run<M: Deref<Target = Csr<f64>>>(
         &self,
-        ctx: &RunContext<'_>,
+        ctx: &RunContext<M>,
         checkpoint: &Checkpoint,
     ) -> Result<RunState, SimError> {
         let cfg = &self.cfg;
         let st = &checkpoint.state;
-        if st.cfg_fingerprint != fingerprint_config(cfg) {
+        let [cfg_fingerprint, a_fingerprint, b_fingerprint] = ctx.identity(cfg);
+        if st.cfg_fingerprint != cfg_fingerprint {
             return Err(SimError::CheckpointMismatch {
                 detail: "configuration differs from the checkpointed run",
             });
         }
-        if st.a_fingerprint != fingerprint_matrix(ctx.a) {
+        if st.a_fingerprint != a_fingerprint {
             return Err(SimError::CheckpointMismatch {
                 detail: "matrix A differs from the checkpointed run",
             });
         }
-        if st.b_fingerprint != fingerprint_matrix(ctx.b) {
+        if st.b_fingerprint != b_fingerprint {
             return Err(SimError::CheckpointMismatch {
                 detail: "matrix B differs from the checkpointed run",
             });
@@ -670,7 +766,7 @@ impl Accelerator {
     }
 
     /// Advances the machine cycle by cycle until it drains (`Ok(true)`),
-    /// pauses at `pause_at` (`Ok(false)`), or fails.
+    /// pauses at the top of cycle `until` (`Ok(false)`), or fails.
     ///
     /// The pause point is the **top** of a cycle, before any component has
     /// ticked — the one point where no cross-component state (delivered
@@ -686,17 +782,17 @@ impl Accelerator {
     /// channel that refused it frees a queue slot, so until then each cycle
     /// replays the stall's counter updates instead of ticking. Under a
     /// fault schedule admission depends on the cycle, and no lane sleeps.
-    fn drive(
+    fn drive<M: Deref<Target = Csr<f64>>>(
         &self,
-        ctx: &RunContext<'_>,
+        ctx: &RunContext<M>,
         state: &mut RunState,
-        pause_at: Option<u64>,
+        until: u64,
         mut sampler: Option<&mut TraceSampler>,
     ) -> Result<bool, SimError> {
         let cfg = &self.cfg;
         let lanes_n = cfg.num_lanes;
         let ratio = ctx.ratio;
-        let fallback = |row: u32| reference_row(ctx.a, ctx.b, row as usize);
+        let fallback = |row: u32| reference_row(&ctx.a, &ctx.b, row as usize);
         let mut inboxes: Vec<Vec<u64>> = vec![Vec::new(); lanes_n];
 
         let RunState {
@@ -717,7 +813,7 @@ impl Accelerator {
         let mut mem_phase = *t % ratio;
         let can_sleep = !hbm.has_faults();
         loop {
-            if pause_at.is_some_and(|k| *t >= k) {
+            if *t >= until {
                 return Ok(false);
             }
             let mut freed = 0;
@@ -841,7 +937,11 @@ impl Accelerator {
 
     /// Assembles the functional output and statistics of a drained run,
     /// applying the configured output-integrity checks.
-    fn finalize(&self, ctx: &RunContext<'_>, state: &RunState) -> Result<RunOutcome, SimError> {
+    fn finalize<M: Deref<Target = Csr<f64>>>(
+        &self,
+        ctx: &RunContext<M>,
+        state: &RunState,
+    ) -> Result<RunOutcome, SimError> {
         let cfg = &self.cfg;
         let lanes_n = cfg.num_lanes;
         let lanes = &state.lanes;
@@ -869,7 +969,7 @@ impl Accelerator {
         // Gustavson cross-check (when enabled) stays as the belt-and-
         // braces oracle behind it.
         if cfg.abft_verification {
-            let report = abft::verify(ctx.a, ctx.b, &c, &abft::AbftOptions::default());
+            let report = abft::verify(&ctx.a, &ctx.b, &c, &abft::AbftOptions::default());
             if !report.is_ok() {
                 return Err(SimError::OutputCorrupted {
                     detail: "output fails ABFT row-checksum verification",
@@ -879,7 +979,7 @@ impl Accelerator {
         }
 
         if cfg.verify_against_reference {
-            let reference = spgemm::gustavson(ctx.a, ctx.b);
+            let reference = spgemm::gustavson(&ctx.a, &ctx.b);
             if !c.approx_eq(&reference, 1e-6) {
                 return Err(SimError::OutputCorrupted {
                     detail: "output diverges from the Gustavson reference",
@@ -1100,14 +1200,14 @@ mod tests {
         match accel.execute(&RunRequest { pause_at: Some(k), ..RunRequest::new(a, a) }) {
             Ok((SliceRun::Paused(ck), _)) => Some(ck),
             Ok((SliceRun::Completed(_), _)) => None,
-            Err(failed) => panic!("checkpointing run failed: {}", failed.error),
+            Err(error) => panic!("checkpointing run failed: {error}"),
         }
     }
 
     /// Resumes `ck` on operands `a * a` and runs it to completion.
     fn resumed(accel: &Accelerator, a: &Csr<f64>, ck: &Checkpoint) -> Result<RunOutcome, SimError> {
         let req = RunRequest { start: RunStart::Resume(ck), ..RunRequest::new(a, a) };
-        accel.execute(&req).map_err(|failed| failed.error)?.0.completed()
+        accel.execute(&req)?.0.completed()
     }
 
     #[test]

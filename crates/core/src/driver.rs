@@ -8,11 +8,13 @@
 //! interface so driver-level software (and tests) can exercise the same
 //! programming sequence the paper's gem5 + gcc toolchain used.
 
+use std::ops::Deref;
+
 use matraptor_mem::HbmConfig;
 use matraptor_sim::stats::CycleBreakdown;
 use matraptor_sparse::{spgemm, C2sr, Csr, SparseError};
 
-use crate::accel::{Accelerator, FailedRun, RunOutcome, RunRequest, RunStart, SliceRun};
+use crate::accel::{Accelerator, Run, RunOutcome, RunRequest, RunStart, SliceRun};
 use crate::checkpoint::Checkpoint;
 use crate::error::SimError;
 use crate::fault::FaultPlan;
@@ -270,20 +272,14 @@ impl<'a> Driver<'a> {
         self.regs
     }
 
-    /// Launches the configured run, as the hardware would on seeing
-    /// `x0 == 1`, for one bounded slice ([`RunRequest::pause_at`]):
-    /// starts fresh (arming `plan`) when `from` is `None` and resumes the
-    /// handed-over checkpoint otherwise, running until the machine drains
-    /// or reaches accelerator cycle `until_cycle`. The start bit stays set
-    /// across paused slices — the job is still in flight from the host's
-    /// point of view — and hardware clears it when a slice completes the
-    /// run. A cycle deadline is a slice whose pause the caller treats as
-    /// cancellation.
-    ///
-    /// Each re-entry repeats the full preflight (start bit, dimension
-    /// registers, input structure): a fleet re-dispatching a checkpoint to
-    /// a different worker re-programs that worker's registers, and this is
-    /// where a mis-programmed hand-off is caught.
+    /// Starts the configured run, as the hardware would on seeing
+    /// `x0 == 1`, and hands back the live [`Run`]: fresh (arming `plan`)
+    /// when `from` is `None`, otherwise resuming the handed-over
+    /// checkpoint. The preflight (start bit, dimension registers, input
+    /// structure) runs once here, however many slices the run is then
+    /// advanced in; a fleet re-dispatching a checkpoint to a different
+    /// worker re-programs that worker's registers and starts again, and
+    /// this is where a mis-programmed hand-off is caught.
     ///
     /// # Errors
     ///
@@ -293,9 +289,34 @@ impl<'a> Driver<'a> {
     /// bug this layer exists to catch;
     /// [`DriverError::InvalidInput`] if either matrix fails structural
     /// validation; [`DriverError::AcceleratorFault`] if the accelerator
-    /// terminates the run abnormally (deadlock, queue overflow, corrupted
-    /// output, a foreign checkpoint's [`SimError::CheckpointMismatch`],
-    /// ...).
+    /// refuses the operands or a foreign checkpoint
+    /// ([`SimError::CheckpointMismatch`]).
+    pub fn start<M: Deref<Target = Csr<f64>>>(
+        &self,
+        a: M,
+        b: M,
+        plan: Option<&FaultPlan>,
+        from: Option<&Checkpoint>,
+    ) -> Result<Run<M>, DriverError> {
+        self.preflight(&a, &b)?;
+        let start = from.map_or(RunStart::Fresh { plan, trace: None }, RunStart::Resume);
+        self.accel.start(a, b, start).map_err(DriverError::AcceleratorFault)
+    }
+
+    /// Launches the configured run for one bounded slice
+    /// ([`RunRequest::pause_at`]): [`Driver::start`], then run until the
+    /// machine drains or reaches accelerator cycle `until_cycle`, and hand
+    /// back the outcome or a checkpoint of the paused machine. The start
+    /// bit stays set across paused slices — the job is still in flight
+    /// from the host's point of view — and hardware clears it when a slice
+    /// completes the run. A cycle deadline is a slice whose pause the
+    /// caller treats as cancellation.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`Driver::start`] reports, and
+    /// [`DriverError::AcceleratorFault`] if the accelerator terminates the
+    /// run abnormally (deadlock, queue overflow, corrupted output, ...).
     pub fn launch_slice(
         &mut self,
         a: &Csr<f64>,
@@ -304,17 +325,14 @@ impl<'a> Driver<'a> {
         from: Option<&Checkpoint>,
         until_cycle: u64,
     ) -> Result<SliceRun, DriverError> {
-        self.preflight(a, b)?;
-        let start = from.map_or(RunStart::Fresh { plan, trace: None }, RunStart::Resume);
-        let req = RunRequest { start, pause_at: Some(until_cycle), ..RunRequest::new(a, b) };
-        let (run, _) = self
-            .accel
-            .execute(&req)
-            .map_err(|failed| DriverError::AcceleratorFault(failed.error))?;
-        if matches!(run, SliceRun::Completed(_)) {
-            self.regs.x0 = 0;
+        let mut run = self.start(a, b, plan, from)?;
+        let drained = run.advance(until_cycle).map_err(DriverError::AcceleratorFault)?;
+        if !drained {
+            return Ok(SliceRun::Paused(Box::new(run.snapshot())));
         }
-        Ok(run)
+        let outcome = run.finish().map_err(DriverError::AcceleratorFault)?;
+        self.regs.x0 = 0;
+        Ok(SliceRun::Completed(Box::new(outcome)))
     }
 
     /// Launches the configured run to completion under a
@@ -351,17 +369,18 @@ impl<'a> Driver<'a> {
             used_cpu_fallback: false,
         };
 
-        // Attempt 1: the full machine, with the injected fault (if any)
-        // and periodic checkpoints so a transient failure can resume.
-        let first = RunRequest {
-            start: RunStart::Fresh { plan, trace: None },
-            checkpoint_every: policy.checkpoint_interval.unwrap_or(0),
-            ..RunRequest::new(a, b)
-        };
-        let result = self.accel.execute(&first).and_then(|(run, _)| {
-            run.completed().map_err(|error| FailedRun { error, checkpoint: None })
+        // Attempt 1: the full machine, with the injected fault (if any),
+        // snapshotted every interval so a transient failure can resume.
+        let every = policy.checkpoint_interval.filter(|&n| n > 0).unwrap_or(u64::MAX);
+        let mut checkpoint = None;
+        let fresh = RunStart::Fresh { plan, trace: None };
+        let result = self.accel.start(a, b, fresh).and_then(|mut run| {
+            while !run.advance(run.cycle().saturating_add(every))? {
+                checkpoint = Some(Box::new(run.snapshot()));
+            }
+            run.finish()
         });
-        let (first_fault, checkpoint) = match result {
+        let first_fault = match result {
             Ok(outcome) => {
                 self.regs.x0 = 0;
                 report.trail.push(RecoveryAttempt {
@@ -372,7 +391,7 @@ impl<'a> Driver<'a> {
                 });
                 return Ok((outcome, report));
             }
-            Err(FailedRun { error, checkpoint }) => (error, checkpoint),
+            Err(error) => error,
         };
         report.trail.push(RecoveryAttempt {
             attempt: 1,
@@ -425,7 +444,7 @@ impl<'a> Driver<'a> {
                 Rung::Resume(ck) => {
                     let resume =
                         RunRequest { start: RunStart::Resume(&ck), ..RunRequest::new(a, b) };
-                    let result = self.accel.execute(&resume).map_err(|failed| failed.error);
+                    let result = self.accel.execute(&resume);
                     (RecoveryAction::ResumeCheckpoint, result.and_then(|(run, _)| run.completed()))
                 }
                 Rung::Lanes(n) => {

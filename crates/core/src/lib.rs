@@ -33,8 +33,10 @@
 //!   structured [`DeadlockDiagnostic`] when the watchdog declares a wedge;
 //! * [`Accelerator::execute`] runs one [`RunRequest`]: a fresh start
 //!   (optionally arming a [`FaultPlan`] and recording a [`RunTrace`]) or
-//!   a [`Checkpoint`] resume, bounded by an optional pause cycle and
-//!   optionally checkpointing periodically;
+//!   a [`Checkpoint`] resume, bounded by an optional pause cycle;
+//! * [`Accelerator::start`] returns the same run as a live [`Run`] that a
+//!   scheduler advances slice by slice and snapshots only when the job
+//!   has to leave the machine;
 //! * [`FaultPlan`] describes a deterministic, seeded fault injection
 //!   (channel stalls, corrupted or truncated C²SR streams, forced
 //!   sorting-queue overflow, dropped writer appends);
@@ -76,7 +78,7 @@ mod tokens;
 mod trace;
 mod writer;
 
-pub use accel::{Accelerator, FailedRun, RunOutcome, RunRequest, RunStart, SliceRun};
+pub use accel::{Accelerator, Run, RunOutcome, RunRequest, RunStart, SliceRun};
 pub use checkpoint::{fingerprint_inputs, Checkpoint, CheckpointError, CHECKPOINT_VERSION};
 pub use config::MatRaptorConfig;
 pub use convert::{

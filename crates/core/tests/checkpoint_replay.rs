@@ -8,8 +8,8 @@ mod common;
 
 use common::{checkpoint_at, resume, run_faulted};
 use matraptor_core::{
-    Accelerator, Checkpoint, CheckpointError, FaultKind, FaultPlan, MatRaptorConfig, RunRequest,
-    RunStart, SimError, CHECKPOINT_VERSION,
+    Accelerator, Checkpoint, CheckpointError, FaultKind, FaultPlan, MatRaptorConfig, RunStart,
+    SimError, CHECKPOINT_VERSION,
 };
 use matraptor_sparse::{gen, Csr};
 
@@ -75,8 +75,8 @@ fn faulted_run_resumes_bit_identically() {
     assert_eq!(value_bits(&resumed.c), value_bits(&full.c));
 }
 
-/// A periodically checkpointing request hands the last pre-failure
-/// checkpoint to the caller, and disarming its fault state lets the
+/// A run snapshotted every 256 cycles leaves its last pre-failure
+/// checkpoint with the caller, and disarming its fault state lets the
 /// resume complete — the recovery ladder's resume rung, exercised end to
 /// end.
 #[test]
@@ -86,14 +86,18 @@ fn disarmed_checkpoint_resumes_past_a_channel_stall() {
     cfg.watchdog_window = 2_000;
     let accel = Accelerator::new(cfg);
     let plan = FaultPlan::sample(FaultKind::ChannelStall, 7, 2);
-    let req = RunRequest {
-        start: RunStart::Fresh { plan: Some(&plan), trace: None },
-        checkpoint_every: 256,
-        ..RunRequest::new(&a, &b)
+    let start = RunStart::Fresh { plan: Some(&plan), trace: None };
+    let mut run = accel.start(&a, &b, start).expect("valid operands");
+    let mut last = None;
+    let error = loop {
+        match run.advance(run.cycle() + 256) {
+            Ok(false) => last = Some(run.snapshot()),
+            Ok(true) => panic!("a permanent stall must fail"),
+            Err(error) => break error,
+        }
     };
-    let failed = accel.execute(&req).expect_err("a permanent stall must fail");
-    assert!(matches!(failed.error, SimError::Deadlock(_)));
-    let mut ck = failed.checkpoint.expect("checkpoints were taken before the wedge");
+    assert!(matches!(error, SimError::Deadlock(_)));
+    let mut ck = last.expect("checkpoints were taken before the wedge");
     ck.disarm_faults();
     let recovered = resume(&accel, &a, &b, &ck).expect("disarmed resume completes");
     // The timeline differs from a clean run (the stall was real until the

@@ -18,62 +18,14 @@
 
 mod common;
 
-use common::{checkpoint_at, run_faulted, run_traced};
-use matraptor_core::{Accelerator, FaultKind, FaultPlan, MatRaptorConfig, TraceConfig};
-use matraptor_mem::HbmConfig;
+use common::{cases, checkpoint_at, run_faulted, run_traced, stall_case};
+use matraptor_core::{Accelerator, FaultPlan, TraceConfig};
 use matraptor_sim::trace::fnv1a64;
-use matraptor_sparse::gen::suite;
-use matraptor_sparse::{gen, Csr};
 
 /// Accelerator cycle at which a fault-free case is checkpointed; each run
 /// is longer than this. A faulted case is checkpointed 50 memory cycles
 /// into its fault, so the checkpoint holds the fault's effects.
 const PAUSE: u64 = 200;
-
-struct Case {
-    name: &'static str,
-    cfg: MatRaptorConfig,
-    a: Csr<f64>,
-    fault: Option<FaultKind>,
-}
-
-fn cases() -> Vec<Case> {
-    let paper = MatRaptorConfig { verify_against_reference: false, ..MatRaptorConfig::default() };
-    let small = MatRaptorConfig::small_test();
-    let odd = MatRaptorConfig {
-        num_lanes: 3,
-        clock_ghz: 3.0,
-        read_request_bytes: 32,
-        mem: HbmConfig {
-            row_bytes: 1000,
-            banks_per_channel: 7,
-            bank_lookahead: 5,
-            ..HbmConfig::with_channels(3)
-        },
-        ..MatRaptorConfig::small_test()
-    };
-    let tiny_queues = MatRaptorConfig { queue_bytes: 64, ..MatRaptorConfig::small_test() };
-    let faulted = MatRaptorConfig { watchdog_window: 2_000, ..MatRaptorConfig::small_test() };
-    let rmat = gen::rmat(256, 2400, gen::RmatParams::default(), 3);
-    vec![
-        Case { name: "paper/rmat", cfg: paper, a: rmat, fault: None },
-        Case { name: "small/uniform", cfg: small, a: gen::uniform(48, 48, 300, 21), fault: None },
-        Case { name: "odd/uniform", cfg: odd, a: gen::uniform(60, 60, 420, 5), fault: None },
-        Case { name: "overflow", cfg: tiny_queues, a: gen::uniform(32, 32, 512, 11), fault: None },
-        Case {
-            name: "burst_refusal",
-            cfg: faulted.clone(),
-            a: gen::uniform(64, 64, 500, 8),
-            fault: Some(FaultKind::BurstRefusal),
-        },
-        Case {
-            name: "channel_stall",
-            cfg: faulted,
-            a: gen::uniform(64, 64, 500, 9),
-            fault: Some(FaultKind::ChannelStall),
-        },
-    ]
-}
 
 /// `(name, run digest, checkpoint digest)` per case. The run digest hashes
 /// the `Debug` form of the statistics and output (or of the error); the
@@ -106,11 +58,6 @@ fn simulated_results_match_the_pins() {
         assert_eq!(got, pin, "{}: simulated results changed", case.name);
     }
 }
-
-/// Table II size divisor of the stall-heavy cases: small enough for a
-/// debug-profile test (`fb` is held at its 176-row minimum by the
-/// generator's row-degree floor at any divisor above 23).
-const STALL_SCALE: usize = 256;
 
 /// One stall-heavy run's pins: digests of the run (statistics and output)
 /// and of the per-lane attribution, the PE phase-I and phase-II cycles
@@ -151,11 +98,10 @@ const STALL_PINS: [StallPin; 2] = [
 
 #[test]
 fn stall_heavy_runs_match_the_pins() {
-    let cfg = MatRaptorConfig { verify_against_reference: false, ..MatRaptorConfig::default() };
-    let accel = Accelerator::new(cfg);
     let trace_cfg = TraceConfig { window: 256, ..TraceConfig::default() };
     for pin in &STALL_PINS {
-        let a = suite::by_id(pin.id).expect("a Table II id").generate(STALL_SCALE, 1);
+        let case = stall_case(pin.id);
+        let (accel, a) = (Accelerator::new(case.cfg), case.a);
         let (outcome, trace) = run_traced(&accel, &a, &a, &trace_cfg).expect("clean run");
         let stats = &outcome.stats;
         let checkpoint = checkpoint_at(&accel, &a, &a, None, stats.total_cycles / 2)
