@@ -15,10 +15,14 @@
 //!
 //! The failure lifecycle:
 //!
-//! * jobs run in bounded **slices** ([`Driver::launch_slice`], through the
-//!   slice step every service engine shares) of
-//!   `slice_cycles` accelerator cycles, each boundary both a heartbeat and
-//!   a checkpoint;
+//! * jobs run in bounded **slices** of `slice_cycles` accelerator cycles
+//!   on a live [`Run`] the worker starts once per dispatch (through the
+//!   slice step every service engine shares), each boundary a heartbeat;
+//! * a job is **checkpointed lazily**: every worker fault fires at a slice
+//!   boundary, before the next slice runs, and a slowness recycle happens
+//!   after the slice's pause is applied, so whenever a job leaves its
+//!   worker the live run stands exactly at its last boundary, and that is
+//!   the one moment it is snapshotted;
 //! * a **crash** is detected immediately (process death is loud); a
 //!   **hang** is detected when the worker's heartbeat stays silent past
 //!   the liveness window (the per-worker [`Watchdog`] confirms); a
@@ -37,10 +41,11 @@
 //! * quarantine strikes are **fleet-wide**: a poison pair struck on worker
 //!   0 is refused at admission no matter which worker would have run it.
 //!
-//! [`Driver::launch_slice`]: matraptor_core::Driver::launch_slice
+//! [`Run`]: matraptor_core::Run
 //! [`Watchdog`]: matraptor_sim::Watchdog
 
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use matraptor_core::{fingerprint_inputs, SimError};
 use matraptor_sim::trace::{fnv1a64, MetricsRegistry};
@@ -56,9 +61,9 @@ use crate::service::{
     DrainSummary, DrainedCheckpoint, ServiceConfig, ServiceCounters, ServiceError,
 };
 use crate::worker::{
-    escaped, ladder_step, run_slice, Assignment, LadderStep, ScheduledEvent, SliceOutcome,
-    SliceStep, Worker, WorkerClass, WorkerFault, WorkerFaultPlan, WorkerId, WorkerState,
-    WorkerStatus,
+    escaped, ladder_step, slice_step, start_run, Assignment, LadderStep, ScheduledEvent,
+    SliceOutcome, SliceStep, Worker, WorkerClass, WorkerFault, WorkerFaultPlan, WorkerId,
+    WorkerState, WorkerStatus,
 };
 
 /// Full fleet configuration: the shared service front end plus the worker
@@ -75,7 +80,9 @@ pub struct FleetConfig {
     pub cpu_workers: usize,
     /// Accelerator cycles per execution slice — the heartbeat interval.
     /// Smaller slices mean tighter liveness detection and less work lost
-    /// per crash, at more checkpoint overhead. Clamped to ≥ 1.
+    /// per crash, at more dispatch-loop overhead per job (a job's run
+    /// stays live across its slices, so no checkpoint is taken unless the
+    /// job leaves its worker). Clamped to ≥ 1.
     pub slice_cycles: u64,
     /// Fleet cycles of heartbeat silence before a worker is declared dead.
     /// Clamped to ≥ `slice_cycles` so a healthy nominal-speed slice can
@@ -904,8 +911,9 @@ impl Fleet {
     }
 
     /// Start (or continue) the current assignment's next slice on worker
-    /// `w`: fire any due worker fault, then run the bounded slice through
-    /// the driver re-entry path and schedule its outcome event.
+    /// `w`: fire any due worker fault, then run the bounded slice on the
+    /// job's live run (started from the assignment's checkpoint on the
+    /// dispatch's first slice) and schedule its outcome event.
     fn begin_slice(&mut self, w: usize) {
         let now = self.clock.now();
         if let Some(kind) =
@@ -945,15 +953,14 @@ impl Fleet {
             return;
         };
         let job = &asg.job;
-        let from = asg.checkpoint.as_deref();
-        let step =
-            run_slice(accel, &job.a, &job.b, job.plan.as_ref(), from, slice, job.deadline_cycles);
+        let (a, b, from) = (Rc::clone(&job.a), Rc::clone(&job.b), asg.checkpoint.take());
+        let start = || start_run(accel, a, b, job.plan.as_ref(), from.as_deref());
+        let step = slice_step(&mut worker.run, start, slice, job.deadline_cycles);
         // The slice occupies the worker from `executed` to the cycle it
         // reached (a refusal never ran and is charged the 1-cycle minimum).
         let reached = match &step {
             SliceStep::Completed(o) => o.stats.total_cycles.max(1),
-            SliceStep::Paused(ck) => ck.cycle(),
-            SliceStep::DeadlineExceeded(at) => *at,
+            SliceStep::Paused(at) | SliceStep::DeadlineExceeded(at) => *at,
             SliceStep::Faulted(e) => Self::fault_cycle_charge(e, job.deadline_cycles),
             SliceStep::Refused => 0,
         };
@@ -1056,15 +1063,17 @@ impl Fleet {
                     self.fail_worker(w);
                 }
             }
-            SliceOutcome::Accel(SliceStep::Paused(checkpoint)) if self.draining.is_some() => {
+            SliceOutcome::Accel(SliceStep::Paused(at)) if self.draining.is_some() => {
                 // The job's one drain slice ended short: park it.
-                let bytes = checkpoint.to_bytes();
-                let asg = self.workers[w].assignment.as_ref();
-                if let (Some(drain), Some(asg)) = (self.draining.as_mut(), asg) {
+                let worker = &mut self.workers[w];
+                let bytes = worker.run.take().map(|run| run.snapshot().to_bytes());
+                if let (Some(drain), Some(asg), Some(bytes)) =
+                    (self.draining.as_mut(), worker.assignment.as_ref(), bytes)
+                {
                     drain.checkpoints.push(DrainedCheckpoint {
                         job: asg.job.id,
                         tenant: asg.job.tenant,
-                        paused_at_cycle: checkpoint.cycle(),
+                        paused_at_cycle: at,
                         serialized_bytes: bytes.len(),
                         fingerprint: fnv1a64(&bytes),
                     });
@@ -1072,15 +1081,15 @@ impl Fleet {
                 self.counters.checkpointed_at_drain += 1;
                 self.finish(w, Disposition::CheckpointedAtDrain, None);
             }
-            SliceOutcome::Accel(SliceStep::Paused(checkpoint)) => {
+            SliceOutcome::Accel(SliceStep::Paused(at)) => {
                 if let Some(asg) = self.workers[w].assignment.as_mut() {
-                    asg.executed = checkpoint.cycle();
-                    asg.checkpoint = Some(checkpoint);
+                    asg.executed = at;
                 }
                 if wall > self.cfg.heartbeat_window {
                     // The slice took longer than the liveness window: to
                     // every observer this worker was dead. Recycle it; the
-                    // job keeps the fresh checkpoint and resumes elsewhere.
+                    // job is checkpointed at this boundary and resumes
+                    // elsewhere.
                     self.fleet.slowness_detections =
                         self.fleet.slowness_detections.saturating_add(1);
                     self.log(w, RecoveryKind::SlownessDetected);
@@ -1156,6 +1165,7 @@ impl Fleet {
             self.probe_worker = None;
         }
         self.workers[w].status = WorkerStatus::Idle;
+        self.workers[w].run = None;
         let asg = self.workers[w].assignment.take()?;
         self.resolve(&asg, w, disposition, output_fingerprint);
         let stats = &mut self.workers[w].stats;
@@ -1165,14 +1175,23 @@ impl Fleet {
 
     /// The worker-failure path shared by crash, hang, and slowness
     /// detection: requeue the in-flight job (unless already resolved —
-    /// the at-most-once guard), then walk the worker down the recovery
-    /// ladder: restart → reduced-lanes restart → retire.
+    /// the at-most-once guard) with a checkpoint of its live run, then
+    /// walk the worker down the recovery ladder: restart → reduced-lanes
+    /// restart → retire. Every failure is detected at a slice boundary,
+    /// so the run stands at `executed`, the cycle the re-dispatch resumes
+    /// from; a job whose run has not started yet keeps the checkpoint it
+    /// was dispatched with.
     fn fail_worker(&mut self, w: usize) {
         let now = self.clock.now();
         if self.probe_worker == Some(w) {
             self.probe_worker = None;
         }
+        let run = self.workers[w].run.take();
         if let Some(mut asg) = self.workers[w].assignment.take() {
+            if let Some(run) = run {
+                debug_assert_eq!(run.cycle(), asg.executed, "a job leaves at a slice boundary");
+                asg.checkpoint = Some(Box::new(run.snapshot()));
+            }
             if self.is_resolved(asg.job.id) {
                 self.fleet.duplicates_suppressed =
                     self.fleet.duplicates_suppressed.saturating_add(1);
@@ -1395,7 +1414,9 @@ fn fresh_assignment(job: Pending, now: Cycle) -> Assignment {
 mod tests {
     use super::*;
     use crate::worker::WorkerFaultEvent;
-    use matraptor_core::{FaultKind, FaultPlan};
+    use matraptor_core::{
+        Accelerator, Checkpoint, Driver, FaultKind, FaultPlan, MtxWrite, SliceRun,
+    };
     use matraptor_sparse::gen;
     use std::collections::BTreeSet;
     use std::rc::Rc;
@@ -1520,6 +1541,49 @@ mod tests {
         let kinds: Vec<&str> = fleet.recovery_log().iter().map(|e| e.kind.label()).collect();
         assert!(kinds.contains(&"crash_detected"), "log: {kinds:?}");
         assert!(kinds.contains(&"restarted"), "log: {kinds:?}");
+    }
+
+    /// The fleet snapshots a job's live run only when the job leaves its
+    /// worker; that checkpoint is the one a chain of per-slice
+    /// `launch_slice` calls would have handed over at the same cycle.
+    #[test]
+    fn a_crashed_job_carries_the_checkpoint_of_the_launch_slice_chain() {
+        let mut cfg = small_cfg();
+        cfg.accel_workers = 1;
+        let slice = cfg.slice_cycles;
+        let crash = WorkerFaultEvent { worker: 0, after_slices: 3, kind: WorkerFault::Crash };
+        cfg.worker_faults = Some(WorkerFaultPlan::new(vec![crash]));
+        let accel = Accelerator::new(cfg.service.accel.clone());
+        let mut fleet = Fleet::new(cfg).unwrap();
+        let job = spec(0, 5);
+        let (a, b) = (Rc::clone(&job.a), Rc::clone(&job.b));
+        fleet.submit(job).unwrap();
+        // The lone accelerator worker restarts, so the job waits in the
+        // re-dispatch queue.
+        while fleet.redispatch.is_empty() {
+            assert!(fleet.step(), "the crash must fire before the job drains");
+        }
+        let asg = &fleet.redispatch[0];
+        let live = asg.checkpoint.as_ref().expect("the crashed job carries a checkpoint");
+        assert_eq!((live.cycle(), asg.executed), (3 * slice, 3 * slice));
+        let mut driver = Driver::new(&accel);
+        driver.mtx(MtxWrite::ARows(a.rows() as u64));
+        driver.mtx(MtxWrite::BRows(b.rows() as u64));
+        driver.mtx(MtxWrite::X0(1));
+        let mut chained: Option<Box<Checkpoint>> = None;
+        for k in 1..=3 {
+            match driver.launch_slice(&a, &b, None, chained.as_deref(), k * slice) {
+                Ok(SliceRun::Paused(ck)) => chained = Some(ck),
+                other => panic!("slice {k} of the chain: {other:?}"),
+            }
+        }
+        assert!(chained.is_some_and(|ck| ck.to_bytes() == live.to_bytes()));
+        fleet.run_to_idle();
+        let record = fleet.record(JobId(0)).expect("resolved");
+        let clean = accel.try_run(&a, &b).expect("clean run");
+        assert!(record.resumed_from_checkpoint);
+        assert_eq!(record.record.disposition, Disposition::Completed);
+        assert_eq!(record.output_fingerprint, Some(fingerprint_output(&clean.c)));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * **deadlines** — each job gets a cycle budget from a cheap flop
 //!   estimate ([`estimate_flops`]) and the tenant's [`DeadlinePolicy`];
 //!   jobs that blow it are cancelled *mid-flight* at the deadline cycle
-//!   through the driver's checkpoint-based [`launch_slice`] path;
+//!   of their live [`Run`], which a worker advances slice by slice;
 //! * **fair scheduling** — a deficit-round-robin scheduler over weighted
 //!   tenants, so one tenant's burst cannot starve the others;
 //! * **circuit breaking** — repeated accelerator faults open a
@@ -34,7 +34,7 @@
 //! worker-failure lifecycle: a seeded [`WorkerFaultPlan`] injects crashes,
 //! hangs, and slowdowns; per-worker heartbeats (built on the sim
 //! watchdog) detect silent death; in-flight jobs re-dispatch from their
-//! last checkpoint with at-most-once completion accounting; and each
+//! last slice boundary with at-most-once completion accounting; and each
 //! worker walks an escalating recovery ladder (restart → reduced-lanes →
 //! retire, shedding to the CPU tier). The single-machine [`Service`] — the
 //! paper's one MatRaptor beside its host CPU — is a fleet of one
@@ -48,7 +48,7 @@
 //! SLO reports (see EXPERIMENTS.md).
 //!
 //! [`SimClock`]: matraptor_sim::SimClock
-//! [`launch_slice`]: matraptor_core::Driver::launch_slice
+//! [`Run`]: matraptor_core::Run
 //! [`FaultPlan`]: matraptor_core::FaultPlan
 
 #![warn(missing_docs)]

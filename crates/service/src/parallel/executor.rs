@@ -3,24 +3,30 @@
 //!
 //! Life of a job: the main loop pushes a [`DispatchItem`] into the SPMC
 //! dispatch ring; some worker pops it, parks a copy in its supervision
-//! mailbox, and runs it slice by slice (the service layer's shared slice
-//! step over [`Driver::launch_slice`]), updating the mailbox checkpoint
-//! at every slice boundary; on resolution it clears the mailbox and
-//! pushes a [`ParRecord`] through the MPSC completion ring; the main loop
-//! merges completions in arrival order into an id-keyed map
-//! (at-most-once: later completions for a resolved id are counted and
-//! dropped) and emits the final report sorted by id.
+//! mailbox, starts the job's [`Run`] once (from the item's checkpoint, if
+//! it carries one) and advances it slice by slice through the service
+//! layer's shared slice step. The run stays live on the worker: after the
+//! 1st, 2nd, 4th, 8th, … slice of the dispatch the worker snapshots it
+//! into the mailbox as a *recovery point*, so a job takes O(log slices)
+//! checkpoints and a failure loses at most half the dispatch's work. On
+//! resolution the worker clears the mailbox and pushes a [`ParRecord`]
+//! through the MPSC completion ring; the main loop merges completions in
+//! arrival order into an id-keyed map (at-most-once: later completions for
+//! a resolved id are counted and dropped) and emits the final report
+//! sorted by id.
 //!
 //! Failure is the point. The whole worker body runs under
 //! [`std::panic::catch_unwind`]: a panic — injected or organic — becomes a
 //! `Down` upcall (the fleet's *Crash*), the supervisor re-queues the
-//! mailbox item from its last checkpoint, and the slot walks the
-//! restart → reduced-lanes → retire ladder. Hangs and terminal slowdowns
-//! are detected by the heartbeat poll and recycled the same way. If every
-//! slot retires, the main thread finishes the backlog inline at full width
-//! rather than deadlocking.
+//! mailbox item from its last recovery point, and the slot walks the
+//! restart → reduced-lanes → retire ladder. The resolution core does not
+//! depend on where a resume starts, so a coarser recovery point costs
+//! only re-executed cycles. Hangs and terminal slowdowns are detected by
+//! the heartbeat poll and recycled the same way. If every slot retires,
+//! the main thread finishes the backlog inline at full width rather than
+//! deadlocking.
 //!
-//! [`Driver::launch_slice`]: matraptor_core::Driver::launch_slice
+//! [`Run`]: matraptor_core::Run
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -28,12 +34,12 @@ use std::sync::{Arc, Once};
 use std::thread;
 use std::time::Duration;
 
-use matraptor_core::{Accelerator, Checkpoint, FaultPlan, MatRaptorConfig};
+use matraptor_core::{Accelerator, Checkpoint, FaultPlan, MatRaptorConfig, Run};
 use matraptor_sparse::Csr;
 
 use crate::fleet::fingerprint_output;
 use crate::job::Disposition;
-use crate::worker::{run_slice, LadderStep, SliceStep, WorkerFault};
+use crate::worker::{slice_step, start_run, LadderStep, SliceStep, WorkerFault};
 use crate::{JobId, RecoveryKind};
 
 use super::ring::{RingFull, SeqRing};
@@ -61,6 +67,8 @@ pub(crate) struct DispatchItem {
     pub executed: u64,
     pub redispatches: u32,
     pub resumed: bool,
+    /// Where the next dispatch resumes; consumed when a worker starts the
+    /// job's run.
     pub checkpoint: Option<Box<Checkpoint>>,
     /// Lane width of the worker that took `checkpoint`; a worker at a
     /// different width restarts the job from scratch (checkpoints encode
@@ -283,8 +291,9 @@ fn worker_loop(
     }
 }
 
-/// Run one dispatched item slice by slice until it resolves or the
-/// generation is interrupted.
+/// Run one dispatched item slice by slice on a live run until it resolves
+/// or the generation is interrupted, publishing recovery points to the
+/// mailbox.
 #[allow(clippy::too_many_arguments)]
 fn run_item(
     ctx: &WorkerCtx,
@@ -299,6 +308,8 @@ fn run_item(
     let degraded = lanes != ctx.template_lanes;
     item.adopt(lanes);
     *lock_unpoisoned(&shared.mailbox) = Some(item.clone());
+    let mut run = None;
+    let mut slices = 0u64;
     let mut crash_after = false;
     loop {
         if ctx.stopping() || shared.abandoned.load(Ordering::Acquire) {
@@ -340,38 +351,58 @@ fn run_item(
         if slow > 1 {
             thread::sleep(Duration::from_micros(ctx.slow_unit_us.saturating_mul(slow)));
         }
-        let resolved = advance(&mut item, accel, ctx.slice_cycles, ctx.max_attempts, idx, degraded);
+        let (slice, attempts) = (ctx.slice_cycles, ctx.max_attempts);
+        let resolved = advance(&mut item, &mut run, accel, slice, attempts, idx, degraded);
         stats.slices.fetch_add(1, Ordering::Relaxed);
         shared.beats.fetch_add(1, Ordering::Relaxed);
-        match resolved {
-            Some(record) => return ItemExit::Resolved(record, crash_after),
-            None => *lock_unpoisoned(&shared.mailbox) = Some(item.clone()),
+        if let Some(record) = resolved {
+            return ItemExit::Resolved(record, crash_after);
+        }
+        // A retried attempt restarts from scratch, so its recovery point
+        // is published at once; a paused run only at the doubling points.
+        slices += 1;
+        if run.is_none() || slices.is_power_of_two() {
+            publish(shared, &item, run.as_ref());
         }
     }
 }
 
-/// Runs `item`'s next slice on `accel` and folds the result into it:
-/// `Some(record)` once the job resolves, `None` while it continues (paused
-/// at a slice boundary, or a faulted attempt being retried from scratch).
+/// Replaces the mailbox's recovery point with `run`'s current machine (no
+/// run: a restart from scratch). The snapshot is taken before the lock.
+fn publish(shared: &GenShared, item: &DispatchItem, run: Option<&Run<Arc<Csr<f64>>>>) {
+    let checkpoint = run.map(|run| Box::new(run.snapshot()));
+    if let Some(parked) = lock_unpoisoned(&shared.mailbox).as_mut() {
+        parked.attempts = item.attempts;
+        parked.executed = item.executed;
+        parked.checkpoint = checkpoint;
+    }
+}
+
+/// Runs `item`'s next slice on its live `run` (started on `accel` if there
+/// is none) and folds the result into it: `Some(record)` once the job
+/// resolves, `None` while it continues (paused at a slice boundary, or a
+/// faulted attempt being retried from scratch).
 fn advance(
     item: &mut DispatchItem,
+    run: &mut Option<Run<Arc<Csr<f64>>>>,
     accel: &Accelerator,
     slice_cycles: u64,
     max_attempts: u32,
     worker: usize,
     degraded_width: bool,
 ) -> Option<ParRecord> {
-    let (a, b, plan, from) = (&item.a, &item.b, item.plan.as_ref(), item.checkpoint.as_deref());
+    let from = item.checkpoint.take();
+    let (a, b, plan) = (&item.a, &item.b, item.plan.as_ref());
+    let start = || start_run(accel, Arc::clone(a), Arc::clone(b), plan, from.as_deref());
     let (disposition, executed_cycles, output_fingerprint) =
-        match run_slice(accel, a, b, plan, from, slice_cycles, item.deadline) {
+        match slice_step(run, start, slice_cycles, item.deadline) {
             SliceStep::Completed(outcome) => (
                 Disposition::Completed,
                 outcome.stats.total_cycles,
                 Some(fingerprint_output(&outcome.c)),
             ),
-            SliceStep::Paused(cp) => {
-                item.executed = cp.cycle();
-                item.checkpoint = Some(cp);
+            SliceStep::Paused(at) => {
+                item.executed = at;
                 return None;
             }
             SliceStep::DeadlineExceeded(at) => (Disposition::DeadlineExceeded, at, None),
@@ -379,7 +410,6 @@ fn advance(
                 // Retry from scratch: input-borne fault plans persist, but
                 // a transient machine state is discarded with the attempt.
                 item.attempts = item.attempts.saturating_add(1);
-                item.checkpoint = None;
                 item.executed = 0;
                 return None;
             }
@@ -713,10 +743,12 @@ pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, Parallel
 /// injection, mailbox, and heartbeats.
 fn run_inline(accel: &Accelerator, cfg: &ParallelConfig, mut item: DispatchItem) -> ParRecord {
     item.adopt(cfg.accel.num_lanes);
+    let mut run = None;
     loop {
-        let resolved =
-            advance(&mut item, accel, cfg.slice_cycles, cfg.max_attempts, INLINE_WORKER, false);
-        if let Some(record) = resolved {
+        let (slice, attempts) = (cfg.slice_cycles, cfg.max_attempts);
+        if let Some(record) =
+            advance(&mut item, &mut run, accel, slice, attempts, INLINE_WORKER, false)
+        {
             return record;
         }
     }

@@ -25,7 +25,7 @@
 //! * `supervisor` — per-worker atomic heartbeat counters polled for death,
 //!   hang (no beat progress across a bounded poll budget), and terminal
 //!   slowdown; victims' in-flight jobs re-dispatch from their last
-//!   checkpoint and the worker walks the same restart → reduced-lanes →
+//!   recovery point and the worker walks the same restart → reduced-lanes →
 //!   retire ladder as the discrete-event fleet.
 //!
 //! One caveat the strict campaign gate encodes: accelerator output *value
@@ -60,8 +60,10 @@ pub struct ParallelConfig {
     pub accel: MatRaptorConfig,
     /// OS-thread accelerator workers (clamped to ≥ 1).
     pub threads: usize,
-    /// Accelerator cycles per execution slice — the heartbeat/checkpoint
-    /// interval (clamped to ≥ 1).
+    /// Accelerator cycles per execution slice — the heartbeat interval
+    /// (clamped to ≥ 1). A job's run stays live across its slices; its
+    /// recovery points fall after the 1st, 2nd, 4th, 8th, … slice of each
+    /// dispatch.
     pub slice_cycles: u64,
     /// Dispatch-ring capacity (rounded up to a power of two, min 2). A
     /// full ring is explicit backpressure: the submit loop holds jobs back

@@ -42,9 +42,11 @@ pub(crate) struct GenShared {
     /// Supervisor → worker: stop at the next slice boundary; your job has
     /// been re-queued elsewhere.
     pub abandoned: AtomicBool,
-    /// The worker's in-flight job, updated at every slice boundary — the
-    /// supervisor recovers it from here after a failure, so a panic or
-    /// hang loses at most one slice of progress.
+    /// The worker's in-flight job, parked at dispatch and given a fresh
+    /// checkpoint of its live run after the 1st, 2nd, 4th, 8th, … slice
+    /// of the dispatch (a *recovery point*) — the supervisor recovers it
+    /// from here after a failure, so a panic or hang loses at most half
+    /// the dispatch's progress.
     pub mailbox: Mutex<Option<DispatchItem>>,
 }
 

@@ -4,11 +4,13 @@
 //! accelerator instance (its own lanes and HBM, modeled by
 //! [`Accelerator`]) or a degraded CPU-fallback slot (the SparseZipper-style
 //! host tier — orders of magnitude slower, assumed reliable). Workers run
-//! jobs in bounded *slices* ([`run_slice`], the one place the service
-//! layer programs a [`Driver`]), heartbeating into
-//! a per-worker [`Watchdog`] at every slice boundary; a worker that stops
-//! producing slice events is detected by the fleet's liveness poll when
-//! its heartbeat goes silent for longer than the configured window.
+//! jobs in bounded *slices* ([`slice_step`]) on a live [`Run`] that
+//! [`start_run`] — the one place the service layer programs a [`Driver`] —
+//! builds once per dispatch, heartbeating into a per-worker [`Watchdog`]
+//! at every slice boundary; a worker that stops producing slice events is
+//! detected by the fleet's liveness poll when its heartbeat goes silent
+//! for longer than the configured window. The run is snapshotted into a
+//! [`Checkpoint`] only when its job has to leave the worker.
 //!
 //! Worker failures are injected by a [`WorkerFaultPlan`] — seeded or
 //! scripted [`WorkerFaultEvent`]s keyed by `(worker, slice count)`, so a
@@ -22,9 +24,12 @@
 //!
 //! [`Driver`]: matraptor_core::Driver
 
+use std::ops::Deref;
+use std::rc::Rc;
+
 use matraptor_core::{
     classify, Accelerator, Checkpoint, Driver, DriverError, FaultPlan, MatRaptorConfig, MtxWrite,
-    RunOutcome, SimError, SliceRun, Verdict,
+    Run, RunOutcome, SimError, Verdict,
 };
 use matraptor_sim::watchdog::mix_signature;
 use matraptor_sim::{Cycle, SourceId, Watchdog};
@@ -94,8 +99,8 @@ impl WorkerStatus {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerFault {
     /// The worker dies instantly: its in-flight slice is lost (the job
-    /// keeps only its last checkpoint) and the fleet detects the death
-    /// immediately — process exit is loud.
+    /// resumes from its last slice boundary) and the fleet detects the
+    /// death immediately — process exit is loud.
     Crash,
     /// The worker wedges silently: no more slice events, no heartbeats.
     /// Detection waits for the fleet's liveness window to expire.
@@ -214,9 +219,11 @@ pub(crate) struct Assignment {
     /// Fleet cycle of the *first* dispatch — queue-wait anchors here even
     /// across re-dispatches.
     pub first_dispatch: Cycle,
-    /// Accelerator cycles already executed (the checkpoint's cycle).
+    /// Accelerator cycles already executed (the last slice boundary).
     pub executed: u64,
-    /// Last slice-boundary checkpoint, if any.
+    /// Where the next dispatch resumes: the job's machine at `executed`,
+    /// snapshotted when the job left its last worker. Consumed when a
+    /// worker starts the job's run.
     pub checkpoint: Option<Box<Checkpoint>>,
     /// Worker failures this job has survived.
     pub redispatches: u32,
@@ -230,8 +237,9 @@ pub(crate) struct Assignment {
 pub(crate) enum SliceStep {
     /// The job drained inside the slice.
     Completed(Box<RunOutcome>),
-    /// The slice ended short of the deadline; the job resumes from here.
-    Paused(Box<Checkpoint>),
+    /// The slice ended short of the deadline at this accelerator cycle;
+    /// the live run resumes from here.
+    Paused(u64),
     /// The job reached its cycle deadline at this accelerator cycle and
     /// is cancelled.
     DeadlineExceeded(u64),
@@ -242,35 +250,53 @@ pub(crate) enum SliceStep {
     Refused,
 }
 
-/// Runs the next slice of a job: programs a driver from the operands,
-/// starts fresh (arming `plan`) or resumes `from`, and launches to
-/// `min(executed + slice, deadline)`, where `executed` is the resumed
-/// checkpoint's cycle (0 for a fresh start) — at least one cycle past it,
-/// so every slice makes progress.
-pub(crate) fn run_slice(
+/// Programs a driver for `a * b` on `accel` and starts the job's run:
+/// fresh (arming `plan`) or resuming `from`.
+pub(crate) fn start_run<M: Deref<Target = Csr<f64>>>(
     accel: &Accelerator,
-    a: &Csr<f64>,
-    b: &Csr<f64>,
+    a: M,
+    b: M,
     plan: Option<&FaultPlan>,
     from: Option<&Checkpoint>,
-    slice: u64,
-    deadline: u64,
-) -> SliceStep {
-    let deadline = deadline.max(1);
-    let executed = from.map_or(0, |ck| ck.cycle());
-    let until = executed.saturating_add(slice).min(deadline).max(executed.saturating_add(1));
+) -> Result<Run<M>, DriverError> {
     let mut driver = Driver::new(accel);
     driver.mtx(MtxWrite::ARows(a.rows() as u64));
     driver.mtx(MtxWrite::BRows(b.rows() as u64));
     driver.mtx(MtxWrite::X0(1));
-    match driver.launch_slice(a, b, plan, from, until) {
-        Ok(SliceRun::Completed(outcome)) => SliceStep::Completed(outcome),
-        Ok(SliceRun::Paused(ck)) if ck.cycle() >= deadline => {
-            SliceStep::DeadlineExceeded(ck.cycle())
+    driver.start(a, b, plan, from)
+}
+
+/// Runs the next slice of a job on its live run, first starting one with
+/// `start` if `live` is empty: advances to `min(executed + slice,
+/// deadline)`, where `executed` is the run's cycle — at least one cycle
+/// past it, so every slice makes progress. The run stays in `live` only
+/// while the job is paused; a resolved or faulted job leaves it empty.
+pub(crate) fn slice_step<M: Deref<Target = Csr<f64>>>(
+    live: &mut Option<Run<M>>,
+    start: impl FnOnce() -> Result<Run<M>, DriverError>,
+    slice: u64,
+    deadline: u64,
+) -> SliceStep {
+    let deadline = deadline.max(1);
+    let mut run = match live.take().map_or_else(start, Ok) {
+        Ok(run) => run,
+        Err(DriverError::AcceleratorFault(e)) => return SliceStep::Faulted(e),
+        Err(_) => return SliceStep::Refused,
+    };
+    let executed = run.cycle();
+    let until = executed.saturating_add(slice).min(deadline).max(executed.saturating_add(1));
+    match run.advance(until) {
+        Ok(true) => match run.finish() {
+            Ok(outcome) => SliceStep::Completed(Box::new(outcome)),
+            Err(e) => SliceStep::Faulted(e),
+        },
+        Ok(false) if run.cycle() >= deadline => SliceStep::DeadlineExceeded(run.cycle()),
+        Ok(false) => {
+            let at = run.cycle();
+            *live = Some(run);
+            SliceStep::Paused(at)
         }
-        Ok(SliceRun::Paused(ck)) => SliceStep::Paused(ck),
-        Err(DriverError::AcceleratorFault(e)) => SliceStep::Faulted(e),
-        Err(_) => SliceStep::Refused,
+        Err(e) => SliceStep::Faulted(e),
     }
 }
 
@@ -340,9 +366,9 @@ pub struct WorkerStats {
 
 /// The serializable bookkeeping state of one [`Worker`] — what
 /// [`Worker::snapshot`] captures and [`Worker::restore`] rebuilds. The
-/// in-flight payload is deliberately absent: a job in flight is recovered
-/// through its *own* checkpoint via the fleet's re-dispatch queue, never
-/// through worker state.
+/// in-flight payload and its live run are deliberately absent: a job in
+/// flight is recovered through its *own* checkpoint via the fleet's
+/// re-dispatch queue, never through worker state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerState {
     /// Worker id.
@@ -397,6 +423,8 @@ pub struct Worker {
     pub(crate) status: WorkerStatus,
     // conformance:allow(checkpoint-coverage): in-flight payload rides its own job checkpoint via the re-dispatch queue
     pub(crate) assignment: Option<Assignment>,
+    // conformance:allow(checkpoint-coverage): the assignment's live machine, which stands at a slice boundary whenever the job leaves the worker and is snapshotted into the assignment's checkpoint then
+    pub(crate) run: Option<Run<Rc<Csr<f64>>>>,
     // conformance:allow(checkpoint-coverage): derived event, recomputed when the job is re-dispatched
     pub(crate) pending: Option<ScheduledEvent>,
     pub(crate) watchdog: Watchdog,
@@ -438,6 +466,7 @@ impl Worker {
             lanes,
             status: WorkerStatus::Idle,
             assignment: None,
+            run: None,
             pending: None,
             watchdog,
             heartbeat_source,
@@ -580,6 +609,7 @@ impl Worker {
             heartbeat_signature(s.id, s.beats),
         );
         self.assignment = None;
+        self.run = None;
         self.pending = None;
         if !self.rebuild_accel() {
             self.status = WorkerStatus::Retired;

@@ -7,7 +7,9 @@ use std::sync::Arc;
 
 use matraptor_core::{FaultKind, FaultPlan};
 use matraptor_service::parallel::{self, ParJob, ParallelConfig, ParallelError};
-use matraptor_service::{Disposition, WorkerFault, WorkerFaultEvent, WorkerFaultPlan};
+use matraptor_service::{
+    Disposition, JobId, RecoveryKind, WorkerFault, WorkerFaultEvent, WorkerFaultPlan,
+};
 use matraptor_sparse::gen;
 
 fn jobs(count: u64, deadline: u64) -> Vec<ParJob> {
@@ -66,6 +68,36 @@ fn injected_panic_is_caught_and_recovered() {
         clean.resolution_fingerprint(),
         "a recovered crash must not perturb the resolution core"
     );
+}
+
+/// A worker publishes its job's recovery point after the 1st, 2nd, 4th,
+/// 8th, … slice of a dispatch, so a crash after slice 5 of a long job
+/// re-dispatches it from the slice-4 point, and the resumed job resolves
+/// exactly as the clean run does.
+#[test]
+fn crash_resumes_from_the_last_recovery_point() {
+    let a = Arc::new(gen::uniform(96, 96, 1_500, 3));
+    let long =
+        vec![ParJob { id: 0, a: Arc::clone(&a), b: a, plan: None, deadline_cycles: u64::MAX }];
+    let clean = parallel::run(base_cfg(1), long.clone()).expect("clean run");
+    let slice = base_cfg(1).slice_cycles;
+    assert!(clean.records[0].executed_cycles > 10 * slice, "the job must span ≥ 10 slices");
+    let cfg =
+        faulted_cfg(WorkerFaultEvent { worker: 0, after_slices: 5, kind: WorkerFault::Crash });
+    let report = parallel::run(cfg, long).expect("faulted run");
+    assert_eq!(report.counters.injected_panics, 1);
+    assert_eq!(report.counters.resumed_from_checkpoint, 1);
+    let resumed = RecoveryKind::ResumedFromCheckpoint { job: JobId(0), at_cycle: 4 * slice };
+    assert!(
+        report.recovery_log.iter().any(|e| e.kind == resumed),
+        "log: {:?}",
+        report.recovery_log
+    );
+    let (got, want) = (&report.records[0], &clean.records[0]);
+    assert!(got.resumed_from_checkpoint);
+    assert_eq!(got.disposition, Disposition::Completed);
+    assert_eq!(got.output_fingerprint, want.output_fingerprint);
+    assert_eq!(got.executed_cycles, want.executed_cycles);
 }
 
 #[test]
