@@ -1,40 +1,42 @@
 //! The threaded executor: worker thread bodies (panic-isolated slice
 //! execution) and the main-thread submit / merge / recovery loop.
 //!
-//! Life of a job: the main loop pushes a [`DispatchItem`] into the SPMC
-//! dispatch ring; some worker pops it, parks a copy in its supervision
-//! mailbox, starts the job's [`Run`] once (from the item's checkpoint, if
-//! it carries one) and advances it slice by slice through the service
-//! layer's shared slice step. The run stays live on the worker: after the
-//! 1st, 2nd, 4th, 8th, … slice of the dispatch the worker snapshots it
-//! into the mailbox as a *recovery point*, so a job takes O(log slices)
-//! checkpoints and a failure loses at most half the dispatch's work. On
-//! resolution the worker clears the mailbox and pushes a [`ParRecord`]
-//! through the MPSC completion ring; the main loop merges completions in
-//! arrival order into an id-keyed map (at-most-once: later completions for
-//! a resolved id are counted and dropped) and emits the final report
-//! sorted by id.
+//! Life of a job: the job queue — a `Mutex<VecDeque>` plus a `Condvar`
+//! idle workers block on — starts with the whole job list. A worker pops a
+//! [`DispatchItem`], parks a copy in its supervision mailbox, starts the
+//! job's [`Run`] once (from the item's checkpoint, if it carries one) and
+//! advances it slice by slice through the service layer's shared slice
+//! step. The run stays live on the worker: after the 1st, 2nd, 4th, 8th, …
+//! slice of the dispatch the worker snapshots it into the mailbox as a
+//! *recovery point*, so a job takes O(log slices) checkpoints and a failure
+//! loses at most half the dispatch's work. On resolution the worker clears
+//! the mailbox and appends a [`ParRecord`] to the completion queue. The
+//! main thread takes that queue whole on its poll tick — it is never woken
+//! per completion — merges completions in arrival order into an id-keyed
+//! map (at-most-once: later completions for a resolved id are counted and
+//! dropped) and emits the final report sorted by id.
 //!
 //! Failure is the point. The whole worker body runs under
 //! [`std::panic::catch_unwind`]: a panic — injected or organic — becomes a
-//! `Down` upcall (the fleet's *Crash*), the supervisor re-queues the
-//! mailbox item from its last recovery point, and the slot walks the
-//! restart → reduced-lanes → retire ladder. The resolution core does not
-//! depend on where a resume starts, so a coarser recovery point costs
-//! only re-executed cycles. Hangs and terminal slowdowns are detected by
-//! the heartbeat poll and recycled the same way. If every slot retires,
-//! the main thread finishes the backlog inline at full width rather than
-//! deadlocking.
+//! `Down` upcall (the fleet's *Crash*), the supervisor puts the mailbox
+//! item back at the queue front from its last recovery point, and the slot
+//! walks the restart → reduced-lanes → retire ladder. The resolution core
+//! does not depend on where a resume starts, so a coarser recovery point
+//! costs only re-executed cycles. Hangs and terminal slowdowns are detected
+//! by the heartbeat poll on the main thread's quiet ticks and recycled the
+//! same way. If every slot retires, the main thread finishes the queue
+//! inline at full width rather than deadlocking.
 //!
 //! [`Run`]: matraptor_core::Run
 
+use std::collections::{btree_map, BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::{Arc, Condvar, Mutex, Once, PoisonError};
 use std::thread;
 use std::time::Duration;
 
-use matraptor_core::{Accelerator, Checkpoint, FaultPlan, MatRaptorConfig, Run};
+use matraptor_core::{Accelerator, Checkpoint, ConfigError, FaultPlan, MatRaptorConfig, Run};
 use matraptor_sparse::Csr;
 
 use crate::fleet::fingerprint_output;
@@ -42,17 +44,17 @@ use crate::job::Disposition;
 use crate::worker::{slice_step, start_run, LadderStep, SliceStep, WorkerFault};
 use crate::{JobId, RecoveryKind};
 
-use super::ring::{RingFull, SeqRing};
 use super::supervisor::{lock_unpoisoned, FailCause, GenShared, InjectStats, Supervisor};
 use super::{
-    PanicRecord, ParCounters, ParJob, ParRecord, ParReport, ParallelConfig, ParallelError,
+    PanicRecord, ParCounters, ParJob, ParRecord, ParReport, ParallelConfig, ParallelError, POLL,
+    SLOW_UNIT_US, STALL_ABORT_POLLS,
 };
 
 /// Worker slot id reported for jobs the main thread ran inline after every
 /// worker retired.
 pub const INLINE_WORKER: usize = usize::MAX;
 
-/// A job in flight through the dispatch ring, carrying its full recovery
+/// A job in flight through the job queue, carrying its full recovery
 /// context so any worker (or the supervisor) can pick it up statelessly.
 #[derive(Debug, Clone)]
 pub(crate) struct DispatchItem {
@@ -111,16 +113,17 @@ impl DispatchItem {
     }
 }
 
-/// Worker → main-thread message on the completion ring.
+/// Worker → main-thread message on the completion queue.
 #[derive(Debug)]
 pub(crate) enum Upcall {
     /// A job resolved. Provenance (worker, generation) rides inside the
     /// record; the merge is generation-agnostic because the at-most-once
     /// id set subsumes staleness.
     Done { record: ParRecord },
-    /// The worker thread is exiting abnormally (panic or a failed
-    /// accelerator build); its mailbox may hold an unresolved job.
-    Down { worker: usize, generation: u32, panicked: bool, injected: bool, message: String },
+    /// The worker thread is exiting abnormally (a panic, recorded for the
+    /// census, or a failed accelerator build); its mailbox may hold an
+    /// unresolved job.
+    Down { worker: usize, generation: u32, panic: Option<PanicRecord> },
 }
 
 /// Panic payload for injected worker faults, so the census can tell
@@ -155,38 +158,73 @@ struct WorkerCtx {
     template_lanes: usize,
     slice_cycles: u64,
     max_attempts: u32,
-    slow_unit_us: u64,
-    poll_sleep_us: u64,
     shutdown: AtomicBool,
-    dispatch: SeqRing<DispatchItem>,
-    completions: SeqRing<Upcall>,
+    /// Jobs waiting for a worker; recovered jobs go to the front.
+    queue: Mutex<VecDeque<DispatchItem>>,
+    /// Signalled when `queue` gains jobs, a generation is abandoned, or
+    /// the run stops.
+    work: Condvar,
+    /// Upcalls the main thread takes whole on its poll tick.
+    completions: Mutex<VecDeque<Upcall>>,
 }
 
 impl WorkerCtx {
+    fn new(cfg: &ParallelConfig, queue: VecDeque<DispatchItem>) -> Self {
+        WorkerCtx {
+            accel: cfg.accel.clone(),
+            template_lanes: cfg.accel.num_lanes,
+            slice_cycles: cfg.slice_cycles,
+            max_attempts: cfg.max_attempts,
+            shutdown: AtomicBool::new(false),
+            queue: Mutex::new(queue),
+            work: Condvar::new(),
+            completions: Mutex::new(VecDeque::new()),
+        }
+    }
+
     fn stopping(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    /// Push an upcall, retrying through transient ring fullness. The
-    /// completion ring is sized past the dispatch ring so this never
-    /// spins in practice; if the main loop has already given up (stall
-    /// abort) the push is abandoned after a bounded budget rather than
-    /// wedging the thread forever.
-    fn push_upcall(&self, mut up: Upcall) {
-        let mut tries = 0u32;
+    /// Blocks until the queue has a job, or returns `None` once this
+    /// generation is abandoned or the run is stopping. Both flags are read
+    /// under the queue lock and every setter wakes the condvar after
+    /// taking that lock, so no wake-up is lost.
+    fn next_item(&self, shared: &GenShared) -> Option<DispatchItem> {
+        let mut queue = lock_unpoisoned(&self.queue);
         loop {
-            match self.completions.try_push(up) {
-                Ok(()) => return,
-                Err(RingFull(back)) => {
-                    up = back;
-                    tries = tries.saturating_add(1);
-                    if self.stopping() && tries > 50_000 {
-                        return;
-                    }
-                    thread::sleep(Duration::from_micros(20));
-                }
+            if self.stopping() || shared.abandoned.load(Ordering::Acquire) {
+                return None;
             }
+            if let Some(item) = queue.pop_front() {
+                return Some(item);
+            }
+            queue = self.work.wait(queue).unwrap_or_else(PoisonError::into_inner);
         }
+    }
+
+    /// Puts a recovered job (if any) at the queue front and wakes every
+    /// worker: idle ones to take it, abandoned ones to see their flag.
+    fn requeue(&self, item: Option<DispatchItem>) {
+        let mut queue = lock_unpoisoned(&self.queue);
+        if let Some(item) = item {
+            queue.push_front(item);
+        }
+        self.work.notify_all();
+    }
+
+    /// Stops every worker at its next check and wakes the idle ones.
+    fn stop(&self) {
+        self.shutdown.store(true, Ordering::Release);
+        self.requeue(None);
+    }
+
+    fn push_upcall(&self, up: Upcall) {
+        lock_unpoisoned(&self.completions).push_back(up);
+    }
+
+    fn take_upcalls(&self) -> VecDeque<Upcall> {
+        std::mem::take(&mut *lock_unpoisoned(&self.completions))
     }
 }
 
@@ -201,7 +239,6 @@ enum ItemExit {
 
 /// The worker thread entry: everything inside `catch_unwind`, panics
 /// mapped to `Down` upcalls.
-#[allow(clippy::too_many_arguments)]
 fn worker_thread(
     ctx: Arc<WorkerCtx>,
     idx: usize,
@@ -214,20 +251,12 @@ fn worker_thread(
     let body = catch_unwind(AssertUnwindSafe(|| {
         worker_loop(&ctx, idx, lanes, &shared, &stats, &mut events)
     }));
-    match body {
-        Ok(Ok(())) => {}
-        Ok(Err(build_error)) => {
-            ctx.push_upcall(Upcall::Down {
-                worker: idx,
-                generation,
-                panicked: false,
-                injected: false,
-                message: build_error,
-            });
-        }
+    let panic = match body {
+        Ok(Ok(())) => return,
+        Ok(Err(_)) => None,
         Err(payload) => {
-            let injected = payload.downcast_ref::<InjectedPanic>().is_some();
-            let message = if let Some(kind) = payload.downcast_ref::<InjectedPanic>() {
+            let injected = payload.downcast_ref::<InjectedPanic>();
+            let message = if let Some(kind) = injected {
                 format!("injected fault: {kind:?}")
             } else if let Some(s) = payload.downcast_ref::<&str>() {
                 (*s).to_string()
@@ -236,18 +265,12 @@ fn worker_thread(
             } else {
                 "non-string panic payload".to_string()
             };
-            ctx.push_upcall(Upcall::Down {
-                worker: idx,
-                generation,
-                panicked: true,
-                injected,
-                message,
-            });
+            Some(PanicRecord { worker: idx, injected: injected.is_some(), message })
         }
-    }
+    };
+    ctx.push_upcall(Upcall::Down { worker: idx, generation, panic });
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     ctx: &WorkerCtx,
     idx: usize,
@@ -255,22 +278,13 @@ fn worker_loop(
     shared: &GenShared,
     stats: &InjectStats,
     events: &mut Vec<(u64, WorkerFault)>,
-) -> Result<(), String> {
+) -> Result<(), ConfigError> {
     let mut cfg = ctx.accel.clone();
     cfg.num_lanes = lanes;
     cfg.mem.num_channels = lanes;
-    let accel =
-        Accelerator::try_new(cfg).map_err(|e| format!("accelerator build failed: {e:?}"))?;
+    let accel = Accelerator::try_new(cfg)?;
     shared.slow_factor.store(1, Ordering::Relaxed);
-    loop {
-        if ctx.stopping() || shared.abandoned.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        let Some(item) = ctx.dispatch.try_pop() else {
-            shared.beats.fetch_add(1, Ordering::Relaxed);
-            thread::sleep(Duration::from_micros(ctx.poll_sleep_us));
-            continue;
-        };
+    while let Some(item) = ctx.next_item(shared) {
         match run_item(ctx, idx, lanes, &accel, shared, stats, events, item) {
             ItemExit::Resolved(record, crash_after) => {
                 if !crash_after {
@@ -278,8 +292,8 @@ fn worker_loop(
                 }
                 ctx.push_upcall(Upcall::Done { record });
                 if crash_after {
-                    // The completion is on the wire but the mailbox still
-                    // holds the job: the supervisor will re-dispatch it and
+                    // The completion is queued but the mailbox still holds
+                    // the job: the supervisor will re-dispatch it and
                     // the merge must suppress the duplicate — the lost-ack
                     // race, for real.
                     stats.lost_acks.fetch_add(1, Ordering::Relaxed);
@@ -289,11 +303,15 @@ fn worker_loop(
             ItemExit::Interrupted => return Ok(()),
         }
     }
+    Ok(())
 }
 
 /// Run one dispatched item slice by slice on a live run until it resolves
 /// or the generation is interrupted, publishing recovery points to the
-/// mailbox.
+/// mailbox. The item is parked under the mailbox lock, after re-checking
+/// the abandon flag that [`Supervisor::take_mailbox`] sets under the same
+/// lock; an item popped by an already-abandoned generation goes back to
+/// the queue front instead of into a mailbox nobody will read.
 #[allow(clippy::too_many_arguments)]
 fn run_item(
     ctx: &WorkerCtx,
@@ -306,8 +324,16 @@ fn run_item(
     mut item: DispatchItem,
 ) -> ItemExit {
     let degraded = lanes != ctx.template_lanes;
-    item.adopt(lanes);
-    *lock_unpoisoned(&shared.mailbox) = Some(item.clone());
+    {
+        let mut mailbox = lock_unpoisoned(&shared.mailbox);
+        if shared.abandoned.load(Ordering::Acquire) {
+            drop(mailbox);
+            ctx.requeue(Some(item));
+            return ItemExit::Interrupted;
+        }
+        item.adopt(lanes);
+        *mailbox = Some(item.clone());
+    }
     let mut run = None;
     let mut slices = 0u64;
     let mut crash_after = false;
@@ -336,7 +362,7 @@ fn run_item(
                         if ctx.stopping() || shared.abandoned.load(Ordering::Acquire) {
                             return ItemExit::Interrupted;
                         }
-                        thread::sleep(Duration::from_micros(ctx.poll_sleep_us));
+                        thread::sleep(POLL);
                     }
                 }
                 WorkerFault::SlowDown { factor } => {
@@ -349,7 +375,7 @@ fn run_item(
         // A slowed worker pays its published factor in wall time per slice.
         let slow = shared.slow_factor.load(Ordering::Relaxed);
         if slow > 1 {
-            thread::sleep(Duration::from_micros(ctx.slow_unit_us.saturating_mul(slow)));
+            thread::sleep(Duration::from_micros(SLOW_UNIT_US.saturating_mul(slow)));
         }
         let (slice, attempts) = (ctx.slice_cycles, ctx.max_attempts);
         let resolved = advance(&mut item, &mut run, accel, slice, attempts, idx, degraded);
@@ -456,7 +482,7 @@ pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, Parallel
     // fallback if every slot retires.
     let inline_accel = Accelerator::try_new(cfg.accel.clone())
         .map_err(|e| ParallelError::InvalidAccelConfig(format!("{e:?}")))?;
-    let mut seen = std::collections::BTreeSet::new();
+    let mut seen = BTreeSet::new();
     for job in &jobs {
         if !seen.insert(job.id) {
             return Err(ParallelError::DuplicateJobId(job.id));
@@ -464,21 +490,9 @@ pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, Parallel
     }
     install_quiet_hook();
 
-    let template_lanes = cfg.accel.num_lanes;
     let total = jobs.len();
-    let ctx = Arc::new(WorkerCtx {
-        accel: cfg.accel.clone(),
-        template_lanes,
-        slice_cycles: cfg.slice_cycles,
-        max_attempts: cfg.max_attempts,
-        slow_unit_us: cfg.slow_unit_us,
-        poll_sleep_us: cfg.poll_sleep_us,
-        shutdown: AtomicBool::new(false),
-        dispatch: SeqRing::with_capacity(cfg.queue_capacity),
-        completions: SeqRing::with_capacity(
-            cfg.queue_capacity.saturating_mul(2).saturating_add(cfg.threads * 2),
-        ),
-    });
+    let ctx =
+        Arc::new(WorkerCtx::new(&cfg, jobs.into_iter().map(DispatchItem::from_job).collect()));
 
     // Split the injection schedule per slot (events addressed past the
     // thread count are dropped — they have no slot to fire on).
@@ -496,82 +510,26 @@ pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, Parallel
 
     let mut sup = Supervisor::new(
         cfg.threads,
-        template_lanes,
+        ctx.template_lanes,
         per_slot,
         cfg.max_restarts,
         cfg.max_degraded_restarts,
-        cfg.hang_poll_budget,
         cfg.terminal_slow_factor,
         cfg.recovery_log_cap,
     );
     let mut counters = ParCounters::default();
     let mut census: Vec<PanicRecord> = Vec::new();
-
-    let spawn = |slot_idx: usize,
-                 generation: u32,
-                 lanes: usize,
-                 shared: Arc<GenShared>,
-                 stats: Arc<InjectStats>,
-                 events: Vec<(u64, WorkerFault)>|
-     -> thread::JoinHandle<()> {
-        let ctx = Arc::clone(&ctx);
-        thread::spawn(move || {
-            worker_thread(ctx, slot_idx, generation, lanes, shared, stats, events)
-        })
-    };
     for i in 0..cfg.threads {
-        let slot = &sup.slots[i];
-        let handle = spawn(
-            i,
-            slot.generation,
-            slot.lanes,
-            Arc::clone(&slot.shared),
-            Arc::clone(&slot.stats),
-            slot.remaining_events(),
-        );
-        sup.slots[i].handle = Some(handle);
+        spawn_worker(&ctx, &mut sup, i);
     }
 
-    let mut backlog: std::collections::VecDeque<DispatchItem> =
-        jobs.into_iter().map(DispatchItem::from_job).collect();
-    let mut redispatch: std::collections::VecDeque<DispatchItem> =
-        std::collections::VecDeque::new();
-    let mut records: std::collections::BTreeMap<u64, ParRecord> = std::collections::BTreeMap::new();
+    let mut records: BTreeMap<u64, ParRecord> = BTreeMap::new();
     let mut stalled_polls = 0u64;
-
-    let merge = |record: ParRecord,
-                 records: &mut std::collections::BTreeMap<u64, ParRecord>,
-                 counters: &mut ParCounters,
-                 sup: &mut Supervisor| {
-        match records.entry(record.id) {
-            std::collections::btree_map::Entry::Occupied(_) => {
-                counters.duplicates_suppressed = counters.duplicates_suppressed.saturating_add(1);
-                sup.record(
-                    record.worker,
-                    RecoveryKind::DuplicateCompletionSuppressed { job: JobId(record.id) },
-                );
-            }
-            std::collections::btree_map::Entry::Vacant(slot) => {
-                if record.degraded_width && record.disposition == Disposition::Completed {
-                    counters.degraded_completions = counters.degraded_completions.saturating_add(1);
-                }
-                slot.insert(record);
-            }
-        }
-    };
-
     while records.len() < total {
-        let mut progress = false;
-
         // Total retirement: finish everything inline at full width rather
         // than deadlock on an empty fleet.
         if sup.all_retired() {
-            let mut leftovers: Vec<DispatchItem> = Vec::new();
-            leftovers.extend(redispatch.drain(..));
-            leftovers.extend(backlog.drain(..));
-            while let Some(item) = ctx.dispatch.try_pop() {
-                leftovers.push(item);
-            }
+            let leftovers = std::mem::take(&mut *lock_unpoisoned(&ctx.queue));
             for item in leftovers {
                 if records.contains_key(&item.id) {
                     continue;
@@ -581,89 +539,43 @@ pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, Parallel
                 merge(record, &mut records, &mut counters, &mut sup);
             }
             // Completions from dying workers may still be in flight; fall
-            // through to drain them.
+            // through to take them.
         }
 
-        // Feed the dispatch ring: recovered jobs first, then fresh ones.
-        while let Some(item) = redispatch.pop_front().or_else(|| backlog.pop_front()) {
-            let recovered = item.redispatches > 0;
-            match ctx.dispatch.try_push(item) {
-                Ok(()) => progress = true,
-                Err(RingFull(back)) => {
-                    counters.ring_full_backoffs = counters.ring_full_backoffs.saturating_add(1);
-                    if recovered {
-                        redispatch.push_front(back);
-                    } else {
-                        backlog.push_front(back);
+        let upcalls = ctx.take_upcalls();
+        if !upcalls.is_empty() {
+            stalled_polls = 0;
+            for up in upcalls {
+                match up {
+                    Upcall::Done { record } => {
+                        merge(record, &mut records, &mut counters, &mut sup);
                     }
-                    break;
-                }
-            }
-        }
-
-        // Drain completions.
-        while let Some(up) = ctx.completions.try_pop() {
-            progress = true;
-            match up {
-                Upcall::Done { record, .. } => {
-                    merge(record, &mut records, &mut counters, &mut sup);
-                }
-                Upcall::Down { worker, generation, panicked, injected, message } => {
-                    if panicked {
-                        counters.panics_caught = counters.panics_caught.saturating_add(1);
-                        census.push(PanicRecord { worker, injected, message });
-                    }
-                    let slot_gen = sup.slots[worker].generation;
-                    if generation != slot_gen {
-                        // A stale generation's death rattle: its mailbox
-                        // was already recovered when the supervisor
-                        // recycled it. Census only.
-                        continue;
-                    }
-                    sup.record(worker, RecoveryKind::CrashDetected);
-                    if let Some(item) = sup.take_mailbox(worker, &mut counters) {
-                        redispatch.push_back(item);
-                    }
-                    if !sup.slots[worker].retired {
-                        let step = sup.ladder(worker, &mut counters);
-                        if step != LadderStep::Retire {
-                            let shared = sup.new_generation(worker);
-                            let slot = &sup.slots[worker];
-                            let handle = spawn(
-                                worker,
-                                slot.generation,
-                                slot.lanes,
-                                shared,
-                                Arc::clone(&slot.stats),
-                                slot.remaining_events(),
-                            );
-                            sup.slots[worker].handle = Some(handle);
-                        } else {
-                            // Make sure the dead generation cannot linger.
-                            sup.slots[worker].shared.abandoned.store(true, Ordering::Release);
+                    Upcall::Down { worker, generation, panic } => {
+                        census.extend(panic);
+                        // A stale generation's death rattle is census only:
+                        // its mailbox was recovered when it was recycled.
+                        if generation == sup.slots[worker].generation {
+                            sup.record(worker, RecoveryKind::CrashDetected);
+                            recycle(&ctx, &mut sup, &mut counters, worker);
                         }
                     }
                 }
             }
-        }
-
-        if progress {
-            stalled_polls = 0;
             continue;
         }
 
-        // Idle iteration: one liveness poll (idle-paced so the hang
-        // budget measures `poll_sleep_us`-spaced polls, not hot-loop
-        // iterations), then sleep. Recovery actions count as progress.
+        // Quiet tick: one liveness poll (so the hang budget counts
+        // `POLL`-spaced polls, not hot-loop iterations), then sleep.
+        // Recovery actions count as progress.
         let victims = sup.poll_liveness();
         if victims.is_empty() {
             stalled_polls = stalled_polls.saturating_add(1);
-            if stalled_polls > cfg.stall_abort_polls {
-                ctx.shutdown.store(true, Ordering::Release);
-                sup.shutdown_join(cfg.join_budget_polls, cfg.poll_sleep_us, &mut counters);
+            if stalled_polls > STALL_ABORT_POLLS {
+                ctx.stop();
+                sup.shutdown_join(&mut counters);
                 return Err(ParallelError::Stalled { resolved: records.len(), total });
             }
-            thread::sleep(Duration::from_micros(cfg.poll_sleep_us));
+            thread::sleep(POLL);
             continue;
         }
         stalled_polls = 0;
@@ -678,42 +590,23 @@ pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, Parallel
                     sup.record(victim, RecoveryKind::SlownessDetected);
                 }
             }
-            if let Some(item) = sup.take_mailbox(victim, &mut counters) {
-                redispatch.push_back(item);
-            }
-            let step = sup.ladder(victim, &mut counters);
-            let shared = sup.new_generation(victim);
-            if step != LadderStep::Retire {
-                let slot = &sup.slots[victim];
-                let handle = spawn(
-                    victim,
-                    slot.generation,
-                    slot.lanes,
-                    shared,
-                    Arc::clone(&slot.stats),
-                    slot.remaining_events(),
-                );
-                sup.slots[victim].handle = Some(handle);
-            }
+            recycle(&ctx, &mut sup, &mut counters, victim);
         }
     }
 
     // Drain barrier: stop the fleet, join with bounded budgets, census.
-    ctx.shutdown.store(true, Ordering::Release);
-    sup.shutdown_join(cfg.join_budget_polls, cfg.poll_sleep_us, &mut counters);
+    ctx.stop();
+    sup.shutdown_join(&mut counters);
     // Late completions from workers that resolved a job racing the
     // shutdown flag: account them as duplicates/records like any other.
-    while let Some(up) = ctx.completions.try_pop() {
+    for up in ctx.take_upcalls() {
         match up {
-            Upcall::Done { record, .. } => merge(record, &mut records, &mut counters, &mut sup),
-            Upcall::Down { worker, panicked, injected, message, .. } => {
-                if panicked {
-                    counters.panics_caught = counters.panics_caught.saturating_add(1);
-                    census.push(PanicRecord { worker, injected, message });
-                }
-            }
+            Upcall::Done { record } => merge(record, &mut records, &mut counters, &mut sup),
+            Upcall::Down { panic, .. } => census.extend(panic),
         }
     }
+    let caught = u64::try_from(census.len()).unwrap_or(u64::MAX);
+    counters.panics_caught = counters.panics_caught.saturating_add(caught);
     for slot in &sup.slots {
         counters.injected_panics =
             counters.injected_panics.saturating_add(slot.stats.panics.load(Ordering::Relaxed));
@@ -738,6 +631,56 @@ pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, Parallel
     })
 }
 
+/// Spawns the thread of slot `idx`'s current generation.
+fn spawn_worker(ctx: &Arc<WorkerCtx>, sup: &mut Supervisor, idx: usize) {
+    let slot = &mut sup.slots[idx];
+    let ctx = Arc::clone(ctx);
+    let (generation, lanes) = (slot.generation, slot.lanes);
+    let (shared, stats) = (Arc::clone(&slot.shared), Arc::clone(&slot.stats));
+    let events = slot.remaining_events();
+    slot.handle = Some(thread::spawn(move || {
+        worker_thread(ctx, idx, generation, lanes, shared, stats, events)
+    }));
+}
+
+/// Recycles slot `idx` after its thread died or was declared hung or
+/// terminally slow: its in-flight job goes back to the queue front, and the
+/// slot walks one ladder rung and, unless it retires, gets a new thread.
+fn recycle(ctx: &Arc<WorkerCtx>, sup: &mut Supervisor, counters: &mut ParCounters, idx: usize) {
+    let item = sup.take_mailbox(idx, counters);
+    let step = sup.ladder(idx, counters);
+    sup.new_generation(idx);
+    if step != LadderStep::Retire {
+        spawn_worker(ctx, sup, idx);
+    }
+    ctx.requeue(item);
+}
+
+/// Merges one completion at-most-once: a later completion for a resolved
+/// id is counted and dropped.
+fn merge(
+    record: ParRecord,
+    records: &mut BTreeMap<u64, ParRecord>,
+    counters: &mut ParCounters,
+    sup: &mut Supervisor,
+) {
+    match records.entry(record.id) {
+        btree_map::Entry::Occupied(_) => {
+            counters.duplicates_suppressed = counters.duplicates_suppressed.saturating_add(1);
+            sup.record(
+                record.worker,
+                RecoveryKind::DuplicateCompletionSuppressed { job: JobId(record.id) },
+            );
+        }
+        btree_map::Entry::Vacant(slot) => {
+            if record.degraded_width && record.disposition == Disposition::Completed {
+                counters.degraded_completions = counters.degraded_completions.saturating_add(1);
+            }
+            slot.insert(record);
+        }
+    }
+}
+
 /// Main-thread fallback execution at full width, used only after every
 /// worker slot retired: the same slice loop as a worker, without the
 /// injection, mailbox, and heartbeats.
@@ -751,5 +694,38 @@ fn run_inline(accel: &Accelerator, cfg: &ParallelConfig, mut item: DispatchItem)
         {
             return record;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The lost-job race: a slowness victim is still live, so it can pop a
+    /// job after the supervisor has already taken its mailbox. Parking that
+    /// job would strand it in a mailbox nobody reads; it must go back to
+    /// the queue front instead.
+    #[test]
+    fn an_abandoned_generation_hands_its_popped_job_back_to_the_queue_front() {
+        let cfg = ParallelConfig::small_test();
+        let m = Arc::new(Csr::<f64>::identity(4));
+        let item = |id| {
+            let (a, b) = (Arc::clone(&m), Arc::clone(&m));
+            DispatchItem::from_job(ParJob { id, a, b, plan: None, deadline_cycles: u64::MAX })
+        };
+        let ctx = WorkerCtx::new(&cfg, VecDeque::from([item(0), item(1)]));
+        let lanes = cfg.accel.num_lanes;
+        let mut sup = Supervisor::new(1, lanes, vec![Vec::new()], 1, 1, 8, 16);
+        let shared = Arc::clone(&sup.slots[0].shared);
+        let popped = ctx.next_item(&shared).expect("a queued job");
+        assert!(sup.take_mailbox(0, &mut ParCounters::default()).is_none(), "idle mailbox");
+
+        let accel = Accelerator::try_new(cfg.accel.clone()).expect("valid template");
+        let stats = InjectStats::default();
+        let exit = run_item(&ctx, 0, lanes, &accel, &shared, &stats, &mut Vec::new(), popped);
+        assert!(matches!(exit, ItemExit::Interrupted));
+        assert!(lock_unpoisoned(&shared.mailbox).is_none(), "nothing parked after the take");
+        let queued: Vec<u64> = lock_unpoisoned(&ctx.queue).iter().map(|i| i.id).collect();
+        assert_eq!(queued, [0, 1], "the popped job is back at the front");
     }
 }

@@ -1,6 +1,6 @@
-//! True-parallel fleet execution: OS-thread accelerator workers behind a
-//! lock-free dispatch ring, supervised for liveness, merged back into
-//! deterministic id-order (DESIGN.md §15).
+//! True-parallel fleet execution: OS-thread accelerator workers fed from
+//! one job queue, supervised for liveness, merged back into deterministic
+//! id-order (DESIGN.md §15).
 //!
 //! The discrete-event [`Fleet`](crate::Fleet) (DESIGN.md §13) models
 //! worker failure *in simulated time*; this module runs the same slice
@@ -15,13 +15,12 @@
 //!
 //! The moving parts:
 //!
-//! * [`ring`] — a bounded Vyukov-style lock-free ring ([`SeqRing`]) used
-//!   SPMC for dispatch and MPSC for completions, with explicit
-//!   [`RingFull`] backpressure;
-//! * `executor` — the worker thread body (every job slice under
+//! * `executor` — a `Mutex<VecDeque>` job queue with a `Condvar` that idle
+//!   workers block on, a completion queue the main thread takes whole on
+//!   its poll tick, the worker thread body (every job slice under
 //!   [`std::panic::catch_unwind`]; a panic is a worker *Crash*, never a
-//!   process abort) and the main-thread submit/merge loop with
-//!   at-most-once completion accounting;
+//!   process abort) and the main-thread merge loop with at-most-once
+//!   completion accounting;
 //! * `supervisor` — per-worker atomic heartbeat counters polled for death,
 //!   hang (no beat progress across a bounded poll budget), and terminal
 //!   slowdown; victims' in-flight jobs re-dispatch from their last
@@ -37,10 +36,10 @@
 //! mysteriously.
 
 mod executor;
-pub mod ring;
 mod supervisor;
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use matraptor_core::{FaultPlan, MatRaptorConfig};
 use matraptor_sparse::Csr;
@@ -50,7 +49,33 @@ use crate::worker::WorkerFaultPlan;
 use crate::RecoveryEvent;
 
 pub use executor::run;
-pub use ring::{RingFull, SeqRing};
+
+/// The main thread's tick: it takes the completion queue whole and, on a
+/// quiet tick, polls worker liveness and then sleeps this long. Waking it
+/// on every completion instead was never faster on a 2-core host, where
+/// each wake can preempt a worker (EXPERIMENTS.md "Simplicity — Plain job
+/// queue").
+const POLL: Duration = Duration::from_micros(200);
+
+/// Quiet ticks without heartbeat progress before a busy worker is declared
+/// hung. The contract: `HANG_POLL_BUDGET × POLL` (80 ms) must exceed the
+/// worst-case wall time of one slice, or healthy-but-slow slices are
+/// misdetected (misdetection is safe — the job re-dispatches and the
+/// duplicate completion is suppressed — but it burns a ladder rung).
+const HANG_POLL_BUDGET: u32 = 400;
+
+/// Consecutive quiet ticks (no completion, no recovery action) before the
+/// run aborts with [`ParallelError::Stalled`] instead of hanging forever:
+/// about a minute.
+const STALL_ABORT_POLLS: u64 = 300_000;
+
+/// Wall microseconds a slowed worker sleeps per slice per unit of its
+/// published slowdown factor (the injection's observable effect).
+const SLOW_UNIT_US: u64 = 100;
+
+/// Ticks granted per thread at shutdown before it is declared wedged and
+/// leaked rather than deadlocking the drain barrier.
+const JOIN_BUDGET_POLLS: u32 = 2_000;
 
 /// Configuration for one threaded-executor run.
 #[derive(Debug, Clone)]
@@ -65,10 +90,6 @@ pub struct ParallelConfig {
     /// recovery points fall after the 1st, 2nd, 4th, 8th, … slice of each
     /// dispatch.
     pub slice_cycles: u64,
-    /// Dispatch-ring capacity (rounded up to a power of two, min 2). A
-    /// full ring is explicit backpressure: the submit loop holds jobs back
-    /// and counts [`ParCounters::ring_full_backoffs`].
-    pub queue_capacity: usize,
     /// Accelerator-fault retries granted per job before it resolves
     /// [`Disposition::Failed`] (clamped to ≥ 1).
     pub max_attempts: u32,
@@ -76,30 +97,10 @@ pub struct ParallelConfig {
     pub max_restarts: u32,
     /// Degraded (half-lanes) restarts granted before the worker retires.
     pub max_degraded_restarts: u32,
-    /// Supervisor polls without heartbeat progress before a busy worker is
-    /// declared hung (clamped to ≥ 1). The contract: `hang_poll_budget ×
-    /// poll_sleep_us` must exceed the worst-case wall time of one slice,
-    /// or healthy-but-slow slices are misdetected (misdetection is safe —
-    /// the job re-dispatches and the duplicate completion is suppressed —
-    /// but it burns a ladder rung).
-    pub hang_poll_budget: u32,
-    /// Main-loop sleep between idle polls, in microseconds (clamped ≥ 1).
-    pub poll_sleep_us: u64,
-    /// Consecutive fully-idle polls (no dispatch, no completion, no
-    /// recovery action) before the executor declares itself stalled and
-    /// aborts with [`ParallelError::Stalled`] instead of hanging forever.
-    pub stall_abort_polls: u64,
     /// A worker whose published slowdown factor reaches this threshold is
     /// recycled through the ladder (terminal slowness ≈ death). Clamped
     /// to ≥ 2.
     pub terminal_slow_factor: u64,
-    /// Wall microseconds a slowed worker sleeps per slice per factor unit
-    /// (the injection's observable effect).
-    pub slow_unit_us: u64,
-    /// Bounded join: polls (at `poll_sleep_us` each) granted per thread at
-    /// shutdown before it is declared wedged and leaked rather than
-    /// deadlocking the drain barrier (clamped to ≥ 1).
-    pub join_budget_polls: u32,
     /// Cap on the retained recovery log (oldest events evicted past it,
     /// counted in [`ParReport::recovery_events_dropped`]). Clamped ≥ 2.
     pub recovery_log_cap: usize,
@@ -113,23 +114,19 @@ pub struct ParallelConfig {
 }
 
 impl ParallelConfig {
-    /// Small-test defaults over [`MatRaptorConfig::small_test`]: 2
-    /// threads, generous liveness budgets sized for unit tests.
+    /// Defaults over [`MatRaptorConfig::small_test`]: 2 threads,
+    /// 4 096-cycle slices, no injected faults. Campaigns, tests and the
+    /// repo benchmark start here and override what they vary; the liveness
+    /// budgets are fixed constants, not fields.
     pub fn small_test() -> Self {
         ParallelConfig {
             accel: MatRaptorConfig::small_test(),
             threads: 2,
             slice_cycles: 4_096,
-            queue_capacity: 64,
             max_attempts: 2,
             max_restarts: 4,
             max_degraded_restarts: 1,
-            hang_poll_budget: 400,
-            poll_sleep_us: 200,
-            stall_abort_polls: 300_000,
             terminal_slow_factor: 8,
-            slow_unit_us: 100,
-            join_budget_polls: 2_000,
             recovery_log_cap: 4_096,
             worker_faults: None,
         }
@@ -138,13 +135,8 @@ impl ParallelConfig {
     pub(crate) fn normalized(mut self) -> Self {
         self.threads = self.threads.max(1);
         self.slice_cycles = self.slice_cycles.max(1);
-        self.queue_capacity = self.queue_capacity.max(2);
         self.max_attempts = self.max_attempts.max(1);
-        self.hang_poll_budget = self.hang_poll_budget.max(1);
-        self.poll_sleep_us = self.poll_sleep_us.max(1);
-        self.stall_abort_polls = self.stall_abort_polls.max(1);
         self.terminal_slow_factor = self.terminal_slow_factor.max(2);
-        self.join_budget_polls = self.join_budget_polls.max(1);
         self.recovery_log_cap = self.recovery_log_cap.max(2);
         self
     }
@@ -234,7 +226,8 @@ pub struct ParCounters {
     pub degraded_completions: u64,
     /// Jobs executed inline on the main thread after every worker retired.
     pub inline_fallbacks: u64,
-    /// Dispatch pushes refused by a full ring (explicit backpressure).
+    /// Always 0: the job queue holds the whole job list, so dispatch never
+    /// backs off. Kept because the repo benchmark (`perfbench`) reports it.
     pub ring_full_backoffs: u64,
     /// Threads that outlived their bounded join budget at shutdown and
     /// were leaked rather than deadlocking the drain barrier.
@@ -312,9 +305,9 @@ pub enum ParallelError {
     /// Two submitted jobs share an id (the at-most-once merge would
     /// silently drop one).
     DuplicateJobId(u64),
-    /// The run stopped making progress: no dispatch, completion, or
-    /// recovery action across the stall-abort poll budget. The payload is
-    /// how far it got.
+    /// The run stopped making progress: no completion or recovery action
+    /// for about a minute of quiet poll ticks. The payload is how far it
+    /// got.
     Stalled {
         /// Jobs resolved before the stall.
         resolved: usize,

@@ -18,7 +18,6 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use matraptor_sim::Cycle;
 
@@ -27,20 +26,23 @@ use crate::worker::{ladder_step, LadderStep, WorkerFault, WorkerId};
 use crate::{RecoveryEvent, RecoveryKind};
 
 use super::executor::DispatchItem;
-use super::ParCounters;
+use super::{ParCounters, HANG_POLL_BUDGET, JOIN_BUDGET_POLLS, POLL};
 
 /// State shared between one worker *generation* and the supervisor.
 #[derive(Debug, Default)]
 pub(crate) struct GenShared {
-    /// Heartbeat counter: bumped every slice boundary and idle-loop turn.
-    /// A busy worker whose counter stops moving is hung.
+    /// Heartbeat counter: bumped at every slice boundary. An idle worker
+    /// blocks on the job queue without beating; a busy worker whose
+    /// counter stops moving is hung.
     pub beats: AtomicU64,
     /// Slowdown factor the worker currently suffers (1 = nominal),
     /// published by injection so the supervisor can detect terminal
     /// slowness without wall-clock reads.
     pub slow_factor: AtomicU64,
     /// Supervisor → worker: stop at the next slice boundary; your job has
-    /// been re-queued elsewhere.
+    /// been re-queued elsewhere. Set under the mailbox lock when the
+    /// supervisor takes the mailbox, so a worker that parks a job under
+    /// that lock either has it recovered or sees the flag first.
     pub abandoned: AtomicBool,
     /// The worker's in-flight job, parked at dispatch and given a fresh
     /// checkpoint of its live run after the 1st, 2nd, 4th, 8th, … slice
@@ -77,7 +79,7 @@ pub(crate) struct InjectStats {
 }
 
 /// Why the liveness poll is recycling a slot (panics arrive through the
-/// completion ring instead — death is loud, these are silent).
+/// completion queue instead — death is loud, these are silent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FailCause {
     /// Busy with no heartbeat progress across the poll budget.
@@ -141,7 +143,7 @@ impl Slot {
 }
 
 /// The supervisor bookkeeping: slots, the recovery log, and ladder
-/// tunables. Thread spawning stays in the executor (it owns the rings and
+/// tunables. Thread spawning stays in the executor (it owns the queues and
 /// worker configuration); the supervisor owns *decisions*.
 #[derive(Debug)]
 pub(crate) struct Supervisor {
@@ -153,19 +155,16 @@ pub(crate) struct Supervisor {
     seq: u64,
     max_restarts: u32,
     max_degraded_restarts: u32,
-    hang_poll_budget: u32,
     terminal_slow_factor: u64,
 }
 
 impl Supervisor {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         threads: usize,
         template_lanes: usize,
         per_slot_events: Vec<Vec<(u64, WorkerFault)>>,
         max_restarts: u32,
         max_degraded_restarts: u32,
-        hang_poll_budget: u32,
         terminal_slow_factor: u64,
         recovery_log_cap: usize,
     ) -> Self {
@@ -181,7 +180,6 @@ impl Supervisor {
             seq: 0,
             max_restarts,
             max_degraded_restarts,
-            hang_poll_budget,
             terminal_slow_factor,
         }
     }
@@ -226,14 +224,21 @@ impl Supervisor {
         step
     }
 
-    /// Take slot `idx`'s in-flight job for re-dispatch (after its thread
-    /// died or was abandoned), recording the recovery provenance.
+    /// Abandon slot `idx`'s current generation (its thread died or is being
+    /// recycled) and take its in-flight job for re-dispatch, recording the
+    /// recovery provenance. The flag is set under the mailbox lock, so the
+    /// worker cannot park a job after this that nobody will read.
     pub(crate) fn take_mailbox(
         &mut self,
         idx: usize,
         counters: &mut ParCounters,
     ) -> Option<DispatchItem> {
-        let taken = lock_unpoisoned(&self.slots[idx].shared.mailbox).take();
+        let shared = &self.slots[idx].shared;
+        let taken = {
+            let mut mailbox = lock_unpoisoned(&shared.mailbox);
+            shared.abandoned.store(true, Ordering::Release);
+            mailbox.take()
+        };
         if let Some(item) = taken {
             counters.redispatches = counters.redispatches.saturating_add(1);
             if item.checkpoint.is_some() {
@@ -274,7 +279,7 @@ impl Supervisor {
             let busy = lock_unpoisoned(&slot.shared.mailbox).is_some();
             if busy && beats == slot.last_beats {
                 slot.stale_polls = slot.stale_polls.saturating_add(1);
-                if slot.stale_polls > self.hang_poll_budget {
+                if slot.stale_polls > HANG_POLL_BUDGET {
                     slot.stale_polls = 0;
                     victims.push((slot.idx, FailCause::Hang));
                 }
@@ -286,13 +291,13 @@ impl Supervisor {
         victims
     }
 
-    /// Begin a new generation for slot `idx`: abandon the old thread (its
-    /// handle moves to the zombie list for bounded joining at shutdown)
-    /// and install fresh generation state. Returns the new shared state
-    /// for the executor to spawn a thread around.
-    pub(crate) fn new_generation(&mut self, idx: usize) -> Arc<GenShared> {
+    /// Begin a new generation for slot `idx`, whose old generation
+    /// [`take_mailbox`](Self::take_mailbox) abandoned: the old thread's
+    /// handle moves to the zombie list for bounded joining at shutdown, and
+    /// fresh generation state is installed for the executor to spawn a
+    /// thread around.
+    pub(crate) fn new_generation(&mut self, idx: usize) {
         let slot = &mut self.slots[idx];
-        slot.shared.abandoned.store(true, Ordering::Release);
         if let Some(h) = slot.handle.take() {
             slot.zombies.push(h);
         }
@@ -301,19 +306,13 @@ impl Supervisor {
         slot.shared.slow_factor.store(1, Ordering::Relaxed);
         slot.last_beats = 0;
         slot.stale_polls = 0;
-        Arc::clone(&slot.shared)
     }
 
     /// Drain barrier: abandon every live thread, then join each handle
     /// (live and zombie) under a bounded poll budget. A thread that does
     /// not finish inside its budget is leaked and counted — a wedged
     /// worker degrades the shutdown, never deadlocks it.
-    pub(crate) fn shutdown_join(
-        &mut self,
-        join_budget_polls: u32,
-        poll_sleep_us: u64,
-        counters: &mut ParCounters,
-    ) {
+    pub(crate) fn shutdown_join(&mut self, counters: &mut ParCounters) {
         let mut handles = Vec::new();
         for slot in &mut self.slots {
             slot.shared.abandoned.store(true, Ordering::Release);
@@ -325,8 +324,8 @@ impl Supervisor {
         for handle in handles {
             let mut finished = handle.is_finished();
             let mut polls = 0u32;
-            while !finished && polls < join_budget_polls {
-                std::thread::sleep(Duration::from_micros(poll_sleep_us));
+            while !finished && polls < JOIN_BUDGET_POLLS {
+                std::thread::sleep(POLL);
                 polls = polls.saturating_add(1);
                 finished = handle.is_finished();
             }

@@ -30,7 +30,7 @@ fn base_cfg(threads: usize) -> ParallelConfig {
 
 /// One worker with `event` injected. The event names a slot and a slice
 /// count; with one worker every slice runs on slot 0, so the event always
-/// fires. With more, another slot can drain the ring before slot 0 starts
+/// fires. With more, another slot can drain the queue before slot 0 starts
 /// the addressed slice.
 fn faulted_cfg(event: WorkerFaultEvent) -> ParallelConfig {
     let mut cfg = base_cfg(1);
@@ -38,12 +38,14 @@ fn faulted_cfg(event: WorkerFaultEvent) -> ParallelConfig {
     cfg
 }
 
+/// 160 jobs keep the job queue deep at every thread count: every id must
+/// still resolve exactly once, and the resolution core must not move.
 #[test]
 fn resolution_core_is_identical_across_thread_counts() {
     let mut fingerprints = Vec::new();
     for threads in [1usize, 2, 4] {
-        let report = parallel::run(base_cfg(threads), jobs(12, u64::MAX)).expect("run");
-        assert_eq!(report.records.len(), 12);
+        let report = parallel::run(base_cfg(threads), jobs(160, u64::MAX)).expect("run");
+        assert_eq!(report.records.len(), 160);
         assert!(report.records.windows(2).all(|w| w[0].id < w[1].id), "id-sorted");
         assert!(report.records.iter().all(|r| r.disposition == Disposition::Completed));
         fingerprints.push(report.resolution_fingerprint());
@@ -103,8 +105,8 @@ fn crash_resumes_from_the_last_recovery_point() {
 #[test]
 fn injected_hang_is_detected_by_the_heartbeat_budget() {
     let clean = parallel::run(base_cfg(2), jobs(12, u64::MAX)).expect("clean");
-    // Keep the default hang budget (400 polls ≈ 80ms): a tighter budget
-    // false-positives on ordinary scheduler noise, and a false recycle can
+    // The hang budget is 400 quiet ticks ≈ 80 ms: a tighter budget would
+    // false-positive on ordinary scheduler noise, and a false recycle can
     // drop the still-pending injected hang from the slot's schedule.
     let cfg = faulted_cfg(WorkerFaultEvent { worker: 0, after_slices: 2, kind: WorkerFault::Hang });
     let report = parallel::run(cfg, jobs(12, u64::MAX)).expect("faulted run");
