@@ -45,6 +45,7 @@
 //! [`Watchdog`]: matraptor_sim::Watchdog
 
 use std::collections::VecDeque;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use matraptor_core::{fingerprint_inputs, SimError};
@@ -58,7 +59,7 @@ use crate::job::{estimate_flops, Disposition, JobId, JobRecord, JobSpec, Rejecte
 use crate::quarantine::Quarantine;
 use crate::sched::{DrrScheduler, Pending};
 use crate::service::{
-    DrainSummary, DrainedCheckpoint, ServiceConfig, ServiceCounters, ServiceError,
+    DrainSummary, DrainedCheckpoint, ServiceConfig, ServiceCounters, ServiceError, TenantConfig,
 };
 use crate::worker::{
     escaped, ladder_step, slice_step, start_run, Assignment, LadderStep, ScheduledEvent,
@@ -254,7 +255,7 @@ pub struct FleetRecord {
 /// long-lived server keeps one per job it has served, so this is most of
 /// what its memory grows by. The deadline is not stored: every job's is
 /// its tenant's [`DeadlinePolicy`](crate::DeadlinePolicy) applied to its
-/// flop estimate, and [`Fleet::unpack`] recomputes it.
+/// flop estimate, and [`unpack`] recomputes it.
 #[derive(Debug, Clone, Copy)]
 struct PackedRecord {
     id: u64,
@@ -277,7 +278,7 @@ struct PackedRecord {
 /// [`FleetRecord`] is unpacked when read.
 #[derive(Debug, Clone, Copy)]
 pub struct Records<'f> {
-    fleet: &'f Fleet,
+    tenants: &'f [TenantConfig],
     packed: &'f [PackedRecord],
 }
 
@@ -294,17 +295,17 @@ impl<'f> Records<'f> {
 
     /// The `i`-th job to resolve.
     pub fn get(&self, i: usize) -> Option<FleetRecord> {
-        self.packed.get(i).map(|p| self.fleet.unpack(p))
+        self.packed.get(i).map(|p| unpack(self.tenants, p))
     }
 
     /// The latest job to resolve.
     pub fn last(&self) -> Option<FleetRecord> {
-        self.packed.last().map(|p| self.fleet.unpack(p))
+        self.packed.last().map(|p| unpack(self.tenants, p))
     }
 
     /// The records in resolution order.
     pub fn iter(&self) -> RecordsIter<'f> {
-        RecordsIter { fleet: self.fleet, packed: self.packed.iter() }
+        RecordsIter { tenants: self.tenants, packed: self.packed.iter() }
     }
 }
 
@@ -320,7 +321,7 @@ impl<'f> IntoIterator for Records<'f> {
 /// Iterator over [`Records`], unpacking each record.
 #[derive(Debug, Clone)]
 pub struct RecordsIter<'f> {
-    fleet: &'f Fleet,
+    tenants: &'f [TenantConfig],
     packed: std::slice::Iter<'f, PackedRecord>,
 }
 
@@ -328,7 +329,7 @@ impl Iterator for RecordsIter<'_> {
     type Item = FleetRecord;
 
     fn next(&mut self) -> Option<FleetRecord> {
-        self.packed.next().map(|p| self.fleet.unpack(p))
+        self.packed.next().map(|p| unpack(self.tenants, p))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -338,9 +339,31 @@ impl Iterator for RecordsIter<'_> {
 
 impl ExactSizeIterator for RecordsIter<'_> {}
 
+/// Widens a stored record back into its [`FleetRecord`].
+fn unpack(tenants: &[TenantConfig], p: &PackedRecord) -> FleetRecord {
+    let tenant = p.tenant as usize;
+    FleetRecord {
+        record: JobRecord {
+            id: JobId(p.id),
+            tenant: TenantId(tenant),
+            submitted_at: p.submitted_at,
+            started_at: p.started_at,
+            finished_at: p.finished_at,
+            estimated_flops: p.estimated_flops,
+            deadline_cycles: tenants[tenant].deadline.deadline_for(p.estimated_flops),
+            attempts: p.attempts,
+            disposition: p.disposition,
+        },
+        worker: WorkerId(p.worker as usize),
+        redispatches: p.redispatches,
+        resumed_from_checkpoint: p.resumed_from_checkpoint,
+        output_fingerprint: p.has_fingerprint.then_some(p.fingerprint),
+    }
+}
+
 /// The serializable bookkeeping state of the whole fleet: clock, shared
 /// counters, the at-most-once resolution set, and every worker's
-/// [`WorkerState`]. Queued payloads (operand `Rc`s in the scheduler and
+/// [`WorkerState`]. Queued payloads (operand handles in the scheduler and
 /// re-dispatch queues) are deliberately outside it — jobs in flight are
 /// recovered through their own checkpoints.
 #[derive(Debug, Clone, PartialEq)]
@@ -380,26 +403,26 @@ pub fn fingerprint_output(c: &Csr<f64>) -> u64 {
     fnv1a64(&bytes)
 }
 
-/// The deterministic multi-worker fleet. See the module docs for the
-/// model.
+/// The deterministic multi-worker fleet, over operand handles `M` (see
+/// [`JobSpec`]). See the module docs for the model.
 #[derive(Debug)]
-pub struct Fleet {
+pub struct Fleet<M: Deref<Target = Csr<f64>> = Rc<Csr<f64>>> {
     // conformance:allow(checkpoint-coverage): immutable construction input
     cfg: FleetConfig,
     clock: SimClock,
     // conformance:allow(checkpoint-coverage): queued operand payloads are not serialized; jobs recover via their own checkpoints
-    sched: DrrScheduler,
+    sched: DrrScheduler<M>,
     // conformance:allow(checkpoint-coverage): rides the live object; fleet snapshots cover bookkeeping, not breaker history
     breaker: CircuitBreaker,
     // conformance:allow(checkpoint-coverage): rides the live object; strike history is service policy, not fleet bookkeeping
     quarantine: Quarantine,
     counters: ServiceCounters,
     fleet: FleetCounters,
-    workers: Vec<Worker>,
+    workers: Vec<Worker<M>>,
     // conformance:allow(checkpoint-coverage): in-flight payloads, recovered through job checkpoints
-    redispatch: VecDeque<Assignment>,
+    redispatch: VecDeque<Assignment<M>>,
     // conformance:allow(checkpoint-coverage): in-flight payloads, recovered through job checkpoints
-    shed_cpu: VecDeque<Assignment>,
+    shed_cpu: VecDeque<Assignment<M>>,
     /// Indexed by job id (ids are issued consecutively from 0, so the
     /// table's length is the next id): the position of the job's record
     /// in `records`, [`UNRESOLVED`], or [`UNINDEXED`]. Four bytes per job
@@ -442,7 +465,7 @@ const UNINDEXED: u32 = u32::MAX - 1;
 const CYCLE_BOUNDS: [u64; 10] =
     [16, 64, 256, 1_024, 4_096, 16_384, 65_536, 262_144, 1_048_576, 4_194_304];
 
-impl Fleet {
+impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
     /// Builds the fleet, validating the template accelerator configuration
     /// once per worker.
     pub fn new(cfg: FleetConfig) -> Result<Self, ServiceError> {
@@ -524,37 +547,13 @@ impl Fleet {
 
     /// All resolved jobs, in resolution order.
     pub fn records(&self) -> Records<'_> {
-        Records { fleet: self, packed: &self.records }
+        Records { tenants: &self.cfg.service.tenants, packed: &self.records }
     }
 
     /// The record of job `id`, once it has resolved.
     pub fn record(&self, id: JobId) -> Option<FleetRecord> {
         let at = self.record_at.get(usize::try_from(id.0).ok()?).filter(|&&at| at < UNINDEXED)?;
         self.records().get(usize::try_from(*at).ok()?)
-    }
-
-    /// Widens a stored record back into its [`FleetRecord`].
-    fn unpack(&self, p: &PackedRecord) -> FleetRecord {
-        let tenant = p.tenant as usize;
-        FleetRecord {
-            record: JobRecord {
-                id: JobId(p.id),
-                tenant: TenantId(tenant),
-                submitted_at: p.submitted_at,
-                started_at: p.started_at,
-                finished_at: p.finished_at,
-                estimated_flops: p.estimated_flops,
-                deadline_cycles: self.cfg.service.tenants[tenant]
-                    .deadline
-                    .deadline_for(p.estimated_flops),
-                attempts: p.attempts,
-                disposition: p.disposition,
-            },
-            worker: WorkerId(p.worker as usize),
-            redispatches: p.redispatches,
-            resumed_from_checkpoint: p.resumed_from_checkpoint,
-            output_fingerprint: p.has_fingerprint.then_some(p.fingerprint),
-        }
     }
 
     /// Whether job `id` has resolved (the at-most-once guard).
@@ -586,7 +585,7 @@ impl Fleet {
     }
 
     /// The workers, in id order.
-    pub fn workers(&self) -> &[Worker] {
+    pub fn workers(&self) -> &[Worker<M>] {
         &self.workers
     }
 
@@ -609,7 +608,7 @@ impl Fleet {
     /// either a [`JobId`] (the job is queued) or an explicit [`Rejected`].
     /// Quarantine refusal, flop estimation, deadline derivation, and DRR
     /// enqueue happen here, with every counter bump in one place.
-    pub fn submit(&mut self, spec: JobSpec) -> Result<JobId, Rejected> {
+    pub fn submit(&mut self, spec: JobSpec<M>) -> Result<JobId, Rejected> {
         let c = &mut self.counters;
         c.submitted += 1;
         let t = spec.tenant.0;
@@ -832,7 +831,7 @@ impl Fleet {
 
     /// Next assignment for an accelerator worker: recovery queue first
     /// (resuming beats starting), then the DRR scheduler.
-    fn take_accel_work(&mut self, w: usize, now: Cycle) -> Option<Assignment> {
+    fn take_accel_work(&mut self, w: usize, now: Cycle) -> Option<Assignment<M>> {
         if let Some(asg) = self.take_redispatch(w) {
             return Some(asg);
         }
@@ -842,7 +841,7 @@ impl Fleet {
     /// Pop the re-dispatch queue, suppressing entries that already
     /// resolved (the belt to the requeue-time braces of the at-most-once
     /// guard).
-    fn take_redispatch(&mut self, w: usize) -> Option<Assignment> {
+    fn take_redispatch(&mut self, w: usize) -> Option<Assignment<M>> {
         while let Some(asg) = self.redispatch.pop_front() {
             if self.is_resolved(asg.job.id) {
                 self.fleet.duplicates_suppressed =
@@ -859,7 +858,7 @@ impl Fleet {
     /// slice. Resumable checkpoints are validated against the worker's
     /// shape here: a degraded worker cannot restore a full-width
     /// checkpoint, so those jobs restart from scratch (logged).
-    fn dispatch_accel(&mut self, w: usize, mut asg: Assignment) {
+    fn dispatch_accel(&mut self, w: usize, mut asg: Assignment<M>) {
         self.workers[w].stats.dispatches = self.workers[w].stats.dispatches.saturating_add(1);
         let job = asg.job.id;
         if asg.checkpoint.is_some() {
@@ -890,7 +889,7 @@ impl Fleet {
     /// Hand an assignment to a CPU worker: the host computes the product
     /// outright (no slices, no faults — the reliable tier) and the event
     /// fires after the flop-proportional cycle charge.
-    fn dispatch_cpu(&mut self, w: usize, asg: Assignment) {
+    fn dispatch_cpu(&mut self, w: usize, asg: Assignment<M>) {
         let now = self.clock.now();
         let worker = &mut self.workers[w];
         worker.stats.dispatches = worker.stats.dispatches.saturating_add(1);
@@ -953,7 +952,7 @@ impl Fleet {
             return;
         };
         let job = &asg.job;
-        let (a, b, from) = (Rc::clone(&job.a), Rc::clone(&job.b), asg.checkpoint.take());
+        let (a, b, from) = (job.a.clone(), job.b.clone(), asg.checkpoint.take());
         let start = || start_run(accel, a, b, job.plan.as_ref(), from.as_deref());
         let step = slice_step(&mut worker.run, start, slice, job.deadline_cycles);
         // The slice occupies the worker from `executed` to the cycle it
@@ -1160,7 +1159,7 @@ impl Fleet {
         w: usize,
         disposition: Disposition,
         output_fingerprint: Option<u64>,
-    ) -> Option<Assignment> {
+    ) -> Option<Assignment<M>> {
         if self.probe_worker == Some(w) {
             self.probe_worker = None;
         }
@@ -1237,7 +1236,7 @@ impl Fleet {
     /// of the same id is counted (it is a bug) and dropped.
     fn resolve(
         &mut self,
-        asg: &Assignment,
+        asg: &Assignment<M>,
         w: usize,
         disposition: Disposition,
         output_fingerprint: Option<u64>,
@@ -1272,7 +1271,7 @@ impl Fleet {
             has_fingerprint: output_fingerprint.is_some(),
             resumed_from_checkpoint: asg.resumed,
         };
-        let fr = self.unpack(&packed);
+        let fr = unpack(&self.cfg.service.tenants, &packed);
         debug_assert_eq!(fr.record.deadline_cycles, asg.job.deadline_cycles);
         debug_assert_eq!((fr.record.tenant, fr.worker), (asg.job.tenant, WorkerId(w)));
         // Fold per-job observability in here, once, instead of rebuilding
@@ -1398,7 +1397,7 @@ impl Fleet {
 }
 
 /// A newly-dispatched assignment for an admitted job.
-fn fresh_assignment(job: Pending, now: Cycle) -> Assignment {
+fn fresh_assignment<M>(job: Pending<M>, now: Cycle) -> Assignment<M> {
     Assignment {
         job,
         attempts: 0,
@@ -1709,7 +1708,7 @@ mod tests {
         fleet.run_to_idle();
         let snap = fleet.snapshot();
         assert_eq!(snap.resolved.len(), 6);
-        let mut other = Fleet::new(small_cfg()).unwrap();
+        let mut other: Fleet = Fleet::new(small_cfg()).unwrap();
         assert!(other.restore(&snap));
         assert_eq!(other.snapshot(), snap, "restore must reproduce the snapshot exactly");
         assert_eq!(other.now(), fleet.now());
@@ -1717,7 +1716,7 @@ mod tests {
         // id is still suppressed after restart.
         let mut tiny = FleetConfig::small_test();
         tiny.accel_workers = 1;
-        let mut mismatched = Fleet::new(tiny).unwrap();
+        let mut mismatched: Fleet = Fleet::new(tiny).unwrap();
         assert!(!mismatched.restore(&snap), "topology mismatch must be refused");
     }
 

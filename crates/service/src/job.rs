@@ -18,17 +18,21 @@ pub struct TenantId(pub usize);
 
 /// One SpGEMM request as a tenant submits it.
 ///
-/// Operands are shared [`Rc`]s so a campaign can submit the same matrices
-/// thousands of times without cloning payload data; the service never
-/// mutates them.
+/// Operands are shared handles `M` — [`Rc`] by default, [`Arc`] where the
+/// engine must be `Send`, as behind the wire server — so a campaign can
+/// submit the same matrices thousands of times without cloning payload
+/// data; the service never mutates them. The first
+/// [`submit`](crate::Fleet::submit) fixes a service's handle type.
+///
+/// [`Arc`]: std::sync::Arc
 #[derive(Debug, Clone)]
-pub struct JobSpec {
+pub struct JobSpec<M = Rc<Csr<f64>>> {
     /// Submitting tenant.
     pub tenant: TenantId,
     /// Left operand.
-    pub a: Rc<Csr<f64>>,
+    pub a: M,
     /// Right operand.
-    pub b: Rc<Csr<f64>>,
+    pub b: M,
     /// Optional injected fault. The service's fault model is *persistent*:
     /// the plan rides the operands across every retry of this job, the
     /// precondition for the poison-input quarantine to be sound.

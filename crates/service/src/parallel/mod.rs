@@ -143,7 +143,7 @@ impl ParallelConfig {
 }
 
 /// One job for the threaded executor. Operands are `Arc`-shared (they
-/// cross thread boundaries, unlike the service's `Rc` payloads).
+/// cross thread boundaries, unlike the service's default `Rc` payloads).
 #[derive(Debug, Clone)]
 pub struct ParJob {
     /// Caller-assigned id, unique per run; the merge resolves ids

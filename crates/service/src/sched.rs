@@ -12,21 +12,19 @@
 //! cursor/deficit evolution depends only on the submission sequence.
 
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use matraptor_core::FaultPlan;
 use matraptor_sim::Cycle;
-use matraptor_sparse::Csr;
 
 use crate::job::{JobId, TenantId};
 
-/// An admitted job waiting for dispatch.
+/// An admitted job waiting for dispatch; `M` is the operand handle.
 #[derive(Debug, Clone)]
-pub(crate) struct Pending {
+pub(crate) struct Pending<M> {
     pub id: JobId,
     pub tenant: TenantId,
-    pub a: Rc<Csr<f64>>,
-    pub b: Rc<Csr<f64>>,
+    pub a: M,
+    pub b: M,
     pub plan: Option<FaultPlan>,
     pub fingerprint: u64,
     pub estimated_flops: u64,
@@ -36,8 +34,8 @@ pub(crate) struct Pending {
 
 /// The scheduler. One queue, weight, and deficit per tenant.
 #[derive(Debug)]
-pub(crate) struct DrrScheduler {
-    queues: Vec<VecDeque<Pending>>,
+pub(crate) struct DrrScheduler<M> {
+    queues: Vec<VecDeque<Pending<M>>>,
     capacities: Vec<usize>,
     grants: Vec<u64>,
     deficits: Vec<u64>,
@@ -50,7 +48,7 @@ pub(crate) struct DrrScheduler {
     len: usize,
 }
 
-impl DrrScheduler {
+impl<M> DrrScheduler<M> {
     /// `weights_and_capacities[i]` configures tenant `i`. Weights are
     /// clamped to ≥ 1 so every tenant always accrues deficit.
     pub(crate) fn new(quantum: u64, weights_and_capacities: &[(u64, usize)]) -> Self {
@@ -76,7 +74,7 @@ impl DrrScheduler {
 
     /// Admit a job to its tenant's queue, or report the bounded queue full
     /// (the job is handed back for explicit backpressure).
-    pub(crate) fn try_enqueue(&mut self, job: Pending) -> Result<(), Pending> {
+    pub(crate) fn try_enqueue(&mut self, job: Pending<M>) -> Result<(), Pending<M>> {
         let t = job.tenant.0;
         let (Some(queue), Some(cap)) = (self.queues.get_mut(t), self.capacities.get(t)) else {
             return Err(job);
@@ -93,7 +91,7 @@ impl DrrScheduler {
     /// job back. Deterministic: queues are scanned in tenant order, and a
     /// job id appears at most once across all queues. Deficits are left
     /// untouched — the cancelled job never consumed any.
-    pub(crate) fn remove(&mut self, id: JobId) -> Option<Pending> {
+    pub(crate) fn remove(&mut self, id: JobId) -> Option<Pending<M>> {
         for queue in &mut self.queues {
             if let Some(pos) = queue.iter().position(|p| p.id == id) {
                 let job = queue.remove(pos)?;
@@ -105,7 +103,7 @@ impl DrrScheduler {
     }
 
     /// Dispatch the next job under DRR, or `None` when idle.
-    pub(crate) fn pop(&mut self) -> Option<Pending> {
+    pub(crate) fn pop(&mut self) -> Option<Pending<M>> {
         if self.len == 0 {
             return None;
         }
@@ -148,7 +146,7 @@ impl DrrScheduler {
 
     /// Pop the head of queue `t`, charge its deficit, and leave the cursor
     /// in place — the tenant may keep serving while its deficit lasts.
-    fn serve(&mut self, t: usize) -> Option<Pending> {
+    fn serve(&mut self, t: usize) -> Option<Pending<M>> {
         let job = self.queues[t].pop_front()?;
         self.deficits[t] = self.deficits[t].saturating_sub(cost_of(&job));
         self.len = self.len.saturating_sub(1);
@@ -193,16 +191,17 @@ impl DrrScheduler {
 /// DRR cost of a job: its cycle deadline (worst-case service time),
 /// clamped to ≥ 1 so zero-cost jobs cannot be served infinitely within
 /// one grant.
-fn cost_of(p: &Pending) -> u64 {
+fn cost_of<M>(p: &Pending<M>) -> u64 {
     p.deadline_cycles.max(1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use matraptor_sparse::gen;
+    use matraptor_sparse::{gen, Csr};
+    use std::rc::Rc;
 
-    fn job(id: u64, tenant: usize, deadline: u64) -> Pending {
+    fn job(id: u64, tenant: usize, deadline: u64) -> Pending<Rc<Csr<f64>>> {
         let m = Rc::new(gen::uniform(4, 4, 4, 1));
         Pending {
             id: JobId(id),
@@ -294,7 +293,7 @@ mod tests {
 
     #[test]
     fn pop_on_empty_is_none() {
-        let mut s = DrrScheduler::new(10, &[(1, 1)]);
+        let mut s: DrrScheduler<Rc<Csr<f64>>> = DrrScheduler::new(10, &[(1, 1)]);
         assert!(s.pop().is_none());
     }
 

@@ -1,7 +1,11 @@
 //! The single-machine service: its configuration, counters, drain
 //! report, and the one-accelerator [`Fleet`] that runs it.
 
+use std::ops::Deref;
+use std::rc::Rc;
+
 use matraptor_core::{ConfigError, MatRaptorConfig};
+use matraptor_sparse::Csr;
 
 use crate::breaker::BreakerConfig;
 use crate::fleet::{Fleet, FleetConfig};
@@ -202,12 +206,17 @@ pub struct DrainSummary {
 /// recovery machinery stays idle and what remains is admission, DRR
 /// dispatch, retries, the breaker, CPU shedding, quarantine, drain, and
 /// metrics — the fleet's own. See the crate docs for the model.
+///
+/// `M` is the operand handle (see [`JobSpec`]): the default `Rc` keeps a
+/// single-threaded caller free of atomics, and `Arc` makes the service
+/// `Send`, so the wire server can run it on whichever connection thread
+/// holds its lock.
 #[derive(Debug)]
-pub struct Service {
-    fleet: Fleet,
+pub struct Service<M: Deref<Target = Csr<f64>> = Rc<Csr<f64>>> {
+    fleet: Fleet<M>,
 }
 
-impl Service {
+impl<M: Deref<Target = Csr<f64>> + Clone> Service<M> {
     /// Builds the service, validating the accelerator configuration.
     pub fn new(cfg: ServiceConfig) -> Result<Self, ServiceError> {
         let fleet = Fleet::new(FleetConfig {
@@ -227,19 +236,19 @@ impl Service {
 
     /// The engine: clock, counters, records, breaker, quarantine,
     /// metrics.
-    pub fn fleet(&self) -> &Fleet {
+    pub fn fleet(&self) -> &Fleet<M> {
         &self.fleet
     }
 
     /// The engine, mutably: idle time ([`Fleet::advance_to`]),
     /// cancellation ([`Fleet::cancel`]), and graceful drain
     /// ([`Fleet::drain`]).
-    pub fn fleet_mut(&mut self) -> &mut Fleet {
+    pub fn fleet_mut(&mut self) -> &mut Fleet<M> {
         &mut self.fleet
     }
 
     /// Submit a job ([`Fleet::submit`]).
-    pub fn submit(&mut self, spec: JobSpec) -> Result<JobId, Rejected> {
+    pub fn submit(&mut self, spec: JobSpec<M>) -> Result<JobId, Rejected> {
         self.fleet.submit(spec)
     }
 

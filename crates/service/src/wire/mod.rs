@@ -29,11 +29,12 @@
 //!   slow-loris — so the `wire_campaign` bench can hold the server to
 //!   zero escapes and zero panics.
 //!
-//! Determinism: the engine thread owns the `Service` and applies requests
-//! in arrival order, so a client that serializes its operations replays
-//! the simulated-time core bit-identically; wall-clock never enters the
-//! service state (timeouts are bounded *read budgets*, not `Instant`
-//! reads).
+//! Determinism: the server's `Service` takes `Arc` operands, so it is
+//! `Send`; one lock holds it, and each connection thread applies its own
+//! requests under that lock, in lock order. A client that serializes its
+//! operations therefore replays the simulated-time core bit-identically;
+//! wall-clock never enters the service state (timeouts are bounded *read
+//! budgets*, not `Instant` reads).
 
 pub mod client;
 pub mod fault;

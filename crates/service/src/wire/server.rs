@@ -1,17 +1,17 @@
-//! The TCP server: accept loop, per-connection framing threads, and the
-//! engine thread that owns the deterministic [`Service`].
+//! The TCP server: accept loop and per-connection framing threads that
+//! run their requests on the deterministic [`Service`] under one lock.
 //!
 //! ## Threading model
 //!
-//! [`Service`] is `!Send` (operands are `Rc`-shared), so the server never
-//! moves it: a dedicated **engine thread** *constructs and owns* the
-//! service and applies requests strictly in arrival order off an mpsc
-//! channel. Connection threads do only transport work — framing,
-//! checksums, taxonomy replies — and matrices cross the channel as plain
-//! [`Csr`](matraptor_sparse::Csr) buffers (which are `Send`); the engine
-//! wraps them in `Rc` at admission. A client that serializes its
-//! operations therefore replays the simulated-time core bit-identically,
-//! no matter how hostile the wire in between was.
+//! The server's service is a `Service<Arc<Csr<f64>>>`, which is `Send`:
+//! one [`Mutex`] holds it, and each connection thread decodes its frame,
+//! takes the lock, applies the request, releases the lock, and only then
+//! writes the reply — no socket I/O happens under the lock. Requests
+//! apply strictly in lock order, so a client that serializes its
+//! operations replays the simulated-time core bit-identically, no matter
+//! how hostile the wire in between was. A request that panics inside the
+//! service poisons the lock; from then on the engine is gone, and every
+//! request gets an explicit [`RejectCode::Draining`] reply and a close.
 //!
 //! ## Hostile-wire posture
 //!
@@ -26,20 +26,23 @@
 //!   consumed, malformed payloads, unknown ops) get an error reply and
 //!   the connection keeps serving; desynchronizing errors (bad magic,
 //!   bad version, truncation, stalls) reply when addressable and close.
+//! * A finished connection gives back its descriptor and thread at once:
+//!   its thread drops its stream clone on exit, and the accept loop joins
+//!   finished threads, so a long-lived server holds only live peers.
 //! * [`shutdown`](WireServer::shutdown) drains gracefully: stop
-//!   accepting, route a final drain through the engine (ordered after
-//!   every in-flight request) so queued jobs finish or checkpoint via the
-//!   core pause path, flush replies, then join every thread — counting
-//!   panicked joins so a campaign can assert zero.
+//!   accepting, run a final drain under the lock (ordered after every
+//!   request that took it first) so queued jobs finish or checkpoint via
+//!   the core pause path, flush replies, then join every thread —
+//!   counting panicked joins so a campaign can assert zero.
 
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+use matraptor_sparse::Csr;
 
 use crate::service::{DrainSummary, Service, ServiceConfig};
 use crate::{JobId, JobRecord, JobSpec, Rejected, TenantId};
@@ -188,7 +191,7 @@ pub struct WireShutdown {
     pub checkpoint_fingerprints: Vec<u64>,
     /// Jobs accepted over the connection's lifetime.
     pub jobs_accepted: u64,
-    /// Jobs resolved (any disposition) by engine exit.
+    /// Jobs resolved (any disposition) by shutdown.
     pub jobs_resolved: u64,
     /// Threads whose join reported a panic. The campaign gate requires 0.
     pub thread_panics: u64,
@@ -196,72 +199,35 @@ pub struct WireShutdown {
     pub counters: WireCountersSnapshot,
 }
 
-/// One request crossing from a connection thread to the engine thread.
-struct EngineCall {
-    req: Request,
-    reply: mpsc::Sender<Response>,
-}
-
-impl std::fmt::Debug for EngineCall {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineCall").finish_non_exhaustive()
+/// The wire reply for a drain's outcome.
+fn drain_report(s: &DrainSummary) -> Response {
+    Response::DrainReport {
+        completed: s.completed_accel.saturating_add(s.completed_cpu),
+        checkpointed: s.checkpoints.len() as u64,
+        deadline_exceeded: s.deadline_exceeded,
+        failed: s.failed,
     }
 }
 
-/// What the engine thread reports when its channel closes.
-#[derive(Debug, Clone, Default)]
-struct EngineFinal {
-    drain: Option<DrainLite>,
-    jobs_accepted: u64,
-    jobs_resolved: u64,
-}
-
-/// Plain-data drain outcome (the engine caches it so repeat drain ops
-/// answer consistently).
-#[derive(Debug, Clone, Default)]
-struct DrainLite {
-    completed: u64,
-    checkpointed: u64,
-    deadline_exceeded: u64,
-    failed: u64,
-    fingerprints: Vec<u64>,
-}
-
-impl DrainLite {
-    fn from_summary(s: &DrainSummary) -> Self {
-        DrainLite {
-            completed: s.completed_accel.saturating_add(s.completed_cpu),
-            checkpointed: s.checkpoints.len() as u64,
-            deadline_exceeded: s.deadline_exceeded,
-            failed: s.failed,
-            fingerprints: s.checkpoints.iter().map(|c| c.fingerprint).collect(),
-        }
-    }
-
-    fn report(&self) -> Response {
-        Response::DrainReport {
-            completed: self.completed,
-            checkpointed: self.checkpointed,
-            deadline_exceeded: self.deadline_exceeded,
-            failed: self.failed,
-        }
-    }
-}
-
-/// The engine: the single owner of the deterministic service.
+/// The engine: the deterministic service and the wire's drain state,
+/// shared by every connection thread behind [`Shared::engine`].
+#[derive(Debug)]
 struct Engine {
-    service: Service,
+    service: Service<Arc<Csr<f64>>>,
     drain_slice_cycles: u64,
-    /// Set once a drain has run; submissions after it are refused.
-    drained: Option<DrainLite>,
+    /// The first drain's outcome, which repeat drains report; once it is
+    /// set, submissions are refused.
+    drained: Option<DrainSummary>,
 }
+
+/// Connection threads take turns running the engine, so its service must
+/// be `Send`: an `Rc` creeping back into it fails the build here.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<Service<Arc<Csr<f64>>>>();
+};
 
 impl Engine {
-    fn new(cfg: ServiceConfig, drain_slice_cycles: u64) -> Option<Engine> {
-        let service = Service::new(cfg).ok()?;
-        Some(Engine { service, drain_slice_cycles, drained: None })
-    }
-
     /// Whether this engine issued `job`: the service numbers accepted
     /// jobs consecutively from 0.
     fn issued(&self, job: u64) -> bool {
@@ -294,8 +260,8 @@ impl Engine {
                 }
                 let spec = JobSpec {
                     tenant: TenantId(tenant as usize),
-                    a: Rc::new(a),
-                    b: Rc::new(b),
+                    a: Arc::new(a),
+                    b: Arc::new(b),
                     plan: None,
                 };
                 match self.service.submit(spec) {
@@ -341,25 +307,10 @@ impl Engine {
                 Response::CancelResult { job, ok }
             }
             Request::Drain => {
-                if let Some(d) = &self.drained {
-                    return d.report();
-                }
-                let summary = self.service.fleet_mut().drain(self.drain_slice_cycles);
-                let lite = DrainLite::from_summary(&summary);
-                let report = lite.report();
-                self.drained = Some(lite);
-                report
+                let (service, slice) = (&mut self.service, self.drain_slice_cycles);
+                drain_report(self.drained.get_or_insert_with(|| service.fleet_mut().drain(slice)))
             }
             Request::Ping => Response::Pong,
-        }
-    }
-
-    fn finish(self) -> EngineFinal {
-        let fleet = self.service.fleet();
-        EngineFinal {
-            drain: self.drained,
-            jobs_accepted: fleet.counters().accepted,
-            jobs_resolved: fleet.records().len() as u64,
         }
     }
 }
@@ -369,17 +320,33 @@ impl Engine {
 #[derive(Debug)]
 struct Shared {
     stop: AtomicBool,
-    /// Raised by [`WireServer::begin_drain`] (and shutdown): the engine
-    /// refuses new submissions, and the accept loop answers every new
-    /// connection with an explicit [`RejectCode::Draining`] reply instead
-    /// of serving (or silently dropping) it.
+    /// Raised by [`WireServer::begin_drain`] (and shutdown): the accept
+    /// loop answers every new connection with an explicit
+    /// [`RejectCode::Draining`] reply instead of serving (or silently
+    /// dropping) it.
     draining: AtomicBool,
     live: AtomicU64,
     counters: WireCounters,
-    /// Clones of every served stream, so shutdown can unblock reads.
-    streams: Mutex<Vec<TcpStream>>,
-    /// Join handles of every connection thread.
+    /// The engine. Poisoned once a request panicked inside it: the engine
+    /// is gone.
+    engine: Mutex<Engine>,
+    /// A clone of every live served stream, keyed by connection id, so
+    /// shutdown can unblock reads. A connection thread removes its own on
+    /// exit.
+    streams: Mutex<Vec<(u64, TcpStream)>>,
+    /// Join handles of connection threads the accept loop has not yet
+    /// found finished.
     conn_handles: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Shared {
+    /// Gives back connection `conn`'s stream clone and its live slot.
+    fn release(&self, conn: u64) {
+        if let Ok(mut streams) = self.streams.lock() {
+            streams.retain(|(id, _)| *id != conn);
+        }
+        self.live.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// The running server. Dropping it without [`shutdown`](Self::shutdown)
@@ -389,20 +356,19 @@ struct Shared {
 pub struct WireServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept_handle: Option<JoinHandle<()>>,
-    engine_handle: Option<JoinHandle<EngineFinal>>,
-    engine_tx: mpsc::Sender<EngineCall>,
+    /// The accept loop; it returns how many connection threads it joined
+    /// that had panicked.
+    accept_handle: Option<JoinHandle<u64>>,
 }
 
 impl WireServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts serving.
+    /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts serving. Fails with
+    /// [`InvalidInput`](std::io::ErrorKind::InvalidInput) when the service
+    /// configuration is refused (no tenants, invalid accelerator).
     pub fn start(cfg: WireServerConfig, addr: &str) -> std::io::Result<WireServer> {
-        if cfg.service.tenants.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "service config has no tenants",
-            ));
-        }
+        let service = Service::new(cfg.service)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+        let engine = Engine { service, drain_slice_cycles: cfg.drain_slice_cycles, drained: None };
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -410,19 +376,12 @@ impl WireServer {
             draining: AtomicBool::new(false),
             live: AtomicU64::new(0),
             counters: WireCounters::default(),
+            engine: Mutex::new(engine),
             streams: Mutex::new(Vec::new()),
             conn_handles: Mutex::new(Vec::new()),
         });
 
-        let (engine_tx, engine_rx) = mpsc::channel::<EngineCall>();
-        let service_cfg = cfg.service.clone();
-        let drain_slice = cfg.drain_slice_cycles;
-        let engine_handle = std::thread::Builder::new()
-            .name("wire-engine".to_string())
-            .spawn(move || engine_main(service_cfg, drain_slice, engine_rx))?;
-
         let accept_shared = Arc::clone(&shared);
-        let accept_tx = engine_tx.clone();
         let accept_cfg = ConnLimits {
             max_frame_len: cfg.max_frame_len,
             max_connections: cfg.max_connections.max(1),
@@ -434,15 +393,9 @@ impl WireServer {
         };
         let accept_handle = std::thread::Builder::new()
             .name("wire-accept".to_string())
-            .spawn(move || accept_main(listener, accept_shared, accept_tx, accept_cfg))?;
+            .spawn(move || accept_main(listener, &accept_shared, accept_cfg))?;
 
-        Ok(WireServer {
-            addr: local,
-            shared,
-            accept_handle: Some(accept_handle),
-            engine_handle: Some(engine_handle),
-            engine_tx,
-        })
+        Ok(WireServer { addr: local, shared, accept_handle: Some(accept_handle) })
     }
 
     /// The bound address (useful with port 0).
@@ -455,27 +408,25 @@ impl WireServer {
         self.shared.counters.snapshot()
     }
 
-    /// Enters the draining state without tearing the server down: routes
-    /// a drain through the engine (ordered after every in-flight request;
-    /// queued jobs finish or checkpoint through the core pause path) and
-    /// flips the accept loop into refusal mode, so every connection
-    /// arriving from here on gets an explicit [`RejectCode::Draining`]
-    /// reply — a retrying client sees the taxonomy, not a hang, a
-    /// silent drop, or [`RejectCode::Busy`]. Idempotent: the engine
-    /// caches the first drain's report. Returns the drain report, or
-    /// `None` if the engine is already gone.
+    /// Enters the draining state without tearing the server down: runs a
+    /// drain under the engine lock (ordered after every request that took
+    /// the lock first; queued jobs finish or checkpoint through the core
+    /// pause path, and later submissions are refused) and flips the
+    /// accept loop into refusal mode, so every connection arriving from
+    /// here on gets an explicit [`RejectCode::Draining`] reply — a
+    /// retrying client sees the taxonomy, not a hang, a silent drop, or
+    /// [`RejectCode::Busy`]. Idempotent: the engine caches the first
+    /// drain's report. Returns the drain report, or `None` if the engine
+    /// is gone.
     pub fn begin_drain(&self) -> Option<Response> {
         self.shared.draining.store(true, Ordering::SeqCst);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.engine_tx.send(EngineCall { req: Request::Drain, reply: reply_tx }).ok()?;
-        reply_rx.recv().ok()
+        self.shared.engine.lock().ok().map(|mut engine| engine.handle(Request::Drain))
     }
 
     /// Graceful drain and teardown: stop accepting, run the core drain
     /// (finishing or checkpointing every queued job), flush replies, join
     /// every thread, and report the census.
     pub fn shutdown(mut self) -> WireShutdown {
-        self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.stop.store(true, Ordering::SeqCst);
 
         // Wake the accept loop with a throwaway connection; it observes
@@ -485,59 +436,42 @@ impl WireServer {
         }
         let mut thread_panics = 0u64;
         if let Some(h) = self.accept_handle.take() {
-            if h.join().is_err() {
-                thread_panics = thread_panics.saturating_add(1);
-            }
+            thread_panics = thread_panics.saturating_add(h.join().unwrap_or(1));
         }
 
-        // Route the final drain through the engine channel so it is
-        // ordered after every request already in flight; replies to those
-        // requests flush before the drain runs. The blocking `recv` waits
-        // for it; the report itself is read back from the engine's final
-        // state below.
-        let (reply_tx, reply_rx) = mpsc::channel();
-        if self.engine_tx.send(EngineCall { req: Request::Drain, reply: reply_tx }).is_ok() {
-            let _ = reply_rx.recv();
-        }
+        // The final drain; replies to requests already past the lock
+        // flush on their own threads.
+        let _ = self.begin_drain();
 
         // Unblock every connection thread and join them.
         if let Ok(streams) = self.shared.streams.lock() {
-            for s in streams.iter() {
+            for (_, s) in streams.iter() {
                 let _ = s.shutdown(Shutdown::Both);
             }
         }
-        let handles = match self.shared.conn_handles.lock() {
-            Ok(mut guard) => std::mem::take(&mut *guard),
-            Err(_) => Vec::new(),
-        };
-        for h in handles {
-            if h.join().is_err() {
-                thread_panics = thread_panics.saturating_add(1);
+        let handles = self.shared.conn_handles.lock().map(|mut h| std::mem::take(&mut *h));
+        let joined = join_counting_panics(handles.unwrap_or_default().into_iter());
+        thread_panics = thread_panics.saturating_add(joined);
+
+        let (drain, jobs_accepted, jobs_resolved) = match self.shared.engine.lock() {
+            Ok(engine) => {
+                let fleet = engine.service.fleet();
+                (
+                    engine.drained.clone().unwrap_or_default(),
+                    fleet.counters().accepted,
+                    fleet.records().len() as u64,
+                )
             }
-        }
-
-        // All senders dropped → the engine drains its queue and exits.
-        drop(self.engine_tx);
-        let engine_final = match self.engine_handle.take() {
-            Some(h) => match h.join() {
-                Ok(f) => f,
-                Err(_) => {
-                    thread_panics = thread_panics.saturating_add(1);
-                    EngineFinal::default()
-                }
-            },
-            None => EngineFinal::default(),
+            Err(_) => (DrainSummary::default(), 0, 0),
         };
-
-        let drain = engine_final.drain.unwrap_or_default();
         WireShutdown {
-            drained_completed: drain.completed,
-            drained_checkpointed: drain.checkpointed,
+            drained_completed: drain.completed_accel.saturating_add(drain.completed_cpu),
+            drained_checkpointed: drain.checkpoints.len() as u64,
             drained_deadline_exceeded: drain.deadline_exceeded,
             drained_failed: drain.failed,
-            checkpoint_fingerprints: drain.fingerprints,
-            jobs_accepted: engine_final.jobs_accepted,
-            jobs_resolved: engine_final.jobs_resolved,
+            checkpoint_fingerprints: drain.checkpoints.iter().map(|c| c.fingerprint).collect(),
+            jobs_accepted,
+            jobs_resolved,
             thread_panics,
             counters: self.shared.counters.snapshot(),
         }
@@ -553,44 +487,21 @@ struct ConnLimits {
     budget: ReadBudget,
 }
 
-/// Runs the engine thread: builds the service in place (it is `!Send`)
-/// and applies calls in arrival order.
-fn engine_main(
-    cfg: ServiceConfig,
-    drain_slice_cycles: u64,
-    rx: mpsc::Receiver<EngineCall>,
-) -> EngineFinal {
-    let Some(mut engine) = Engine::new(cfg, drain_slice_cycles) else {
-        // Pre-validated in `start`; if construction still fails, refuse
-        // every call explicitly rather than going dark.
-        while let Ok(call) = rx.recv() {
-            let _ = call.reply.send(Response::Error {
-                code: RejectCode::Busy,
-                detail: "engine failed to construct service".to_string(),
-            });
-        }
-        return EngineFinal::default();
-    };
-    while let Ok(call) = rx.recv() {
-        let resp = engine.handle(call.req);
-        let _ = call.reply.send(resp);
-    }
-    engine.finish()
+/// Joins `handles` and returns how many of their threads had panicked.
+fn join_counting_panics(handles: impl Iterator<Item = JoinHandle<()>>) -> u64 {
+    handles.map(JoinHandle::join).filter(Result::is_err).count() as u64
 }
 
-/// Runs the accept loop until the stop flag is raised.
-fn accept_main(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    engine_tx: mpsc::Sender<EngineCall>,
-    limits: ConnLimits,
-) {
+/// Runs the accept loop until the stop flag is raised; returns how many
+/// of the connection threads it joined had panicked.
+fn accept_main(listener: TcpListener, shared: &Arc<Shared>, limits: ConnLimits) -> u64 {
+    let mut panics = 0u64;
     loop {
         let (mut stream, _) = match listener.accept() {
             Ok(pair) => pair,
             Err(_) => {
                 if shared.stop.load(Ordering::SeqCst) {
-                    return;
+                    return panics;
                 }
                 continue;
             }
@@ -600,15 +511,19 @@ fn accept_main(
             // a peer that raced the shutdown sees Draining, not a silent
             // drop it would misread as a transport fault and retry. No
             // loitering — shutdown must stay prompt.
-            reject_draining(&mut stream, &shared, false);
-            return;
+            reject_draining(&mut stream, shared, false);
+            return panics;
         }
         if shared.draining.load(Ordering::SeqCst) {
             // Draining but still alive: keep accepting so every retrying
             // peer gets the explicit refusal, and loiter long enough for
             // the reply to land before the close.
-            reject_draining(&mut stream, &shared, true);
+            reject_draining(&mut stream, shared, true);
             continue;
+        }
+        if let Ok(mut handles) = shared.conn_handles.lock() {
+            let finished = handles.extract_if(.., |h| h.is_finished());
+            panics = panics.saturating_add(join_counting_panics(finished));
         }
         if shared.live.load(Ordering::SeqCst) >= limits.max_connections {
             shared.counters.busy_rejected.fetch_add(1, Ordering::Relaxed);
@@ -622,17 +537,16 @@ fn accept_main(
             continue;
         }
         shared.live.fetch_add(1, Ordering::SeqCst);
-        shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
+        let conn = shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
             if let Ok(mut streams) = shared.streams.lock() {
-                streams.push(clone);
+                streams.push((conn, clone));
             }
         }
-        let conn_shared = Arc::clone(&shared);
-        let conn_tx = engine_tx.clone();
+        let conn_shared = Arc::clone(shared);
         let spawned = std::thread::Builder::new().name("wire-conn".to_string()).spawn(move || {
-            serve_connection(stream, &conn_shared, &conn_tx, limits);
-            conn_shared.live.fetch_sub(1, Ordering::SeqCst);
+            serve_connection(stream, &conn_shared, limits);
+            conn_shared.release(conn);
         });
         match spawned {
             Ok(handle) => {
@@ -640,9 +554,7 @@ fn accept_main(
                     handles.push(handle);
                 }
             }
-            Err(_) => {
-                shared.live.fetch_sub(1, Ordering::SeqCst);
-            }
+            Err(_) => shared.release(conn),
         }
     }
 }
@@ -677,12 +589,7 @@ fn reject_draining(stream: &mut TcpStream, shared: &Shared, loiter: bool) {
 
 /// Serves one connection until the peer closes, a desynchronizing error
 /// occurs, or shutdown unblocks the read.
-fn serve_connection(
-    mut stream: TcpStream,
-    shared: &Shared,
-    engine_tx: &mpsc::Sender<EngineCall>,
-    limits: ConnLimits,
-) {
+fn serve_connection(mut stream: TcpStream, shared: &Shared, limits: ConnLimits) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(limits.read_timeout_ms)));
     let _ = stream.set_nodelay(true);
     let counters = &shared.counters;
@@ -693,7 +600,7 @@ fn serve_connection(
         match read_frame(&mut stream, limits.max_frame_len, limits.budget) {
             Ok(raw) => {
                 counters.frames_ok.fetch_add(1, Ordering::Relaxed);
-                if !handle_frame(&mut stream, shared, engine_tx, &raw) {
+                if !handle_frame(&mut stream, shared, &raw) {
                     return;
                 }
             }
@@ -708,14 +615,10 @@ fn serve_connection(
     }
 }
 
-/// Decodes and executes one verified frame; returns `false` when the
+/// Decodes one verified frame, runs it on the engine under the lock, and
+/// writes the reply once the lock is released; returns `false` when the
 /// connection should close.
-fn handle_frame(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    engine_tx: &mpsc::Sender<EngineCall>,
-    raw: &RawFrame,
-) -> bool {
+fn handle_frame(stream: &mut TcpStream, shared: &Shared, raw: &RawFrame) -> bool {
     let counters = &shared.counters;
     let req = match decode_request(raw) {
         Ok(req) => req,
@@ -735,16 +638,12 @@ fn handle_frame(
             );
         }
     };
-    let (reply_tx, reply_rx) = mpsc::channel();
-    if engine_tx.send(EngineCall { req, reply: reply_tx }).is_err() {
-        // Engine gone: the server is past drain — refuse explicitly,
-        // then close.
+    let Ok(resp) = shared.engine.lock().map(|mut engine| engine.handle(req)) else {
+        // A request panicked inside the engine: it is gone — refuse
+        // explicitly, then close.
         let resp =
             Response::Error { code: RejectCode::Draining, detail: "engine stopped".to_string() };
         let _ = write_reply(stream, counters, raw.frame_id, &resp);
-        return false;
-    }
-    let Ok(resp) = reply_rx.recv() else {
         return false;
     };
     write_reply(stream, counters, raw.frame_id, &resp)
@@ -804,8 +703,10 @@ fn write_reply(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::client::{RetryPolicy, WireClient};
+    use crate::wire::client::{ClientError, RetryPolicy, WireClient};
+    use crate::Disposition;
     use matraptor_sparse::gen;
+    use std::time::Instant;
 
     fn local_server() -> WireServer {
         let cfg = WireServerConfig::local(ServiceConfig::small_test());
@@ -957,5 +858,99 @@ mod tests {
             }
         }
         assert_eq!(server.shutdown().thread_panics, 0);
+    }
+
+    #[test]
+    fn finished_connections_release_their_stream_and_thread() {
+        let server = local_server();
+        for seed in 0..200 {
+            let mut client =
+                WireClient::connect(server.addr(), RetryPolicy::no_retry(), seed).expect("connect");
+            assert!(matches!(client.ping(), Ok(Response::Pong)));
+        }
+        let shared = &server.shared;
+        let all_finished = || {
+            shared.live.load(Ordering::SeqCst) == 0
+                && shared.conn_handles.lock().unwrap().iter().all(JoinHandle::is_finished)
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !all_finished() {
+            assert!(Instant::now() < deadline, "churned connections never finished");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // Accepting the probe joins every finished thread; the streams of
+        // closed connections are already gone.
+        let mut probe =
+            WireClient::connect(server.addr(), RetryPolicy::no_retry(), 200).expect("connect");
+        assert!(matches!(probe.ping(), Ok(Response::Pong)));
+        assert_eq!(shared.streams.lock().unwrap().len(), 1, "only the probe's stream is held");
+        assert!(shared.conn_handles.lock().unwrap().len() <= 1, "finished threads are joined");
+        drop(probe);
+        let down = server.shutdown();
+        assert_eq!(down.thread_panics, 0);
+        assert_eq!(down.counters.accepted, 201);
+    }
+
+    #[test]
+    fn concurrent_clients_resolve_every_job_completed_exactly_once() {
+        const CLIENTS: u64 = 3;
+        const JOBS: u64 = 30;
+        let server = local_server();
+        let addr = server.addr();
+        let completed = disposition_code(Disposition::Completed);
+        let start = Arc::new(std::sync::Barrier::new(CLIENTS as usize));
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    let mut client = WireClient::connect(addr, RetryPolicy::no_retry(), 40 + c)
+                        .expect("connect");
+                    start.wait();
+                    // No retries, so any error fails the test — a
+                    // `FrameIdMismatch` included.
+                    let expect = |resp: Result<Response, ClientError>| match resp {
+                        Err(ClientError::FrameIdMismatch { sent, got }) => {
+                            panic!("client {c}: reply {got} answered request {sent}")
+                        }
+                        other => other.expect("clean loopback exchange"),
+                    };
+                    // (job, its first resolved state), in submission order.
+                    let mut seen: Vec<(u64, JobState)> = Vec::new();
+                    for k in 0..JOBS {
+                        let a = gen::uniform(12, 12, 24, 1_000 * c + 2 * k);
+                        let b = gen::uniform(12, 12, 24, 1_000 * c + 2 * k + 1);
+                        let job = match expect(client.submit((c % 2) as u32, &a, &b)) {
+                            Response::Submitted { job } => job,
+                            other => panic!("client {c}: expected Submitted, got {other:?}"),
+                        };
+                        let state = match expect(client.poll(job)) {
+                            Response::Status {
+                                job: j,
+                                state: state @ JobState::Resolved { disposition, .. },
+                            } if j == job && disposition == completed => state,
+                            other => panic!("client {c}: job {job} not Completed: {other:?}"),
+                        };
+                        seen.push((job, state));
+                        // Re-poll an earlier job: its resolution never moves.
+                        let (old, first) = seen[(k / 2) as usize];
+                        match expect(client.poll(old)) {
+                            Response::Status { job: j, state } if j == old => {
+                                assert_eq!(state, first, "client {c} job {old} re-resolved");
+                            }
+                            other => panic!("client {c}: expected status of {old}, got {other:?}"),
+                        }
+                    }
+                    seen.into_iter().map(|(job, _)| job).collect::<Vec<u64>>()
+                })
+            })
+            .collect();
+        let mut ids: Vec<u64> =
+            clients.into_iter().flat_map(|h| h.join().expect("client thread")).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..CLIENTS * JOBS).collect::<Vec<u64>>(), "each id issued once");
+        let down = server.shutdown();
+        assert_eq!(down.jobs_accepted, CLIENTS * JOBS);
+        assert_eq!(down.jobs_accepted, down.jobs_resolved);
+        assert_eq!(down.thread_panics, 0);
     }
 }

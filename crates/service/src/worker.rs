@@ -211,9 +211,9 @@ impl WorkerFaultPlan {
 /// An in-flight job on (or recovered from) a worker: the admitted job plus
 /// everything needed to resume it elsewhere after a worker failure.
 #[derive(Debug, Clone)]
-pub(crate) struct Assignment {
+pub(crate) struct Assignment<M> {
     /// The admitted job (operands, plan, deadline).
-    pub job: Pending,
+    pub job: Pending<M>,
     /// Accelerator attempts consumed (job-level fault retries).
     pub attempts: u32,
     /// Fleet cycle of the *first* dispatch — queue-wait anchors here even
@@ -410,9 +410,10 @@ fn heartbeat_signature(id: usize, beats: u64) -> u64 {
 
 /// One fleet execution unit. The fleet owns the event loop; the worker
 /// owns its machine, its heartbeat watchdog, and its recovery-ladder
-/// position.
+/// position. `M` is the fleet's operand handle (see
+/// [`JobSpec`](crate::JobSpec)).
 #[derive(Debug)]
-pub struct Worker {
+pub struct Worker<M: Deref<Target = Csr<f64>> = Rc<Csr<f64>>> {
     pub(crate) id: usize,
     pub(crate) class: WorkerClass,
     // conformance:allow(checkpoint-coverage): immutable template config, shared by construction
@@ -422,9 +423,9 @@ pub struct Worker {
     pub(crate) lanes: usize,
     pub(crate) status: WorkerStatus,
     // conformance:allow(checkpoint-coverage): in-flight payload rides its own job checkpoint via the re-dispatch queue
-    pub(crate) assignment: Option<Assignment>,
+    pub(crate) assignment: Option<Assignment<M>>,
     // conformance:allow(checkpoint-coverage): the assignment's live machine, which stands at a slice boundary whenever the job leaves the worker and is snapshotted into the assignment's checkpoint then
-    pub(crate) run: Option<Run<Rc<Csr<f64>>>>,
+    pub(crate) run: Option<Run<M>>,
     // conformance:allow(checkpoint-coverage): derived event, recomputed when the job is re-dispatched
     pub(crate) pending: Option<ScheduledEvent>,
     pub(crate) watchdog: Watchdog,
@@ -441,7 +442,7 @@ pub struct Worker {
     pub(crate) stats: WorkerStats,
 }
 
-impl Worker {
+impl<M: Deref<Target = Csr<f64>>> Worker<M> {
     /// Builds a worker. Accelerator workers get their own machine from the
     /// template config; CPU workers carry none.
     pub(crate) fn new(
