@@ -19,7 +19,7 @@ fn streaming_reads() {
         while completed < total {
             let now = Cycle(t);
             while submitted < total
-                && hbm.submit(now, MemRequest::read(submitted, submitted * 64, 64))
+                && hbm.submit(now, MemRequest::read(submitted, submitted * 64, 64)).is_ok()
             {
                 submitted += 1;
             }

@@ -22,7 +22,7 @@ use crate::error::{
 use crate::fault::{FaultKind, FaultPlan};
 use crate::layout::{matrix_layout, MatrixLayout, Regions};
 use crate::pe::Pe;
-use crate::port::MemPort;
+use crate::port::{MemPort, Route, Unit};
 use crate::spal::SpAl;
 use crate::spbl::SpBl;
 use crate::stats::{LaneAttribution, MatRaptorStats};
@@ -166,6 +166,19 @@ impl Lane {
         self.spbl.replay_stall();
         self.spal.replay_stall();
         self.writer.replay_stall();
+    }
+
+    /// The unit that issued in-flight request `id`, if any did.
+    fn issuer(&self, id: u64) -> Option<Unit> {
+        if self.spal.issued(id) {
+            Some(Unit::SpAl)
+        } else if self.spbl.issued(id) {
+            Some(Unit::SpBl)
+        } else if self.writer.issued(id) {
+            Some(Unit::Writer)
+        } else {
+            None
+        }
     }
 
     /// Whether the lane has fetched, merged and written everything.
@@ -349,8 +362,9 @@ impl<M: Deref<Target = Csr<f64>>> Run<M> {
 struct RunState {
     t: u64,
     next_id: u64,
-    /// In-flight request id → issuing lane.
-    route: IdTable<usize>,
+    /// In-flight request id → issuing lane and unit. A checkpoint keeps
+    /// the lane only; restore asks the lane's units for the rest.
+    route: IdTable<Route>,
     lanes: Vec<Lane>,
     hbm: Hbm,
     stream_fault: Option<StreamInjector>,
@@ -652,7 +666,7 @@ impl Accelerator {
                 b_fingerprint,
                 t: state.t,
                 next_id: state.next_id,
-                route: state.route.iter().map(|(id, &l)| (id, l as u64)).collect(),
+                route: state.route.iter().map(|(id, r)| (id, r.lane as u64)).collect(),
                 lanes: state
                     .lanes
                     .iter()
@@ -752,10 +766,25 @@ impl Accelerator {
             corrupt_to: s.corrupt_to,
         });
 
+        let route = st
+            .route
+            .iter()
+            .map(|&(id, l)| {
+                let lane = usize::try_from(l).ok().and_then(|l| lanes.get(l).map(|lane| (l, lane)));
+                let unit = lane.and_then(|(_, lane)| lane.issuer(id));
+                match (lane, unit) {
+                    (Some((lane, _)), Some(unit)) => Ok((id, Route { lane, unit })),
+                    _ => Err(SimError::CheckpointMismatch {
+                        detail: "checkpoint routes a request no unit of its lane issued",
+                    }),
+                }
+            })
+            .collect::<Result<_, _>>()?;
+
         Ok(RunState {
             t: st.t,
             next_id: st.next_id,
-            route: st.route.iter().map(|&(id, l)| (id, l as usize)).collect(),
+            route,
             lanes,
             hbm,
             stream_fault,
@@ -793,7 +822,7 @@ impl Accelerator {
         let lanes_n = cfg.num_lanes;
         let ratio = ctx.ratio;
         let fallback = |row: u32| reference_row(&ctx.a, &ctx.b, row as usize);
-        let mut inboxes: Vec<Vec<u64>> = vec![Vec::new(); lanes_n];
+        let mut inboxes: Vec<Vec<(u64, Unit)>> = vec![Vec::new(); lanes_n];
 
         let RunState {
             t,
@@ -826,12 +855,12 @@ impl Accelerator {
                     // injected memory corruption) fabricated a response.
                     // Propagate it instead of panicking so services above
                     // the driver survive the broken run.
-                    let Some(lane) = route.remove(resp.id.0) else {
+                    let Some(Route { lane, unit }) = route.remove(resp.id.0) else {
                         return Err(SimError::ProtocolViolation {
                             detail: "HBM response for an unissued request id",
                         });
                     };
-                    inboxes[lane].push(resp.id.0);
+                    inboxes[lane].push((resp.id.0, unit));
                 }
                 if let Some(s) = sampler.as_deref_mut() {
                     s.record_queue_depths(hbm.queue_depths());
@@ -847,15 +876,13 @@ impl Accelerator {
                     all_done &= lane.is_done();
                     continue;
                 }
-                // Deliver responses.
-                for id in inboxes[l].drain(..) {
-                    if lane.spal.on_response(id, &ctx.ac) {
-                        continue;
-                    }
-                    if lane.spbl.on_response(id) {
-                        continue;
-                    }
-                    let consumed = lane.writer.on_response(id);
+                // Deliver responses, each straight to the unit that issued it.
+                for (id, unit) in inboxes[l].drain(..) {
+                    let consumed = match unit {
+                        Unit::SpAl => lane.spal.on_response(id, &ctx.ac),
+                        Unit::SpBl => lane.spbl.on_response(id),
+                        Unit::Writer => lane.writer.on_response(id),
+                    };
                     debug_assert!(consumed, "orphan response {id}");
                 }
 
@@ -1265,5 +1292,36 @@ mod tests {
             Err(SimError::CheckpointMismatch { .. }) => {}
             other => panic!("expected CheckpointMismatch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_restore_routes_every_units_reads_as_the_paused_run_did() {
+        let a = gen::uniform(96, 96, 900, 24);
+        let accel = Accelerator::new(MatRaptorConfig::small_test());
+        let fresh = RunStart::Fresh { plan: None, trace: None };
+        let mut run = accel.start(&a, &a, fresh).expect("valid operands");
+        let routes = |state: &RunState| -> Vec<(u64, Route)> {
+            state.route.iter().map(|(id, &r)| (id, r)).collect()
+        };
+        // Walk to the first cycle top with reads of SpAL and SpBL and a
+        // write of the writer all in flight.
+        let all_units_in_flight = |state: &RunState| {
+            let units: Vec<Unit> = state.route.iter().map(|(_, r)| r.unit).collect();
+            [Unit::SpAl, Unit::SpBl, Unit::Writer].iter().all(|u| units.contains(u))
+        };
+        while !all_units_in_flight(&run.state) {
+            let drained = run.advance(run.cycle() + 1).expect("clean run");
+            assert!(!drained, "drained before every unit had a request in flight");
+        }
+        let ck = run.snapshot();
+        let mut restored = accel.start(&a, &a, RunStart::Resume(&ck)).expect("own checkpoint");
+        assert_eq!(routes(&restored.state), routes(&run.state));
+        assert_eq!(restored.snapshot().to_bytes(), ck.to_bytes());
+        assert!(run.advance(u64::MAX).expect("clean run"));
+        assert!(restored.advance(u64::MAX).expect("clean resume"));
+        let (paused, resumed) =
+            (run.finish().expect("drained"), restored.finish().expect("drained"));
+        assert_eq!(resumed.stats, paused.stats);
+        assert_eq!(resumed.c, paused.c);
     }
 }

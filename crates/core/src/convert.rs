@@ -146,7 +146,7 @@ pub fn conversion_cycles_directed(
         // Issue writes that have been released by arrived data.
         while next_write < writes_released.min(writes.len()) && in_flight < max_outstanding {
             let (addr, bytes) = writes[next_write];
-            if hbm.submit(now, MemRequest::write(id, addr, bytes)) {
+            if hbm.submit(now, MemRequest::write(id, addr, bytes)).is_ok() {
                 id += 1;
                 next_write += 1;
                 in_flight += 1;
@@ -157,7 +157,7 @@ pub fn conversion_cycles_directed(
         // Issue reads.
         while next_read < reads.len() && in_flight < max_outstanding {
             let (addr, bytes) = reads[next_read];
-            if hbm.submit(now, MemRequest::read(id, addr, bytes)) {
+            if hbm.submit(now, MemRequest::read(id, addr, bytes)).is_ok() {
                 id += 1;
                 next_read += 1;
                 in_flight += 1;

@@ -231,6 +231,33 @@ mod tests {
     }
 
     #[test]
+    fn every_refused_attempt_under_a_burst_refusal_plan_is_counted() {
+        use matraptor_mem::{Hbm, HbmConfig, MemRequest};
+        use matraptor_sim::Cycle;
+
+        let cfg = HbmConfig { queue_depth: 1, ..HbmConfig::with_channels(2) };
+        for seed in 0..16 {
+            let plan = FaultPlan::sample(FaultKind::BurstRefusal, seed, 2);
+            let site_bit = 1u64 << plan.site;
+            // Reads on the plan's channel: every other interleave block.
+            let on_site = |k: u64| (2 * k + plan.site as u64) * cfg.interleave_bytes as u64;
+            let mut hbm = Hbm::new(cfg.clone());
+            assert!(hbm.submit(Cycle(0), MemRequest::read(0, on_site(0), 8)).is_ok());
+            assert_eq!(hbm.full_channels(), site_bit, "seed {seed}: one slot, now taken");
+            hbm.set_faults(plan.mem_faults());
+            // The full channel is not reported, so requesters keep
+            // offering reads and the refusal window sees each one.
+            assert_eq!(hbm.full_channels(), 0, "seed {seed}");
+            for (k, t) in (plan.start..plan.start + plan.duration).step_by(7).enumerate() {
+                let before = hbm.fault_counters().refused_submits;
+                let read = MemRequest::read(k as u64 + 1, on_site(k as u64 + 1), 8);
+                assert_eq!(hbm.submit(Cycle(t), read), Err(site_bit), "seed {seed} cycle {t}");
+                assert_eq!(hbm.fault_counters().refused_submits, before + 1, "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
     fn classification_contract() {
         let err: Result<RunOutcome, SimError> =
             Err(SimError::OutputCorrupted { detail: "test", rows: vec![3] });

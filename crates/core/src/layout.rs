@@ -52,6 +52,11 @@ pub(crate) struct MatrixLayout {
     /// Streaming request size: data requests are cut at its multiples.
     pub chunk: Divisor,
     pub map: AddressMap,
+    /// Whether every read this layout builds, a row's info pair or a data
+    /// request, lies inside one interleave block and so on one channel:
+    /// the interleave is a multiple of both [`INFO_BYTES`] and the
+    /// request size.
+    pub one_channel_reads: bool,
 }
 
 /// Bytes per *(row length, row pointer)* metadata pair.
@@ -89,6 +94,11 @@ pub(crate) struct RowPlan {
 }
 
 impl RowPlan {
+    /// The channel every request of the plan goes to.
+    pub(crate) fn channel(&self) -> usize {
+        self.channel
+    }
+
     /// Whether every request has been issued.
     pub(crate) fn is_empty(&self) -> bool {
         self.pos >= self.end
@@ -167,12 +177,16 @@ pub(crate) fn matrix_layout(
     let mem = &cfg.mem;
     let stripe = mem.interleave_bytes as u64 * mem.num_channels as u64;
     let aligned = data_base_flat / stripe * stripe;
+    let interleave = mem.interleave_bytes;
     MatrixLayout {
         info_base,
         data_base_local: aligned / mem.num_channels as u64,
         entry: Divisor::new(cfg.entry_bytes as u64),
         chunk: Divisor::new(cfg.read_request_bytes as u64),
         map: AddressMap::new(mem),
+        one_channel_reads: info_base.is_multiple_of(INFO_BYTES as u64)
+            && interleave.is_multiple_of(INFO_BYTES)
+            && interleave.is_multiple_of(cfg.read_request_bytes),
     }
 }
 
@@ -260,6 +274,26 @@ mod tests {
         assert!(plan.is_empty());
         assert!(plan.requests(&l).is_empty());
         assert_eq!(RowPlan::from_requests(&l, &[]), RowPlan::default());
+    }
+
+    #[test]
+    fn reads_stay_on_one_channel_only_when_requests_tile_the_interleave() {
+        let with = |interleave_bytes: u32, read_request_bytes: u32| {
+            let cfg = MatRaptorConfig {
+                mem: HbmConfig { interleave_bytes, burst_bytes: 8, ..HbmConfig::default() },
+                read_request_bytes,
+                ..MatRaptorConfig::default()
+            };
+            matrix_layout(&cfg, 0, 0).one_channel_reads
+        };
+        assert!(with(64, 64));
+        assert!(with(64, 16));
+        // A 128 B request crosses into the next channel's block.
+        assert!(!with(64, 128));
+        // A 48 B request can straddle a 64 B block boundary.
+        assert!(!with(64, 48));
+        // An info pair can straddle a 12 B block boundary.
+        assert!(!with(12, 4));
     }
 
     #[test]

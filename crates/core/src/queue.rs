@@ -43,6 +43,10 @@ impl SortQueue {
         self.entries.front().map(|&(c, _)| c)
     }
 
+    pub(crate) fn front(&self) -> Option<(u32, f64)> {
+        self.entries.front().copied()
+    }
+
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
@@ -156,22 +160,35 @@ impl QueueSet {
     /// Phase II step: pops every queue whose front column equals the
     /// global minimum and returns `(col, sum, queues_popped)` — the
     /// min-column-id selection plus adder tree of Fig. 5b.
+    ///
+    /// One pass over the fronts finds the minimum and sums the values
+    /// tied at it in queue order, from `0.0`, restarting at each smaller
+    /// column; only the queues from the first tie to the last are then
+    /// revisited to pop.
     pub(crate) fn pop_min(&mut self) -> Option<(u32, f64, usize)> {
-        let min = self.queues.iter().filter_map(SortQueue::front_col).min()?;
-        let mut sum = 0.0;
-        let mut popped = 0;
-        for q in &mut self.queues {
-            if q.front_col() == Some(min) {
-                // conformance:allow(panic-safety): invariant: the min-scan just proved this queue is non-empty
-                let (_, v) = q.pop().expect("front exists");
-                sum += v;
-                popped += 1;
+        let mut min = None;
+        let (mut sum, mut popped, mut first, mut last) = (0.0, 0, 0, 0);
+        for (q, queue) in self.queues.iter().enumerate() {
+            let Some((col, val)) = queue.front() else { continue };
+            if min.is_none_or(|m| col < m) {
+                min = Some(col);
+                (sum, popped, first) = (0.0, 0, q);
+            } else if min != Some(col) {
+                continue;
+            }
+            sum += val;
+            popped += 1;
+            last = q;
+        }
+        let min = min?;
+        for queue in &mut self.queues[first..=last] {
+            if queue.front_col() == Some(min) {
+                queue.pop();
             }
         }
         Some((min, sum, popped))
     }
 
-    #[allow(dead_code)] // kept for occupancy diagnostics
     pub(crate) fn total_entries(&self) -> usize {
         self.queues.iter().map(SortQueue::len).sum()
     }
@@ -323,6 +340,58 @@ mod tests {
         let (c, ..) = s.pop_min().unwrap();
         assert_eq!(c, 7);
         assert!(s.pop_min().is_none());
+    }
+
+    /// The two-pass Phase II step: find the minimum front column, then
+    /// pop and sum every queue holding it, in queue order.
+    fn two_pass_pop_min(set: &mut QueueSet) -> Option<(u32, f64, usize)> {
+        let min = set.queues.iter().filter_map(SortQueue::front_col).min()?;
+        let mut sum = 0.0;
+        let mut popped = 0;
+        for q in &mut set.queues {
+            if q.front_col() == Some(min) {
+                sum += q.pop().unwrap().1;
+                popped += 1;
+            }
+        }
+        Some((min, sum, popped))
+    }
+
+    #[test]
+    fn one_pass_pop_min_equals_the_two_pass_reference() {
+        use matraptor_sparse::rng::ChaCha8Rng;
+        for seed in 0..200u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let queues = rng.gen_range(3usize..12);
+            let mut set = QueueSet::new(queues, 16);
+            // A narrow column range makes ties common; some seeds leave
+            // every queue empty.
+            let cols = rng.gen_range(1u32..24);
+            let fill = rng.gen_range(0.0..1.0);
+            for q in 0..queues {
+                for col in 0..cols {
+                    if set.queue(q).is_full() || !rng.gen_bool(fill) {
+                        continue;
+                    }
+                    let val = match rng.gen_range(0usize..8) {
+                        0 => -0.0,
+                        1 => 0.0,
+                        _ => rng.gen_range(-1e3..1e3),
+                    };
+                    set.queue(q).push(col, val);
+                }
+            }
+            let mut reference = set.clone();
+            loop {
+                let (got, want) = (set.pop_min(), two_pass_pop_min(&mut reference));
+                let bits = |r: Option<(u32, f64, usize)>| r.map(|(c, v, n)| (c, v.to_bits(), n));
+                assert_eq!(bits(got), bits(want), "seed {seed}");
+                if got.is_none() {
+                    break;
+                }
+            }
+            assert!(set.is_empty());
+        }
     }
 
     #[test]

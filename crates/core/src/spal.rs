@@ -10,7 +10,7 @@ use matraptor_sparse::C2sr;
 use crate::checkpoint::{SpAlSpanState, SpAlState};
 use crate::config::MatRaptorConfig;
 use crate::layout::{MatrixLayout, RowPlan, INFO_BYTES};
-use crate::port::MemPort;
+use crate::port::{MemPort, Unit};
 use crate::tokens::ATok;
 
 /// The per-lane loader for matrix A (Section IV-B).
@@ -108,6 +108,11 @@ impl SpAl {
         }
     }
 
+    /// Whether request `id` is one of SpAL's in flight.
+    pub(crate) fn issued(&self, id: u64) -> bool {
+        self.pending_info.contains_key(id) || self.pending_data.contains_key(id)
+    }
+
     /// Handles a memory response routed to this unit. Returns `true` if
     /// the id belonged to SpAL.
     pub(crate) fn on_response(&mut self, id: u64, a: &C2sr<f64>) -> bool {
@@ -173,7 +178,7 @@ impl SpAl {
         {
             let row = self.rows[self.info_cursor] as usize;
             let addr = layout.info_addr(row);
-            match port.try_read(addr, INFO_BYTES) {
+            match port.try_read(Unit::SpAl, addr, INFO_BYTES) {
                 Some(id) => {
                     self.pending_info.insert(id, self.info_cursor);
                     self.in_flight += 1;
@@ -219,7 +224,7 @@ impl SpAl {
                 if self.in_flight >= self.max_outstanding {
                     break;
                 }
-                match port.try_read(addr, bytes) {
+                match port.try_read(Unit::SpAl, addr, bytes) {
                     Some(id) => {
                         let count = layout.entries_in(bytes);
                         self.pending_data.insert(

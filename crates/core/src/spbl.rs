@@ -10,7 +10,7 @@ use matraptor_sparse::C2sr;
 use crate::checkpoint::{JobState, SpBlState};
 use crate::config::MatRaptorConfig;
 use crate::layout::{MatrixLayout, RowPlan, INFO_BYTES};
-use crate::port::MemPort;
+use crate::port::{MemPort, Unit};
 use crate::tokens::{ATok, PeTok};
 
 /// The per-lane loader for matrix B (Section IV-B).
@@ -145,6 +145,11 @@ impl SpBl {
         }
     }
 
+    /// Whether request `id` is one of SpBL's in flight.
+    pub(crate) fn issued(&self, id: u64) -> bool {
+        self.pending_info.contains_key(id) || self.pending_data.contains_key(id)
+    }
+
     /// Routes a memory response to this unit. Returns `true` if consumed.
     pub(crate) fn on_response(&mut self, id: u64) -> bool {
         if let Some(seq) = self.pending_info.remove(id) {
@@ -253,7 +258,9 @@ impl SpBl {
         }
 
         // Issue info and data requests in job order, visiting only the
-        // jobs that have any to issue.
+        // jobs that have any to issue. A read on one channel that is full
+        // would be refused, so it is not built (DESIGN.md §4 item 7).
+        let gate = layout.one_channel_reads;
         if self.staging.len() < self.staging_cap {
             let front_seq = self.jobs.front().map_or(0, |j| j.seq);
             let mut todo = self.issuable.rotate_right((front_seq % 64) as u32);
@@ -264,9 +271,13 @@ impl SpBl {
                 let job = &mut self.jobs[todo.trailing_zeros() as usize];
                 todo &= todo - 1;
                 if !job.info_requested {
-                    if let Some(id) =
-                        port.try_read(layout.info_addr(job.b_row as usize), INFO_BYTES)
-                    {
+                    let addr = layout.info_addr(job.b_row as usize);
+                    let id = if gate && port.channel_full(layout.map.channel_of(addr)) {
+                        None
+                    } else {
+                        port.try_read(Unit::SpBl, addr, INFO_BYTES)
+                    };
+                    if let Some(id) = id {
                         self.pending_info.insert(id, job.seq);
                         self.in_flight += 1;
                         job.info_requested = true;
@@ -280,21 +291,17 @@ impl SpBl {
                         changed = true;
                     }
                     if let Some(plan) = job.plan.as_mut() {
-                        while let Some((addr, bytes)) = plan.front(layout) {
-                            if self.in_flight >= self.max_outstanding {
-                                break;
-                            }
-                            match port.try_read(addr, bytes) {
-                                Some(id) => {
-                                    plan.pop_front(layout);
-                                    let count = layout.entries_in(bytes);
-                                    self.pending_data
-                                        .insert(id, DataSpan { job_seq: job.seq, count });
-                                    self.in_flight += 1;
-                                    moved = true;
-                                }
-                                None => break,
-                            }
+                        while !plan.is_empty()
+                            && self.in_flight < self.max_outstanding
+                            && !(gate && port.channel_full(plan.channel()))
+                        {
+                            let Some((addr, bytes)) = plan.front(layout) else { break };
+                            let Some(id) = port.try_read(Unit::SpBl, addr, bytes) else { break };
+                            plan.pop_front(layout);
+                            let count = layout.entries_in(bytes);
+                            self.pending_data.insert(id, DataSpan { job_seq: job.seq, count });
+                            self.in_flight += 1;
+                            moved = true;
                         }
                     }
                 }

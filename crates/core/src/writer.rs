@@ -207,6 +207,11 @@ impl Writer {
         &self.attribution
     }
 
+    /// Whether write `id` is one of the writer's in flight.
+    pub(crate) fn issued(&self, id: u64) -> bool {
+        self.pending.contains_key(id)
+    }
+
     /// Routes a write acknowledgement. Returns `true` if consumed.
     pub(crate) fn on_response(&mut self, id: u64) -> bool {
         self.pending.remove(id).is_some()

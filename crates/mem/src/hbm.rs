@@ -53,12 +53,14 @@ impl HbmStats {
 /// 1. [`Hbm::submit`] — admission is atomic per request: either every
 ///    burst-fragment fits in its channel queue, or the request is refused
 ///    and the requester stalls (this is where CSR's channel conflicts turn
-///    into lost cycles). [`Hbm::channel_mask`] names the channels a
-///    refused request waits on;
+///    into lost cycles). A refusal returns the channels the request waits
+///    on, its [`Hbm::channel_mask`];
 /// 2. [`Hbm::tick`] — advance every channel one cycle. Only a tick frees
 ///    queue slots, and [`Hbm::freed_channels`] names the channels it freed
 ///    one on, so without a fault schedule a refused request stays refused
-///    until a tick frees a slot on one of its channels;
+///    until a tick frees a slot on one of its channels. For the same
+///    reason a channel in [`Hbm::full_channels`] refuses every request
+///    with a fragment on it until a tick frees it;
 /// 3. [`Hbm::pop_response`] — collect completions, `access_latency` cycles
 ///    after a request's last fragment left its channel.
 ///
@@ -70,7 +72,7 @@ impl HbmStats {
 ///
 /// let mut hbm = Hbm::new(HbmConfig::default());
 /// let mut now = Cycle(0);
-/// assert!(hbm.submit(now, MemRequest::read(1, 0, 64)));
+/// assert!(hbm.submit(now, MemRequest::read(1, 0, 64)).is_ok());
 /// let resp = loop {
 ///     hbm.tick(now);
 ///     if let Some(r) = hbm.pop_response(now) {
@@ -106,11 +108,18 @@ pub struct Hbm {
     /// [`channel_bit`] set.
     // conformance:allow(checkpoint-coverage): rewritten by every tick; a restored device's requesters resume by submitting, not by waiting on it
     freed: u64,
+    /// Channels whose request queue has no free slot, as a [`channel_bit`]
+    /// set. Exact only with at most 64 channels; [`Hbm::full_channels`]
+    /// hides it otherwise.
+    // conformance:allow(checkpoint-coverage): derived from the queue depths; restore recomputes it
+    full: u64,
 }
 
-/// `channel`'s bit in a channel set. Channels past 64 share bits, so a set
-/// can name a channel that did not change, never miss one that did.
-fn channel_bit(channel: usize) -> u64 {
+/// `channel`'s bit in a channel set (bit `channel % 64`). Channels past 64
+/// share bits, so a set can name a channel that did not change, never miss
+/// one that did.
+#[inline]
+pub fn channel_bit(channel: usize) -> u64 {
     1 << (channel % 64)
 }
 
@@ -145,6 +154,7 @@ impl Hbm {
             faults: MemFaults::none(),
             fault_counters: FaultCounters::default(),
             freed: 0,
+            full: 0,
         }
     }
 
@@ -201,23 +211,21 @@ impl Hbm {
             .map(move |(ch, addr, bytes)| (ch, Fragment::new(&map, id, kind, addr, bytes)))
     }
 
-    /// Whether every fragment of `req` finds a slot in its channel queue.
+    /// Whether every fragment of `req` finds a slot in its channel queue,
+    /// and the channels it has fragments on (its [`Hbm::channel_mask`]).
     /// `need` holds per-channel counts; it is all zero on entry and exit.
-    fn fits(&self, req: &MemRequest, need: &mut [u32]) -> bool {
+    fn fits(&self, req: &MemRequest, need: &mut [u32]) -> (bool, u64) {
         let pieces = self.pieces(req);
-        let mut fits = true;
+        let (mut fits, mut mask) = (true, 0);
         for (ch, ..) in pieces.clone() {
             need[ch] += 1;
             fits &= self.channels[ch].free_slots() >= need[ch] as usize;
+            mask |= channel_bit(ch);
         }
         for (ch, ..) in pieces {
             need[ch] = 0;
         }
-        fits
-    }
-
-    fn admissible(&self, req: &MemRequest, need: &mut [u32]) -> bool {
-        req.bytes != 0 && !self.pending.contains_key(req.id.0) && self.fits(req, need)
+        (fits, mask)
     }
 
     /// The channels `req` has fragments on, as a set of channel bits (bit
@@ -229,42 +237,79 @@ impl Hbm {
 
     /// The channels whose request queue gained a free slot in the last
     /// [`Hbm::tick`], as a set of channel bits (bit `channel % 64`).
+    #[inline]
     pub fn freed_channels(&self) -> u64 {
         self.freed
     }
 
-    /// Submits a request; returns `false` (and changes nothing) if any
-    /// target channel queue lacks space, the id is already in flight, or
-    /// an installed refusal fault covers a target channel this cycle.
-    pub fn submit(&mut self, now: Cycle, req: MemRequest) -> bool {
-        if !self.faults.is_empty()
-            && self.pieces(&req).any(|(ch, ..)| self.faults.refusing(ch, now.as_u64()))
-        {
-            self.fault_counters.refused_submits += 1;
-            return false;
+    /// The channels whose request queue is full, as a set of channel bits:
+    /// a request with a fragment on one of them would be refused. Only
+    /// submits fill a queue and only ticks free one, so a channel stays in
+    /// the set until [`Hbm::freed_channels`] names it. The set is empty
+    /// under a fault schedule, whose refusal windows count every attempted
+    /// submit, and with more than 64 channels, where bits are shared.
+    #[inline]
+    pub fn full_channels(&self) -> u64 {
+        if self.faults.is_empty() && self.channels.len() <= 64 {
+            self.full
+        } else {
+            0
+        }
+    }
+
+    /// Submits a request. A refusal changes nothing and returns the
+    /// request's [`Hbm::channel_mask`]: the channels it waits on. A request
+    /// is refused if any target channel queue lacks space, the id is
+    /// already in flight, it is empty, or an installed refusal fault covers
+    /// a target channel this cycle.
+    ///
+    /// # Errors
+    ///
+    /// The refused request's channel mask.
+    pub fn submit(&mut self, now: Cycle, req: MemRequest) -> Result<(), u64> {
+        if !self.faults.is_empty() {
+            let (refusing, mask) =
+                self.pieces(&req).fold((false, 0), |(refusing, mask), (ch, ..)| {
+                    (refusing || self.faults.refusing(ch, now.as_u64()), mask | channel_bit(ch))
+                });
+            if refusing {
+                self.fault_counters.refused_submits += 1;
+                return Err(mask);
+            }
         }
         // Fast refusal: the first fragment's queue is full. Requesters
         // retry refused reads every cycle, so this is the common case
-        // under memory pressure.
-        if self.channels[self.map.channel_of(req.addr)].free_slots() == 0 {
-            return false;
+        // under memory pressure, and most requests fit in one burst, whose
+        // mask is the first channel's bit.
+        let first = self.map.channel_of(req.addr);
+        if req.bytes != 0 && self.channels[first].free_slots() == 0 {
+            let end = req.addr + req.bytes as u64;
+            return Err(if end <= self.map.burst_end(req.addr) {
+                channel_bit(first)
+            } else {
+                self.channel_mask(&req)
+            });
         }
         let mut need = std::mem::take(&mut self.need);
-        let admitted = self.admissible(&req, &mut need);
+        let (fits, mask) = self.fits(&req, &mut need);
         self.need = need;
-        if !admitted {
-            return false;
+        if !fits || req.bytes == 0 || self.pending.contains_key(req.id.0) {
+            return Err(mask);
         }
         let mut fragments_left = 0;
         for (ch, frag) in self.fragments(&req) {
-            self.channels[ch].enqueue(frag);
+            let channel = &mut self.channels[ch];
+            channel.enqueue(frag);
+            if channel.free_slots() == 0 {
+                self.full |= channel_bit(ch);
+            }
             fragments_left += 1;
         }
         self.pending.insert(
             req.id.0,
             PendingRequest { kind: req.kind, bytes: req.bytes, fragments_left, submitted: now },
         );
-        true
+        Ok(())
     }
 
     /// Advances all channels one cycle and matures completed requests into
@@ -304,14 +349,17 @@ impl Hbm {
                 }
             }
         }
+        self.full &= !self.freed;
     }
 
     /// Pops one matured response, if any.
+    #[inline]
     pub fn pop_response(&mut self, now: Cycle) -> Option<MemResponse> {
         self.response_pipe.pop_ready(now)
     }
 
     /// Whether all queues, channels, and pipes are drained.
+    #[inline]
     pub fn is_idle(&self) -> bool {
         self.pending.is_empty()
             && self.response_pipe.is_empty()
@@ -390,7 +438,8 @@ impl Hbm {
         cfg.validate();
         assert_eq!(state.channels.len(), cfg.num_channels, "HBM restore: channel count mismatch");
         let map = AddressMap::new(&cfg);
-        let channels = state.channels.iter().map(|c| Channel::restore(&cfg, &map, c)).collect();
+        let channels: Vec<Channel> =
+            state.channels.iter().map(|c| Channel::restore(&cfg, &map, c)).collect();
         let pending = state
             .pending
             .iter()
@@ -419,6 +468,11 @@ impl Hbm {
                 })
                 .collect(),
         );
+        let full = channels
+            .iter()
+            .enumerate()
+            .filter(|(_, ch)| ch.free_slots() == 0)
+            .fold(0, |full, (ch, _)| full | channel_bit(ch));
         Hbm {
             map,
             need: vec![0; cfg.num_channels],
@@ -431,6 +485,7 @@ impl Hbm {
             faults: state.faults.clone(),
             fault_counters: state.fault_counters,
             freed: 0,
+            full,
         }
     }
 
@@ -481,7 +536,7 @@ mod tests {
     fn single_read_latency() {
         let cfg = HbmConfig::default();
         let mut hbm = Hbm::new(cfg);
-        assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 64)));
+        assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 64)).is_ok());
         let (resp, _) = run_until_idle(&mut hbm, 1000);
         assert_eq!(resp.len(), 1);
         // burst(4) + cold row miss(22) + access latency(20) = 46.
@@ -494,8 +549,8 @@ mod tests {
         let cfg = HbmConfig::default();
         let mut hbm = Hbm::new(cfg.clone());
         // Channel 0 and channel 1 (addresses one interleave block apart).
-        assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 64)));
-        assert!(hbm.submit(Cycle(0), MemRequest::read(2, 64, 64)));
+        assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 64)).is_ok());
+        assert!(hbm.submit(Cycle(0), MemRequest::read(2, 64, 64)).is_ok());
         let (resp, _) = run_until_idle(&mut hbm, 1000);
         assert_eq!(resp.len(), 2);
         // Both complete at the same cycle — full channel parallelism.
@@ -507,8 +562,8 @@ mod tests {
         let cfg = HbmConfig::default();
         let mut hbm = Hbm::new(cfg.clone());
         let stride = cfg.interleave_bytes as u64 * cfg.num_channels as u64;
-        assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 64)));
-        assert!(hbm.submit(Cycle(0), MemRequest::read(2, stride, 64)));
+        assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 64)).is_ok());
+        assert!(hbm.submit(Cycle(0), MemRequest::read(2, stride, 64)).is_ok());
         let (resp, _) = run_until_idle(&mut hbm, 1000);
         assert_eq!(resp.len(), 2);
         assert!(resp[1].0 > resp[0].0, "same-channel requests must serialise");
@@ -519,7 +574,7 @@ mod tests {
         let cfg = HbmConfig::default();
         let mut hbm = Hbm::new(cfg);
         // 128 B spanning two interleave blocks ⇒ two channels, one response.
-        assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 128)));
+        assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 128)).is_ok());
         let (resp, _) = run_until_idle(&mut hbm, 1000);
         assert_eq!(resp.len(), 1);
         assert_eq!(resp[0].1.bytes, 128);
@@ -541,23 +596,23 @@ mod tests {
     #[test]
     fn duplicate_id_rejected_while_in_flight() {
         let mut hbm = Hbm::new(HbmConfig::default());
-        assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 64)));
-        assert!(!hbm.submit(Cycle(0), MemRequest::read(1, 128, 64)));
+        assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 64)).is_ok());
+        assert!(hbm.submit(Cycle(0), MemRequest::read(1, 128, 64)).is_err());
     }
 
     #[test]
     fn zero_byte_request_rejected() {
         let mut hbm = Hbm::new(HbmConfig::default());
-        assert!(!hbm.submit(Cycle(0), MemRequest::read(1, 0, 0)));
+        assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 0)).is_err());
     }
 
     #[test]
     fn backpressure_when_queue_full() {
         let cfg = HbmConfig { queue_depth: 1, ..HbmConfig::default() };
         let mut hbm = Hbm::new(cfg);
-        assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 64)));
+        assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 64)).is_ok());
         // Same channel, queue full (depth 1, first not yet serviced).
-        assert!(!hbm.submit(Cycle(0), MemRequest::read(2, 512, 64)));
+        assert!(hbm.submit(Cycle(0), MemRequest::read(2, 512, 64)).is_err());
     }
 
     #[test]
@@ -565,15 +620,17 @@ mod tests {
         let cfg = HbmConfig { queue_depth: 1, ..HbmConfig::default() };
         let stride = cfg.interleave_bytes as u64 * cfg.num_channels as u64;
         let mut hbm = Hbm::new(cfg);
-        assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 64)));
+        assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 64)).is_ok());
         // Same channel, whose one slot is taken: refused, waiting on channel 0.
         let waiting = MemRequest::read(2, stride, 64);
-        assert!(!hbm.submit(Cycle(0), waiting));
-        assert_eq!(hbm.channel_mask(&waiting), 1);
+        assert_eq!(hbm.submit(Cycle(0), waiting), Err(1));
+        assert_eq!(hbm.full_channels(), 1);
         // The first tick moves request 1 onto the bus, freeing the slot.
         hbm.tick(Cycle(0));
         assert_eq!(hbm.freed_channels(), 1);
-        assert!(hbm.submit(Cycle(1), waiting));
+        assert_eq!(hbm.full_channels(), 0);
+        assert!(hbm.submit(Cycle(1), waiting).is_ok());
+        assert_eq!(hbm.full_channels(), 1);
     }
 
     #[test]
@@ -583,8 +640,8 @@ mod tests {
         let mut hbm = Hbm::new(cfg);
         hbm.tick(Cycle(0));
         assert_eq!(hbm.freed_channels(), 0, "an idle device frees nothing");
-        assert!(hbm.submit(Cycle(1), MemRequest::read(1, 0, 64)));
-        assert!(hbm.submit(Cycle(1), MemRequest::read(2, stride, 64)));
+        assert!(hbm.submit(Cycle(1), MemRequest::read(1, 0, 64)).is_ok());
+        assert!(hbm.submit(Cycle(1), MemRequest::read(2, stride, 64)).is_ok());
         hbm.tick(Cycle(1));
         assert_eq!(hbm.freed_channels(), 1, "request 1 went onto the bus");
         // Request 1 holds the bus through its activation and burst, so
@@ -599,10 +656,11 @@ mod tests {
         let block = cfg.interleave_bytes as u64;
         let mut hbm = Hbm::new(cfg);
         // Fill channel 1, then ask for 128 B straddling channels 0 and 1.
-        assert!(hbm.submit(Cycle(0), MemRequest::read(1, block, 64)));
+        assert!(hbm.submit(Cycle(0), MemRequest::read(1, block, 64)).is_ok());
         let split = MemRequest::read(2, 0, 128);
-        assert!(!hbm.submit(Cycle(0), split));
+        assert_eq!(hbm.submit(Cycle(0), split), Err(0b11));
         assert_eq!(hbm.channel_mask(&split), 0b11);
+        assert_eq!(hbm.full_channels(), 0b10);
     }
 
     #[test]
@@ -613,7 +671,7 @@ mod tests {
         let cfg = HbmConfig::default();
         let mut hbm = Hbm::new(cfg.clone());
         for i in 0..8u64 {
-            assert!(hbm.submit(Cycle(0), MemRequest::read(i, i * 24, 24)));
+            assert!(hbm.submit(Cycle(0), MemRequest::read(i, i * 24, 24)).is_ok());
         }
         for t in 0..10u64 {
             hbm.tick(Cycle(t));
@@ -650,7 +708,7 @@ mod tests {
         let cfg = HbmConfig::default();
         let submit_all = |hbm: &mut Hbm| {
             for i in 0..8u64 {
-                assert!(hbm.submit(Cycle(0), MemRequest::read(i, i * 24, 24)));
+                assert!(hbm.submit(Cycle(0), MemRequest::read(i, i * 24, 24)).is_ok());
             }
         };
 
@@ -706,7 +764,7 @@ mod tests {
         while completed < total {
             let now = Cycle(t);
             while submitted < total
-                && hbm.submit(now, MemRequest::read(submitted, submitted * 64, 64))
+                && hbm.submit(now, MemRequest::read(submitted, submitted * 64, 64)).is_ok()
             {
                 submitted += 1;
             }

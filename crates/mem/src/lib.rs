@@ -39,5 +39,5 @@ pub mod snapshot;
 pub use channel::ChannelStats;
 pub use config::{AddressMap, HbmConfig};
 pub use fault::{FaultCounters, FaultWindow, MemFaults};
-pub use hbm::{Hbm, HbmStats};
+pub use hbm::{channel_bit, Hbm, HbmStats};
 pub use request::{MemKind, MemRequest, MemResponse, RequestId};

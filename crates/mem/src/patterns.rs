@@ -125,7 +125,7 @@ pub fn measure_bandwidth(
             while next_idx[pe] < stream.len() && outstanding[pe] < max_outstanding {
                 let (addr, bytes) = stream[next_idx[pe]];
                 let id = (next_idx[pe] * streams.len() + pe) as u64;
-                if hbm.submit(now, MemRequest::read(id, addr, bytes)) {
+                if hbm.submit(now, MemRequest::read(id, addr, bytes)).is_ok() {
                     next_idx[pe] += 1;
                     outstanding[pe] += 1;
                 } else {
@@ -294,7 +294,7 @@ mod tests {
             stalls: vec![FaultWindow::forever(0, 0)],
             refusals: Vec::new(),
         });
-        assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 64)));
+        assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 64)).is_ok());
         for t in 0..200 {
             hbm.tick(Cycle(t));
             assert!(hbm.pop_response(Cycle(t)).is_none());
@@ -326,9 +326,9 @@ mod tests {
             stalls: Vec::new(),
             refusals: vec![FaultWindow { channel: 0, start: 0, end: 10 }],
         });
-        assert!(!hbm.submit(Cycle(0), MemRequest::read(1, 0, 64)));
-        assert!(!hbm.submit(Cycle(9), MemRequest::read(1, 0, 64)));
-        assert!(hbm.submit(Cycle(10), MemRequest::read(1, 0, 64)));
+        assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 64)).is_err());
+        assert!(hbm.submit(Cycle(9), MemRequest::read(1, 0, 64)).is_err());
+        assert!(hbm.submit(Cycle(10), MemRequest::read(1, 0, 64)).is_ok());
         assert_eq!(hbm.fault_counters().refused_submits, 2);
     }
 }
