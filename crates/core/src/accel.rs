@@ -769,17 +769,16 @@ impl Accelerator {
         let route = st
             .route
             .iter()
-            .map(|&(id, l)| {
-                let lane = usize::try_from(l).ok().and_then(|l| lanes.get(l).map(|lane| (l, lane)));
-                let unit = lane.and_then(|(_, lane)| lane.issuer(id));
-                match (lane, unit) {
-                    (Some((lane, _)), Some(unit)) => Ok((id, Route { lane, unit })),
-                    _ => Err(SimError::CheckpointMismatch {
+            .map(|&(id, lane)| {
+                let lane = lane as usize;
+                let unit = lanes.get(lane).and_then(|l| l.issuer(id)).ok_or(
+                    SimError::CheckpointMismatch {
                         detail: "checkpoint routes a request no unit of its lane issued",
-                    }),
-                }
+                    },
+                )?;
+                Ok((id, Route { lane, unit }))
             })
-            .collect::<Result<_, _>>()?;
+            .collect::<Result<_, SimError>>()?;
 
         Ok(RunState {
             t: st.t,
