@@ -364,8 +364,8 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let queues = rng.gen_range(3usize..12);
             let mut set = QueueSet::new(queues, 16);
-            // A narrow column range makes ties common; some seeds leave
-            // every queue empty.
+            // A narrow column range makes ties common. Every set is
+            // drained to empty, where both picks must return `None`.
             let cols = rng.gen_range(1u32..24);
             let fill = rng.gen_range(0.0..1.0);
             for q in 0..queues {
