@@ -110,8 +110,8 @@ impl Checkpoint {
     /// refusal windows, the stream injector, and the one-shot PE/Writer
     /// injection hooks (re-enabling the CPU overflow fallback).
     ///
-    /// This models "the transient fault has passed" and is what the
-    /// recovery ladder's resume rung applies before re-running: a wedge
+    /// This models "the transient fault has passed": a resume of the
+    /// disarmed checkpoint continues on healthy hardware, and a wedge
     /// caused by a stalled channel unwedges because the restored channel
     /// resumes servicing its queued fragments. Effects that already
     /// landed *before* the checkpoint (a dropped write, corrupted

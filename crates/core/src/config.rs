@@ -3,6 +3,7 @@
 use matraptor_mem::HbmConfig;
 
 use crate::error::ConfigError;
+use crate::layout::INFO_BYTES;
 
 /// Parameters of the MatRaptor accelerator.
 ///
@@ -36,8 +37,10 @@ pub struct MatRaptorConfig {
     pub entry_bytes: usize,
     /// Accelerator clock in GHz (the PEs; HBM has its own clock).
     pub clock_ghz: f64,
-    /// Width of SpAL/SpBL streaming reads in bytes (one interleave block,
-    /// so each vectorized request stays on one channel).
+    /// Width of SpAL/SpBL streaming reads in bytes. It must be a non-zero
+    /// multiple of `entry_bytes` that divides `mem.interleave_bytes` (as
+    /// the 8 B row-info pair must too), so every vectorized request lies in
+    /// one interleave block and stays on its row's channel.
     pub read_request_bytes: u32,
     /// Depth of the outstanding-request/response queues in SpAL and SpBL.
     pub outstanding_requests: usize,
@@ -141,7 +144,8 @@ impl MatRaptorConfig {
     /// The first structural constraint violated (zero lanes, fewer than 3
     /// queues, queue smaller than one entry, lane count not equal to the
     /// channel count — the configuration the paper evaluates and this
-    /// model supports, non-integer clock ratio, invalid HBM parameters).
+    /// model supports, non-integer clock ratio, invalid HBM parameters,
+    /// reads that do not tile the interleave).
     #[must_use = "the Err explains why this configuration cannot be built"]
     pub fn try_validate(&self) -> Result<(), ConfigError> {
         if self.num_lanes == 0 {
@@ -175,7 +179,20 @@ impl MatRaptorConfig {
         if !(ratio.round() >= 1.0 && (ratio - ratio.round()).abs() < 1e-9) {
             return Err(ConfigError::NonIntegerClockRatio { ratio });
         }
-        self.try_validate_mem()
+        self.try_validate_mem()?;
+        let (request, interleave) = (self.read_request_bytes, self.mem.interleave_bytes);
+        if request == 0
+            || !(request as usize).is_multiple_of(self.entry_bytes)
+            || !interleave.is_multiple_of(request)
+            || !interleave.is_multiple_of(INFO_BYTES)
+        {
+            return Err(ConfigError::UntiledReads {
+                request_bytes: request,
+                entry_bytes: self.entry_bytes,
+                interleave_bytes: interleave,
+            });
+        }
+        Ok(())
     }
 
     /// Mirrors [`HbmConfig::validate`]'s assertions as `Result`s so a bad
@@ -280,6 +297,17 @@ mod tests {
         );
         let cfg = MatRaptorConfig { clock_ghz: 1.5, ..MatRaptorConfig::default() };
         assert!(matches!(cfg.try_validate(), Err(ConfigError::NonIntegerClockRatio { .. })));
+        for request_bytes in [0, 48] {
+            let cfg = MatRaptorConfig { read_request_bytes: request_bytes, ..Default::default() };
+            assert_eq!(
+                cfg.try_validate(),
+                Err(ConfigError::UntiledReads {
+                    request_bytes,
+                    entry_bytes: 8,
+                    interleave_bytes: 64
+                })
+            );
+        }
     }
 
     #[test]

@@ -276,6 +276,18 @@ pub enum ConfigError {
         /// Which constraint failed.
         detail: &'static str,
     },
+    /// Streaming reads do not tile the channel interleave: the request
+    /// width must be a non-zero multiple of the entry size that divides
+    /// the interleave, and so must the 8 B row-info pair, or a
+    /// channel-local row stream would reach into another channel.
+    UntiledReads {
+        /// Configured `read_request_bytes`.
+        request_bytes: u32,
+        /// Configured `entry_bytes`.
+        entry_bytes: usize,
+        /// Configured `mem.interleave_bytes`.
+        interleave_bytes: u32,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -302,6 +314,12 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidMemConfig { detail } => {
                 write!(f, "invalid memory configuration: {detail}")
             }
+            ConfigError::UntiledReads { request_bytes, entry_bytes, interleave_bytes } => write!(
+                f,
+                "{request_bytes} B read requests must be a non-zero multiple of the \
+                 {entry_bytes} B entry that divides the {interleave_bytes} B interleave, \
+                 as the 8 B row-info pair must"
+            ),
         }
     }
 }

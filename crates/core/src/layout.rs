@@ -50,13 +50,10 @@ pub(crate) struct MatrixLayout {
     /// Bytes per *(value, col id)* entry.
     pub entry: Divisor,
     /// Streaming request size: data requests are cut at its multiples.
+    /// A validated configuration makes it divide the interleave, so every
+    /// request lies in one interleave block.
     pub chunk: Divisor,
     pub map: AddressMap,
-    /// Whether every read this layout builds, a row's info pair or a data
-    /// request, lies inside one interleave block and so on one channel:
-    /// the interleave is a multiple of both [`INFO_BYTES`] and the
-    /// request size.
-    pub one_channel_reads: bool,
 }
 
 /// Bytes per *(row length, row pointer)* metadata pair.
@@ -177,16 +174,12 @@ pub(crate) fn matrix_layout(
     let mem = &cfg.mem;
     let stripe = mem.interleave_bytes as u64 * mem.num_channels as u64;
     let aligned = data_base_flat / stripe * stripe;
-    let interleave = mem.interleave_bytes;
     MatrixLayout {
         info_base,
         data_base_local: aligned / mem.num_channels as u64,
         entry: Divisor::new(cfg.entry_bytes as u64),
         chunk: Divisor::new(cfg.read_request_bytes as u64),
         map: AddressMap::new(mem),
-        one_channel_reads: info_base.is_multiple_of(INFO_BYTES as u64)
-            && interleave.is_multiple_of(INFO_BYTES)
-            && interleave.is_multiple_of(cfg.read_request_bytes),
     }
 }
 
@@ -277,23 +270,43 @@ mod tests {
     }
 
     #[test]
-    fn reads_stay_on_one_channel_only_when_requests_tile_the_interleave() {
-        let with = |interleave_bytes: u32, read_request_bytes: u32| {
-            let cfg = MatRaptorConfig {
-                mem: HbmConfig { interleave_bytes, burst_bytes: 8, ..HbmConfig::default() },
-                read_request_bytes,
-                ..MatRaptorConfig::default()
-            };
-            matrix_layout(&cfg, 0, 0).one_channel_reads
-        };
-        assert!(with(64, 64));
-        assert!(with(64, 16));
-        // A 128 B request crosses into the next channel's block.
-        assert!(!with(64, 128));
-        // A 48 B request can straddle a 64 B block boundary.
-        assert!(!with(64, 48));
-        // An info pair can straddle a 12 B block boundary.
-        assert!(!with(12, 4));
+    fn every_read_of_a_valid_config_stays_in_one_interleave_block() {
+        for entry_bytes in [4, 8, 16] {
+            for read_request_bytes in [0, 4, 8, 12, 16, 24, 32, 48, 64, 128] {
+                for interleave_bytes in [8, 12, 64, 128] {
+                    let cfg = MatRaptorConfig {
+                        num_lanes: 4,
+                        entry_bytes,
+                        read_request_bytes,
+                        mem: HbmConfig {
+                            interleave_bytes,
+                            burst_bytes: 8,
+                            ..HbmConfig::with_channels(4)
+                        },
+                        ..MatRaptorConfig::default()
+                    };
+                    if cfg.try_validate().is_err() {
+                        continue;
+                    }
+                    let r = Regions::DEFAULT;
+                    let l = matrix_layout(&cfg, r.b_info, r.b_data);
+                    let on = |addr: u64, bytes: u32| {
+                        let first = cfg.mem.channel_of_addr(addr);
+                        assert_eq!(first, cfg.mem.channel_of_addr(addr + bytes as u64 - 1));
+                        first
+                    };
+                    for row in 0..64 {
+                        on(l.info_addr(row), INFO_BYTES);
+                    }
+                    for (offset, len) in [(0, 1), (3, 17), (5, 40)] {
+                        let plan = l.row_plan(2, C2srRow { len, offset });
+                        for (addr, bytes) in plan.requests(&l) {
+                            assert_eq!(on(addr, bytes), 2);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

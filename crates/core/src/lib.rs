@@ -48,10 +48,10 @@
 //! * with `abft_verification` enabled, every finished run is self-checked
 //!   with ABFT row checksums + Freivalds probes
 //!   ([`matraptor_sparse::abft`]), so silent output corruption surfaces
-//!   as [`SimError::OutputCorrupted`] with the offending rows;
-//! * [`Driver::launch_with_policy`] walks a [`RecoveryPolicy`] ladder —
-//!   resume-from-checkpoint for transient faults, reduced-lane retries,
-//!   CPU fallback — and reports the full attempt trail.
+//!   as [`SimError::OutputCorrupted`] with the offending rows.
+//!
+//! Recovery from a failed run (restart, fewer lanes, host-CPU fallback)
+//! belongs to the job service above this crate, not to the [`Driver`].
 //!
 //! [`Hbm`]: matraptor_mem::Hbm
 //! [`Accelerator::try_run`]: accel::Accelerator::try_run
@@ -84,10 +84,7 @@ pub use config::MatRaptorConfig;
 pub use convert::{
     conversion_cycles, conversion_cycles_directed, ConversionDirection, ConversionReport,
 };
-pub use driver::{
-    ConfigRegisters, Driver, DriverError, MtxWrite, RecoveryAction, RecoveryAttempt,
-    RecoveryPolicy, RecoveryReport,
-};
+pub use driver::{ConfigRegisters, Driver, DriverError, MtxWrite};
 pub use error::{
     ChannelDiagnostic, ConfigError, DeadlockDiagnostic, LaneDiagnostic, MalformedInput, SimError,
 };

@@ -260,7 +260,6 @@ impl SpBl {
         // Issue info and data requests in job order, visiting only the
         // jobs that have any to issue. A read on one channel that is full
         // would be refused, so it is not built (DESIGN.md §4 item 7).
-        let gate = layout.one_channel_reads;
         if self.staging.len() < self.staging_cap {
             let front_seq = self.jobs.front().map_or(0, |j| j.seq);
             let mut todo = self.issuable.rotate_right((front_seq % 64) as u32);
@@ -272,7 +271,7 @@ impl SpBl {
                 todo &= todo - 1;
                 if !job.info_requested {
                     let addr = layout.info_addr(job.b_row as usize);
-                    let id = if gate && port.channel_full(layout.map.channel_of(addr)) {
+                    let id = if port.channel_full(layout.map.channel_of(addr)) {
                         None
                     } else {
                         port.try_read(Unit::SpBl, addr, INFO_BYTES)
@@ -293,7 +292,7 @@ impl SpBl {
                     if let Some(plan) = job.plan.as_mut() {
                         while !plan.is_empty()
                             && self.in_flight < self.max_outstanding
-                            && !(gate && port.channel_full(plan.channel()))
+                            && !port.channel_full(plan.channel())
                         {
                             let Some((addr, bytes)) = plan.front(layout) else { break };
                             let Some(id) = port.try_read(Unit::SpBl, addr, bytes) else { break };

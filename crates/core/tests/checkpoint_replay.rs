@@ -77,8 +77,7 @@ fn faulted_run_resumes_bit_identically() {
 
 /// A run snapshotted every 256 cycles leaves its last pre-failure
 /// checkpoint with the caller, and disarming its fault state lets the
-/// resume complete — the recovery ladder's resume rung, exercised end to
-/// end.
+/// resume complete with the correct product.
 #[test]
 fn disarmed_checkpoint_resumes_past_a_channel_stall() {
     let (a, b) = test_matrices();

@@ -1,7 +1,7 @@
 //! Configuration sweeps: the accelerator must stay functionally correct
 //! and behave sanely across its whole parameter space.
 
-use matraptor_core::{Accelerator, MatRaptorConfig};
+use matraptor_core::{Accelerator, ConfigError, MatRaptorConfig};
 use matraptor_mem::HbmConfig;
 use matraptor_sparse::{gen, spgemm};
 
@@ -46,6 +46,53 @@ fn read_widths() {
         let cfg = MatRaptorConfig { read_request_bytes: width, ..MatRaptorConfig::small_test() };
         check(cfg, 400 + width as u64);
     }
+}
+
+/// `try_validate` accepts a configuration exactly when its streaming
+/// reads tile the interleave (a non-zero multiple of the entry that
+/// divides the interleave, which the 8 B row-info pair divides too), and
+/// every configuration it accepts multiplies correctly.
+#[test]
+fn validation_accepts_exactly_the_read_tilings_that_multiply_correctly() {
+    let a = gen::uniform(80, 80, 500, 900);
+    let b = gen::uniform(80, 80, 450, 901);
+    let reference = spgemm::gustavson(&a, &b);
+    let mut accepted = 0;
+    for entry_bytes in [4usize, 8, 16] {
+        for width in [0u32, 4, 8, 12, 16, 24, 32, 48, 64, 128] {
+            for interleave in [64u32, 128] {
+                let mut cfg = MatRaptorConfig {
+                    entry_bytes,
+                    read_request_bytes: width,
+                    verify_against_reference: false,
+                    ..MatRaptorConfig::small_test()
+                };
+                cfg.mem.interleave_bytes = interleave;
+                let tiles = width != 0
+                    && (width as usize).is_multiple_of(entry_bytes)
+                    && interleave.is_multiple_of(width)
+                    && interleave.is_multiple_of(8);
+                let name =
+                    format!("entry {entry_bytes} B, width {width} B, interleave {interleave} B");
+                match cfg.try_validate() {
+                    Ok(()) => assert!(tiles, "{name}: accepted but does not tile"),
+                    Err(ConfigError::UntiledReads { .. }) => {
+                        assert!(!tiles, "{name}: tiles but refused");
+                        continue;
+                    }
+                    Err(e) => panic!("{name}: unexpected {e}"),
+                }
+                accepted += 1;
+                let c = Accelerator::new(cfg).try_run(&a, &b).map(|o| o.c);
+                assert!(
+                    c.as_ref().is_ok_and(|c| c.approx_eq(&reference, 1e-6)),
+                    "{name}: wrong product: {:?}",
+                    c.err()
+                );
+            }
+        }
+    }
+    assert_eq!(accepted, 27);
 }
 
 #[test]

@@ -8,8 +8,7 @@
 //! * **closed** — traffic flows; consecutive faults are counted;
 //! * **open** — after `failure_threshold` consecutive faults; traffic is
 //!   shed to the CPU fallback until a cooldown expires. Each re-open
-//!   doubles the cooldown (capped), the service-level analogue of the
-//!   recovery ladder's backoff;
+//!   doubles the cooldown (capped);
 //! * **half-open** — cooldown expired; exactly one probe job is admitted.
 //!   Success closes the breaker (and resets the backoff), failure re-opens
 //!   it at the doubled cooldown.

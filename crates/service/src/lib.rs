@@ -26,8 +26,7 @@
 //!
 //! The service models *persistent* input-borne faults: a [`FaultPlan`]
 //! attached to a job rides its operands across every retry, which is what
-//! makes "this input has failed twice, refuse it" a sound policy (contrast
-//! with the transient-fault model of the PR 3 recovery ladder).
+//! makes "this input has failed twice, refuse it" a sound policy.
 //!
 //! One simulated-time engine runs all of it: the [`Fleet`], N accelerator
 //! workers plus M CPU-fallback workers behind that front end, with a full

@@ -499,6 +499,18 @@ mod tests {
     }
 
     #[test]
+    fn an_accelerator_whose_reads_do_not_tile_the_interleave_is_refused() {
+        let mut cfg = ServiceConfig::small_test();
+        cfg.accel.read_request_bytes = 48;
+        let untiled =
+            ConfigError::UntiledReads { request_bytes: 48, entry_bytes: 8, interleave_bytes: 64 };
+        assert!(matches!(
+            Service::<Rc<Csr<f64>>>::new(cfg).err(),
+            Some(ServiceError::InvalidAccelConfig(e)) if e == untiled
+        ));
+    }
+
+    #[test]
     fn metrics_registry_reconciles_and_fingerprints_deterministically() {
         let run = || {
             let mut s = Service::new(ServiceConfig::small_test()).unwrap();
