@@ -15,12 +15,17 @@
 //! `offshore` (banded) stand-ins of Table II — stage by stage: every
 //! lane's attribution buckets, the PE phase cycles, a mid-run checkpoint
 //! and the window series of a traced run.
+//!
+//! A third set pins the two long power-law jobs of the `par_slices`
+//! benchmark stream on the 2-lane template: their statistics, output and
+//! checkpoints at three points of the run.
 
 mod common;
 
 use common::{cases, checkpoint_at, run_faulted, run_traced, stall_case};
-use matraptor_core::{Accelerator, FaultPlan, TraceConfig};
+use matraptor_core::{Accelerator, FaultPlan, MatRaptorConfig, TraceConfig};
 use matraptor_sim::trace::fnv1a64;
+use matraptor_sparse::gen::suite;
 
 /// Accelerator cycle at which a fault-free case is checkpointed; each run
 /// is longer than this. A faulted case is checkpointed 50 memory cycles
@@ -115,6 +120,63 @@ fn stall_heavy_runs_match_the_pins() {
             phase2: stats.phase2_cycles,
             checkpoint: fnv1a64(&checkpoint.to_bytes()),
             trace: trace.fingerprint(),
+        };
+        assert_eq!(&got, pin, "{}: simulated results changed", pin.id);
+    }
+}
+
+/// One long-job pin: digests of the run (statistics and output) and of the
+/// checkpoints at a quarter, half and three quarters of the run.
+#[derive(Debug, PartialEq)]
+struct LongJobPin {
+    id: &'static str,
+    run: u64,
+    checkpoints: [u64; 3],
+}
+
+/// The long jobs of the `par_slices` benchmark stream at seed 1: the
+/// Table II `wv` and `fb` stand-ins at scale 64, squared on the 2-lane
+/// template with a 2 000-cycle watchdog and ABFT on. Rows that overflow
+/// the sorting queues (the CPU fallback) and SpBL reads piling onto one
+/// full channel dominate these runs.
+const LONG_JOB_PINS: [LongJobPin; 2] = [
+    LongJobPin {
+        id: "wv",
+        run: 0xd2027664b7561fab,
+        checkpoints: [0x8725d302c9c2a20f, 0x5a1253751d67f046, 0x4d20d0633ac019ee],
+    },
+    LongJobPin {
+        id: "fb",
+        run: 0x64ba56d186c50e5a,
+        checkpoints: [0x4e112d9fcffc25f8, 0xe015e961aeafeaa3, 0x9bed45b279931e41],
+    },
+];
+
+#[test]
+fn long_job_runs_match_the_pins() {
+    let cfg = MatRaptorConfig {
+        watchdog_window: 2_000,
+        verify_against_reference: false,
+        abft_verification: true,
+        ..MatRaptorConfig::small_test()
+    };
+    let accel = Accelerator::new(cfg);
+    for (k, pin) in LONG_JOB_PINS.iter().enumerate() {
+        // The benchmark's seed mix for its k-th long job at stream seed 1.
+        let seed = 0x9e37_79b9_7f4a_7c15_u64.wrapping_add(100 + k as u64);
+        let a = suite::by_id(pin.id).expect("a Table II id").generate(64, seed);
+        let outcome = accel.try_run(&a, &a).expect("clean run");
+        let cycles = outcome.stats.total_cycles;
+        let checkpoints = [1, 2, 3].map(|q| {
+            let ck = checkpoint_at(&accel, &a, &a, None, cycles * q / 4)
+                .expect("no failure before the pause")
+                .expect("the run is longer than the pause");
+            fnv1a64(&ck.to_bytes())
+        });
+        let got = LongJobPin {
+            id: pin.id,
+            run: fnv1a64(format!("{:?}", (&outcome.stats, &outcome.c)).as_bytes()),
+            checkpoints,
         };
         assert_eq!(&got, pin, "{}: simulated results changed", pin.id);
     }
