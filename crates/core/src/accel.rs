@@ -1,7 +1,7 @@
 //! The top-level accelerator: lanes over a shared HBM.
 
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Deref;
 
 use matraptor_mem::Hbm;
@@ -22,7 +22,7 @@ use crate::error::{
 use crate::fault::{FaultKind, FaultPlan};
 use crate::layout::{matrix_layout, MatrixLayout, Regions};
 use crate::pe::Pe;
-use crate::port::{MemPort, Route, Unit};
+use crate::port::{MemPort, Route, Tag};
 use crate::spal::SpAl;
 use crate::spbl::SpBl;
 use crate::stats::{LaneAttribution, MatRaptorStats};
@@ -166,19 +166,6 @@ impl Lane {
         self.spbl.replay_stall();
         self.spal.replay_stall();
         self.writer.replay_stall();
-    }
-
-    /// The unit that issued in-flight request `id`, if any did.
-    fn issuer(&self, id: u64) -> Option<Unit> {
-        if self.spal.issued(id) {
-            Some(Unit::SpAl)
-        } else if self.spbl.issued(id) {
-            Some(Unit::SpBl)
-        } else if self.writer.issued(id) {
-            Some(Unit::Writer)
-        } else {
-            None
-        }
     }
 
     /// Whether the lane has fetched, merged and written everything.
@@ -362,8 +349,10 @@ impl<M: Deref<Target = Csr<f64>>> Run<M> {
 struct RunState {
     t: u64,
     next_id: u64,
-    /// In-flight request id → issuing lane and unit. A checkpoint keeps
-    /// the lane only; restore asks the lane's units for the rest.
+    /// In-flight request id → issuing lane and the issuing unit's tag:
+    /// the only per-request table outside the HBM. A checkpoint keeps the
+    /// lane here and each tag in its unit's pending list; restore rebuilds
+    /// the table from those lists.
     route: IdTable<Route>,
     lanes: Vec<Lane>,
     hbm: Hbm,
@@ -670,13 +659,23 @@ impl Accelerator {
                 lanes: state
                     .lanes
                     .iter()
-                    .map(|lane| LaneState {
-                        spal: lane.spal.snapshot(),
-                        spbl: lane.spbl.snapshot(),
-                        pe: lane.pe.snapshot(),
-                        writer: lane.writer.snapshot(),
-                        spal_out: lane.spal_out.iter().copied().collect(),
-                        pe_in: lane.pe_in.iter().copied().collect(),
+                    .enumerate()
+                    .map(|(l, lane)| {
+                        let tags = || {
+                            state
+                                .route
+                                .iter()
+                                .filter(move |(_, r)| r.lane == l)
+                                .map(|(id, r)| (id, r.tag))
+                        };
+                        LaneState {
+                            spal: lane.spal.snapshot(tags()),
+                            spbl: lane.spbl.snapshot(tags()),
+                            pe: lane.pe.snapshot(),
+                            writer: lane.writer.snapshot(tags()),
+                            spal_out: lane.spal_out.iter().copied().collect(),
+                            pe_in: lane.pe_in.iter().copied().collect(),
+                        }
                     })
                     .collect(),
                 stream_fault: state.stream_fault.as_ref().map(|inj| StreamFaultState {
@@ -737,13 +736,29 @@ impl Accelerator {
 
         let hbm = Hbm::restore(cfg.mem.clone(), &st.hbm);
         let mut lanes = self.build_lanes(ctx);
-        for (lane, ls) in lanes.iter_mut().zip(&st.lanes) {
-            lane.spal.restore(&ls.spal);
-            lane.spbl.restore(&ls.spbl);
+        // The route table is rebuilt from the units' pending lists; it must
+        // name exactly the requests the checkpoint routes, each to its lane.
+        let mut route = IdTable::new();
+        let mut tags = Vec::new();
+        for (l, (lane, ls)) in lanes.iter_mut().zip(&st.lanes).enumerate() {
+            lane.spal.restore(&ls.spal, &mut tags);
+            lane.spbl.restore(&ls.spbl, &mut tags);
             lane.pe.restore(&ls.pe);
-            lane.writer.restore(&ls.writer);
+            lane.writer.restore(&ls.writer, &mut tags);
             lane.spal_out = ls.spal_out.iter().copied().collect();
             lane.pe_in = ls.pe_in.iter().copied().collect();
+            for (id, tag) in tags.drain(..) {
+                if route.insert(id, Route { lane: l, tag }).is_some() {
+                    return Err(SimError::CheckpointMismatch {
+                        detail: "checkpoint lists a request id as pending twice",
+                    });
+                }
+            }
+        }
+        if !route.iter().map(|(id, r)| (id, r.lane as u64)).eq(st.route.iter().copied()) {
+            return Err(SimError::CheckpointMismatch {
+                detail: "checkpoint routes differ from its units' pending requests",
+            });
         }
 
         let (mut watchdog, lane_sources, hbm_source) = self.build_watchdog();
@@ -765,20 +780,6 @@ impl Accelerator {
             truncate: s.truncate,
             corrupt_to: s.corrupt_to,
         });
-
-        let route = st
-            .route
-            .iter()
-            .map(|&(id, lane)| {
-                let lane = lane as usize;
-                let unit = lanes.get(lane).and_then(|l| l.issuer(id)).ok_or(
-                    SimError::CheckpointMismatch {
-                        detail: "checkpoint routes a request no unit of its lane issued",
-                    },
-                )?;
-                Ok((id, Route { lane, unit }))
-            })
-            .collect::<Result<_, SimError>>()?;
 
         Ok(RunState {
             t: st.t,
@@ -820,8 +821,9 @@ impl Accelerator {
         let cfg = &self.cfg;
         let lanes_n = cfg.num_lanes;
         let ratio = ctx.ratio;
-        let fallback = |row: u32| reference_row(&ctx.a, &ctx.b, row as usize);
-        let mut inboxes: Vec<Vec<(u64, Unit)>> = vec![Vec::new(); lanes_n];
+        let mut scratch = DenseRow::default();
+        let mut fallback = |row: u32| reference_row(&ctx.a, &ctx.b, row as usize, &mut scratch);
+        let mut inboxes: Vec<Vec<Tag>> = vec![Vec::new(); lanes_n];
 
         let RunState {
             t,
@@ -854,12 +856,12 @@ impl Accelerator {
                     // injected memory corruption) fabricated a response.
                     // Propagate it instead of panicking so services above
                     // the driver survive the broken run.
-                    let Some(Route { lane, unit }) = route.remove(resp.id.0) else {
+                    let Some(Route { lane, tag }) = route.remove(resp.id.0) else {
                         return Err(SimError::ProtocolViolation {
                             detail: "HBM response for an unissued request id",
                         });
                     };
-                    inboxes[lane].push((resp.id.0, unit));
+                    inboxes[lane].push(tag);
                 }
                 if let Some(s) = sampler.as_deref_mut() {
                     s.record_queue_depths(hbm.queue_depths());
@@ -876,20 +878,23 @@ impl Accelerator {
                     continue;
                 }
                 // Deliver responses, each straight to the unit that issued it.
-                for (id, unit) in inboxes[l].drain(..) {
-                    let consumed = match unit {
-                        Unit::SpAl => lane.spal.on_response(id, &ctx.ac),
-                        Unit::SpBl => lane.spbl.on_response(id),
-                        Unit::Writer => lane.writer.on_response(id),
-                    };
-                    debug_assert!(consumed, "orphan response {id}");
+                for tag in inboxes[l].drain(..) {
+                    match tag {
+                        Tag::SpAlInfo { row_pos } => lane.spal.on_info(row_pos),
+                        Tag::SpAlData { row_pos, first_entry, count } => {
+                            lane.spal.on_data(row_pos, first_entry, count, &ctx.ac);
+                        }
+                        Tag::SpBlInfo { job_seq } => lane.spbl.on_info(job_seq),
+                        Tag::SpBlData { job_seq, count } => lane.spbl.on_data(job_seq, count),
+                        Tag::WriterAck => lane.writer.on_ack(),
+                    }
                 }
 
                 let mut port = MemPort { hbm, mem_now, next_id, route, lane: l, refused: 0 };
 
                 let upstream_done =
                     lane.spal.is_done() && lane.spbl.is_done() && lane.spal_out.is_empty();
-                lane.pe.tick(&mut lane.pe_in, &mut lane.writer, cfg, &fallback, upstream_done);
+                lane.pe.tick(&mut lane.pe_in, &mut lane.writer, cfg, &mut fallback, upstream_done);
                 lane.spbl.tick(
                     &mut port,
                     &ctx.bc,
@@ -1105,16 +1110,47 @@ fn deadlock_diagnostic(report: &WatchdogReport, lanes: &[Lane], hbm: &Hbm) -> De
     }
 }
 
+/// The dense accumulator of [`reference_row`], kept across calls: one slot
+/// per column of B, a flag per slot saying whether the row touched it, and
+/// the touched columns. Grown on the first fallback, empty otherwise.
+#[derive(Debug, Default)]
+struct DenseRow {
+    sums: Vec<f64>,
+    touched: Vec<bool>,
+    cols: Vec<u32>,
+}
+
 /// Software computation of one output row — the CPU-fallback path for
-/// sorting-queue overflows (Section VII).
-fn reference_row(a: &Csr<f64>, b: &Csr<f64>, i: usize) -> (Vec<u32>, Vec<f64>) {
-    let mut acc: BTreeMap<u32, f64> = BTreeMap::new();
+/// sorting-queue overflows (Section VII). Each column's products are summed
+/// from `0.0` in the order they are met, and columns summing to zero are
+/// dropped.
+fn reference_row(a: &Csr<f64>, b: &Csr<f64>, i: usize, acc: &mut DenseRow) -> (Vec<u32>, Vec<f64>) {
+    if acc.sums.len() < b.cols() {
+        acc.sums.resize(b.cols(), 0.0);
+        acc.touched.resize(b.cols(), false);
+    }
     for (k, av) in a.row(i) {
         for (j, bv) in b.row(k as usize) {
-            *acc.entry(j).or_insert(0.0) += av * bv;
+            let slot = j as usize;
+            if !acc.touched[slot] {
+                acc.touched[slot] = true;
+                acc.sums[slot] = 0.0;
+                acc.cols.push(j);
+            }
+            acc.sums[slot] += av * bv;
         }
     }
-    acc.into_iter().filter(|&(_, v)| v != 0.0).unzip()
+    acc.cols.sort_unstable();
+    let (mut cols, mut vals) = (Vec::new(), Vec::new());
+    for j in acc.cols.drain(..) {
+        let slot = j as usize;
+        acc.touched[slot] = false;
+        if acc.sums[slot] != 0.0 {
+            cols.push(j);
+            vals.push(acc.sums[slot]);
+        }
+    }
+    (cols, vals)
 }
 
 #[cfg(test)]
@@ -1293,25 +1329,43 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_restore_routes_every_units_reads_as_the_paused_run_did() {
-        let a = gen::uniform(96, 96, 900, 24);
-        let accel = Accelerator::new(MatRaptorConfig::small_test());
+    /// The issuing unit of a routed request: 0 for SpAL, 1 for SpBL and 2
+    /// for the writer.
+    fn unit_of(tag: Tag) -> usize {
+        match tag {
+            Tag::SpAlInfo { .. } | Tag::SpAlData { .. } => 0,
+            Tag::SpBlInfo { .. } | Tag::SpBlData { .. } => 1,
+            Tag::WriterAck => 2,
+        }
+    }
+
+    /// A fresh run of `a * a` walked to the first cycle top with reads of
+    /// SpAL and SpBL and a write of the writer all in flight.
+    fn run_with_every_unit_in_flight<'a>(
+        accel: &Accelerator,
+        a: &'a Csr<f64>,
+    ) -> Run<&'a Csr<f64>> {
         let fresh = RunStart::Fresh { plan: None, trace: None };
-        let mut run = accel.start(&a, &a, fresh).expect("valid operands");
-        let routes = |state: &RunState| -> Vec<(u64, Route)> {
-            state.route.iter().map(|(id, &r)| (id, r)).collect()
-        };
-        // Walk to the first cycle top with reads of SpAL and SpBL and a
-        // write of the writer all in flight.
+        let mut run = accel.start(a, a, fresh).expect("valid operands");
         let all_units_in_flight = |state: &RunState| {
-            let units: Vec<Unit> = state.route.iter().map(|(_, r)| r.unit).collect();
-            [Unit::SpAl, Unit::SpBl, Unit::Writer].iter().all(|u| units.contains(u))
+            let units: Vec<usize> = state.route.iter().map(|(_, r)| unit_of(r.tag)).collect();
+            (0..3).all(|u| units.contains(&u))
         };
         while !all_units_in_flight(&run.state) {
             let drained = run.advance(run.cycle() + 1).expect("clean run");
             assert!(!drained, "drained before every unit had a request in flight");
         }
+        run
+    }
+
+    #[test]
+    fn a_restore_routes_every_units_reads_as_the_paused_run_did() {
+        let a = gen::uniform(96, 96, 900, 24);
+        let accel = Accelerator::new(MatRaptorConfig::small_test());
+        let routes = |state: &RunState| -> Vec<(u64, Route)> {
+            state.route.iter().map(|(id, &r)| (id, r)).collect()
+        };
+        let mut run = run_with_every_unit_in_flight(&accel, &a);
         let ck = run.snapshot();
         let mut restored = accel.start(&a, &a, RunStart::Resume(&ck)).expect("own checkpoint");
         assert_eq!(routes(&restored.state), routes(&run.state));
@@ -1322,5 +1376,106 @@ mod tests {
             (run.finish().expect("drained"), restored.finish().expect("drained"));
         assert_eq!(resumed.stats, paused.stats);
         assert_eq!(resumed.c, paused.c);
+    }
+
+    #[test]
+    fn a_restore_refuses_routes_that_disagree_with_the_pending_lists() {
+        let a = gen::uniform(96, 96, 900, 24);
+        let accel = Accelerator::new(MatRaptorConfig::small_test());
+        let ck = run_with_every_unit_in_flight(&accel, &a).snapshot();
+        let refused = |edit: &dyn Fn(&mut CheckpointState)| {
+            let mut bad = ck.clone();
+            edit(&mut bad.state);
+            // Through the byte format, as a handed-over checkpoint arrives.
+            let bad = Checkpoint::from_bytes(&bad.to_bytes()).expect("well-formed bytes");
+            matches!(
+                accel.start(&a, &a, RunStart::Resume(&bad)),
+                Err(SimError::CheckpointMismatch { .. })
+            )
+        };
+        assert!(!refused(&|_| {}), "the unedited checkpoint restores");
+        // The route names an id that no unit's pending list holds.
+        assert!(refused(&|st| {
+            let id = st.next_id + 7;
+            st.route.push((id, 0));
+        }));
+        // A unit's pending list holds an id that the route does not name.
+        assert!(refused(&|st| {
+            st.route.remove(0);
+        }));
+        // The route sends a pending request to another lane.
+        assert!(refused(&|st| st.route[0].1 ^= 1));
+        // Two units hold the same id.
+        assert!(refused(&|st| {
+            let id = st.route[0].0;
+            st.lanes[0].writer.pending.push(id);
+            st.lanes[1].writer.pending.push(id);
+        }));
+    }
+
+    /// The CPU fallback's accumulator before it was made dense: an ordered
+    /// map from column to running sum.
+    fn btree_reference_row(a: &Csr<f64>, b: &Csr<f64>, i: usize) -> (Vec<u32>, Vec<f64>) {
+        let mut acc = std::collections::BTreeMap::<u32, f64>::new();
+        for (k, av) in a.row(i) {
+            for (j, bv) in b.row(k as usize) {
+                *acc.entry(j).or_insert(0.0) += av * bv;
+            }
+        }
+        acc.into_iter().filter(|&(_, v)| v != 0.0).unzip()
+    }
+
+    #[test]
+    fn the_dense_fallback_row_is_bit_identical_to_the_ordered_map() {
+        use matraptor_sparse::rng::ChaCha8Rng;
+        let bits = |(cols, vals): (Vec<u32>, Vec<f64>)| -> (Vec<u32>, Vec<u64>) {
+            (cols, vals.iter().map(|v| v.to_bits()).collect())
+        };
+        // Values from a small set with signed zeros and opposite pairs, so
+        // columns met from several rows of B repeat, cancel to 0.0 and
+        // carry -0.0 products.
+        const VALUES: [f64; 8] = [1.0, -1.0, 0.5, -0.5, 3.0, 0.0, -0.0, 0.1];
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5eed);
+        for trial in 0..40 {
+            let (n, k, m) = (12, 10, 9);
+            let mut random = |rows: usize, cols: usize, per_row: usize| {
+                let mut row_ptr = vec![0];
+                let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+                for r in 0..rows {
+                    // Every fourth row is empty.
+                    if r % 4 != 3 {
+                        let mut picked: Vec<u32> =
+                            (0..per_row).map(|_| rng.gen_range(0..cols as u32)).collect();
+                        picked.sort_unstable();
+                        picked.dedup();
+                        for c in picked {
+                            col_idx.push(c);
+                            values.push(VALUES[rng.gen_range(0..VALUES.len())]);
+                        }
+                    }
+                    row_ptr.push(col_idx.len());
+                }
+                Csr::from_parts(rows, cols, row_ptr, col_idx, values).expect("valid CSR")
+            };
+            let a = random(n, k, 6);
+            let b = random(k, m, 5);
+            let mut acc = DenseRow::default();
+            for i in 0..n {
+                let dense = reference_row(&a, &b, i, &mut acc);
+                assert_eq!(
+                    bits(dense),
+                    bits(btree_reference_row(&a, &b, i)),
+                    "trial {trial} row {i}"
+                );
+            }
+        }
+        // A product row cancelling to 0.0 in one column and summing -0.0
+        // products in another keeps neither.
+        let a = Csr::from_parts(1, 2, vec![0, 2], vec![0, 1], vec![1.0, 1.0]).expect("valid");
+        let b = Csr::from_parts(2, 3, vec![0, 2, 4], vec![0, 1, 0, 1], vec![2.0, -0.0, -2.0, 0.0])
+            .expect("valid");
+        let mut acc = DenseRow::default();
+        assert_eq!(reference_row(&a, &b, 0, &mut acc), (vec![], vec![]));
+        assert_eq!(btree_reference_row(&a, &b, 0), (vec![], vec![]));
     }
 }

@@ -113,7 +113,7 @@ impl Pe {
         input: &mut VecDeque<PeTok>,
         writer: &mut Writer,
         cfg: &MatRaptorConfig,
-        fallback: &dyn Fn(u32) -> (Vec<u32>, Vec<f64>),
+        fallback: &mut dyn FnMut(u32) -> (Vec<u32>, Vec<f64>),
         upstream_done: bool,
     ) {
         let drained = self.tick_phase2(writer, cfg);
@@ -189,7 +189,7 @@ impl Pe {
         &mut self,
         input: &mut VecDeque<PeTok>,
         writer: &mut Writer,
-        fallback: &dyn Fn(u32) -> (Vec<u32>, Vec<f64>),
+        fallback: &mut dyn FnMut(u32) -> (Vec<u32>, Vec<f64>),
         upstream_done: bool,
     ) -> CycleClass {
         // Without double buffering, Phase II occupies the (single) queue

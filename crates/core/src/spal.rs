@@ -4,13 +4,12 @@ use std::collections::VecDeque;
 
 use matraptor_sim::trace::{StageBreakdown, StageClass};
 use matraptor_sim::watchdog::mix_signature;
-use matraptor_sim::IdTable;
 use matraptor_sparse::C2sr;
 
 use crate::checkpoint::{SpAlSpanState, SpAlState};
 use crate::config::MatRaptorConfig;
 use crate::layout::{MatrixLayout, RowPlan, INFO_BYTES};
-use crate::port::{MemPort, Unit};
+use crate::port::{MemPort, Tag};
 use crate::tokens::ATok;
 
 /// The per-lane loader for matrix A (Section IV-B).
@@ -40,10 +39,12 @@ pub struct SpAl {
     current_plan: RowPlan,
     /// Entry cursor within the current row (for decode bookkeeping).
     entries_issued: u32,
-    /// In-flight info fetches: request id → row position.
-    pending_info: IdTable<usize>,
-    /// In-flight data fetches: request id → the entries they carry.
-    pending_data: IdTable<DataSpan>,
+    /// In-flight info fetches. Each one's row position rides its route
+    /// ([`Tag::SpAlInfo`]).
+    pending_info: usize,
+    /// In-flight data fetches. The entries each one carries ride its route
+    /// ([`Tag::SpAlData`]).
+    pending_data: usize,
     /// Decoded tokens awaiting the downstream FIFO.
     staging: VecDeque<ATok>,
     /// In-flight request budget.
@@ -63,14 +64,6 @@ pub struct SpAl {
     /// charges again.
     // conformance:allow(checkpoint-coverage): derived by every tick; read only while `quiet`
     charged: StageClass,
-}
-
-/// Which entries of which row a data response carries.
-#[derive(Debug, Clone, Copy)]
-struct DataSpan {
-    row_pos: usize,
-    first_entry: u32,
-    count: u32,
 }
 
 impl SpAl {
@@ -93,8 +86,8 @@ impl SpAl {
             info_ready: vec![false; n],
             current_plan: RowPlan::default(),
             entries_issued: 0,
-            pending_info: IdTable::new(),
-            pending_data: IdTable::new(),
+            pending_info: 0,
+            pending_data: 0,
             staging: VecDeque::new(),
             in_flight: 0,
             max_outstanding: cfg.outstanding_requests,
@@ -108,35 +101,29 @@ impl SpAl {
         }
     }
 
-    /// Whether request `id` is one of SpAL's in flight.
-    pub(crate) fn issued(&self, id: u64) -> bool {
-        self.pending_info.contains_key(id) || self.pending_data.contains_key(id)
+    /// Handles the response to the info fetch of the `row_pos`-th row.
+    pub(crate) fn on_info(&mut self, row_pos: usize) {
+        self.info_ready[row_pos] = true;
+        self.pending_info -= 1;
+        self.in_flight -= 1;
     }
 
-    /// Handles a memory response routed to this unit. Returns `true` if
-    /// the id belonged to SpAL.
-    pub(crate) fn on_response(&mut self, id: u64, a: &C2sr<f64>) -> bool {
-        if let Some(row_pos) = self.pending_info.remove(id) {
-            self.info_ready[row_pos] = true;
-            self.in_flight -= 1;
-            return true;
+    /// Handles the response to a data fetch carrying entries
+    /// `first_entry..first_entry + count` of the `row_pos`-th row.
+    pub(crate) fn on_data(&mut self, row_pos: usize, first_entry: u32, count: u32, a: &C2sr<f64>) {
+        self.pending_data -= 1;
+        self.in_flight -= 1;
+        let row = self.rows[row_pos] as usize;
+        let (cols, vals) = a.row_slices(row);
+        let len = cols.len() as u32;
+        for e in first_entry..first_entry + count {
+            self.staging.push_back(ATok::Entry {
+                val: vals[e as usize],
+                row: row as u32,
+                col: cols[e as usize],
+                last_in_row: e + 1 == len,
+            });
         }
-        if let Some(span) = self.pending_data.remove(id) {
-            self.in_flight -= 1;
-            let row = self.rows[span.row_pos] as usize;
-            let (cols, vals) = a.row_slices(row);
-            let len = cols.len() as u32;
-            for e in span.first_entry..span.first_entry + span.count {
-                self.staging.push_back(ATok::Entry {
-                    val: vals[e as usize],
-                    row: row as u32,
-                    col: cols[e as usize],
-                    last_in_row: e + 1 == len,
-                });
-            }
-            return true;
-        }
-        false
     }
 
     /// One accelerator cycle: issue requests (info prefetch + data
@@ -178,15 +165,13 @@ impl SpAl {
         {
             let row = self.rows[self.info_cursor] as usize;
             let addr = layout.info_addr(row);
-            match port.try_read(Unit::SpAl, addr, INFO_BYTES) {
-                Some(id) => {
-                    self.pending_info.insert(id, self.info_cursor);
-                    self.in_flight += 1;
-                    self.info_cursor += 1;
-                    moved = true;
-                }
-                None => break,
+            if !port.try_read(Tag::SpAlInfo { row_pos: self.info_cursor }, addr, INFO_BYTES) {
+                break;
             }
+            self.pending_info += 1;
+            self.in_flight += 1;
+            self.info_cursor += 1;
+            moved = true;
         }
 
         // Stream data for the current row once its info has landed.
@@ -206,7 +191,7 @@ impl SpAl {
                     // empty) still gets written. Gate on drained data
                     // responses — staging must stay in row order, and
                     // in-flight data belongs to earlier rows.
-                    if !self.pending_data.is_empty() {
+                    if self.pending_data > 0 {
                         break;
                     }
                     self.staging.push_back(ATok::EmptyRow { row: row as u32 });
@@ -224,24 +209,20 @@ impl SpAl {
                 if self.in_flight >= self.max_outstanding {
                     break;
                 }
-                match port.try_read(Unit::SpAl, addr, bytes) {
-                    Some(id) => {
-                        let count = layout.entries_in(bytes);
-                        self.pending_data.insert(
-                            id,
-                            DataSpan {
-                                row_pos: self.data_cursor,
-                                first_entry: self.entries_issued,
-                                count,
-                            },
-                        );
-                        self.entries_issued += count;
-                        self.in_flight += 1;
-                        self.current_plan.pop_front(layout);
-                        progressed = true;
-                    }
-                    None => break,
+                let count = layout.entries_in(bytes);
+                let tag = Tag::SpAlData {
+                    row_pos: self.data_cursor,
+                    first_entry: self.entries_issued,
+                    count,
+                };
+                if !port.try_read(tag, addr, bytes) {
+                    break;
                 }
+                self.pending_data += 1;
+                self.entries_issued += count;
+                self.in_flight += 1;
+                self.current_plan.pop_front(layout);
+                progressed = true;
             }
             if progressed {
                 moved = true;
@@ -308,8 +289,8 @@ impl SpAl {
         sig = mix_signature(sig, self.data_cursor as u64);
         sig = mix_signature(sig, self.in_flight as u64);
         sig = mix_signature(sig, self.staging.len() as u64);
-        sig = mix_signature(sig, self.pending_info.len() as u64);
-        sig = mix_signature(sig, self.pending_data.len() as u64);
+        sig = mix_signature(sig, self.pending_info as u64);
+        sig = mix_signature(sig, self.pending_data as u64);
         sig = mix_signature(sig, self.current_plan.len(&self.layout) as u64);
         mix_signature(sig, self.entries_issued as u64)
     }
@@ -320,30 +301,32 @@ impl SpAl {
         (self.in_flight, self.staging.len(), self.rows.len().saturating_sub(self.data_cursor))
     }
 
-    /// Captures all mutable state for a checkpoint. The lane index, row
-    /// assignment, and budgets are rebuilt by [`SpAl::new`] on restore.
-    pub(crate) fn snapshot(&self) -> SpAlState {
+    /// Captures all mutable state for a checkpoint, with the lane's
+    /// in-flight `tags` in id order, from which SpAL's own are taken. The
+    /// lane index, row assignment, and budgets are rebuilt by
+    /// [`SpAl::new`] on restore.
+    pub(crate) fn snapshot(&self, tags: impl Iterator<Item = (u64, Tag)>) -> SpAlState {
+        let (mut pending_info, mut pending_data) = (Vec::new(), Vec::new());
+        for (id, tag) in tags {
+            match tag {
+                Tag::SpAlInfo { row_pos } => pending_info.push((id, row_pos as u64)),
+                Tag::SpAlData { row_pos, first_entry, count } => pending_data
+                    .push((id, SpAlSpanState { row_pos: row_pos as u64, first_entry, count })),
+                _ => {}
+            }
+        }
+        debug_assert_eq!(
+            (pending_info.len(), pending_data.len()),
+            (self.pending_info, self.pending_data)
+        );
         SpAlState {
             info_cursor: self.info_cursor as u64,
             data_cursor: self.data_cursor as u64,
             info_ready: self.info_ready.clone(),
             current_plan: self.current_plan.requests(&self.layout),
             entries_issued: self.entries_issued,
-            pending_info: self.pending_info.iter().map(|(id, &pos)| (id, pos as u64)).collect(),
-            pending_data: self
-                .pending_data
-                .iter()
-                .map(|(id, span)| {
-                    (
-                        id,
-                        SpAlSpanState {
-                            row_pos: span.row_pos as u64,
-                            first_entry: span.first_entry,
-                            count: span.count,
-                        },
-                    )
-                })
-                .collect(),
+            pending_info,
+            pending_data,
             staging: self.staging.iter().copied().collect(),
             in_flight: self.in_flight as u64,
             attribution: self.attribution.as_array(),
@@ -351,8 +334,9 @@ impl SpAl {
     }
 
     /// Restores a snapshot into a freshly constructed loader for the same
-    /// `(lane, config, matrix)` triple.
-    pub(crate) fn restore(&mut self, state: &SpAlState) {
+    /// `(lane, config, matrix)` triple, appending the tags of its in-flight
+    /// requests to `tags` for the route table.
+    pub(crate) fn restore(&mut self, state: &SpAlState, tags: &mut Vec<(u64, Tag)>) {
         assert_eq!(
             self.info_ready.len(),
             state.info_ready.len(),
@@ -363,22 +347,18 @@ impl SpAl {
         self.info_ready = state.info_ready.clone();
         self.current_plan = RowPlan::from_requests(&self.layout, &state.current_plan);
         self.entries_issued = state.entries_issued;
-        self.pending_info =
-            state.pending_info.iter().map(|&(id, pos)| (id, pos as usize)).collect();
-        self.pending_data = state
-            .pending_data
-            .iter()
-            .map(|(id, span)| {
-                (
-                    *id,
-                    DataSpan {
-                        row_pos: span.row_pos as usize,
-                        first_entry: span.first_entry,
-                        count: span.count,
-                    },
-                )
-            })
-            .collect();
+        self.pending_info = state.pending_info.len();
+        self.pending_data = state.pending_data.len();
+        tags.extend(
+            state
+                .pending_info
+                .iter()
+                .map(|&(id, pos)| (id, Tag::SpAlInfo { row_pos: pos as usize })),
+        );
+        tags.extend(state.pending_data.iter().map(|(id, span)| {
+            let row_pos = span.row_pos as usize;
+            (*id, Tag::SpAlData { row_pos, first_entry: span.first_entry, count: span.count })
+        }));
         self.staging = state.staging.iter().copied().collect();
         self.in_flight = state.in_flight as usize;
         self.attribution = StageBreakdown::from_array(state.attribution);

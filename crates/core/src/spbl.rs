@@ -4,13 +4,12 @@ use std::collections::VecDeque;
 
 use matraptor_sim::trace::{StageBreakdown, StageClass};
 use matraptor_sim::watchdog::mix_signature;
-use matraptor_sim::IdTable;
 use matraptor_sparse::C2sr;
 
 use crate::checkpoint::{JobState, SpBlState};
 use crate::config::MatRaptorConfig;
 use crate::layout::{MatrixLayout, RowPlan, INFO_BYTES};
-use crate::port::{MemPort, Unit};
+use crate::port::{MemPort, Tag};
 use crate::tokens::{ATok, PeTok};
 
 /// The per-lane loader for matrix B (Section IV-B).
@@ -31,16 +30,23 @@ pub struct SpBl {
     layout: MatrixLayout,
     jobs: VecDeque<Job>,
     next_seq: u64,
-    /// In-flight info fetches: request id → job sequence number.
-    pending_info: IdTable<u64>,
-    /// In-flight data fetches: request id → the entries they carry.
-    pending_data: IdTable<DataSpan>,
+    /// In-flight info fetches. Each one's job rides its route
+    /// ([`Tag::SpBlInfo`]).
+    pending_info: usize,
+    /// In-flight data fetches. The entries each one carries ride its route
+    /// ([`Tag::SpBlData`]).
+    pending_data: usize,
     /// The jobs [`Job::issuable`] says have requests to issue, as a bitset
     /// over `seq % 64` (the window holds at most 32 consecutive sequence
     /// numbers, so bits never collide). The issue loop visits just these
     /// instead of scanning the whole window every cycle.
     // conformance:allow(checkpoint-coverage): derived from `jobs`; restore recomputes it
     issuable: u64,
+    /// The jobs of `issuable` by the channel of their next read
+    /// ([`Job::read_channel`]); a job whose row plan is still to be built
+    /// is in none. The issue loop skips the jobs of full channels.
+    // conformance:allow(checkpoint-coverage): derived from `jobs`; restore recomputes it
+    issuable_on: Vec<u64>,
     staging: VecDeque<PeTok>,
     in_flight: usize,
     // conformance:allow(checkpoint-coverage): fixed hardware constant from config, never mutated after construction
@@ -67,12 +73,6 @@ pub struct SpBl {
     /// [`SpBl::replay_stall`] bumps again.
     // conformance:allow(checkpoint-coverage): derived by every tick; read only while `quiet`
     blocked_on: usize,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct DataSpan {
-    job_seq: u64,
-    count: u32,
 }
 
 #[derive(Debug)]
@@ -104,6 +104,19 @@ impl Job {
             && (!self.info_requested
                 || (self.info_ready && self.plan.is_none_or(|plan| !plan.is_empty())))
     }
+
+    /// The channel of an issuable job's next read: its row info's until
+    /// that is requested, then its row data's. `None` for a job with
+    /// nothing to issue or whose row plan is still to be built.
+    fn read_channel(&self, layout: &MatrixLayout) -> Option<usize> {
+        if !self.issuable() {
+            None
+        } else if !self.info_requested {
+            Some(layout.map.channel_of(layout.info_addr(self.b_row as usize)))
+        } else {
+            self.plan.map(|plan| plan.channel())
+        }
+    }
 }
 
 /// `seq`'s bit in [`SpBl::issuable`].
@@ -129,9 +142,10 @@ impl SpBl {
             layout,
             jobs: VecDeque::new(),
             next_seq: 0,
-            pending_info: IdTable::new(),
-            pending_data: IdTable::new(),
+            pending_info: 0,
+            pending_data: 0,
             issuable: 0,
+            issuable_on: vec![0; cfg.mem.num_channels],
             staging: VecDeque::new(),
             in_flight: 0,
             max_outstanding: cfg.outstanding_requests,
@@ -145,31 +159,28 @@ impl SpBl {
         }
     }
 
-    /// Whether request `id` is one of SpBL's in flight.
-    pub(crate) fn issued(&self, id: u64) -> bool {
-        self.pending_info.contains_key(id) || self.pending_data.contains_key(id)
+    /// Handles the response to job `job_seq`'s row-info fetch. The job's
+    /// row plan is built by the next issue loop, so it joins no channel's
+    /// set yet.
+    pub(crate) fn on_info(&mut self, job_seq: u64) {
+        self.pending_info -= 1;
+        self.in_flight -= 1;
+        if let Some(job) = self.job_mut(job_seq) {
+            job.info_ready = true;
+            if job.issuable() {
+                self.issuable |= seq_bit(job_seq);
+            }
+        }
     }
 
-    /// Routes a memory response to this unit. Returns `true` if consumed.
-    pub(crate) fn on_response(&mut self, id: u64) -> bool {
-        if let Some(seq) = self.pending_info.remove(id) {
-            self.in_flight -= 1;
-            if let Some(job) = self.job_mut(seq) {
-                job.info_ready = true;
-                if job.issuable() {
-                    self.issuable |= seq_bit(seq);
-                }
-            }
-            return true;
+    /// Handles the response to a data fetch carrying `count` entries of
+    /// job `job_seq`.
+    pub(crate) fn on_data(&mut self, job_seq: u64, count: u32) {
+        self.pending_data -= 1;
+        self.in_flight -= 1;
+        if let Some(job) = self.job_mut(job_seq) {
+            job.ready_entries += count;
         }
-        if let Some(span) = self.pending_data.remove(id) {
-            self.in_flight -= 1;
-            if let Some(job) = self.job_mut(span.job_seq) {
-                job.ready_entries += span.count;
-            }
-            return true;
-        }
-        false
     }
 
     fn job_mut(&mut self, seq: u64) -> Option<&mut Job> {
@@ -249,8 +260,9 @@ impl SpBl {
                     drained_entries: 0,
                 },
             };
-            if job.issuable() {
+            if let Some(channel) = job.read_channel(layout) {
                 self.issuable |= seq_bit(job.seq);
+                self.issuable_on[channel] |= seq_bit(job.seq);
             }
             self.jobs.push_back(job);
             self.next_seq += 1;
@@ -259,53 +271,62 @@ impl SpBl {
 
         // Issue info and data requests in job order, visiting only the
         // jobs that have any to issue. A read on one channel that is full
-        // would be refused, so it is not built (DESIGN.md §4 item 7).
+        // would be refused, so it is not built (DESIGN.md §4 item 7): the
+        // jobs waiting on a full channel are not even visited.
         if self.staging.len() < self.staging_cap {
             let front_seq = self.jobs.front().map_or(0, |j| j.seq);
-            let mut todo = self.issuable.rotate_right((front_seq % 64) as u32);
+            let blocked = port.full_waiters(&self.issuable_on);
+            let mut todo = (self.issuable & !blocked).rotate_right((front_seq % 64) as u32);
             while todo != 0 {
                 if self.in_flight >= self.max_outstanding {
                     break;
                 }
                 let job = &mut self.jobs[todo.trailing_zeros() as usize];
                 todo &= todo - 1;
+                let bit = seq_bit(job.seq);
                 if !job.info_requested {
                     let addr = layout.info_addr(job.b_row as usize);
-                    let id = if port.channel_full(layout.map.channel_of(addr)) {
-                        None
-                    } else {
-                        port.try_read(Unit::SpBl, addr, INFO_BYTES)
-                    };
-                    if let Some(id) = id {
-                        self.pending_info.insert(id, job.seq);
+                    let channel = layout.map.channel_of(addr);
+                    let tag = Tag::SpBlInfo { job_seq: job.seq };
+                    if !port.channel_full(channel) && port.try_read(tag, addr, INFO_BYTES) {
+                        self.pending_info += 1;
                         self.in_flight += 1;
                         job.info_requested = true;
                         moved = true;
+                        // Not issuable again until the info arrives.
+                        self.issuable &= !bit;
+                        self.issuable_on[channel] &= !bit;
                     }
-                } else {
-                    if job.info_ready && job.plan.is_none() {
+                    continue;
+                }
+                let plan = match job.plan.as_mut() {
+                    Some(plan) => plan,
+                    None => {
                         let info = b.row_info(job.b_row as usize);
                         job.len = info.len;
-                        job.plan = Some(layout.row_plan(b.channel_of(job.b_row as usize), info));
+                        let plan = layout.row_plan(b.channel_of(job.b_row as usize), info);
+                        self.issuable_on[plan.channel()] |= bit;
                         changed = true;
+                        job.plan.insert(plan)
                     }
-                    if let Some(plan) = job.plan.as_mut() {
-                        while !plan.is_empty()
-                            && self.in_flight < self.max_outstanding
-                            && !port.channel_full(plan.channel())
-                        {
-                            let Some((addr, bytes)) = plan.front(layout) else { break };
-                            let Some(id) = port.try_read(Unit::SpBl, addr, bytes) else { break };
-                            plan.pop_front(layout);
-                            let count = layout.entries_in(bytes);
-                            self.pending_data.insert(id, DataSpan { job_seq: job.seq, count });
-                            self.in_flight += 1;
-                            moved = true;
-                        }
+                };
+                while !plan.is_empty()
+                    && self.in_flight < self.max_outstanding
+                    && !port.channel_full(plan.channel())
+                {
+                    let Some((addr, bytes)) = plan.front(layout) else { break };
+                    let tag = Tag::SpBlData { job_seq: job.seq, count: layout.entries_in(bytes) };
+                    if !port.try_read(tag, addr, bytes) {
+                        break;
                     }
+                    plan.pop_front(layout);
+                    self.pending_data += 1;
+                    self.in_flight += 1;
+                    moved = true;
                 }
-                if !job.issuable() {
-                    self.issuable &= !seq_bit(job.seq);
+                if plan.is_empty() {
+                    self.issuable &= !bit;
+                    self.issuable_on[plan.channel()] &= !bit;
                 }
             }
         }
@@ -425,8 +446,8 @@ impl SpBl {
         sig = mix_signature(sig, self.jobs.len() as u64);
         sig = mix_signature(sig, self.staging.len() as u64);
         sig = mix_signature(sig, self.in_flight as u64);
-        sig = mix_signature(sig, self.pending_info.len() as u64);
-        sig = mix_signature(sig, self.pending_data.len() as u64);
+        sig = mix_signature(sig, self.pending_info as u64);
+        sig = mix_signature(sig, self.pending_data as u64);
         if let Some(f) = self.jobs.front() {
             sig = mix_signature(sig, u64::from(f.info_requested) | u64::from(f.info_ready) << 1);
             sig = mix_signature(sig, f.ready_entries as u64);
@@ -445,9 +466,22 @@ impl SpBl {
         (self.jobs.len(), self.in_flight, self.staging.len())
     }
 
-    /// Captures all mutable state for a checkpoint. Budgets and window
-    /// sizes are rebuilt by [`SpBl::new`] on restore.
-    pub(crate) fn snapshot(&self) -> SpBlState {
+    /// Captures all mutable state for a checkpoint, with the lane's
+    /// in-flight `tags` in id order, from which SpBL's own are taken.
+    /// Budgets and window sizes are rebuilt by [`SpBl::new`] on restore.
+    pub(crate) fn snapshot(&self, tags: impl Iterator<Item = (u64, Tag)>) -> SpBlState {
+        let (mut pending_info, mut pending_data) = (Vec::new(), Vec::new());
+        for (id, tag) in tags {
+            match tag {
+                Tag::SpBlInfo { job_seq } => pending_info.push((id, job_seq)),
+                Tag::SpBlData { job_seq, count } => pending_data.push((id, job_seq, count)),
+                _ => {}
+            }
+        }
+        debug_assert_eq!(
+            (pending_info.len(), pending_data.len()),
+            (self.pending_info, self.pending_data)
+        );
         SpBlState {
             jobs: self
                 .jobs
@@ -468,12 +502,8 @@ impl SpBl {
                 })
                 .collect(),
             next_seq: self.next_seq,
-            pending_info: self.pending_info.iter().map(|(id, &seq)| (id, seq)).collect(),
-            pending_data: self
-                .pending_data
-                .iter()
-                .map(|(id, span)| (id, span.job_seq, span.count))
-                .collect(),
+            pending_info,
+            pending_data,
             staging: self.staging.iter().copied().collect(),
             in_flight: self.in_flight as u64,
             blocked: self.blocked,
@@ -483,8 +513,9 @@ impl SpBl {
     }
 
     /// Restores a snapshot into a freshly constructed loader built from
-    /// the same configuration.
-    pub(crate) fn restore(&mut self, state: &SpBlState) {
+    /// the same configuration, appending the tags of its in-flight
+    /// requests to `tags` for the route table.
+    pub(crate) fn restore(&mut self, state: &SpBlState, tags: &mut Vec<(u64, Tag)>) {
         self.jobs = state
             .jobs
             .iter()
@@ -504,18 +535,31 @@ impl SpBl {
             })
             .collect();
         self.next_seq = state.next_seq;
-        self.pending_info = state.pending_info.iter().copied().collect();
-        self.pending_data = state
-            .pending_data
-            .iter()
-            .map(|&(id, job_seq, count)| (id, DataSpan { job_seq, count }))
-            .collect();
+        self.pending_info = state.pending_info.len();
+        self.pending_data = state.pending_data.len();
+        tags.extend(
+            state.pending_info.iter().map(|&(id, job_seq)| (id, Tag::SpBlInfo { job_seq })),
+        );
+        tags.extend(
+            state
+                .pending_data
+                .iter()
+                .map(|&(id, job_seq, count)| (id, Tag::SpBlData { job_seq, count })),
+        );
         self.staging = state.staging.iter().copied().collect();
         self.in_flight = state.in_flight as usize;
         self.blocked = state.blocked;
         self.malformed = state.malformed;
         self.attribution = StageBreakdown::from_array(state.attribution);
-        self.issuable =
-            self.jobs.iter().filter(|j| j.issuable()).fold(0, |bits, j| bits | seq_bit(j.seq));
+        self.issuable = 0;
+        self.issuable_on.fill(0);
+        for job in &self.jobs {
+            if job.issuable() {
+                self.issuable |= seq_bit(job.seq);
+            }
+            if let Some(channel) = job.read_channel(&self.layout) {
+                self.issuable_on[channel] |= seq_bit(job.seq);
+            }
+        }
     }
 }

@@ -4,12 +4,11 @@ use std::collections::VecDeque;
 
 use matraptor_sim::trace::{StageBreakdown, StageClass};
 use matraptor_sim::watchdog::mix_signature;
-use matraptor_sim::IdTable;
 
 use crate::checkpoint::WriterState;
 use crate::config::MatRaptorConfig;
 use crate::layout::{MatrixLayout, INFO_BYTES};
-use crate::port::MemPort;
+use crate::port::{MemPort, Tag};
 
 /// A finished output row held functionally until the run completes.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,8 +36,8 @@ pub(crate) struct Writer {
     buffered_bytes: u32,
     /// Write requests accepted by the buffer but not yet by the HBM.
     queue: VecDeque<(u64, u32)>,
-    /// Ids of writes in flight.
-    pending: IdTable<()>,
+    /// Writes in flight, each routed back as a [`Tag::WriterAck`].
+    pending: usize,
     /// Current row being assembled.
     cur_row: Option<u32>,
     cur_cols: Vec<u32>,
@@ -78,7 +77,7 @@ impl Writer {
             local_cursor: 0,
             buffered_bytes: 0,
             queue: VecDeque::new(),
-            pending: IdTable::new(),
+            pending: 0,
             cur_row: None,
             cur_cols: Vec::new(),
             cur_vals: Vec::new(),
@@ -170,8 +169,8 @@ impl Writer {
     pub(crate) fn tick(&mut self, port: &mut MemPort<'_>) {
         let mut issued = false;
         if let Some(&(addr, bytes)) = self.queue.front() {
-            if let Some(id) = port.try_write(addr, bytes) {
-                self.pending.insert(id, ());
+            if port.try_write(addr, bytes) {
+                self.pending += 1;
                 self.queue.pop_front();
                 issued = true;
             }
@@ -182,7 +181,7 @@ impl Writer {
         self.quiet = !issued;
         self.charged = if issued {
             StageClass::Busy
-        } else if !self.queue.is_empty() || !self.pending.is_empty() {
+        } else if !self.queue.is_empty() || self.pending > 0 {
             StageClass::MemStall
         } else {
             StageClass::Idle
@@ -207,20 +206,15 @@ impl Writer {
         &self.attribution
     }
 
-    /// Whether write `id` is one of the writer's in flight.
-    pub(crate) fn issued(&self, id: u64) -> bool {
-        self.pending.contains_key(id)
-    }
-
-    /// Routes a write acknowledgement. Returns `true` if consumed.
-    pub(crate) fn on_response(&mut self, id: u64) -> bool {
-        self.pending.remove(id).is_some()
+    /// Handles a write acknowledgement.
+    pub(crate) fn on_ack(&mut self) {
+        self.pending -= 1;
     }
 
     /// Whether every accepted entry has been written and acknowledged.
     pub(crate) fn is_done(&self) -> bool {
         self.queue.is_empty()
-            && self.pending.is_empty()
+            && self.pending == 0
             && self.buffered_bytes == 0
             && self.cur_row.is_none()
     }
@@ -229,7 +223,7 @@ impl Writer {
     pub(crate) fn progress_signature(&self) -> u64 {
         let mut sig = mix_signature(0, self.entries_pushed);
         sig = mix_signature(sig, self.queue.len() as u64);
-        sig = mix_signature(sig, self.pending.len() as u64);
+        sig = mix_signature(sig, self.pending as u64);
         sig = mix_signature(sig, self.buffered_bytes as u64);
         sig = mix_signature(sig, self.finished.len() as u64);
         mix_signature(sig, self.local_cursor)
@@ -237,17 +231,22 @@ impl Writer {
 
     /// Occupancy snapshot for deadlock diagnostics: `(queued, pending)`.
     pub(crate) fn occupancy(&self) -> (usize, usize) {
-        (self.queue.len(), self.pending.len())
+        (self.queue.len(), self.pending)
     }
 
-    /// Captures all mutable state for a checkpoint. The lane binding and
-    /// region base are rebuilt by [`Writer::new`] on restore.
-    pub(crate) fn snapshot(&self) -> WriterState {
+    /// Captures all mutable state for a checkpoint, with the lane's
+    /// in-flight `tags` in id order, from which the writer's own are taken.
+    /// The lane binding and region base are rebuilt by [`Writer::new`] on
+    /// restore.
+    pub(crate) fn snapshot(&self, tags: impl Iterator<Item = (u64, Tag)>) -> WriterState {
+        let pending: Vec<u64> =
+            tags.filter_map(|(id, tag)| (tag == Tag::WriterAck).then_some(id)).collect();
+        debug_assert_eq!(pending.len(), self.pending);
         WriterState {
             local_cursor: self.local_cursor,
             buffered_bytes: self.buffered_bytes,
             queue: self.queue.iter().copied().collect(),
-            pending: self.pending.iter().map(|(id, ())| id).collect(),
+            pending,
             cur_row: self.cur_row,
             cur_cols: self.cur_cols.clone(),
             cur_vals: self.cur_vals.clone(),
@@ -260,12 +259,14 @@ impl Writer {
     }
 
     /// Restores a snapshot into a freshly constructed writer for the same
-    /// `(lane, config, layout)` triple.
-    pub(crate) fn restore(&mut self, state: &WriterState) {
+    /// `(lane, config, layout)` triple, appending the tags of its in-flight
+    /// writes to `tags` for the route table.
+    pub(crate) fn restore(&mut self, state: &WriterState, tags: &mut Vec<(u64, Tag)>) {
         self.local_cursor = state.local_cursor;
         self.buffered_bytes = state.buffered_bytes;
         self.queue = state.queue.iter().copied().collect();
-        self.pending = state.pending.iter().map(|&id| (id, ())).collect();
+        self.pending = state.pending.len();
+        tags.extend(state.pending.iter().map(|&id| (id, Tag::WriterAck)));
         self.cur_row = state.cur_row;
         self.cur_cols = state.cur_cols.clone();
         self.cur_vals = state.cur_vals.clone();
