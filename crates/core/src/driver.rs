@@ -64,19 +64,24 @@ impl Default for ConfigRegisters {
 }
 
 /// One `mtx` message: which register, what value.
+///
+/// The accelerator lays its matrices out at the power-on region map
+/// ([`ConfigRegisters::default`]) only, so a pointer register may be
+/// written, but [`Driver::start`] refuses any value other than its
+/// power-on one with [`DriverError::UnsupportedRegion`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MtxWrite {
-    /// Write a pointer register.
+    /// A info pointer; only its power-on value is supported.
     AInfo(u64),
-    /// A data pointer.
+    /// A data pointer; only its power-on value is supported.
     AData(u64),
-    /// B info pointer.
+    /// B info pointer; only its power-on value is supported.
     BInfo(u64),
-    /// B data pointer.
+    /// B data pointer; only its power-on value is supported.
     BData(u64),
-    /// C info pointer.
+    /// C info pointer; only its power-on value is supported.
     CInfo(u64),
-    /// C data pointer.
+    /// C data pointer; only its power-on value is supported.
     CData(u64),
     /// A's row count.
     ARows(u64),
@@ -120,6 +125,16 @@ pub struct Driver<'a> {
 pub enum DriverError {
     /// `x0` was never written with 1 — the host did not start the run.
     NotStarted,
+    /// A pointer register holds another region than the power-on one, the
+    /// only region map the accelerator lays its matrices out at.
+    UnsupportedRegion {
+        /// Which register.
+        register: &'static str,
+        /// Value the host programmed.
+        programmed: u64,
+        /// The register's power-on value, the only one supported.
+        supported: u64,
+    },
     /// A dimension register disagrees with the supplied matrix.
     DimensionMismatch {
         /// Which register.
@@ -142,6 +157,11 @@ impl std::fmt::Display for DriverError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DriverError::NotStarted => write!(f, "x0 register not set; accelerator not started"),
+            DriverError::UnsupportedRegion { register, programmed, supported } => write!(
+                f,
+                "register {register} programmed with {programmed:#x} but only its power-on \
+                 region {supported:#x} is supported"
+            ),
             DriverError::DimensionMismatch { register, programmed, actual } => write!(
                 f,
                 "register {register} programmed with {programmed} but the matrix has {actual}"
@@ -193,6 +213,8 @@ impl<'a> Driver<'a> {
     /// # Errors
     ///
     /// [`DriverError::NotStarted`] if `x0` was not set;
+    /// [`DriverError::UnsupportedRegion`] if a pointer register holds
+    /// another region than its power-on one;
     /// [`DriverError::DimensionMismatch`] if the programmed dimension
     /// registers disagree with the actual matrices — the kind of driver
     /// bug this layer exists to catch;
@@ -209,6 +231,20 @@ impl<'a> Driver<'a> {
     ) -> Result<Run<M>, DriverError> {
         if self.regs.x0 != 1 {
             return Err(DriverError::NotStarted);
+        }
+        let (regs, supported) = (&self.regs, ConfigRegisters::default());
+        let pointers = [
+            ("a_info_ptr", regs.a_info_ptr, supported.a_info_ptr),
+            ("a_data_ptr", regs.a_data_ptr, supported.a_data_ptr),
+            ("b_info_ptr", regs.b_info_ptr, supported.b_info_ptr),
+            ("b_data_ptr", regs.b_data_ptr, supported.b_data_ptr),
+            ("c_info_ptr", regs.c_info_ptr, supported.c_info_ptr),
+            ("c_data_ptr", regs.c_data_ptr, supported.c_data_ptr),
+        ];
+        if let Some(&(register, programmed, supported)) =
+            pointers.iter().find(|&&(_, programmed, supported)| programmed != supported)
+        {
+            return Err(DriverError::UnsupportedRegion { register, programmed, supported });
         }
         if self.regs.a_rows != a.rows() as u64 {
             return Err(DriverError::DimensionMismatch {
@@ -306,6 +342,39 @@ mod tests {
     }
 
     #[test]
+    fn a_moved_region_is_refused_naming_its_register() {
+        let a = gen::uniform(16, 16, 60, 3);
+        let accel = Accelerator::new(MatRaptorConfig::small_test());
+        let started = |write: MtxWrite| {
+            let mut d = Driver::new(&accel);
+            d.mtx(MtxWrite::ARows(16));
+            d.mtx(MtxWrite::BRows(16));
+            d.mtx(MtxWrite::X0(1));
+            d.mtx(write);
+            d.launch_slice(&a, &a, None, None, u64::MAX)
+        };
+        let moved = 0x7000_0000;
+        for (write, name) in [
+            (MtxWrite::AInfo(moved), "a_info_ptr"),
+            (MtxWrite::AData(moved), "a_data_ptr"),
+            (MtxWrite::BInfo(moved), "b_info_ptr"),
+            (MtxWrite::BData(moved), "b_data_ptr"),
+            (MtxWrite::CInfo(moved), "c_info_ptr"),
+            (MtxWrite::CData(moved), "c_data_ptr"),
+        ] {
+            match started(write) {
+                Err(DriverError::UnsupportedRegion { register, programmed, .. }) => {
+                    assert_eq!((register, programmed), (name, moved));
+                }
+                other => panic!("{name}: expected UnsupportedRegion, got {other:?}"),
+            }
+        }
+        // Writing a pointer's power-on value is accepted.
+        let power_on = ConfigRegisters::default();
+        assert!(started(MtxWrite::CData(power_on.c_data_ptr)).is_ok());
+    }
+
+    #[test]
     fn malformed_input_is_rejected_before_launch() {
         let a = gen::uniform(16, 16, 60, 3);
         let (rows, cols, ptr, idx, mut vals) =
@@ -377,6 +446,9 @@ mod tests {
     fn driver_error_display_and_error_trait() {
         let not_started = DriverError::NotStarted;
         assert!(not_started.to_string().contains("x0"));
+        let region =
+            DriverError::UnsupportedRegion { register: "c_data_ptr", programmed: 7, supported: 9 };
+        assert!(region.to_string().contains("c_data_ptr"));
         let dim = DriverError::DimensionMismatch { register: "a_rows", programmed: 9, actual: 4 };
         let msg = dim.to_string();
         assert!(msg.contains("a_rows") && msg.contains('9') && msg.contains('4'));
@@ -387,7 +459,7 @@ mod tests {
         assert!(invalid.to_string().contains("rejected"));
         // All variants usable as a trait object (the `Box<dyn Error>`
         // plumbing downstream tooling relies on).
-        for e in [not_started, dim, fault, invalid] {
+        for e in [not_started, region, dim, fault, invalid] {
             let boxed: Box<dyn std::error::Error> = Box::new(e);
             assert!(!boxed.to_string().is_empty());
         }
