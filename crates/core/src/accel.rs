@@ -1405,11 +1405,10 @@ mod tests {
         }));
         // The route sends a pending request to another lane.
         assert!(refused(&|st| st.route[0].1 ^= 1));
-        // Two units hold the same id.
+        // Two units of the routed lane hold the same id.
         assert!(refused(&|st| {
-            let id = st.route[0].0;
-            st.lanes[0].writer.pending.push(id);
-            st.lanes[1].writer.pending.push(id);
+            let (id, lane) = st.route[0];
+            st.lanes[lane as usize].writer.pending.push(id);
         }));
     }
 
