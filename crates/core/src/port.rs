@@ -31,11 +31,11 @@ pub(crate) struct Route {
 }
 
 /// A borrowed view of the memory system handed to each lane during its
-/// tick. Allocates globally unique request ids and records which lane each
-/// request belongs to, with its [`Tag`], so responses can be routed back (the
-/// crossbar is partial — each SpAL/PE talks to one channel — which the
-/// address layout already encodes; the route map is the model's
-/// bookkeeping, not extra hardware).
+/// tick. Allocates globally unique request ids and records each request's
+/// lane and [`Tag`] so responses can be routed back (the crossbar is
+/// partial — each SpAL/PE talks to one channel — which the address layout
+/// already encodes; the route map is the model's bookkeeping, not extra
+/// hardware).
 #[derive(Debug)]
 pub(crate) struct MemPort<'a> {
     pub hbm: &'a mut Hbm,
