@@ -18,14 +18,17 @@
 //!
 //! A third set pins the two long power-law jobs of the `par_slices`
 //! benchmark stream on the 2-lane template: their statistics, output and
-//! checkpoints at three points of the run.
+//! checkpoints at three points of the run. A fourth pins, the same way,
+//! two runs on a memory of tiny rows, two banks and short channel queues,
+//! whose row misses and bank conflicts exercise every branch of the
+//! channel's activation logic at lookahead 0 and 1.
 
 mod common;
 
 use common::{cases, checkpoint_at, run_faulted, run_traced, stall_case};
 use matraptor_core::{Accelerator, FaultPlan, MatRaptorConfig, TraceConfig};
 use matraptor_sim::trace::fnv1a64;
-use matraptor_sparse::gen::suite;
+use matraptor_sparse::gen::{self, suite};
 
 /// Accelerator cycle at which a fault-free case is checkpointed; each run
 /// is longer than this. A faulted case is checkpointed 50 memory cycles
@@ -165,6 +168,58 @@ fn long_job_runs_match_the_pins() {
         // The benchmark's seed mix for its k-th long job at stream seed 1.
         let seed = 0x9e37_79b9_7f4a_7c15_u64.wrapping_add(100 + k as u64);
         let a = suite::by_id(pin.id).expect("a Table II id").generate(64, seed);
+        let outcome = accel.try_run(&a, &a).expect("clean run");
+        let cycles = outcome.stats.total_cycles;
+        let checkpoints = [1, 2, 3].map(|q| {
+            let ck = checkpoint_at(&accel, &a, &a, None, cycles * q / 4)
+                .expect("no failure before the pause")
+                .expect("the run is longer than the pause");
+            fnv1a64(&ck.to_bytes())
+        });
+        let got = LongJobPin {
+            id: pin.id,
+            run: fnv1a64(format!("{:?}", (&outcome.stats, &outcome.c)).as_bytes()),
+            checkpoints,
+        };
+        assert_eq!(&got, pin, "{}: simulated results changed", pin.id);
+    }
+}
+
+/// The row-miss-heavy cases: the 2-lane template over a memory whose
+/// 128 B rows hold two bursts, with two banks per channel and 4-deep
+/// channel queues, so nearly every other burst opens a row and most
+/// activations contend for a bank. One case pre-starts no activation
+/// (`bank_lookahead: 0`, every row miss is paid on the bus), the other
+/// looks one fragment ahead. Pinned like the long jobs.
+const ROW_MISS_PINS: [(usize, LongJobPin); 2] = [
+    (
+        0,
+        LongJobPin {
+            id: "lookahead0",
+            run: 0xdd2fb7ca19920066,
+            checkpoints: [0xda3e0f551541bc48, 0x8e774ef0c4fd62ce, 0xdc00faf1dfc3e719],
+        },
+    ),
+    (
+        1,
+        LongJobPin {
+            id: "lookahead1",
+            run: 0xd1772bcaef367954,
+            checkpoints: [0x202d6ef2d3f8f043, 0xb5b06060a790c69b, 0xd06af86f348c6446],
+        },
+    ),
+];
+
+#[test]
+fn row_miss_heavy_runs_match_the_pins() {
+    let a = gen::rmat(128, 1200, gen::RmatParams::default(), 17);
+    for (lookahead, pin) in &ROW_MISS_PINS {
+        let mut cfg = MatRaptorConfig::small_test();
+        cfg.mem.row_bytes = 128;
+        cfg.mem.banks_per_channel = 2;
+        cfg.mem.queue_depth = 4;
+        cfg.mem.bank_lookahead = *lookahead;
+        let accel = Accelerator::new(cfg);
         let outcome = accel.try_run(&a, &a).expect("clean run");
         let cycles = outcome.stats.total_cycles;
         let checkpoints = [1, 2, 3].map(|q| {
