@@ -48,6 +48,7 @@ pub struct ChannelStats {
 impl Fragment {
     /// A fragment of request `req_id` at `addr`, with its DRAM coordinates
     /// decoded through `map`.
+    #[inline]
     pub(crate) fn new(
         map: &AddressMap,
         req_id: RequestId,
@@ -106,12 +107,18 @@ pub(crate) struct Channel {
     row_miss_penalty: u64,
     // conformance:allow(checkpoint-coverage): fixed hardware constant from config, rebuilt by restore
     burst_cycles: u64,
-    /// Earliest cycle at which the activation scan can start anything,
-    /// given no change to the queue or the banks since the last scan. Every
-    /// such change resets it, so the skipped scans are exactly the ones
-    /// that would have found nothing to do.
+    /// Earliest cycle at which the activation scan can start anything.
+    /// A scan sets it to the soonest ready time of a bank its window waits
+    /// on; a fragment that may need an activation lowers it when it enters
+    /// the window or becomes the first of the window on its bank. So the
+    /// skipped scans are exactly the ones that would have found nothing.
     // conformance:allow(checkpoint-coverage): derived; a restored channel scans on its first tick
     scan_at: Cycle,
+    /// Earliest cycle at which a tick can change anything: the in-service
+    /// burst's end, `scan_at`, or the bank-ready time the head waits for.
+    /// Ticks before it are no-ops, so [`crate::Hbm`] skips them.
+    // conformance:allow(checkpoint-coverage): derived; a restored channel ticks on its first cycle
+    wake: Cycle,
 }
 
 impl Channel {
@@ -125,16 +132,19 @@ impl Channel {
             row_miss_penalty: cfg.row_miss_penalty,
             burst_cycles: cfg.burst_cycles(),
             scan_at: Cycle::ZERO,
+            wake: Cycle::ZERO,
         }
     }
 
     /// Free queue slots, used by `Hbm` to admit multi-fragment requests
     /// atomically.
+    #[inline]
     pub(crate) fn free_slots(&self) -> usize {
         self.queue.free()
     }
 
     /// Current queue occupancy, surfaced in deadlock diagnostics.
+    #[inline]
     pub(crate) fn queue_len(&self) -> usize {
         self.queue.len()
     }
@@ -145,12 +155,38 @@ impl Channel {
     ///
     /// Panics if the queue is full — callers must check
     /// [`Channel::free_slots`] first (hardware backpressure).
+    #[inline]
     pub(crate) fn enqueue(&mut self, frag: Fragment) {
+        if self.queue.is_empty() {
+            // The new head may go on the bus at the next tick.
+            self.wake = Cycle::ZERO;
+        }
         self.queue
             .try_push(frag)
             // conformance:allow(panic-safety): documented contract: callers must check free_slots first
             .unwrap_or_else(|_| panic!("channel queue overflow; check free_slots first"));
-        self.scan_at = Cycle::ZERO;
+        if self.queue.len() <= self.lookahead {
+            self.entered_window(frag);
+        }
+    }
+
+    /// Whether a tick at `now` can change anything.
+    #[inline]
+    pub(crate) fn due(&self, now: Cycle) -> bool {
+        now >= self.wake
+    }
+
+    /// `f` just entered the lookahead window. Unless its bank is open on
+    /// its row or being prepared, the scan may start its activation once
+    /// the bank is ready. (A bank prepared or opened for another row
+    /// belongs to an earlier window fragment, whose bus start rechecks.)
+    #[inline]
+    fn entered_window(&mut self, f: Fragment) {
+        let b = &self.banks[f.bank];
+        if b.open_row != Some(f.row) && b.prep_row.is_none() {
+            self.scan_at = self.scan_at.min(b.ready_at);
+            self.wake = self.wake.min(self.scan_at);
+        }
     }
 
     /// Starts row activations for fragments near the head of the queue.
@@ -160,6 +196,7 @@ impl Channel {
     /// Returns the earliest cycle a rescan could start another activation
     /// if neither the queue nor any bank changes before then: the soonest
     /// `ready_at` among claimed banks that are only waiting for time.
+    #[inline]
     fn start_activations(&mut self, now: Cycle) -> Cycle {
         let mut next = Cycle(u64::MAX);
         let mut claimed = 0u64; // bitset over banks (≤ 64 banks)
@@ -189,6 +226,10 @@ impl Channel {
 
     /// Advances one cycle. Returns a fragment whose burst completed at
     /// exactly this cycle, if any.
+    ///
+    /// Ticking only when [`Channel::due`] gives the same results as
+    /// ticking every cycle.
+    #[inline]
     pub(crate) fn tick(&mut self, now: Cycle) -> Option<Fragment> {
         // Complete the in-flight burst first so the bus frees this cycle.
         let completed = match self.in_service {
@@ -219,17 +260,18 @@ impl Channel {
                     b.ready_at
                 } else {
                     // Bank busy with a different row's activation; wait.
+                    self.wake = b.ready_at.min(self.scan_at);
                     return completed;
                 };
                 // conformance:allow(panic-safety): invariant: loop condition proved the queue is non-empty
                 let frag = self.queue.pop().expect("front exists");
-                self.scan_at = Cycle::ZERO;
                 let end = start + self.burst_cycles;
                 self.in_service = Some((frag, end));
                 let b = &mut self.banks[bank];
                 b.open_row = Some(row);
                 b.prep_row = None;
                 b.ready_at = end;
+                self.bus_started(bank, row, end);
                 self.stats.busy_cycles.add(end - now);
                 self.stats.bursts.incr();
                 match frag.kind {
@@ -244,10 +286,45 @@ impl Channel {
                 }
             }
         }
+        // A head that could not start returned above, so without a burst
+        // in service the queue is empty.
+        self.wake = match self.in_service {
+            Some((_, end)) => end.min(self.scan_at),
+            None => self.scan_at,
+        };
         completed
     }
 
+    /// The head left the queue for the bus, opening `row` on `bank` until
+    /// `end`. Two fragments may now want an activation: the window's new
+    /// last fragment, and the window's next fragment on `bank`, which now
+    /// claims it and needs an activation after `end` unless it wants `row`.
+    /// Every other fragment keeps its claim and its bank.
+    #[inline]
+    fn bus_started(&mut self, bank: usize, row: u64, end: Cycle) {
+        if self.lookahead == 0 {
+            return;
+        }
+        if let Some(&entrant) = self.queue.get(self.lookahead - 1) {
+            self.entered_window(entrant);
+        }
+        let mut window = self.queue.iter().take(self.lookahead);
+        if window.find(|f| f.bank == bank).is_some_and(|f| f.row != row) {
+            self.scan_at = self.scan_at.min(end);
+        }
+    }
+
+    /// Puts back, for the next tick, the rule this channel had before it
+    /// kept wake times: tick, and rescan the window, whatever the cycle.
+    /// The equivalence tests run a reference channel this way.
+    #[cfg(test)]
+    pub(crate) fn rescan_next_tick(&mut self) {
+        self.scan_at = Cycle::ZERO;
+        self.wake = Cycle::ZERO;
+    }
+
     /// Whether the channel has no queued or in-flight work.
+    #[inline]
     pub(crate) fn is_idle(&self) -> bool {
         self.in_service.is_none() && self.queue.is_empty()
     }
@@ -332,6 +409,7 @@ fn frag_state(f: &Fragment) -> FragmentState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use matraptor_sparse::rng::ChaCha8Rng;
 
     /// A read fragment of request `id` at flat address `addr`.
     fn frag(cfg: &HbmConfig, id: u64, addr: u64, bytes: u32) -> Fragment {
@@ -429,5 +507,73 @@ mod tests {
         ch.enqueue(frag(&cfg, 2, 64, 64));
         assert_eq!(ch.free_slots(), 0);
         assert!(!ch.is_idle());
+    }
+
+    /// Drives one seeded random fragment stream through a channel ticked
+    /// only when due and through a reference ticked every cycle under the
+    /// always-rescan rule, and checks every cycle that their completions,
+    /// statistics and snapshots agree.
+    ///
+    /// Traffic comes in bursts with idle gaps, so queues fill, drain and
+    /// refill. Rows come from a small pool striped over few banks, so the
+    /// stream mixes row hits, row misses and bank conflicts.
+    fn check_due_ticks_match_every_cycle_ticks(cfg: &HbmConfig, seed: u64, cycles: u64) {
+        let map = AddressMap::new(cfg);
+        let burst = cfg.burst_bytes as u64;
+        let rows = 3 * cfg.banks_per_channel as u64;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let (mut due_only, mut reference) = (Channel::new(cfg), Channel::new(cfg));
+        let (mut next_id, mut row, mut rate) = (0, 0, 0);
+        for t in 0..cycles {
+            let now = Cycle(t);
+            if t % 64 == 0 {
+                // A new phase: idle, trickling or flooding.
+                rate = rng.gen_range(0..5u64);
+            }
+            for _ in 0..rate {
+                if due_only.free_slots() == 0 || rng.gen_bool(0.5) {
+                    break;
+                }
+                if rng.gen_bool(0.4) {
+                    row = rng.gen_range(0..rows);
+                }
+                let addr = row * cfg.row_bytes + rng.gen_range(0..cfg.row_bytes / burst) * burst;
+                let kind = if rng.gen_bool(0.3) { MemKind::Write } else { MemKind::Read };
+                let f = Fragment::new(&map, RequestId(next_id), kind, addr, burst as u32);
+                next_id += 1;
+                due_only.enqueue(f);
+                reference.enqueue(f);
+            }
+            reference.rescan_next_tick();
+            let want = reference.tick(now);
+            let got = if due_only.due(now) { due_only.tick(now) } else { None };
+            let case = || format!("{cfg:?} seed {seed} cycle {t}");
+            assert_eq!(got, want, "completion differs: {}", case());
+            assert_eq!(due_only.stats(), reference.stats(), "stats differ: {}", case());
+            assert_eq!(due_only.snapshot(), reference.snapshot(), "state differs: {}", case());
+        }
+        assert!(next_id > cycles / 64, "the stream must carry traffic");
+        assert!(reference.stats().row_misses.get() > 0);
+    }
+
+    #[test]
+    fn ticking_only_when_due_matches_ticking_every_cycle() {
+        let mut seed = 0;
+        for lookahead in [0, 1, 4, 12, 20] {
+            for queue_depth in [1, 4, 64] {
+                for (banks_per_channel, row_miss_penalty) in [(2, 22), (16, 22), (2, 3)] {
+                    let cfg = HbmConfig {
+                        row_bytes: 128,
+                        banks_per_channel,
+                        row_miss_penalty,
+                        queue_depth,
+                        bank_lookahead: lookahead,
+                        ..HbmConfig::with_channels(1)
+                    };
+                    seed += 1;
+                    check_due_ticks_match_every_cycle_ticks(&cfg, seed, 3_000);
+                }
+            }
+        }
     }
 }

@@ -66,16 +66,19 @@ impl MemFaults {
 
     /// Whether any fault is scheduled at all. The hot paths check this
     /// once so a fault-free run pays a single branch per cycle.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.stalls.is_empty() && self.refusals.is_empty()
     }
 
     /// Whether `channel` is service-stalled at memory cycle `now`.
+    #[inline]
     pub fn stalled(&self, channel: usize, now: u64) -> bool {
         self.stalls.iter().any(|w| w.covers(channel, now))
     }
 
     /// Whether `channel` refuses admission at memory cycle `now`.
+    #[inline]
     pub fn refusing(&self, channel: usize, now: u64) -> bool {
         self.refusals.iter().any(|w| w.covers(channel, now))
     }

@@ -189,6 +189,7 @@ impl Hbm {
 
     /// Splits a request at burst boundaries into `(channel, addr, bytes)`
     /// pieces — lazily, so admission allocates nothing.
+    #[inline]
     fn pieces(&self, req: &MemRequest) -> impl Iterator<Item = (usize, u64, u32)> + Clone {
         let map = self.map;
         let mut at = req.addr;
@@ -205,6 +206,7 @@ impl Hbm {
     }
 
     /// Splits a request into its burst fragments, each with its channel.
+    #[inline]
     fn fragments(&self, req: &MemRequest) -> impl Iterator<Item = (usize, Fragment)> {
         let (map, id, kind) = (self.map, req.id, req.kind);
         self.pieces(req)
@@ -214,6 +216,7 @@ impl Hbm {
     /// Whether every fragment of `req` finds a slot in its channel queue,
     /// and the channels it has fragments on (its [`Hbm::channel_mask`]).
     /// `need` holds per-channel counts; it is all zero on entry and exit.
+    #[inline]
     fn fits(&self, req: &MemRequest, need: &mut [u32]) -> (bool, u64) {
         let pieces = self.pieces(req);
         let (mut fits, mut mask) = (true, 0);
@@ -231,6 +234,7 @@ impl Hbm {
     /// The channels `req` has fragments on, as a set of channel bits (bit
     /// `channel % 64`). Without a fault schedule a refused `req` stays
     /// refused until [`Hbm::freed_channels`] meets this set.
+    #[inline]
     pub fn channel_mask(&self, req: &MemRequest) -> u64 {
         self.pieces(req).fold(0, |mask, (ch, ..)| mask | channel_bit(ch))
     }
@@ -266,6 +270,7 @@ impl Hbm {
     /// # Errors
     ///
     /// The refused request's channel mask.
+    #[inline]
     pub fn submit(&mut self, now: Cycle, req: MemRequest) -> Result<(), u64> {
         if !self.faults.is_empty() {
             let (refusing, mask) =
@@ -313,13 +318,18 @@ impl Hbm {
     }
 
     /// Advances all channels one cycle and matures completed requests into
-    /// the response pipe.
+    /// the response pipe. A channel whose tick could change nothing this
+    /// cycle is skipped; a stalled channel still counts its stalled cycle.
+    #[inline]
     pub fn tick(&mut self, now: Cycle) {
         self.freed = 0;
         for (ch_idx, ch) in self.channels.iter_mut().enumerate() {
             if !self.faults.is_empty() && self.faults.stalled(ch_idx, now.as_u64()) {
                 self.fault_counters.stalled_cycles =
                     self.fault_counters.stalled_cycles.saturating_add(1);
+                continue;
+            }
+            if !ch.due(now) {
                 continue;
             }
             let queued = ch.queue_len();
@@ -514,6 +524,8 @@ impl Hbm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultWindow;
+    use matraptor_sparse::rng::ChaCha8Rng;
 
     fn run_until_idle(hbm: &mut Hbm, limit: u64) -> (Vec<(u64, MemResponse)>, u64) {
         let mut responses = Vec::new();
@@ -778,5 +790,86 @@ mod tests {
         let peak = cfg.peak_bandwidth_gbs();
         assert!(gbs > 0.6 * peak, "streaming too slow: {gbs:.1} of {peak} GB/s");
         assert!(gbs < peak, "cannot exceed peak: {gbs:.1}");
+    }
+
+    /// Drives seeded random requests, split over 4 channels of tiny rows
+    /// and two banks, through a device whose channels tick only when due
+    /// and through a reference whose channels tick every cycle under the
+    /// always-rescan rule, both under `faults`. Every cycle the two must
+    /// agree on admissions, freed and full channels, responses and state,
+    /// fault counters included.
+    fn check_due_ticks_match_every_cycle_ticks(faults: &MemFaults, lookahead: usize, seed: u64) {
+        let cfg = HbmConfig {
+            row_bytes: 128,
+            banks_per_channel: 2,
+            queue_depth: 4,
+            bank_lookahead: lookahead,
+            ..HbmConfig::with_channels(4)
+        };
+        let (mut due_only, mut reference) = (Hbm::new(cfg.clone()), Hbm::new(cfg));
+        due_only.set_faults(faults.clone());
+        reference.set_faults(faults.clone());
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut next_id = 0;
+        for t in 0..3_000 {
+            let now = Cycle(t);
+            let case = || format!("{faults:?} lookahead {lookahead} seed {seed} cycle {t}");
+            for ch in &mut reference.channels {
+                ch.rescan_next_tick();
+            }
+            due_only.tick(now);
+            reference.tick(now);
+            assert_eq!(due_only.freed_channels(), reference.freed_channels(), "{}", case());
+            loop {
+                let response = due_only.pop_response(now);
+                assert_eq!(response, reference.pop_response(now), "{}", case());
+                if response.is_none() {
+                    break;
+                }
+            }
+            for _ in 0..rng.gen_range(0..4u64) {
+                let (addr, bytes) = (rng.gen_range(0..4_096u64), rng.gen_range(1..160u32));
+                let req = if rng.gen_bool(0.3) {
+                    MemRequest::write(next_id, addr, bytes)
+                } else {
+                    MemRequest::read(next_id, addr, bytes)
+                };
+                let admitted = due_only.submit(now, req);
+                assert_eq!(admitted, reference.submit(now, req), "{}", case());
+                next_id += u64::from(admitted.is_ok());
+            }
+            assert_eq!(due_only.full_channels(), reference.full_channels(), "{}", case());
+            assert_eq!(due_only.snapshot(), reference.snapshot(), "{}", case());
+        }
+        assert!(reference.stats().requests_completed > 200, "the stream must carry traffic");
+    }
+
+    #[test]
+    fn a_device_ticking_channels_only_when_due_matches_ticking_every_cycle() {
+        let window = |channel, start, end| FaultWindow { channel, start, end };
+        let schedules = [
+            MemFaults::none(),
+            MemFaults {
+                stalls: vec![window(1, 100, 400), window(2, 900, 950), window(0, 2_000, 2_600)],
+                ..MemFaults::none()
+            },
+            MemFaults {
+                refusals: vec![
+                    window(0, 50, 600),
+                    window(3, 1_000, 1_300),
+                    window(1, 2_000, 2_100),
+                ],
+                ..MemFaults::none()
+            },
+        ];
+        for (k, faults) in schedules.iter().enumerate() {
+            for lookahead in [0, 1, 4, 12] {
+                check_due_ticks_match_every_cycle_ticks(
+                    faults,
+                    lookahead,
+                    10 * k as u64 + lookahead as u64,
+                );
+            }
+        }
     }
 }

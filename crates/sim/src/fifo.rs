@@ -94,6 +94,11 @@ impl<T> Fifo<T> {
         self.total_pushed
     }
 
+    /// The `i`-th oldest item, if the FIFO holds that many.
+    pub fn get(&self, i: usize) -> Option<&T> {
+        self.items.get(i)
+    }
+
     /// Iterates oldest-to-newest without consuming.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter()
