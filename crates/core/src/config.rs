@@ -211,6 +211,8 @@ impl MatRaptorConfig {
             "zero queue depth"
         } else if m.interleave_bytes < m.burst_bytes {
             "interleave must be at least one burst"
+        } else if !m.interleave_bytes.is_multiple_of(m.burst_bytes) {
+            "interleave must be a multiple of the burst"
         } else if m.row_bytes < m.burst_bytes as u64 {
             "row smaller than burst"
         } else if m.banks_per_channel == 0 {
@@ -315,6 +317,20 @@ mod tests {
         let mut cfg = MatRaptorConfig::small_test();
         cfg.mem.burst_bytes = 0;
         assert_eq!(cfg.try_validate(), Err(ConfigError::InvalidMemConfig { detail: "zero burst" }));
+    }
+
+    #[test]
+    fn an_interleave_that_splits_a_burst_is_reported() {
+        let mut cfg = MatRaptorConfig::small_test();
+        cfg.mem.interleave_bytes = 96;
+        assert_eq!(
+            cfg.try_validate(),
+            Err(ConfigError::InvalidMemConfig {
+                detail: "interleave must be a multiple of the burst"
+            })
+        );
+        cfg.mem.interleave_bytes = 128;
+        assert_eq!(cfg.try_validate(), Ok(()));
     }
 
     #[test]

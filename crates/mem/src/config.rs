@@ -120,8 +120,9 @@ impl HbmConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any field is zero or the interleave is smaller than the
-    /// burst (which would make single-burst requests span channels).
+    /// Panics if any field is zero or the interleave is not a whole number
+    /// of bursts (which would make a burst span two interleave blocks, and
+    /// so two channels).
     pub fn validate(&self) {
         assert!(self.num_channels > 0, "need at least one channel");
         assert!(self.channel_width_bytes > 0, "zero channel width");
@@ -131,6 +132,12 @@ impl HbmConfig {
         assert!(
             self.interleave_bytes >= self.burst_bytes,
             "interleave ({}) must be at least one burst ({})",
+            self.interleave_bytes,
+            self.burst_bytes
+        );
+        assert!(
+            self.interleave_bytes.is_multiple_of(self.burst_bytes),
+            "interleave ({}) must be a multiple of the burst ({})",
             self.interleave_bytes,
             self.burst_bytes
         );
@@ -297,6 +304,16 @@ mod tests {
     #[should_panic(expected = "interleave")]
     fn interleave_below_burst_rejected() {
         let cfg = HbmConfig { interleave_bytes: 32, ..HbmConfig::default() };
+        cfg.validate();
+    }
+
+    /// With 96 B blocks of 64 B bursts, the burst `[64, 128)` would start
+    /// in channel 0's block and end in channel 1's.
+    #[test]
+    #[should_panic(expected = "interleave (96) must be a multiple of the burst (64)")]
+    fn interleave_not_a_multiple_of_the_burst_rejected() {
+        let cfg = HbmConfig { interleave_bytes: 96, ..HbmConfig::with_channels(2) };
+        assert_ne!(cfg.channel_of_addr(64), cfg.channel_of_addr(127));
         cfg.validate();
     }
 }

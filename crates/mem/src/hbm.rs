@@ -606,6 +606,22 @@ mod tests {
     }
 
     #[test]
+    fn every_fragment_of_a_valid_config_stays_on_its_channel() {
+        for (interleave_bytes, burst_bytes) in [(64, 64), (128, 64), (96, 32), (192, 64)] {
+            let cfg = HbmConfig { interleave_bytes, burst_bytes, ..HbmConfig::with_channels(3) };
+            let hbm = Hbm::new(cfg.clone());
+            for addr in (0..1_000).step_by(7) {
+                for bytes in [1, 8, 63, 64, 100, 300] {
+                    for (ch, f) in hbm.fragments(&MemRequest::read(0, addr, bytes)) {
+                        let last = f.addr + f.bytes as u64 - 1;
+                        assert_eq!(cfg.channel_of_addr(last), ch, "{cfg:?} {addr} {bytes}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn duplicate_id_rejected_while_in_flight() {
         let mut hbm = Hbm::new(HbmConfig::default());
         assert!(hbm.submit(Cycle(0), MemRequest::read(1, 0, 64)).is_ok());
