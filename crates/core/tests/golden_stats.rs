@@ -20,8 +20,8 @@
 //! benchmark stream on the 2-lane template: their statistics, output and
 //! checkpoints at three points of the run. A fourth pins, the same way,
 //! two runs on a memory of tiny rows, two banks and short channel queues,
-//! whose row misses and bank conflicts exercise every branch of the
-//! channel's activation logic at lookahead 0 and 1.
+//! whose row misses and bank conflicts load the channel's activation
+//! logic at lookahead 0 and 1.
 
 mod common;
 
@@ -29,6 +29,7 @@ use common::{cases, checkpoint_at, run_faulted, run_traced, stall_case};
 use matraptor_core::{Accelerator, FaultPlan, MatRaptorConfig, TraceConfig};
 use matraptor_sim::trace::fnv1a64;
 use matraptor_sparse::gen::{self, suite};
+use matraptor_sparse::Csr;
 
 /// Accelerator cycle at which a fault-free case is checkpointed; each run
 /// is longer than this. A faulted case is checkpointed 50 memory cycles
@@ -137,6 +138,23 @@ struct LongJobPin {
     checkpoints: [u64; 3],
 }
 
+/// The [`LongJobPin`] that `a * a` on `accel` yields.
+fn long_job_pin(id: &'static str, accel: &Accelerator, a: &Csr<f64>) -> LongJobPin {
+    let outcome = accel.try_run(a, a).expect("clean run");
+    let cycles = outcome.stats.total_cycles;
+    let checkpoints = [1, 2, 3].map(|q| {
+        let ck = checkpoint_at(accel, a, a, None, cycles * q / 4)
+            .expect("no failure before the pause")
+            .expect("the run is longer than the pause");
+        fnv1a64(&ck.to_bytes())
+    });
+    LongJobPin {
+        id,
+        run: fnv1a64(format!("{:?}", (&outcome.stats, &outcome.c)).as_bytes()),
+        checkpoints,
+    }
+}
+
 /// The long jobs of the `par_slices` benchmark stream at seed 1: the
 /// Table II `wv` and `fb` stand-ins at scale 64, squared on the 2-lane
 /// template with a 2 000-cycle watchdog and ABFT on. Rows that overflow
@@ -168,29 +186,16 @@ fn long_job_runs_match_the_pins() {
         // The benchmark's seed mix for its k-th long job at stream seed 1.
         let seed = 0x9e37_79b9_7f4a_7c15_u64.wrapping_add(100 + k as u64);
         let a = suite::by_id(pin.id).expect("a Table II id").generate(64, seed);
-        let outcome = accel.try_run(&a, &a).expect("clean run");
-        let cycles = outcome.stats.total_cycles;
-        let checkpoints = [1, 2, 3].map(|q| {
-            let ck = checkpoint_at(&accel, &a, &a, None, cycles * q / 4)
-                .expect("no failure before the pause")
-                .expect("the run is longer than the pause");
-            fnv1a64(&ck.to_bytes())
-        });
-        let got = LongJobPin {
-            id: pin.id,
-            run: fnv1a64(format!("{:?}", (&outcome.stats, &outcome.c)).as_bytes()),
-            checkpoints,
-        };
-        assert_eq!(&got, pin, "{}: simulated results changed", pin.id);
+        assert_eq!(&long_job_pin(pin.id, &accel, &a), pin, "{}: simulated results changed", pin.id);
     }
 }
 
 /// The row-miss-heavy cases: the 2-lane template over a memory whose
-/// 128 B rows hold two bursts, with two banks per channel and 4-deep
-/// channel queues, so nearly every other burst opens a row and most
-/// activations contend for a bank. One case pre-starts no activation
-/// (`bank_lookahead: 0`, every row miss is paid on the bus), the other
-/// looks one fragment ahead. Pinned like the long jobs.
+/// 128 B rows hold two bursts each, with two banks per channel and 4-deep
+/// channel queues, so rows are opened often and activations contend for
+/// a bank. One case pre-starts no activation (`bank_lookahead: 0`, every
+/// row miss is paid on the bus), the other looks one fragment ahead.
+/// Pinned like the long jobs.
 const ROW_MISS_PINS: [(usize, LongJobPin); 2] = [
     (
         0,
@@ -220,19 +225,6 @@ fn row_miss_heavy_runs_match_the_pins() {
         cfg.mem.queue_depth = 4;
         cfg.mem.bank_lookahead = *lookahead;
         let accel = Accelerator::new(cfg);
-        let outcome = accel.try_run(&a, &a).expect("clean run");
-        let cycles = outcome.stats.total_cycles;
-        let checkpoints = [1, 2, 3].map(|q| {
-            let ck = checkpoint_at(&accel, &a, &a, None, cycles * q / 4)
-                .expect("no failure before the pause")
-                .expect("the run is longer than the pause");
-            fnv1a64(&ck.to_bytes())
-        });
-        let got = LongJobPin {
-            id: pin.id,
-            run: fnv1a64(format!("{:?}", (&outcome.stats, &outcome.c)).as_bytes()),
-            checkpoints,
-        };
-        assert_eq!(&got, pin, "{}: simulated results changed", pin.id);
+        assert_eq!(&long_job_pin(pin.id, &accel, &a), pin, "{}: simulated results changed", pin.id);
     }
 }
