@@ -1412,6 +1412,75 @@ mod tests {
         }));
     }
 
+    /// The 2-lane template of the `par_slices` and `wire_mixed`
+    /// benchmarks, with watchdog window `window` (0 turns it off).
+    fn two_lane(window: u64) -> Accelerator {
+        Accelerator::new(MatRaptorConfig {
+            watchdog_window: window,
+            verify_against_reference: false,
+            abft_verification: true,
+            ..MatRaptorConfig::small_test()
+        })
+    }
+
+    /// `a * a` paused at cycle `k` and resumed with one more write pending
+    /// on `lane`, which the memory never acknowledges. The writer waits for
+    /// it forever, so the machine wedges once everything else drains. No
+    /// memory fault schedule is installed, so the lanes sleep.
+    fn lost_ack_run(
+        accel: &Accelerator,
+        a: &Csr<f64>,
+        k: u64,
+        lane: usize,
+    ) -> Result<RunOutcome, SimError> {
+        let mut ck = paused_at(accel, a, k).expect("run longer than the pause");
+        let st = &mut ck.state;
+        let id = st.next_id;
+        st.next_id += 1;
+        st.route.push((id, lane as u64));
+        st.lanes[lane].writer.pending.push(id);
+        resumed(accel, a, &ck)
+    }
+
+    /// `(lane, pause cycle, declared_at, last_progress, diagnostic digest)`
+    /// of two lost-acknowledgement wedges: one resumed inside the first
+    /// stretch in which every lane sleeps, one near the end of the run.
+    /// The digest hashes the diagnostic's `Debug` form, per-lane occupancy
+    /// included.
+    const LOST_ACK_PINS: [(usize, u64, u64, u64, u64); 2] = [
+        (0, 64, 3_520, 1_472, 0x693a_87ad_2675_9409),
+        (1, 1_200, 3_520, 1_472, 0x91b0_9664_9fab_84d5),
+    ];
+
+    /// `(budget, cycles)` of the first wedge with the watchdog off.
+    const BUDGET_PIN: (u64, u64) = (2_048_000, 2_048_000);
+
+    #[test]
+    fn watchdog_and_budget_exits_of_a_sleeping_wedge_match_the_pins() {
+        let a = gen::uniform(16, 16, 32, 7);
+        let accel = two_lane(2_000);
+        for &(lane, k, declared_at, last_progress, digest) in &LOST_ACK_PINS {
+            match lost_ack_run(&accel, &a, k, lane) {
+                Err(SimError::Deadlock(diag)) => {
+                    let got = (diag.declared_at, diag.last_progress);
+                    let debug = matraptor_sim::trace::fnv1a64(format!("{diag:?}").as_bytes());
+                    assert_eq!(
+                        (lane, k, got.0, got.1, debug),
+                        (lane, k, declared_at, last_progress, digest),
+                        "{diag:?}"
+                    );
+                }
+                other => panic!("expected a deadlock, got {other:?}"),
+            }
+        }
+        match lost_ack_run(&two_lane(0), &a, 64, 0) {
+            Err(SimError::CycleBudgetExceeded { budget, cycles }) => {
+                assert_eq!((budget, cycles), BUDGET_PIN);
+            }
+            other => panic!("expected the cycle budget to trip, got {other:?}"),
+        }
+    }
+
     /// The CPU fallback's accumulator before it was made dense: an ordered
     /// map from column to running sum.
     fn btree_reference_row(a: &Csr<f64>, b: &Csr<f64>, i: usize) -> (Vec<u32>, Vec<f64>) {
