@@ -29,8 +29,10 @@
 //!   fields carry an allow comment naming why.
 //! * **attribution-totality** — every `tick()` of a stage holding a
 //!   `StageBreakdown`/`CycleBreakdown` must charge exactly one bucket on
-//!   every path (Fig. 9's fractions only sum to 1 if no cycle goes
-//!   unattributed or double-counted).
+//!   every path, and every `replay_stall(n)` must charge its `n` owed
+//!   cycles to exactly one bucket with one bulk `.charge_cycles(...)`
+//!   (Fig. 9's fractions only sum to 1 if no cycle goes unattributed or
+//!   double-counted).
 //! * **cast-safety** — no narrowing `as` casts or unchecked `+`/`-` on
 //!   cycle/byte counters in sim-state crates; use `saturating_*` /
 //!   `checked_*` / `try_from`.

@@ -166,19 +166,31 @@ fn checkpoint_coverage_rule_fires_and_suppresses() {
 #[test]
 fn attribution_totality_rule_fires_and_suppresses() {
     let report = fixture("attribution");
-    assert_eq!(report.violations.len(), 2, "{}", report.human());
+    assert_eq!(report.violations.len(), 5, "{}", report.human());
+    assert!(report.violations.iter().all(|v| v.rule == "attribution-totality"));
     let v = &report.violations[0];
-    assert_eq!(v.rule, "attribution-totality");
     assert_eq!(v.file, "crates/core/src/lib.rs");
-    assert_eq!(v.line, 18);
+    assert_eq!(v.line, 19);
     assert!(v.message.contains("`Stage::tick`"));
     assert!(v.message.contains("does not charge immediately before returning"));
-    // A stall replay is a cycle too: its early return skips the charge.
+    // A stall replay charges the owed cycles: its early return skips them.
     let replay = &report.violations[1];
-    assert_eq!(replay.rule, "attribution-totality");
-    assert_eq!(replay.line, 54);
+    assert_eq!(replay.line, 55);
     assert!(replay.message.contains("`Replayer::replay_stall`"));
     assert!(replay.message.contains("does not charge immediately before returning"));
+    // A bulk replay that charges nothing, or one single cycle, fails.
+    let uncharged = &report.violations[2];
+    assert_eq!(uncharged.line, 72);
+    assert!(uncharged.message.contains("`Uncharged::replay_stall` never charges"));
+    assert!(uncharged.message.contains("`.charge_cycles(...)`"));
+    let single = &report.violations[3];
+    assert_eq!(single.line, 87);
+    assert!(single.message.contains("`Single::replay_stall` never charges"));
+    // So does one that charges the owed cycles twice.
+    let twice = &report.violations[4];
+    assert_eq!(twice.line, 103);
+    assert!(twice.message.contains("`.charge_cycles(...)` in `Twice::replay_stall`"));
+    assert!(twice.message.contains("not the final action of its path"));
     // `Helper::tick` defers charging by design and carries an allow comment.
     assert_eq!(report.suppressed, 1);
 }

@@ -4,6 +4,7 @@ pub struct StageBreakdown;
 
 impl StageBreakdown {
     pub fn charge(&mut self, _bucket: usize) {}
+    pub fn charge_cycles(&mut self, _bucket: usize, _n: u64) {}
 }
 
 /// A stage whose early return forgets to charge its cycle.
@@ -49,10 +50,57 @@ impl Replayer {
         self.attribution.charge(0);
     }
 
-    pub fn replay_stall(&mut self) {
+    pub fn replay_stall(&mut self, n: u64) {
         if !self.quiet {
             return;
         }
+        self.attribution.charge_cycles(0, n);
+    }
+}
+
+/// A stage whose bulk replay bumps a counter but charges no bucket.
+pub struct Uncharged {
+    attribution: StageBreakdown,
+    slept: u64,
+}
+
+impl Uncharged {
+    pub fn tick(&mut self) {
         self.attribution.charge(0);
+    }
+
+    pub fn replay_stall(&mut self, n: u64) {
+        self.slept += n;
+    }
+}
+
+/// A stage whose bulk replay charges one cycle, not the `n` it owes.
+pub struct Single {
+    attribution: StageBreakdown,
+}
+
+impl Single {
+    pub fn tick(&mut self) {
+        self.attribution.charge(0);
+    }
+
+    pub fn replay_stall(&mut self, _n: u64) {
+        self.attribution.charge(0);
+    }
+}
+
+/// A stage whose bulk replay charges the owed cycles to two buckets.
+pub struct Twice {
+    attribution: StageBreakdown,
+}
+
+impl Twice {
+    pub fn tick(&mut self) {
+        self.attribution.charge(0);
+    }
+
+    pub fn replay_stall(&mut self, n: u64) {
+        self.attribution.charge_cycles(0, n);
+        self.attribution.charge_cycles(1, n);
     }
 }

@@ -145,9 +145,15 @@ struct Lane {
     spal_out: VecDeque<ATok>,
     pe_in: VecDeque<PeTok>,
     /// The lane's last tick changed nothing but per-cycle counters, so
-    /// until it wakes each cycle only replays them (DESIGN.md §4 item 7).
-    /// Derived: every lane starts awake, also after a restore.
+    /// until it wakes it does not tick, and owes those counter updates
+    /// for every cycle it sleeps (DESIGN.md §4 item 7). Derived: every
+    /// lane starts awake, also after a restore.
     asleep: bool,
+    /// The first cycle a sleeping lane has not charged yet: the cycle after
+    /// its last tick, or the last point it was settled at.
+    owed_from: u64,
+    /// Whether the lane's last tick left it done; a sleeping lane stays so.
+    done: bool,
     /// The channels the lane's last tick was refused on
     /// ([`MemPort::refused`]); a slot freed on one of them wakes it.
     waits_on: u64,
@@ -159,13 +165,19 @@ impl Lane {
         self.spal.is_quiet() && self.spbl.is_quiet() && self.pe.is_quiet() && self.writer.is_quiet()
     }
 
-    /// A sleeping lane's cycle: every stage repeats its last tick's
-    /// counter updates.
-    fn replay_stall(&mut self) {
-        self.pe.replay_stall();
-        self.spbl.replay_stall();
-        self.spal.replay_stall();
-        self.writer.replay_stall();
+    /// Charges a sleeping lane's owed cycles up to (not including) cycle
+    /// `now` in one step: every stage repeats its last tick's counter
+    /// updates for each of them. Run at wake and wherever counters are
+    /// read; an awake lane owes nothing.
+    fn settle(&mut self, now: u64) {
+        if self.asleep {
+            let n = now - self.owed_from;
+            self.pe.replay_stall(n);
+            self.spbl.replay_stall(n);
+            self.spal.replay_stall(n);
+            self.writer.replay_stall(n);
+            self.owed_from = now;
+        }
     }
 
     /// Whether the lane has fetched, merged and written everything.
@@ -574,6 +586,8 @@ impl Accelerator {
                 spal_out: VecDeque::new(),
                 pe_in: VecDeque::new(),
                 asleep: false,
+                owed_from: 0,
+                done: false,
                 waits_on: 0,
             })
             .collect()
@@ -808,9 +822,15 @@ impl Accelerator {
     ///
     /// A lane whose tick changed nothing but per-cycle counters sleeps: its
     /// next tick reads nothing new unless a response arrives for it or a
-    /// channel that refused it frees a queue slot, so until then each cycle
-    /// replays the stall's counter updates instead of ticking. Under a
-    /// fault schedule admission depends on the cycle, and no lane sleeps.
+    /// channel that refused it frees a queue slot, so until then it does
+    /// not tick. It charges the slept cycles when it wakes, and is settled
+    /// up to date wherever counters are read: a pause, the drain and each
+    /// trace window. After a cycle in which no lane ticked, the clock jumps
+    /// to the next cycle at which anything can happen: the memory's next
+    /// event ([`Hbm::next_event`]), `until`, the cycle budget, or the next
+    /// watchdog observation. Under a fault schedule admission depends on
+    /// the cycle, and no lane sleeps. A trace records every memory cycle's
+    /// queue depths, so a traced run does not jump.
     fn drive<M: Deref<Target = Csr<f64>>>(
         &self,
         ctx: &RunContext<M>,
@@ -842,8 +862,11 @@ impl Accelerator {
         let mut mem_now = Cycle(*t / ratio);
         let mut mem_phase = *t % ratio;
         let can_sleep = !hbm.has_faults();
+        let can_jump = can_sleep && sampler.is_none();
+        let settle = |lanes: &mut [Lane], now: u64| lanes.iter_mut().for_each(|l| l.settle(now));
         loop {
             if *t >= until {
+                settle(lanes, *t);
                 return Ok(false);
             }
             let mut freed = 0;
@@ -869,14 +892,16 @@ impl Accelerator {
             }
 
             let mut all_done = true;
+            let mut ticked = false;
             for (l, lane) in lanes.iter_mut().enumerate() {
                 // Nothing the sleeping lane reads has changed: its tick
-                // would repeat the last one, so only its counters move.
+                // would repeat the last one, so it only owes the counters.
                 if lane.asleep && inboxes[l].is_empty() && lane.waits_on & freed == 0 {
-                    lane.replay_stall();
-                    all_done &= lane.is_done();
+                    all_done &= lane.done;
                     continue;
                 }
+                lane.settle(*t);
+                ticked = true;
                 // Deliver responses, each straight to the unit that issued it.
                 for tag in inboxes[l].drain(..) {
                     match tag {
@@ -911,6 +936,7 @@ impl Accelerator {
                 lane.writer.tick(&mut port);
                 lane.waits_on = port.refused;
                 lane.asleep = can_sleep && lane.is_quiet();
+                lane.owed_from = *t + 1;
 
                 if let Some((col, bound)) = lane.spbl.malformed_input() {
                     return Err(SimError::MalformedInput(MalformedInput::ColumnOutOfRange {
@@ -923,10 +949,12 @@ impl Accelerator {
                     return Err(SimError::QueueOverflow { lane: l, row });
                 }
 
-                all_done &= lane.is_done();
+                lane.done = lane.is_done();
+                all_done &= lane.done;
             }
 
             if all_done && hbm.is_idle() && inboxes.iter().all(Vec::is_empty) {
+                settle(lanes, *t + 1);
                 break;
             }
 
@@ -948,16 +976,32 @@ impl Accelerator {
 
             if let Some(s) = sampler.as_deref_mut() {
                 if (*t + 1).is_multiple_of(s.window()) {
+                    settle(lanes, *t + 1);
                     let attrs: Vec<LaneAttribution> = lanes.iter().map(Lane::attribution).collect();
                     s.close_window(*t + 1, &hbm.channel_stats(), &attrs);
                 }
             }
 
-            *t += 1;
-            mem_phase += 1;
-            if mem_phase == ratio {
-                mem_phase = 0;
-                mem_now = mem_now.next();
+            if ticked || !can_jump {
+                *t += 1;
+                mem_phase += 1;
+                if mem_phase == ratio {
+                    mem_phase = 0;
+                    mem_now = mem_now.next();
+                }
+            } else {
+                // Every lane sleeps until a memory event wakes one, and the
+                // memory changes nothing before its next event, which the
+                // first memory tick after this cycle can meet at the
+                // earliest.
+                let event = hbm.next_event().max(mem_now.next());
+                let mut next = event.as_u64().saturating_mul(ratio).min(until).min(ctx.budget);
+                if watchdog.window() > 0 {
+                    next = next.min((*t / WATCHDOG_STRIDE + 1) * WATCHDOG_STRIDE);
+                }
+                *t = next;
+                mem_now = Cycle(next / ratio);
+                mem_phase = next % ratio;
             }
             if *t >= ctx.budget {
                 return Err(SimError::CycleBudgetExceeded { budget: ctx.budget, cycles: *t });

@@ -130,26 +130,31 @@ impl Pe {
         self.quiet
     }
 
-    /// Repeats the last tick's only effects, its counter updates — the
-    /// tick of a sleeping lane.
-    pub(crate) fn replay_stall(&mut self) {
-        self.charge(self.charged);
+    /// Repeats the last tick's only effects, its counter updates, for `n`
+    /// cycles — the ticks a sleeping lane owes.
+    pub(crate) fn replay_stall(&mut self, n: u64) {
+        self.charge_cycles(self.charged, n);
     }
 
-    /// Charges the cycle just ticked: the phase counters of the phases
-    /// that ran and exactly one attribution bucket.
+    /// Charges the cycle just ticked.
     fn charge(&mut self, class: CycleClass) {
+        self.charge_cycles(class, 1);
+    }
+
+    /// Charges `n` cycles of one class: the phase counters of the phases
+    /// that ran and exactly one attribution bucket.
+    fn charge_cycles(&mut self, class: CycleClass, n: u64) {
         if !matches!(class, CycleClass::Idle) {
-            self.phase1_cycles.incr();
+            self.phase1_cycles.add(n);
         }
         if self.phase2.is_some() {
-            self.phase2_cycles.incr();
+            self.phase2_cycles.add(n);
         }
         match class {
-            CycleClass::Busy => self.breakdown.busy.incr(),
-            CycleClass::MergeStall => self.breakdown.merge_stall.incr(),
-            CycleClass::MemoryStall => self.breakdown.memory_stall.incr(),
-            CycleClass::Idle => self.breakdown.idle.incr(),
+            CycleClass::Busy => self.breakdown.busy.add(n),
+            CycleClass::MergeStall => self.breakdown.merge_stall.add(n),
+            CycleClass::MemoryStall => self.breakdown.memory_stall.add(n),
+            CycleClass::Idle => self.breakdown.idle.add(n),
         }
     }
 

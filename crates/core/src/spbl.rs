@@ -415,11 +415,11 @@ impl SpBl {
         self.quiet
     }
 
-    /// Repeats the last tick's only effects, its counter updates — the
-    /// tick of a sleeping lane.
-    pub(crate) fn replay_stall(&mut self) {
-        self.blocked[self.blocked_on] += 1;
-        self.attribution.charge(self.charged);
+    /// Repeats the last tick's only effects, its counter updates, for `n`
+    /// cycles — the ticks a sleeping lane owes.
+    pub(crate) fn replay_stall(&mut self, n: u64) {
+        self.blocked[self.blocked_on] += n;
+        self.attribution.charge_cycles(self.charged, n);
     }
 
     /// Per-cycle busy/stall attribution for this unit.

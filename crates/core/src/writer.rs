@@ -195,10 +195,10 @@ impl Writer {
         self.quiet
     }
 
-    /// Repeats the last tick's only effect, its charge — the tick of a
-    /// sleeping lane.
-    pub(crate) fn replay_stall(&mut self) {
-        self.attribution.charge(self.charged);
+    /// Repeats the last tick's only effect, its charge, for `n` cycles —
+    /// the ticks a sleeping lane owes.
+    pub(crate) fn replay_stall(&mut self, n: u64) {
+        self.attribution.charge_cycles(self.charged, n);
     }
 
     /// Per-cycle busy/stall attribution for this unit.

@@ -176,6 +176,12 @@ impl Channel {
         now >= self.wake
     }
 
+    /// The first cycle at which [`Channel::due`] holds.
+    #[inline]
+    pub(crate) fn wake(&self) -> Cycle {
+        self.wake
+    }
+
     /// `f` just entered the lookahead window. Unless its bank is open on
     /// its row or being prepared, the scan may start its activation once
     /// the bank is ready. (A bank prepared or opened for another row

@@ -368,6 +368,20 @@ impl Hbm {
         self.response_pipe.pop_ready(now)
     }
 
+    /// The earliest memory cycle at which [`Hbm::tick`] or
+    /// [`Hbm::pop_response`] can change anything: the soonest channel wake
+    /// time, or the maturity of the oldest response. Without a fault
+    /// schedule, every tick before it changes nothing (it frees no
+    /// channel) and every pop before it returns nothing, so a requester
+    /// with nothing else to do may skip to it. (Under a schedule, a stalled
+    /// channel counts each stalled tick.) `Cycle(u64::MAX)` when no
+    /// channel will wake and no response is in flight.
+    #[inline]
+    pub fn next_event(&self) -> Cycle {
+        let head = self.response_pipe.next_ready().unwrap_or(Cycle(u64::MAX));
+        self.channels.iter().map(Channel::wake).fold(head, Cycle::min)
+    }
+
     /// Whether all queues, channels, and pipes are drained.
     #[inline]
     pub fn is_idle(&self) -> bool {
@@ -884,6 +898,81 @@ mod tests {
                     faults,
                     lookahead,
                     10 * k as u64 + lookahead as u64,
+                );
+            }
+        }
+    }
+
+    /// Bursts of seeded random requests, submitted at scattered cycles to a
+    /// device that skips from each visited cycle straight to the next burst
+    /// or to its [`Hbm::next_event`], whichever is sooner, and to a
+    /// reference ticked every cycle. The two must free the same channels
+    /// and pop the same responses at the same cycles, and end in the same
+    /// state: the cycles skipped change nothing.
+    #[test]
+    fn a_device_skipping_to_its_next_event_matches_ticking_every_cycle() {
+        for lookahead in [0, 1, 4] {
+            for seed in 0..3u64 {
+                let cfg = HbmConfig {
+                    row_bytes: 128,
+                    banks_per_channel: 2,
+                    queue_depth: 4,
+                    bank_lookahead: lookahead,
+                    ..HbmConfig::with_channels(4)
+                };
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let mut bursts: Vec<(u64, Vec<MemRequest>)> = Vec::new();
+                let (mut at, mut id) = (0, 0);
+                for _ in 0..40 {
+                    at += rng.gen_range(1..300u64);
+                    let burst = (0..rng.gen_range(1..8u64))
+                        .map(|_| {
+                            id += 1;
+                            let (addr, bytes) =
+                                (rng.gen_range(0..4_096u64), rng.gen_range(1..160u32));
+                            if rng.gen_bool(0.3) {
+                                MemRequest::write(id, addr, bytes)
+                            } else {
+                                MemRequest::read(id, addr, bytes)
+                            }
+                        })
+                        .collect();
+                    bursts.push((at, burst));
+                }
+                let end = at + 2_000;
+                // Runs `hbm` over the bursts, visiting the cycles `next`
+                // names, and logs every visible event with its cycle.
+                let drive = |hbm: &mut Hbm, next: &dyn Fn(&Hbm, u64, u64) -> u64| {
+                    let (mut log, mut t, mut pending) = (Vec::new(), 0, bursts.iter().peekable());
+                    while t < end {
+                        let now = Cycle(t);
+                        hbm.tick(now);
+                        log.push((t, hbm.freed_channels(), None));
+                        while let Some(r) = hbm.pop_response(now) {
+                            log.push((t, 0, Some(r)));
+                        }
+                        if let Some((_, burst)) = pending.next_if(|(at, _)| *at == t) {
+                            for &req in burst {
+                                log.push((t, hbm.submit(now, req).err().unwrap_or(0), None));
+                            }
+                        }
+                        let next_burst = pending.peek().map_or(end, |(at, _)| *at);
+                        t = next(hbm, t, next_burst);
+                    }
+                    log.retain(|&(_, mask, response)| mask != 0 || response.is_some());
+                    log
+                };
+                let (mut skipping, mut reference) = (Hbm::new(cfg.clone()), Hbm::new(cfg));
+                let skipped = drive(&mut skipping, &|hbm, t, burst| {
+                    hbm.next_event().as_u64().max(t + 1).min(burst)
+                });
+                let every = drive(&mut reference, &|_, t, _| t + 1);
+                let case = format!("lookahead {lookahead} seed {seed}");
+                assert_eq!(skipped, every, "{case}");
+                assert_eq!(skipping.snapshot(), reference.snapshot(), "{case}");
+                assert!(
+                    reference.stats().requests_completed > 100,
+                    "the stream must carry traffic"
                 );
             }
         }

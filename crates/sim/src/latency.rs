@@ -65,6 +65,13 @@ impl<T> LatencyPipe<T> {
         self.in_flight.front().is_some_and(|(ready, _)| *ready <= now)
     }
 
+    /// The maturity cycle of the oldest item, the next one
+    /// [`pop_ready`](LatencyPipe::pop_ready) returns; `None` when empty.
+    #[inline]
+    pub fn next_ready(&self) -> Option<Cycle> {
+        self.in_flight.front().map(|&(ready, _)| ready)
+    }
+
     /// Items currently in flight (ready or not).
     pub fn len(&self) -> usize {
         self.in_flight.len()
@@ -126,6 +133,17 @@ mod tests {
         let mut p = LatencyPipe::new(0);
         p.push(Cycle(3), 1);
         assert_eq!(p.pop_ready(Cycle(3)), Some(1));
+    }
+
+    #[test]
+    fn next_ready_is_the_oldest_items_maturity() {
+        let mut p = LatencyPipe::new(4);
+        assert_eq!(p.next_ready(), None);
+        p.push(Cycle(1), 'a');
+        p.push(Cycle(3), 'b');
+        assert_eq!(p.next_ready(), Some(Cycle(5)));
+        assert_eq!(p.pop_ready(Cycle(5)), Some('a'));
+        assert_eq!(p.next_ready(), Some(Cycle(7)));
     }
 
     #[test]

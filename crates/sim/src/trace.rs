@@ -89,6 +89,17 @@ impl StageBreakdown {
         }
     }
 
+    /// Charges `n` cycles to `class` at once: what `n` calls of
+    /// [`charge`](StageBreakdown::charge) would do.
+    pub fn charge_cycles(&mut self, class: StageClass, n: u64) {
+        match class {
+            StageClass::Busy => self.busy.add(n),
+            StageClass::MemStall => self.mem_stall.add(n),
+            StageClass::QueueStall => self.queue_stall.add(n),
+            StageClass::Idle => self.idle.add(n),
+        }
+    }
+
     /// Total cycles accounted across the four buckets.
     pub fn total(&self) -> u64 {
         self.busy.get() + self.mem_stall.get() + self.queue_stall.get() + self.idle.get()
@@ -447,6 +458,21 @@ mod tests {
         assert_eq!(b.total(), 100);
         assert_eq!(b.as_array(), [25, 25, 25, 25]);
         assert_eq!(StageBreakdown::from_array(b.as_array()), b);
+    }
+
+    #[test]
+    fn a_bulk_charge_equals_that_many_single_charges() {
+        let classes = [StageClass::Busy, StageClass::MemStall, StageClass::QueueStall];
+        let (mut bulk, mut single) = (StageBreakdown::default(), StageBreakdown::default());
+        for (n, class) in [7u64, 0, 3].into_iter().zip(classes) {
+            bulk.charge_cycles(class, n);
+            (0..n).for_each(|_| single.charge(class));
+        }
+        bulk.charge_cycles(StageClass::Idle, 2);
+        single.charge(StageClass::Idle);
+        single.charge(StageClass::Idle);
+        assert_eq!(bulk, single);
+        assert_eq!(bulk.as_array(), [7, 0, 3, 2]);
     }
 
     #[test]
