@@ -1525,6 +1525,102 @@ mod tests {
         }
     }
 
+    /// What a clean job shows from the outside: the digest of its outcome's
+    /// `Debug` form, and the bytes of its checkpoints at cycle 0 and at
+    /// mid-run. The mid-run checkpoint, resumed, must finish exactly as
+    /// the uninterrupted run did.
+    fn job_print(accel: &Accelerator, a: &Csr<f64>, b: &Csr<f64>) -> (u64, Vec<u8>, Vec<u8>) {
+        let digest =
+            |outcome: &RunOutcome| matraptor_sim::trace::fnv1a64(format!("{outcome:?}").as_bytes());
+        let outcome = accel.try_run(a, b).expect("clean run");
+        let fresh = RunStart::Fresh { plan: None, trace: None };
+        let first = accel.start(a, b, fresh).expect("valid operands").snapshot().to_bytes();
+        let mut run = accel.start(a, b, fresh).expect("valid operands");
+        let mid = outcome.stats.total_cycles / 2;
+        assert!(!run.advance(mid).expect("clean run"), "the run drained before mid-run");
+        let ck = run.snapshot();
+        drop(run);
+        let mut resumed = accel.start(a, b, RunStart::Resume(&ck)).expect("own checkpoint");
+        assert!(resumed.advance(u64::MAX).expect("clean resume"));
+        let resumed = resumed.finish().expect("drained");
+        assert_eq!(digest(&resumed), digest(&outcome), "the resume diverged");
+        (digest(&outcome), first, ck.to_bytes())
+    }
+
+    /// Runs one job that ends the `i`-th way an accelerator's run can end:
+    /// drained, paused and dropped at a deadline, armed with each fault
+    /// kind (the overflow one with the CPU fallback off), wedged on a lost
+    /// write acknowledgement (over the cycle budget with the watchdog off),
+    /// or traced. `None` past the last way.
+    fn end_one_job(accel: &Accelerator, a: &Csr<f64>, i: usize) -> Option<&'static str> {
+        let fresh = RunStart::Fresh { plan: None, trace: None };
+        let kinds = FaultKind::ALL.len();
+        match i {
+            0 => {
+                accel.try_run(a, a).expect("clean run");
+                Some("completed")
+            }
+            1 => {
+                let mut run = accel.start(a, a, fresh).expect("valid operands");
+                assert!(!run.advance(100).expect("clean run"), "drained before its deadline");
+                Some("paused and dropped")
+            }
+            i if i < 2 + kinds => {
+                let kind = FaultKind::ALL[i - 2];
+                let plan = FaultPlan::sample(kind, 3, accel.config().num_lanes);
+                let start = RunStart::Fresh { plan: Some(&plan), trace: None };
+                let _ended = accel.execute(&RunRequest { start, ..RunRequest::new(a, a) });
+                Some(kind.name())
+            }
+            i if i == 2 + kinds => {
+                let window = accel.config().watchdog_window;
+                match lost_ack_run(accel, a, 64, 0) {
+                    Err(SimError::Deadlock(_)) if window > 0 => Some("deadlock"),
+                    Err(SimError::CycleBudgetExceeded { .. }) if window == 0 => Some("budget"),
+                    other => panic!("expected the lost acknowledgement to wedge, got {other:?}"),
+                }
+            }
+            i if i == 3 + kinds => {
+                let trace = TraceConfig::default();
+                let start = RunStart::Fresh { plan: None, trace: Some(&trace) };
+                let req = RunRequest { start, ..RunRequest::new(a, a) };
+                let (ended, trace) = accel.execute(&req).expect("traced run");
+                assert!(matches!(ended, SliceRun::Completed(_)) && trace.is_some());
+                Some("traced")
+            }
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn a_recycled_machine_is_a_fresh_machine() {
+        let ending = gen::uniform(48, 48, 300, 21);
+        // A `wire_mixed` pool shape and a `par_slices` tiny-job shape.
+        let wire = (gen::uniform(12, 12, 24, 31), gen::uniform(12, 12, 24, 32));
+        let tiny = (gen::uniform(32, 32, 192, 33), gen::uniform(32, 32, 192, 34));
+        let prints = |accel: &Accelerator| {
+            [job_print(accel, &wire.0, &wire.1), job_print(accel, &tiny.0, &tiny.1)]
+        };
+        let eight_lane =
+            |window| MatRaptorConfig { watchdog_window: window, ..MatRaptorConfig::default() };
+        let templates = [two_lane(2_000).cfg, two_lane(0).cfg, eight_lane(2_000), eight_lane(0)];
+        for cfg in templates {
+            let want = prints(&Accelerator::new(cfg.clone()));
+            let accel = Accelerator::new(cfg.clone());
+            let mut i = 0;
+            while let Some(ending) = end_one_job(&accel, &ending, i) {
+                assert!(
+                    prints(&accel) == want,
+                    "{} lanes, watchdog {}: a clean job after one {ending} differs from a fresh one",
+                    cfg.num_lanes,
+                    cfg.watchdog_window
+                );
+                i += 1;
+            }
+            assert_eq!(i, 10, "every ending ran");
+        }
+    }
+
     /// The CPU fallback's accumulator before it was made dense: an ordered
     /// map from column to running sum.
     fn btree_reference_row(a: &Csr<f64>, b: &Csr<f64>, i: usize) -> (Vec<u32>, Vec<f64>) {
