@@ -3,6 +3,7 @@
 use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::ops::Deref;
+use std::sync::{Arc, Mutex};
 
 use matraptor_mem::Hbm;
 use matraptor_sim::stats::CycleBreakdown;
@@ -20,7 +21,7 @@ use crate::error::{
     ChannelDiagnostic, ConfigError, DeadlockDiagnostic, LaneDiagnostic, MalformedInput, SimError,
 };
 use crate::fault::{FaultKind, FaultPlan};
-use crate::layout::{matrix_layout, MatrixLayout, Regions};
+use crate::layout::{matrix_layout, Regions};
 use crate::pe::Pe;
 use crate::port::{MemPort, Route, Tag};
 use crate::spal::SpAl;
@@ -45,9 +46,25 @@ use crate::writer::Writer;
 /// assert_eq!(outcome.c.rows(), 64);
 /// assert!(outcome.stats.total_cycles > 0);
 /// ```
-#[derive(Debug, Clone)]
 pub struct Accelerator {
     cfg: MatRaptorConfig,
+    /// The machine of this accelerator's last finished or dropped [`Run`],
+    /// which the next [`Accelerator::start`] resets in place instead of
+    /// building one. It belongs to this accelerator alone: a clone gets a
+    /// slot of its own, so concurrent workers never share one.
+    spare: Arc<Mutex<Option<Machine>>>,
+}
+
+impl Clone for Accelerator {
+    fn clone(&self) -> Self {
+        Accelerator { cfg: self.cfg.clone(), spare: Arc::default() }
+    }
+}
+
+impl std::fmt::Debug for Accelerator {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Accelerator").field("cfg", &self.cfg).finish_non_exhaustive()
+    }
 }
 
 /// Result of one accelerator run: the output matrix plus measurements.
@@ -160,6 +177,38 @@ struct Lane {
 }
 
 impl Lane {
+    /// Builds lane `l` for `cfg`, idle and with no job.
+    fn new(l: usize, cfg: &MatRaptorConfig) -> Self {
+        let regions = Regions::DEFAULT;
+        Lane {
+            spal: SpAl::new(l, cfg, matrix_layout(cfg, regions.a_info, regions.a_data)),
+            spbl: SpBl::new(cfg, matrix_layout(cfg, regions.b_info, regions.b_data)),
+            pe: Pe::new(cfg),
+            writer: Writer::new(l, cfg, matrix_layout(cfg, regions.c_info, regions.c_data)),
+            spal_out: VecDeque::new(),
+            pe_in: VecDeque::new(),
+            asleep: false,
+            owed_from: 0,
+            done: false,
+            waits_on: 0,
+        }
+    }
+
+    /// Returns the lane to its cycle-0 state for the job whose A is `ac`
+    /// over `num_lanes` lanes, keeping every buffer.
+    fn reset(&mut self, ac: &C2sr<f64>, num_lanes: usize) {
+        self.spal.reset(ac, num_lanes);
+        self.spbl.reset();
+        self.pe.reset();
+        self.writer.reset();
+        self.spal_out.clear();
+        self.pe_in.clear();
+        self.asleep = false;
+        self.owed_from = 0;
+        self.done = false;
+        self.waits_on = 0;
+    }
+
     /// Whether every stage's last tick changed nothing but its counters.
     fn is_quiet(&self) -> bool {
         self.spal.is_quiet() && self.spbl.is_quiet() && self.pe.is_quiet() && self.writer.is_quiet()
@@ -237,19 +286,14 @@ impl StreamInjector {
 }
 
 /// Read-only context of a run: everything deterministically derived from
-/// `(config, A, B)` once, shared by fresh starts and checkpoint resumes.
-/// Because it is recomputed — never serialized — a checkpoint stays small
-/// and a resume is guaranteed to see the exact layouts and budgets the
-/// original run saw (the fingerprints in the checkpoint enforce that the
+/// `(config, A, B)` once, shared by fresh starts and checkpoint resumes,
+/// apart from the operands' C²SR, which the machine holds. Because it is
+/// recomputed — never serialized — a checkpoint stays small and a resume
+/// is guaranteed to see the exact budgets the original run saw (the fingerprints in the checkpoint enforce that the
 /// inputs really are the same).
 struct RunContext<M> {
     a: M,
     b: M,
-    ac: C2sr<f64>,
-    bc: C2sr<f64>,
-    a_layout: MatrixLayout,
-    b_layout: MatrixLayout,
-    c_layout: MatrixLayout,
     ratio: u64,
     budget: u64,
     /// The configuration, A and B fingerprints a checkpoint carries,
@@ -292,9 +336,12 @@ impl<M: Deref<Target = Csr<f64>>> RunContext<M> {
 /// assert_eq!(outcome.stats.total_cycles, accel.run(&a, &a).stats.total_cycles);
 /// ```
 pub struct Run<M: Deref<Target = Csr<f64>>> {
+    /// The accelerator the run started on, sharing its spare slot, into
+    /// which dropping the run gives the machine back.
     accel: Accelerator,
     ctx: RunContext<M>,
-    state: RunState,
+    /// Always `Some` until the run is dropped.
+    machine: Option<Machine>,
     // conformance:allow(checkpoint-coverage): observational only, and a resumed run records no trace
     sampler: Option<TraceSampler>,
     // conformance:allow(checkpoint-coverage): a drained run is finished, never snapshotted
@@ -304,17 +351,33 @@ pub struct Run<M: Deref<Target = Csr<f64>>> {
 impl<M: Deref<Target = Csr<f64>>> std::fmt::Debug for Run<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Run")
-            .field("cycle", &self.state.t)
+            .field("cycle", &self.cycle())
             .field("drained", &self.drained)
             .finish_non_exhaustive()
     }
 }
 
+impl<M: Deref<Target = Csr<f64>>> Drop for Run<M> {
+    /// Gives the machine back to the accelerator, for its next run to
+    /// reset.
+    fn drop(&mut self) {
+        if let (Some(machine), Ok(mut spare)) = (self.machine.take(), self.accel.spare.lock()) {
+            *spare = Some(machine);
+        }
+    }
+}
+
 impl<M: Deref<Target = Csr<f64>>> Run<M> {
+    /// The run's machine.
+    fn machine(&self) -> &Machine {
+        // conformance:allow(panic-safety): invariant: only `drop` takes the machine out
+        self.machine.as_ref().expect("a live run holds its machine")
+    }
+
     /// The accelerator cycle the machine stands at: the top of the next
     /// cycle to run while paused, the last cycle once drained.
     pub fn cycle(&self) -> u64 {
-        self.state.t
+        self.machine().state.t
     }
 
     /// Runs until the machine drains (`Ok(true)`) or reaches the top of
@@ -326,8 +389,11 @@ impl<M: Deref<Target = Csr<f64>>> Run<M> {
     /// As [`Accelerator::try_run`], for failures before `until`.
     pub fn advance(&mut self, until: u64) -> Result<bool, SimError> {
         if !self.drained {
-            let Run { accel, ctx, state, sampler, .. } = self;
-            self.drained = accel.drive(ctx, state, until, sampler.as_mut())?;
+            let Run { accel, ctx, machine, sampler, .. } = self;
+            let Some(machine) = machine.as_mut() else {
+                return Err(SimError::ProtocolViolation { detail: "a run without its machine" });
+            };
+            self.drained = accel.drive(ctx, machine, until, sampler.as_mut())?;
         }
         Ok(self.drained)
     }
@@ -336,7 +402,7 @@ impl<M: Deref<Target = Csr<f64>>> Run<M> {
     /// the one a run paused at the same cycle by [`Accelerator::execute`]
     /// would return.
     pub fn snapshot(&self) -> Checkpoint {
-        self.accel.snapshot_run(&self.ctx, &self.state)
+        self.accel.snapshot_run(&self.ctx, &self.machine().state)
     }
 
     /// Assembles the drained run's output and statistics, applying the
@@ -350,14 +416,85 @@ impl<M: Deref<Target = Csr<f64>>> Run<M> {
         if !self.drained {
             return Err(SimError::ProtocolViolation { detail: "finish before the run drained" });
         }
-        self.accel.finalize(&self.ctx, &self.state)
+        self.accel.finalize(&self.ctx, self.machine())
+    }
+}
+
+/// The storage a run works in: built once per accelerator for its
+/// configuration, then reset in place for every job, as MatRaptor's PE
+/// reuses its sorting queues and FIFOs row after row (Section IV). A fresh
+/// machine is the same reset applied to one built empty, so there is one
+/// way to reach cycle 0.
+struct Machine {
+    state: RunState,
+    /// A and B in C²SR, converted into the buffers of the last job's.
+    ac: C2sr<f64>,
+    bc: C2sr<f64>,
+    /// The responses popped for each lane this cycle. Empty at the top of
+    /// every cycle (responses are drained in the same iteration they pop),
+    /// which is where snapshots are taken, so no checkpoint carries them.
+    inboxes: Vec<Vec<Tag>>,
+    /// The CPU fallback's accumulator.
+    dense: DenseRow,
+}
+
+impl Machine {
+    /// Builds an idle machine for `cfg`, with no job.
+    fn new(cfg: &MatRaptorConfig) -> Self {
+        let lanes_n = cfg.num_lanes;
+        let mut watchdog = Watchdog::new(cfg.watchdog_window);
+        // One source per lane plus the HBM, in the order a checkpoint's
+        // watchdog state lists them.
+        let lane_sources = (0..lanes_n)
+            .map(|l| watchdog.add_source(LANE_NAMES[l.min(LANE_NAMES.len() - 1)]))
+            .collect();
+        let hbm_source = watchdog.add_source("hbm");
+        let empty = C2sr::from_csr(&Csr::zero(0, 0), lanes_n);
+        Machine {
+            state: RunState {
+                t: 0,
+                next_id: 0,
+                route: IdTable::new(),
+                lanes: (0..lanes_n).map(|l| Lane::new(l, cfg)).collect(),
+                hbm: Hbm::new(cfg.mem.clone()),
+                stream_fault: None,
+                watchdog,
+                lane_sources,
+                hbm_source,
+            },
+            ac: empty.clone(),
+            bc: empty,
+            inboxes: vec![Vec::new(); lanes_n],
+            dense: DenseRow::default(),
+        }
+    }
+
+    /// Returns the machine to cycle 0 for the job `a * b`, keeping every
+    /// buffer: the operands in C²SR, every lane, the memory, the route,
+    /// the watchdog and the inboxes, with no fault armed.
+    fn reset(&mut self, a: &Csr<f64>, b: &Csr<f64>, lanes_n: usize) -> Result<(), SimError> {
+        let zero_lanes =
+            |_| SimError::ProtocolViolation { detail: "C2SR rejected the validated lane count" };
+        self.ac.convert_from_csr(a, lanes_n).map_err(zero_lanes)?;
+        self.bc.convert_from_csr(b, lanes_n).map_err(zero_lanes)?;
+        let st = &mut self.state;
+        st.t = 0;
+        st.next_id = 0;
+        st.route.clear();
+        for lane in &mut st.lanes {
+            lane.reset(&self.ac, lanes_n);
+        }
+        st.hbm.reset();
+        st.stream_fault = None;
+        st.watchdog.reset();
+        // A run that failed mid-cycle can leave responses undelivered.
+        self.inboxes.iter_mut().for_each(Vec::clear);
+        Ok(())
     }
 }
 
 /// The complete mutable state of a run — exactly what a [`Checkpoint`]
-/// captures. The per-cycle `inboxes` are deliberately absent: they are
-/// provably empty at the top of every cycle (responses are drained in the
-/// same iteration they pop), which is where snapshots are taken.
+/// captures.
 struct RunState {
     t: u64,
     next_id: u64,
@@ -396,7 +533,7 @@ impl Accelerator {
     /// [`MatRaptorConfig::validate`]).
     pub fn new(cfg: MatRaptorConfig) -> Self {
         cfg.validate();
-        Accelerator { cfg }
+        Accelerator { cfg, spare: Arc::default() }
     }
 
     /// Fallible constructor: rejects an invalid configuration with a
@@ -408,7 +545,7 @@ impl Accelerator {
     #[must_use = "dropping the Result discards the constructed accelerator or the config error"]
     pub fn try_new(cfg: MatRaptorConfig) -> Result<Self, ConfigError> {
         cfg.try_validate()?;
-        Ok(Accelerator { cfg })
+        Ok(Accelerator { cfg, spare: Arc::default() })
     }
 
     /// The configuration.
@@ -480,11 +617,11 @@ impl Accelerator {
         let mut run = self.start(req.a, req.b, req.start)?;
         let drained = run.advance(req.pause_at.unwrap_or(u64::MAX))?;
         let trace = run.sampler.take().map(|sampler| {
-            let attrs: Vec<LaneAttribution> =
-                run.state.lanes.iter().map(Lane::attribution).collect();
+            let state = &run.machine().state;
+            let attrs: Vec<LaneAttribution> = state.lanes.iter().map(Lane::attribution).collect();
             // A drained run's last cycle is `t`; a paused one stops before it.
-            let cycles = if drained { run.state.t + 1 } else { run.state.t };
-            sampler.finish(cycles, run.ctx.ratio, &run.state.hbm.channel_stats(), &attrs)
+            let cycles = if drained { state.t + 1 } else { state.t };
+            sampler.finish(cycles, run.ctx.ratio, &state.hbm.channel_stats(), &attrs)
         });
         let run = if drained {
             SliceRun::Completed(Box::new(run.finish()?))
@@ -497,7 +634,10 @@ impl Accelerator {
     /// Starts a [`Run`] of `a * b` that holds its machine live between
     /// [`Run::advance`] calls: fresh (arming the plan, recording the
     /// trace) or restored from a checkpoint. The operands are owned by the
-    /// run, as references or shared handles.
+    /// run, as references or shared handles. The machine is the one the
+    /// accelerator's last finished or dropped run gave back, reset in
+    /// place; only a first run, or one beside another still live, builds
+    /// one.
     ///
     /// # Errors
     ///
@@ -510,14 +650,26 @@ impl Accelerator {
         start: RunStart<'_>,
     ) -> Result<Run<M>, SimError> {
         let ctx = self.prepare_context(a, b)?;
-        let (state, sampler) = match start {
-            RunStart::Fresh { plan, trace } => (
-                self.fresh_state(&ctx, plan),
-                trace.map(|t| TraceSampler::new(t, self.cfg.mem.num_channels, self.cfg.num_lanes)),
-            ),
-            RunStart::Resume(checkpoint) => (self.restore_run(&ctx, checkpoint)?, None),
+        let spare = self.spare.lock().ok().and_then(|mut spare| spare.take());
+        let mut machine = spare.unwrap_or_else(|| Machine::new(&self.cfg));
+        let reset = machine.reset(&ctx.a, &ctx.b, self.cfg.num_lanes);
+        let accel = Accelerator { cfg: self.cfg.clone(), spare: Arc::clone(&self.spare) };
+        let mut run = Run { accel, ctx, machine: Some(machine), sampler: None, drained: false };
+        reset?;
+        let Run { ctx, machine: Some(machine), sampler, .. } = &mut run else {
+            return Err(SimError::ProtocolViolation { detail: "a run without its machine" });
         };
-        Ok(Run { accel: self.clone(), ctx, state, sampler, drained: false })
+        match start {
+            RunStart::Fresh { plan, trace } => {
+                if let Some(plan) = plan {
+                    arm_fault(machine, plan, self.cfg.num_lanes);
+                }
+                *sampler = trace
+                    .map(|t| TraceSampler::new(t, self.cfg.mem.num_channels, self.cfg.num_lanes));
+            }
+            RunStart::Resume(checkpoint) => self.restore_run(ctx, machine, checkpoint)?,
+        }
+        Ok(run)
     }
 
     /// Validates operands and derives the read-only run context.
@@ -532,125 +684,13 @@ impl Accelerator {
                 b_rows: b.rows(),
             }));
         }
-        let cfg = &self.cfg;
-        let lanes_n = cfg.num_lanes;
-        let ac = C2sr::from_csr(&a, lanes_n);
-        let bc = C2sr::from_csr(&b, lanes_n);
-
-        let regions = Regions::DEFAULT;
-        let a_layout = matrix_layout(cfg, regions.a_info, regions.a_data);
-        let b_layout = matrix_layout(cfg, regions.b_info, regions.b_data);
-        let c_layout = matrix_layout(cfg, regions.c_info, regions.c_data);
-
-        let ratio = cfg.mem_clock_ratio();
+        let ratio = self.cfg.mem_clock_ratio();
         // Generous budget: SpGEMM needs at least one cycle per product;
         // allow a large constant factor for memory stalls.
         let flops = spgemm::multiply_count(&a, &b);
         let budget = (flops * 200 + a.nnz() as u64 * 400 + 1_000_000) * ratio;
 
-        Ok(RunContext {
-            a,
-            b,
-            ac,
-            bc,
-            a_layout,
-            b_layout,
-            c_layout,
-            ratio,
-            budget,
-            identity: OnceCell::new(),
-        })
-    }
-
-    /// Builds the watchdog with one source per lane plus the HBM —
-    /// identical registration order for fresh starts and restores, so a
-    /// restored [`SourceId`] indexes the same source.
-    fn build_watchdog(&self) -> (Watchdog, Vec<SourceId>, SourceId) {
-        let mut watchdog = Watchdog::new(self.cfg.watchdog_window);
-        let lane_sources: Vec<_> = (0..self.cfg.num_lanes)
-            .map(|l| watchdog.add_source(LANE_NAMES[l.min(LANE_NAMES.len() - 1)]))
-            .collect();
-        let hbm_source = watchdog.add_source("hbm");
-        (watchdog, lane_sources, hbm_source)
-    }
-
-    /// Builds every lane in its cycle-0 state.
-    fn build_lanes<M>(&self, ctx: &RunContext<M>) -> Vec<Lane> {
-        let cfg = &self.cfg;
-        (0..cfg.num_lanes)
-            .map(|l| Lane {
-                spal: SpAl::new(l, cfg, &ctx.ac, ctx.a_layout),
-                spbl: SpBl::new(cfg, ctx.b_layout),
-                pe: Pe::new(cfg),
-                writer: Writer::new(l, cfg, ctx.c_layout),
-                spal_out: VecDeque::new(),
-                pe_in: VecDeque::new(),
-                asleep: false,
-                owed_from: 0,
-                done: false,
-                waits_on: 0,
-            })
-            .collect()
-    }
-
-    /// Builds the machine at cycle 0 and arms the fault plan, if any.
-    fn fresh_state<M>(&self, ctx: &RunContext<M>, plan: Option<&FaultPlan>) -> RunState {
-        let cfg = &self.cfg;
-        let lanes_n = cfg.num_lanes;
-        let mut hbm = Hbm::new(cfg.mem.clone());
-        let mut lanes = self.build_lanes(ctx);
-
-        // Arm the injected fault, if any. Lane-targeted faults are
-        // remapped to a lane that actually has work so a sampled site on
-        // an empty lane cannot silently skip the injection.
-        let mut stream_fault: Option<StreamInjector> = None;
-        if let Some(plan) = plan {
-            hbm.set_faults(plan.mem_faults());
-            let site = {
-                let preferred = plan.site % lanes_n;
-                if ctx.ac.channel_nnz(preferred) > 0 {
-                    preferred
-                } else {
-                    (0..lanes_n).find(|&l| ctx.ac.channel_nnz(l) > 0).unwrap_or(preferred)
-                }
-            };
-            match plan.kind {
-                FaultKind::StreamTruncation | FaultKind::StreamCorruption => {
-                    let tokens = ctx.ac.channel_nnz(site) as u64;
-                    if tokens > 0 {
-                        stream_fault = Some(StreamInjector {
-                            lane: site,
-                            target: plan.ordinal % tokens,
-                            seen: 0,
-                            truncate: plan.kind == FaultKind::StreamTruncation,
-                            corrupt_to: (ctx.bc.rows() as u32)
-                                .saturating_add(1 + (plan.ordinal % 97) as u32),
-                        });
-                    }
-                }
-                FaultKind::QueueOverflowForce => {
-                    lanes[site].pe.fault_force_overflow_after = Some(plan.ordinal % 32);
-                    lanes[site].pe.cpu_fallback = false;
-                }
-                FaultKind::DroppedWrite => {
-                    lanes[site].writer.fault_drop_append = Some(plan.ordinal % 64);
-                }
-                FaultKind::ChannelStall | FaultKind::BurstRefusal => {}
-            }
-        }
-
-        let (watchdog, lane_sources, hbm_source) = self.build_watchdog();
-        RunState {
-            t: 0,
-            next_id: 0,
-            route: IdTable::new(),
-            lanes,
-            hbm,
-            stream_fault,
-            watchdog,
-            lane_sources,
-            hbm_source,
-        }
+        Ok(RunContext { a, b, ratio, budget, identity: OnceCell::new() })
     }
 
     /// Serializes the machine at the top of cycle `state.t`, fingerprinted
@@ -713,13 +753,15 @@ impl Accelerator {
         }
     }
 
-    /// Rebuilds a [`RunState`] from a checkpoint, verifying that it was
-    /// taken by a run of the same configuration over the same operands.
+    /// Loads a checkpoint into a machine reset for the run's operands,
+    /// verifying that it was taken by a run of the same configuration over
+    /// the same operands.
     fn restore_run<M: Deref<Target = Csr<f64>>>(
         &self,
         ctx: &RunContext<M>,
+        machine: &mut Machine,
         checkpoint: &Checkpoint,
-    ) -> Result<RunState, SimError> {
+    ) -> Result<(), SimError> {
         let cfg = &self.cfg;
         let st = &checkpoint.state;
         let [cfg_fingerprint, a_fingerprint, b_fingerprint] = ctx.identity(cfg);
@@ -748,19 +790,19 @@ impl Accelerator {
             });
         }
 
-        let hbm = Hbm::restore(cfg.mem.clone(), &st.hbm);
-        let mut lanes = self.build_lanes(ctx);
+        let state = &mut machine.state;
+        state.hbm.restore(&st.hbm);
         // The route table is rebuilt from the units' pending lists; it must
         // name exactly the requests the checkpoint routes, each to its lane.
-        let mut route = IdTable::new();
+        let route = &mut state.route;
         let mut tags = Vec::new();
-        for (l, (lane, ls)) in lanes.iter_mut().zip(&st.lanes).enumerate() {
+        for (l, (lane, ls)) in state.lanes.iter_mut().zip(&st.lanes).enumerate() {
             lane.spal.restore(&ls.spal, &mut tags);
             lane.spbl.restore(&ls.spbl, &mut tags);
             lane.pe.restore(&ls.pe);
             lane.writer.restore(&ls.writer, &mut tags);
-            lane.spal_out = ls.spal_out.iter().copied().collect();
-            lane.pe_in = ls.pe_in.iter().copied().collect();
+            lane.spal_out.extend(&ls.spal_out);
+            lane.pe_in.extend(&ls.pe_in);
             for (id, tag) in tags.drain(..) {
                 if route.insert(id, Route { lane: l, tag }).is_some() {
                     return Err(SimError::CheckpointMismatch {
@@ -775,7 +817,6 @@ impl Accelerator {
             });
         }
 
-        let (mut watchdog, lane_sources, hbm_source) = self.build_watchdog();
         let sources: Vec<SourceState> = st
             .wd_sources
             .iter()
@@ -785,27 +826,17 @@ impl Accelerator {
                 observed: s.observed,
             })
             .collect();
-        watchdog.import_state(Cycle(st.wd_last_progress), &sources);
-
-        let stream_fault = st.stream_fault.map(|s| StreamInjector {
+        state.watchdog.import_state(Cycle(st.wd_last_progress), &sources);
+        state.stream_fault = st.stream_fault.map(|s| StreamInjector {
             lane: s.lane as usize,
             target: s.target,
             seen: s.seen,
             truncate: s.truncate,
             corrupt_to: s.corrupt_to,
         });
-
-        Ok(RunState {
-            t: st.t,
-            next_id: st.next_id,
-            route,
-            lanes,
-            hbm,
-            stream_fault,
-            watchdog,
-            lane_sources,
-            hbm_source,
-        })
+        state.t = st.t;
+        state.next_id = st.next_id;
+        Ok(())
     }
 
     /// Advances the machine cycle by cycle until it drains (`Ok(true)`),
@@ -834,16 +865,16 @@ impl Accelerator {
     fn drive<M: Deref<Target = Csr<f64>>>(
         &self,
         ctx: &RunContext<M>,
-        state: &mut RunState,
+        machine: &mut Machine,
         until: u64,
         mut sampler: Option<&mut TraceSampler>,
     ) -> Result<bool, SimError> {
         let cfg = &self.cfg;
-        let lanes_n = cfg.num_lanes;
         let ratio = ctx.ratio;
-        let mut scratch = DenseRow::default();
-        let mut fallback = |row: u32| reference_row(&ctx.a, &ctx.b, row as usize, &mut scratch);
-        let mut inboxes: Vec<Vec<Tag>> = vec![Vec::new(); lanes_n];
+        let Machine { state, ac, bc, inboxes, dense } = machine;
+        let mut fallback = |row: u32, cols: &mut Vec<u32>, vals: &mut Vec<f64>| {
+            reference_row(&ctx.a, &ctx.b, row as usize, dense, cols, vals);
+        };
 
         let RunState {
             t,
@@ -907,7 +938,7 @@ impl Accelerator {
                     match tag {
                         Tag::SpAlInfo { row_pos } => lane.spal.on_info(row_pos),
                         Tag::SpAlData { row_pos, first_entry, count } => {
-                            lane.spal.on_data(row_pos, first_entry, count, &ctx.ac);
+                            lane.spal.on_data(row_pos, first_entry, count, ac);
                         }
                         Tag::SpBlInfo { job_seq } => lane.spbl.on_info(job_seq),
                         Tag::SpBlData { job_seq, count } => lane.spbl.on_data(job_seq, count),
@@ -922,14 +953,14 @@ impl Accelerator {
                 lane.pe.tick(&mut lane.pe_in, &mut lane.writer, cfg, &mut fallback, upstream_done);
                 lane.spbl.tick(
                     &mut port,
-                    &ctx.bc,
+                    bc,
                     &mut lane.spal_out,
                     &mut lane.pe_in,
                     cfg.coupling_fifo_depth,
                     lane.spal.is_done(),
                 );
                 let fifo_len_before = lane.spal_out.len();
-                lane.spal.tick(&mut port, &ctx.ac, &mut lane.spal_out, cfg.coupling_fifo_depth);
+                lane.spal.tick(&mut port, ac, &mut lane.spal_out, cfg.coupling_fifo_depth);
                 if let Some(inj) = stream_fault.as_mut() {
                     inj.inspect(l, lane.spal_out.len() > fifo_len_before, &mut lane.spal_out);
                 }
@@ -1015,10 +1046,11 @@ impl Accelerator {
     fn finalize<M: Deref<Target = Csr<f64>>>(
         &self,
         ctx: &RunContext<M>,
-        state: &RunState,
+        machine: &Machine,
     ) -> Result<RunOutcome, SimError> {
         let cfg = &self.cfg;
         let lanes_n = cfg.num_lanes;
+        let state = &machine.state;
         let lanes = &state.lanes;
 
         // Assemble the functional output in C²SR, per-lane row order. The
@@ -1027,9 +1059,11 @@ impl Accelerator {
         let mut c2sr = C2sr::new_for_output(ctx.a.rows(), ctx.b.cols(), lanes_n).map_err(|_| {
             SimError::ProtocolViolation { detail: "output C2SR rejected the validated lane count" }
         })?;
-        for lane in lanes {
-            for row in &lane.writer.finished {
-                c2sr.append_row(row.row as usize, &row.cols, &row.vals);
+        for (l, lane) in lanes.iter().enumerate() {
+            // Lane `l` wrote the rows of channel `l`.
+            c2sr.reserve_channel(l, lane.writer.entries());
+            for (row, cols, vals, _) in lane.writer.finished() {
+                c2sr.append_row(row as usize, cols, vals);
             }
         }
         if c2sr.validate().is_err() {
@@ -1080,13 +1114,13 @@ impl Accelerator {
             multiplies += lane.pe.multiplies.get();
             additions += lane.pe.additions.get();
             overflow_rows += lane.pe.overflow_rows.len();
-            overflow_padding += lane.writer.finished.iter().map(|r| r.padded_entries).sum::<u64>();
+            overflow_padding += lane.writer.finished().map(|(.., padded)| padded).sum::<u64>();
             phase1 += lane.pe.phase1_cycles.get();
             phase2 += lane.pe.phase2_cycles.get();
             per_lane_attribution.push(lane.attribution());
         }
         let mem_stats = state.hbm.stats();
-        let per_pe_nnz = (0..lanes_n).map(|l| ctx.ac.channel_nnz(l) as u64).collect();
+        let per_pe_nnz = (0..lanes_n).map(|l| machine.ac.channel_nnz(l) as u64).collect();
 
         Ok(RunOutcome {
             c,
@@ -1110,6 +1144,45 @@ impl Accelerator {
                 per_lane_attribution,
             },
         })
+    }
+}
+
+/// Arms `plan` on a machine reset for its job. Lane-targeted faults are
+/// remapped to a lane that actually has work so a sampled site on an empty
+/// lane cannot silently skip the injection.
+fn arm_fault(machine: &mut Machine, plan: &FaultPlan, lanes_n: usize) {
+    let (ac, state) = (&machine.ac, &mut machine.state);
+    state.hbm.set_faults(plan.mem_faults());
+    let site = {
+        let preferred = plan.site % lanes_n;
+        if ac.channel_nnz(preferred) > 0 {
+            preferred
+        } else {
+            (0..lanes_n).find(|&l| ac.channel_nnz(l) > 0).unwrap_or(preferred)
+        }
+    };
+    match plan.kind {
+        FaultKind::StreamTruncation | FaultKind::StreamCorruption => {
+            let tokens = ac.channel_nnz(site) as u64;
+            if tokens > 0 {
+                state.stream_fault = Some(StreamInjector {
+                    lane: site,
+                    target: plan.ordinal % tokens,
+                    seen: 0,
+                    truncate: plan.kind == FaultKind::StreamTruncation,
+                    corrupt_to: (machine.bc.rows() as u32)
+                        .saturating_add(1 + (plan.ordinal % 97) as u32),
+                });
+            }
+        }
+        FaultKind::QueueOverflowForce => {
+            state.lanes[site].pe.fault_force_overflow_after = Some(plan.ordinal % 32);
+            state.lanes[site].pe.cpu_fallback = false;
+        }
+        FaultKind::DroppedWrite => {
+            state.lanes[site].writer.fault_drop_append = Some(plan.ordinal % 64);
+        }
+        FaultKind::ChannelStall | FaultKind::BurstRefusal => {}
     }
 }
 
@@ -1164,11 +1237,18 @@ struct DenseRow {
     cols: Vec<u32>,
 }
 
-/// Software computation of one output row — the CPU-fallback path for
-/// sorting-queue overflows (Section VII). Each column's products are summed
-/// from `0.0` in the order they are met, and columns summing to zero are
-/// dropped.
-fn reference_row(a: &Csr<f64>, b: &Csr<f64>, i: usize, acc: &mut DenseRow) -> (Vec<u32>, Vec<f64>) {
+/// Software computation of one output row, appended to `cols` and `vals`
+/// — the CPU-fallback path for sorting-queue overflows (Section VII). Each
+/// column's products are summed from `0.0` in the order they are met, and
+/// columns summing to zero are dropped.
+fn reference_row(
+    a: &Csr<f64>,
+    b: &Csr<f64>,
+    i: usize,
+    acc: &mut DenseRow,
+    cols: &mut Vec<u32>,
+    vals: &mut Vec<f64>,
+) {
     if acc.sums.len() < b.cols() {
         acc.sums.resize(b.cols(), 0.0);
         acc.touched.resize(b.cols(), false);
@@ -1185,7 +1265,6 @@ fn reference_row(a: &Csr<f64>, b: &Csr<f64>, i: usize, acc: &mut DenseRow) -> (V
         }
     }
     acc.cols.sort_unstable();
-    let (mut cols, mut vals) = (Vec::new(), Vec::new());
     for j in acc.cols.drain(..) {
         let slot = j as usize;
         acc.touched[slot] = false;
@@ -1194,7 +1273,6 @@ fn reference_row(a: &Csr<f64>, b: &Csr<f64>, i: usize, acc: &mut DenseRow) -> (V
             vals.push(acc.sums[slot]);
         }
     }
-    (cols, vals)
 }
 
 #[cfg(test)]
@@ -1395,7 +1473,7 @@ mod tests {
             let units: Vec<usize> = state.route.iter().map(|(_, r)| unit_of(r.tag)).collect();
             (0..3).all(|u| units.contains(&u))
         };
-        while !all_units_in_flight(&run.state) {
+        while !all_units_in_flight(&run.machine().state) {
             let drained = run.advance(run.cycle() + 1).expect("clean run");
             assert!(!drained, "drained before every unit had a request in flight");
         }
@@ -1412,7 +1490,7 @@ mod tests {
         let mut run = run_with_every_unit_in_flight(&accel, &a);
         let ck = run.snapshot();
         let mut restored = accel.start(&a, &a, RunStart::Resume(&ck)).expect("own checkpoint");
-        assert_eq!(routes(&restored.state), routes(&run.state));
+        assert_eq!(routes(&restored.machine().state), routes(&run.machine().state));
         assert_eq!(restored.snapshot().to_bytes(), ck.to_bytes());
         assert!(run.advance(u64::MAX).expect("clean run"));
         assert!(restored.advance(u64::MAX).expect("clean resume"));
@@ -1669,7 +1747,8 @@ mod tests {
             let b = random(k, m, 5);
             let mut acc = DenseRow::default();
             for i in 0..n {
-                let dense = reference_row(&a, &b, i, &mut acc);
+                let mut dense = (Vec::new(), Vec::new());
+                reference_row(&a, &b, i, &mut acc, &mut dense.0, &mut dense.1);
                 assert_eq!(
                     bits(dense),
                     bits(btree_reference_row(&a, &b, i)),
@@ -1682,8 +1761,9 @@ mod tests {
         let a = Csr::from_parts(1, 2, vec![0, 2], vec![0, 1], vec![1.0, 1.0]).expect("valid");
         let b = Csr::from_parts(2, 3, vec![0, 2, 4], vec![0, 1, 0, 1], vec![2.0, -0.0, -2.0, 0.0])
             .expect("valid");
-        let mut acc = DenseRow::default();
-        assert_eq!(reference_row(&a, &b, 0, &mut acc), (vec![], vec![]));
+        let (mut acc, mut cols, mut vals) = (DenseRow::default(), Vec::new(), Vec::new());
+        reference_row(&a, &b, 0, &mut acc, &mut cols, &mut vals);
+        assert_eq!((cols, vals), (vec![], vec![]));
         assert_eq!(btree_reference_row(&a, &b, 0), (vec![], vec![]));
     }
 }

@@ -11,6 +11,10 @@ use crate::queue::{QueueSet, VectorMode};
 use crate::tokens::PeTok;
 use crate::writer::Writer;
 
+/// The CPU-fallback path: computes output row `row` in software and
+/// appends its columns and values.
+pub(crate) type Fallback<'a> = dyn FnMut(u32, &mut Vec<u32>, &mut Vec<f64>) + 'a;
+
 /// How one PE cycle was spent — the categories of Fig. 9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CycleClass {
@@ -104,16 +108,38 @@ impl Pe {
         }
     }
 
+    /// Returns the PE to its cycle-0 state, keeping its queue storage.
+    pub(crate) fn reset(&mut self) {
+        self.sets.iter_mut().for_each(QueueSet::reset);
+        self.fill = 0;
+        self.vec_mode = None;
+        self.phase2 = None;
+        self.skipping = false;
+        self.products_in_row = 0;
+        self.breakdown = CycleBreakdown::default();
+        self.multiplies = Counter::default();
+        self.additions = Counter::default();
+        self.overflow_rows.clear();
+        self.phase1_cycles = Counter::default();
+        self.phase2_cycles = Counter::default();
+        self.fault_force_overflow_after = None;
+        self.cpu_fallback = true;
+        self.fatal_overflow = None;
+        self.quiet = false;
+        self.charged = CycleClass::Idle;
+    }
+
     /// One accelerator cycle: Phase II datapath plus one Phase I action.
     ///
-    /// `fallback` computes an output row in software — the CPU delegation
-    /// path for queue overflows (Section VII).
+    /// `fallback` computes an output row in software, appending its
+    /// columns and values — the CPU delegation path for queue overflows
+    /// (Section VII).
     pub(crate) fn tick(
         &mut self,
         input: &mut VecDeque<PeTok>,
         writer: &mut Writer,
         cfg: &MatRaptorConfig,
-        fallback: &mut dyn FnMut(u32) -> (Vec<u32>, Vec<f64>),
+        fallback: &mut Fallback<'_>,
         upstream_done: bool,
     ) {
         let drained = self.tick_phase2(writer, cfg);
@@ -194,7 +220,7 @@ impl Pe {
         &mut self,
         input: &mut VecDeque<PeTok>,
         writer: &mut Writer,
-        fallback: &mut dyn FnMut(u32) -> (Vec<u32>, Vec<f64>),
+        fallback: &mut Fallback<'_>,
         upstream_done: bool,
     ) -> CycleClass {
         // Without double buffering, Phase II occupies the (single) queue
@@ -237,8 +263,9 @@ impl Pe {
                         input.push_front(PeTok::EndOfRow { row });
                         return CycleClass::MergeStall;
                     }
-                    let (cols, vals) = fallback(row);
-                    writer.record_overflow_row(row, cols, vals, self.products_in_row);
+                    writer.record_overflow_row(row, self.products_in_row, |cols, vals| {
+                        fallback(row, cols, vals);
+                    });
                     self.overflow_rows.push(row);
                     self.skipping = false;
                     self.products_in_row = 0;
@@ -444,7 +471,8 @@ impl Pe {
     }
 
     /// Captures all mutable state for a checkpoint. Queue shapes and the
-    /// double-buffering mode are rebuilt by [`Pe::new`] on restore.
+    /// double-buffering mode are the configuration's, which the PE a
+    /// restore loads into was built for.
     pub(crate) fn snapshot(&self) -> PeState {
         PeState {
             set0: self.sets[0].snapshot(),
@@ -471,8 +499,7 @@ impl Pe {
         }
     }
 
-    /// Restores a snapshot into a freshly constructed PE built from the
-    /// same configuration.
+    /// Restores a snapshot into a PE reset for the same configuration.
     pub(crate) fn restore(&mut self, state: &PeState) {
         self.sets[0].restore(&state.set0);
         self.sets[1].restore(&state.set1);
@@ -490,7 +517,8 @@ impl Pe {
         self.multiplies.add(state.multiplies);
         self.additions = Counter::default();
         self.additions.add(state.additions);
-        self.overflow_rows = state.overflow_rows.clone();
+        self.overflow_rows.clear();
+        self.overflow_rows.extend_from_slice(&state.overflow_rows);
         self.phase1_cycles = Counter::default();
         self.phase1_cycles.add(state.phase1_cycles);
         self.phase2_cycles = Counter::default();

@@ -68,16 +68,18 @@ impl SortQueue {
         self.entries.iter().copied().collect()
     }
 
-    /// Replaces the contents from a checkpoint. The entries came from a
-    /// checksummed snapshot of a queue that enforced the sorted/capacity
-    /// invariants, so they are re-checked only in debug builds.
-    pub(crate) fn restore_entries(&mut self, entries: Vec<(u32, f64)>) {
+    /// Replaces the contents from a checkpoint, keeping the storage. The
+    /// entries came from a checksummed snapshot of a queue that enforced
+    /// the sorted/capacity invariants, so they are re-checked only in
+    /// debug builds.
+    pub(crate) fn restore_entries(&mut self, entries: &[(u32, f64)]) {
         debug_assert!(entries.len() <= self.capacity, "restored queue exceeds capacity");
         debug_assert!(
             entries.windows(2).all(|w| w[0].0 < w[1].0),
             "restored queue entries out of order"
         );
-        self.entries = entries.into();
+        self.entries.clear();
+        self.entries.extend(entries);
     }
 }
 
@@ -232,10 +234,17 @@ impl QueueSet {
             "queue set restore: occupancy length mismatch"
         );
         for (q, entries) in self.queues.iter_mut().zip(&state.queues) {
-            q.restore_entries(entries.clone());
+            q.restore_entries(entries);
         }
         self.helper = state.helper as usize;
-        self.occupied = state.occupied.clone();
+        self.occupied.copy_from_slice(&state.occupied);
+    }
+
+    /// Returns the set to its power-on state: empty, with the last queue
+    /// as the helper.
+    pub(crate) fn reset(&mut self) {
+        self.hard_clear();
+        self.helper = self.queues.len() - 1;
     }
 
     /// Drops all state (overflow recovery).

@@ -67,23 +67,16 @@ pub struct SpAl {
 }
 
 impl SpAl {
-    /// Builds the loader for `lane`, taking the global row → lane
-    /// round-robin assignment from the C²SR matrix itself.
-    pub(crate) fn new(
-        lane: usize,
-        cfg: &MatRaptorConfig,
-        a: &C2sr<f64>,
-        layout: MatrixLayout,
-    ) -> Self {
-        let rows: Vec<u32> = (lane..a.rows()).step_by(cfg.num_lanes).map(|r| r as u32).collect();
-        let n = rows.len();
+    /// Builds the loader for `lane`, with no rows until a
+    /// [`SpAl::reset`] assigns a job's.
+    pub(crate) fn new(lane: usize, cfg: &MatRaptorConfig, layout: MatrixLayout) -> Self {
         SpAl {
             lane,
-            rows,
+            rows: Vec::new(),
             layout,
             info_cursor: 0,
             data_cursor: 0,
-            info_ready: vec![false; n],
+            info_ready: Vec::new(),
             current_plan: RowPlan::default(),
             entries_issued: 0,
             pending_info: 0,
@@ -99,6 +92,27 @@ impl SpAl {
             quiet: false,
             charged: StageClass::Idle,
         }
+    }
+
+    /// Returns the loader to its cycle-0 state for the job whose A is `a`,
+    /// keeping its storage. It takes the global row → lane round-robin
+    /// assignment over `num_lanes` lanes from the C²SR matrix itself.
+    pub(crate) fn reset(&mut self, a: &C2sr<f64>, num_lanes: usize) {
+        self.rows.clear();
+        self.rows.extend((self.lane..a.rows()).step_by(num_lanes).map(|r| r as u32));
+        self.info_ready.clear();
+        self.info_ready.resize(self.rows.len(), false);
+        self.info_cursor = 0;
+        self.data_cursor = 0;
+        self.current_plan = RowPlan::default();
+        self.entries_issued = 0;
+        self.pending_info = 0;
+        self.pending_data = 0;
+        self.staging.clear();
+        self.in_flight = 0;
+        self.attribution = StageBreakdown::default();
+        self.quiet = false;
+        self.charged = StageClass::Idle;
     }
 
     /// Handles the response to the info fetch of the `row_pos`-th row.
@@ -304,7 +318,7 @@ impl SpAl {
     /// Captures all mutable state for a checkpoint, with the lane's
     /// in-flight `tags` in id order, from which SpAL's own are taken. The
     /// lane index, row assignment, and budgets are rebuilt by
-    /// [`SpAl::new`] on restore.
+    /// [`SpAl::reset`] before a restore.
     pub(crate) fn snapshot(&self, tags: impl Iterator<Item = (u64, Tag)>) -> SpAlState {
         let (mut pending_info, mut pending_data) = (Vec::new(), Vec::new());
         for (id, tag) in tags {
@@ -333,7 +347,7 @@ impl SpAl {
         }
     }
 
-    /// Restores a snapshot into a freshly constructed loader for the same
+    /// Restores a snapshot into a loader reset for the same
     /// `(lane, config, matrix)` triple, appending the tags of its in-flight
     /// requests to `tags` for the route table.
     pub(crate) fn restore(&mut self, state: &SpAlState, tags: &mut Vec<(u64, Tag)>) {
@@ -344,7 +358,7 @@ impl SpAl {
         );
         self.info_cursor = state.info_cursor as usize;
         self.data_cursor = state.data_cursor as usize;
-        self.info_ready = state.info_ready.clone();
+        self.info_ready.copy_from_slice(&state.info_ready);
         self.current_plan = RowPlan::from_requests(&self.layout, &state.current_plan);
         self.entries_issued = state.entries_issued;
         self.pending_info = state.pending_info.len();
@@ -359,7 +373,8 @@ impl SpAl {
             let row_pos = span.row_pos as usize;
             (*id, Tag::SpAlData { row_pos, first_entry: span.first_entry, count: span.count })
         }));
-        self.staging = state.staging.iter().copied().collect();
+        self.staging.clear();
+        self.staging.extend(&state.staging);
         self.in_flight = state.in_flight as usize;
         self.attribution = StageBreakdown::from_array(state.attribution);
     }

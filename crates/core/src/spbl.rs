@@ -159,6 +159,24 @@ impl SpBl {
         }
     }
 
+    /// Returns the loader to its cycle-0 state, keeping its storage.
+    pub(crate) fn reset(&mut self) {
+        self.jobs.clear();
+        self.next_seq = 0;
+        self.pending_info = 0;
+        self.pending_data = 0;
+        self.issuable = 0;
+        self.issuable_on.fill(0);
+        self.staging.clear();
+        self.in_flight = 0;
+        self.blocked = [0; 4];
+        self.malformed = None;
+        self.attribution = StageBreakdown::default();
+        self.quiet = false;
+        self.charged = StageClass::Idle;
+        self.blocked_on = 0;
+    }
+
     /// Handles the response to job `job_seq`'s row-info fetch. The job's
     /// row plan is built by the next issue loop, so it joins no channel's
     /// set yet.
@@ -468,7 +486,8 @@ impl SpBl {
 
     /// Captures all mutable state for a checkpoint, with the lane's
     /// in-flight `tags` in id order, from which SpBL's own are taken.
-    /// Budgets and window sizes are rebuilt by [`SpBl::new`] on restore.
+    /// Budgets and window sizes are the configuration's, which the loader
+    /// a restore loads into was built for.
     pub(crate) fn snapshot(&self, tags: impl Iterator<Item = (u64, Tag)>) -> SpBlState {
         let (mut pending_info, mut pending_data) = (Vec::new(), Vec::new());
         for (id, tag) in tags {
@@ -512,28 +531,25 @@ impl SpBl {
         }
     }
 
-    /// Restores a snapshot into a freshly constructed loader built from
-    /// the same configuration, appending the tags of its in-flight
+    /// Restores a snapshot into a loader reset for the same
+    /// configuration, appending the tags of its in-flight
     /// requests to `tags` for the route table.
     pub(crate) fn restore(&mut self, state: &SpBlState, tags: &mut Vec<(u64, Tag)>) {
-        self.jobs = state
-            .jobs
-            .iter()
-            .map(|j| Job {
-                seq: j.seq,
-                kind: if j.is_fetch { JobKind::Fetch } else { JobKind::EmptyRow },
-                b_row: j.b_row,
-                a_val: j.a_val,
-                out_row: j.out_row,
-                last_in_row: j.last_in_row,
-                info_requested: j.info_requested,
-                info_ready: j.info_ready,
-                plan: j.plan.as_ref().map(|p| RowPlan::from_requests(&self.layout, p)),
-                len: j.len,
-                ready_entries: j.ready_entries,
-                drained_entries: j.drained_entries,
-            })
-            .collect();
+        self.jobs.clear();
+        self.jobs.extend(state.jobs.iter().map(|j| Job {
+            seq: j.seq,
+            kind: if j.is_fetch { JobKind::Fetch } else { JobKind::EmptyRow },
+            b_row: j.b_row,
+            a_val: j.a_val,
+            out_row: j.out_row,
+            last_in_row: j.last_in_row,
+            info_requested: j.info_requested,
+            info_ready: j.info_ready,
+            plan: j.plan.as_ref().map(|p| RowPlan::from_requests(&self.layout, p)),
+            len: j.len,
+            ready_entries: j.ready_entries,
+            drained_entries: j.drained_entries,
+        }));
         self.next_seq = state.next_seq;
         self.pending_info = state.pending_info.len();
         self.pending_data = state.pending_data.len();
@@ -546,7 +562,8 @@ impl SpBl {
                 .iter()
                 .map(|&(id, job_seq, count)| (id, Tag::SpBlData { job_seq, count })),
         );
-        self.staging = state.staging.iter().copied().collect();
+        self.staging.clear();
+        self.staging.extend(&state.staging);
         self.in_flight = state.in_flight as usize;
         self.blocked = state.blocked;
         self.malformed = state.malformed;

@@ -10,7 +10,7 @@ use crate::config::MatRaptorConfig;
 use crate::layout::{MatrixLayout, INFO_BYTES};
 use crate::port::{MemPort, Tag};
 
-/// A finished output row held functionally until the run completes.
+/// A finished output row as a checkpoint carries it.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FinishedRow {
     pub row: u32,
@@ -20,6 +20,16 @@ pub(crate) struct FinishedRow {
     /// overflowed the sorting queues and was delegated to the CPU
     /// (Section VII's upper-bound gap). Zero for normal rows.
     pub padded_entries: u64,
+}
+
+/// A completed row of a [`Writer`]: its entries end at `end` in the
+/// writer's flat buffers and start where the previous row's end.
+#[derive(Debug, Clone, Copy)]
+struct DoneRow {
+    row: u32,
+    end: usize,
+    /// Entries of padding left in the C²SR stream ([`FinishedRow`]).
+    padded_entries: u64,
 }
 
 /// The Phase II output path of a lane: buffers merged entries into
@@ -40,10 +50,15 @@ pub(crate) struct Writer {
     pending: usize,
     /// Current row being assembled.
     cur_row: Option<u32>,
-    cur_cols: Vec<u32>,
-    cur_vals: Vec<f64>,
-    /// All completed rows, in completion (= row) order for this lane.
-    pub(crate) finished: Vec<FinishedRow>,
+    /// The entries of every completed row, in completion (= row) order
+    /// for this lane, then those of the row being assembled: C as the lane
+    /// writes it to its channel, held functionally until the run
+    /// completes.
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+    /// The completed rows, in order, each with where its entries end.
+    // conformance:allow(checkpoint-coverage): checkpointed as the rows `finished()` yields from it
+    done: Vec<DoneRow>,
     // conformance:allow(checkpoint-coverage): derived from config at construction; restore runs against the fingerprint-checked config
     entry_bytes: u32,
     // conformance:allow(checkpoint-coverage): fixed hardware constant, never mutated after construction
@@ -79,9 +94,9 @@ impl Writer {
             queue: VecDeque::new(),
             pending: 0,
             cur_row: None,
-            cur_cols: Vec::new(),
-            cur_vals: Vec::new(),
-            finished: Vec::new(),
+            cols: Vec::new(),
+            vals: Vec::new(),
+            done: Vec::new(),
             entry_bytes: u32::try_from(cfg.entry_bytes).unwrap_or(u32::MAX),
             queue_cap: 16,
             entries_pushed: 0,
@@ -91,6 +106,43 @@ impl Writer {
             quiet: false,
             charged: StageClass::Idle,
         }
+    }
+
+    /// Returns the writer to its cycle-0 state, keeping its storage.
+    pub(crate) fn reset(&mut self) {
+        self.local_cursor = 0;
+        self.buffered_bytes = 0;
+        self.queue.clear();
+        self.pending = 0;
+        self.cur_row = None;
+        self.cols.clear();
+        self.vals.clear();
+        self.done.clear();
+        self.entries_pushed = 0;
+        self.fault_drop_append = None;
+        self.dropped_appends = 0;
+        self.attribution = StageBreakdown::default();
+        self.quiet = false;
+        self.charged = StageClass::Idle;
+    }
+
+    /// Where the entries of the row being assembled start.
+    fn row_start(&self) -> usize {
+        self.done.last().map_or(0, |r| r.end)
+    }
+
+    /// The completed rows in order: each row's index, columns, values and
+    /// padding entries.
+    pub(crate) fn finished(&self) -> impl Iterator<Item = (u32, &[u32], &[f64], u64)> {
+        let starts = std::iter::once(0).chain(self.done.iter().map(|r| r.end));
+        self.done.iter().zip(starts).map(|(r, start)| {
+            (r.row, &self.cols[start..r.end], &self.vals[start..r.end], r.padded_entries)
+        })
+    }
+
+    /// Entries of the completed rows and the row being assembled.
+    pub(crate) fn entries(&self) -> usize {
+        self.cols.len()
     }
 
     /// Whether Phase II may emit another entry this cycle.
@@ -115,8 +167,8 @@ impl Writer {
             debug_assert!(self.cur_row.is_none(), "previous row not finished");
             self.cur_row = Some(row);
         }
-        self.cur_cols.push(col);
-        self.cur_vals.push(val);
+        self.cols.push(col);
+        self.vals.push(val);
         self.buffered_bytes = self.buffered_bytes.saturating_add(self.entry_bytes);
         if self.buffered_bytes as u64 >= cfg.mem.interleave_bytes as u64 {
             self.flush_data_burst();
@@ -131,30 +183,25 @@ impl Writer {
             self.flush_data_burst();
         }
         self.queue.push_back((self.layout.info_addr(row as usize), INFO_BYTES));
-        self.finished.push(FinishedRow {
-            row,
-            cols: std::mem::take(&mut self.cur_cols),
-            vals: std::mem::take(&mut self.cur_vals),
-            padded_entries: 0,
-        });
+        self.done.push(DoneRow { row, end: self.cols.len(), padded_entries: 0 });
         self.cur_row = None;
     }
 
     /// Records an overflowed row (Section VII): the accelerator leaves an
     /// upper-bound-sized gap in the output stream and hands the row to the
-    /// CPU; `cols`/`vals` carry the CPU-computed content so the run's
-    /// functional output stays complete.
+    /// CPU; `compute` appends the CPU-computed columns and values so the
+    /// run's functional output stays complete.
     pub(crate) fn record_overflow_row(
         &mut self,
         row: u32,
-        cols: Vec<u32>,
-        vals: Vec<f64>,
         upper_bound_entries: u64,
+        compute: impl FnOnce(&mut Vec<u32>, &mut Vec<f64>),
     ) {
         debug_assert!(self.cur_row.is_none(), "overflow row with partial write state");
         // The gap is address-space only: the hardware writes nothing here.
         self.local_cursor += upper_bound_entries * self.entry_bytes as u64;
-        self.finished.push(FinishedRow { row, cols, vals, padded_entries: upper_bound_entries });
+        compute(&mut self.cols, &mut self.vals);
+        self.done.push(DoneRow { row, end: self.cols.len(), padded_entries: upper_bound_entries });
     }
 
     fn flush_data_burst(&mut self) {
@@ -225,7 +272,7 @@ impl Writer {
         sig = mix_signature(sig, self.queue.len() as u64);
         sig = mix_signature(sig, self.pending as u64);
         sig = mix_signature(sig, self.buffered_bytes as u64);
-        sig = mix_signature(sig, self.finished.len() as u64);
+        sig = mix_signature(sig, self.done.len() as u64);
         mix_signature(sig, self.local_cursor)
     }
 
@@ -236,8 +283,8 @@ impl Writer {
 
     /// Captures all mutable state for a checkpoint, with the lane's
     /// in-flight `tags` in id order, from which the writer's own are taken.
-    /// The lane binding and region base are rebuilt by [`Writer::new`] on
-    /// restore.
+    /// The lane binding and region base are the writer's own, which a
+    /// restore keeps.
     pub(crate) fn snapshot(&self, tags: impl Iterator<Item = (u64, Tag)>) -> WriterState {
         let pending: Vec<u64> =
             tags.filter_map(|(id, tag)| (tag == Tag::WriterAck).then_some(id)).collect();
@@ -248,9 +295,17 @@ impl Writer {
             queue: self.queue.iter().copied().collect(),
             pending,
             cur_row: self.cur_row,
-            cur_cols: self.cur_cols.clone(),
-            cur_vals: self.cur_vals.clone(),
-            finished: self.finished.clone(),
+            cur_cols: self.cols[self.row_start()..].to_vec(),
+            cur_vals: self.vals[self.row_start()..].to_vec(),
+            finished: self
+                .finished()
+                .map(|(row, cols, vals, padded_entries)| FinishedRow {
+                    row,
+                    cols: cols.to_vec(),
+                    vals: vals.to_vec(),
+                    padded_entries,
+                })
+                .collect(),
             entries_pushed: self.entries_pushed,
             fault_drop_append: self.fault_drop_append,
             dropped_appends: self.dropped_appends,
@@ -258,19 +313,28 @@ impl Writer {
         }
     }
 
-    /// Restores a snapshot into a freshly constructed writer for the same
+    /// Restores a snapshot into a writer reset for the same
     /// `(lane, config, layout)` triple, appending the tags of its in-flight
     /// writes to `tags` for the route table.
     pub(crate) fn restore(&mut self, state: &WriterState, tags: &mut Vec<(u64, Tag)>) {
         self.local_cursor = state.local_cursor;
         self.buffered_bytes = state.buffered_bytes;
-        self.queue = state.queue.iter().copied().collect();
+        self.queue.clear();
+        self.queue.extend(&state.queue);
         self.pending = state.pending.len();
         tags.extend(state.pending.iter().map(|&id| (id, Tag::WriterAck)));
         self.cur_row = state.cur_row;
-        self.cur_cols = state.cur_cols.clone();
-        self.cur_vals = state.cur_vals.clone();
-        self.finished = state.finished.clone();
+        self.cols.clear();
+        self.vals.clear();
+        self.done.clear();
+        for f in &state.finished {
+            self.cols.extend_from_slice(&f.cols);
+            self.vals.extend_from_slice(&f.vals);
+            let end = self.cols.len();
+            self.done.push(DoneRow { row: f.row, end, padded_entries: f.padded_entries });
+        }
+        self.cols.extend_from_slice(&state.cur_cols);
+        self.vals.extend_from_slice(&state.cur_vals);
         self.entries_pushed = state.entries_pushed;
         self.fault_drop_append = state.fault_drop_append;
         self.dropped_appends = state.dropped_appends;

@@ -367,22 +367,35 @@ impl Channel {
         }
     }
 
-    /// Rebuilds a channel from a [`Channel::snapshot`] capture.
+    /// Returns the channel to its power-on state, keeping its storage.
+    pub(crate) fn reset(&mut self) {
+        self.queue.clear();
+        self.in_service = None;
+        self.banks.fill(Bank::default());
+        self.stats = ChannelStats::default();
+        self.scan_at = Cycle::ZERO;
+        self.wake = Cycle::ZERO;
+    }
+
+    /// Loads a [`Channel::snapshot`] capture into this channel, built for
+    /// the same configuration.
     ///
     /// # Panics
     ///
-    /// Panics if the capture is inconsistent with `cfg` (queue deeper
-    /// than `cfg.queue_depth`, bank count mismatch).
-    pub(crate) fn restore(cfg: &HbmConfig, map: &AddressMap, state: &ChannelState) -> Self {
-        assert_eq!(
-            state.banks.len(),
-            cfg.banks_per_channel,
-            "channel restore: bank count mismatch"
-        );
+    /// Panics if the capture is inconsistent with the configuration (queue
+    /// deeper than its depth, bank count mismatch).
+    pub(crate) fn restore(&mut self, map: &AddressMap, state: &ChannelState) {
+        assert_eq!(state.banks.len(), self.banks.len(), "channel restore: bank count mismatch");
+        self.reset();
         let fragment_of =
             |f: &FragmentState| Fragment::new(map, RequestId(f.req_id), f.kind, f.addr, f.bytes);
-        let items: Vec<Fragment> = state.queue.iter().map(fragment_of).collect();
-        let mut stats = ChannelStats::default();
+        self.queue.restore(state.queue.iter().map(fragment_of), state.queue_pushed);
+        self.in_service = state.in_service.as_ref().map(|(f, done)| (fragment_of(f), Cycle(*done)));
+        for (bank, b) in self.banks.iter_mut().zip(&state.banks) {
+            *bank =
+                Bank { open_row: b.open_row, prep_row: b.prep_row, ready_at: Cycle(b.ready_at) };
+        }
+        let stats = &mut self.stats;
         stats.busy_cycles.add(state.stats.busy_cycles);
         stats.read_bytes.add(state.stats.read_bytes);
         stats.write_bytes.add(state.stats.write_bytes);
@@ -390,21 +403,6 @@ impl Channel {
         stats.read_bursts.add(state.stats.read_bursts);
         stats.write_bursts.add(state.stats.write_bursts);
         stats.row_misses.add(state.stats.row_misses);
-        Channel {
-            queue: Fifo::from_snapshot(cfg.queue_depth, items, state.queue_pushed),
-            in_service: state.in_service.as_ref().map(|(f, done)| (fragment_of(f), Cycle(*done))),
-            banks: state
-                .banks
-                .iter()
-                .map(|b| Bank {
-                    open_row: b.open_row,
-                    prep_row: b.prep_row,
-                    ready_at: Cycle(b.ready_at),
-                })
-                .collect(),
-            stats,
-            ..Channel::new(cfg)
-        }
     }
 }
 

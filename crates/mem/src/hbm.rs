@@ -418,7 +418,7 @@ impl Hbm {
 
     /// Captures the full mutable device state as plain data for
     /// checkpointing. The configuration is *not* captured — restore with
-    /// [`Hbm::restore`] against the same [`HbmConfig`].
+    /// [`Hbm::restore`] into a device of the same [`HbmConfig`].
     pub fn snapshot(&self) -> HbmState {
         HbmState {
             channels: self.channels.iter().map(Channel::snapshot).collect(),
@@ -451,66 +451,63 @@ impl Hbm {
         }
     }
 
-    /// Rebuilds a device from a [`Hbm::snapshot`] capture.
+    /// Returns the device to its power-on state, keeping its storage:
+    /// every queue, bank, pipe and counter empty, nothing in flight, and
+    /// no fault schedule. A device that ran a job is then the device
+    /// [`Hbm::new`] builds.
+    pub fn reset(&mut self) {
+        self.channels.iter_mut().for_each(Channel::reset);
+        self.pending.clear();
+        self.response_pipe.clear();
+        self.completed_requests = 0;
+        self.latency_sum = 0;
+        self.faults = MemFaults::none();
+        self.fault_counters = FaultCounters::default();
+        self.freed = 0;
+        self.full = 0;
+    }
+
+    /// Loads a [`Hbm::snapshot`] capture into this device, keeping its
+    /// storage.
     ///
     /// # Panics
     ///
-    /// Panics if the capture is inconsistent with `cfg` (channel or bank
-    /// count mismatch, queue deeper than configured) — a checkpoint is
-    /// only meaningful against the configuration that produced it.
-    pub fn restore(cfg: HbmConfig, state: &HbmState) -> Self {
-        cfg.validate();
-        assert_eq!(state.channels.len(), cfg.num_channels, "HBM restore: channel count mismatch");
-        let map = AddressMap::new(&cfg);
-        let channels: Vec<Channel> =
-            state.channels.iter().map(|c| Channel::restore(&cfg, &map, c)).collect();
-        let pending = state
-            .pending
-            .iter()
-            .map(|p| {
-                (
-                    p.id,
-                    PendingRequest {
-                        kind: p.kind,
-                        bytes: p.bytes,
-                        fragments_left: p.fragments_left,
-                        submitted: Cycle(p.submitted),
-                    },
-                )
-            })
-            .collect();
-        let response_pipe = LatencyPipe::from_snapshot(
-            cfg.access_latency,
-            state
-                .responses
-                .iter()
-                .map(|r| {
-                    (
-                        Cycle(r.ready_at),
-                        MemResponse { id: RequestId(r.id), kind: r.kind, bytes: r.bytes },
-                    )
-                })
-                .collect(),
+    /// Panics if the capture is inconsistent with the device's
+    /// configuration (channel or bank count mismatch, queue deeper than
+    /// configured) — a checkpoint is only meaningful against the
+    /// configuration that produced it.
+    pub fn restore(&mut self, state: &HbmState) {
+        assert_eq!(
+            state.channels.len(),
+            self.channels.len(),
+            "HBM restore: channel count mismatch"
         );
-        let full = channels
+        self.reset();
+        for (ch, c) in self.channels.iter_mut().zip(&state.channels) {
+            ch.restore(&self.map, c);
+        }
+        for p in &state.pending {
+            let request = PendingRequest {
+                kind: p.kind,
+                bytes: p.bytes,
+                fragments_left: p.fragments_left,
+                submitted: Cycle(p.submitted),
+            };
+            self.pending.insert(p.id, request);
+        }
+        self.response_pipe.restore(state.responses.iter().map(|r| {
+            (Cycle(r.ready_at), MemResponse { id: RequestId(r.id), kind: r.kind, bytes: r.bytes })
+        }));
+        self.completed_requests = state.completed_requests;
+        self.latency_sum = state.latency_sum;
+        self.faults = state.faults.clone();
+        self.fault_counters = state.fault_counters;
+        self.full = self
+            .channels
             .iter()
             .enumerate()
             .filter(|(_, ch)| ch.free_slots() == 0)
             .fold(0, |full, (ch, _)| full | channel_bit(ch));
-        Hbm {
-            map,
-            need: vec![0; cfg.num_channels],
-            cfg,
-            channels,
-            pending,
-            response_pipe,
-            completed_requests: state.completed_requests,
-            latency_sum: state.latency_sum,
-            faults: state.faults.clone(),
-            fault_counters: state.fault_counters,
-            freed: 0,
-            full,
-        }
     }
 
     /// Aggregate statistics.
@@ -720,7 +717,8 @@ mod tests {
             let _ = hbm.pop_response(Cycle(t));
         }
         let state = hbm.snapshot();
-        let mut twin = Hbm::restore(cfg, &state);
+        let mut twin = Hbm::new(cfg);
+        twin.restore(&state);
         assert_eq!(twin.snapshot(), state, "restore must round-trip");
         let (orig, t1) = run_until_idle_from(&mut hbm, 10, 1000);
         let (copy, t2) = run_until_idle_from(&mut twin, 10, 1000);
@@ -764,7 +762,8 @@ mod tests {
             paused.tick(Cycle(t));
             let _ = paused.pop_response(Cycle(t));
         }
-        let mut resumed = Hbm::restore(cfg, &paused.snapshot());
+        let mut resumed = Hbm::new(cfg);
+        resumed.restore(&paused.snapshot());
         let _ = run_until_idle_from(&mut resumed, 10, 1000);
 
         assert_eq!(

@@ -20,8 +20,8 @@ use matraptor_sparse::Csr;
 use crate::bounded::BoundedLog;
 
 use super::frame::{
-    decode_response, encode_frame, encode_request, read_frame, ReadBudget, Request, Response,
-    WireError, DEFAULT_MAX_FRAME_LEN,
+    begin_frame, decode_response, encode_request_into, encode_submit_into, finish_frame,
+    read_frame_into, Op, RawFrame, ReadBudget, Request, Response, WireError, DEFAULT_MAX_FRAME_LEN,
 };
 
 /// Retry/backoff tunables.
@@ -139,6 +139,10 @@ pub struct WireClient {
     /// trail for the seeded-schedule determinism guarantee. Bounded so a
     /// long-lived client against a flaky peer cannot leak.
     backoffs: BoundedLog<u64>,
+    /// The buffer every request frame is encoded into.
+    out: Vec<u8>,
+    /// The frame every reply is read into.
+    reply: RawFrame,
 }
 
 impl WireClient {
@@ -156,6 +160,8 @@ impl WireClient {
             rng: ChaCha8Rng::seed_from_u64(seed),
             next_frame_id: 1,
             backoffs: BoundedLog::new(256),
+            out: Vec::new(),
+            reply: RawFrame::default(),
         };
         client.ensure_connected()?;
         Ok(client)
@@ -202,21 +208,23 @@ impl WireClient {
         Err(ClientError::Exhausted { attempts, last: Box::new(last) })
     }
 
-    /// One request/reply exchange on the current connection. Any failure
-    /// drops the connection (the stream may be desynchronized).
-    fn exchange_once(&mut self, req: &Request) -> Result<Response, ClientError> {
+    /// One request/reply exchange on the current connection: `encode`
+    /// appends the request's payload and names its op. Any failure drops
+    /// the connection (the stream may be desynchronized).
+    fn exchange_once(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>) -> Result<Op, WireError>,
+    ) -> Result<Response, ClientError> {
         self.ensure_connected()?;
         let sent_id = self.next_frame_id;
         self.next_frame_id = self.next_frame_id.saturating_add(1);
-        let (op, payload) = match encode_request(req) {
-            Ok(pair) => pair,
-            Err(e) => return Err(ClientError::Reply(e)),
-        };
-        let bytes = encode_frame(op, sent_id, &payload);
+        begin_frame(&mut self.out);
+        let op = encode(&mut self.out).map_err(ClientError::Reply)?;
+        finish_frame(&mut self.out, op, sent_id);
         let Some(stream) = self.stream.as_mut() else {
             return Err(ClientError::Connect(std::io::ErrorKind::NotConnected));
         };
-        if let Err(e) = std::io::Write::write_all(stream, &bytes) {
+        if let Err(e) = std::io::Write::write_all(stream, &self.out) {
             self.stream = None;
             return Err(ClientError::Write(e.kind()));
         }
@@ -224,20 +232,18 @@ impl WireClient {
             idle_reads: self.policy.idle_reads.max(1),
             frame_reads: self.policy.frame_reads.max(1),
         };
-        let raw = match read_frame(stream, DEFAULT_MAX_FRAME_LEN, budget) {
-            Ok(raw) => raw,
-            Err((_, e)) => {
-                self.stream = None;
-                return Err(ClientError::Reply(e));
-            }
-        };
+        let raw = &mut self.reply;
+        if let Err((_, e)) = read_frame_into(stream, DEFAULT_MAX_FRAME_LEN, budget, raw) {
+            self.stream = None;
+            return Err(ClientError::Reply(e));
+        }
         // Frame id 0 is the server's unsolicited-error id (e.g. Busy at
         // the connection cap, sent before any request was read).
         if raw.frame_id != sent_id && raw.frame_id != 0 {
             self.stream = None;
             return Err(ClientError::FrameIdMismatch { sent: sent_id, got: raw.frame_id });
         }
-        match decode_response(&raw) {
+        match decode_response(raw) {
             Ok(resp) => Ok(resp),
             Err(e) => {
                 self.stream = None;
@@ -251,7 +257,7 @@ impl WireClient {
         let attempts = self.policy.max_attempts.max(1);
         let mut last = ClientError::Connect(std::io::ErrorKind::NotConnected);
         for attempt in 0..attempts {
-            match self.exchange_once(req) {
+            match self.exchange_once(|out| encode_request_into(req, out)) {
                 Ok(resp) => return Ok(resp),
                 Err(e) => {
                     last = e;
@@ -273,8 +279,7 @@ impl WireClient {
         a: &Csr<f64>,
         b: &Csr<f64>,
     ) -> Result<Response, ClientError> {
-        let req = Request::Submit { tenant, a: a.clone(), b: b.clone() };
-        self.exchange_once(&req)
+        self.exchange_once(|out| encode_submit_into(tenant, a, b, out))
     }
 
     /// Polls a job until the server reports its state (idempotent;

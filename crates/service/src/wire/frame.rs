@@ -413,7 +413,7 @@ impl Response {
 }
 
 /// One frame as read off the wire, header already validated.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RawFrame {
     /// The op code (not yet interpreted).
     pub op: u16,
@@ -427,44 +427,95 @@ pub struct RawFrame {
 // encoding
 // ---------------------------------------------------------------------------
 
+/// The header of a frame carrying `payload`.
+fn header(op: Op, frame_id: u64, payload: &[u8]) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[0..4].copy_from_slice(&MAGIC);
+    h[4..6].copy_from_slice(&VERSION.to_le_bytes());
+    h[6..8].copy_from_slice(&(op as u16).to_le_bytes());
+    h[8..16].copy_from_slice(&frame_id.to_le_bytes());
+    let plen = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+    h[16..20].copy_from_slice(&plen.to_le_bytes());
+    h[20..28].copy_from_slice(&fnv1a64(payload).to_le_bytes());
+    h
+}
+
 /// Assembles a complete frame (header + payload).
 pub fn encode_frame(op: Op, frame_id: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN.saturating_add(payload.len()));
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(op as u16).to_le_bytes());
-    out.extend_from_slice(&frame_id.to_le_bytes());
-    let plen = u32::try_from(payload.len()).unwrap_or(u32::MAX);
-    out.extend_from_slice(&plen.to_le_bytes());
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    out.extend_from_slice(&header(op, frame_id, payload));
     out.extend_from_slice(payload);
     out
 }
 
+/// Starts a frame in `out`, a buffer a connection keeps: clears it and
+/// leaves room for the header. Append the payload, then
+/// [`finish_frame`]. Reusing one buffer for every frame, a connection
+/// allocates only when a frame outgrows all earlier ones.
+pub fn begin_frame(out: &mut Vec<u8>) {
+    out.clear();
+    out.resize(HEADER_LEN, 0);
+}
+
+/// Completes the frame [`begin_frame`] started in `out`: writes the
+/// header for the payload appended after it.
+pub fn finish_frame(out: &mut [u8], op: Op, frame_id: u64) {
+    let (head, payload) = out.split_at_mut(HEADER_LEN.min(out.len()));
+    head.copy_from_slice(&header(op, frame_id, payload)[..head.len()]);
+}
+
 /// Encodes a request into (op, payload).
 pub fn encode_request(req: &Request) -> Result<(Op, Vec<u8>), WireError> {
-    Ok(match req {
-        Request::Submit { tenant, a, b } => {
-            let mut p = Vec::new();
-            p.extend_from_slice(&tenant.to_le_bytes());
-            encode_matrix(&mut p, a)?;
-            encode_matrix(&mut p, b)?;
-            (Op::Submit, p)
+    let mut p = Vec::new();
+    let op = encode_request_into(req, &mut p)?;
+    Ok((op, p))
+}
+
+/// Appends a request's payload to `out` and returns its op.
+pub fn encode_request_into(req: &Request, out: &mut Vec<u8>) -> Result<Op, WireError> {
+    match req {
+        Request::Submit { tenant, a, b } => encode_submit_into(*tenant, a, b, out),
+        Request::Poll { job } => {
+            out.extend_from_slice(&job.to_le_bytes());
+            Ok(Op::Poll)
         }
-        Request::Poll { job } => (Op::Poll, job.to_le_bytes().to_vec()),
-        Request::Cancel { job } => (Op::Cancel, job.to_le_bytes().to_vec()),
-        Request::Drain => (Op::Drain, Vec::new()),
-        Request::Ping => (Op::Ping, Vec::new()),
-    })
+        Request::Cancel { job } => {
+            out.extend_from_slice(&job.to_le_bytes());
+            Ok(Op::Cancel)
+        }
+        Request::Drain => Ok(Op::Drain),
+        Request::Ping => Ok(Op::Ping),
+    }
+}
+
+/// Appends the payload of a submit of `a * b` for `tenant` to `out`, from
+/// borrowed operands, and returns its op.
+pub fn encode_submit_into(
+    tenant: u32,
+    a: &Csr<f64>,
+    b: &Csr<f64>,
+    out: &mut Vec<u8>,
+) -> Result<Op, WireError> {
+    out.extend_from_slice(&tenant.to_le_bytes());
+    encode_matrix(out, a)?;
+    encode_matrix(out, b)?;
+    Ok(Op::Submit)
 }
 
 /// Encodes a response into its payload bytes (op comes from
 /// [`Response::op`]).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
+    let mut p = Vec::new();
+    encode_response_into(resp, &mut p);
+    p
+}
+
+/// Appends a response's payload bytes to `out` (op comes from
+/// [`Response::op`]).
+pub fn encode_response_into(resp: &Response, p: &mut Vec<u8>) {
     match resp {
-        Response::Submitted { job } => job.to_le_bytes().to_vec(),
+        Response::Submitted { job } => p.extend_from_slice(&job.to_le_bytes()),
         Response::Status { job, state } => {
-            let mut p = Vec::with_capacity(22);
             p.extend_from_slice(&job.to_le_bytes());
             match state {
                 JobState::Queued => {
@@ -480,32 +531,25 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                     p.extend_from_slice(&finished_at.to_le_bytes());
                 }
             }
-            p
         }
         Response::CancelResult { job, ok } => {
-            let mut p = Vec::with_capacity(9);
             p.extend_from_slice(&job.to_le_bytes());
             p.push(u8::from(*ok));
-            p
         }
         Response::DrainReport { completed, checkpointed, deadline_exceeded, failed } => {
-            let mut p = Vec::with_capacity(32);
             p.extend_from_slice(&completed.to_le_bytes());
             p.extend_from_slice(&checkpointed.to_le_bytes());
             p.extend_from_slice(&deadline_exceeded.to_le_bytes());
             p.extend_from_slice(&failed.to_le_bytes());
-            p
         }
-        Response::Pong => Vec::new(),
+        Response::Pong => {}
         Response::Error { code, detail } => {
             let bytes = detail.as_bytes();
             let take = bytes.len().min(512);
-            let mut p = Vec::with_capacity(take.saturating_add(4));
             p.extend_from_slice(&(*code as u16).to_le_bytes());
             let dlen = u16::try_from(take).unwrap_or(u16::MAX);
             p.extend_from_slice(&dlen.to_le_bytes());
             p.extend_from_slice(&bytes[..take]);
-            p
         }
     }
 }
@@ -733,6 +777,20 @@ pub fn read_frame(
     cap: u32,
     budget: ReadBudget,
 ) -> Result<RawFrame, (Option<u64>, WireError)> {
+    let mut frame = RawFrame::default();
+    read_frame_into(stream, cap, budget, &mut frame)?;
+    Ok(frame)
+}
+
+/// [`read_frame`] into `frame`, a frame a connection keeps: its payload
+/// buffer is reused, so reading allocates only when a frame outgrows all
+/// earlier ones. On an error `frame` holds no complete frame.
+pub fn read_frame_into(
+    stream: &mut dyn Read,
+    cap: u32,
+    budget: ReadBudget,
+    frame: &mut RawFrame,
+) -> Result<(), (Option<u64>, WireError)> {
     let mut header = [0u8; HEADER_LEN];
     read_exact_budget(stream, &mut header, budget.idle_reads, budget.frame_reads)
         .map_err(|e| (None, e))?;
@@ -758,25 +816,26 @@ pub fn read_frame(
     if declared > cap {
         return Err((Some(frame_id), WireError::FrameTooLarge { declared, cap }));
     }
-    let mut payload = vec![0u8; declared as usize];
+    let payload = &mut frame.payload;
+    payload.clear();
+    payload.resize(declared as usize, 0);
     // Past the header we are mid-frame by definition: an EOF here is a
     // truncation even if zero payload bytes arrived, and an expired wait
     // is a stall, not idleness.
-    read_exact_budget(stream, &mut payload, budget.frame_reads, budget.frame_reads).map_err(
-        |e| {
-            let e = match e {
-                WireError::Closed => WireError::Truncated { context: "payload after header" },
-                WireError::IdleExpired => WireError::TimedOut,
-                other => other,
-            };
-            (Some(frame_id), e)
-        },
-    )?;
-    let computed = fnv1a64(&payload);
+    read_exact_budget(stream, payload, budget.frame_reads, budget.frame_reads).map_err(|e| {
+        let e = match e {
+            WireError::Closed => WireError::Truncated { context: "payload after header" },
+            WireError::IdleExpired => WireError::TimedOut,
+            other => other,
+        };
+        (Some(frame_id), e)
+    })?;
+    let computed = fnv1a64(payload);
     if computed != checksum {
         return Err((Some(frame_id), WireError::ChecksumMismatch { declared: checksum, computed }));
     }
-    Ok(RawFrame { op, frame_id, payload })
+    (frame.op, frame.frame_id) = (op, frame_id);
+    Ok(())
 }
 
 /// `read_exact` with a per-call budget instead of a wall clock: the

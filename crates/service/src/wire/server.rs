@@ -48,8 +48,9 @@ use crate::service::{DrainSummary, Service, ServiceConfig};
 use crate::{JobId, JobRecord, JobSpec, Rejected, TenantId};
 
 use super::frame::{
-    decode_request, disposition_code, encode_frame, encode_response, read_frame, JobState, Op,
-    RawFrame, ReadBudget, RejectCode, Request, Response, WireError,
+    begin_frame, decode_request, disposition_code, encode_frame, encode_response,
+    encode_response_into, finish_frame, read_frame_into, JobState, Op, RawFrame, ReadBudget,
+    RejectCode, Request, Response, WireError,
 };
 
 /// Server tunables.
@@ -588,24 +589,27 @@ fn reject_draining(stream: &mut TcpStream, shared: &Shared, loiter: bool) {
 }
 
 /// Serves one connection until the peer closes, a desynchronizing error
-/// occurs, or shutdown unblocks the read.
+/// occurs, or shutdown unblocks the read. Every frame is read into one
+/// frame buffer and every reply encoded into one output buffer, both kept
+/// for the life of the connection.
 fn serve_connection(mut stream: TcpStream, shared: &Shared, limits: ConnLimits) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(limits.read_timeout_ms)));
     let _ = stream.set_nodelay(true);
     let counters = &shared.counters;
+    let (mut raw, mut out) = (RawFrame::default(), Vec::new());
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        match read_frame(&mut stream, limits.max_frame_len, limits.budget) {
-            Ok(raw) => {
+        match read_frame_into(&mut stream, limits.max_frame_len, limits.budget, &mut raw) {
+            Ok(()) => {
                 counters.frames_ok.fetch_add(1, Ordering::Relaxed);
-                if !handle_frame(&mut stream, shared, &raw) {
+                if !handle_frame(&mut stream, shared, &raw, &mut out) {
                     return;
                 }
             }
             Err((frame_id, err)) => {
-                let keep = classify_and_reply(&mut stream, counters, frame_id, &err);
+                let keep = classify_and_reply(&mut stream, counters, frame_id, &err, &mut out);
                 if !keep {
                     let _ = stream.shutdown(Shutdown::Both);
                     return;
@@ -618,7 +622,12 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, limits: ConnLimits) 
 /// Decodes one verified frame, runs it on the engine under the lock, and
 /// writes the reply once the lock is released; returns `false` when the
 /// connection should close.
-fn handle_frame(stream: &mut TcpStream, shared: &Shared, raw: &RawFrame) -> bool {
+fn handle_frame(
+    stream: &mut TcpStream,
+    shared: &Shared,
+    raw: &RawFrame,
+    out: &mut Vec<u8>,
+) -> bool {
     let counters = &shared.counters;
     let req = match decode_request(raw) {
         Ok(req) => req,
@@ -635,6 +644,7 @@ fn handle_frame(stream: &mut TcpStream, shared: &Shared, raw: &RawFrame) -> bool
                 counters,
                 raw.frame_id,
                 &Response::Error { code, detail: err.to_string() },
+                out,
             );
         }
     };
@@ -643,10 +653,10 @@ fn handle_frame(stream: &mut TcpStream, shared: &Shared, raw: &RawFrame) -> bool
         // explicitly, then close.
         let resp =
             Response::Error { code: RejectCode::Draining, detail: "engine stopped".to_string() };
-        let _ = write_reply(stream, counters, raw.frame_id, &resp);
+        let _ = write_reply(stream, counters, raw.frame_id, &resp, out);
         return false;
     };
-    write_reply(stream, counters, raw.frame_id, &resp)
+    write_reply(stream, counters, raw.frame_id, &resp, out)
 }
 
 /// Maps a read error onto the taxonomy: bumps its counter, writes the
@@ -658,6 +668,7 @@ fn classify_and_reply(
     counters: &WireCounters,
     frame_id: Option<u64>,
     err: &WireError,
+    out: &mut Vec<u8>,
 ) -> bool {
     let counter = match err {
         WireError::BadMagic { .. } => &counters.bad_magic,
@@ -674,21 +685,24 @@ fn classify_and_reply(
     counter.fetch_add(1, Ordering::Relaxed);
     if let Some(code) = err.reject_code() {
         let resp = Response::Error { code, detail: err.to_string() };
-        let _ = write_reply(stream, counters, frame_id.unwrap_or(0), &resp);
+        let _ = write_reply(stream, counters, frame_id.unwrap_or(0), &resp, out);
     }
     matches!(err, WireError::ChecksumMismatch { .. })
 }
 
-/// Writes one reply frame; returns `false` when the write failed (the
-/// connection is unusable).
+/// Writes one reply frame, encoded into the connection's buffer `out`;
+/// returns `false` when the write failed (the connection is unusable).
 fn write_reply(
     stream: &mut TcpStream,
     counters: &WireCounters,
     frame_id: u64,
     resp: &Response,
+    out: &mut Vec<u8>,
 ) -> bool {
-    let bytes = encode_frame(resp.op(), frame_id, &encode_response(resp));
-    match stream.write_all(&bytes).and_then(|()| stream.flush()) {
+    begin_frame(out);
+    encode_response_into(resp, out);
+    finish_frame(out, resp.op(), frame_id);
+    match stream.write_all(out).and_then(|()| stream.flush()) {
         Ok(()) => {
             counters.replies_sent.fetch_add(1, Ordering::Relaxed);
             true

@@ -103,6 +103,27 @@ impl<T> Fifo<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter()
     }
+
+    /// Empties the FIFO and zeroes its push count, keeping its storage.
+    pub fn clear(&mut self) {
+        self.items.clear();
+        self.total_pushed = 0;
+    }
+
+    /// Replaces the contents with `items` (oldest first) and the lifetime
+    /// push count with `total_pushed`, keeping the storage — the in-place
+    /// form of [`Fifo::from_snapshot`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items` exceed the capacity — a snapshot can only have
+    /// come from a FIFO that respected its own bound.
+    pub fn restore(&mut self, items: impl IntoIterator<Item = T>, total_pushed: u64) {
+        self.items.clear();
+        self.items.extend(items);
+        assert!(self.items.len() <= self.capacity, "snapshot exceeds FIFO capacity");
+        self.total_pushed = total_pushed;
+    }
 }
 
 impl<T: Clone> Fifo<T> {
@@ -120,9 +141,9 @@ impl<T: Clone> Fifo<T> {
     /// Panics if `capacity == 0` or `items.len() > capacity` — a snapshot
     /// can only have come from a FIFO that respected its own bound.
     pub fn from_snapshot(capacity: usize, items: Vec<T>, total_pushed: u64) -> Self {
-        assert!(capacity > 0, "FIFO capacity must be positive");
-        assert!(items.len() <= capacity, "snapshot exceeds FIFO capacity");
-        Fifo { items: items.into(), capacity, total_pushed }
+        let mut fifo = Fifo::new(capacity);
+        fifo.restore(items, total_pushed);
+        fifo
     }
 }
 

@@ -56,6 +56,14 @@ impl<T> IdTable<T> {
         Self::default()
     }
 
+    /// Removes every entry, keeping the storage.
+    pub fn clear(&mut self) {
+        self.base = 0;
+        self.slots.clear();
+        self.occupied = 0;
+        self.spill.clear();
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.occupied + self.spill.len()

@@ -86,6 +86,28 @@ impl<T> LatencyPipe<T> {
     pub fn latency(&self) -> u64 {
         self.latency
     }
+
+    /// Drops every in-flight item, keeping the storage.
+    pub fn clear(&mut self) {
+        self.in_flight.clear();
+    }
+
+    /// Replaces the in-flight items with `in_flight`, `(maturity_cycle,
+    /// item)` pairs oldest first, keeping the storage — the in-place form
+    /// of [`LatencyPipe::from_snapshot`].
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if the entries are not in non-decreasing
+    /// maturity order — a valid snapshot always is.
+    pub fn restore(&mut self, in_flight: impl IntoIterator<Item = (Cycle, T)>) {
+        self.in_flight.clear();
+        self.in_flight.extend(in_flight);
+        debug_assert!(
+            self.in_flight.iter().zip(self.in_flight.iter().skip(1)).all(|(a, b)| a.0 <= b.0),
+            "latency pipe snapshot out of order"
+        );
+    }
 }
 
 impl<T: Clone> LatencyPipe<T> {
@@ -104,11 +126,9 @@ impl<T: Clone> LatencyPipe<T> {
     /// Panics in debug builds if the entries are not in non-decreasing
     /// maturity order — a valid snapshot always is.
     pub fn from_snapshot(latency: u64, in_flight: Vec<(Cycle, T)>) -> Self {
-        debug_assert!(
-            in_flight.windows(2).all(|w| w[0].0 <= w[1].0),
-            "latency pipe snapshot out of order"
-        );
-        LatencyPipe { latency, in_flight: in_flight.into() }
+        let mut pipe = LatencyPipe::new(latency);
+        pipe.restore(in_flight);
+        pipe
     }
 }
 

@@ -143,6 +143,15 @@ impl Watchdog {
         SourceId(self.sources.len() - 1)
     }
 
+    /// Forgets all progress, as at cycle 0, keeping the registered
+    /// sources.
+    pub fn reset(&mut self) {
+        self.last_global_progress = Cycle(0);
+        for s in &mut self.sources {
+            (s.last_signature, s.last_progress, s.observed) = (0, Cycle(0), false);
+        }
+    }
+
     /// Reports `source`'s current signature at cycle `now`. A changed
     /// signature (or the first observation) counts as progress.
     pub fn observe(&mut self, source: SourceId, now: Cycle, signature: u64) {

@@ -76,28 +76,55 @@ impl<T: Scalar> C2sr<T> {
     /// Returns [`SparseError::ZeroChannels`] if `num_channels == 0`.
     #[must_use = "dropping the Result discards the converted matrix or the format error"]
     pub fn try_from_csr(csr: &Csr<T>, num_channels: usize) -> Result<Self, SparseError> {
+        let mut c2sr = C2sr {
+            rows: 0,
+            cols: 0,
+            num_channels,
+            row_info: Vec::new(),
+            chan_cols: Vec::new(),
+            chan_vals: Vec::new(),
+        };
+        c2sr.convert_from_csr(csr, num_channels)?;
+        Ok(c2sr)
+    }
+
+    /// [`C2sr::try_from_csr`] into this matrix's buffers: the matrix
+    /// becomes `csr` over `num_channels` channels, and storage it already
+    /// holds is reused, so converting the operands of a job of similar
+    /// size allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::ZeroChannels`] if `num_channels == 0`, and
+    /// leaves the matrix unchanged.
+    pub fn convert_from_csr(
+        &mut self,
+        csr: &Csr<T>,
+        num_channels: usize,
+    ) -> Result<(), SparseError> {
         if num_channels == 0 {
             return Err(SparseError::ZeroChannels);
         }
-        let mut chan_cols: Vec<Vec<Index>> = vec![Vec::new(); num_channels];
-        let mut chan_vals: Vec<Vec<T>> = vec![Vec::new(); num_channels];
-        let mut row_info = Vec::with_capacity(csr.rows());
+        self.chan_cols.resize_with(num_channels, Vec::new);
+        self.chan_vals.resize_with(num_channels, Vec::new);
+        self.chan_cols.iter_mut().for_each(Vec::clear);
+        self.chan_vals.iter_mut().for_each(Vec::clear);
+        self.row_info.clear();
+        self.row_info.reserve(csr.rows());
         for i in 0..csr.rows() {
             let ch = i % num_channels;
             let (cols_slice, vals) = csr.row_slices(i);
-            row_info
-                .push(C2srRow { len: cols_slice.len() as u32, offset: chan_cols[ch].len() as u32 });
-            chan_cols[ch].extend_from_slice(cols_slice);
-            chan_vals[ch].extend_from_slice(vals);
+            self.row_info.push(C2srRow {
+                len: cols_slice.len() as u32,
+                offset: self.chan_cols[ch].len() as u32,
+            });
+            self.chan_cols[ch].extend_from_slice(cols_slice);
+            self.chan_vals[ch].extend_from_slice(vals);
         }
-        Ok(C2sr {
-            rows: csr.rows(),
-            cols: csr.cols(),
-            num_channels,
-            row_info,
-            chan_cols,
-            chan_vals,
-        })
+        self.rows = csr.rows();
+        self.cols = csr.cols();
+        self.num_channels = num_channels;
+        Ok(())
     }
 
     /// Creates an empty matrix whose rows will be appended through
@@ -123,6 +150,17 @@ impl<T: Scalar> C2sr<T> {
             chan_cols: vec![Vec::new(); num_channels],
             chan_vals: vec![Vec::new(); num_channels],
         })
+    }
+
+    /// Reserves room for `additional` more entries on `channel`, so the
+    /// appends that follow do not regrow its storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel >= self.num_channels()`.
+    pub fn reserve_channel(&mut self, channel: usize, additional: usize) {
+        self.chan_cols[channel].reserve(additional);
+        self.chan_vals[channel].reserve(additional);
     }
 
     /// Appends a complete row's entries to the row's channel.
