@@ -2,7 +2,7 @@
 //! against the discrete-event fleet oracle.
 //!
 //! Drives [`matraptor_service::parallel`] — N `std::thread` accelerator
-//! workers behind the lock-free dispatch ring (DESIGN.md §15) — over the
+//! workers fed from one mutex-guarded job queue (DESIGN.md §15) — over the
 //! same seeded job stream at every requested thread count, while a
 //! scripted [`WorkerFaultPlan`] injects panics, hangs, a terminal
 //! slowdown, and a lost-ack crash into the worker bodies. Every fault

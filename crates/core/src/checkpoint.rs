@@ -106,27 +106,6 @@ impl Checkpoint {
         CHECKPOINT_VERSION
     }
 
-    /// Clears every armed fault from the captured state: HBM stall and
-    /// refusal windows, the stream injector, and the one-shot PE/Writer
-    /// injection hooks (re-enabling the CPU overflow fallback).
-    ///
-    /// This models "the transient fault has passed": a resume of the
-    /// disarmed checkpoint continues on healthy hardware, and a wedge
-    /// caused by a stalled channel unwedges because the restored channel
-    /// resumes servicing its queued fragments. Effects that already
-    /// landed *before* the checkpoint (a dropped write, corrupted
-    /// tokens) are part of the captured state and are still caught by
-    /// the output checks at the end of the resumed run.
-    pub fn disarm_faults(&mut self) {
-        self.state.hbm.faults = MemFaults::none();
-        self.state.stream_fault = None;
-        for lane in &mut self.state.lanes {
-            lane.pe.fault_force_overflow_after = None;
-            lane.pe.cpu_fallback = true;
-            lane.writer.fault_drop_append = None;
-        }
-    }
-
     /// Serializes to the versioned, checksummed byte format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut payload = Vec::new();
@@ -906,14 +885,5 @@ mod tests {
             Err(CheckpointError::Truncated) => {}
             other => panic!("expected truncation error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn disarm_clears_fault_state() {
-        let mut ck = Checkpoint { state: tiny_state() };
-        ck.state.hbm.faults.stalls.push(FaultWindow::forever(0, 10));
-        ck.disarm_faults();
-        assert!(ck.state.hbm.faults.is_empty());
-        assert!(ck.state.stream_fault.is_none());
     }
 }

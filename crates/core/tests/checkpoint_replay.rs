@@ -76,10 +76,10 @@ fn faulted_run_resumes_bit_identically() {
 }
 
 /// A run snapshotted every 256 cycles leaves its last pre-failure
-/// checkpoint with the caller, and disarming its fault state lets the
-/// resume complete with the correct product.
+/// checkpoint with the caller. The fault schedule rides the checkpoint, so
+/// its resume meets the same wedge, with the same diagnostic.
 #[test]
-fn disarmed_checkpoint_resumes_past_a_channel_stall() {
+fn a_stalled_runs_last_checkpoint_resumes_into_the_same_wedge() {
     let (a, b) = test_matrices();
     let mut cfg = MatRaptorConfig::small_test();
     cfg.watchdog_window = 2_000;
@@ -95,16 +95,12 @@ fn disarmed_checkpoint_resumes_past_a_channel_stall() {
             Err(error) => break error,
         }
     };
-    assert!(matches!(error, SimError::Deadlock(_)));
-    let mut ck = last.expect("checkpoints were taken before the wedge");
-    ck.disarm_faults();
-    let recovered = resume(&accel, &a, &b, &ck).expect("disarmed resume completes");
-    // The timeline differs from a clean run (the stall was real until the
-    // checkpoint), but the functional output must be correct.
-    let clean = accel.try_run(&a, &b).expect("clean run");
-    assert_eq!(recovered.c.row_ptr(), clean.c.row_ptr());
-    assert_eq!(recovered.c.col_idx(), clean.c.col_idx());
-    assert!(recovered.c.approx_eq(&clean.c, 1e-9));
+    let SimError::Deadlock(wedge) = error else { panic!("expected a deadlock, got {error:?}") };
+    let ck = last.expect("checkpoints were taken before the wedge");
+    match resume(&accel, &a, &b, &ck) {
+        Err(SimError::Deadlock(resumed)) => assert_eq!(resumed, wedge),
+        other => panic!("expected the same deadlock, got {other:?}"),
+    }
 }
 
 /// Checkpoints are rejected loudly, never resumed wrongly: foreign
