@@ -3,7 +3,7 @@
 use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::ops::Deref;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use matraptor_mem::Hbm;
 use matraptor_sim::stats::CycleBreakdown;
@@ -361,9 +361,10 @@ impl<M: Deref<Target = Csr<f64>>> Drop for Run<M> {
     /// Gives the machine back to the accelerator, for its next run to
     /// reset.
     fn drop(&mut self) {
-        if let (Some(machine), Ok(mut spare)) = (self.machine.take(), self.accel.spare.lock()) {
-            *spare = Some(machine);
-        }
+        // Every update of the slot replaces its whole value, so a slot
+        // poisoned by a panic elsewhere still holds a whole machine or none.
+        let mut spare = self.accel.spare.lock().unwrap_or_else(PoisonError::into_inner);
+        *spare = self.machine.take();
     }
 }
 
@@ -650,15 +651,15 @@ impl Accelerator {
         start: RunStart<'_>,
     ) -> Result<Run<M>, SimError> {
         let ctx = self.prepare_context(a, b)?;
-        let spare = self.spare.lock().ok().and_then(|mut spare| spare.take());
-        let mut machine = spare.unwrap_or_else(|| Machine::new(&self.cfg));
-        let reset = machine.reset(&ctx.a, &ctx.b, self.cfg.num_lanes);
+        let spare = self.spare.lock().unwrap_or_else(PoisonError::into_inner).take();
         let accel = Accelerator { cfg: self.cfg.clone(), spare: Arc::clone(&self.spare) };
-        let mut run = Run { accel, ctx, machine: Some(machine), sampler: None, drained: false };
-        reset?;
+        let machine = Some(spare.unwrap_or_else(|| Machine::new(&self.cfg)));
+        // From here on an error drops the run, which gives the machine back.
+        let mut run = Run { accel, ctx, machine, sampler: None, drained: false };
         let Run { ctx, machine: Some(machine), sampler, .. } = &mut run else {
             return Err(SimError::ProtocolViolation { detail: "a run without its machine" });
         };
+        machine.reset(&ctx.a, &ctx.b, self.cfg.num_lanes)?;
         match start {
             RunStart::Fresh { plan, trace } => {
                 if let Some(plan) = plan {

@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone)]
 pub struct Fifo<T> {
     items: VecDeque<T>,
-    // conformance:allow(checkpoint-coverage): fixed hardware constant; from_snapshot takes it as a constructor argument
+    // conformance:allow(checkpoint-coverage): fixed hardware constant; restore keeps it
     capacity: usize,
     /// Lifetime count of accepted pushes, for occupancy statistics.
     total_pushed: u64,
@@ -111,8 +111,8 @@ impl<T> Fifo<T> {
     }
 
     /// Replaces the contents with `items` (oldest first) and the lifetime
-    /// push count with `total_pushed`, keeping the storage — the in-place
-    /// form of [`Fifo::from_snapshot`].
+    /// push count with `total_pushed`, keeping the storage: restores a
+    /// [`Fifo::snapshot`] capture into a FIFO of the same capacity.
     ///
     /// # Panics
     ///
@@ -128,22 +128,10 @@ impl<T> Fifo<T> {
 
 impl<T: Clone> Fifo<T> {
     /// Captures the queue contents (oldest first) and the lifetime push
-    /// count as plain data, for checkpointing. Rebuild an identical FIFO
-    /// with [`Fifo::from_snapshot`].
+    /// count as plain data, for checkpointing. Load it back with
+    /// [`Fifo::restore`].
     pub fn snapshot(&self) -> (Vec<T>, u64) {
         (self.items.iter().cloned().collect(), self.total_pushed)
-    }
-
-    /// Reconstructs a FIFO from a [`Fifo::snapshot`] capture.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0` or `items.len() > capacity` — a snapshot
-    /// can only have come from a FIFO that respected its own bound.
-    pub fn from_snapshot(capacity: usize, items: Vec<T>, total_pushed: u64) -> Self {
-        let mut fifo = Fifo::new(capacity);
-        fifo.restore(items, total_pushed);
-        fifo
     }
 }
 

@@ -24,7 +24,7 @@ use crate::Cycle;
 /// ```
 #[derive(Debug, Clone)]
 pub struct LatencyPipe<T> {
-    // conformance:allow(checkpoint-coverage): fixed hardware constant; from_snapshot takes it as a constructor argument
+    // conformance:allow(checkpoint-coverage): fixed hardware constant; restore keeps it
     latency: u64,
     in_flight: VecDeque<(Cycle, T)>,
 }
@@ -93,8 +93,8 @@ impl<T> LatencyPipe<T> {
     }
 
     /// Replaces the in-flight items with `in_flight`, `(maturity_cycle,
-    /// item)` pairs oldest first, keeping the storage — the in-place form
-    /// of [`LatencyPipe::from_snapshot`].
+    /// item)` pairs oldest first, keeping the storage: restores a
+    /// [`LatencyPipe::snapshot`] capture into a pipe of the same latency.
     ///
     /// # Panics
     ///
@@ -114,21 +114,9 @@ impl<T: Clone> LatencyPipe<T> {
     /// Captures the in-flight items as `(maturity_cycle, item)` pairs,
     /// oldest first, for checkpointing. Note the stored cycle is the
     /// *maturity* time (`push` time plus latency), so
-    /// [`LatencyPipe::from_snapshot`] restores it verbatim.
+    /// [`LatencyPipe::restore`] loads it verbatim.
     pub fn snapshot(&self) -> Vec<(Cycle, T)> {
         self.in_flight.iter().cloned().collect()
-    }
-
-    /// Reconstructs a pipe from a [`LatencyPipe::snapshot`] capture.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the entries are not in non-decreasing
-    /// maturity order — a valid snapshot always is.
-    pub fn from_snapshot(latency: u64, in_flight: Vec<(Cycle, T)>) -> Self {
-        let mut pipe = LatencyPipe::new(latency);
-        pipe.restore(in_flight);
-        pipe
     }
 }
 
