@@ -459,9 +459,14 @@ pub fn begin_frame(out: &mut Vec<u8>) {
 
 /// Completes the frame [`begin_frame`] started in `out`: writes the
 /// header for the payload appended after it.
+///
+/// # Panics
+///
+/// Panics if `out` is shorter than a header, which [`begin_frame`] rules
+/// out.
 pub fn finish_frame(out: &mut [u8], op: Op, frame_id: u64) {
-    let (head, payload) = out.split_at_mut(HEADER_LEN.min(out.len()));
-    head.copy_from_slice(&header(op, frame_id, payload)[..head.len()]);
+    let (head, payload) = out.split_at_mut(HEADER_LEN);
+    head.copy_from_slice(&header(op, frame_id, payload));
 }
 
 /// Encodes a request into (op, payload).
