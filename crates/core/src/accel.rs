@@ -1630,7 +1630,7 @@ mod tests {
     /// drained, paused and dropped at a deadline, armed with each fault
     /// kind (the overflow one with the CPU fallback off), wedged on a lost
     /// write acknowledgement (over the cycle budget with the watchdog off),
-    /// or traced. `None` past the last way.
+    /// traced, or failed mid-cycle. `None` past the last way.
     fn end_one_job(accel: &Accelerator, a: &Csr<f64>, i: usize) -> Option<&'static str> {
         let fresh = RunStart::Fresh { plan: None, trace: None };
         let kinds = FaultKind::ALL.len();
@@ -1667,6 +1667,15 @@ mod tests {
                 assert!(matches!(ended, SliceRun::Completed(_)) && trace.is_some());
                 Some("traced")
             }
+            i if i == 4 + kinds => {
+                // On the 2-lane templates this fails mid-cycle, with the
+                // other lane's responses of that cycle still undelivered.
+                let plan = FaultPlan::sample(FaultKind::StreamCorruption, 17, 2);
+                let start = RunStart::Fresh { plan: Some(&plan), trace: None };
+                let ended = accel.execute(&RunRequest { start, ..RunRequest::new(a, a) });
+                assert!(matches!(ended, Err(SimError::MalformedInput(_))), "{ended:?}");
+                Some("mid-cycle failure")
+            }
             _ => None,
         }
     }
@@ -1696,7 +1705,7 @@ mod tests {
                 );
                 i += 1;
             }
-            assert_eq!(i, 10, "every ending ran");
+            assert_eq!(i, 11, "every ending ran");
         }
     }
 
