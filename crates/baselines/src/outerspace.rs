@@ -1,6 +1,6 @@
 //! OuterSPACE (HPCA'18) baseline model.
 
-use matraptor_energy::{DramEnergy, TechNode};
+use matraptor_energy::DramEnergy;
 
 use crate::{ModeledRun, Workload};
 
@@ -59,12 +59,6 @@ impl Default for OuterSpaceModel {
 }
 
 impl OuterSpaceModel {
-    /// The published 32 nm compute power implied by the 28 nm figure and
-    /// the Section V-C scaling law.
-    pub fn power_at_32nm(&self) -> f64 {
-        self.power_w / TechNode::N32.power_factor_to(TechNode::N28)
-    }
-
     /// Bytes of partial products materialised by the multiply phase.
     pub fn partial_bytes(&self, w: &Workload) -> u64 {
         w.flops * self.partial_entry_bytes
@@ -131,11 +125,5 @@ mod tests {
         let t_small = m.run(&small).time_s / small.flops as f64;
         let t_large = m.run(&large).time_s / large.flops as f64;
         assert!(t_small < t_large, "per-flop time should grow once spilling starts");
-    }
-
-    #[test]
-    fn power_scales_back_to_32nm() {
-        let m = OuterSpaceModel::default();
-        assert!(m.power_at_32nm() > m.power_w);
     }
 }

@@ -1,7 +1,7 @@
 //! Fault-injection campaign: survival and detection rates per fault kind.
 //!
 //! Sweeps every [`FaultKind`] across a range of seeds, runs each plan
-//! through a fresh [`Accelerator::execute`] request, and classifies the
+//! through a fresh [`Accelerator::start`] run to completion, and classifies the
 //! outcome: *survived* (the machine tolerated the fault and the verified
 //! output is correct), *detected* (the run terminated with a structured
 //! `SimError`), or *escaped* (the fault produced neither — a silent
@@ -25,8 +25,8 @@
 
 use matraptor_bench::print_table;
 use matraptor_core::{
-    classify, Accelerator, Checkpoint, FaultKind, FaultPlan, MatRaptorConfig, RunOutcome,
-    RunRequest, RunStart, SimError, SliceRun, Verdict,
+    classify, Accelerator, Checkpoint, FaultKind, FaultPlan, MatRaptorConfig, RunOutcome, RunStart,
+    SimError, Verdict,
 };
 use matraptor_sparse::{gen, Csr};
 
@@ -81,6 +81,18 @@ fn parse_args() -> CampaignOptions {
     opts
 }
 
+/// A run of `a * b` from `start`, to completion.
+fn run_to_end(
+    accel: &Accelerator,
+    a: &Csr<f64>,
+    b: &Csr<f64>,
+    start: RunStart<'_>,
+) -> Result<RunOutcome, SimError> {
+    let mut run = accel.start(a, b, start)?;
+    run.advance(u64::MAX)?;
+    run.finish()
+}
+
 /// A fresh run of `a * b` with `plan` armed, to completion.
 fn run_faulted(
     accel: &Accelerator,
@@ -88,9 +100,7 @@ fn run_faulted(
     b: &Csr<f64>,
     plan: &FaultPlan,
 ) -> Result<RunOutcome, SimError> {
-    let start = RunStart::Fresh { plan: Some(plan), trace: None };
-    let req = RunRequest { start, ..RunRequest::new(a, b) };
-    accel.execute(&req)?.0.completed()
+    run_to_end(accel, a, b, RunStart::Fresh { plan: Some(plan), trace: None })
 }
 
 /// Replays one survivable faulted run (a bounded burst refusal) from a
@@ -108,13 +118,12 @@ fn resume_check(accel: &Accelerator, a: &Csr<f64>, b: &Csr<f64>, lanes: usize) -
     };
     let half = full.stats.total_cycles / 2;
     let start = RunStart::Fresh { plan: Some(&plan), trace: None };
-    let req = RunRequest { start, pause_at: Some(half), ..RunRequest::new(a, b) };
-    let ck = match accel.execute(&req) {
-        Ok((SliceRun::Paused(ck), _)) => ck,
+    let ck = match accel.start(a, b, start).and_then(|mut run| Ok((run.advance(half)?, run))) {
+        Ok((false, run)) => run.snapshot(),
         // A run that drains before the pause cycle leaves no checkpoint.
         // The baseline above ran past `half`, so this replay cannot drain
         // first unless determinism broke.
-        Ok((SliceRun::Completed(_), _)) => {
+        Ok((true, _)) => {
             eprintln!("resume-check: run completed before cycle {half}");
             return false;
         }
@@ -133,8 +142,7 @@ fn resume_check(accel: &Accelerator, a: &Csr<f64>, b: &Csr<f64>, lanes: usize) -
             return false;
         }
     };
-    let req = RunRequest { start: RunStart::Resume(&ck), ..RunRequest::new(a, b) };
-    let resumed = match accel.execute(&req).and_then(|r| r.0.completed()) {
+    let resumed = match run_to_end(accel, a, b, RunStart::Resume(&ck)) {
         Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("resume-check: resumed run failed: {e}");

@@ -1,7 +1,8 @@
 //! Observability report over the Table II synthetic suite.
 //!
 //! For every suite matrix this runs A×A through a traced
-//! [`Accelerator::execute`] request and checks the layer's two contracts:
+//! [`Accelerator::start`] run to completion and checks the layer's two
+//! contracts:
 //!
 //! 1. **Attribution totality** — for every lane and every pipeline stage
 //!    (SpAL, SpBL, PE, Writer), busy + mem-stall + queue-stall + idle
@@ -23,7 +24,7 @@
 use std::fmt::Write as _;
 
 use matraptor_bench::{json, load_suite, print_table, Options};
-use matraptor_core::{Accelerator, MatRaptorConfig, RunRequest, RunStart, RunTrace, TraceConfig};
+use matraptor_core::{Accelerator, MatRaptorConfig, RunStart, RunTrace, TraceConfig};
 use matraptor_sim::trace::{fnv1a64, MetricsRegistry, StageBreakdown};
 
 struct ReportOptions {
@@ -149,12 +150,12 @@ fn run_suite(opts: &ReportOptions) -> SuiteReport {
     for m in &suite {
         let id = m.spec.id;
         let start = RunStart::Fresh { plan: None, trace: Some(&trace_cfg) };
-        let req = RunRequest { start, ..RunRequest::new(&m.matrix, &m.matrix) };
-        let (run, trace) = accel
-            .execute(&req)
-            .unwrap_or_else(|e| panic!("clean traced run failed on `{id}`: {e}"));
-        let outcome =
-            run.completed().unwrap_or_else(|e| panic!("clean traced run failed on `{id}`: {e}"));
+        let traced = accel.start(&m.matrix, &m.matrix, start).and_then(|mut run| {
+            run.advance(u64::MAX)?;
+            Ok((run.take_trace(), run.finish()?))
+        });
+        let (trace, outcome) =
+            traced.unwrap_or_else(|e| panic!("clean traced run failed on `{id}`: {e}"));
         let trace = trace.unwrap_or_else(|| panic!("traced run on `{id}` returned no trace"));
         let stats = &outcome.stats;
         let violations = check_attribution(id, &trace, stats);

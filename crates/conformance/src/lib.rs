@@ -55,6 +55,7 @@ pub mod report;
 pub mod rules;
 pub mod workspace;
 
+use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
 
@@ -97,19 +98,27 @@ pub fn run(root: &Path) -> io::Result<Report> {
     Ok(run_on(&a, &registry()))
 }
 
-/// Runs `rules` over an already-loaded analysis.
+/// Runs `rules` over an already-loaded analysis, then audits the
+/// `conformance:allow` comments of the rules it ran: one that suppresses
+/// no finding (or names no registered rule) is reported as `stale-allow`,
+/// one without a justification as `unjustified-allow`.
 pub fn run_on(a: &Analysis, rules: &[Box<dyn Rule>]) -> Report {
     let mut violations = Vec::new();
+    // The allow comments that suppressed a finding: (file, line, rule).
+    let mut used = BTreeSet::new();
     let mut suppressed = 0;
     for rule in rules {
         for v in rule.check(a) {
-            if is_suppressed(&a.ws, &v) {
-                suppressed += 1;
-            } else {
-                violations.push(v);
+            match allow_line(&a.ws, &v) {
+                Some(line) => {
+                    suppressed += 1;
+                    used.insert((v.file.clone(), line, v.rule));
+                }
+                None => violations.push(v),
             }
         }
     }
+    violations.extend(audit_allows(&a.ws, rules, &used));
     violations
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Report {
@@ -121,26 +130,57 @@ pub fn run_on(a: &Analysis, rules: &[Box<dyn Rule>]) -> Report {
     }
 }
 
-/// A violation is suppressed when the flagged line (or the one above it)
-/// carries `conformance:allow(<rule>)`. Works for manifests too — there the
-/// marker rides in a `#` TOML comment.
-fn is_suppressed(ws: &Workspace, v: &Violation) -> bool {
+/// The 1-based line of the `conformance:allow(<rule>)` comment that
+/// suppresses `v`: on the flagged line or the one above it. Manifests
+/// carry the marker in a `#` TOML comment.
+fn allow_line(ws: &Workspace, v: &Violation) -> Option<usize> {
     if v.line == 0 {
-        return false;
+        return None;
     }
     if let Some(src) = ws.sources.iter().find(|f| f.rel == v.file) {
-        return src.is_allowed(v.rule, v.line);
+        return src.allow_line(v.rule, v.line);
     }
-    if let Some(m) = ws.manifests.iter().find(|m| m.rel == v.file) {
-        // Re-read the manifest text lazily; manifests are tiny.
-        let text = std::fs::read_to_string(ws.root.join(&m.rel)).unwrap_or_default();
-        let lines: Vec<&str> = text.lines().collect();
-        let marker = format!("conformance:allow({})", v.rule);
-        let idx = v.line.saturating_sub(1);
-        return [idx.checked_sub(1), Some(idx)]
-            .into_iter()
-            .flatten()
-            .any(|i| lines.get(i).is_some_and(|l| l.contains(&marker)));
+    let m = ws.manifests.iter().find(|m| m.rel == v.file)?;
+    [v.line, v.line - 1]
+        .into_iter()
+        .find(|&l| m.allows.iter().any(|(at, a)| *at == l && a.rule == v.rule))
+}
+
+/// Reports every allow comment of a rule in `rules` that suppressed
+/// nothing in `used`, or that gives no justification; also every allow
+/// comment that names no registered rule, which can never suppress.
+fn audit_allows(
+    ws: &Workspace,
+    rules: &[Box<dyn Rule>],
+    used: &BTreeSet<(String, usize, &'static str)>,
+) -> Vec<Violation> {
+    let ran: Vec<&str> = rules.iter().map(|r| r.name()).collect();
+    let registered: Vec<&str> = registry().iter().map(|r| r.name()).collect();
+    let sources = ws.sources.iter().flat_map(|f| {
+        f.lines
+            .iter()
+            .enumerate()
+            .flat_map(move |(i, l)| l.allows.iter().map(move |a| (&f.rel, i + 1, a)))
+    });
+    let manifests =
+        ws.manifests.iter().flat_map(|m| m.allows.iter().map(move |(line, a)| (&m.rel, *line, a)));
+    let mut out = Vec::new();
+    for (file, line, allow) in sources.chain(manifests) {
+        let rule = allow.rule.as_str();
+        let known = registered.contains(&rule);
+        if known && !ran.contains(&rule) {
+            continue;
+        }
+        let (check, message) = if !known {
+            ("stale-allow", format!("`conformance:allow({rule})` names no registered rule"))
+        } else if !used.iter().any(|(f, l, r)| f == file && *l == line && *r == rule) {
+            ("stale-allow", format!("`conformance:allow({rule})` suppresses no finding; delete it"))
+        } else if allow.reason.is_empty() {
+            ("unjustified-allow", format!("`conformance:allow({rule})` gives no reason after `):`"))
+        } else {
+            continue;
+        };
+        out.push(Violation { rule: check, file: file.clone(), line, message });
     }
-    false
+    out
 }

@@ -6,10 +6,12 @@
 mod attribution;
 mod cast_safety;
 mod checkpoint_coverage;
+mod dead_api;
 
 pub use attribution::AttributionTotality;
 pub use cast_safety::CastSafety;
 pub use checkpoint_coverage::CheckpointCoverage;
+pub use dead_api::DeadApi;
 
 use crate::lexer::TokKind;
 use crate::model::FileModel;
@@ -65,6 +67,7 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
         Box::new(CheckpointCoverage),
         Box::new(AttributionTotality),
         Box::new(CastSafety),
+        Box::new(DeadApi),
     ]
 }
 

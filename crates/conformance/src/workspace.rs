@@ -7,7 +7,9 @@
 //!    scans don't fire on prose;
 //! 2. classify each line as test or non-test code (`#[cfg(test)]` blocks,
 //!    `tests/` and `benches/` directories);
-//! 3. collect `conformance:allow(<rule>)` suppressions per line.
+//! 3. collect `conformance:allow(<rule>)` suppressions per line, from
+//!    plain `//` comments only (a marker quoted in a string or a doc
+//!    comment suppresses nothing).
 
 use std::fs;
 use std::io;
@@ -23,8 +25,17 @@ pub struct Line {
     /// True when the line sits inside a `#[cfg(test)]` block or a
     /// test-only file (`tests/`, `benches/`).
     pub is_test: bool,
-    /// Rule names suppressed on this line via `conformance:allow(...)`.
-    pub allows: Vec<String>,
+    /// The `conformance:allow(...)` markers in this line's comment.
+    pub allows: Vec<Allow>,
+}
+
+/// One `conformance:allow(<rule>): <reason>` marker.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Allow {
+    /// The rule it suppresses.
+    pub rule: String,
+    /// The justification after `):`, trimmed; empty when there is none.
+    pub reason: String,
 }
 
 /// A Rust source file with crate attribution.
@@ -40,17 +51,12 @@ pub struct SourceFile {
 }
 
 impl SourceFile {
-    /// True when `rule` is allowed on `line` (1-based) — the suppression
-    /// comment may sit on the flagged line itself or on the line above.
-    pub fn is_allowed(&self, rule: &str, line: usize) -> bool {
-        let idx = line.saturating_sub(1);
-        let mut candidates = vec![idx];
-        if idx > 0 {
-            candidates.push(idx - 1);
-        }
-        candidates
-            .into_iter()
-            .any(|i| self.lines.get(i).is_some_and(|l| l.allows.iter().any(|a| a == rule)))
+    /// The 1-based line of the comment that allows `rule` on `line`
+    /// (1-based): the flagged line itself, else the line above.
+    pub fn allow_line(&self, rule: &str, line: usize) -> Option<usize> {
+        [line, line.saturating_sub(1)].into_iter().find(|&l| {
+            l > 0 && self.lines.get(l - 1).is_some_and(|l| l.allows.iter().any(|a| a.rule == rule))
+        })
     }
 }
 
@@ -66,6 +72,9 @@ pub struct Manifest {
     pub deps: Vec<(String, usize)>,
     /// Crate names listed under `[dev-dependencies]`.
     pub dev_deps: Vec<(String, usize)>,
+    /// `conformance:allow(...)` markers in `#` comments, with the 1-based
+    /// line of each.
+    pub allows: Vec<(usize, Allow)>,
 }
 
 /// The whole workspace, ready for rule checks.
@@ -148,9 +157,17 @@ fn rel_path(root: &Path, path: &Path) -> String {
 /// Strips comments and string/char literals, tracks `#[cfg(test)]` blocks,
 /// and collects `conformance:allow(...)` markers.
 pub fn process_source(text: &str, whole_file_is_test: bool) -> Vec<Line> {
-    let stripped = strip_comments_and_strings(text);
+    let (stripped, comments) = strip_comments_and_strings(text);
     let raw_lines: Vec<&str> = text.lines().collect();
     let code_lines: Vec<&str> = stripped.lines().collect();
+    let mut allows = vec![Vec::new(); raw_lines.len()];
+    for (line, comment) in comments {
+        let doc = comment.starts_with("//!")
+            || (comment.starts_with("///") && !comment.starts_with("////"));
+        if let Some(slot) = allows.get_mut(line).filter(|_| !doc) {
+            *slot = parse_allows(&comment);
+        }
+    }
 
     // Classify test regions: a `#[cfg(test)]` attribute marks the block
     // opened by the next `{` (and everything nested in it) as test code.
@@ -187,52 +204,63 @@ pub fn process_source(text: &str, whole_file_is_test: bool) -> Vec<Line> {
 
     raw_lines
         .iter()
+        .zip(allows)
         .enumerate()
-        .map(|(i, raw)| Line {
+        .map(|(i, (raw, allows))| Line {
             raw: (*raw).to_string(),
             code: code_lines.get(i).copied().unwrap_or("").to_string(),
             is_test: is_test[i],
-            allows: parse_allows(raw),
+            allows,
         })
         .collect()
 }
 
-/// Extracts every `conformance:allow(<rule>)` marker on a line.
-fn parse_allows(raw: &str) -> Vec<String> {
+/// Extracts every `conformance:allow(<rule>)` marker of a comment, each
+/// with the justification that follows it.
+fn parse_allows(comment: &str) -> Vec<Allow> {
     const MARKER: &str = "conformance:allow(";
     let mut out = Vec::new();
-    let mut rest = raw;
+    let mut rest = comment;
     while let Some(pos) = rest.find(MARKER) {
         rest = &rest[pos + MARKER.len()..];
-        if let Some(end) = rest.find(')') {
-            let rule = rest[..end].trim();
-            if !rule.is_empty() {
-                out.push(rule.to_string());
-            }
-            rest = &rest[end + 1..];
-        } else {
+        let Some(end) = rest.find(')') else {
             break;
+        };
+        let rule = rest[..end].trim().to_string();
+        rest = &rest[end + 1..];
+        let reason = rest[..rest.find(MARKER).unwrap_or(rest.len())].trim();
+        let reason = reason.strip_prefix(':').unwrap_or("").trim().to_string();
+        if !rule.is_empty() {
+            out.push(Allow { rule, reason });
         }
     }
     out
 }
 
 /// Replaces comments, string literals, and char literals with spaces while
-/// preserving line structure, so token scans never fire on prose. Handles
-/// `//`, nested `/* */`, `"..."` with escapes, raw strings `r#"..."#`, and
-/// char literals (disambiguated from lifetimes).
-pub fn strip_comments_and_strings(text: &str) -> String {
+/// preserving line structure, so token scans never fire on prose, and
+/// returns every `//` comment with its 0-based line. Handles `//`, nested
+/// `/* */`, `"..."` with escapes, raw strings `r#"..."#`, and char
+/// literals (disambiguated from lifetimes).
+fn strip_comments_and_strings(text: &str) -> (String, Vec<(usize, String)>) {
     let chars: Vec<char> = text.chars().collect();
     let mut out = String::with_capacity(text.len());
+    let mut comments = Vec::new();
+    // The line `out` has reached, counted up to byte `seen` of it.
+    let (mut line, mut seen) = (0, 0);
     let mut i = 0;
     while i < chars.len() {
         let c = chars[i];
         match c {
             '/' if chars.get(i + 1) == Some(&'/') => {
+                line += out[seen..].matches('\n').count();
+                seen = out.len();
+                let start = i;
                 while i < chars.len() && chars[i] != '\n' {
                     out.push(' ');
                     i += 1;
                 }
+                comments.push((line, chars[start..i].iter().collect()));
             }
             '/' if chars.get(i + 1) == Some(&'*') => {
                 let mut level = 1;
@@ -320,7 +348,7 @@ pub fn strip_comments_and_strings(text: &str) -> String {
             }
         }
     }
-    out
+    (out, comments)
 }
 
 fn is_raw_string_start(chars: &[char], i: usize) -> bool {
@@ -368,6 +396,7 @@ pub fn parse_manifest(rel: &str, text: &str) -> Manifest {
         package_name: None,
         deps: Vec::new(),
         dev_deps: Vec::new(),
+        allows: Vec::new(),
     };
     #[derive(PartialEq)]
     enum Section {
@@ -378,7 +407,9 @@ pub fn parse_manifest(rel: &str, text: &str) -> Manifest {
     }
     let mut section = Section::Other;
     for (idx, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
+        let (line, comment) = raw.split_once('#').unwrap_or((raw, ""));
+        m.allows.extend(parse_allows(comment).into_iter().map(|a| (idx + 1, a)));
+        let line = line.trim();
         if line.is_empty() {
             continue;
         }
@@ -428,45 +459,13 @@ pub fn parse_manifest(rel: &str, text: &str) -> Manifest {
     m
 }
 
-/// True when `code` contains `token` as a standalone word (identifier
-/// boundaries on both sides). `token` itself may contain `::` or `.`.
-pub fn contains_token(code: &str, token: &str) -> bool {
-    find_token(code, token).is_some()
-}
-
-/// Byte offset of the first word-boundary occurrence of `token` in `code`.
-pub fn find_token(code: &str, token: &str) -> Option<usize> {
-    let bytes = code.as_bytes();
-    let mut start = 0;
-    while let Some(pos) = code[start..].find(token) {
-        let abs = start + pos;
-        let before_ok = abs == 0 || !is_ident_byte(bytes[abs - 1]);
-        let end = abs + token.len();
-        let first = token.as_bytes().first().copied().unwrap_or(b' ');
-        let last = token.as_bytes().last().copied().unwrap_or(b' ');
-        // Only enforce the boundary on sides where the token edge is an
-        // identifier character (`.unwrap()` ends in ')', no boundary needed).
-        let after_ok = end >= bytes.len() || !is_ident_byte(bytes[end]) || !is_ident_byte(last);
-        let before_ok = before_ok || !is_ident_byte(first);
-        if before_ok && after_ok {
-            return Some(abs);
-        }
-        start = abs + 1;
-    }
-    None
-}
-
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn strips_line_comments_but_keeps_structure() {
-        let s = strip_comments_and_strings("let x = 1; // HashMap\nlet y = 2;");
+        let s = strip_comments_and_strings("let x = 1; // HashMap\nlet y = 2;").0;
         assert!(!s.contains("HashMap"));
         assert_eq!(s.lines().count(), 2);
         assert!(s.contains("let y = 2;"));
@@ -474,7 +473,7 @@ mod tests {
 
     #[test]
     fn strips_strings_and_nested_block_comments() {
-        let s = strip_comments_and_strings(r#"panic!("HashMap"); /* a /* b */ c */ let z = 3;"#);
+        let s = strip_comments_and_strings(r#"panic!("HashMap"); /* a /* b */ c */ let z = 3;"#).0;
         assert!(!s.contains("HashMap"));
         assert!(!s.contains("a /* b"));
         assert!(s.contains("panic!("));
@@ -483,14 +482,14 @@ mod tests {
 
     #[test]
     fn char_literals_and_lifetimes() {
-        let s = strip_comments_and_strings("fn f<'a>(x: &'a str) { let c = '\"'; let d = 'y'; }");
+        let s = strip_comments_and_strings("fn f<'a>(x: &'a str) { let c = '\"'; let d = 'y'; }").0;
         assert!(s.contains("fn f<'a>(x: &'a str)"));
         assert!(!s.contains('y'));
     }
 
     #[test]
     fn raw_strings_are_blanked() {
-        let s = strip_comments_and_strings(r##"let s = r#"HashMap " quote"#; let t = 1;"##);
+        let s = strip_comments_and_strings(r##"let s = r#"HashMap " quote"#; let t = 1;"##).0;
         assert!(!s.contains("HashMap"));
         assert!(s.contains("let t = 1;"));
     }
@@ -506,9 +505,16 @@ mod tests {
     }
 
     #[test]
-    fn allow_markers_parse() {
-        let allows = parse_allows("x(); // conformance:allow(panic-safety): reason");
-        assert_eq!(allows, vec!["panic-safety".to_string()]);
+    fn allow_markers_parse_from_plain_comments_only() {
+        let src = "x(); // conformance:allow(panic-safety): reason\n\
+                   /// conformance:allow(layering): a doc comment\n\
+                   let s = \"// conformance:allow(layering): a string\";\n\
+                   y(); // conformance:allow(cast-safety)\n";
+        let lines = process_source(src, false);
+        let allow = |rule: &str, reason: &str| Allow { rule: rule.into(), reason: reason.into() };
+        assert_eq!(lines[0].allows, [allow("panic-safety", "reason")]);
+        assert!(lines[1].allows.is_empty() && lines[2].allows.is_empty());
+        assert_eq!(lines[3].allows, [allow("cast-safety", "")]);
     }
 
     #[test]
@@ -520,14 +526,5 @@ mod tests {
         assert_eq!(m.package_name.as_deref(), Some("matraptor-core"));
         assert_eq!(m.deps[0].0, "matraptor-sim");
         assert_eq!(m.dev_deps[0].0, "matraptor-sparse");
-    }
-
-    #[test]
-    fn token_boundaries() {
-        assert!(contains_token("use std::collections::HashMap;", "HashMap"));
-        assert!(!contains_token("struct MyHashMapLike;", "HashMap"));
-        assert!(contains_token("x.unwrap();", ".unwrap()"));
-        assert!(!contains_token("x.unwrap_or(3);", ".unwrap()"));
-        assert!(contains_token("Instant::now()", "Instant::now"));
     }
 }

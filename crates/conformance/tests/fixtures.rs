@@ -1,19 +1,29 @@
-//! Fixture tests: each synthetic workspace under `tests/fixtures/` triggers
-//! exactly one rule, and each also demonstrates the `conformance:allow`
-//! suppression for that rule. The real workspace walker skips these trees.
+//! Fixture tests: each synthetic workspace under `tests/fixtures/` is
+//! scanned with the one rule it exercises, and each also demonstrates the
+//! `conformance:allow` suppression for that rule. The real workspace walker
+//! skips these trees.
 
 use std::path::PathBuf;
 
-use matraptor_conformance::{run, Report};
+use matraptor_conformance::{registry, run_on, Analysis, Report};
 
-fn fixture(name: &str) -> Report {
+/// Scans fixture `name` with the registered rules that `keep` selects.
+fn scan(name: &str, keep: impl Fn(&str) -> bool) -> Report {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
-    run(&root).unwrap_or_else(|e| panic!("failed to scan fixture `{name}`: {e}"))
+    let analysis =
+        Analysis::load(&root).unwrap_or_else(|e| panic!("failed to scan fixture `{name}`: {e}"));
+    let rules: Vec<_> = registry().into_iter().filter(|r| keep(r.name())).collect();
+    run_on(&analysis, &rules)
+}
+
+/// Scans fixture `name` with `rule` alone.
+fn fixture(name: &str, rule: &str) -> Report {
+    scan(name, |r| r == rule)
 }
 
 #[test]
 fn determinism_rule_fires_and_suppresses() {
-    let report = fixture("determinism");
+    let report = fixture("determinism", "determinism");
     assert_eq!(
         report.violations.len(),
         1,
@@ -32,7 +42,7 @@ fn determinism_rule_fires_and_suppresses() {
 
 #[test]
 fn panic_safety_rule_fires_and_suppresses() {
-    let report = fixture("panic_safety");
+    let report = fixture("panic_safety", "panic-safety");
     assert_eq!(report.violations.len(), 1, "{}", report.human());
     let v = &report.violations[0];
     assert_eq!(v.rule, "panic-safety");
@@ -46,7 +56,7 @@ fn panic_safety_rule_fires_and_suppresses() {
 
 #[test]
 fn unsafe_without_safety_comment_fires_and_suppresses() {
-    let report = fixture("unsafe_safety");
+    let report = fixture("unsafe_safety", "panic-safety");
     assert_eq!(
         report.violations.len(),
         2,
@@ -71,7 +81,7 @@ fn unsafe_without_safety_comment_fires_and_suppresses() {
 
 #[test]
 fn layering_rule_fires_on_manifest_and_source_back_edges() {
-    let report = fixture("layering");
+    let report = fixture("layering", "layering");
     assert_eq!(
         report.violations.len(),
         2,
@@ -100,7 +110,7 @@ fn layering_rule_fires_on_manifest_and_source_back_edges() {
 
 #[test]
 fn doc_drift_rule_fires_and_suppresses() {
-    let report = fixture("doc_drift");
+    let report = fixture("doc_drift", "doc-drift");
     assert_eq!(
         report.violations.len(),
         2,
@@ -131,7 +141,7 @@ fn doc_drift_rule_fires_and_suppresses() {
 
 #[test]
 fn checkpoint_coverage_rule_fires_and_suppresses() {
-    let report = fixture("checkpoint_coverage");
+    let report = fixture("checkpoint_coverage", "checkpoint-coverage");
     assert_eq!(
         report.violations.len(),
         3,
@@ -165,7 +175,7 @@ fn checkpoint_coverage_rule_fires_and_suppresses() {
 
 #[test]
 fn attribution_totality_rule_fires_and_suppresses() {
-    let report = fixture("attribution");
+    let report = fixture("attribution", "attribution-totality");
     assert_eq!(report.violations.len(), 5, "{}", report.human());
     assert!(report.violations.iter().all(|v| v.rule == "attribution-totality"));
     let v = &report.violations[0];
@@ -197,7 +207,7 @@ fn attribution_totality_rule_fires_and_suppresses() {
 
 #[test]
 fn cast_safety_rule_fires_and_suppresses() {
-    let report = fixture("cast_safety");
+    let report = fixture("cast_safety", "cast-safety");
     assert_eq!(report.violations.len(), 4, "{}", report.human());
     let compound = &report.violations[0];
     assert_eq!(compound.rule, "cast-safety");
@@ -220,20 +230,58 @@ fn cast_safety_rule_fires_and_suppresses() {
 }
 
 #[test]
+fn dead_api_rule_fires_and_suppresses() {
+    let report = fixture("dead_api", "dead-api");
+    assert_eq!(report.violations.len(), 1, "expected exactly the dead fn:\n{}", report.human());
+    let v = &report.violations[0];
+    assert_eq!(v.rule, "dead-api");
+    assert_eq!(v.file, "crates/core/src/lib.rs");
+    assert_eq!(v.line, 10);
+    assert!(v.message.contains("`pub fn dead`"));
+    // The bin calls `called_from_a_bin` (its `use` line alone would not
+    // count); `doc_example_only` carries an allow comment; `restricted`
+    // is not public; `Meter::reset` shares its name with a called method.
+    assert_eq!(report.suppressed, 1);
+}
+
+#[test]
+fn allow_audit_reports_stale_unknown_and_unjustified_allows() {
+    let report = scan("stale_allow", |_| true);
+    let found: Vec<_> = report.violations.iter().map(|v| (v.rule, v.line)).collect();
+    assert_eq!(
+        found,
+        [("stale-allow", 8), ("stale-allow", 13), ("unjustified-allow", 24)],
+        "{}",
+        report.human()
+    );
+    assert!(report.violations[0].message.contains("suppresses no finding"));
+    assert!(report.violations[1].message.contains("names no registered rule"));
+    // The HashMap import and the unwrap are suppressed; the markers quoted
+    // in doc comments and in a string are prose, not allows.
+    assert_eq!(report.suppressed, 2);
+    // An allow of a registered rule that did not run is not audited.
+    let only = scan("stale_allow", |r| r == "determinism");
+    let lines: Vec<_> = only.violations.iter().map(|v| v.line).collect();
+    assert_eq!(lines, [13], "{}", only.human());
+}
+
+#[test]
 fn tokens_inside_strings_and_doc_comments_do_not_fire() {
     // Regression for the substring-era false positives: `HashMap`,
     // `.unwrap()`, `Instant::now()` etc. appear only in prose (string
     // literals, doc comments, line comments) and must report nothing —
     // with no allow comments needed.
-    let report = fixture("lexer_prose");
+    // The fixture's items have no callers by construction; the dead-api
+    // rule has a fixture of its own.
+    let report = scan("lexer_prose", |r| r != "dead-api");
     assert!(report.is_clean(), "prose tokens misread as code:\n{}", report.human());
     assert_eq!(report.suppressed, 0);
 }
 
 #[test]
 fn violations_sort_stably_by_file_line_rule() {
-    for name in ["checkpoint_coverage", "cast_safety", "layering"] {
-        let report = fixture(name);
+    for name in ["checkpoint_coverage", "cast_safety", "layering", "dead_api", "stale_allow"] {
+        let report = scan(name, |_| true);
         let keys: Vec<_> =
             report.violations.iter().map(|v| (v.file.clone(), v.line, v.rule)).collect();
         let mut sorted = keys.clone();
@@ -244,7 +292,7 @@ fn violations_sort_stably_by_file_line_rule() {
 
 #[test]
 fn json_report_round_trips_rule_names() {
-    let json = fixture("determinism").json();
+    let json = fixture("determinism", "determinism").json();
     assert!(json.contains("\"rule\": \"determinism\""));
     assert!(json.contains("\"file\": \"crates/core/src/lib.rs\""));
     assert!(json.contains("\"line\": 3"));

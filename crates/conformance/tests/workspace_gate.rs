@@ -17,7 +17,7 @@ fn workspace_has_zero_violations() {
 }
 
 #[test]
-fn all_seven_rules_are_registered() {
+fn all_eight_rules_are_registered() {
     let names: Vec<_> = matraptor_conformance::registry().iter().map(|r| r.name()).collect();
     assert_eq!(
         names,
@@ -28,7 +28,8 @@ fn all_seven_rules_are_registered() {
             "doc-drift",
             "checkpoint-coverage",
             "attribution-totality",
-            "cast-safety"
+            "cast-safety",
+            "dead-api"
         ]
     );
 }

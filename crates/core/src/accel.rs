@@ -78,10 +78,10 @@ pub struct RunOutcome {
     pub stats: MatRaptorStats,
 }
 
-/// Where a [`RunRequest`] starts. The fault plan and the trace live on the
-/// fresh start because they only mean something from cycle 0: a resumed
-/// run's armed fault state rides its checkpoint, and a trace sampler's
-/// window deltas start at zero.
+/// Where a [`Run`] starts. The fault plan and the trace live on the fresh
+/// start because they only mean something from cycle 0: a resumed run's
+/// armed fault state rides its checkpoint, and a trace sampler's window
+/// deltas start at zero.
 #[derive(Debug, Clone, Copy)]
 pub enum RunStart<'r> {
     /// Build the machine at cycle 0.
@@ -97,61 +97,6 @@ pub enum RunStart<'r> {
     /// configuration; fingerprint mismatches are rejected with
     /// [`SimError::CheckpointMismatch`] instead of silently diverging.
     Resume(&'r Checkpoint),
-}
-
-/// One run of `a * b`, as the host's `mtx` handshake describes it: the
-/// operands, where the run starts, and where it stops.
-#[derive(Debug, Clone, Copy)]
-pub struct RunRequest<'r> {
-    /// Left operand.
-    pub a: &'r Csr<f64>,
-    /// Right operand.
-    pub b: &'r Csr<f64>,
-    /// Fresh start (with optional fault plan and trace) or resume.
-    pub start: RunStart<'r>,
-    /// Pause at the top of this accelerator cycle if the machine has not
-    /// drained by then, returning [`SliceRun::Paused`]. A scheduler's slice
-    /// boundary or cycle deadline; `None` runs to completion.
-    pub pause_at: Option<u64>,
-}
-
-impl<'r> RunRequest<'r> {
-    /// A fresh, fault-free, untraced run to completion. Other shapes are
-    /// this plus struct-update syntax, e.g.
-    /// `RunRequest { pause_at: Some(64), ..RunRequest::new(a, b) }`.
-    pub fn new(a: &'r Csr<f64>, b: &'r Csr<f64>) -> Self {
-        RunRequest { a, b, start: RunStart::Fresh { plan: None, trace: None }, pause_at: None }
-    }
-}
-
-/// How an [`Accelerator::execute`] run ended: the job drained, or it paused
-/// at [`RunRequest::pause_at`] with a resumable [`Checkpoint`] — possibly
-/// resumed on a *different* worker holding an identically-configured
-/// accelerator, which is exactly the fleet re-dispatch path.
-#[derive(Debug)]
-pub enum SliceRun {
-    /// The run drained at or before the pause cycle. Boxed to keep the
-    /// enum near pointer size next to the slim `Paused` payload.
-    Completed(Box<RunOutcome>),
-    /// The run paused; resume it with [`RunStart::Resume`].
-    Paused(Box<Checkpoint>),
-}
-
-impl SliceRun {
-    /// The outcome of a request without a pause cycle, which always
-    /// drains.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::ProtocolViolation`] if the run paused anyway.
-    pub fn completed(self) -> Result<RunOutcome, SimError> {
-        match self {
-            SliceRun::Completed(outcome) => Ok(*outcome),
-            SliceRun::Paused(_) => {
-                Err(SimError::ProtocolViolation { detail: "a run without a pause cycle paused" })
-            }
-        }
-    }
 }
 
 struct Lane {
@@ -399,11 +344,23 @@ impl<M: Deref<Target = Csr<f64>>> Run<M> {
         Ok(self.drained)
     }
 
-    /// The paused machine as a resumable [`Checkpoint`]: byte-identical to
-    /// the one a run paused at the same cycle by [`Accelerator::execute`]
-    /// would return.
+    /// The paused machine as a resumable [`Checkpoint`]. Resuming it yields
+    /// cycle counts and output values bit-identical to the uninterrupted
+    /// run — the replay-determinism invariant of DESIGN.md §9.
     pub fn snapshot(&self) -> Checkpoint {
         self.accel.snapshot_run(&self.ctx, &self.machine().state)
+    }
+
+    /// Takes the trace of the cycles the run has covered, if it was started
+    /// with one: through its last cycle once drained, up to the top of the
+    /// current cycle while paused. The run records nothing after that.
+    pub fn take_trace(&mut self) -> Option<RunTrace> {
+        let sampler = self.sampler.take()?;
+        let state = &self.machine().state;
+        let attrs: Vec<LaneAttribution> = state.lanes.iter().map(Lane::attribution).collect();
+        // A drained run's last cycle is `t`; a paused one stops before it.
+        let cycles = if self.drained { state.t + 1 } else { state.t };
+        Some(sampler.finish(cycles, self.ctx.ratio, &state.hbm.channel_stats(), &attrs))
     }
 
     /// Assembles the drained run's output and statistics, applying the
@@ -592,50 +549,19 @@ impl Accelerator {
     /// [`SimError::OutputCorrupted`] when an integrity check fails.
     #[must_use = "dropping the Result loses both the run outcome and any fault diagnosis"]
     pub fn try_run(&self, a: &Csr<f64>, b: &Csr<f64>) -> Result<RunOutcome, SimError> {
-        self.execute(&RunRequest::new(a, b))?.0.completed()
-    }
-
-    /// Runs one [`RunRequest`] — a [`Run`] started, advanced once and
-    /// ended — the entry point behind fault campaigns, traces,
-    /// checkpoints, deadlines and slices.
-    ///
-    /// Starts fresh (arming the plan) or restores the checkpoint, then
-    /// drives until the machine drains or reaches `pause_at`. A drained
-    /// run is finalized (integrity checks included); a paused one is
-    /// captured as a [`Checkpoint`], and resuming it yields bit-identical
-    /// cycle counts and output values to the uninterrupted run — the
-    /// replay-determinism invariant of DESIGN.md §9. A deadline is a
-    /// `pause_at` whose checkpoint the caller drops: a cancelled job costs
-    /// exactly the deadline in simulated cycles, never more. The trace, if
-    /// requested, covers every cycle the request ran.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::CheckpointMismatch`] for a foreign checkpoint, otherwise
-    /// as [`Accelerator::try_run`] for failures before the pause cycle.
-    #[must_use = "dropping the Result loses the run outcome, pause checkpoint, or fault diagnosis"]
-    pub fn execute(&self, req: &RunRequest<'_>) -> Result<(SliceRun, Option<RunTrace>), SimError> {
-        let mut run = self.start(req.a, req.b, req.start)?;
-        let drained = run.advance(req.pause_at.unwrap_or(u64::MAX))?;
-        let trace = run.sampler.take().map(|sampler| {
-            let state = &run.machine().state;
-            let attrs: Vec<LaneAttribution> = state.lanes.iter().map(Lane::attribution).collect();
-            // A drained run's last cycle is `t`; a paused one stops before it.
-            let cycles = if drained { state.t + 1 } else { state.t };
-            sampler.finish(cycles, run.ctx.ratio, &state.hbm.channel_stats(), &attrs)
-        });
-        let run = if drained {
-            SliceRun::Completed(Box::new(run.finish()?))
-        } else {
-            SliceRun::Paused(Box::new(run.snapshot()))
-        };
-        Ok((run, trace))
+        let mut run = self.start(a, b, RunStart::Fresh { plan: None, trace: None })?;
+        run.advance(u64::MAX)?;
+        run.finish()
     }
 
     /// Starts a [`Run`] of `a * b` that holds its machine live between
     /// [`Run::advance`] calls: fresh (arming the plan, recording the
-    /// trace) or restored from a checkpoint. The operands are owned by the
-    /// run, as references or shared handles. The machine is the one the
+    /// trace) or restored from a checkpoint. This is the one run path:
+    /// fault campaigns, traces, checkpoints, deadlines and slices all
+    /// start here. A deadline is an advance whose paused run the caller
+    /// drops, so a cancelled job costs exactly the deadline in simulated
+    /// cycles, never more. The operands are owned by the run, as
+    /// references or shared handles. The machine is the one the
     /// accelerator's last finished or dropped run gave back, reset in
     /// place; only a first run, or one beside another still live, builds
     /// one.
@@ -1381,18 +1307,27 @@ mod tests {
 
     /// `a * a` paused at cycle `k`: the checkpoint, or `None` if the run
     /// drained first.
-    fn paused_at(accel: &Accelerator, a: &Csr<f64>, k: u64) -> Option<Box<Checkpoint>> {
-        match accel.execute(&RunRequest { pause_at: Some(k), ..RunRequest::new(a, a) }) {
-            Ok((SliceRun::Paused(ck), _)) => Some(ck),
-            Ok((SliceRun::Completed(_), _)) => None,
-            Err(error) => panic!("checkpointing run failed: {error}"),
-        }
+    fn paused_at(accel: &Accelerator, a: &Csr<f64>, k: u64) -> Option<Checkpoint> {
+        let fresh = RunStart::Fresh { plan: None, trace: None };
+        let mut run = accel.start(a, a, fresh).expect("valid operands");
+        let drained = run.advance(k).expect("checkpointing run");
+        (!drained).then(|| run.snapshot())
+    }
+
+    /// Runs `a * a` from `start` to completion.
+    fn run_to_end(
+        accel: &Accelerator,
+        a: &Csr<f64>,
+        start: RunStart<'_>,
+    ) -> Result<RunOutcome, SimError> {
+        let mut run = accel.start(a, a, start)?;
+        run.advance(u64::MAX)?;
+        run.finish()
     }
 
     /// Resumes `ck` on operands `a * a` and runs it to completion.
     fn resumed(accel: &Accelerator, a: &Csr<f64>, ck: &Checkpoint) -> Result<RunOutcome, SimError> {
-        let req = RunRequest { start: RunStart::Resume(ck), ..RunRequest::new(a, a) };
-        accel.execute(&req)?.0.completed()
+        run_to_end(accel, a, RunStart::Resume(ck))
     }
 
     #[test]
@@ -1413,31 +1348,6 @@ mod tests {
         let accel = Accelerator::new(MatRaptorConfig::small_test());
         let ck = paused_at(&accel, &eye, u64::MAX);
         assert!(ck.is_none(), "run should drain before u64::MAX cycles");
-    }
-
-    #[test]
-    fn deadline_run_cancels_at_the_deadline_and_is_resumable() {
-        let a = gen::uniform(48, 48, 300, 21);
-        let accel = Accelerator::new(MatRaptorConfig::small_test());
-        let full = accel.try_run(&a, &a).expect("clean run");
-        let deadline = |k: u64| RunRequest { pause_at: Some(k), ..RunRequest::new(&a, &a) };
-        match accel.execute(&deadline(64)).expect("bounded run").0 {
-            SliceRun::Paused(ck) => {
-                assert_eq!(ck.cycle(), 64, "cancellation is exact: the deadline cycle");
-                // Cancelled work is a checkpoint — resuming it finishes
-                // the run bit-identically to the unbounded machine.
-                let resumed = resumed(&accel, &a, &ck).expect("resume");
-                assert_eq!(resumed.stats.total_cycles, full.stats.total_cycles);
-                assert_eq!(resumed.c, full.c);
-            }
-            SliceRun::Completed(_) => panic!("48x48 product cannot drain in 64 cycles"),
-        }
-        match accel.execute(&deadline(u64::MAX)).expect("bounded run").0 {
-            SliceRun::Completed(outcome) => {
-                assert_eq!(outcome.stats.total_cycles, full.stats.total_cycles);
-            }
-            SliceRun::Paused(_) => panic!("run should drain before u64::MAX"),
-        }
     }
 
     #[test]
@@ -1648,7 +1558,7 @@ mod tests {
                 let kind = FaultKind::ALL[i - 2];
                 let plan = FaultPlan::sample(kind, 3, accel.config().num_lanes);
                 let start = RunStart::Fresh { plan: Some(&plan), trace: None };
-                let _ended = accel.execute(&RunRequest { start, ..RunRequest::new(a, a) });
+                let _ended = run_to_end(accel, a, start);
                 Some(kind.name())
             }
             i if i == 2 + kinds => {
@@ -1662,9 +1572,10 @@ mod tests {
             i if i == 3 + kinds => {
                 let trace = TraceConfig::default();
                 let start = RunStart::Fresh { plan: None, trace: Some(&trace) };
-                let req = RunRequest { start, ..RunRequest::new(a, a) };
-                let (ended, trace) = accel.execute(&req).expect("traced run");
-                assert!(matches!(ended, SliceRun::Completed(_)) && trace.is_some());
+                let mut run = accel.start(a, a, start).expect("valid operands");
+                assert!(run.advance(u64::MAX).expect("traced run"), "drained");
+                assert!(run.take_trace().is_some());
+                run.finish().expect("traced run");
                 Some("traced")
             }
             i if i == 4 + kinds => {
@@ -1672,7 +1583,7 @@ mod tests {
                 // other lane's responses of that cycle still undelivered.
                 let plan = FaultPlan::sample(FaultKind::StreamCorruption, 17, 2);
                 let start = RunStart::Fresh { plan: Some(&plan), trace: None };
-                let ended = accel.execute(&RunRequest { start, ..RunRequest::new(a, a) });
+                let ended = run_to_end(accel, a, start);
                 assert!(matches!(ended, Err(SimError::MalformedInput(_))), "{ended:?}");
                 Some("mid-cycle failure")
             }

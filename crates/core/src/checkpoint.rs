@@ -86,9 +86,9 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// A resumable machine state. Opaque: produced by a paused (or
-/// periodically checkpointing) [`crate::Accelerator::execute`] and
-/// consumed by a [`crate::RunStart::Resume`] request.
+/// A resumable machine state. Opaque: produced by a paused
+/// [`crate::Run::snapshot`] and consumed by a [`crate::RunStart::Resume`]
+/// start.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     pub(crate) state: CheckpointState,

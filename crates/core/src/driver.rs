@@ -12,7 +12,7 @@ use std::ops::Deref;
 
 use matraptor_sparse::{Csr, SparseError};
 
-use crate::accel::{Accelerator, Run, RunStart, SliceRun};
+use crate::accel::{Accelerator, Run, RunOutcome, RunStart};
 use crate::checkpoint::Checkpoint;
 use crate::error::SimError;
 use crate::fault::FaultPlan;
@@ -89,6 +89,19 @@ pub enum MtxWrite {
     BRows(u64),
     /// The start register.
     X0(u64),
+}
+
+/// How a [`Driver::launch_slice`] ended: the job drained, or it paused at
+/// the slice's last cycle with a resumable [`Checkpoint`] — possibly
+/// resumed on a *different* worker holding an identically-configured
+/// accelerator, which is exactly the fleet re-dispatch path.
+#[derive(Debug)]
+pub enum SliceRun {
+    /// The run drained at or before the pause cycle. Boxed to keep the
+    /// enum near pointer size next to the slim `Paused` payload.
+    Completed(Box<RunOutcome>),
+    /// The run paused; resume it with [`RunStart::Resume`].
+    Paused(Box<Checkpoint>),
 }
 
 /// The host-side driver: accumulates `mtx` writes and launches the
@@ -196,11 +209,6 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Current register contents (host-readable).
-    pub fn registers(&self) -> ConfigRegisters {
-        self.regs
-    }
-
     /// Starts the configured run, as the hardware would on seeing
     /// `x0 == 1`, and hands back the live [`Run`]: fresh (arming `plan`)
     /// when `from` is `None`, otherwise resuming the handed-over
@@ -266,8 +274,7 @@ impl<'a> Driver<'a> {
         self.accel.start(a, b, start).map_err(DriverError::AcceleratorFault)
     }
 
-    /// Launches the configured run for one bounded slice
-    /// ([`RunRequest::pause_at`](crate::RunRequest::pause_at)):
+    /// Launches the configured run for one bounded slice:
     /// [`Driver::start`], then run until the machine drains or reaches
     /// accelerator cycle `until_cycle`, and hand back the outcome or a
     /// checkpoint of the paused machine. The start bit stays set across
@@ -320,7 +327,7 @@ mod tests {
         };
         assert!(outcome.c.approx_eq(&spgemm::gustavson(&a, &a), 1e-9));
         // Hardware clears x0 on completion; relaunching needs a new start.
-        assert_eq!(d.registers().x0, 0);
+        assert_eq!(d.regs.x0, 0);
         assert!(matches!(
             d.launch_slice(&a, &a, None, None, u64::MAX),
             Err(DriverError::NotStarted)
@@ -393,7 +400,7 @@ mod tests {
             Err(DriverError::InvalidInput(_))
         ));
         // The start bit stays set: the accelerator never ran.
-        assert_eq!(d.registers().x0, 1);
+        assert_eq!(d.regs.x0, 1);
     }
 
     #[test]
@@ -411,7 +418,7 @@ mod tests {
             other => panic!("expected deadline cancellation, got {other:?}"),
         }
         // The start bit stays set — the job never completed.
-        assert_eq!(d.registers().x0, 1);
+        assert_eq!(d.regs.x0, 1);
         // A generous budget lets the same job finish normally.
         match d.launch_slice(&a, &a, None, None, u64::MAX).expect("within deadline") {
             SliceRun::Completed(outcome) => {
@@ -419,7 +426,7 @@ mod tests {
             }
             SliceRun::Paused(ck) => panic!("unbounded launch paused at {}", ck.cycle()),
         }
-        assert_eq!(d.registers().x0, 0);
+        assert_eq!(d.regs.x0, 0);
     }
 
     #[test]
@@ -469,7 +476,7 @@ mod tests {
     fn registers_power_on_to_the_region_map() {
         let accel = Accelerator::new(MatRaptorConfig::small_test());
         let d = Driver::new(&accel);
-        let r = d.registers();
+        let r = d.regs;
         assert_eq!(r.a_data_ptr, 0x1000_0000);
         assert_eq!(r.c_data_ptr, 0x5000_0000);
         assert_eq!(r.x0, 0);

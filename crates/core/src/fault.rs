@@ -12,7 +12,7 @@
 //! Layering note: the memory-side effects compile into the plain-data
 //! [`MemFaults`] schedule (the `mem` crate cannot depend on the RNG, which
 //! lives in `sparse`); stream/queue/writer effects are interpreted by
-//! `Accelerator::execute` in this crate.
+//! `Accelerator::start` in this crate.
 
 use matraptor_mem::{FaultWindow, MemFaults};
 use matraptor_sparse::rng::ChaCha8Rng;
@@ -81,7 +81,7 @@ pub struct FaultPlan {
     /// The seed this plan was sampled from (recorded for reports).
     pub seed: u64,
     /// Target channel (memory faults) or lane (stream/queue/writer
-    /// faults). `Accelerator::execute` remaps a lane with no
+    /// faults). `Accelerator::start` remaps a lane with no
     /// assigned work to the busiest one so the fault always engages.
     pub site: usize,
     /// First memory cycle a memory fault is active.

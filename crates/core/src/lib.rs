@@ -31,12 +31,11 @@
 //! * [`Accelerator::try_run`] is the fallible end-to-end entry point — it
 //!   returns [`SimError`] instead of panicking or hanging, with a
 //!   structured [`DeadlockDiagnostic`] when the watchdog declares a wedge;
-//! * [`Accelerator::execute`] runs one [`RunRequest`]: a fresh start
+//! * [`Accelerator::start`] is the one run path: a fresh start
 //!   (optionally arming a [`FaultPlan`] and recording a [`RunTrace`]) or
-//!   a [`Checkpoint`] resume, bounded by an optional pause cycle;
-//! * [`Accelerator::start`] returns the same run as a live [`Run`] that a
-//!   scheduler advances slice by slice and snapshots only when the job
-//!   has to leave the machine;
+//!   a [`Checkpoint`] resume returns a live [`Run`], which a scheduler
+//!   advances slice by slice, snapshots only when the job has to leave
+//!   the machine, and finishes once it drains;
 //! * [`FaultPlan`] describes a deterministic, seeded fault injection
 //!   (channel stalls, corrupted or truncated C²SR streams, forced
 //!   sorting-queue overflow, dropped writer appends);
@@ -55,7 +54,6 @@
 //!
 //! [`Hbm`]: matraptor_mem::Hbm
 //! [`Accelerator::try_run`]: accel::Accelerator::try_run
-//! [`Accelerator::execute`]: accel::Accelerator::execute
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -78,13 +76,13 @@ mod tokens;
 mod trace;
 mod writer;
 
-pub use accel::{Accelerator, Run, RunOutcome, RunRequest, RunStart, SliceRun};
+pub use accel::{Accelerator, Run, RunOutcome, RunStart};
 pub use checkpoint::{fingerprint_inputs, Checkpoint, CheckpointError, CHECKPOINT_VERSION};
 pub use config::MatRaptorConfig;
 pub use convert::{
     conversion_cycles, conversion_cycles_directed, ConversionDirection, ConversionReport,
 };
-pub use driver::{ConfigRegisters, Driver, DriverError, MtxWrite};
+pub use driver::{ConfigRegisters, Driver, DriverError, MtxWrite, SliceRun};
 pub use error::{
     ChannelDiagnostic, ConfigError, DeadlockDiagnostic, LaneDiagnostic, MalformedInput, SimError,
 };

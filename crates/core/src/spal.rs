@@ -27,7 +27,6 @@ pub struct SpAl {
     // conformance:allow(checkpoint-coverage): row assignment is derived from (lane, layout) at construction, identical across a restore of the same job
     rows: Vec<u32>,
     /// Where matrix A lives.
-    // conformance:allow(checkpoint-coverage): derived from the config at construction, identical across a restore of the same job
     layout: MatrixLayout,
     /// Next row whose info fetch may be issued.
     info_cursor: usize,
@@ -286,12 +285,6 @@ impl SpAl {
     /// Whether every assigned row has been fetched and forwarded.
     pub(crate) fn is_done(&self) -> bool {
         self.data_cursor >= self.rows.len() && self.in_flight == 0 && self.staging.is_empty()
-    }
-
-    /// Rows of A assigned to this lane (for the Fig. 11 load-imbalance
-    /// study).
-    pub fn assigned_rows(&self) -> &[u32] {
-        &self.rows
     }
 
     /// Forward-progress signature for the watchdog: folds every cursor

@@ -26,7 +26,6 @@ use crate::tokens::{ATok, PeTok};
 #[derive(Debug)]
 pub struct SpBl {
     /// Where matrix B lives.
-    // conformance:allow(checkpoint-coverage): derived from the config at construction, identical across a restore of the same job
     layout: MatrixLayout,
     jobs: VecDeque<Job>,
     next_seq: u64,

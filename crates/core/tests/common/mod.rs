@@ -1,12 +1,13 @@
-//! Shorthands over [`Accelerator::execute`] for the integration tests:
-//! each builds one [`RunRequest`] shape and unwraps the parts a test
-//! asserts on. Also the golden cases, which more than one test replays.
+//! Shorthands over [`Accelerator::start`] and its [`Run`] for the
+//! integration tests: each starts one run shape and unwraps the parts a
+//! test asserts on. Also the golden cases, which more than one test
+//! replays.
 
 #![allow(dead_code)]
 
 use matraptor_core::{
-    Accelerator, Checkpoint, FaultKind, FaultPlan, MatRaptorConfig, RunOutcome, RunRequest,
-    RunStart, RunTrace, SimError, SliceRun, TraceConfig,
+    Accelerator, Checkpoint, FaultKind, FaultPlan, MatRaptorConfig, Run, RunOutcome, RunStart,
+    RunTrace, SimError, SliceRun, TraceConfig,
 };
 use matraptor_mem::HbmConfig;
 use matraptor_sparse::gen::{self, suite};
@@ -87,8 +88,13 @@ pub fn run_faulted(
     b: &Csr<f64>,
     plan: Option<&FaultPlan>,
 ) -> Result<RunOutcome, SimError> {
-    let req = RunRequest { start: RunStart::Fresh { plan, trace: None }, ..RunRequest::new(a, b) };
-    accel.execute(&req)?.0.completed()
+    finish(accel.start(a, b, RunStart::Fresh { plan, trace: None })?)
+}
+
+/// Advances `run` until it drains and finishes it.
+fn finish(mut run: Run<&Csr<f64>>) -> Result<RunOutcome, SimError> {
+    run.advance(u64::MAX)?;
+    run.finish()
 }
 
 /// A fresh, fault-free traced run, to completion.
@@ -98,9 +104,10 @@ pub fn run_traced(
     b: &Csr<f64>,
     trace: &TraceConfig,
 ) -> Result<(RunOutcome, RunTrace), SimError> {
-    let start = RunStart::Fresh { plan: None, trace: Some(trace) };
-    let (run, trace) = accel.execute(&RunRequest { start, ..RunRequest::new(a, b) })?;
-    Ok((run.completed()?, trace.expect("a traced request returns its trace")))
+    let mut run = accel.start(a, b, RunStart::Fresh { plan: None, trace: Some(trace) })?;
+    run.advance(u64::MAX)?;
+    let trace = run.take_trace().expect("a traced run returns its trace");
+    Ok((run.finish()?, trace))
 }
 
 /// The machine state at the top of cycle `k` of a fresh run under `plan`,
@@ -112,9 +119,7 @@ pub fn checkpoint_at(
     plan: Option<&FaultPlan>,
     k: u64,
 ) -> Result<Option<Box<Checkpoint>>, SimError> {
-    let start = RunStart::Fresh { plan, trace: None };
-    let req = RunRequest { start, pause_at: Some(k), ..RunRequest::new(a, b) };
-    match accel.execute(&req)?.0 {
+    match slice_from(accel, a, b, RunStart::Fresh { plan, trace: None }, k)? {
         SliceRun::Paused(ck) => Ok(Some(ck)),
         SliceRun::Completed(_) => Ok(None),
     }
@@ -127,8 +132,7 @@ pub fn resume(
     b: &Csr<f64>,
     ck: &Checkpoint,
 ) -> Result<RunOutcome, SimError> {
-    let req = RunRequest { start: RunStart::Resume(ck), ..RunRequest::new(a, b) };
-    accel.execute(&req)?.0.completed()
+    finish(accel.start(a, b, RunStart::Resume(ck))?)
 }
 
 /// One slice up to cycle `until`: fresh and fault-free when `from` is
@@ -141,6 +145,22 @@ pub fn slice(
     until: u64,
 ) -> Result<SliceRun, SimError> {
     let start = from.map_or(RunStart::Fresh { plan: None, trace: None }, RunStart::Resume);
-    let req = RunRequest { start, pause_at: Some(until), ..RunRequest::new(a, b) };
-    Ok(accel.execute(&req)?.0)
+    slice_from(accel, a, b, start, until)
+}
+
+/// A run from `start` advanced to cycle `until`: its outcome if it
+/// drained, otherwise its checkpoint.
+fn slice_from(
+    accel: &Accelerator,
+    a: &Csr<f64>,
+    b: &Csr<f64>,
+    start: RunStart<'_>,
+    until: u64,
+) -> Result<SliceRun, SimError> {
+    let mut run = accel.start(a, b, start)?;
+    if run.advance(until)? {
+        Ok(SliceRun::Completed(Box::new(run.finish()?)))
+    } else {
+        Ok(SliceRun::Paused(Box::new(run.snapshot())))
+    }
 }

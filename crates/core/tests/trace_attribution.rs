@@ -16,8 +16,7 @@ mod common;
 
 use common::{checkpoint_at, resume, run_faulted, run_traced};
 use matraptor_core::{
-    Accelerator, FaultKind, FaultPlan, LaneAttribution, MatRaptorConfig, RunRequest, RunStart,
-    SliceRun, TraceConfig,
+    Accelerator, FaultKind, FaultPlan, LaneAttribution, MatRaptorConfig, RunStart, TraceConfig,
 };
 use matraptor_sparse::gen::suite::table2;
 use matraptor_sparse::{gen, Csr};
@@ -143,33 +142,34 @@ fn attribution_survives_checkpoint_restore() {
     assert_totality("resumed", &resumed.stats.per_lane_attribution, resumed.stats.total_cycles);
 }
 
-/// A traced request that pauses returns the trace of the cycles it ran:
-/// the trace ends at the pause cycle, and every stage's window deltas sum
-/// to exactly that many cycles.
+/// A traced run's trace covers the cycles it ran: taken while paused it
+/// ends at the pause cycle, taken once drained it ends with the run's last
+/// cycle, and in both every stage's window deltas sum to exactly that many
+/// cycles.
 #[test]
 fn paused_traced_run_covers_the_cycles_before_the_pause() {
     let accel = Accelerator::new(campaign_config());
     let a: Csr<f64> = gen::uniform(48, 48, 400, 21);
     let b: Csr<f64> = gen::uniform(48, 48, 400, 22);
-    let half = accel.try_run(&a, &b).expect("clean run").stats.total_cycles / 2;
+    let total = accel.try_run(&a, &b).expect("clean run").stats.total_cycles;
     let tcfg = TraceConfig { window: 64, ..TraceConfig::default() };
-    let req = RunRequest {
-        start: RunStart::Fresh { plan: None, trace: Some(&tcfg) },
-        pause_at: Some(half),
-        ..RunRequest::new(&a, &b)
-    };
-    let (run, trace) = accel.execute(&req).expect("traced slice");
-    assert!(matches!(run, SliceRun::Paused(ref ck) if ck.cycle() == half));
-    let trace = trace.expect("a traced request returns its trace");
-    assert_eq!(trace.total_cycles, half);
-    for lane in &trace.lanes {
-        for pick in 0..4usize {
-            let windowed: u64 = lane
-                .windows
-                .iter()
-                .map(|w| [w.spal, w.spbl, w.pe, w.writer][pick].iter().sum::<u64>())
-                .sum();
-            assert_eq!(windowed, half, "lane{} stage {pick} lost cycles", lane.lane);
+    for (until, covered) in [(total / 2, total / 2), (u64::MAX, total)] {
+        let start = RunStart::Fresh { plan: None, trace: Some(&tcfg) };
+        let mut run = accel.start(&a, &b, start).expect("valid operands");
+        let drained = run.advance(until).expect("traced slice");
+        assert_eq!(drained, until == u64::MAX);
+        assert_eq!(run.cycle(), if drained { total - 1 } else { until });
+        let trace = run.take_trace().expect("a traced run returns its trace");
+        assert_eq!(trace.total_cycles, covered);
+        for lane in &trace.lanes {
+            for pick in 0..4usize {
+                let windowed: u64 = lane
+                    .windows
+                    .iter()
+                    .map(|w| [w.spal, w.spbl, w.pe, w.writer][pick].iter().sum::<u64>())
+                    .sum();
+                assert_eq!(windowed, covered, "lane{} stage {pick} lost cycles", lane.lane);
+            }
         }
     }
 }

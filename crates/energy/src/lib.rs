@@ -2,7 +2,7 @@
 //!
 //! Sections V-A and V-C of the paper: component areas/powers from synthesis
 //! at TSMC 28 nm (Table I), CACTI-style SRAM scaling for the sorting
-//! queues, DRAM energy-per-bit figures, and the CPP²·Vdd technology-node
+//! queues, DRAM energy-per-bit figures, and the CPP² technology-node area
 //! scaling used to compare against baselines manufactured at other nodes.
 //!
 //! We cannot rerun Synopsys DC / Cadence Innovus / CACTI, so Table I's

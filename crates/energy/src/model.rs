@@ -1,6 +1,6 @@
 //! End-to-end energy for a run: compute power × time + DRAM traffic.
 
-use crate::{DramEnergy, MatRaptorFloorplan, TechNode};
+use crate::{DramEnergy, MatRaptorFloorplan};
 
 /// Energy model for one platform (the accelerator or a baseline).
 ///
@@ -23,18 +23,6 @@ impl EnergyModel {
             compute_power_w: MatRaptorFloorplan::default().power_w(),
             dram: DramEnergy::hbm2(),
         }
-    }
-
-    /// MatRaptor with a custom floorplan.
-    pub fn matraptor_with(fp: MatRaptorFloorplan) -> Self {
-        EnergyModel { compute_power_w: fp.power_w(), dram: DramEnergy::hbm2() }
-    }
-
-    /// Scales the compute power between technology nodes (Section V-C).
-    #[must_use]
-    pub fn scaled_to(mut self, from: TechNode, to: TechNode) -> Self {
-        self.compute_power_w *= from.power_factor_to(to);
-        self
     }
 
     /// Total energy in joules for a run of `time_s` seconds moving
@@ -60,12 +48,5 @@ mod tests {
         // 1 s at 2 W + 1e9 bytes * 8 bits * 10 pJ = 2 + 0.08 J.
         let e = m.energy_j(1.0, 1_000_000_000);
         assert!((e - 2.08).abs() < 1e-9);
-    }
-
-    #[test]
-    fn node_scaling_reduces_power_toward_newer_nodes() {
-        let m = EnergyModel { compute_power_w: 10.0, dram: DramEnergy::hbm2() };
-        let scaled = m.scaled_to(TechNode::N32, TechNode::N28);
-        assert!(scaled.compute_power_w < 10.0);
     }
 }

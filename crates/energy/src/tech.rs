@@ -1,12 +1,10 @@
 //! Technology-node scaling (Section V-C).
 
-/// A CMOS technology node with the parameters the paper's scaling law
-/// needs: contacted gate poly pitch (CPP) and nominal supply voltage.
-///
-/// Dynamic power is `α·f·C·V²`; switching activity is node-independent,
-/// capacitance scales with CPP², and the voltage term with Vdd. The CPP /
-/// Vdd values below follow the WikiChip pages the paper cites (\[52\]–\[55\]);
-/// they are representative foundry numbers, not vendor-exact.
+/// A CMOS technology node with the parameter the paper's area scaling
+/// needs: the contacted gate poly pitch (CPP), whose square scales area.
+/// The CPP values below follow the WikiChip pages the paper cites
+/// (\[52\]–\[55\]); they are representative foundry numbers, not
+/// vendor-exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum TechNode {
@@ -31,29 +29,11 @@ impl TechNode {
         }
     }
 
-    /// Nominal supply voltage in volts.
-    pub fn vdd(self) -> f64 {
-        match self {
-            TechNode::N14 => 0.80,
-            TechNode::N16 => 0.85,
-            TechNode::N28 => 0.90,
-            TechNode::N32 => 1.00,
-        }
-    }
-
     /// Area scaling factor *from* `self` *to* `target`: multiply an area
     /// measured at `self` by this to estimate it at `target` (CPP²).
     pub fn area_factor_to(self, target: TechNode) -> f64 {
         let r = target.cpp_nm() / self.cpp_nm();
         r * r
-    }
-
-    /// Dynamic power/energy scaling factor from `self` to `target`:
-    /// capacitance term (CPP²) times the voltage term (V²), per
-    /// `P ∝ C·V²` at equal frequency and activity.
-    pub fn power_factor_to(self, target: TechNode) -> f64 {
-        let v = target.vdd() / self.vdd();
-        self.area_factor_to(target) * v * v
     }
 }
 
@@ -65,16 +45,7 @@ mod tests {
     fn scaling_to_self_is_identity() {
         for n in [TechNode::N14, TechNode::N16, TechNode::N28, TechNode::N32] {
             assert!((n.area_factor_to(n) - 1.0).abs() < 1e-12);
-            assert!((n.power_factor_to(n) - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn newer_nodes_shrink_and_save_power() {
-        let a = TechNode::N32.area_factor_to(TechNode::N28);
-        assert!(a < 1.0, "28nm should be denser than 32nm: {a}");
-        let p = TechNode::N32.power_factor_to(TechNode::N28);
-        assert!(p < a, "power gains exceed area gains via Vdd: {p} vs {a}");
     }
 
     #[test]

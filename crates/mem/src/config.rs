@@ -110,6 +110,7 @@ impl HbmConfig {
     /// DRAM row-buffer locality is a *per-channel* property: data that is
     /// contiguous in a channel is physically contiguous in that channel's
     /// DRAM, even though it appears strided in the flat interleaved space.
+    // conformance:allow(dead-api): the reference formula that tests::address_map_matches_the_reference_formulas checks AddressMap::local_offset against
     pub fn channel_local_offset(&self, addr: u64) -> u64 {
         let il = self.interleave_bytes as u64;
         let block = addr / il;

@@ -87,7 +87,6 @@ pub struct Hbm {
     // conformance:allow(checkpoint-coverage): configuration is fingerprint-checked separately; restore takes it as a constructor argument
     cfg: HbmConfig,
     /// `cfg`'s address arithmetic, precomputed.
-    // conformance:allow(checkpoint-coverage): derived from the configuration, which restore takes as an argument
     map: AddressMap,
     channels: Vec<Channel>,
     /// In-flight request bookkeeping, keyed by request id: fragments

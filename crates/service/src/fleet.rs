@@ -64,7 +64,7 @@ use crate::service::{
 use crate::worker::{
     escaped, ladder_step, slice_step, start_run, Assignment, LadderStep, ScheduledEvent,
     SliceOutcome, SliceStep, Worker, WorkerClass, WorkerFault, WorkerFaultPlan, WorkerId,
-    WorkerState, WorkerStatus,
+    WorkerStatus,
 };
 
 /// Full fleet configuration: the shared service front end plus the worker
@@ -361,29 +361,6 @@ fn unpack(tenants: &[TenantConfig], p: &PackedRecord) -> FleetRecord {
     }
 }
 
-/// The serializable bookkeeping state of the whole fleet: clock, shared
-/// counters, the at-most-once resolution set, and every worker's
-/// [`WorkerState`]. Queued payloads (operand handles in the scheduler and
-/// re-dispatch queues) are deliberately outside it — jobs in flight are
-/// recovered through their own checkpoints.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetState {
-    /// Fleet cycle of the snapshot.
-    pub now: Cycle,
-    /// Next job id to issue.
-    pub next_id: u64,
-    /// Shared service counters.
-    pub counters: ServiceCounters,
-    /// Fleet-level counters.
-    pub fleet: FleetCounters,
-    /// Resolved job ids (sorted), the at-most-once set.
-    pub resolved: Vec<u64>,
-    /// The accelerator worker holding the half-open breaker probe, if any.
-    pub probe_worker: Option<usize>,
-    /// Per-worker bookkeeping states, in worker-id order.
-    pub workers: Vec<WorkerState>,
-}
-
 /// FNV-1a-64 fingerprint of a CSR matrix's full contents (dimensions,
 /// structure, and value bits), for byte-identity gates on job outputs.
 pub fn fingerprint_output(c: &Csr<f64>) -> u64 {
@@ -407,21 +384,15 @@ pub fn fingerprint_output(c: &Csr<f64>) -> u64 {
 /// [`JobSpec`]). See the module docs for the model.
 #[derive(Debug)]
 pub struct Fleet<M: Deref<Target = Csr<f64>> = Rc<Csr<f64>>> {
-    // conformance:allow(checkpoint-coverage): immutable construction input
     cfg: FleetConfig,
     clock: SimClock,
-    // conformance:allow(checkpoint-coverage): queued operand payloads are not serialized; jobs recover via their own checkpoints
     sched: DrrScheduler<M>,
-    // conformance:allow(checkpoint-coverage): rides the live object; fleet snapshots cover bookkeeping, not breaker history
     breaker: CircuitBreaker,
-    // conformance:allow(checkpoint-coverage): rides the live object; strike history is service policy, not fleet bookkeeping
     quarantine: Quarantine,
     counters: ServiceCounters,
     fleet: FleetCounters,
     workers: Vec<Worker<M>>,
-    // conformance:allow(checkpoint-coverage): in-flight payloads, recovered through job checkpoints
     redispatch: VecDeque<Assignment<M>>,
-    // conformance:allow(checkpoint-coverage): in-flight payloads, recovered through job checkpoints
     shed_cpu: VecDeque<Assignment<M>>,
     /// Indexed by job id (ids are issued consecutively from 0, so the
     /// table's length is the next id): the position of the job's record
@@ -430,16 +401,11 @@ pub struct Fleet<M: Deref<Target = Csr<f64>> = Rc<Csr<f64>>> {
     /// long-lived server keeps this table and the records for every job it
     /// has served.
     record_at: Vec<u32>,
-    // conformance:allow(checkpoint-coverage): append-only history, not replay state
     records: Vec<PackedRecord>,
-    // conformance:allow(checkpoint-coverage): append-only history, not replay state
     recovery_log: BoundedLog<RecoveryEvent>,
-    // conformance:allow(checkpoint-coverage): derived observability accumulated at resolution, not replay state
     job_metrics: MetricsRegistry,
-    // conformance:allow(checkpoint-coverage): consumed schedule; a resumed campaign re-arms its own plan
     faults: Option<WorkerFaultPlan>,
     probe_worker: Option<usize>,
-    // conformance:allow(checkpoint-coverage): set only inside `Fleet::drain`, which runs to idle before returning
     draining: Option<Drain>,
 }
 
@@ -455,9 +421,7 @@ struct Drain {
 const UNRESOLVED: u32 = u32::MAX;
 
 /// [`Fleet::record_at`] entry of a resolved job whose record has no
-/// index: it resolved before a [`Fleet::restore`] (the id is spent, but
-/// the record is history the restored fleet does not hold), or past the
-/// table's position range.
+/// index: its position is past the table's range.
 const UNINDEXED: u32 = u32::MAX - 1;
 
 /// Bucket bounds (in cycles) for the job latency histograms recorded at
@@ -1351,49 +1315,6 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
         }
         m
     }
-
-    /// Captures the fleet's bookkeeping state (see [`FleetState`] for what
-    /// is — and deliberately is not — included).
-    pub fn snapshot(&self) -> FleetState {
-        FleetState {
-            now: self.clock.now(),
-            next_id: self.record_at.len() as u64,
-            counters: self.counters,
-            fleet: self.fleet,
-            resolved: (0..self.record_at.len() as u64)
-                .filter(|&id| self.is_resolved(JobId(id)))
-                .collect(),
-            probe_worker: self.probe_worker,
-            workers: self.workers.iter().map(Worker::snapshot).collect(),
-        }
-    }
-
-    /// Restores bookkeeping captured by [`Fleet::snapshot`] onto a fleet
-    /// with the same worker topology. `false` (and no mutation) if the
-    /// worker counts disagree.
-    pub fn restore(&mut self, s: &FleetState) -> bool {
-        let Ok(issued) = usize::try_from(s.next_id) else {
-            return false;
-        };
-        if s.workers.len() != self.workers.len() {
-            return false;
-        }
-        self.clock = SimClock::new();
-        self.clock.advance_to(s.now);
-        self.record_at = vec![UNRESOLVED; issued];
-        for id in &s.resolved {
-            if let Some(at) = usize::try_from(*id).ok().and_then(|i| self.record_at.get_mut(i)) {
-                *at = UNINDEXED;
-            }
-        }
-        self.counters = s.counters;
-        self.fleet = s.fleet;
-        self.probe_worker = s.probe_worker;
-        for (worker, ws) in self.workers.iter_mut().zip(&s.workers) {
-            worker.restore(ws);
-        }
-        true
-    }
 }
 
 /// A newly-dispatched assignment for an admitted job.
@@ -1699,25 +1620,6 @@ mod tests {
             runs.push((report_signature(&fleet), fleet.metrics().fingerprint()));
         }
         assert_eq!(runs[0], runs[1], "seeded worker faults must replay byte-identically");
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips_fleet_bookkeeping() {
-        let mut fleet = Fleet::new(small_cfg()).unwrap();
-        submit_batch(&mut fleet, 6);
-        fleet.run_to_idle();
-        let snap = fleet.snapshot();
-        assert_eq!(snap.resolved.len(), 6);
-        let mut other: Fleet = Fleet::new(small_cfg()).unwrap();
-        assert!(other.restore(&snap));
-        assert_eq!(other.snapshot(), snap, "restore must reproduce the snapshot exactly");
-        assert_eq!(other.now(), fleet.now());
-        // Restored at-most-once memory: a ghost re-dispatch of a resolved
-        // id is still suppressed after restart.
-        let mut tiny = FleetConfig::small_test();
-        tiny.accel_workers = 1;
-        let mut mismatched: Fleet = Fleet::new(tiny).unwrap();
-        assert!(!mismatched.restore(&snap), "topology mismatch must be refused");
     }
 
     #[test]

@@ -32,8 +32,10 @@
 //! workers plus M CPU-fallback workers behind that front end, with a full
 //! worker-failure lifecycle: a seeded [`WorkerFaultPlan`] injects crashes,
 //! hangs, and slowdowns; per-worker heartbeats (built on the sim
-//! watchdog) detect silent death; in-flight jobs re-dispatch from their
-//! last slice boundary with at-most-once completion accounting; and each
+//! watchdog) detect silent death; in-flight jobs re-dispatch from the
+//! checkpoint of their last slice boundary with at-most-once completion
+//! accounting (a job recovers through its own checkpoint, never through
+//! a snapshot of the fleet, which keeps none); and each
 //! worker walks an escalating recovery ladder (restart → reduced-lanes →
 //! retire, shedding to the CPU tier). The single-machine [`Service`] — the
 //! paper's one MatRaptor beside its host CPU — is a fleet of one
@@ -66,8 +68,8 @@ mod worker;
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker};
 pub use fleet::{
-    fingerprint_output, Fleet, FleetConfig, FleetCounters, FleetRecord, FleetState, Records,
-    RecordsIter, RecoveryEvent, RecoveryKind,
+    fingerprint_output, Fleet, FleetConfig, FleetCounters, FleetRecord, Records, RecordsIter,
+    RecoveryEvent, RecoveryKind,
 };
 pub use job::{estimate_flops, Disposition, JobId, JobRecord, JobSpec, Rejected, TenantId};
 pub use parallel::{
@@ -80,6 +82,6 @@ pub use service::{
     ServiceError, TenantConfig,
 };
 pub use worker::{
-    Worker, WorkerClass, WorkerFault, WorkerFaultEvent, WorkerFaultPlan, WorkerId, WorkerState,
-    WorkerStats, WorkerStatus,
+    Worker, WorkerClass, WorkerFault, WorkerFaultEvent, WorkerFaultPlan, WorkerId, WorkerStats,
+    WorkerStatus,
 };

@@ -167,14 +167,6 @@ impl WireClient {
         Ok(client)
     }
 
-    /// The backoffs (ms) slept so far, in order. Two clients built with
-    /// the same seed and policy that hit the same failure sequence record
-    /// byte-identical schedules — pinned by test, so retry timing stays
-    /// reproducible.
-    pub fn backoff_history(&self) -> &[u64] {
-        self.backoffs.entries()
-    }
-
     fn sleep_backoff(&mut self, attempt: u32) {
         let ms = self.policy.backoff_ms(attempt, &mut self.rng);
         self.backoffs.push(ms);
@@ -361,15 +353,15 @@ mod tests {
                 got => panic!("expected exhausted retries, got {got:?}"),
             }
         }
-        assert!(!same_a.backoff_history().is_empty(), "failed retries must record sleeps");
+        assert!(!same_a.backoffs.entries().is_empty(), "failed retries must record sleeps");
         assert_eq!(
-            same_a.backoff_history(),
-            same_b.backoff_history(),
+            same_a.backoffs.entries(),
+            same_b.backoffs.entries(),
             "same seed, same failure sequence: byte-identical schedule"
         );
         assert_ne!(
-            same_a.backoff_history(),
-            other.backoff_history(),
+            same_a.backoffs.entries(),
+            other.backoffs.entries(),
             "a different seed perturbs the jitter stream"
         );
     }

@@ -667,10 +667,13 @@ pub fn decode_response(raw: &RawFrame) -> Result<Response, WireError> {
             let disposition = t.u8("status disposition")?;
             let attempts = t.u32("status attempts")?;
             let finished_at = t.u64("status finish cycle")?;
-            let state = if resolved == 0 {
-                JobState::Queued
-            } else {
-                JobState::Resolved { disposition, attempts, finished_at }
+            let state = match resolved {
+                0 => JobState::Queued,
+                1 if disposition_from_code(disposition).is_some() => {
+                    JobState::Resolved { disposition, attempts, finished_at }
+                }
+                1 => return Err(WireError::Malformed { context: "unknown status disposition" }),
+                _ => return Err(WireError::Malformed { context: "unknown status state byte" }),
             };
             Response::Status { job, state }
         }
@@ -951,6 +954,26 @@ mod tests {
             let raw = read_one(&bytes).unwrap();
             assert_eq!(decode_response(&raw).unwrap(), resp);
         }
+    }
+
+    #[test]
+    fn status_with_an_unknown_state_or_disposition_is_malformed() {
+        let status = |state: u8, disposition: u8| {
+            let mut p = 8u64.to_le_bytes().to_vec();
+            p.extend_from_slice(&[state, disposition]);
+            p.extend_from_slice(&2u32.to_le_bytes());
+            p.extend_from_slice(&999u64.to_le_bytes());
+            decode_response(&read_one(&encode_frame(Op::Status, 5, &p)).unwrap())
+        };
+        assert!(status(1, 5).is_ok(), "the last known disposition decodes");
+        assert!(matches!(
+            status(2, 0),
+            Err(WireError::Malformed { context: "unknown status state byte" })
+        ));
+        assert!(matches!(
+            status(1, 6),
+            Err(WireError::Malformed { context: "unknown status disposition" })
+        ));
     }
 
     #[test]

@@ -364,40 +364,6 @@ pub struct WorkerStats {
     pub busy_cycles: u64,
 }
 
-/// The serializable bookkeeping state of one [`Worker`] — what
-/// [`Worker::snapshot`] captures and [`Worker::restore`] rebuilds. The
-/// in-flight payload and its live run are deliberately absent: a job in
-/// flight is recovered through its *own* checkpoint via the fleet's
-/// re-dispatch queue, never through worker state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerState {
-    /// Worker id.
-    pub id: usize,
-    /// Execution-unit class.
-    pub class: WorkerClass,
-    /// Current lane count (halved by each degradation rung).
-    pub lanes: usize,
-    /// Lifecycle state.
-    pub status: WorkerStatus,
-    /// Fleet cycle of the last heartbeat.
-    pub last_beat: Cycle,
-    /// The watchdog's recorded last-progress cycle.
-    pub heartbeat_at: Cycle,
-    /// Current slice-cost multiplier (1 = nominal).
-    pub slow_factor: u64,
-    /// Slices executed over the worker's lifetime.
-    pub slices_executed: u64,
-    /// Heartbeats emitted over the worker's lifetime (drives the monotone
-    /// progress signature).
-    pub beats: u64,
-    /// Recovery-ladder position: failures survived so far.
-    pub restarts: u32,
-    /// Whether a lost-ack crash is armed for the next completion.
-    pub crash_after_complete: bool,
-    /// Utilization counters.
-    pub stats: WorkerStats,
-}
-
 /// Name registered for each worker's single heartbeat watchdog source.
 const HEARTBEAT_SOURCE: &str = "heartbeat";
 
@@ -416,22 +382,15 @@ fn heartbeat_signature(id: usize, beats: u64) -> u64 {
 pub struct Worker<M: Deref<Target = Csr<f64>> = Rc<Csr<f64>>> {
     pub(crate) id: usize,
     pub(crate) class: WorkerClass,
-    // conformance:allow(checkpoint-coverage): immutable template config, shared by construction
     pub(crate) base_cfg: MatRaptorConfig,
-    // conformance:allow(checkpoint-coverage): rebuilt from base_cfg + lanes on restore
     pub(crate) accel: Option<Accelerator>,
     pub(crate) lanes: usize,
     pub(crate) status: WorkerStatus,
-    // conformance:allow(checkpoint-coverage): in-flight payload rides its own job checkpoint via the re-dispatch queue
     pub(crate) assignment: Option<Assignment<M>>,
-    // conformance:allow(checkpoint-coverage): the assignment's live machine, which stands at a slice boundary whenever the job leaves the worker and is snapshotted into the assignment's checkpoint then
     pub(crate) run: Option<Run<M>>,
-    // conformance:allow(checkpoint-coverage): derived event, recomputed when the job is re-dispatched
     pub(crate) pending: Option<ScheduledEvent>,
     pub(crate) watchdog: Watchdog,
-    // conformance:allow(checkpoint-coverage): re-registered when the watchdog is rebuilt
     pub(crate) heartbeat_source: SourceId,
-    // conformance:allow(checkpoint-coverage): fleet-level constant, reapplied by the constructor
     pub(crate) heartbeat_window: u64,
     pub(crate) last_beat: Cycle,
     pub(crate) slow_factor: u64,
@@ -566,56 +525,6 @@ impl<M: Deref<Target = Csr<f64>>> Worker<M> {
     pub(crate) fn matches_template(&self) -> bool {
         self.lanes == self.base_cfg.num_lanes
     }
-
-    /// Captures the worker's bookkeeping state.
-    pub fn snapshot(&self) -> WorkerState {
-        WorkerState {
-            id: self.id,
-            class: self.class,
-            lanes: self.lanes,
-            status: self.status,
-            last_beat: self.last_beat,
-            heartbeat_at: self.watchdog.last_progress(),
-            slow_factor: self.slow_factor,
-            slices_executed: self.slices_executed,
-            beats: self.beats,
-            restarts: self.restarts,
-            crash_after_complete: self.crash_after_complete,
-            stats: self.stats,
-        }
-    }
-
-    /// Rebuilds the worker from a snapshot: plain fields are restored, the
-    /// watchdog is reconstructed from the recorded heartbeat, the machine
-    /// is rebuilt from the template config at the snapshot's lane count,
-    /// and any in-flight assignment is dropped (in-flight work is
-    /// recovered through the fleet's re-dispatch queue, not worker state).
-    pub fn restore(&mut self, s: &WorkerState) {
-        self.id = s.id;
-        self.class = s.class;
-        self.lanes = s.lanes;
-        self.status = s.status;
-        self.last_beat = s.last_beat;
-        self.slow_factor = s.slow_factor;
-        self.slices_executed = s.slices_executed;
-        self.beats = s.beats;
-        self.restarts = s.restarts;
-        self.crash_after_complete = s.crash_after_complete;
-        self.stats = s.stats;
-        self.watchdog = Watchdog::new(self.heartbeat_window);
-        self.heartbeat_source = self.watchdog.add_source(HEARTBEAT_SOURCE);
-        self.watchdog.observe(
-            self.heartbeat_source,
-            s.heartbeat_at,
-            heartbeat_signature(s.id, s.beats),
-        );
-        self.assignment = None;
-        self.run = None;
-        self.pending = None;
-        if !self.rebuild_accel() {
-            self.status = WorkerStatus::Retired;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -667,25 +576,6 @@ mod tests {
         // Another beat pushes the deadline out.
         w.beat(Cycle(5_000));
         assert!(!w.heartbeat_expired(Cycle(15_000)));
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips_bookkeeping() {
-        let mut w = test_worker(3, WorkerClass::Accelerator);
-        w.slices_executed = 17;
-        w.restarts = 2;
-        w.slow_factor = 4;
-        w.stats = WorkerStats { dispatches: 9, completed: 7, busy_cycles: 123_456 };
-        w.beat(Cycle(42_000));
-        let snap = w.snapshot();
-        let mut fresh = test_worker(3, WorkerClass::Accelerator);
-        fresh.restore(&snap);
-        assert_eq!(fresh.snapshot(), snap, "restore must reproduce the snapshot exactly");
-        assert_eq!(fresh.slices_executed, 17);
-        assert_eq!(fresh.stats.busy_cycles, 123_456);
-        // The rebuilt watchdog carries the recorded heartbeat.
-        assert!(!fresh.heartbeat_expired(Cycle(42_000 + 10_000)));
-        assert!(fresh.heartbeat_expired(Cycle(42_000 + 10_001)));
     }
 
     #[test]

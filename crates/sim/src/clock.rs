@@ -32,11 +32,6 @@ impl Cycle {
         self.0
     }
 
-    /// Converts a cycle count at `clock_ghz` into seconds.
-    pub fn to_seconds(self, clock_ghz: f64) -> f64 {
-        self.0 as f64 / (clock_ghz * 1e9)
-    }
-
     /// The next cycle.
     #[must_use]
     pub fn next(self) -> Cycle {
@@ -150,12 +145,6 @@ mod tests {
         let mut c2 = c;
         c2 += 3;
         assert_eq!(c2, Cycle(103));
-    }
-
-    #[test]
-    fn seconds_conversion() {
-        // 2e9 cycles at 2 GHz = 1 second.
-        assert!((Cycle(2_000_000_000).to_seconds(2.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]

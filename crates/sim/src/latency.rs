@@ -60,11 +60,6 @@ impl<T> LatencyPipe<T> {
         }
     }
 
-    /// Whether an item is ready at `now` (without consuming it).
-    pub fn has_ready(&self, now: Cycle) -> bool {
-        self.in_flight.front().is_some_and(|(ready, _)| *ready <= now)
-    }
-
     /// The maturity cycle of the oldest item, the next one
     /// [`pop_ready`](LatencyPipe::pop_ready) returns; `None` when empty.
     #[inline]
@@ -152,14 +147,6 @@ mod tests {
         assert_eq!(p.next_ready(), Some(Cycle(5)));
         assert_eq!(p.pop_ready(Cycle(5)), Some('a'));
         assert_eq!(p.next_ready(), Some(Cycle(7)));
-    }
-
-    #[test]
-    fn has_ready_does_not_consume() {
-        let mut p = LatencyPipe::new(1);
-        p.push(Cycle(0), ());
-        assert!(p.has_ready(Cycle(1)));
-        assert_eq!(p.len(), 1);
     }
 
     #[test]

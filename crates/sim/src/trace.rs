@@ -220,11 +220,6 @@ impl ChromeTrace {
         });
     }
 
-    /// Appends a complete ("X") span covering `[ts, ts + dur)` cycles.
-    pub fn complete(&mut self, name: &str, pid: u64, tid: u64, ts: u64, dur: u64) {
-        self.complete_with_args(name, pid, tid, ts, dur, &[]);
-    }
-
     /// Appends a complete ("X") span with integer arguments.
     pub fn complete_with_args(
         &mut self,

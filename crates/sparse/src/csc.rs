@@ -84,15 +84,6 @@ impl<T: Scalar> Csc<T> {
         self.row_idx.len()
     }
 
-    /// Number of stored entries in column `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.cols()`.
-    pub fn col_nnz(&self, j: usize) -> usize {
-        self.col_ptr[j + 1] - self.col_ptr[j]
-    }
-
     /// Iterates over `(row, value)` pairs of column `j` in increasing row
     /// order.
     ///
@@ -152,8 +143,6 @@ mod tests {
     #[test]
     fn column_access() {
         let csc = sample_csr().to_csc();
-        assert_eq!(csc.col_nnz(0), 2);
-        assert_eq!(csc.col_nnz(2), 1);
         let c1: Vec<_> = csc.col(1).collect();
         assert_eq!(c1, vec![(2, 4.0)]);
     }

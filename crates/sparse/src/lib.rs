@@ -11,9 +11,7 @@
 //!   (inner, outer, row-wise/Gustavson, column-wise) in [`spgemm`];
 //! * the analytic dataflow cost model of Section II in [`dataflow`];
 //! * deterministic matrix generators, including synthetic stand-ins for the
-//!   SuiteSparse matrices of Table II, in [`gen`];
-//! * Matrix Market I/O in [`io`], for running against real SuiteSparse
-//!   downloads.
+//!   SuiteSparse matrices of Table II, in [`gen`].
 //!
 //! # Example
 //!
@@ -42,7 +40,6 @@ mod submatrix;
 pub mod abft;
 pub mod dataflow;
 pub mod gen;
-pub mod io;
 pub mod ops;
 pub mod rng;
 pub mod semiring;

@@ -2,9 +2,9 @@
 //!
 //! The SpGEMM applications the paper motivates — triangle counting, Markov
 //! clustering, multigrid — all sandwich their matrix products between
-//! element-wise steps (masking, Hadamard products, normalisation,
-//! pruning). This module provides those companions so the examples and
-//! downstream users don't hand-roll COO rebuilds.
+//! element-wise steps (masking, normalisation, pruning). This module
+//! provides those companions so the examples and downstream users don't
+//! hand-roll COO rebuilds.
 
 use crate::{Coo, Csr, Index, Scalar};
 
@@ -25,15 +25,6 @@ use crate::{Coo, Csr, Index, Scalar};
 /// ```
 pub fn add<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Csr<T> {
     zip_union(a, b, |x, y| x.add(y))
-}
-
-/// Hadamard (element-wise) product `a ⊙ b`: non-zero only where both are.
-///
-/// # Panics
-///
-/// Panics if the dimensions differ.
-pub fn hadamard<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Csr<T> {
-    zip_intersection(a, b, |x, y| x.mul(y))
 }
 
 /// Masks `a` by the sparsity pattern of `mask`: keeps `a[i,j]` only where
@@ -99,12 +90,6 @@ pub fn normalize_columns(a: &Csr<f64>) -> Csr<f64> {
         }
     }
     coo.compress()
-}
-
-/// Makes every row sum to one (row-stochastic, e.g. PageRank transition
-/// matrices), dropping all-zero rows.
-pub fn normalize_rows(a: &Csr<f64>) -> Csr<f64> {
-    normalize_columns(&a.transpose()).transpose()
 }
 
 /// Merge by column over the union of patterns.
@@ -205,15 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_intersects_patterns() {
-        let (a, b) = sample();
-        let c = hadamard(&a, &b);
-        assert_eq!(c.nnz(), 2);
-        assert_eq!(c.get(0, 0), Some(10));
-        assert_eq!(c.get(1, 1), Some(90));
-    }
-
-    #[test]
     fn mask_keeps_left_values() {
         let (a, b) = sample();
         let c = mask(&a, &b);
@@ -253,18 +229,6 @@ mod tests {
         for (j, s) in sums.iter().enumerate() {
             if *s != 0.0 {
                 assert!((s - 1.0).abs() < 1e-12, "column {j} sums to {s}");
-            }
-        }
-    }
-
-    #[test]
-    fn row_normalisation_is_stochastic() {
-        let m = gen::uniform(25, 25, 160, 6);
-        let n = normalize_rows(&m);
-        for i in 0..n.rows() {
-            let s: f64 = n.row(i).map(|(_, v)| v).sum();
-            if s != 0.0 {
-                assert!((s - 1.0).abs() < 1e-12, "row {i} sums to {s}");
             }
         }
     }

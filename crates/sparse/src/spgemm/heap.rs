@@ -31,17 +31,7 @@ pub fn try_heap_merge<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Result<Csr<T>, Spars
     Ok(try_heap_merge_with_stats(a, b)?.0)
 }
 
-/// [`heap_merge`] plus operation counts.
-///
-/// # Panics
-///
-/// Panics if `a.cols() != b.rows()`.
-pub fn heap_merge_with_stats<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> (Csr<T>, OpStats) {
-    // conformance:allow(panic-safety): documented panic at the infallible convenience boundary
-    try_heap_merge_with_stats(a, b).unwrap_or_else(|e| panic!("heap_merge: {e}"))
-}
-
-/// Fallible [`heap_merge_with_stats`].
+/// [`try_heap_merge`] plus operation counts.
 #[must_use = "dropping the Result discards the product or the shape error"]
 pub fn try_heap_merge_with_stats<T: Scalar>(
     a: &Csr<T>,
@@ -161,7 +151,7 @@ mod tests {
     #[test]
     fn multiplies_equal_flops() {
         let a = gen::uniform(30, 30, 150, 41);
-        let (_, stats) = heap_merge_with_stats(&a, &a);
+        let (_, stats) = try_heap_merge_with_stats(&a, &a).expect("square operands");
         assert_eq!(stats.multiplies, crate::spgemm::multiply_count(&a, &a));
     }
 }

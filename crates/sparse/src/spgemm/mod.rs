@@ -26,7 +26,7 @@ pub use column::{column_wise, column_wise_with_stats};
 pub use dense_acc::{dense_accumulator, dense_accumulator_with_stats};
 pub use gustavson::{gustavson, gustavson_with_stats, try_gustavson, try_gustavson_with_stats};
 pub use hash::{hash_accumulator, hash_accumulator_with_stats};
-pub use heap::{heap_merge, heap_merge_with_stats, try_heap_merge, try_heap_merge_with_stats};
+pub use heap::{heap_merge, try_heap_merge, try_heap_merge_with_stats};
 pub use inner::{inner, inner_with_stats, try_inner, try_inner_with_stats};
 pub use outer::{outer, outer_with_stats, try_outer, try_outer_with_stats};
 

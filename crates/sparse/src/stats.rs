@@ -1,97 +1,7 @@
-//! Structural statistics of sparse matrices.
-//!
-//! The quantities Table II reports (dimension, nnz, `nnz/N`, density) plus
-//! the distributional properties the accelerator's behaviour hinges on:
-//! degree skew (load imbalance, Fig. 11), bandwidth (locality of the FEM
-//! family), and symmetry. Used by the dataset binary and handy for
-//! characterising user matrices before a run.
+//! Structural statistics of sparse matrices: whether a matrix is
+//! numerically symmetric, as an undirected graph's adjacency matrix is.
 
 use crate::{Csr, Scalar};
-
-/// Summary statistics of a sparse matrix's structure.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MatrixStats {
-    /// Rows.
-    pub rows: usize,
-    /// Columns.
-    pub cols: usize,
-    /// Stored non-zeros.
-    pub nnz: usize,
-    /// `nnz / rows` — Table II's `nnz/N`.
-    pub mean_row_nnz: f64,
-    /// Largest row.
-    pub max_row_nnz: usize,
-    /// Smallest row (often 0 for graphs).
-    pub min_row_nnz: usize,
-    /// Standard deviation of row lengths — the skew that drives load
-    /// imbalance.
-    pub row_nnz_stddev: f64,
-    /// `nnz / (rows·cols)`.
-    pub density: f64,
-    /// Maximum `|i - j|` over stored entries — matrix bandwidth (tight for
-    /// the FEM/PDE family, ~N for graphs).
-    pub bandwidth: usize,
-    /// Fraction of entries on the main diagonal.
-    pub diagonal_fraction: f64,
-}
-
-/// Computes [`MatrixStats`] in one pass.
-pub fn analyze<T: Scalar>(m: &Csr<T>) -> MatrixStats {
-    let rows = m.rows();
-    let mut max_row = 0usize;
-    let mut min_row = usize::MAX;
-    let mut sum = 0.0f64;
-    let mut sum_sq = 0.0f64;
-    let mut bandwidth = 0usize;
-    let mut diag = 0usize;
-    for i in 0..rows {
-        let len = m.row_nnz(i);
-        max_row = max_row.max(len);
-        min_row = min_row.min(len);
-        sum += len as f64;
-        sum_sq += (len * len) as f64;
-        for (c, _) in m.row(i) {
-            let d = (i as i64 - c as i64).unsigned_abs() as usize;
-            bandwidth = bandwidth.max(d);
-            if d == 0 {
-                diag += 1;
-            }
-        }
-    }
-    let mean = if rows == 0 { 0.0 } else { sum / rows as f64 };
-    let var = if rows == 0 { 0.0 } else { (sum_sq / rows as f64 - mean * mean).max(0.0) };
-    MatrixStats {
-        rows,
-        cols: m.cols(),
-        nnz: m.nnz(),
-        mean_row_nnz: mean,
-        max_row_nnz: max_row,
-        min_row_nnz: if rows == 0 { 0 } else { min_row },
-        row_nnz_stddev: var.sqrt(),
-        density: m.density(),
-        bandwidth,
-        diagonal_fraction: if m.nnz() == 0 { 0.0 } else { diag as f64 / m.nnz() as f64 },
-    }
-}
-
-/// Histogram of row lengths over logarithmic buckets
-/// `[0], [1], [2,3], [4,7], ...` — the degree distribution whose heavy
-/// tail distinguishes the power-law family.
-pub fn degree_histogram<T: Scalar>(m: &Csr<T>) -> Vec<(usize, usize)> {
-    let mut buckets: Vec<(usize, usize)> = Vec::new();
-    for i in 0..m.rows() {
-        let len = m.row_nnz(i);
-        let b = if len == 0 { 0 } else { (usize::BITS - len.leading_zeros()) as usize };
-        if buckets.len() <= b {
-            buckets.resize(b + 1, (0, 0));
-        }
-        buckets[b].1 += 1;
-    }
-    for (b, entry) in buckets.iter_mut().enumerate() {
-        entry.0 = if b == 0 { 0 } else { 1 << (b - 1) };
-    }
-    buckets
-}
 
 /// Whether the matrix is numerically symmetric (within `tol`).
 pub fn is_symmetric<T: Scalar>(m: &Csr<T>, tol: f64) -> bool {
@@ -109,45 +19,6 @@ pub fn is_symmetric<T: Scalar>(m: &Csr<T>, tol: f64) -> bool {
 mod tests {
     use super::*;
     use crate::gen;
-    use crate::Csr;
-
-    #[test]
-    fn identity_stats() {
-        let s = analyze(&Csr::<f64>::identity(10));
-        assert_eq!(s.nnz, 10);
-        assert_eq!(s.mean_row_nnz, 1.0);
-        assert_eq!(s.max_row_nnz, 1);
-        assert_eq!(s.min_row_nnz, 1);
-        assert_eq!(s.row_nnz_stddev, 0.0);
-        assert_eq!(s.bandwidth, 0);
-        assert_eq!(s.diagonal_fraction, 1.0);
-    }
-
-    #[test]
-    fn banded_matrices_have_tight_bandwidth() {
-        let m = gen::banded(100, 4, 600, 1);
-        let s = analyze(&m);
-        assert!(s.bandwidth <= 4);
-        assert!(s.diagonal_fraction > 0.1, "diagonal filled first");
-    }
-
-    #[test]
-    fn power_law_has_high_stddev() {
-        let skewed = gen::rmat(512, 4096, gen::RmatParams::skewed(), 2);
-        let flat = gen::regular(512, 8, 2);
-        assert!(analyze(&skewed).row_nnz_stddev > 4.0 * analyze(&flat).row_nnz_stddev);
-    }
-
-    #[test]
-    fn degree_histogram_counts_all_rows() {
-        let m = gen::rmat(256, 2000, gen::RmatParams::default(), 3);
-        let h = degree_histogram(&m);
-        let total: usize = h.iter().map(|&(_, n)| n).sum();
-        assert_eq!(total, m.rows());
-        // Bucket lower bounds are 0, 1, 2, 4, 8, ...
-        let bounds: Vec<usize> = h.iter().map(|&(b, _)| b).collect();
-        assert_eq!(&bounds[..3.min(bounds.len())], &[0, 1, 2][..3.min(bounds.len())]);
-    }
 
     #[test]
     fn symmetry_detection() {
@@ -157,12 +28,5 @@ mod tests {
         assert!(!is_symmetric(&m, 1e-12), "random matrix should be asymmetric");
         let rect = gen::uniform(3, 4, 5, 5);
         assert!(!is_symmetric(&rect, 1e-12));
-    }
-
-    #[test]
-    fn empty_matrix() {
-        let s = analyze(&Csr::<f64>::zero(0, 0));
-        assert_eq!(s.nnz, 0);
-        assert_eq!(s.mean_row_nnz, 0.0);
     }
 }
