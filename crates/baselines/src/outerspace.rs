@@ -44,8 +44,7 @@ pub struct OuterSpaceModel {
 impl Default for OuterSpaceModel {
     fn default() -> Self {
         // Power: the paper reports MatRaptor consuming 7.2x less power
-        // than OuterSPACE at matched 28 nm, i.e. ≈ 9.7 W; published-at-32nm
-        // power is that divided by the node factor.
+        // than OuterSPACE at matched 28 nm, i.e. ≈ 9.7 W.
         OuterSpaceModel {
             on_chip_bytes: 512 << 10,
             partial_entry_bytes: 16,

@@ -1,7 +1,7 @@
 //! Fault-injection campaign: survival and detection rates per fault kind.
 //!
 //! Sweeps every [`FaultKind`] across a range of seeds, runs each plan
-//! through a fresh [`Accelerator::start`] run to completion, and classifies the
+//! through a fresh run to completion ([`Accelerator::run_to_end`]), and classifies the
 //! outcome: *survived* (the machine tolerated the fault and the verified
 //! output is correct), *detected* (the run terminated with a structured
 //! `SimError`), or *escaped* (the fault produced neither — a silent
@@ -81,18 +81,6 @@ fn parse_args() -> CampaignOptions {
     opts
 }
 
-/// A run of `a * b` from `start`, to completion.
-fn run_to_end(
-    accel: &Accelerator,
-    a: &Csr<f64>,
-    b: &Csr<f64>,
-    start: RunStart<'_>,
-) -> Result<RunOutcome, SimError> {
-    let mut run = accel.start(a, b, start)?;
-    run.advance(u64::MAX)?;
-    run.finish()
-}
-
 /// A fresh run of `a * b` with `plan` armed, to completion.
 fn run_faulted(
     accel: &Accelerator,
@@ -100,7 +88,7 @@ fn run_faulted(
     b: &Csr<f64>,
     plan: &FaultPlan,
 ) -> Result<RunOutcome, SimError> {
-    run_to_end(accel, a, b, RunStart::Fresh { plan: Some(plan), trace: None })
+    accel.run_to_end(a, b, RunStart::Fresh { plan: Some(plan), trace: None })
 }
 
 /// Replays one survivable faulted run (a bounded burst refusal) from a
@@ -142,7 +130,7 @@ fn resume_check(accel: &Accelerator, a: &Csr<f64>, b: &Csr<f64>, lanes: usize) -
             return false;
         }
     };
-    let resumed = match run_to_end(accel, a, b, RunStart::Resume(&ck)) {
+    let resumed = match accel.run_to_end(a, b, RunStart::Resume(&ck)) {
         Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("resume-check: resumed run failed: {e}");

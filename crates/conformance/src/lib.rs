@@ -8,7 +8,7 @@
 //! token streams, and item-level macro invocations. Rules pick whichever
 //! layer fits.
 //!
-//! Seven named rules guard the invariants the simulator's credibility
+//! Eight named rules guard the invariants the simulator's credibility
 //! rests on (see DESIGN.md "Invariants & static analysis"):
 //!
 //! * **determinism** — simulator-state crates (`core`, `sim`, `mem`,
@@ -36,9 +36,14 @@
 //! * **cast-safety** — no narrowing `as` casts or unchecked `+`/`-` on
 //!   cycle/byte counters in sim-state crates; use `saturating_*` /
 //!   `checked_*` / `try_from`.
+//! * **dead-api** — every `pub` item of a library crate is named somewhere
+//!   outside its definition, `use` lines and its own file's tests
+//!   (matching is by name, so it under-reports shared names).
 //!
 //! Individual findings are silenced with a justification comment on the
-//! flagged line or the line above:
+//! flagged line or the line above. An allow comment that suppresses no
+//! finding is itself reported (`stale-allow`), as is one without a
+//! justification (`unjustified-allow`):
 //!
 //! ```text
 //! // conformance:allow(panic-safety): documented panic at the API boundary

@@ -14,11 +14,11 @@
 //! perfbench are callers.
 //!
 //! Matching is by name, not by resolved path, so a name that two items
-//! share (`new`, `snapshot`, `len`) counts as used whenever either is. The
-//! rule therefore under-reports and never over-reports: a finding is a
-//! name no code mentions. An item whose only caller the token stream
-//! cannot see (a doc example), or that a same-file test checks a fast
-//! path against (a reference formula), carries
+//! share (`new`, `snapshot`, `len`) counts as used whenever either is:
+//! the rule under-reports shared names. It cannot see a caller outside
+//! the token stream either, so an item reached only through a doc example
+//! or a generated name, or that a same-file test checks a fast path
+//! against (a reference formula), needs
 //! `// conformance:allow(dead-api): <the caller>` on or above its
 //! definition line.
 

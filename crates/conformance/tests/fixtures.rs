@@ -1,7 +1,6 @@
-//! Fixture tests: each synthetic workspace under `tests/fixtures/` is
-//! scanned with the one rule it exercises, and each also demonstrates the
-//! `conformance:allow` suppression for that rule. The real workspace walker
-//! skips these trees.
+//! Fixture tests: each synthetic workspace under `tests/fixtures/` triggers
+//! exactly one rule, and each also demonstrates the `conformance:allow`
+//! suppression for that rule. The real workspace walker skips these trees.
 
 use std::path::PathBuf;
 
@@ -16,14 +15,16 @@ fn scan(name: &str, keep: impl Fn(&str) -> bool) -> Report {
     run_on(&analysis, &rules)
 }
 
-/// Scans fixture `name` with `rule` alone.
-fn fixture(name: &str, rule: &str) -> Report {
-    scan(name, |r| r == rule)
+/// Scans fixture `name` with every registered rule but `dead-api`: the
+/// fixtures' `pub` items have no callers by construction, and the dead-api
+/// rule has a fixture of its own.
+fn fixture(name: &str) -> Report {
+    scan(name, |r| r != "dead-api")
 }
 
 #[test]
 fn determinism_rule_fires_and_suppresses() {
-    let report = fixture("determinism", "determinism");
+    let report = fixture("determinism");
     assert_eq!(
         report.violations.len(),
         1,
@@ -42,7 +43,7 @@ fn determinism_rule_fires_and_suppresses() {
 
 #[test]
 fn panic_safety_rule_fires_and_suppresses() {
-    let report = fixture("panic_safety", "panic-safety");
+    let report = fixture("panic_safety");
     assert_eq!(report.violations.len(), 1, "{}", report.human());
     let v = &report.violations[0];
     assert_eq!(v.rule, "panic-safety");
@@ -56,7 +57,7 @@ fn panic_safety_rule_fires_and_suppresses() {
 
 #[test]
 fn unsafe_without_safety_comment_fires_and_suppresses() {
-    let report = fixture("unsafe_safety", "panic-safety");
+    let report = fixture("unsafe_safety");
     assert_eq!(
         report.violations.len(),
         2,
@@ -81,7 +82,7 @@ fn unsafe_without_safety_comment_fires_and_suppresses() {
 
 #[test]
 fn layering_rule_fires_on_manifest_and_source_back_edges() {
-    let report = fixture("layering", "layering");
+    let report = fixture("layering");
     assert_eq!(
         report.violations.len(),
         2,
@@ -110,7 +111,7 @@ fn layering_rule_fires_on_manifest_and_source_back_edges() {
 
 #[test]
 fn doc_drift_rule_fires_and_suppresses() {
-    let report = fixture("doc_drift", "doc-drift");
+    let report = fixture("doc_drift");
     assert_eq!(
         report.violations.len(),
         2,
@@ -141,7 +142,7 @@ fn doc_drift_rule_fires_and_suppresses() {
 
 #[test]
 fn checkpoint_coverage_rule_fires_and_suppresses() {
-    let report = fixture("checkpoint_coverage", "checkpoint-coverage");
+    let report = fixture("checkpoint_coverage");
     assert_eq!(
         report.violations.len(),
         3,
@@ -175,7 +176,7 @@ fn checkpoint_coverage_rule_fires_and_suppresses() {
 
 #[test]
 fn attribution_totality_rule_fires_and_suppresses() {
-    let report = fixture("attribution", "attribution-totality");
+    let report = fixture("attribution");
     assert_eq!(report.violations.len(), 5, "{}", report.human());
     assert!(report.violations.iter().all(|v| v.rule == "attribution-totality"));
     let v = &report.violations[0];
@@ -207,7 +208,7 @@ fn attribution_totality_rule_fires_and_suppresses() {
 
 #[test]
 fn cast_safety_rule_fires_and_suppresses() {
-    let report = fixture("cast_safety", "cast-safety");
+    let report = fixture("cast_safety");
     assert_eq!(report.violations.len(), 4, "{}", report.human());
     let compound = &report.violations[0];
     assert_eq!(compound.rule, "cast-safety");
@@ -231,7 +232,7 @@ fn cast_safety_rule_fires_and_suppresses() {
 
 #[test]
 fn dead_api_rule_fires_and_suppresses() {
-    let report = fixture("dead_api", "dead-api");
+    let report = scan("dead_api", |_| true);
     assert_eq!(report.violations.len(), 1, "expected exactly the dead fn:\n{}", report.human());
     let v = &report.violations[0];
     assert_eq!(v.rule, "dead-api");
@@ -271,9 +272,7 @@ fn tokens_inside_strings_and_doc_comments_do_not_fire() {
     // `.unwrap()`, `Instant::now()` etc. appear only in prose (string
     // literals, doc comments, line comments) and must report nothing —
     // with no allow comments needed.
-    // The fixture's items have no callers by construction; the dead-api
-    // rule has a fixture of its own.
-    let report = scan("lexer_prose", |r| r != "dead-api");
+    let report = fixture("lexer_prose");
     assert!(report.is_clean(), "prose tokens misread as code:\n{}", report.human());
     assert_eq!(report.suppressed, 0);
 }
@@ -292,7 +291,7 @@ fn violations_sort_stably_by_file_line_rule() {
 
 #[test]
 fn json_report_round_trips_rule_names() {
-    let json = fixture("determinism", "determinism").json();
+    let json = fixture("determinism").json();
     assert!(json.contains("\"rule\": \"determinism\""));
     assert!(json.contains("\"file\": \"crates/core/src/lib.rs\""));
     assert!(json.contains("\"line\": 3"));

@@ -549,7 +549,23 @@ impl Accelerator {
     /// [`SimError::OutputCorrupted`] when an integrity check fails.
     #[must_use = "dropping the Result loses both the run outcome and any fault diagnosis"]
     pub fn try_run(&self, a: &Csr<f64>, b: &Csr<f64>) -> Result<RunOutcome, SimError> {
-        let mut run = self.start(a, b, RunStart::Fresh { plan: None, trace: None })?;
+        self.run_to_end(a, b, RunStart::Fresh { plan: None, trace: None })
+    }
+
+    /// Runs `a * b` from `start` until it drains and finishes it: a fresh
+    /// run with a fault plan armed, or a resumed checkpoint, in one call.
+    /// A trace the start records is dropped; take it from a [`Run`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Accelerator::start`] and [`Accelerator::try_run`].
+    pub fn run_to_end(
+        &self,
+        a: &Csr<f64>,
+        b: &Csr<f64>,
+        start: RunStart<'_>,
+    ) -> Result<RunOutcome, SimError> {
+        let mut run = self.start(a, b, start)?;
         run.advance(u64::MAX)?;
         run.finish()
     }
@@ -1314,22 +1330,6 @@ mod tests {
         (!drained).then(|| run.snapshot())
     }
 
-    /// Runs `a * a` from `start` to completion.
-    fn run_to_end(
-        accel: &Accelerator,
-        a: &Csr<f64>,
-        start: RunStart<'_>,
-    ) -> Result<RunOutcome, SimError> {
-        let mut run = accel.start(a, a, start)?;
-        run.advance(u64::MAX)?;
-        run.finish()
-    }
-
-    /// Resumes `ck` on operands `a * a` and runs it to completion.
-    fn resumed(accel: &Accelerator, a: &Csr<f64>, ck: &Checkpoint) -> Result<RunOutcome, SimError> {
-        run_to_end(accel, a, RunStart::Resume(ck))
-    }
-
     #[test]
     fn checkpoint_before_completion_resumes_to_identical_outcome() {
         let a = gen::uniform(48, 48, 300, 21);
@@ -1337,7 +1337,7 @@ mod tests {
         let full = accel.try_run(&a, &a).expect("clean run");
         let ck = paused_at(&accel, &a, 64).expect("run longer than 64 cycles");
         assert_eq!(ck.cycle(), 64);
-        let resumed = resumed(&accel, &a, &ck).expect("resume");
+        let resumed = accel.run_to_end(&a, &a, RunStart::Resume(&ck)).expect("resume");
         assert_eq!(resumed.stats.total_cycles, full.stats.total_cycles);
         assert_eq!(resumed.c, full.c);
     }
@@ -1356,7 +1356,7 @@ mod tests {
         let other = gen::uniform(48, 48, 300, 23);
         let accel = Accelerator::new(MatRaptorConfig::small_test());
         let ck = paused_at(&accel, &a, 64).expect("checkpoint");
-        match resumed(&accel, &other, &ck) {
+        match accel.run_to_end(&other, &other, RunStart::Resume(&ck)) {
             Err(SimError::CheckpointMismatch { .. }) => {}
             other => panic!("expected CheckpointMismatch, got {other:?}"),
         }
@@ -1472,7 +1472,7 @@ mod tests {
         st.next_id += 1;
         st.route.push((id, lane as u64));
         st.lanes[lane].writer.pending.push(id);
-        resumed(accel, a, &ck)
+        accel.run_to_end(a, a, RunStart::Resume(&ck))
     }
 
     /// `(lane, pause cycle, declared_at, last_progress, diagnostic digest)`
@@ -1558,7 +1558,7 @@ mod tests {
                 let kind = FaultKind::ALL[i - 2];
                 let plan = FaultPlan::sample(kind, 3, accel.config().num_lanes);
                 let start = RunStart::Fresh { plan: Some(&plan), trace: None };
-                let _ended = run_to_end(accel, a, start);
+                let _ended = accel.run_to_end(a, a, start);
                 Some(kind.name())
             }
             i if i == 2 + kinds => {
@@ -1583,7 +1583,7 @@ mod tests {
                 // other lane's responses of that cycle still undelivered.
                 let plan = FaultPlan::sample(FaultKind::StreamCorruption, 17, 2);
                 let start = RunStart::Fresh { plan: Some(&plan), trace: None };
-                let ended = run_to_end(accel, a, start);
+                let ended = accel.run_to_end(a, a, start);
                 assert!(matches!(ended, Err(SimError::MalformedInput(_))), "{ended:?}");
                 Some("mid-cycle failure")
             }

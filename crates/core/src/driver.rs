@@ -24,7 +24,7 @@ use crate::layout::Regions;
 /// registers (info/data for each of A, B, C), two dimension registers,
 /// and the `x0` start/status register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConfigRegisters {
+pub(crate) struct ConfigRegisters {
     /// Pointer to A's (row length, row pointer) array.
     pub a_info_ptr: u64,
     /// Pointer to A's (value, col id) channel streams.
@@ -66,7 +66,7 @@ impl Default for ConfigRegisters {
 /// One `mtx` message: which register, what value.
 ///
 /// The accelerator lays its matrices out at the power-on region map
-/// ([`ConfigRegisters::default`]) only, so a pointer register may be
+/// only, so a pointer register may be
 /// written, but [`Driver::start`] refuses any value other than its
 /// power-on one with [`DriverError::UnsupportedRegion`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

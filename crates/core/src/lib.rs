@@ -36,6 +36,7 @@
 //!   a [`Checkpoint`] resume returns a live [`Run`], which a scheduler
 //!   advances slice by slice, snapshots only when the job has to leave
 //!   the machine, and finishes once it drains;
+//!   [`Accelerator::run_to_end`] does `start`, drain and finish in one call;
 //! * [`FaultPlan`] describes a deterministic, seeded fault injection
 //!   (channel stalls, corrupted or truncated C²SR streams, forced
 //!   sorting-queue overflow, dropped writer appends);
@@ -82,7 +83,7 @@ pub use config::MatRaptorConfig;
 pub use convert::{
     conversion_cycles, conversion_cycles_directed, ConversionDirection, ConversionReport,
 };
-pub use driver::{ConfigRegisters, Driver, DriverError, MtxWrite, SliceRun};
+pub use driver::{Driver, DriverError, MtxWrite, SliceRun};
 pub use error::{
     ChannelDiagnostic, ConfigError, DeadlockDiagnostic, LaneDiagnostic, MalformedInput, SimError,
 };

@@ -1,4 +1,4 @@
-//! Shorthands over [`Accelerator::start`] and its [`Run`] for the
+//! Shorthands over [`Accelerator::start`] and its [`matraptor_core::Run`] for the
 //! integration tests: each starts one run shape and unwraps the parts a
 //! test asserts on. Also the golden cases, which more than one test
 //! replays.
@@ -6,8 +6,8 @@
 #![allow(dead_code)]
 
 use matraptor_core::{
-    Accelerator, Checkpoint, FaultKind, FaultPlan, MatRaptorConfig, Run, RunOutcome, RunStart,
-    RunTrace, SimError, SliceRun, TraceConfig,
+    Accelerator, Checkpoint, FaultKind, FaultPlan, MatRaptorConfig, RunOutcome, RunStart, RunTrace,
+    SimError, SliceRun, TraceConfig,
 };
 use matraptor_mem::HbmConfig;
 use matraptor_sparse::gen::{self, suite};
@@ -88,13 +88,7 @@ pub fn run_faulted(
     b: &Csr<f64>,
     plan: Option<&FaultPlan>,
 ) -> Result<RunOutcome, SimError> {
-    finish(accel.start(a, b, RunStart::Fresh { plan, trace: None })?)
-}
-
-/// Advances `run` until it drains and finishes it.
-fn finish(mut run: Run<&Csr<f64>>) -> Result<RunOutcome, SimError> {
-    run.advance(u64::MAX)?;
-    run.finish()
+    accel.run_to_end(a, b, RunStart::Fresh { plan, trace: None })
 }
 
 /// A fresh, fault-free traced run, to completion.
@@ -132,7 +126,7 @@ pub fn resume(
     b: &Csr<f64>,
     ck: &Checkpoint,
 ) -> Result<RunOutcome, SimError> {
-    finish(accel.start(a, b, RunStart::Resume(ck))?)
+    accel.run_to_end(a, b, RunStart::Resume(ck))
 }
 
 /// One slice up to cycle `until`: fresh and fault-free when `from` is
