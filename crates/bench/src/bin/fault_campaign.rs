@@ -25,8 +25,8 @@
 
 use matraptor_bench::print_table;
 use matraptor_core::{
-    classify, Accelerator, Checkpoint, FaultKind, FaultPlan, MatRaptorConfig, RunOutcome, RunStart,
-    SimError, Verdict,
+    classify, Accelerator, Checkpoint, FaultKind, FaultPlan, MatRaptorConfig, Operands, RunOutcome,
+    RunStart, SimError, Verdict,
 };
 use matraptor_sparse::{gen, Csr};
 
@@ -106,7 +106,10 @@ fn resume_check(accel: &Accelerator, a: &Csr<f64>, b: &Csr<f64>, lanes: usize) -
     };
     let half = full.stats.total_cycles / 2;
     let start = RunStart::Fresh { plan: Some(&plan), trace: None };
-    let ck = match accel.start(a, b, start).and_then(|mut run| Ok((run.advance(half)?, run))) {
+    let started = Operands::new(a, b)
+        .map_err(SimError::InvalidOperands)
+        .and_then(|ops| accel.start(ops, start));
+    let ck = match started.and_then(|mut run| Ok((run.advance(half)?, run))) {
         Ok((false, run)) => run.snapshot(),
         // A run that drains before the pause cycle leaves no checkpoint.
         // The baseline above ran past `half`, so this replay cannot drain

@@ -40,6 +40,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use matraptor_bench::harness::percentile;
+use matraptor_bench::parse_u64;
 use matraptor_core::{FaultKind, FaultPlan, MatRaptorConfig};
 use matraptor_service::{
     BreakerConfig, BreakerState, DeadlinePolicy, Fleet, FleetConfig, JobSpec, Rejected,
@@ -58,14 +59,6 @@ struct Options {
     json: bool,
     strict: bool,
     bench_out: Option<String>,
-}
-
-fn parse_u64(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
-    }
 }
 
 fn parse_args() -> Options {

@@ -38,6 +38,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
+use matraptor_bench::parse_u64;
 use matraptor_core::MatRaptorConfig;
 use matraptor_service::{
     parallel, BreakerConfig, DeadlinePolicy, Fleet, FleetConfig, JobSpec, ParJob, ParReport,
@@ -54,14 +55,6 @@ struct Options {
     json: bool,
     strict: bool,
     bench_out: Option<String>,
-}
-
-fn parse_u64(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
-    }
 }
 
 fn parse_args() -> Options {

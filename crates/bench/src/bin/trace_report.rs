@@ -24,7 +24,9 @@
 use std::fmt::Write as _;
 
 use matraptor_bench::{json, load_suite, print_table, Options};
-use matraptor_core::{Accelerator, MatRaptorConfig, RunStart, RunTrace, TraceConfig};
+use matraptor_core::{
+    Accelerator, MatRaptorConfig, Operands, RunStart, RunTrace, SimError, TraceConfig,
+};
 use matraptor_sim::trace::{fnv1a64, MetricsRegistry, StageBreakdown};
 
 struct ReportOptions {
@@ -150,7 +152,8 @@ fn run_suite(opts: &ReportOptions) -> SuiteReport {
     for m in &suite {
         let id = m.spec.id;
         let start = RunStart::Fresh { plan: None, trace: Some(&trace_cfg) };
-        let traced = accel.start(&m.matrix, &m.matrix, start).and_then(|mut run| {
+        let ops = Operands::new(&m.matrix, &m.matrix).map_err(SimError::InvalidOperands);
+        let traced = ops.and_then(|ops| accel.start(ops, start)).and_then(|mut run| {
             run.advance(u64::MAX)?;
             Ok((run.take_trace(), run.finish()?))
         });

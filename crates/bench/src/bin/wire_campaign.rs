@@ -25,6 +25,8 @@
 
 use std::time::Instant;
 
+use matraptor_bench::harness::percentile;
+use matraptor_bench::parse_u64;
 use matraptor_service::wire::{
     fault, InjectorConfig, JobState, Response, RetryPolicy, WireClient, WireFaultKind, WireServer,
     WireServerConfig,
@@ -46,9 +48,14 @@ fn parse_args() -> Options {
     let mut opts = Options { seed: 0xA7, rounds: 3, json: false, strict: false, out: None };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut take = |what: &str| {
+            args.next()
+                .and_then(|v| parse_u64(&v))
+                .unwrap_or_else(|| panic!("{what} needs an integer (decimal or 0x-hex)"))
+        };
         match arg.as_str() {
-            "--seed" => opts.seed = parse_u64(args.next()),
-            "--rounds" => opts.rounds = parse_u64(args.next()).max(1),
+            "--seed" => opts.seed = take("--seed"),
+            "--rounds" => opts.rounds = take("--rounds").max(1),
             "--json" => opts.json = true,
             "--strict" => opts.strict = true,
             "--out" => opts.out = args.next(),
@@ -58,16 +65,6 @@ fn parse_args() -> Options {
         }
     }
     opts
-}
-
-fn parse_u64(v: Option<String>) -> u64 {
-    let Some(s) = v else { panic!("missing numeric argument") };
-    let parsed =
-        if let Some(hex) = s.strip_prefix("0x") { u64::from_str_radix(hex, 16) } else { s.parse() };
-    match parsed {
-        Ok(n) => n,
-        Err(_) => panic!("bad numeric argument {s}"),
-    }
 }
 
 /// Per-fault-kind tallies (deterministic under a fixed schedule).
@@ -91,14 +88,6 @@ struct CampaignResult {
     queue_full: u64,
     clean_completed: u64,
     clean_submitted: u64,
-}
-
-fn percentile(sorted: &[u64], p: usize) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = (sorted.len().saturating_sub(1)).saturating_mul(p) / 100;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Campaign server posture: fast read deadlines so stall/loris cases

@@ -61,6 +61,15 @@ impl Options {
     }
 }
 
+/// Parses a numeric command-line value: decimal, or hex after `0x`/`0X`.
+pub fn parse_u64(s: &str) -> Option<u64> {
+    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        u64::from_str_radix(hex, 16).ok()
+    } else {
+        s.parse().ok()
+    }
+}
+
 /// A generated benchmark matrix with its Table II identity.
 #[derive(Debug, Clone)]
 pub struct SuiteMatrix {
@@ -122,6 +131,15 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_u64_takes_decimal_and_either_hex_prefix() {
+        assert_eq!(parse_u64("42"), Some(42));
+        assert_eq!(parse_u64("0xA7"), Some(0xA7));
+        assert_eq!(parse_u64("0XCAFE"), Some(0xCAFE));
+        assert_eq!(parse_u64("0x"), None);
+        assert_eq!(parse_u64("-1"), None);
+    }
 
     #[test]
     fn geomean_basics() {

@@ -1,6 +1,5 @@
 //! The top-level accelerator: lanes over a shared HBM.
 
-use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::ops::Deref;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -13,8 +12,7 @@ use matraptor_sim::{Cycle, IdTable, SourceId, SourceState, Watchdog, WatchdogRep
 use matraptor_sparse::{abft, spgemm, C2sr, Csr};
 
 use crate::checkpoint::{
-    fingerprint_config, fingerprint_matrix, Checkpoint, CheckpointState, LaneState,
-    StreamFaultState, WdSourceState,
+    fingerprint_config, Checkpoint, CheckpointState, LaneState, StreamFaultState, WdSourceState,
 };
 use crate::config::MatRaptorConfig;
 use crate::error::{
@@ -22,6 +20,7 @@ use crate::error::{
 };
 use crate::fault::{FaultKind, FaultPlan};
 use crate::layout::{matrix_layout, Regions};
+use crate::operands::Operands;
 use crate::pe::Pe;
 use crate::port::{MemPort, Route, Tag};
 use crate::spal::SpAl;
@@ -48,6 +47,8 @@ use crate::writer::Writer;
 /// ```
 pub struct Accelerator {
     cfg: MatRaptorConfig,
+    /// Accelerator cycles per memory cycle, from the validated `cfg`.
+    ratio: u64,
     /// The machine of this accelerator's last finished or dropped [`Run`],
     /// which the next [`Accelerator::start`] resets in place instead of
     /// building one. It belongs to this accelerator alone: a clone gets a
@@ -57,7 +58,7 @@ pub struct Accelerator {
 
 impl Clone for Accelerator {
     fn clone(&self) -> Self {
-        Accelerator { cfg: self.cfg.clone(), spare: Arc::default() }
+        Accelerator { cfg: self.cfg.clone(), ratio: self.ratio, spare: Arc::default() }
     }
 }
 
@@ -230,52 +231,26 @@ impl StreamInjector {
     }
 }
 
-/// Read-only context of a run: everything deterministically derived from
-/// `(config, A, B)` once, shared by fresh starts and checkpoint resumes,
-/// apart from the operands' C²SR, which the machine holds. Because it is
-/// recomputed — never serialized — a checkpoint stays small and a resume
-/// is guaranteed to see the exact budgets the original run saw (the fingerprints in the checkpoint enforce that the
-/// inputs really are the same).
-struct RunContext<M> {
-    a: M,
-    b: M,
-    ratio: u64,
-    budget: u64,
-    /// The configuration, A and B fingerprints a checkpoint carries,
-    /// hashed on first use: a run that never snapshots or restores never
-    /// pays for them, and a resident run pays once.
-    identity: OnceCell<[u64; 3]>,
-}
-
-impl<M: Deref<Target = Csr<f64>>> RunContext<M> {
-    /// The `(config, A, B)` fingerprints of this run.
-    fn identity(&self, cfg: &MatRaptorConfig) -> [u64; 3] {
-        *self.identity.get_or_init(|| {
-            [fingerprint_config(cfg), fingerprint_matrix(&self.a), fingerprint_matrix(&self.b)]
-        })
-    }
-}
-
-/// A run held live between slices: the machine and its read-only context,
-/// owned together with the operands (`M` is a `&Csr`, `Rc<Csr>` or
-/// `Arc<Csr>`) and a copy of the configuration. This is how the host's
-/// `mtx` handshake works in the paper — the accelerator is programmed once
-/// per job, and its state stays on chip until C drains — so a scheduler
-/// that runs a job in slices pays for validation, C²SR conversion and
-/// restore once per dispatch instead of once per slice. A [`Checkpoint`]
+/// A run held live between slices: the machine, owned together with the
+/// job's [`Operands`] (held as `&Csr`, `Rc<Csr>` or `Arc<Csr>`) and a copy
+/// of the configuration. This is how the host's `mtx` handshake works in
+/// the paper — the accelerator is programmed once per job, and its state
+/// stays on chip until C drains — so a scheduler that runs a job in slices
+/// pays for C²SR conversion and restore once per dispatch instead of once
+/// per slice, and for the operand checks once per job. A [`Checkpoint`]
 /// is only taken when the job has to leave the machine
 /// ([`Run::snapshot`]).
 ///
 /// # Example
 ///
 /// ```rust
-/// use matraptor_core::{Accelerator, MatRaptorConfig, RunStart};
+/// use matraptor_core::{Accelerator, MatRaptorConfig, Operands, RunStart};
 /// use matraptor_sparse::gen;
 ///
 /// let a = gen::uniform(32, 32, 160, 1);
 /// let accel = Accelerator::new(MatRaptorConfig::small_test());
-/// let mut run =
-///     accel.start(&a, &a, RunStart::Fresh { plan: None, trace: None }).expect("valid operands");
+/// let ops = Operands::new(&a, &a).expect("valid operands");
+/// let mut run = accel.start(ops, RunStart::Fresh { plan: None, trace: None }).expect("fresh");
 /// while !run.advance(run.cycle() + 256).expect("clean run") {}
 /// let outcome = run.finish().expect("drained");
 /// assert_eq!(outcome.stats.total_cycles, accel.run(&a, &a).stats.total_cycles);
@@ -284,7 +259,10 @@ pub struct Run<M: Deref<Target = Csr<f64>>> {
     /// The accelerator the run started on, sharing its spare slot, into
     /// which dropping the run gives the machine back.
     accel: Accelerator,
-    ctx: RunContext<M>,
+    operands: Operands<M>,
+    /// The cycle budget backstop, derived from the operands.
+    // conformance:allow(checkpoint-coverage): derived from the operands, so a resume recomputes it
+    budget: u64,
     /// Always `Some` until the run is dropped.
     machine: Option<Machine>,
     // conformance:allow(checkpoint-coverage): observational only, and a resumed run records no trace
@@ -335,11 +313,11 @@ impl<M: Deref<Target = Csr<f64>>> Run<M> {
     /// As [`Accelerator::try_run`], for failures before `until`.
     pub fn advance(&mut self, until: u64) -> Result<bool, SimError> {
         if !self.drained {
-            let Run { accel, ctx, machine, sampler, .. } = self;
+            let Run { accel, operands, budget, machine, sampler, .. } = self;
             let Some(machine) = machine.as_mut() else {
                 return Err(SimError::ProtocolViolation { detail: "a run without its machine" });
             };
-            self.drained = accel.drive(ctx, machine, until, sampler.as_mut())?;
+            self.drained = accel.drive(operands, *budget, machine, until, sampler.as_mut())?;
         }
         Ok(self.drained)
     }
@@ -348,7 +326,7 @@ impl<M: Deref<Target = Csr<f64>>> Run<M> {
     /// cycle counts and output values bit-identical to the uninterrupted
     /// run — the replay-determinism invariant of DESIGN.md §9.
     pub fn snapshot(&self) -> Checkpoint {
-        self.accel.snapshot_run(&self.ctx, &self.machine().state)
+        self.accel.snapshot_run(&self.operands, &self.machine().state)
     }
 
     /// Takes the trace of the cycles the run has covered, if it was started
@@ -360,7 +338,7 @@ impl<M: Deref<Target = Csr<f64>>> Run<M> {
         let attrs: Vec<LaneAttribution> = state.lanes.iter().map(Lane::attribution).collect();
         // A drained run's last cycle is `t`; a paused one stops before it.
         let cycles = if self.drained { state.t + 1 } else { state.t };
-        Some(sampler.finish(cycles, self.ctx.ratio, &state.hbm.channel_stats(), &attrs))
+        Some(sampler.finish(cycles, self.accel.ratio, &state.hbm.channel_stats(), &attrs))
     }
 
     /// Assembles the drained run's output and statistics, applying the
@@ -374,7 +352,7 @@ impl<M: Deref<Target = Csr<f64>>> Run<M> {
         if !self.drained {
             return Err(SimError::ProtocolViolation { detail: "finish before the run drained" });
         }
-        self.accel.finalize(&self.ctx, self.machine())
+        self.accel.finalize(&self.operands, self.machine())
     }
 }
 
@@ -487,11 +465,11 @@ impl Accelerator {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (see
-    /// [`MatRaptorConfig::validate`]).
+    /// Panics with the [`ConfigError`] message if the configuration is
+    /// invalid (see [`MatRaptorConfig::try_validate`]).
     pub fn new(cfg: MatRaptorConfig) -> Self {
-        cfg.validate();
-        Accelerator { cfg, spare: Arc::default() }
+        // conformance:allow(panic-safety): deliberate fail-fast wrapper; fallible callers use try_new
+        Accelerator::try_new(cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible constructor: rejects an invalid configuration with a
@@ -503,7 +481,8 @@ impl Accelerator {
     #[must_use = "dropping the Result discards the constructed accelerator or the config error"]
     pub fn try_new(cfg: MatRaptorConfig) -> Result<Self, ConfigError> {
         cfg.try_validate()?;
-        Ok(Accelerator { cfg, spare: Arc::default() })
+        let ratio = cfg.mem_clock_ratio()?;
+        Ok(Accelerator { cfg, ratio, spare: Arc::default() })
     }
 
     /// The configuration.
@@ -519,8 +498,8 @@ impl Accelerator {
     ///
     /// # Panics
     ///
-    /// Panics with the [`SimError`] message if the run fails: inner
-    /// dimensions disagree, the watchdog declares a deadlock, the cycle
+    /// Panics with the [`SimError`] message if the run fails: the operands
+    /// are refused, the watchdog declares a deadlock, the cycle
     /// budget trips, or — when `verify_against_reference` is set — the
     /// output mismatches the software Gustavson product.
     pub fn run(&self, a: &Csr<f64>, b: &Csr<f64>) -> RunOutcome {
@@ -542,7 +521,9 @@ impl Accelerator {
     ///
     /// # Errors
     ///
-    /// [`SimError::MalformedInput`] for bad operands,
+    /// [`SimError::InvalidOperands`] for operands [`Operands::new`]
+    /// refuses (a non-finite value included),
+    /// [`SimError::MalformedInput`] for a stream corrupted in flight,
     /// [`SimError::Deadlock`] when the forward-progress watchdog fires,
     /// [`SimError::CycleBudgetExceeded`] if the budget backstop trips,
     /// [`SimError::QueueOverflow`] for unrecoverable overflows, and
@@ -552,56 +533,62 @@ impl Accelerator {
         self.run_to_end(a, b, RunStart::Fresh { plan: None, trace: None })
     }
 
-    /// Runs `a * b` from `start` until it drains and finishes it: a fresh
-    /// run with a fault plan armed, or a resumed checkpoint, in one call.
-    /// A trace the start records is dropped; take it from a [`Run`].
+    /// Checks `a` and `b` ([`Operands::new`]) and runs `a * b` from
+    /// `start` until it drains and finishes it: a fresh run with a fault
+    /// plan armed, or a resumed checkpoint, in one call. A trace the start
+    /// records is dropped; take it from a [`Run`].
     ///
     /// # Errors
     ///
-    /// As [`Accelerator::start`] and [`Accelerator::try_run`].
+    /// As [`Accelerator::try_run`], and [`SimError::CheckpointMismatch`]
+    /// for a foreign checkpoint.
     pub fn run_to_end(
         &self,
         a: &Csr<f64>,
         b: &Csr<f64>,
         start: RunStart<'_>,
     ) -> Result<RunOutcome, SimError> {
-        let mut run = self.start(a, b, start)?;
+        let mut run = self.start(Operands::new(a, b).map_err(SimError::InvalidOperands)?, start)?;
         run.advance(u64::MAX)?;
         run.finish()
     }
 
-    /// Starts a [`Run`] of `a * b` that holds its machine live between
-    /// [`Run::advance`] calls: fresh (arming the plan, recording the
-    /// trace) or restored from a checkpoint. This is the one run path:
+    /// Starts a [`Run`] of checked operands that holds its machine live
+    /// between [`Run::advance`] calls: fresh (arming the plan, recording
+    /// the trace) or restored from a checkpoint. This is the one run path:
     /// fault campaigns, traces, checkpoints, deadlines and slices all
     /// start here. A deadline is an advance whose paused run the caller
     /// drops, so a cancelled job costs exactly the deadline in simulated
-    /// cycles, never more. The operands are owned by the run, as
-    /// references or shared handles. The machine is the one the
-    /// accelerator's last finished or dropped run gave back, reset in
-    /// place; only a first run, or one beside another still live, builds
-    /// one.
+    /// cycles, never more. The run owns the operands, and does not check
+    /// them again. The machine is the one the accelerator's last finished
+    /// or dropped run gave back, reset in place; only a first run, or one
+    /// beside another still live, builds one.
     ///
     /// # Errors
     ///
-    /// [`SimError::MalformedInput`] if the inner dimensions disagree and
     /// [`SimError::CheckpointMismatch`] for a foreign checkpoint.
     pub fn start<M: Deref<Target = Csr<f64>>>(
         &self,
-        a: M,
-        b: M,
+        operands: Operands<M>,
         start: RunStart<'_>,
     ) -> Result<Run<M>, SimError> {
-        let ctx = self.prepare_context(a, b)?;
+        // Generous budget: SpGEMM needs at least one cycle per product;
+        // allow a large constant factor for memory stalls.
+        let (flops, nnz) = (operands.flops(), operands.a().nnz() as u64);
+        let budget = (flops * 200 + nnz * 400 + 1_000_000) * self.ratio;
         let spare = self.spare.lock().unwrap_or_else(PoisonError::into_inner).take();
-        let accel = Accelerator { cfg: self.cfg.clone(), spare: Arc::clone(&self.spare) };
+        let accel = Accelerator {
+            cfg: self.cfg.clone(),
+            ratio: self.ratio,
+            spare: Arc::clone(&self.spare),
+        };
         let machine = Some(spare.unwrap_or_else(|| Machine::new(&self.cfg)));
         // From here on an error drops the run, which gives the machine back.
-        let mut run = Run { accel, ctx, machine, sampler: None, drained: false };
-        let Run { ctx, machine: Some(machine), sampler, .. } = &mut run else {
+        let mut run = Run { accel, operands, budget, machine, sampler: None, drained: false };
+        let Run { operands, machine: Some(machine), sampler, .. } = &mut run else {
             return Err(SimError::ProtocolViolation { detail: "a run without its machine" });
         };
-        machine.reset(&ctx.a, &ctx.b, self.cfg.num_lanes)?;
+        machine.reset(operands.a(), operands.b(), self.cfg.num_lanes)?;
         match start {
             RunStart::Fresh { plan, trace } => {
                 if let Some(plan) = plan {
@@ -610,41 +597,21 @@ impl Accelerator {
                 *sampler = trace
                     .map(|t| TraceSampler::new(t, self.cfg.mem.num_channels, self.cfg.num_lanes));
             }
-            RunStart::Resume(checkpoint) => self.restore_run(ctx, machine, checkpoint)?,
+            RunStart::Resume(checkpoint) => self.restore_run(operands, machine, checkpoint)?,
         }
         Ok(run)
-    }
-
-    /// Validates operands and derives the read-only run context.
-    fn prepare_context<M: Deref<Target = Csr<f64>>>(
-        &self,
-        a: M,
-        b: M,
-    ) -> Result<RunContext<M>, SimError> {
-        if a.cols() != b.rows() {
-            return Err(SimError::MalformedInput(MalformedInput::InnerDimensionMismatch {
-                a_cols: a.cols(),
-                b_rows: b.rows(),
-            }));
-        }
-        let ratio = self.cfg.mem_clock_ratio();
-        // Generous budget: SpGEMM needs at least one cycle per product;
-        // allow a large constant factor for memory stalls.
-        let flops = spgemm::multiply_count(&a, &b);
-        let budget = (flops * 200 + a.nnz() as u64 * 400 + 1_000_000) * ratio;
-
-        Ok(RunContext { a, b, ratio, budget, identity: OnceCell::new() })
     }
 
     /// Serializes the machine at the top of cycle `state.t`, fingerprinted
     /// against this accelerator's configuration and the run's operands.
     fn snapshot_run<M: Deref<Target = Csr<f64>>>(
         &self,
-        ctx: &RunContext<M>,
+        operands: &Operands<M>,
         state: &RunState,
     ) -> Checkpoint {
         let (wd_last, wd_states) = state.watchdog.export_state();
-        let [cfg_fingerprint, a_fingerprint, b_fingerprint] = ctx.identity(&self.cfg);
+        let cfg_fingerprint = fingerprint_config(&self.cfg);
+        let [a_fingerprint, b_fingerprint] = operands.matrix_fingerprints();
         Checkpoint {
             state: CheckpointState {
                 cfg_fingerprint,
@@ -701,14 +668,14 @@ impl Accelerator {
     /// the same operands.
     fn restore_run<M: Deref<Target = Csr<f64>>>(
         &self,
-        ctx: &RunContext<M>,
+        operands: &Operands<M>,
         machine: &mut Machine,
         checkpoint: &Checkpoint,
     ) -> Result<(), SimError> {
         let cfg = &self.cfg;
         let st = &checkpoint.state;
-        let [cfg_fingerprint, a_fingerprint, b_fingerprint] = ctx.identity(cfg);
-        if st.cfg_fingerprint != cfg_fingerprint {
+        let [a_fingerprint, b_fingerprint] = operands.matrix_fingerprints();
+        if st.cfg_fingerprint != fingerprint_config(cfg) {
             return Err(SimError::CheckpointMismatch {
                 detail: "configuration differs from the checkpointed run",
             });
@@ -807,16 +774,17 @@ impl Accelerator {
     /// queue depths, so a traced run does not jump.
     fn drive<M: Deref<Target = Csr<f64>>>(
         &self,
-        ctx: &RunContext<M>,
+        operands: &Operands<M>,
+        budget: u64,
         machine: &mut Machine,
         until: u64,
         mut sampler: Option<&mut TraceSampler>,
     ) -> Result<bool, SimError> {
         let cfg = &self.cfg;
-        let ratio = ctx.ratio;
+        let ratio = self.ratio;
         let Machine { state, ac, bc, inboxes, dense } = machine;
         let mut fallback = |row: u32, cols: &mut Vec<u32>, vals: &mut Vec<f64>| {
-            reference_row(&ctx.a, &ctx.b, row as usize, dense, cols, vals);
+            reference_row(operands.a(), operands.b(), row as usize, dense, cols, vals);
         };
 
         let RunState {
@@ -969,7 +937,7 @@ impl Accelerator {
                 // first memory tick after this cycle can meet at the
                 // earliest.
                 let event = hbm.next_event().max(mem_now.next());
-                let mut next = event.as_u64().saturating_mul(ratio).min(until).min(ctx.budget);
+                let mut next = event.as_u64().saturating_mul(ratio).min(until).min(budget);
                 if watchdog.window() > 0 {
                     next = next.min((*t / WATCHDOG_STRIDE + 1) * WATCHDOG_STRIDE);
                 }
@@ -977,8 +945,8 @@ impl Accelerator {
                 mem_now = Cycle(next / ratio);
                 mem_phase = next % ratio;
             }
-            if *t >= ctx.budget {
-                return Err(SimError::CycleBudgetExceeded { budget: ctx.budget, cycles: *t });
+            if *t >= budget {
+                return Err(SimError::CycleBudgetExceeded { budget, cycles: *t });
             }
         }
         Ok(true)
@@ -988,7 +956,7 @@ impl Accelerator {
     /// applying the configured output-integrity checks.
     fn finalize<M: Deref<Target = Csr<f64>>>(
         &self,
-        ctx: &RunContext<M>,
+        operands: &Operands<M>,
         machine: &Machine,
     ) -> Result<RunOutcome, SimError> {
         let cfg = &self.cfg;
@@ -999,7 +967,8 @@ impl Accelerator {
         // Assemble the functional output in C²SR, per-lane row order. The
         // lane count was validated positive at construction, so a refusal
         // here is a protocol violation, not an input problem.
-        let mut c2sr = C2sr::new_for_output(ctx.a.rows(), ctx.b.cols(), lanes_n).map_err(|_| {
+        let (a, b) = (operands.a(), operands.b());
+        let mut c2sr = C2sr::new_for_output(a.rows(), b.cols(), lanes_n).map_err(|_| {
             SimError::ProtocolViolation { detail: "output C2SR rejected the validated lane count" }
         })?;
         for (l, lane) in lanes.iter().enumerate() {
@@ -1021,7 +990,7 @@ impl Accelerator {
         // Gustavson cross-check (when enabled) stays as the belt-and-
         // braces oracle behind it.
         if cfg.abft_verification {
-            let report = abft::verify(&ctx.a, &ctx.b, &c, &abft::AbftOptions::default());
+            let report = abft::verify(a, b, &c, &abft::AbftOptions::default());
             if !report.is_ok() {
                 return Err(SimError::OutputCorrupted {
                     detail: "output fails ABFT row-checksum verification",
@@ -1031,7 +1000,7 @@ impl Accelerator {
         }
 
         if cfg.verify_against_reference {
-            let reference = spgemm::gustavson(&ctx.a, &ctx.b);
+            let reference = spgemm::gustavson(a, b);
             if !c.approx_eq(&reference, 1e-6) {
                 return Err(SimError::OutputCorrupted {
                     detail: "output diverges from the Gustavson reference",
@@ -1223,6 +1192,11 @@ mod tests {
     use super::*;
     use matraptor_sparse::gen;
 
+    /// The checked pair `(a, b)`.
+    fn ops<'m>(a: &'m Csr<f64>, b: &'m Csr<f64>) -> Operands<&'m Csr<f64>> {
+        Operands::new(a, b).expect("valid operands")
+    }
+
     #[test]
     fn tiny_identity_product() {
         let eye = Csr::<f64>::identity(8);
@@ -1325,7 +1299,7 @@ mod tests {
     /// drained first.
     fn paused_at(accel: &Accelerator, a: &Csr<f64>, k: u64) -> Option<Checkpoint> {
         let fresh = RunStart::Fresh { plan: None, trace: None };
-        let mut run = accel.start(a, a, fresh).expect("valid operands");
+        let mut run = accel.start(ops(a, a), fresh).expect("valid operands");
         let drained = run.advance(k).expect("checkpointing run");
         (!drained).then(|| run.snapshot())
     }
@@ -1379,7 +1353,7 @@ mod tests {
         a: &'a Csr<f64>,
     ) -> Run<&'a Csr<f64>> {
         let fresh = RunStart::Fresh { plan: None, trace: None };
-        let mut run = accel.start(a, a, fresh).expect("valid operands");
+        let mut run = accel.start(ops(a, a), fresh).expect("valid operands");
         let all_units_in_flight = |state: &RunState| {
             let units: Vec<usize> = state.route.iter().map(|(_, r)| unit_of(r.tag)).collect();
             (0..3).all(|u| units.contains(&u))
@@ -1400,7 +1374,7 @@ mod tests {
         };
         let mut run = run_with_every_unit_in_flight(&accel, &a);
         let ck = run.snapshot();
-        let mut restored = accel.start(&a, &a, RunStart::Resume(&ck)).expect("own checkpoint");
+        let mut restored = accel.start(ops(&a, &a), RunStart::Resume(&ck)).expect("own checkpoint");
         assert_eq!(routes(&restored.machine().state), routes(&run.machine().state));
         assert_eq!(restored.snapshot().to_bytes(), ck.to_bytes());
         assert!(run.advance(u64::MAX).expect("clean run"));
@@ -1422,7 +1396,7 @@ mod tests {
             // Through the byte format, as a handed-over checkpoint arrives.
             let bad = Checkpoint::from_bytes(&bad.to_bytes()).expect("well-formed bytes");
             matches!(
-                accel.start(&a, &a, RunStart::Resume(&bad)),
+                accel.start(ops(&a, &a), RunStart::Resume(&bad)),
                 Err(SimError::CheckpointMismatch { .. })
             )
         };
@@ -1523,13 +1497,13 @@ mod tests {
             |outcome: &RunOutcome| matraptor_sim::trace::fnv1a64(format!("{outcome:?}").as_bytes());
         let outcome = accel.try_run(a, b).expect("clean run");
         let fresh = RunStart::Fresh { plan: None, trace: None };
-        let first = accel.start(a, b, fresh).expect("valid operands").snapshot().to_bytes();
-        let mut run = accel.start(a, b, fresh).expect("valid operands");
+        let first = accel.start(ops(a, b), fresh).expect("valid operands").snapshot().to_bytes();
+        let mut run = accel.start(ops(a, b), fresh).expect("valid operands");
         let mid = outcome.stats.total_cycles / 2;
         assert!(!run.advance(mid).expect("clean run"), "the run drained before mid-run");
         let ck = run.snapshot();
         drop(run);
-        let mut resumed = accel.start(a, b, RunStart::Resume(&ck)).expect("own checkpoint");
+        let mut resumed = accel.start(ops(a, b), RunStart::Resume(&ck)).expect("own checkpoint");
         assert!(resumed.advance(u64::MAX).expect("clean resume"));
         let resumed = resumed.finish().expect("drained");
         assert_eq!(digest(&resumed), digest(&outcome), "the resume diverged");
@@ -1550,7 +1524,7 @@ mod tests {
                 Some("completed")
             }
             1 => {
-                let mut run = accel.start(a, a, fresh).expect("valid operands");
+                let mut run = accel.start(ops(a, a), fresh).expect("valid operands");
                 assert!(!run.advance(100).expect("clean run"), "drained before its deadline");
                 Some("paused and dropped")
             }
@@ -1572,7 +1546,7 @@ mod tests {
             i if i == 3 + kinds => {
                 let trace = TraceConfig::default();
                 let start = RunStart::Fresh { plan: None, trace: Some(&trace) };
-                let mut run = accel.start(a, a, start).expect("valid operands");
+                let mut run = accel.start(ops(a, a), start).expect("valid operands");
                 assert!(run.advance(u64::MAX).expect("traced run"), "drained");
                 assert!(run.take_trace().is_some());
                 run.finish().expect("traced run");

@@ -34,7 +34,6 @@ use matraptor_mem::snapshot::{
 use matraptor_mem::MemKind;
 use matraptor_sim::trace::fnv1a64;
 use matraptor_sim::watchdog::mix_signature;
-use matraptor_sparse::Csr;
 
 use crate::config::MatRaptorConfig;
 use crate::queue::VectorMode;
@@ -181,34 +180,6 @@ pub(crate) fn fingerprint_config(cfg: &MatRaptorConfig) -> u64 {
     s = mix_signature(s, m.row_miss_penalty);
     s = mix_signature(s, m.banks_per_channel as u64);
     mix_signature(s, m.bank_lookahead as u64)
-}
-
-/// Stable fingerprint of an operand pair `(A, B)` — the input identity the
-/// service layer's poison-job quarantine keys on. Built from the same
-/// per-matrix fingerprints the checkpoint resume path uses, so two
-/// submissions collide exactly when a checkpoint taken under one would
-/// resume under the other: same shapes, same structure, same value bits.
-pub fn fingerprint_inputs(a: &Csr<f64>, b: &Csr<f64>) -> u64 {
-    mix_signature(fingerprint_matrix(a), fingerprint_matrix(b))
-}
-
-/// Fingerprint of an operand matrix: shape plus every structural index
-/// and raw value bit, so a resume against even a one-ulp-different
-/// operand is rejected.
-pub(crate) fn fingerprint_matrix(m: &Csr<f64>) -> u64 {
-    let mut s = mix_signature(0, m.rows() as u64);
-    s = mix_signature(s, m.cols() as u64);
-    s = mix_signature(s, m.nnz() as u64);
-    for &p in m.row_ptr() {
-        s = mix_signature(s, p as u64);
-    }
-    for &c in m.col_idx() {
-        s = mix_signature(s, c as u64);
-    }
-    for &v in m.values() {
-        s = mix_signature(s, v.to_bits());
-    }
-    s
 }
 
 // ---------------------------------------------------------------------------

@@ -120,20 +120,22 @@ impl MatRaptorConfig {
         self.num_lanes as f64 * 2.0 * self.clock_ghz
     }
 
-    /// Ratio of accelerator clock to memory clock, as integer ticks.
+    /// Ratio of accelerator clock to memory clock, as integer ticks: the
+    /// cycle-driven coupling ticks the memory every `k`-th accelerator
+    /// cycle.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the ratio is not a positive integer (the cycle-driven
-    /// coupling assumes the memory ticks every `k`-th accelerator cycle).
-    pub fn mem_clock_ratio(&self) -> u64 {
+    /// [`ConfigError::NonIntegerClockRatio`] if the ratio is not a
+    /// positive integer.
+    pub fn mem_clock_ratio(&self) -> Result<u64, ConfigError> {
         let ratio = self.clock_ghz / self.mem.clock_ghz;
         let rounded = ratio.round();
-        assert!(
-            rounded >= 1.0 && (ratio - rounded).abs() < 1e-9,
-            "accelerator/memory clock ratio must be a positive integer, got {ratio}"
-        );
-        rounded as u64
+        if rounded >= 1.0 && (ratio - rounded).abs() < 1e-9 {
+            Ok(rounded as u64)
+        } else {
+            Err(ConfigError::NonIntegerClockRatio { ratio })
+        }
     }
 
     /// Validates the configuration, reporting the first violated
@@ -175,11 +177,8 @@ impl MatRaptorConfig {
                 channels: self.mem.num_channels,
             });
         }
-        let ratio = self.clock_ghz / self.mem.clock_ghz;
-        if !(ratio.round() >= 1.0 && (ratio - ratio.round()).abs() < 1e-9) {
-            return Err(ConfigError::NonIntegerClockRatio { ratio });
-        }
-        self.try_validate_mem()?;
+        self.mem_clock_ratio()?;
+        self.mem.try_validate().map_err(|detail| ConfigError::InvalidMemConfig { detail })?;
         let (request, interleave) = (self.read_request_bytes, self.mem.interleave_bytes);
         if request == 0
             || !(request as usize).is_multiple_of(self.entry_bytes)
@@ -194,52 +193,6 @@ impl MatRaptorConfig {
         }
         Ok(())
     }
-
-    /// Mirrors [`HbmConfig::validate`]'s assertions as `Result`s so a bad
-    /// memory sub-configuration reports instead of panicking.
-    fn try_validate_mem(&self) -> Result<(), ConfigError> {
-        let m = &self.mem;
-        let detail = if m.num_channels == 0 {
-            "need at least one channel"
-        } else if m.channel_width_bytes == 0 {
-            "zero channel width"
-        } else if m.clock_ghz <= 0.0 {
-            "zero clock"
-        } else if m.burst_bytes == 0 {
-            "zero burst"
-        } else if m.queue_depth == 0 {
-            "zero queue depth"
-        } else if m.interleave_bytes < m.burst_bytes {
-            "interleave must be at least one burst"
-        } else if !m.interleave_bytes.is_multiple_of(m.burst_bytes) {
-            "interleave must be a multiple of the burst"
-        } else if m.row_bytes < m.burst_bytes as u64 {
-            "row smaller than burst"
-        } else if m.banks_per_channel == 0 {
-            "need at least one bank"
-        } else if m.banks_per_channel > 64 {
-            "bank bitset supports at most 64 banks"
-        } else {
-            return Ok(());
-        };
-        Err(ConfigError::InvalidMemConfig { detail })
-    }
-
-    /// Validates the configuration.
-    ///
-    /// Thin panicking wrapper over [`MatRaptorConfig::try_validate`] for
-    /// call sites (tests, examples) that want the fail-fast behaviour.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`] message if any constraint is
-    /// violated.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            // conformance:allow(panic-safety): deliberate fail-fast wrapper; fallible callers use try_validate
-            panic!("{e}");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -249,10 +202,10 @@ mod tests {
     #[test]
     fn default_matches_paper() {
         let cfg = MatRaptorConfig::default();
-        cfg.validate();
+        assert_eq!(cfg.try_validate(), Ok(()));
         assert_eq!(cfg.queues_per_pe, 10);
         assert_eq!(cfg.queue_bytes, 4096);
-        assert_eq!(cfg.mem_clock_ratio(), 2);
+        assert_eq!(cfg.mem_clock_ratio(), Ok(2));
         assert_eq!(cfg.peak_gops(), 32.0);
     }
 
@@ -260,26 +213,26 @@ mod tests {
     #[should_panic(expected = "binds each lane")]
     fn lane_channel_mismatch_rejected() {
         let cfg = MatRaptorConfig { num_lanes: 4, ..MatRaptorConfig::default() };
-        cfg.validate();
+        crate::Accelerator::new(cfg);
     }
 
     #[test]
     #[should_panic(expected = "Q > 2")]
     fn too_few_queues_rejected() {
         let cfg = MatRaptorConfig { queues_per_pe: 2, ..MatRaptorConfig::default() };
-        cfg.validate();
+        crate::Accelerator::new(cfg);
     }
 
     #[test]
     #[should_panic(expected = "clock ratio")]
     fn fractional_clock_ratio_rejected() {
         let cfg = MatRaptorConfig { clock_ghz: 1.5, ..MatRaptorConfig::default() };
-        cfg.validate();
+        crate::Accelerator::new(cfg);
     }
 
     #[test]
     fn small_test_config_is_valid() {
-        MatRaptorConfig::small_test().validate();
+        assert_eq!(MatRaptorConfig::small_test().try_validate(), Ok(()));
     }
 
     #[test]

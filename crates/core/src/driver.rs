@@ -10,13 +10,14 @@
 
 use std::ops::Deref;
 
-use matraptor_sparse::{Csr, SparseError};
+use matraptor_sparse::Csr;
 
 use crate::accel::{Accelerator, Run, RunOutcome, RunStart};
 use crate::checkpoint::Checkpoint;
 use crate::error::SimError;
 use crate::fault::FaultPlan;
 use crate::layout::Regions;
+use crate::operands::Operands;
 
 /// Accelerator configuration-register file, as the host sees it.
 ///
@@ -157,11 +158,8 @@ pub enum DriverError {
         /// Actual matrix dimension.
         actual: u64,
     },
-    /// An input matrix failed structural validation (non-monotone
-    /// pointers, out-of-range column ids, non-finite values) before the
-    /// accelerator was started.
-    InvalidInput(SparseError),
-    /// The accelerator declared a fault mid-run and terminated with a
+    /// The accelerator refused the run (operands [`Operands::new`]
+    /// refuses, a foreign checkpoint) or terminated it abnormally with a
     /// structured diagnostic instead of an output.
     AcceleratorFault(SimError),
 }
@@ -179,7 +177,6 @@ impl std::fmt::Display for DriverError {
                 f,
                 "register {register} programmed with {programmed} but the matrix has {actual}"
             ),
-            DriverError::InvalidInput(e) => write!(f, "input matrix rejected: {e}"),
             DriverError::AcceleratorFault(e) => write!(f, "accelerator fault: {e}"),
         }
     }
@@ -212,8 +209,8 @@ impl<'a> Driver<'a> {
     /// Starts the configured run, as the hardware would on seeing
     /// `x0 == 1`, and hands back the live [`Run`]: fresh (arming `plan`)
     /// when `from` is `None`, otherwise resuming the handed-over
-    /// checkpoint. The preflight (start bit, dimension registers, input
-    /// structure) runs once here, however many slices the run is then
+    /// checkpoint. The preflight (start bit, registers, then
+    /// [`Operands::new`]) runs once here, however many slices the run is then
     /// advanced in; a fleet re-dispatching a checkpoint to a different
     /// worker re-programs that worker's registers and starts again, and
     /// this is where a mis-programmed hand-off is caught.
@@ -226,9 +223,8 @@ impl<'a> Driver<'a> {
     /// [`DriverError::DimensionMismatch`] if the programmed dimension
     /// registers disagree with the actual matrices — the kind of driver
     /// bug this layer exists to catch;
-    /// [`DriverError::InvalidInput`] if either matrix fails structural
-    /// validation; [`DriverError::AcceleratorFault`] if the accelerator
-    /// refuses the operands or a foreign checkpoint
+    /// [`DriverError::AcceleratorFault`] if the accelerator refuses the
+    /// operands ([`SimError::InvalidOperands`]) or a foreign checkpoint
     /// ([`SimError::CheckpointMismatch`]).
     pub fn start<M: Deref<Target = Csr<f64>>>(
         &self,
@@ -268,10 +264,10 @@ impl<'a> Driver<'a> {
                 actual: b.rows() as u64,
             });
         }
-        a.validate().map_err(DriverError::InvalidInput)?;
-        b.validate().map_err(DriverError::InvalidInput)?;
+        let operands = Operands::new(a, b)
+            .map_err(|e| DriverError::AcceleratorFault(SimError::InvalidOperands(e)))?;
         let start = from.map_or(RunStart::Fresh { plan, trace: None }, RunStart::Resume);
-        self.accel.start(a, b, start).map_err(DriverError::AcceleratorFault)
+        self.accel.start(operands, start).map_err(DriverError::AcceleratorFault)
     }
 
     /// Launches the configured run for one bounded slice:
@@ -388,7 +384,7 @@ mod tests {
             (a.rows(), a.cols(), a.row_ptr().to_vec(), a.col_idx().to_vec(), a.values().to_vec());
         vals[0] = f64::NAN;
         // Structure is intact, so `from_parts` accepts it; only the
-        // value-level `validate` in the driver preflight catches the NaN.
+        // value-level `validate` in `Operands::new` catches the NaN.
         let bad = Csr::from_parts(rows, cols, ptr, idx, vals).expect("structurally valid");
         let accel = Accelerator::new(MatRaptorConfig::small_test());
         let mut d = Driver::new(&accel);
@@ -397,7 +393,9 @@ mod tests {
         d.mtx(MtxWrite::X0(1));
         assert!(matches!(
             d.launch_slice(&bad, &a, None, None, u64::MAX),
-            Err(DriverError::InvalidInput(_))
+            Err(DriverError::AcceleratorFault(SimError::InvalidOperands(
+                crate::OperandError::Malformed { operand: "A", .. }
+            )))
         ));
         // The start bit stays set: the accelerator never ran.
         assert_eq!(d.regs.x0, 1);
@@ -462,11 +460,9 @@ mod tests {
         let fault =
             DriverError::AcceleratorFault(SimError::CycleBudgetExceeded { budget: 10, cycles: 11 });
         assert!(fault.to_string().contains("accelerator fault"));
-        let invalid = DriverError::InvalidInput(SparseError::NonFiniteValue { row: 0, col: 1 });
-        assert!(invalid.to_string().contains("rejected"));
         // All variants usable as a trait object (the `Box<dyn Error>`
         // plumbing downstream tooling relies on).
-        for e in [not_started, region, dim, fault, invalid] {
+        for e in [not_started, region, dim, fault] {
             let boxed: Box<dyn std::error::Error> = Box::new(e);
             assert!(!boxed.to_string().is_empty());
         }

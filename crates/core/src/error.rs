@@ -17,6 +17,8 @@
 use std::error::Error;
 use std::fmt;
 
+use matraptor_sparse::SparseError;
+
 /// Why a simulated run could not produce a result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -26,10 +28,12 @@ pub enum SimError {
     /// window: the machine is wedged. Carries the full per-lane and
     /// per-channel occupancy snapshot taken when the wedge was declared.
     Deadlock(DeadlockDiagnostic),
-    /// The input streams were structurally invalid — either rejected up
-    /// front (inner dimensions) or caught in flight at the SpBL boundary
-    /// (a column id outside B's row space, as a corrupted C²SR stream
-    /// would produce).
+    /// The operands were refused before the run started
+    /// ([`crate::Operands::new`]).
+    InvalidOperands(OperandError),
+    /// An input stream was caught malformed in flight at the SpBL
+    /// boundary (a column id outside B's row space, as a corrupted C²SR
+    /// stream would produce).
     MalformedInput(MalformedInput),
     /// A row overflowed the sorting queues while the CPU-fallback path was
     /// unavailable, so the row could not be completed.
@@ -79,10 +83,10 @@ pub enum SimError {
     },
 }
 
-/// Structural problems with the input operands.
+/// Why an operand pair was refused: the one check every run starts
+/// behind ([`crate::Operands::new`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum MalformedInput {
+pub enum OperandError {
     /// `a.cols() != b.rows()`.
     InnerDimensionMismatch {
         /// Columns of A.
@@ -90,6 +94,20 @@ pub enum MalformedInput {
         /// Rows of B.
         b_rows: usize,
     },
+    /// One operand failed [`Csr::validate`](matraptor_sparse::Csr::validate):
+    /// a broken structure or a non-finite value.
+    Malformed {
+        /// `"A"` or `"B"`.
+        operand: &'static str,
+        /// What the validation found.
+        error: SparseError,
+    },
+}
+
+/// A malformed input stream caught in flight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum MalformedInput {
     /// An A-stream entry referenced a B row that does not exist. Detected
     /// by SpBL's bounds check before the bogus row info fetch is issued.
     ColumnOutOfRange {
@@ -191,6 +209,7 @@ impl fmt::Display for SimError {
                 d.last_progress,
                 d.stuck_lanes()
             ),
+            SimError::InvalidOperands(e) => write!(f, "operands refused: {e}"),
             SimError::MalformedInput(m) => write!(f, "malformed input: {m}"),
             SimError::QueueOverflow { lane, row } => write!(
                 f,
@@ -216,12 +235,20 @@ impl fmt::Display for SimError {
     }
 }
 
+impl fmt::Display for OperandError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OperandError::InnerDimensionMismatch { a_cols, b_rows } => {
+                write!(f, "inner dimensions disagree: A has {a_cols} columns, B has {b_rows} rows")
+            }
+            OperandError::Malformed { operand, error } => write!(f, "matrix {operand}: {error}"),
+        }
+    }
+}
+
 impl fmt::Display for MalformedInput {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MalformedInput::InnerDimensionMismatch { a_cols, b_rows } => {
-                write!(f, "inner dimensions disagree: A has {a_cols} columns, B has {b_rows} rows")
-            }
             MalformedInput::ColumnOutOfRange { lane, col, bound } => {
                 write!(f, "lane {lane} received column id {col} outside B's {bound} rows")
             }

@@ -33,9 +33,10 @@
 //!   structured [`DeadlockDiagnostic`] when the watchdog declares a wedge;
 //! * [`Accelerator::start`] is the one run path: a fresh start
 //!   (optionally arming a [`FaultPlan`] and recording a [`RunTrace`]) or
-//!   a [`Checkpoint`] resume returns a live [`Run`], which a scheduler
-//!   advances slice by slice, snapshots only when the job has to leave
-//!   the machine, and finishes once it drains;
+//!   a [`Checkpoint`] resume of [`Operands`], checked once when built,
+//!   returns a live [`Run`], which a scheduler advances slice by slice,
+//!   snapshots only when the job has to leave the machine, and finishes
+//!   once it drains;
 //!   [`Accelerator::run_to_end`] does `start`, drain and finish in one call;
 //! * [`FaultPlan`] describes a deterministic, seeded fault injection
 //!   (channel stalls, corrupted or truncated C²SR streams, forced
@@ -67,6 +68,7 @@ mod driver;
 mod error;
 mod fault;
 mod layout;
+mod operands;
 mod pe;
 mod port;
 mod queue;
@@ -78,16 +80,18 @@ mod trace;
 mod writer;
 
 pub use accel::{Accelerator, Run, RunOutcome, RunStart};
-pub use checkpoint::{fingerprint_inputs, Checkpoint, CheckpointError, CHECKPOINT_VERSION};
+pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
 pub use config::MatRaptorConfig;
 pub use convert::{
     conversion_cycles, conversion_cycles_directed, ConversionDirection, ConversionReport,
 };
 pub use driver::{Driver, DriverError, MtxWrite, SliceRun};
 pub use error::{
-    ChannelDiagnostic, ConfigError, DeadlockDiagnostic, LaneDiagnostic, MalformedInput, SimError,
+    ChannelDiagnostic, ConfigError, DeadlockDiagnostic, LaneDiagnostic, MalformedInput,
+    OperandError, SimError,
 };
 pub use fault::{classify, FaultKind, FaultPlan, Verdict};
+pub use operands::Operands;
 pub use pe::Pe;
 pub use spal::SpAl;
 pub use spbl::SpBl;

@@ -8,8 +8,8 @@ mod common;
 
 use common::{checkpoint_at, resume, run_faulted};
 use matraptor_core::{
-    Accelerator, Checkpoint, CheckpointError, FaultKind, FaultPlan, MatRaptorConfig, RunStart,
-    SimError, CHECKPOINT_VERSION,
+    Accelerator, Checkpoint, CheckpointError, FaultKind, FaultPlan, MatRaptorConfig, Operands,
+    RunStart, SimError, CHECKPOINT_VERSION,
 };
 use matraptor_sparse::{gen, Csr};
 
@@ -86,7 +86,8 @@ fn a_stalled_runs_last_checkpoint_resumes_into_the_same_wedge() {
     let accel = Accelerator::new(cfg);
     let plan = FaultPlan::sample(FaultKind::ChannelStall, 7, 2);
     let start = RunStart::Fresh { plan: Some(&plan), trace: None };
-    let mut run = accel.start(&a, &b, start).expect("valid operands");
+    let ops = Operands::new(&a, &b).expect("valid operands");
+    let mut run = accel.start(ops, start).expect("fresh");
     let mut last = None;
     let error = loop {
         match run.advance(run.cycle() + 256) {

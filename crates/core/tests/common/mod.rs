@@ -6,8 +6,8 @@
 #![allow(dead_code)]
 
 use matraptor_core::{
-    Accelerator, Checkpoint, FaultKind, FaultPlan, MatRaptorConfig, RunOutcome, RunStart, RunTrace,
-    SimError, SliceRun, TraceConfig,
+    Accelerator, Checkpoint, FaultKind, FaultPlan, MatRaptorConfig, Operands, RunOutcome, RunStart,
+    RunTrace, SimError, SliceRun, TraceConfig,
 };
 use matraptor_mem::HbmConfig;
 use matraptor_sparse::gen::{self, suite};
@@ -98,7 +98,8 @@ pub fn run_traced(
     b: &Csr<f64>,
     trace: &TraceConfig,
 ) -> Result<(RunOutcome, RunTrace), SimError> {
-    let mut run = accel.start(a, b, RunStart::Fresh { plan: None, trace: Some(trace) })?;
+    let fresh = RunStart::Fresh { plan: None, trace: Some(trace) };
+    let mut run = accel.start(Operands::new(a, b).map_err(SimError::InvalidOperands)?, fresh)?;
     run.advance(u64::MAX)?;
     let trace = run.take_trace().expect("a traced run returns its trace");
     Ok((run.finish()?, trace))
@@ -151,7 +152,7 @@ fn slice_from(
     start: RunStart<'_>,
     until: u64,
 ) -> Result<SliceRun, SimError> {
-    let mut run = accel.start(a, b, start)?;
+    let mut run = accel.start(Operands::new(a, b).map_err(SimError::InvalidOperands)?, start)?;
     if run.advance(until)? {
         Ok(SliceRun::Completed(Box::new(run.finish()?)))
     } else {

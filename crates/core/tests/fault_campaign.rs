@@ -7,7 +7,8 @@ mod common;
 
 use common::run_faulted;
 use matraptor_core::{
-    classify, Accelerator, FaultKind, FaultPlan, MalformedInput, MatRaptorConfig, SimError, Verdict,
+    classify, Accelerator, FaultKind, FaultPlan, MalformedInput, MatRaptorConfig, OperandError,
+    SimError, Verdict,
 };
 use matraptor_sparse::{gen, spgemm, Csr};
 
@@ -47,10 +48,7 @@ fn mismatched_inner_dimensions_are_a_structured_error() {
     let b = gen::uniform(16, 16, 60, 2);
     let accel = Accelerator::new(campaign_config());
     match accel.try_run(&a, &b) {
-        Err(SimError::MalformedInput(MalformedInput::InnerDimensionMismatch {
-            a_cols,
-            b_rows,
-        })) => {
+        Err(SimError::InvalidOperands(OperandError::InnerDimensionMismatch { a_cols, b_rows })) => {
             assert_eq!((a_cols, b_rows), (20, 16));
         }
         other => panic!("expected dimension mismatch, got {other:?}"),

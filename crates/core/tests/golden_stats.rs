@@ -59,7 +59,8 @@ fn simulated_results_match_the_pins() {
             Ok(outcome) => format!("{:?}", (&outcome.stats, &outcome.c)),
             Err(error) => format!("{error:?}"),
         };
-        let pause = plan.map_or(PAUSE, |p| (p.start + 50) * case.cfg.mem_clock_ratio());
+        let ratio = case.cfg.mem_clock_ratio().expect("a valid configuration");
+        let pause = plan.map_or(PAUSE, |p| (p.start + 50) * ratio);
         let checkpoint = checkpoint_at(&accel, &case.a, &case.a, plan.as_ref(), pause)
             .expect("no failure before the pause")
             .expect("the run is longer than the pause");

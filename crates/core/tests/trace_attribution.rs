@@ -16,7 +16,8 @@ mod common;
 
 use common::{checkpoint_at, resume, run_faulted, run_traced};
 use matraptor_core::{
-    Accelerator, FaultKind, FaultPlan, LaneAttribution, MatRaptorConfig, RunStart, TraceConfig,
+    Accelerator, FaultKind, FaultPlan, LaneAttribution, MatRaptorConfig, Operands, RunStart,
+    TraceConfig,
 };
 use matraptor_sparse::gen::suite::table2;
 use matraptor_sparse::{gen, Csr};
@@ -155,7 +156,8 @@ fn paused_traced_run_covers_the_cycles_before_the_pause() {
     let tcfg = TraceConfig { window: 64, ..TraceConfig::default() };
     for (until, covered) in [(total / 2, total / 2), (u64::MAX, total)] {
         let start = RunStart::Fresh { plan: None, trace: Some(&tcfg) };
-        let mut run = accel.start(&a, &b, start).expect("valid operands");
+        let ops = Operands::new(&a, &b).expect("valid operands");
+        let mut run = accel.start(ops, start).expect("fresh");
         let drained = run.advance(until).expect("traced slice");
         assert_eq!(drained, until == u64::MAX);
         assert_eq!(run.cycle(), if drained { total - 1 } else { until });

@@ -117,34 +117,51 @@ impl HbmConfig {
         (block / self.num_channels as u64) * il + addr % il
     }
 
+    /// Checks internal consistency, naming the first violated constraint:
+    /// every field positive, at most 64 banks (the bank bitset), and the
+    /// interleave a whole number of bursts (which would otherwise make a
+    /// burst span two interleave blocks, and so two channels).
+    ///
+    /// # Errors
+    ///
+    /// The violated constraint.
+    pub fn try_validate(&self) -> Result<(), &'static str> {
+        let detail = if self.num_channels == 0 {
+            "need at least one channel"
+        } else if self.channel_width_bytes == 0 {
+            "zero channel width"
+        } else if self.clock_ghz <= 0.0 {
+            "zero clock"
+        } else if self.burst_bytes == 0 {
+            "zero burst"
+        } else if self.queue_depth == 0 {
+            "zero queue depth"
+        } else if self.interleave_bytes < self.burst_bytes {
+            "interleave must be at least one burst"
+        } else if !self.interleave_bytes.is_multiple_of(self.burst_bytes) {
+            "interleave must be a multiple of the burst"
+        } else if self.row_bytes < self.burst_bytes as u64 {
+            "row smaller than burst"
+        } else if self.banks_per_channel == 0 {
+            "need at least one bank"
+        } else if self.banks_per_channel > 64 {
+            "bank bitset supports at most 64 banks"
+        } else {
+            return Ok(());
+        };
+        Err(detail)
+    }
+
     /// Validates internal consistency; called by [`crate::Hbm::new`].
     ///
     /// # Panics
     ///
-    /// Panics if any field is zero or the interleave is not a whole number
-    /// of bursts (which would make a burst span two interleave blocks, and
-    /// so two channels).
+    /// Panics with the constraint [`HbmConfig::try_validate`] names.
     pub fn validate(&self) {
-        assert!(self.num_channels > 0, "need at least one channel");
-        assert!(self.channel_width_bytes > 0, "zero channel width");
-        assert!(self.clock_ghz > 0.0, "zero clock");
-        assert!(self.burst_bytes > 0, "zero burst");
-        assert!(self.queue_depth > 0, "zero queue depth");
-        assert!(
-            self.interleave_bytes >= self.burst_bytes,
-            "interleave ({}) must be at least one burst ({})",
-            self.interleave_bytes,
-            self.burst_bytes
-        );
-        assert!(
-            self.interleave_bytes.is_multiple_of(self.burst_bytes),
-            "interleave ({}) must be a multiple of the burst ({})",
-            self.interleave_bytes,
-            self.burst_bytes
-        );
-        assert!(self.row_bytes >= self.burst_bytes as u64, "row smaller than burst");
-        assert!(self.banks_per_channel > 0, "need at least one bank");
-        assert!(self.banks_per_channel <= 64, "bank bitset supports at most 64 banks");
+        if let Err(detail) = self.try_validate() {
+            // conformance:allow(panic-safety): deliberate fail-fast wrapper; fallible callers use try_validate
+            panic!("invalid HBM configuration: {detail}");
+        }
     }
 }
 
@@ -311,7 +328,7 @@ mod tests {
     /// With 96 B blocks of 64 B bursts, the burst `[64, 128)` would start
     /// in channel 0's block and end in channel 1's.
     #[test]
-    #[should_panic(expected = "interleave (96) must be a multiple of the burst (64)")]
+    #[should_panic(expected = "interleave must be a multiple of the burst")]
     fn interleave_not_a_multiple_of_the_burst_rejected() {
         let cfg = HbmConfig { interleave_bytes: 96, ..HbmConfig::with_channels(2) };
         assert_ne!(cfg.channel_of_addr(64), cfg.channel_of_addr(127));

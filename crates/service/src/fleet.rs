@@ -48,23 +48,22 @@ use std::collections::VecDeque;
 use std::ops::Deref;
 use std::rc::Rc;
 
-use matraptor_core::{fingerprint_inputs, SimError};
+use matraptor_core::{OperandError, Operands, SimError};
 use matraptor_sim::trace::{fnv1a64, MetricsRegistry};
 use matraptor_sim::{Cycle, SimClock};
 use matraptor_sparse::{spgemm, Csr};
 
 use crate::bounded::BoundedLog;
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
-use crate::job::{estimate_flops, Disposition, JobId, JobRecord, JobSpec, Rejected, TenantId};
+use crate::job::{Disposition, JobId, JobRecord, JobSpec, Rejected, TenantId};
 use crate::quarantine::Quarantine;
 use crate::sched::{DrrScheduler, Pending};
 use crate::service::{
     DrainSummary, DrainedCheckpoint, ServiceConfig, ServiceCounters, ServiceError, TenantConfig,
 };
 use crate::worker::{
-    escaped, ladder_step, slice_step, start_run, Assignment, LadderStep, ScheduledEvent,
-    SliceOutcome, SliceStep, Worker, WorkerClass, WorkerFault, WorkerFaultPlan, WorkerId,
-    WorkerStatus,
+    escaped, ladder_step, slice_step, Assignment, LadderStep, ScheduledEvent, SliceOutcome,
+    SliceStep, Worker, WorkerClass, WorkerFault, WorkerFaultPlan, WorkerId, WorkerStatus,
 };
 
 /// Full fleet configuration: the shared service front end plus the worker
@@ -570,8 +569,10 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
 
     /// Submit a job. Admission is synchronous and total: the result is
     /// either a [`JobId`] (the job is queued) or an explicit [`Rejected`].
-    /// Quarantine refusal, flop estimation, deadline derivation, and DRR
-    /// enqueue happen here, with every counter bump in one place.
+    /// The one operand check ([`Operands::new`], which also counts the
+    /// flops and fingerprints the pair), quarantine refusal, deadline
+    /// derivation, and DRR enqueue happen here, with every counter bump in
+    /// one place.
     pub fn submit(&mut self, spec: JobSpec<M>) -> Result<JobId, Rejected> {
         let c = &mut self.counters;
         c.submitted += 1;
@@ -580,25 +581,29 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
             c.rejected_invalid += 1;
             return Err(Rejected::UnknownTenant { tenant: spec.tenant });
         };
-        let fingerprint = fingerprint_inputs(&spec.a, &spec.b);
+        let operands = Operands::new(spec.a, spec.b).map_err(|e| {
+            c.rejected_invalid += 1;
+            match e {
+                OperandError::InnerDimensionMismatch { a_cols, b_rows } => {
+                    Rejected::InvalidShape { a_cols, b_rows }
+                }
+                OperandError::Malformed { operand, error } => {
+                    Rejected::InvalidOperand { operand, error }
+                }
+            }
+        })?;
+        let fingerprint = operands.fingerprint();
         if self.quarantine.is_quarantined(fingerprint) {
             c.rejected_quarantined += 1;
             return Err(Rejected::Quarantined { fingerprint });
         }
-        let Some(flops) = estimate_flops(&spec.a, &spec.b) else {
-            c.rejected_invalid += 1;
-            return Err(Rejected::InvalidShape { a_cols: spec.a.cols(), b_rows: spec.b.rows() });
-        };
         let id = JobId(self.record_at.len() as u64);
         let pending = Pending {
             id,
             tenant: spec.tenant,
-            a: spec.a,
-            b: spec.b,
+            deadline_cycles: tenant.deadline.deadline_for(operands.flops()),
+            operands,
             plan: spec.plan,
-            fingerprint,
-            estimated_flops: flops,
-            deadline_cycles: tenant.deadline.deadline_for(flops),
             submitted_at: self.clock.now(),
         };
         if self.sched.try_enqueue(pending).is_err() {
@@ -857,11 +862,12 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
         let now = self.clock.now();
         let worker = &mut self.workers[w];
         worker.stats.dispatches = worker.stats.dispatches.saturating_add(1);
-        let product = spgemm::gustavson(&asg.job.a, &asg.job.b);
+        let product = spgemm::gustavson(asg.job.operands.a(), asg.job.operands.b());
         let fingerprint = fingerprint_output(&product);
         let cycles = asg
             .job
-            .estimated_flops
+            .operands
+            .flops()
             .saturating_mul(self.cfg.service.cpu_cycles_per_flop.max(1))
             .max(1);
         worker.pending = Some(ScheduledEvent {
@@ -915,17 +921,15 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
             worker.status = WorkerStatus::Idle;
             return;
         };
-        let job = &asg.job;
-        let (a, b, from) = (job.a.clone(), job.b.clone(), asg.checkpoint.take());
-        let start = || start_run(accel, a, b, job.plan.as_ref(), from.as_deref());
-        let step = slice_step(&mut worker.run, start, slice, job.deadline_cycles);
+        let (job, from, live) = (&asg.job, asg.checkpoint.take(), &mut worker.run);
+        let (plan, deadline) = (job.plan.as_ref(), job.deadline_cycles);
+        let step = slice_step(live, accel, &job.operands, plan, from.as_deref(), slice, deadline);
         // The slice occupies the worker from `executed` to the cycle it
-        // reached (a refusal never ran and is charged the 1-cycle minimum).
+        // reached.
         let reached = match &step {
             SliceStep::Completed(o) => o.stats.total_cycles.max(1),
             SliceStep::Paused(at) | SliceStep::DeadlineExceeded(at) => *at,
             SliceStep::Faulted(e) => Self::fault_cycle_charge(e, job.deadline_cycles),
-            SliceStep::Refused => 0,
         };
         let wall =
             reached.saturating_sub(asg.executed).max(1).saturating_mul(worker.slow_factor.max(1));
@@ -1093,10 +1097,6 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
                     self.workers[w].status = WorkerStatus::Idle;
                 }
             }
-            // Preflight refusal is deterministic; retrying cannot help.
-            // The run never started, so it does not feed the breaker; the
-            // slice was charged the 1-cycle minimum.
-            SliceOutcome::Accel(SliceStep::Refused) => self.fail_job(w),
             SliceOutcome::CpuCompleted(fingerprint) => {
                 self.counters.completed_cpu += 1;
                 self.finish(w, Disposition::CompletedOnCpu, Some(fingerprint));
@@ -1109,15 +1109,15 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
     fn fail_job(&mut self, w: usize) {
         self.counters.failed += 1;
         if let Some(asg) = self.workers[w].assignment.as_ref() {
-            self.quarantine.strike(asg.job.fingerprint);
+            self.quarantine.strike(asg.job.operands.fingerprint());
         }
         self.finish(w, Disposition::Failed, None);
     }
 
     /// Resolve worker `w`'s job and return the worker to the idle pool,
     /// handing back the resolved assignment. A half-open probe that
-    /// leaves without a breaker verdict (deadline, preflight refusal,
-    /// drain pause) frees the probe slot: the next dispatch probes.
+    /// leaves without a breaker verdict (deadline, drain pause) frees the
+    /// probe slot: the next dispatch probes.
     fn finish(
         &mut self,
         w: usize,
@@ -1225,7 +1225,7 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
             submitted_at: asg.job.submitted_at,
             started_at: asg.first_dispatch,
             finished_at: self.clock.now(),
-            estimated_flops: asg.job.estimated_flops,
+            estimated_flops: asg.job.operands.flops(),
             fingerprint: output_fingerprint.unwrap_or(0),
             tenant: narrow(asg.job.tenant.0),
             worker: narrow(w),

@@ -4,7 +4,7 @@ use std::rc::Rc;
 
 use matraptor_core::FaultPlan;
 use matraptor_sim::Cycle;
-use matraptor_sparse::Csr;
+use matraptor_sparse::{Csr, SparseError};
 
 /// Job identifier, unique per [`Fleet`](crate::Fleet) instance (and so per
 /// [`Service`](crate::Service)), issued consecutively from 0 in
@@ -53,7 +53,7 @@ pub enum Rejected {
     },
     /// This operand pair has faulted too often and is permanently refused.
     Quarantined {
-        /// The pair's [`fingerprint_inputs`](matraptor_core::fingerprint_inputs).
+        /// The pair's [`Operands::fingerprint`](matraptor_core::Operands::fingerprint).
         fingerprint: u64,
     },
     /// The operands cannot be multiplied (inner dimensions disagree), so
@@ -63,6 +63,14 @@ pub enum Rejected {
         a_cols: usize,
         /// Rows of `B`.
         b_rows: usize,
+    },
+    /// An operand failed [`Csr::validate`]: a broken structure or a
+    /// non-finite value, which no run could multiply.
+    InvalidOperand {
+        /// `"A"` or `"B"`.
+        operand: &'static str,
+        /// What the validation found.
+        error: SparseError,
     },
     /// The tenant id is not in the service's tenant table.
     UnknownTenant {
@@ -83,6 +91,7 @@ impl std::fmt::Display for Rejected {
             Rejected::InvalidShape { a_cols, b_rows } => {
                 write!(f, "inner dimensions disagree: A has {a_cols} cols, B has {b_rows} rows")
             }
+            Rejected::InvalidOperand { operand, error } => write!(f, "matrix {operand}: {error}"),
             Rejected::UnknownTenant { tenant } => write!(f, "unknown tenant id {}", tenant.0),
         }
     }
@@ -140,7 +149,7 @@ pub struct JobRecord {
     pub started_at: Cycle,
     /// Simulated cycle at which it resolved.
     pub finished_at: Cycle,
-    /// The admission-time flop estimate its deadline was derived from.
+    /// The admission-time flop count its deadline was derived from.
     pub estimated_flops: u64,
     /// The cycle deadline it ran under.
     pub deadline_cycles: u64,
@@ -171,45 +180,9 @@ impl JobRecord {
     }
 }
 
-/// Admission-time flop estimate: the scalar-multiply count of the row-wise
-/// product, `Σ_i Σ_{k ∈ row i of A} nnz(B[k,:])` — the same quantity
-/// [`matraptor_sparse::spgemm::multiply_count`] reports, but total (never
-/// panicking): `None` when the inner dimensions disagree.
-///
-/// This reuses the CSR row-count plumbing (`row_ptr` differences), so it
-/// is O(nnz(A)) with no arithmetic on values — cheap enough to run on
-/// every submission.
-pub fn estimate_flops(a: &Csr<f64>, b: &Csr<f64>) -> Option<u64> {
-    if a.cols() != b.rows() {
-        return None;
-    }
-    let mut flops = 0u64;
-    for i in 0..a.rows() {
-        for (k, _) in a.row(i) {
-            flops = flops.saturating_add(b.row_nnz(k as usize) as u64);
-        }
-    }
-    Some(flops)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use matraptor_sparse::{gen, spgemm};
-
-    #[test]
-    fn estimate_matches_the_reference_multiply_count() {
-        let a = gen::uniform(24, 30, 120, 1);
-        let b = gen::uniform(30, 24, 120, 2);
-        assert_eq!(estimate_flops(&a, &b), Some(spgemm::multiply_count(&a, &b)));
-    }
-
-    #[test]
-    fn estimate_rejects_mismatched_shapes_instead_of_panicking() {
-        let a = gen::uniform(8, 9, 20, 3);
-        let b = gen::uniform(10, 8, 20, 4);
-        assert_eq!(estimate_flops(&a, &b), None);
-    }
 
     #[test]
     fn record_derives_waits_and_saturates_backwards_time() {
@@ -239,6 +212,10 @@ mod tests {
             Rejected::QueueFull { tenant: TenantId(2), capacity: 8 },
             Rejected::Quarantined { fingerprint: 0xdead },
             Rejected::InvalidShape { a_cols: 3, b_rows: 4 },
+            Rejected::InvalidOperand {
+                operand: "B",
+                error: SparseError::NonFiniteValue { row: 0, col: 1 },
+            },
             Rejected::UnknownTenant { tenant: TenantId(9) },
         ];
         for r in cases {

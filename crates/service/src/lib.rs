@@ -1,5 +1,5 @@
 //! A deterministic, simulated-time multi-job service above the MatRaptor
-//! [`Driver`](matraptor_core::Driver).
+//! [`Accelerator`](matraptor_core::Accelerator).
 //!
 //! The paper evaluates one SpGEMM at a time; a deployed accelerator serves
 //! a *stream* of jobs from mutually-untrusting tenants and must stay live
@@ -8,11 +8,11 @@
 //! cycle-level model, all in **simulated time** ([`SimClock`]) so every
 //! run is bit-reproducible:
 //!
-//! * **admission control** — bounded per-tenant queues; a full queue is
-//!   explicit backpressure ([`Rejected::QueueFull`]), never an unbounded
-//!   buffer;
-//! * **deadlines** — each job gets a cycle budget from a cheap flop
-//!   estimate ([`estimate_flops`]) and the tenant's [`DeadlinePolicy`];
+//! * **admission control** — operands are checked once ([`Operands`]);
+//!   bounded per-tenant queues make a full queue explicit backpressure
+//!   ([`Rejected::QueueFull`]), never an unbounded buffer;
+//! * **deadlines** — each job gets a cycle budget from its flop count
+//!   ([`Operands::flops`]) and the tenant's [`DeadlinePolicy`];
 //!   jobs that blow it are cancelled *mid-flight* at the deadline cycle
 //!   of their live [`Run`], which a worker advances slice by slice;
 //! * **fair scheduling** — a deficit-round-robin scheduler over weighted
@@ -51,6 +51,8 @@
 //! [`SimClock`]: matraptor_sim::SimClock
 //! [`Run`]: matraptor_core::Run
 //! [`FaultPlan`]: matraptor_core::FaultPlan
+//! [`Operands`]: matraptor_core::Operands
+//! [`Operands::flops`]: matraptor_core::Operands::flops
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -71,7 +73,7 @@ pub use fleet::{
     fingerprint_output, Fleet, FleetConfig, FleetCounters, FleetRecord, Records, RecordsIter,
     RecoveryEvent, RecoveryKind,
 };
-pub use job::{estimate_flops, Disposition, JobId, JobRecord, JobSpec, Rejected, TenantId};
+pub use job::{Disposition, JobId, JobRecord, JobSpec, Rejected, TenantId};
 pub use parallel::{
     resolution_core_fingerprint, PanicRecord, ParCounters, ParJob, ParRecord, ParReport,
     ParallelConfig, ParallelError,

@@ -36,12 +36,14 @@ use std::sync::{Arc, Condvar, Mutex, Once, PoisonError};
 use std::thread;
 use std::time::Duration;
 
-use matraptor_core::{Accelerator, Checkpoint, ConfigError, FaultPlan, MatRaptorConfig, Run};
+use matraptor_core::{
+    Accelerator, Checkpoint, ConfigError, FaultPlan, MatRaptorConfig, Operands, Run,
+};
 use matraptor_sparse::Csr;
 
 use crate::fleet::fingerprint_output;
 use crate::job::Disposition;
-use crate::worker::{slice_step, start_run, LadderStep, SliceStep, WorkerFault};
+use crate::worker::{slice_step, LadderStep, SliceStep, WorkerFault};
 use crate::{JobId, RecoveryKind};
 
 use super::supervisor::{lock_unpoisoned, FailCause, GenShared, InjectStats, Supervisor};
@@ -59,8 +61,8 @@ pub const INLINE_WORKER: usize = usize::MAX;
 #[derive(Debug, Clone)]
 pub(crate) struct DispatchItem {
     pub id: u64,
-    pub a: Arc<Csr<f64>>,
-    pub b: Arc<Csr<f64>>,
+    /// The job's operands, checked once when the run was submitted.
+    pub operands: Operands<Arc<Csr<f64>>>,
     pub plan: Option<FaultPlan>,
     pub deadline: u64,
     /// Accelerator attempts consumed so far (job-level fault retries).
@@ -79,11 +81,13 @@ pub(crate) struct DispatchItem {
 }
 
 impl DispatchItem {
-    fn from_job(job: ParJob) -> Self {
-        DispatchItem {
+    /// The item for `job`, or the reason its operands are refused.
+    fn from_job(job: ParJob) -> Result<Self, ParallelError> {
+        let operands =
+            Operands::new(job.a, job.b).map_err(|e| ParallelError::InvalidOperands(job.id, e))?;
+        Ok(DispatchItem {
             id: job.id,
-            a: job.a,
-            b: job.b,
+            operands,
             plan: job.plan,
             deadline: job.deadline_cycles.max(1),
             attempts: 1,
@@ -92,7 +96,7 @@ impl DispatchItem {
             resumed: false,
             checkpoint: None,
             checkpoint_lanes: 0,
-        }
+        })
     }
 
     pub(crate) fn bump_redispatch(mut self) -> Self {
@@ -417,34 +421,29 @@ fn advance(
     worker: usize,
     degraded_width: bool,
 ) -> Option<ParRecord> {
-    let from = item.checkpoint.take();
-    let (a, b, plan) = (&item.a, &item.b, item.plan.as_ref());
-    let start = || start_run(accel, Arc::clone(a), Arc::clone(b), plan, from.as_deref());
-    let (disposition, executed_cycles, output_fingerprint) =
-        match slice_step(run, start, slice_cycles, item.deadline) {
-            SliceStep::Completed(outcome) => (
-                Disposition::Completed,
-                outcome.stats.total_cycles,
-                Some(fingerprint_output(&outcome.c)),
-            ),
-            SliceStep::Paused(at) => {
-                item.executed = at;
-                return None;
-            }
-            SliceStep::DeadlineExceeded(at) => (Disposition::DeadlineExceeded, at, None),
-            SliceStep::Faulted(_) if item.attempts < max_attempts => {
-                // Retry from scratch: input-borne fault plans persist, but
-                // a transient machine state is discarded with the attempt.
-                item.attempts = item.attempts.saturating_add(1);
-                item.executed = 0;
-                return None;
-            }
-            // Out of attempts, or refused by preflight: refusals are never
-            // retried, since the inputs cannot become valid by re-running.
-            SliceStep::Faulted(_) | SliceStep::Refused => {
-                (Disposition::Failed, item.executed, None)
-            }
-        };
+    let (plan, from, deadline) = (item.plan.as_ref(), item.checkpoint.take(), item.deadline);
+    let step =
+        slice_step(run, accel, &item.operands, plan, from.as_deref(), slice_cycles, deadline);
+    let (disposition, executed_cycles, output_fingerprint) = match step {
+        SliceStep::Completed(outcome) => (
+            Disposition::Completed,
+            outcome.stats.total_cycles,
+            Some(fingerprint_output(&outcome.c)),
+        ),
+        SliceStep::Paused(at) => {
+            item.executed = at;
+            return None;
+        }
+        SliceStep::DeadlineExceeded(at) => (Disposition::DeadlineExceeded, at, None),
+        SliceStep::Faulted(_) if item.attempts < max_attempts => {
+            // Retry from scratch: input-borne fault plans persist, but
+            // a transient machine state is discarded with the attempt.
+            item.attempts = item.attempts.saturating_add(1);
+            item.executed = 0;
+            return None;
+        }
+        SliceStep::Faulted(_) => (Disposition::Failed, item.executed, None),
+    };
     Some(ParRecord {
         id: item.id,
         disposition,
@@ -472,7 +471,9 @@ fn advance(
 /// # Errors
 ///
 /// [`ParallelError::InvalidAccelConfig`] if the template fails
-/// validation, [`ParallelError::DuplicateJobId`] on a repeated id, and
+/// validation, [`ParallelError::DuplicateJobId`] on a repeated id,
+/// [`ParallelError::InvalidOperands`] for a job whose operands
+/// [`Operands::new`] refuses (every job is checked before any runs), and
 /// [`ParallelError::Stalled`] if the run stops making progress past the
 /// stall-abort budget (workers are then abandoned and joined under the
 /// bounded budget before the error returns).
@@ -488,11 +489,12 @@ pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, Parallel
             return Err(ParallelError::DuplicateJobId(job.id));
         }
     }
+    let queue: VecDeque<_> =
+        jobs.into_iter().map(DispatchItem::from_job).collect::<Result<_, _>>()?;
     install_quiet_hook();
 
-    let total = jobs.len();
-    let ctx =
-        Arc::new(WorkerCtx::new(&cfg, jobs.into_iter().map(DispatchItem::from_job).collect()));
+    let total = queue.len();
+    let ctx = Arc::new(WorkerCtx::new(&cfg, queue));
 
     // Split the injection schedule per slot (events addressed past the
     // thread count are dropped — they have no slot to fire on).
@@ -711,7 +713,8 @@ mod tests {
         let m = Arc::new(Csr::<f64>::identity(4));
         let item = |id| {
             let (a, b) = (Arc::clone(&m), Arc::clone(&m));
-            DispatchItem::from_job(ParJob { id, a, b, plan: None, deadline_cycles: u64::MAX })
+            let job = ParJob { id, a, b, plan: None, deadline_cycles: u64::MAX };
+            DispatchItem::from_job(job).expect("valid operands")
         };
         let ctx = WorkerCtx::new(&cfg, VecDeque::from([item(0), item(1)]));
         let lanes = cfg.accel.num_lanes;

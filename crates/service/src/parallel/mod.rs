@@ -41,7 +41,7 @@ mod supervisor;
 use std::sync::Arc;
 use std::time::Duration;
 
-use matraptor_core::{FaultPlan, MatRaptorConfig};
+use matraptor_core::{FaultPlan, MatRaptorConfig, OperandError};
 use matraptor_sparse::Csr;
 
 use crate::job::Disposition;
@@ -305,6 +305,9 @@ pub enum ParallelError {
     /// Two submitted jobs share an id (the at-most-once merge would
     /// silently drop one).
     DuplicateJobId(u64),
+    /// The job with this id has operands
+    /// [`Operands::new`](matraptor_core::Operands::new) refuses; no job runs.
+    InvalidOperands(u64, OperandError),
     /// The run stopped making progress: no completion or recovery action
     /// for about a minute of quiet poll ticks. The payload is how far it
     /// got.
@@ -323,6 +326,7 @@ impl std::fmt::Display for ParallelError {
                 write!(f, "invalid accelerator template: {e}")
             }
             ParallelError::DuplicateJobId(id) => write!(f, "duplicate job id {id}"),
+            ParallelError::InvalidOperands(id, e) => write!(f, "job {id} operands refused: {e}"),
             ParallelError::Stalled { resolved, total } => {
                 write!(f, "executor stalled after resolving {resolved}/{total} jobs")
             }

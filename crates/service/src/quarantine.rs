@@ -34,7 +34,7 @@ struct Strike {
 }
 
 /// Strike counter keyed by
-/// [`fingerprint_inputs`](matraptor_core::fingerprint_inputs) values.
+/// [`Operands::fingerprint`](matraptor_core::Operands::fingerprint) values.
 #[derive(Debug)]
 pub struct Quarantine {
     threshold: u32,

@@ -13,7 +13,7 @@
 
 use std::collections::VecDeque;
 
-use matraptor_core::FaultPlan;
+use matraptor_core::{FaultPlan, Operands};
 use matraptor_sim::Cycle;
 
 use crate::job::{JobId, TenantId};
@@ -23,11 +23,10 @@ use crate::job::{JobId, TenantId};
 pub(crate) struct Pending<M> {
     pub id: JobId,
     pub tenant: TenantId,
-    pub a: M,
-    pub b: M,
+    /// The operands admission checked, with their flop count (the
+    /// deadline's estimate) and pair fingerprint (the quarantine key).
+    pub operands: Operands<M>,
     pub plan: Option<FaultPlan>,
-    pub fingerprint: u64,
-    pub estimated_flops: u64,
     pub deadline_cycles: u64,
     pub submitted_at: Cycle,
 }
@@ -206,11 +205,8 @@ mod tests {
         Pending {
             id: JobId(id),
             tenant: TenantId(tenant),
-            a: Rc::clone(&m),
-            b: m,
+            operands: Operands::new(Rc::clone(&m), m).expect("valid operands"),
             plan: None,
-            fingerprint: id,
-            estimated_flops: deadline,
             deadline_cycles: deadline,
             submitted_at: Cycle::ZERO,
         }

@@ -137,7 +137,8 @@ pub struct ServiceCounters {
     pub rejected_queue_full: u64,
     /// Rejected: operand pair quarantined.
     pub rejected_quarantined: u64,
-    /// Rejected: unmultipliable shapes or unknown tenant.
+    /// Rejected: unmultipliable shapes, a malformed operand, or an
+    /// unknown tenant.
     pub rejected_invalid: u64,
     /// Jobs completed on the accelerator.
     pub completed_accel: u64,
@@ -193,7 +194,7 @@ pub struct DrainSummary {
     pub completed_cpu: u64,
     /// Jobs whose drain slice reached their cycle deadline.
     pub deadline_exceeded: u64,
-    /// Jobs whose drain slice faulted or was refused at preflight.
+    /// Jobs whose drain slice faulted.
     pub failed: u64,
     /// The paused jobs, in the order they paused.
     pub checkpoints: Vec<DrainedCheckpoint>,
@@ -274,7 +275,7 @@ mod tests {
     use crate::job::Disposition;
     use matraptor_core::{FaultKind, FaultPlan};
     use matraptor_sim::Cycle;
-    use matraptor_sparse::gen;
+    use matraptor_sparse::{gen, SparseError};
     use std::rc::Rc;
 
     fn operands(seed: u64) -> (Rc<matraptor_sparse::Csr<f64>>, Rc<matraptor_sparse::Csr<f64>>) {
@@ -287,7 +288,7 @@ mod tests {
     }
 
     /// A job with a NaN operand. `Csr::from_parts` checks structure only,
-    /// so it passes admission and the driver's preflight refuses it.
+    /// so only the admission check catches the NaN.
     fn nan_spec(tenant: usize) -> JobSpec {
         let rows = || (vec![0, 1, 2], vec![0, 1]);
         let (p, i) = rows();
@@ -335,11 +336,6 @@ mod tests {
     #[test]
     fn a_probe_past_its_deadline_frees_the_probe_slot() {
         probe_without_a_verdict_frees_the_slot(spec(1, 93, None), Disposition::DeadlineExceeded);
-    }
-
-    #[test]
-    fn a_refused_probe_frees_the_probe_slot() {
-        probe_without_a_verdict_frees_the_slot(nan_spec(0), Disposition::Failed);
     }
 
     #[test]
@@ -630,28 +626,40 @@ mod tests {
     }
 
     #[test]
-    fn preflight_refusal_fails_with_one_strike_and_a_one_cycle_charge() {
+    fn a_nan_job_is_refused_at_admission_whatever_the_breaker_state() {
+        let refused = |s: &mut Service| match s.submit(nan_spec(0)) {
+            Err(Rejected::InvalidOperand {
+                operand: "A",
+                error: SparseError::NonFiniteValue { row: 0, col: 0 },
+            }) => {}
+            other => panic!("expected InvalidOperand, got {other:?}"),
+        };
         let mut cfg = ServiceConfig::small_test();
-        // A hair-trigger breaker: one fed failure would open it.
-        cfg.breaker.failure_threshold = 1;
+        cfg.breaker =
+            BreakerConfig { failure_threshold: 1, cooldown_cycles: 1 << 40, ..cfg.breaker };
+        let lanes = cfg.accel.num_lanes;
         let mut s = Service::new(cfg).unwrap();
-        let nan = nan_spec(0);
-        s.submit(nan.clone()).unwrap();
-        let r = s.step().unwrap().clone();
-        assert_eq!(r.disposition, Disposition::Failed);
-        assert_eq!(r.attempts, 1, "a refusal is never retried");
-        assert_eq!(r.service_cycles(), 1, "a refusal is charged the 1-cycle minimum");
+        refused(&mut s);
+        // Open the breaker: from here on every admitted job sheds to the
+        // CPU tier, which must never see the NaN.
+        s.submit(spec(0, 21, Some(FaultPlan::sample(FaultKind::ChannelStall, 1, lanes)))).unwrap();
+        assert_eq!(s.step().unwrap().disposition, Disposition::CompletedOnCpu);
+        assert_eq!(s.fleet().breaker_state(), BreakerState::Open);
+        let (before, transitions) = (*s.fleet().counters(), s.fleet().breaker_transitions().len());
+        let cpu_dispatches = s.fleet().workers()[1].stats().dispatches;
+        for _ in 0..3 {
+            refused(&mut s);
+        }
+        assert!(s.step().is_none(), "nothing was queued");
         let f = s.fleet();
-        assert_eq!(f.counters().failed, 1);
-        assert_eq!(f.counters().retries, 0);
-        assert_eq!(f.breaker_state(), BreakerState::Closed, "a refusal is no breaker failure");
-        assert!(f.breaker_transitions().is_empty());
-        assert_eq!(f.quarantined_inputs(), 0, "one strike is a warning");
-        // The second refusal is the second strike: the pair is quarantined.
-        s.submit(nan.clone()).unwrap();
-        s.step().unwrap();
-        assert_eq!(s.fleet().quarantined_inputs(), 1);
-        assert!(matches!(s.submit(nan), Err(Rejected::Quarantined { .. })));
+        let c = f.counters();
+        assert_eq!((c.submitted, c.accepted), (before.submitted + 3, before.accepted));
+        assert_eq!(c.rejected_invalid, 4, "every refusal counts as invalid");
+        assert_eq!((c.completed_cpu, c.failed), (before.completed_cpu, before.failed));
+        assert_eq!(f.workers()[1].stats().dispatches, cpu_dispatches, "the CPU tier never ran");
+        assert_eq!(f.quarantined_inputs(), 0, "a refusal is no strike");
+        assert_eq!(f.breaker_state(), BreakerState::Open);
+        assert_eq!(f.breaker_transitions().len(), transitions);
     }
 
     #[test]

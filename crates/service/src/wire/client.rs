@@ -17,8 +17,6 @@ use std::time::Duration;
 use matraptor_sparse::rng::ChaCha8Rng;
 use matraptor_sparse::Csr;
 
-use crate::bounded::BoundedLog;
-
 use super::frame::{
     begin_frame, decode_response, encode_request_into, encode_submit_into, finish_frame,
     read_frame_into, Op, RawFrame, ReadBudget, Request, Response, WireError, DEFAULT_MAX_FRAME_LEN,
@@ -135,10 +133,6 @@ pub struct WireClient {
     policy: RetryPolicy,
     rng: ChaCha8Rng,
     next_frame_id: u64,
-    /// Every backoff (ms) this client has slept, in order — the audit
-    /// trail for the seeded-schedule determinism guarantee. Bounded so a
-    /// long-lived client against a flaky peer cannot leak.
-    backoffs: BoundedLog<u64>,
     /// The buffer every request frame is encoded into.
     out: Vec<u8>,
     /// The frame every reply is read into.
@@ -159,7 +153,6 @@ impl WireClient {
             policy,
             rng: ChaCha8Rng::seed_from_u64(seed),
             next_frame_id: 1,
-            backoffs: BoundedLog::new(256),
             out: Vec::new(),
             reply: RawFrame::default(),
         };
@@ -169,7 +162,6 @@ impl WireClient {
 
     fn sleep_backoff(&mut self, attempt: u32) {
         let ms = self.policy.backoff_ms(attempt, &mut self.rng);
-        self.backoffs.push(ms);
         std::thread::sleep(Duration::from_millis(ms));
     }
 
@@ -327,7 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn backoff_history_is_byte_identical_across_same_seed_clients() {
+    fn same_seed_clients_draw_the_same_jitter_through_failed_retries() {
         // Connect through the listener's backlog (no accept needed for
         // the handshake), then drop the listener so every exchange and
         // reconnect fails the same way for every client. Tight read
@@ -353,17 +345,14 @@ mod tests {
                 got => panic!("expected exhausted retries, got {got:?}"),
             }
         }
-        assert!(!same_a.backoffs.entries().is_empty(), "failed retries must record sleeps");
-        assert_eq!(
-            same_a.backoffs.entries(),
-            same_b.backoffs.entries(),
-            "same seed, same failure sequence: byte-identical schedule"
-        );
-        assert_ne!(
-            same_a.backoffs.entries(),
-            other.backoffs.entries(),
-            "a different seed perturbs the jitter stream"
-        );
+        // Each client's jitter stream stands where its sleeps left it, so
+        // its next draw tells how far, and from which seed, it has come.
+        let next = |c: &mut WireClient| c.rng.next_u64();
+        let fresh = ChaCha8Rng::seed_from_u64(77).next_u64();
+        let (a, b) = (next(&mut same_a), next(&mut same_b));
+        assert_ne!(a, fresh, "failed retries must draw jitter for their sleeps");
+        assert_eq!(a, b, "same seed, same failure sequence: the same jitter drawn");
+        assert_ne!(a, next(&mut other), "a different seed perturbs the jitter stream");
     }
 
     #[test]

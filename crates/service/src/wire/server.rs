@@ -246,6 +246,7 @@ impl Engine {
             Rejected::Quarantined { .. } => RejectCode::Quarantined,
             Rejected::InvalidShape { .. } => RejectCode::InvalidShape,
             Rejected::UnknownTenant { .. } => RejectCode::UnknownTenant,
+            Rejected::InvalidOperand { .. } => RejectCode::Malformed,
         };
         Response::Error { code, detail: r.to_string() }
     }

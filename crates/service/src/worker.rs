@@ -4,9 +4,9 @@
 //! accelerator instance (its own lanes and HBM, modeled by
 //! [`Accelerator`]) or a degraded CPU-fallback slot (the SparseZipper-style
 //! host tier — orders of magnitude slower, assumed reliable). Workers run
-//! jobs in bounded *slices* ([`slice_step`]) on a live [`Run`] that
-//! [`start_run`] — the one place the service layer programs a [`Driver`] —
-//! builds once per dispatch, heartbeating into a per-worker [`Watchdog`]
+//! jobs in bounded *slices* ([`slice_step`]) on a live [`Run`] started
+//! once per dispatch from the operands admission checked, heartbeating
+//! into a per-worker [`Watchdog`]
 //! at every slice boundary; a worker that stops producing slice events is
 //! detected by the fleet's liveness poll when its heartbeat goes silent
 //! for longer than the configured window. The run is snapshotted into a
@@ -21,15 +21,13 @@
 //!
 //! A failed worker walks the recovery ladder ([`ladder_step`]) that the
 //! threaded executor's supervisor shares.
-//!
-//! [`Driver`]: matraptor_core::Driver
 
 use std::ops::Deref;
 use std::rc::Rc;
 
 use matraptor_core::{
-    classify, Accelerator, Checkpoint, Driver, DriverError, FaultPlan, MatRaptorConfig, MtxWrite,
-    Run, RunOutcome, SimError, Verdict,
+    classify, Accelerator, Checkpoint, FaultPlan, MatRaptorConfig, Operands, Run, RunOutcome,
+    RunStart, SimError, Verdict,
 };
 use matraptor_sim::watchdog::mix_signature;
 use matraptor_sim::{Cycle, SourceId, Watchdog};
@@ -243,45 +241,31 @@ pub(crate) enum SliceStep {
     /// The job reached its cycle deadline at this accelerator cycle and
     /// is cancelled.
     DeadlineExceeded(u64),
-    /// The accelerator faulted inside the slice.
+    /// The accelerator faulted inside the slice, or refused the job's
+    /// checkpoint before it.
     Faulted(SimError),
-    /// Preflight refused the job (structurally bad operands that slipped
-    /// past shape-only admission); deterministic, so never retried.
-    Refused,
 }
 
-/// Programs a driver for `a * b` on `accel` and starts the job's run:
-/// fresh (arming `plan`) or resuming `from`.
-pub(crate) fn start_run<M: Deref<Target = Csr<f64>>>(
-    accel: &Accelerator,
-    a: M,
-    b: M,
-    plan: Option<&FaultPlan>,
-    from: Option<&Checkpoint>,
-) -> Result<Run<M>, DriverError> {
-    let mut driver = Driver::new(accel);
-    driver.mtx(MtxWrite::ARows(a.rows() as u64));
-    driver.mtx(MtxWrite::BRows(b.rows() as u64));
-    driver.mtx(MtxWrite::X0(1));
-    driver.start(a, b, plan, from)
-}
-
-/// Runs the next slice of a job on its live run, first starting one with
-/// `start` if `live` is empty: advances to `min(executed + slice,
+/// Runs the next slice of a job on its live run, first starting one on
+/// `accel` from the job's admitted `operands` if `live` is empty (fresh,
+/// arming `plan`, or resuming `from`): advances to `min(executed + slice,
 /// deadline)`, where `executed` is the run's cycle — at least one cycle
 /// past it, so every slice makes progress. The run stays in `live` only
 /// while the job is paused; a resolved or faulted job leaves it empty.
-pub(crate) fn slice_step<M: Deref<Target = Csr<f64>>>(
+pub(crate) fn slice_step<M: Deref<Target = Csr<f64>> + Clone>(
     live: &mut Option<Run<M>>,
-    start: impl FnOnce() -> Result<Run<M>, DriverError>,
+    accel: &Accelerator,
+    operands: &Operands<M>,
+    plan: Option<&FaultPlan>,
+    from: Option<&Checkpoint>,
     slice: u64,
     deadline: u64,
 ) -> SliceStep {
     let deadline = deadline.max(1);
-    let mut run = match live.take().map_or_else(start, Ok) {
+    let start = from.map_or(RunStart::Fresh { plan, trace: None }, RunStart::Resume);
+    let mut run = match live.take().map_or_else(|| accel.start(operands.clone(), start), Ok) {
         Ok(run) => run,
-        Err(DriverError::AcceleratorFault(e)) => return SliceStep::Faulted(e),
-        Err(_) => return SliceStep::Refused,
+        Err(e) => return SliceStep::Faulted(e),
     };
     let executed = run.cycle();
     let until = executed.saturating_add(slice).min(deadline).max(executed.saturating_add(1));

@@ -5,12 +5,12 @@
 
 use std::sync::Arc;
 
-use matraptor_core::{FaultKind, FaultPlan};
+use matraptor_core::{FaultKind, FaultPlan, OperandError};
 use matraptor_service::parallel::{self, ParJob, ParallelConfig, ParallelError};
 use matraptor_service::{
     Disposition, JobId, RecoveryKind, WorkerFault, WorkerFaultEvent, WorkerFaultPlan,
 };
-use matraptor_sparse::gen;
+use matraptor_sparse::{gen, Csr, SparseError};
 
 fn jobs(count: u64, deadline: u64) -> Vec<ParJob> {
     (0..count)
@@ -249,6 +249,32 @@ fn duplicate_ids_are_rejected() {
     match parallel::run(base_cfg(1), all) {
         Err(ParallelError::DuplicateJobId(0)) => {}
         other => panic!("expected DuplicateJobId, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_job_with_invalid_operands_refuses_the_whole_run_naming_it() {
+    let mut all = jobs(4, u64::MAX);
+    all[1].b = Arc::new(gen::uniform(9, 16, 30, 99));
+    match parallel::run(base_cfg(2), all.clone()) {
+        Err(ParallelError::InvalidOperands(
+            1,
+            OperandError::InnerDimensionMismatch { a_cols: 16, b_rows: 9 },
+        )) => {}
+        other => panic!("expected InvalidOperands for job 1, got {other:?}"),
+    }
+    let m = &all[3].a;
+    let mut values = m.values().to_vec();
+    values[0] = f64::INFINITY;
+    let (ptr, idx) = (m.row_ptr().to_vec(), m.col_idx().to_vec());
+    all[1].b = Arc::clone(&all[1].a);
+    all[3].a = Arc::new(Csr::from_parts(16, 16, ptr, idx, values).expect("structurally valid"));
+    match parallel::run(base_cfg(2), all) {
+        Err(ParallelError::InvalidOperands(
+            3,
+            OperandError::Malformed { operand: "A", error: SparseError::NonFiniteValue { .. } },
+        )) => {}
+        other => panic!("expected InvalidOperands for job 3, got {other:?}"),
     }
 }
 

@@ -14,7 +14,7 @@ use std::fmt;
 /// simulator relies on those invariants — e.g. the PE merge logic assumes
 /// each partial-sum vector arrives sorted by column id — so violations are
 /// surfaced eagerly here rather than as mis-simulations later.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SparseError {
     /// A row or column index is outside the matrix dimensions.
