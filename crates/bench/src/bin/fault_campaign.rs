@@ -17,7 +17,8 @@
 //!
 //! `--resume-check` additionally replays one faulted seed from a mid-run
 //! checkpoint and verifies bit-identical cycle counts and output values —
-//! the replay-determinism invariant of DESIGN.md §9, pinned in CI.
+//! the replay-determinism invariant of DESIGN.md §9 — and prints the
+//! FNV-1a of the checkpoint's bytes (`checkpoint_fnv1a`), which CI pins.
 //!
 //! Usage: `cargo run --release -p matraptor-bench --bin fault_campaign --
 //! [--scale N] [--seed N] [--seeds N] [--json] [--strict] [--no-abft]
@@ -28,6 +29,7 @@ use matraptor_core::{
     classify, Accelerator, Checkpoint, FaultKind, FaultPlan, MatRaptorConfig, Operands, RunOutcome,
     RunStart, SimError, Verdict,
 };
+use matraptor_sim::trace::fnv1a64;
 use matraptor_sparse::{gen, Csr};
 
 struct CampaignOptions {
@@ -157,8 +159,9 @@ fn resume_check(accel: &Accelerator, a: &Csr<f64>, b: &Csr<f64>, lanes: usize) -
         return false;
     }
     println!(
-        "resume-check: checkpoint at cycle {half} ({} bytes) resumed bit-identically ({} total cycles)",
+        "resume-check: checkpoint at cycle {half} ({} bytes, checkpoint_fnv1a {:#018x}) resumed bit-identically ({} total cycles)",
         bytes.len(),
+        fnv1a64(&bytes),
         full.stats.total_cycles
     );
     true

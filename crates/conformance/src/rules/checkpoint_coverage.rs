@@ -7,13 +7,14 @@
 //! later. This rule makes that a static error by cross-checking three
 //! walks against the declared field lists of the source model:
 //!
-//! 1. **`plain_struct!` walks** — the macro serializes exactly the fields
-//!    it is given; a declared field missing from the invocation (or a
-//!    listed field that no longer exists) is flagged.
-//! 2. **`snapshot`/`restore` pairs** — for every sim-state struct with an
-//!    inherent `snapshot` method, each declared field must be mentioned in
-//!    the snapshot body and in at least one restore-like body (`restore`
-//!    or `from_snapshot`, inherent or associated).
+//! 1. **`plain_struct!` walks** — the macro serializes a live struct as it
+//!    is, exactly the fields it is given; a declared field missing from the
+//!    invocation (or a listed field that no longer exists) is flagged.
+//! 2. **`snapshot`/`restore` pairs** — each unit writes its own fields
+//!    straight into the checkpoint bytes and reads them back, so for every
+//!    sim-state struct with an inherent `snapshot` method, each declared
+//!    field must be mentioned in the snapshot body and in a `restore` body
+//!    (inherent or associated).
 //! 3. **`fingerprint*` functions** — every field of a sim-state struct
 //!    taken as a parameter must be folded into the fingerprint, one level
 //!    deep through struct-typed fields (so `MatRaptorConfig.mem` pulls in
@@ -33,8 +34,8 @@ use crate::Analysis;
 
 pub struct CheckpointCoverage;
 
-/// Method names that count as the restoring half of a checkpoint walk.
-const RESTORE_NAMES: [&str; 2] = ["restore", "from_snapshot"];
+/// Method name of the restoring half of a checkpoint walk.
+const RESTORE_NAME: &str = "restore";
 
 impl Rule for CheckpointCoverage {
     fn name(&self) -> &'static str {
@@ -114,7 +115,7 @@ fn plain_struct_audit(a: &Analysis, out: &mut Vec<Violation>) {
 
 /// For every sim-state struct with an inherent `snapshot` method, each
 /// declared field must appear (as an identifier) in the snapshot body and,
-/// when a restore-like method exists, in at least one restore body.
+/// when a `restore` method exists, in at least one restore body.
 fn snapshot_restore_audit(a: &Analysis, out: &mut Vec<Violation>) {
     for fm in sim_state_models(a) {
         let Some(krate) = fm.crate_name.as_deref() else {
@@ -133,9 +134,10 @@ fn snapshot_restore_audit(a: &Analysis, out: &mut Vec<Violation>) {
             if snaps.is_empty() {
                 continue;
             }
-            let restores: Vec<_> = RESTORE_NAMES
-                .iter()
-                .flat_map(|n| a.model.methods_of(krate, &decl.name, n))
+            let restores: Vec<_> = a
+                .model
+                .methods_of(krate, &decl.name, RESTORE_NAME)
+                .into_iter()
                 .filter(|(f, m)| !a.is_test_line(&f.rel, m.line))
                 .collect();
             for f in &decl.fields {

@@ -5,15 +5,14 @@ use std::ops::Deref;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use matraptor_mem::Hbm;
+use matraptor_sim::codec::{Dec, Enc, Mismatch, Reader};
 use matraptor_sim::stats::CycleBreakdown;
 use matraptor_sim::trace::StageBreakdown;
 use matraptor_sim::watchdog::mix_signature;
-use matraptor_sim::{Cycle, IdTable, SourceId, SourceState, Watchdog, WatchdogReport};
+use matraptor_sim::{plain_struct, Cycle, IdTable, SourceId, Watchdog, WatchdogReport};
 use matraptor_sparse::{abft, spgemm, C2sr, Csr};
 
-use crate::checkpoint::{
-    fingerprint_config, Checkpoint, CheckpointState, LaneState, StreamFaultState, WdSourceState,
-};
+use crate::checkpoint::{fingerprint_config, Checkpoint};
 use crate::config::MatRaptorConfig;
 use crate::error::{
     ChannelDiagnostic, ConfigError, DeadlockDiagnostic, LaneDiagnostic, MalformedInput, SimError,
@@ -109,16 +108,19 @@ struct Lane {
     pe_in: VecDeque<PeTok>,
     /// The lane's last tick changed nothing but per-cycle counters, so
     /// until it wakes it does not tick, and owes those counter updates
-    /// for every cycle it sleeps (DESIGN.md §4 item 7). Derived: every
-    /// lane starts awake, also after a restore.
+    /// for every cycle it sleeps (DESIGN.md §4 item 7).
+    // conformance:allow(checkpoint-coverage): derived; every lane starts awake, also after a restore
     asleep: bool,
     /// The first cycle a sleeping lane has not charged yet: the cycle after
     /// its last tick, or the last point it was settled at.
+    // conformance:allow(checkpoint-coverage): read only while asleep, and a paused lane is settled
     owed_from: u64,
     /// Whether the lane's last tick left it done; a sleeping lane stays so.
+    // conformance:allow(checkpoint-coverage): derived by every tick, and read only while asleep
     done: bool,
     /// The channels the lane's last tick was refused on
     /// ([`MemPort::refused`]); a slot freed on one of them wakes it.
+    // conformance:allow(checkpoint-coverage): derived by every tick, and read only while asleep
     waits_on: u64,
 }
 
@@ -185,6 +187,37 @@ impl Lane {
             && self.writer.is_done()
     }
 
+    /// Writes the lane's units and coupling FIFOs into a checkpoint, each
+    /// unit with the in-flight requests the `route` holds for lane `l`.
+    fn snapshot(&self, route: &IdTable<Route>, l: usize, out: &mut Vec<u8>) {
+        let tags = route.iter().filter(move |(_, r)| r.lane == l).map(|(id, r)| (id, r.tag));
+        self.spal.snapshot(tags.clone(), out);
+        self.spbl.snapshot(tags.clone(), out);
+        self.pe.snapshot(out);
+        self.writer.snapshot(tags, out);
+        (&self.spal_out, &self.pe_in).enc(out);
+    }
+
+    /// Reads a [`Lane::snapshot`] back into a lane reset for the same job,
+    /// appending its units' in-flight requests to `tags`.
+    fn restore(
+        &mut self,
+        r: &mut Reader<'_>,
+        tags: &mut Vec<(u64, Tag)>,
+        fifo_depth: usize,
+    ) -> Result<(), Mismatch> {
+        self.spal.restore(r, tags)?;
+        self.spbl.restore(r, tags)?;
+        self.pe.restore(r)?;
+        self.writer.restore(r, tags)?;
+        r.append(&mut self.spal_out)?;
+        r.append(&mut self.pe_in)?;
+        if self.spal_out.len().max(self.pe_in.len()) > fifo_depth {
+            return Err(Mismatch("a coupling FIFO holds more tokens than its depth"));
+        }
+        Ok(())
+    }
+
     /// The lane's per-stage cycle attribution, with the PE's existing
     /// Fig. 9 breakdown mapped onto the common four-bucket vocabulary.
     fn attribution(&self) -> LaneAttribution {
@@ -209,6 +242,8 @@ struct StreamInjector {
     /// Column id to corrupt to (out of B's row range) when not truncating.
     corrupt_to: u32,
 }
+
+plain_struct!(StreamInjector { lane, target, seen, truncate, corrupt_to });
 
 impl StreamInjector {
     /// Inspects a lane's coupling FIFO right after its SpAL tick, which
@@ -609,143 +644,72 @@ impl Accelerator {
         operands: &Operands<M>,
         state: &RunState,
     ) -> Checkpoint {
-        let (wd_last, wd_states) = state.watchdog.export_state();
-        let cfg_fingerprint = fingerprint_config(&self.cfg);
+        let mut out = Checkpoint::buffer();
         let [a_fingerprint, b_fingerprint] = operands.matrix_fingerprints();
-        Checkpoint {
-            state: CheckpointState {
-                cfg_fingerprint,
-                a_fingerprint,
-                b_fingerprint,
-                t: state.t,
-                next_id: state.next_id,
-                route: state.route.iter().map(|(id, r)| (id, r.lane as u64)).collect(),
-                lanes: state
-                    .lanes
-                    .iter()
-                    .enumerate()
-                    .map(|(l, lane)| {
-                        let tags = || {
-                            state
-                                .route
-                                .iter()
-                                .filter(move |(_, r)| r.lane == l)
-                                .map(|(id, r)| (id, r.tag))
-                        };
-                        LaneState {
-                            spal: lane.spal.snapshot(tags()),
-                            spbl: lane.spbl.snapshot(tags()),
-                            pe: lane.pe.snapshot(),
-                            writer: lane.writer.snapshot(tags()),
-                            spal_out: lane.spal_out.iter().copied().collect(),
-                            pe_in: lane.pe_in.iter().copied().collect(),
-                        }
-                    })
-                    .collect(),
-                stream_fault: state.stream_fault.as_ref().map(|inj| StreamFaultState {
-                    lane: inj.lane as u64,
-                    target: inj.target,
-                    seen: inj.seen,
-                    truncate: inj.truncate,
-                    corrupt_to: inj.corrupt_to,
-                }),
-                hbm: state.hbm.snapshot(),
-                wd_last_progress: wd_last.as_u64(),
-                wd_sources: wd_states
-                    .iter()
-                    .map(|s| WdSourceState {
-                        last_signature: s.last_signature,
-                        last_progress: s.last_progress.as_u64(),
-                        observed: s.observed,
-                    })
-                    .collect(),
-            },
+        (fingerprint_config(&self.cfg), a_fingerprint, b_fingerprint).enc(&mut out);
+        (state.t, state.next_id).enc(&mut out);
+        state.route.len().enc(&mut out);
+        for (id, r) in state.route.iter() {
+            (id, r.lane).enc(&mut out);
         }
+        state.lanes.len().enc(&mut out);
+        for (l, lane) in state.lanes.iter().enumerate() {
+            lane.snapshot(&state.route, l, &mut out);
+        }
+        state.stream_fault.enc(&mut out);
+        state.hbm.snapshot(&mut out);
+        state.watchdog.snapshot(&mut out);
+        Checkpoint::seal(out, state.t)
     }
 
-    /// Loads a checkpoint into a machine reset for the run's operands,
-    /// verifying that it was taken by a run of the same configuration over
-    /// the same operands.
+    /// Reads a checkpoint into a machine reset for the run's operands,
+    /// checking as it reads that it was taken by a run of the same
+    /// configuration over the same operands, and that every count and
+    /// capacity in it fits this machine. A refused checkpoint leaves the
+    /// machine half loaded, which the next start resets.
     fn restore_run<M: Deref<Target = Csr<f64>>>(
         &self,
         operands: &Operands<M>,
         machine: &mut Machine,
         checkpoint: &Checkpoint,
     ) -> Result<(), SimError> {
-        let cfg = &self.cfg;
-        let st = &checkpoint.state;
+        let mut r = checkpoint.payload();
         let [a_fingerprint, b_fingerprint] = operands.matrix_fingerprints();
-        if st.cfg_fingerprint != fingerprint_config(cfg) {
-            return Err(SimError::CheckpointMismatch {
-                detail: "configuration differs from the checkpointed run",
-            });
+        for (want, detail) in [
+            (fingerprint_config(&self.cfg), "configuration differs from the checkpointed run"),
+            (a_fingerprint, "matrix A differs from the checkpointed run"),
+            (b_fingerprint, "matrix B differs from the checkpointed run"),
+        ] {
+            if u64::dec(&mut r)? != want {
+                return Err(SimError::CheckpointMismatch { detail });
+            }
         }
-        if st.a_fingerprint != a_fingerprint {
-            return Err(SimError::CheckpointMismatch {
-                detail: "matrix A differs from the checkpointed run",
-            });
-        }
-        if st.b_fingerprint != b_fingerprint {
-            return Err(SimError::CheckpointMismatch {
-                detail: "matrix B differs from the checkpointed run",
-            });
-        }
-        let lanes_n = cfg.num_lanes;
-        if st.lanes.len() != lanes_n
-            || st.wd_sources.len() != lanes_n + 1
-            || st.hbm.channels.len() != cfg.mem.num_channels
-        {
-            return Err(SimError::CheckpointMismatch {
-                detail: "checkpoint shape disagrees with the configuration",
-            });
-        }
-
         let state = &mut machine.state;
-        state.hbm.restore(&st.hbm);
+        (state.t, state.next_id) = Dec::dec(&mut r)?;
+        let routes: Vec<(u64, usize)> = Dec::dec(&mut r)?;
         // The route table is rebuilt from the units' pending lists; it must
         // name exactly the requests the checkpoint routes, each to its lane.
-        let route = &mut state.route;
+        r.count_of(state.lanes.len(), "the lane count differs from the configuration")?;
         let mut tags = Vec::new();
-        for (l, (lane, ls)) in state.lanes.iter_mut().zip(&st.lanes).enumerate() {
-            lane.spal.restore(&ls.spal, &mut tags);
-            lane.spbl.restore(&ls.spbl, &mut tags);
-            lane.pe.restore(&ls.pe);
-            lane.writer.restore(&ls.writer, &mut tags);
-            lane.spal_out.extend(&ls.spal_out);
-            lane.pe_in.extend(&ls.pe_in);
+        for (l, lane) in state.lanes.iter_mut().enumerate() {
+            lane.restore(&mut r, &mut tags, self.cfg.coupling_fifo_depth)?;
             for (id, tag) in tags.drain(..) {
-                if route.insert(id, Route { lane: l, tag }).is_some() {
+                if state.route.insert(id, Route { lane: l, tag }).is_some() {
                     return Err(SimError::CheckpointMismatch {
                         detail: "checkpoint lists a request id as pending twice",
                     });
                 }
             }
         }
-        if !route.iter().map(|(id, r)| (id, r.lane as u64)).eq(st.route.iter().copied()) {
+        if !state.route.iter().map(|(id, r)| (id, r.lane)).eq(routes) {
             return Err(SimError::CheckpointMismatch {
                 detail: "checkpoint routes differ from its units' pending requests",
             });
         }
-
-        let sources: Vec<SourceState> = st
-            .wd_sources
-            .iter()
-            .map(|s| SourceState {
-                last_signature: s.last_signature,
-                last_progress: Cycle(s.last_progress),
-                observed: s.observed,
-            })
-            .collect();
-        state.watchdog.import_state(Cycle(st.wd_last_progress), &sources);
-        state.stream_fault = st.stream_fault.map(|s| StreamInjector {
-            lane: s.lane as usize,
-            target: s.target,
-            seen: s.seen,
-            truncate: s.truncate,
-            corrupt_to: s.corrupt_to,
-        });
-        state.t = st.t;
-        state.next_id = st.next_id;
+        state.stream_fault = Dec::dec(&mut r)?;
+        state.hbm.restore(&mut r)?;
+        state.watchdog.restore(&mut r)?;
+        r.finish()?;
         Ok(())
     }
 
@@ -1190,6 +1154,7 @@ fn reference_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use matraptor_mem::HbmConfig;
     use matraptor_sparse::gen;
 
     /// The checked pair `(a, b)`.
@@ -1385,38 +1350,143 @@ mod tests {
         assert_eq!(resumed.c, paused.c);
     }
 
+    /// `ck` with its payload edited by `edit` and its checksum recomputed:
+    /// what a handed-over checkpoint with a valid envelope can hold.
+    fn forged(ck: &Checkpoint, edit: impl FnOnce(&mut Vec<u8>)) -> Checkpoint {
+        let header = Checkpoint::buffer().len();
+        let mut payload = ck.to_bytes().split_off(header);
+        edit(&mut payload);
+        let bytes = Checkpoint::seal([Checkpoint::buffer(), payload].concat(), ck.cycle());
+        Checkpoint::from_bytes(&bytes.to_bytes()).expect("a valid envelope")
+    }
+
+    /// Why resuming `ck` for `a * b` on `accel` is refused, or `None` when
+    /// it resumes.
+    fn refusal(
+        accel: &Accelerator,
+        a: &Csr<f64>,
+        b: &Csr<f64>,
+        ck: &Checkpoint,
+    ) -> Option<&'static str> {
+        match accel.start(ops(a, b), RunStart::Resume(ck)) {
+            Ok(_) => None,
+            Err(SimError::CheckpointMismatch { detail }) => Some(detail),
+            Err(other) => panic!("expected CheckpointMismatch, got {other:?}"),
+        }
+    }
+
     #[test]
     fn a_restore_refuses_routes_that_disagree_with_the_pending_lists() {
         let a = gen::uniform(96, 96, 900, 24);
         let accel = Accelerator::new(MatRaptorConfig::small_test());
         let ck = run_with_every_unit_in_flight(&accel, &a).snapshot();
-        let refused = |edit: &dyn Fn(&mut CheckpointState)| {
-            let mut bad = ck.clone();
-            edit(&mut bad.state);
-            // Through the byte format, as a handed-over checkpoint arrives.
-            let bad = Checkpoint::from_bytes(&bad.to_bytes()).expect("well-formed bytes");
-            matches!(
-                accel.start(ops(&a, &a), RunStart::Resume(&bad)),
-                Err(SimError::CheckpointMismatch { .. })
-            )
-        };
-        assert!(!refused(&|_| {}), "the unedited checkpoint restores");
-        // The route names an id that no unit's pending list holds.
-        assert!(refused(&|st| {
-            let id = st.next_id + 7;
-            st.route.push((id, 0));
-        }));
-        // A unit's pending list holds an id that the route does not name.
-        assert!(refused(&|st| {
-            st.route.remove(0);
-        }));
+        let refused = |edit: &dyn Fn(&mut Vec<u8>)| refusal(&accel, &a, &a, &forged(&ck, edit));
+        assert_eq!(refused(&|_| {}), None, "the unedited checkpoint restores");
+        // The route list follows the three fingerprints, the cycle and the
+        // next id: its length, then `(id, lane)` pairs in id order.
+        let route = 48;
+        let routes = u64::from_le_bytes(ck.to_bytes()[16 + 40..16 + 48].try_into().unwrap());
+        let lanes = route + 16 * routes as usize;
+        let differ = Some("checkpoint routes differ from its units' pending requests");
+        // The first routed id moves past every pending one: the route names
+        // an id that no unit's pending list holds, and a list holds an id
+        // that the route does not name.
+        assert_eq!(refused(&|p| p[route + 7] ^= 0x80), differ);
         // The route sends a pending request to another lane.
-        assert!(refused(&|st| st.route[0].1 ^= 1));
-        // Two units of the routed lane hold the same id.
-        assert!(refused(&|st| {
-            let (id, lane) = st.route[0];
-            st.lanes[lane as usize].writer.pending.push(id);
-        }));
+        assert_eq!(refused(&|p| p[route + 8] ^= 1), differ);
+        // Two units hold the second routed id: the first one's pending
+        // entry, the first copy of its id past the route list, names it.
+        let twice = refused(&|p| {
+            let (first, second) =
+                (p[route..route + 8].to_vec(), p[route + 16..route + 24].to_vec());
+            let at = lanes + p[lanes..].windows(8).position(|w| w == first).expect("pending");
+            p[at..at + 8].copy_from_slice(&second);
+        });
+        assert_eq!(twice, Some("checkpoint lists a request id as pending twice"));
+    }
+
+    /// `ck`, taken of another run, passed off as one of `accel`'s run of
+    /// `a * b`: its fingerprints rewritten and its checksum recomputed.
+    fn passed_off(ck: &Checkpoint, accel: &Accelerator, a: &Csr<f64>, b: &Csr<f64>) -> Checkpoint {
+        let [fa, fb] = ops(a, b).matrix_fingerprints();
+        forged(ck, |p| {
+            for (i, f) in [fingerprint_config(&accel.cfg), fa, fb].into_iter().enumerate() {
+                p[8 * i..8 * i + 8].copy_from_slice(&f.to_le_bytes());
+            }
+        })
+    }
+
+    /// The checkpoint of `a * b` on `cfg` at the first cycle top at which
+    /// `hit` holds of the machine.
+    fn checkpoint_where(
+        cfg: MatRaptorConfig,
+        a: &Csr<f64>,
+        b: &Csr<f64>,
+        hit: impl Fn(&RunState) -> bool,
+    ) -> Checkpoint {
+        let accel = Accelerator::new(cfg);
+        let fresh = RunStart::Fresh { plan: None, trace: None };
+        let mut run = accel.start(ops(a, b), fresh).expect("valid operands");
+        while !hit(&run.machine().state) {
+            assert!(!run.advance(run.cycle() + 1).expect("clean run"), "drained first");
+        }
+        run.snapshot()
+    }
+
+    #[test]
+    fn a_resume_refuses_payloads_that_do_not_fit_the_machine() {
+        let cfg = MatRaptorConfig {
+            coupling_fifo_depth: 2,
+            mem: HbmConfig { queue_depth: 4, ..HbmConfig::with_channels(2) },
+            ..MatRaptorConfig::small_test()
+        };
+        let a = gen::uniform(48, 48, 300, 25);
+        let accel = Accelerator::new(cfg.clone());
+        let want = job_print(&Accelerator::new(cfg.clone()), &a, &a);
+        let at_start = |_: &RunState| true;
+        let other_cfg = |edit: &dyn Fn(&mut MatRaptorConfig)| {
+            let mut other = cfg.clone();
+            edit(&mut other);
+            other
+        };
+        let (depth, fifo) = (cfg.mem.queue_depth, cfg.coupling_fifo_depth);
+        // A 49-row A gives lane 0 one more row, and with it one more flag.
+        let taller = gen::uniform(49, 48, 300, 26);
+        let cases: [(Checkpoint, &str); 6] = [
+            (
+                checkpoint_where(other_cfg(&|c| c.mem.banks_per_channel -= 1), &a, &a, at_start),
+                "a channel's bank count differs",
+            ),
+            (
+                checkpoint_where(cfg.clone(), &taller, &a, at_start),
+                "SpAL's row count differs from the job's",
+            ),
+            (
+                checkpoint_where(other_cfg(&|c| c.queues_per_pe -= 1), &a, &a, at_start),
+                "a PE queue set holds another number of queues",
+            ),
+            (
+                checkpoint_where(other_cfg(&|c| c.mem.queue_depth *= 8), &a, &a, |st| {
+                    st.hbm.queue_depths().any(|d| d > depth)
+                }),
+                "a FIFO holds more entries than its capacity",
+            ),
+            (
+                checkpoint_where(other_cfg(&|c| c.coupling_fifo_depth *= 8), &a, &a, |st| {
+                    st.lanes.iter().any(|l| l.spal_out.len().max(l.pe_in.len()) > fifo)
+                }),
+                "a coupling FIFO holds more tokens than its depth",
+            ),
+            (
+                forged(&checkpoint_where(cfg.clone(), &a, &a, |st| st.t == 64), |p| p.push(0)),
+                "bytes are left after the walk",
+            ),
+        ];
+        for (ck, detail) in cases {
+            let ck = passed_off(&ck, &accel, &a, &a);
+            assert_eq!(refusal(&accel, &a, &a, &ck), Some(detail));
+            assert!(job_print(&accel, &a, &a) == want, "a refused resume left a trace: {detail}");
+        }
     }
 
     /// The 2-lane template of the `par_slices` and `wire_mixed`
@@ -1440,13 +1510,15 @@ mod tests {
         k: u64,
         lane: usize,
     ) -> Result<RunOutcome, SimError> {
-        let mut ck = paused_at(accel, a, k).expect("run longer than the pause");
-        let st = &mut ck.state;
+        let ck = paused_at(accel, a, k).expect("run longer than the pause");
+        let mut run = accel.start(ops(a, a), RunStart::Resume(&ck))?;
+        let st = &mut run.machine.as_mut().expect("a live run holds its machine").state;
         let id = st.next_id;
         st.next_id += 1;
-        st.route.push((id, lane as u64));
-        st.lanes[lane].writer.pending.push(id);
-        accel.run_to_end(a, a, RunStart::Resume(&ck))
+        st.route.insert(id, Route { lane, tag: Tag::WriterAck });
+        st.lanes[lane].writer.pending += 1;
+        run.advance(u64::MAX)?;
+        run.finish()
     }
 
     /// `(lane, pause cycle, declared_at, last_progress, diagnostic digest)`

@@ -17,6 +17,7 @@
 use std::error::Error;
 use std::fmt;
 
+use matraptor_sim::codec::Mismatch;
 use matraptor_sparse::SparseError;
 
 /// Why a simulated run could not produce a result.
@@ -67,9 +68,11 @@ pub enum SimError {
     },
     /// A checkpoint was presented for resumption against a different
     /// configuration or different operand matrices than the run that
-    /// produced it.
+    /// produced it, or its payload does not fit the machine it was read
+    /// into (a count or capacity that differs from the configuration, an
+    /// invalid tag, routes that disagree with the units, bytes left over).
     CheckpointMismatch {
-        /// Which fingerprint disagreed.
+        /// What disagreed.
         detail: &'static str,
     },
     /// An internal interconnect invariant was violated mid-run — e.g. the
@@ -257,6 +260,12 @@ impl fmt::Display for MalformedInput {
 }
 
 impl Error for SimError {}
+
+impl From<Mismatch> for SimError {
+    fn from(Mismatch(detail): Mismatch) -> Self {
+        SimError::CheckpointMismatch { detail }
+    }
+}
 
 /// Why a [`crate::MatRaptorConfig`] is not usable.
 ///

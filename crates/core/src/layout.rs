@@ -1,6 +1,7 @@
 //! Memory layout of the three C²SR matrices in the flat address space.
 
 use matraptor_mem::AddressMap;
+use matraptor_sim::codec::{Dec, Enc, Mismatch, Reader};
 use matraptor_sim::Divisor;
 use matraptor_sparse::C2srRow;
 
@@ -130,7 +131,8 @@ impl RowPlan {
         (layout.chunk.quotient(self.end - 1) - layout.chunk.quotient(self.pos) + 1) as usize
     }
 
-    /// The remaining requests, in issue order — the checkpoint form.
+    /// The remaining requests, in issue order.
+    #[cfg(test)]
     pub(crate) fn requests(mut self, layout: &MatrixLayout) -> Vec<(u64, u32)> {
         let mut out = Vec::with_capacity(self.len(layout));
         while let Some(req) = self.front(layout) {
@@ -140,23 +142,46 @@ impl RowPlan {
         out
     }
 
-    /// Rebuilds a plan from its checkpoint form.
+    /// Writes the remaining requests, in issue order: the checkpoint form.
+    pub(crate) fn enc(mut self, layout: &MatrixLayout, out: &mut Vec<u8>) {
+        self.len(layout).enc(out);
+        while let Some(req) = self.front(layout) {
+            req.enc(out);
+            self.pop_front(layout);
+        }
+    }
+
+    /// Reads a plan back from its checkpoint form.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `reqs` is not the tail of one row's request stream — a
-    /// checkpoint can only hold what [`RowPlan::requests`] produced.
-    pub(crate) fn from_requests(layout: &MatrixLayout, reqs: &[(u64, u32)]) -> RowPlan {
+    /// [`Mismatch`] if the requests are not the tail of one row's request
+    /// stream, which is all [`RowPlan::enc`] writes.
+    pub(crate) fn dec(layout: &MatrixLayout, r: &mut Reader<'_>) -> Result<RowPlan, Mismatch> {
+        RowPlan::from_requests(layout, &Vec::dec(r)?)
+            .ok_or(Mismatch("a request plan is not a row stream"))
+    }
+
+    /// The plan whose requests are `reqs`, if they are the tail of one
+    /// row's request stream.
+    fn from_requests(layout: &MatrixLayout, reqs: &[(u64, u32)]) -> Option<RowPlan> {
         let (Some(&(first, _)), Some(&(last, last_len))) = (reqs.first(), reqs.last()) else {
-            return RowPlan::default();
+            return Some(RowPlan::default());
         };
         let plan = RowPlan {
             channel: layout.map.channel_of(first),
             pos: layout.map.local_offset(first),
             end: layout.map.local_offset(last) + last_len as u64,
         };
-        assert_eq!(plan.requests(layout), reqs, "checkpointed request plan is not a row stream");
-        plan
+        // Walk the plan only as far as `reqs` goes, whatever its length.
+        let mut rest = plan;
+        for &req in reqs {
+            if rest.front(layout) != Some(req) {
+                return None;
+            }
+            rest.pop_front(layout);
+        }
+        rest.is_empty().then_some(plan)
     }
 }
 
@@ -243,7 +268,7 @@ mod tests {
         for (k, &req) in all.iter().enumerate() {
             assert_eq!(plan.len(&l), all.len() - k);
             // Every tail round-trips through its checkpoint form.
-            assert_eq!(RowPlan::from_requests(&l, &all[k..]), plan);
+            assert_eq!(RowPlan::from_requests(&l, &all[k..]), Some(plan));
             assert_eq!(plan.front(&l), Some(req));
             plan.pop_front(&l);
         }
@@ -253,11 +278,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not a row stream")]
     fn a_gapped_checkpoint_plan_is_rejected() {
         let l = layout(HbmConfig::default(), 0, 0);
         let reqs = l.row_plan(0, C2srRow { len: 24, offset: 0 }).requests(&l);
-        let _ = RowPlan::from_requests(&l, &[reqs[0], reqs[2]]);
+        assert_eq!(RowPlan::from_requests(&l, &[reqs[0], reqs[2]]), None);
+        let mut out = Vec::new();
+        vec![reqs[0], reqs[2]].enc(&mut out);
+        assert!(RowPlan::dec(&l, &mut Reader::new(&out)).is_err());
     }
 
     #[test]
@@ -266,7 +293,7 @@ mod tests {
         let plan = l.row_plan(0, C2srRow { len: 0, offset: 9 });
         assert!(plan.is_empty());
         assert!(plan.requests(&l).is_empty());
-        assert_eq!(RowPlan::from_requests(&l, &[]), RowPlan::default());
+        assert_eq!(RowPlan::from_requests(&l, &[]), Some(RowPlan::default()));
     }
 
     #[test]

@@ -2,10 +2,11 @@
 
 use std::collections::VecDeque;
 
+use matraptor_sim::codec::{Dec, Enc, Mismatch, Reader};
+use matraptor_sim::plain_struct;
 use matraptor_sim::stats::{Counter, CycleBreakdown};
 use matraptor_sim::watchdog::mix_signature;
 
-use crate::checkpoint::{BreakdownState, PeState};
 use crate::config::MatRaptorConfig;
 use crate::queue::{QueueSet, VectorMode};
 use crate::tokens::PeTok;
@@ -82,6 +83,8 @@ struct Phase2 {
     set: usize,
     row: u32,
 }
+
+plain_struct!(Phase2 { set, row });
 
 impl Pe {
     pub(crate) fn new(cfg: &MatRaptorConfig) -> Self {
@@ -470,61 +473,35 @@ impl Pe {
         mix_signature(sig, ph2)
     }
 
-    /// Captures all mutable state for a checkpoint. Queue shapes and the
+    /// Writes all mutable state into a checkpoint. Queue shapes and the
     /// double-buffering mode are the configuration's, which the PE a
     /// restore loads into was built for.
-    pub(crate) fn snapshot(&self) -> PeState {
-        PeState {
-            set0: self.sets[0].snapshot(),
-            set1: self.sets[1].snapshot(),
-            fill: self.fill as u64,
-            vec_mode: self.vec_mode,
-            phase2: self.phase2.map(|p| (p.set as u64, p.row)),
-            skipping: self.skipping,
-            products_in_row: self.products_in_row,
-            breakdown: BreakdownState {
-                busy: self.breakdown.busy.get(),
-                merge_stall: self.breakdown.merge_stall.get(),
-                memory_stall: self.breakdown.memory_stall.get(),
-                idle: self.breakdown.idle.get(),
-            },
-            multiplies: self.multiplies.get(),
-            additions: self.additions.get(),
-            overflow_rows: self.overflow_rows.clone(),
-            phase1_cycles: self.phase1_cycles.get(),
-            phase2_cycles: self.phase2_cycles.get(),
-            fault_force_overflow_after: self.fault_force_overflow_after,
-            cpu_fallback: self.cpu_fallback,
-            fatal_overflow: self.fatal_overflow,
-        }
+    pub(crate) fn snapshot(&self, out: &mut Vec<u8>) {
+        self.sets.iter().for_each(|set| set.snapshot(out));
+        (self.fill, self.vec_mode, self.phase2).enc(out);
+        (self.skipping, self.products_in_row, self.breakdown).enc(out);
+        (self.multiplies, self.additions, &self.overflow_rows).enc(out);
+        (self.phase1_cycles, self.phase2_cycles, self.fault_force_overflow_after).enc(out);
+        (self.cpu_fallback, self.fatal_overflow).enc(out);
     }
 
-    /// Restores a snapshot into a PE reset for the same configuration.
-    pub(crate) fn restore(&mut self, state: &PeState) {
-        self.sets[0].restore(&state.set0);
-        self.sets[1].restore(&state.set1);
-        self.fill = state.fill as usize;
-        self.vec_mode = state.vec_mode;
-        self.phase2 = state.phase2.map(|(set, row)| Phase2 { set: set as usize, row });
-        self.skipping = state.skipping;
-        self.products_in_row = state.products_in_row;
-        self.breakdown = CycleBreakdown::default();
-        self.breakdown.busy.add(state.breakdown.busy);
-        self.breakdown.merge_stall.add(state.breakdown.merge_stall);
-        self.breakdown.memory_stall.add(state.breakdown.memory_stall);
-        self.breakdown.idle.add(state.breakdown.idle);
-        self.multiplies = Counter::default();
-        self.multiplies.add(state.multiplies);
-        self.additions = Counter::default();
-        self.additions.add(state.additions);
-        self.overflow_rows.clear();
-        self.overflow_rows.extend_from_slice(&state.overflow_rows);
-        self.phase1_cycles = Counter::default();
-        self.phase1_cycles.add(state.phase1_cycles);
-        self.phase2_cycles = Counter::default();
-        self.phase2_cycles.add(state.phase2_cycles);
-        self.fault_force_overflow_after = state.fault_force_overflow_after;
-        self.cpu_fallback = state.cpu_fallback;
-        self.fatal_overflow = state.fatal_overflow;
+    /// Reads a [`Pe::snapshot`] back into a PE reset for the same
+    /// configuration.
+    ///
+    /// # Errors
+    ///
+    /// [`Mismatch`] if a queue set disagrees with the configuration, or
+    /// the bytes are malformed.
+    pub(crate) fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), Mismatch> {
+        for set in &mut self.sets {
+            set.restore(r)?;
+        }
+        (self.fill, self.vec_mode, self.phase2) = Dec::dec(r)?;
+        (self.skipping, self.products_in_row, self.breakdown) = Dec::dec(r)?;
+        (self.multiplies, self.additions) = Dec::dec(r)?;
+        r.append(&mut self.overflow_rows)?;
+        (self.phase1_cycles, self.phase2_cycles, self.fault_force_overflow_after) = Dec::dec(r)?;
+        (self.cpu_fallback, self.fatal_overflow) = Dec::dec(r)?;
+        Ok(())
     }
 }

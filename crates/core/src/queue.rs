@@ -2,6 +2,8 @@
 
 use std::collections::VecDeque;
 
+use matraptor_sim::codec::{Dec, Enc, Mismatch, Reader};
+
 /// One sorting queue: a FIFO of `(col id, value)` pairs that maintains the
 /// invariant that column ids are strictly increasing from front to back.
 ///
@@ -12,6 +14,7 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone)]
 pub(crate) struct SortQueue {
     entries: VecDeque<(u32, f64)>,
+    // conformance:allow(checkpoint-coverage): fixed capacity from the config; restore checks against it
     capacity: usize,
 }
 
@@ -63,23 +66,27 @@ impl SortQueue {
         self.entries.clear();
     }
 
-    /// Ordered entries front-to-back, for checkpointing.
-    pub(crate) fn entries_snapshot(&self) -> Vec<(u32, f64)> {
-        self.entries.iter().copied().collect()
+    /// Writes the entries front-to-back into a checkpoint.
+    pub(crate) fn snapshot(&self, out: &mut Vec<u8>) {
+        self.entries.enc(out);
     }
 
-    /// Replaces the contents from a checkpoint, keeping the storage. The
-    /// entries came from a checksummed snapshot of a queue that enforced
-    /// the sorted/capacity invariants, so they are re-checked only in
-    /// debug builds.
-    pub(crate) fn restore_entries(&mut self, entries: &[(u32, f64)]) {
-        debug_assert!(entries.len() <= self.capacity, "restored queue exceeds capacity");
-        debug_assert!(
-            entries.windows(2).all(|w| w[0].0 < w[1].0),
-            "restored queue entries out of order"
-        );
+    /// Reads a [`SortQueue::snapshot`] back into this queue.
+    ///
+    /// # Errors
+    ///
+    /// [`Mismatch`] if the entries exceed the capacity or are out of
+    /// column order, or the bytes are malformed.
+    pub(crate) fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), Mismatch> {
         self.entries.clear();
-        self.entries.extend(entries);
+        r.append(&mut self.entries)?;
+        if self.entries.len() > self.capacity {
+            return Err(Mismatch("a sorting queue holds more entries than its capacity"));
+        }
+        if self.entries.iter().zip(self.entries.iter().skip(1)).any(|(a, b)| a.0 >= b.0) {
+            return Err(Mismatch("a sorting queue is out of column order"));
+        }
+        Ok(())
     }
 }
 
@@ -211,33 +218,34 @@ impl QueueSet {
         }
     }
 
-    /// Captures queues, helper index, and occupancy for a checkpoint.
-    pub(crate) fn snapshot(&self) -> crate::checkpoint::QueueSetState {
-        crate::checkpoint::QueueSetState {
-            queues: self.queues.iter().map(SortQueue::entries_snapshot).collect(),
-            helper: self.helper as u64,
-            occupied: self.occupied.clone(),
-        }
+    /// Writes the queues, helper index, and occupancy into a checkpoint.
+    pub(crate) fn snapshot(&self, out: &mut Vec<u8>) {
+        self.queues.len().enc(out);
+        self.queues.iter().for_each(|q| q.snapshot(out));
+        (self.helper, &self.occupied).enc(out);
     }
 
-    /// Restores a snapshot taken by [`QueueSet::snapshot`] into a freshly
-    /// constructed set of the same shape.
-    pub(crate) fn restore(&mut self, state: &crate::checkpoint::QueueSetState) {
-        assert_eq!(
-            self.queues.len(),
-            state.queues.len(),
-            "queue set restore: queue count mismatch"
-        );
-        assert_eq!(
-            self.occupied.len(),
-            state.occupied.len(),
-            "queue set restore: occupancy length mismatch"
-        );
-        for (q, entries) in self.queues.iter_mut().zip(&state.queues) {
-            q.restore_entries(entries);
+    /// Reads a [`QueueSet::snapshot`] back into a set of the same shape.
+    ///
+    /// # Errors
+    ///
+    /// [`Mismatch`] if the checkpoint holds another number of queues, a
+    /// queue that breaks its capacity or order, a helper index out of
+    /// range, or malformed bytes.
+    pub(crate) fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), Mismatch> {
+        r.count_of(self.queues.len(), "a PE queue set holds another number of queues")?;
+        for q in &mut self.queues {
+            q.restore(r)?;
         }
-        self.helper = state.helper as usize;
-        self.occupied.copy_from_slice(&state.occupied);
+        self.helper = usize::dec(r)?;
+        if self.helper >= self.queues.len() {
+            return Err(Mismatch("a PE helper queue index is out of range"));
+        }
+        r.count_of(self.occupied.len(), "a PE queue set holds another number of queues")?;
+        for o in &mut self.occupied {
+            *o = bool::dec(r)?;
+        }
+        Ok(())
     }
 
     /// Returns the set to its power-on state: empty, with the last queue

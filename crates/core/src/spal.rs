@@ -2,11 +2,11 @@
 
 use std::collections::VecDeque;
 
+use matraptor_sim::codec::{Dec, Enc, Mismatch, Reader};
 use matraptor_sim::trace::{StageBreakdown, StageClass};
 use matraptor_sim::watchdog::mix_signature;
 use matraptor_sparse::C2sr;
 
-use crate::checkpoint::{SpAlSpanState, SpAlState};
 use crate::config::MatRaptorConfig;
 use crate::layout::{MatrixLayout, RowPlan, INFO_BYTES};
 use crate::port::{MemPort, Tag};
@@ -308,67 +308,71 @@ impl SpAl {
         (self.in_flight, self.staging.len(), self.rows.len().saturating_sub(self.data_cursor))
     }
 
-    /// Captures all mutable state for a checkpoint, with the lane's
+    /// Writes all mutable state into a checkpoint, with the lane's
     /// in-flight `tags` in id order, from which SpAL's own are taken. The
     /// lane index, row assignment, and budgets are rebuilt by
     /// [`SpAl::reset`] before a restore.
-    pub(crate) fn snapshot(&self, tags: impl Iterator<Item = (u64, Tag)>) -> SpAlState {
-        let (mut pending_info, mut pending_data) = (Vec::new(), Vec::new());
-        for (id, tag) in tags {
-            match tag {
-                Tag::SpAlInfo { row_pos } => pending_info.push((id, row_pos as u64)),
-                Tag::SpAlData { row_pos, first_entry, count } => pending_data
-                    .push((id, SpAlSpanState { row_pos: row_pos as u64, first_entry, count })),
-                _ => {}
+    pub(crate) fn snapshot(
+        &self,
+        tags: impl Iterator<Item = (u64, Tag)> + Clone,
+        out: &mut Vec<u8>,
+    ) {
+        (self.info_cursor, self.data_cursor).enc(out);
+        self.info_ready.enc(out);
+        self.current_plan.enc(&self.layout, out);
+        self.entries_issued.enc(out);
+        self.pending_info.enc(out);
+        for (id, tag) in tags.clone() {
+            if let Tag::SpAlInfo { row_pos } = tag {
+                (id, row_pos).enc(out);
             }
         }
-        debug_assert_eq!(
-            (pending_info.len(), pending_data.len()),
-            (self.pending_info, self.pending_data)
-        );
-        SpAlState {
-            info_cursor: self.info_cursor as u64,
-            data_cursor: self.data_cursor as u64,
-            info_ready: self.info_ready.clone(),
-            current_plan: self.current_plan.requests(&self.layout),
-            entries_issued: self.entries_issued,
-            pending_info,
-            pending_data,
-            staging: self.staging.iter().copied().collect(),
-            in_flight: self.in_flight as u64,
-            attribution: self.attribution.as_array(),
+        self.pending_data.enc(out);
+        for (id, tag) in tags {
+            if let Tag::SpAlData { row_pos, first_entry, count } = tag {
+                (id, row_pos).enc(out);
+                (first_entry, count).enc(out);
+            }
         }
+        self.staging.enc(out);
+        self.in_flight.enc(out);
+        self.attribution.enc(out);
     }
 
-    /// Restores a snapshot into a loader reset for the same
+    /// Reads a [`SpAl::snapshot`] back into a loader reset for the same
     /// `(lane, config, matrix)` triple, appending the tags of its in-flight
     /// requests to `tags` for the route table.
-    pub(crate) fn restore(&mut self, state: &SpAlState, tags: &mut Vec<(u64, Tag)>) {
-        assert_eq!(
-            self.info_ready.len(),
-            state.info_ready.len(),
-            "SpAL restore: assigned-row count mismatch"
-        );
-        self.info_cursor = state.info_cursor as usize;
-        self.data_cursor = state.data_cursor as usize;
-        self.info_ready.copy_from_slice(&state.info_ready);
-        self.current_plan = RowPlan::from_requests(&self.layout, &state.current_plan);
-        self.entries_issued = state.entries_issued;
-        self.pending_info = state.pending_info.len();
-        self.pending_data = state.pending_data.len();
-        tags.extend(
-            state
-                .pending_info
-                .iter()
-                .map(|&(id, pos)| (id, Tag::SpAlInfo { row_pos: pos as usize })),
-        );
-        tags.extend(state.pending_data.iter().map(|(id, span)| {
-            let row_pos = span.row_pos as usize;
-            (*id, Tag::SpAlData { row_pos, first_entry: span.first_entry, count: span.count })
-        }));
-        self.staging.clear();
-        self.staging.extend(&state.staging);
-        self.in_flight = state.in_flight as usize;
-        self.attribution = StageBreakdown::from_array(state.attribution);
+    ///
+    /// # Errors
+    ///
+    /// [`Mismatch`] if the checkpoint assigns the lane another number of
+    /// rows, or its bytes are malformed.
+    pub(crate) fn restore(
+        &mut self,
+        r: &mut Reader<'_>,
+        tags: &mut Vec<(u64, Tag)>,
+    ) -> Result<(), Mismatch> {
+        (self.info_cursor, self.data_cursor) = Dec::dec(r)?;
+        r.count_of(self.info_ready.len(), "SpAL's row count differs from the job's")?;
+        for ready in &mut self.info_ready {
+            *ready = bool::dec(r)?;
+        }
+        self.current_plan = RowPlan::dec(&self.layout, r)?;
+        self.entries_issued = u32::dec(r)?;
+        self.pending_info = r.count()?;
+        for _ in 0..self.pending_info {
+            let (id, row_pos) = Dec::dec(r)?;
+            tags.push((id, Tag::SpAlInfo { row_pos }));
+        }
+        self.pending_data = r.count()?;
+        for _ in 0..self.pending_data {
+            let (id, row_pos) = Dec::dec(r)?;
+            let (first_entry, count) = Dec::dec(r)?;
+            tags.push((id, Tag::SpAlData { row_pos, first_entry, count }));
+        }
+        r.append(&mut self.staging)?;
+        self.in_flight = usize::dec(r)?;
+        self.attribution = Dec::dec(r)?;
+        Ok(())
     }
 }

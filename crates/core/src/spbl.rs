@@ -2,11 +2,11 @@
 
 use std::collections::VecDeque;
 
+use matraptor_sim::codec::{Dec, Enc, Mismatch, Reader};
 use matraptor_sim::trace::{StageBreakdown, StageClass};
 use matraptor_sim::watchdog::mix_signature;
 use matraptor_sparse::C2sr;
 
-use crate::checkpoint::{JobState, SpBlState};
 use crate::config::MatRaptorConfig;
 use crate::layout::{MatrixLayout, RowPlan, INFO_BYTES};
 use crate::port::{MemPort, Tag};
@@ -115,6 +115,45 @@ impl Job {
         } else {
             self.plan.map(|plan| plan.channel())
         }
+    }
+
+    /// Writes the job into a checkpoint, its row plan in request form.
+    fn snapshot(&self, layout: &MatrixLayout, out: &mut Vec<u8>) {
+        (self.seq, self.kind == JobKind::Fetch, self.b_row).enc(out);
+        (self.a_val, self.out_row, self.last_in_row).enc(out);
+        (self.info_requested, self.info_ready).enc(out);
+        match self.plan {
+            None => out.push(0),
+            Some(plan) => {
+                out.push(1);
+                plan.enc(layout, out);
+            }
+        }
+        (self.len, self.ready_entries, self.drained_entries).enc(out);
+    }
+
+    /// Reads a job [`Job::snapshot`] wrote.
+    fn restore(layout: &MatrixLayout, r: &mut Reader<'_>) -> Result<Job, Mismatch> {
+        let (seq, is_fetch, b_row) = Dec::dec(r)?;
+        let (a_val, out_row, last_in_row) = Dec::dec(r)?;
+        let (info_requested, info_ready) = Dec::dec(r)?;
+        let plan = if r.tag(2)? == 1 { Some(RowPlan::dec(layout, r)?) } else { None };
+        let (len, ready_entries, drained_entries) = Dec::dec(r)?;
+        let kind = if is_fetch { JobKind::Fetch } else { JobKind::EmptyRow };
+        Ok(Job {
+            seq,
+            kind,
+            b_row,
+            a_val,
+            out_row,
+            last_in_row,
+            info_requested,
+            info_ready,
+            plan,
+            len,
+            ready_entries,
+            drained_entries,
+        })
     }
 }
 
@@ -483,92 +522,64 @@ impl SpBl {
         (self.jobs.len(), self.in_flight, self.staging.len())
     }
 
-    /// Captures all mutable state for a checkpoint, with the lane's
+    /// Writes all mutable state into a checkpoint, with the lane's
     /// in-flight `tags` in id order, from which SpBL's own are taken.
     /// Budgets and window sizes are the configuration's, which the loader
     /// a restore loads into was built for.
-    pub(crate) fn snapshot(&self, tags: impl Iterator<Item = (u64, Tag)>) -> SpBlState {
-        let (mut pending_info, mut pending_data) = (Vec::new(), Vec::new());
-        for (id, tag) in tags {
-            match tag {
-                Tag::SpBlInfo { job_seq } => pending_info.push((id, job_seq)),
-                Tag::SpBlData { job_seq, count } => pending_data.push((id, job_seq, count)),
-                _ => {}
+    pub(crate) fn snapshot(
+        &self,
+        tags: impl Iterator<Item = (u64, Tag)> + Clone,
+        out: &mut Vec<u8>,
+    ) {
+        self.jobs.len().enc(out);
+        self.jobs.iter().for_each(|job| job.snapshot(&self.layout, out));
+        self.next_seq.enc(out);
+        self.pending_info.enc(out);
+        for (id, tag) in tags.clone() {
+            if let Tag::SpBlInfo { job_seq } = tag {
+                (id, job_seq).enc(out);
             }
         }
-        debug_assert_eq!(
-            (pending_info.len(), pending_data.len()),
-            (self.pending_info, self.pending_data)
-        );
-        SpBlState {
-            jobs: self
-                .jobs
-                .iter()
-                .map(|j| JobState {
-                    seq: j.seq,
-                    is_fetch: j.kind == JobKind::Fetch,
-                    b_row: j.b_row,
-                    a_val: j.a_val,
-                    out_row: j.out_row,
-                    last_in_row: j.last_in_row,
-                    info_requested: j.info_requested,
-                    info_ready: j.info_ready,
-                    plan: j.plan.map(|p| p.requests(&self.layout)),
-                    len: j.len,
-                    ready_entries: j.ready_entries,
-                    drained_entries: j.drained_entries,
-                })
-                .collect(),
-            next_seq: self.next_seq,
-            pending_info,
-            pending_data,
-            staging: self.staging.iter().copied().collect(),
-            in_flight: self.in_flight as u64,
-            blocked: self.blocked,
-            malformed: self.malformed,
-            attribution: self.attribution.as_array(),
+        self.pending_data.enc(out);
+        for (id, tag) in tags {
+            if let Tag::SpBlData { job_seq, count } = tag {
+                (id, job_seq, count).enc(out);
+            }
         }
+        self.staging.enc(out);
+        (self.in_flight, self.blocked, self.malformed).enc(out);
+        self.attribution.enc(out);
     }
 
-    /// Restores a snapshot into a loader reset for the same
-    /// configuration, appending the tags of its in-flight
-    /// requests to `tags` for the route table.
-    pub(crate) fn restore(&mut self, state: &SpBlState, tags: &mut Vec<(u64, Tag)>) {
-        self.jobs.clear();
-        self.jobs.extend(state.jobs.iter().map(|j| Job {
-            seq: j.seq,
-            kind: if j.is_fetch { JobKind::Fetch } else { JobKind::EmptyRow },
-            b_row: j.b_row,
-            a_val: j.a_val,
-            out_row: j.out_row,
-            last_in_row: j.last_in_row,
-            info_requested: j.info_requested,
-            info_ready: j.info_ready,
-            plan: j.plan.as_ref().map(|p| RowPlan::from_requests(&self.layout, p)),
-            len: j.len,
-            ready_entries: j.ready_entries,
-            drained_entries: j.drained_entries,
-        }));
-        self.next_seq = state.next_seq;
-        self.pending_info = state.pending_info.len();
-        self.pending_data = state.pending_data.len();
-        tags.extend(
-            state.pending_info.iter().map(|&(id, job_seq)| (id, Tag::SpBlInfo { job_seq })),
-        );
-        tags.extend(
-            state
-                .pending_data
-                .iter()
-                .map(|&(id, job_seq, count)| (id, Tag::SpBlData { job_seq, count })),
-        );
-        self.staging.clear();
-        self.staging.extend(&state.staging);
-        self.in_flight = state.in_flight as usize;
-        self.blocked = state.blocked;
-        self.malformed = state.malformed;
-        self.attribution = StageBreakdown::from_array(state.attribution);
-        self.issuable = 0;
-        self.issuable_on.fill(0);
+    /// Reads a [`SpBl::snapshot`] back into a loader reset for the same
+    /// configuration, appending the tags of its in-flight requests to
+    /// `tags` for the route table.
+    ///
+    /// # Errors
+    ///
+    /// [`Mismatch`] if the bytes are malformed.
+    pub(crate) fn restore(
+        &mut self,
+        r: &mut Reader<'_>,
+        tags: &mut Vec<(u64, Tag)>,
+    ) -> Result<(), Mismatch> {
+        for _ in 0..r.count()? {
+            self.jobs.push_back(Job::restore(&self.layout, r)?);
+        }
+        self.next_seq = u64::dec(r)?;
+        self.pending_info = r.count()?;
+        for _ in 0..self.pending_info {
+            let (id, job_seq) = Dec::dec(r)?;
+            tags.push((id, Tag::SpBlInfo { job_seq }));
+        }
+        self.pending_data = r.count()?;
+        for _ in 0..self.pending_data {
+            let (id, job_seq, count) = Dec::dec(r)?;
+            tags.push((id, Tag::SpBlData { job_seq, count }));
+        }
+        r.append(&mut self.staging)?;
+        (self.in_flight, self.blocked, self.malformed) = Dec::dec(r)?;
+        self.attribution = Dec::dec(r)?;
         for job in &self.jobs {
             if job.issuable() {
                 self.issuable |= seq_bit(job.seq);
@@ -577,5 +588,6 @@ impl SpBl {
                 self.issuable_on[channel] |= seq_bit(job.seq);
             }
         }
+        Ok(())
     }
 }

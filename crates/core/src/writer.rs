@@ -2,25 +2,13 @@
 
 use std::collections::VecDeque;
 
+use matraptor_sim::codec::{Dec, Enc, Mismatch, Reader};
 use matraptor_sim::trace::{StageBreakdown, StageClass};
 use matraptor_sim::watchdog::mix_signature;
 
-use crate::checkpoint::WriterState;
 use crate::config::MatRaptorConfig;
 use crate::layout::{MatrixLayout, INFO_BYTES};
 use crate::port::{MemPort, Tag};
-
-/// A finished output row as a checkpoint carries it.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct FinishedRow {
-    pub row: u32,
-    pub cols: Vec<u32>,
-    pub vals: Vec<f64>,
-    /// Entries of padding left in the C²SR stream because the row
-    /// overflowed the sorting queues and was delegated to the CPU
-    /// (Section VII's upper-bound gap). Zero for normal rows.
-    pub padded_entries: u64,
-}
 
 /// A completed row of a [`Writer`]: its entries end at `end` in the
 /// writer's flat buffers and start where the previous row's end.
@@ -28,7 +16,9 @@ pub(crate) struct FinishedRow {
 struct DoneRow {
     row: u32,
     end: usize,
-    /// Entries of padding left in the C²SR stream ([`FinishedRow`]).
+    /// Entries of padding left in the C²SR stream because the row
+    /// overflowed the sorting queues and was delegated to the CPU
+    /// (Section VII's upper-bound gap). Zero for normal rows.
     padded_entries: u64,
 }
 
@@ -47,7 +37,7 @@ pub(crate) struct Writer {
     /// Write requests accepted by the buffer but not yet by the HBM.
     queue: VecDeque<(u64, u32)>,
     /// Writes in flight, each routed back as a [`Tag::WriterAck`].
-    pending: usize,
+    pub(crate) pending: usize,
     /// Current row being assembled.
     cur_row: Option<u32>,
     /// The entries of every completed row, in completion (= row) order
@@ -57,7 +47,6 @@ pub(crate) struct Writer {
     cols: Vec<u32>,
     vals: Vec<f64>,
     /// The completed rows, in order, each with where its entries end.
-    // conformance:allow(checkpoint-coverage): checkpointed as the rows `finished()` yields from it
     done: Vec<DoneRow>,
     // conformance:allow(checkpoint-coverage): derived from config at construction; restore runs against the fingerprint-checked config
     entry_bytes: u32,
@@ -281,63 +270,65 @@ impl Writer {
         (self.queue.len(), self.pending)
     }
 
-    /// Captures all mutable state for a checkpoint, with the lane's
-    /// in-flight `tags` in id order, from which the writer's own are taken.
+    /// Writes all mutable state into a checkpoint, with the lane's
+    /// in-flight `tags` in id order, from which the writer's own are taken:
+    /// the row being assembled, then each completed row with its entries.
     /// The lane binding and region base are the writer's own, which a
     /// restore keeps.
-    pub(crate) fn snapshot(&self, tags: impl Iterator<Item = (u64, Tag)>) -> WriterState {
-        let pending: Vec<u64> =
-            tags.filter_map(|(id, tag)| (tag == Tag::WriterAck).then_some(id)).collect();
-        debug_assert_eq!(pending.len(), self.pending);
-        WriterState {
-            local_cursor: self.local_cursor,
-            buffered_bytes: self.buffered_bytes,
-            queue: self.queue.iter().copied().collect(),
-            pending,
-            cur_row: self.cur_row,
-            cur_cols: self.cols[self.row_start()..].to_vec(),
-            cur_vals: self.vals[self.row_start()..].to_vec(),
-            finished: self
-                .finished()
-                .map(|(row, cols, vals, padded_entries)| FinishedRow {
-                    row,
-                    cols: cols.to_vec(),
-                    vals: vals.to_vec(),
-                    padded_entries,
-                })
-                .collect(),
-            entries_pushed: self.entries_pushed,
-            fault_drop_append: self.fault_drop_append,
-            dropped_appends: self.dropped_appends,
-            attribution: self.attribution.as_array(),
+    pub(crate) fn snapshot(&self, tags: impl Iterator<Item = (u64, Tag)>, out: &mut Vec<u8>) {
+        (self.local_cursor, self.buffered_bytes, &self.queue).enc(out);
+        self.pending.enc(out);
+        for (id, tag) in tags {
+            if tag == Tag::WriterAck {
+                id.enc(out);
+            }
         }
+        let start = self.row_start();
+        (self.cur_row, &self.cols[start..], &self.vals[start..]).enc(out);
+        self.done.len().enc(out);
+        for (row, cols, vals, padded_entries) in self.finished() {
+            (row, cols, vals).enc(out);
+            padded_entries.enc(out);
+        }
+        (self.entries_pushed, self.fault_drop_append, self.dropped_appends).enc(out);
+        self.attribution.enc(out);
     }
 
-    /// Restores a snapshot into a writer reset for the same
+    /// Reads a [`Writer::snapshot`] back into a writer reset for the same
     /// `(lane, config, layout)` triple, appending the tags of its in-flight
     /// writes to `tags` for the route table.
-    pub(crate) fn restore(&mut self, state: &WriterState, tags: &mut Vec<(u64, Tag)>) {
-        self.local_cursor = state.local_cursor;
-        self.buffered_bytes = state.buffered_bytes;
-        self.queue.clear();
-        self.queue.extend(&state.queue);
-        self.pending = state.pending.len();
-        tags.extend(state.pending.iter().map(|&id| (id, Tag::WriterAck)));
-        self.cur_row = state.cur_row;
-        self.cols.clear();
-        self.vals.clear();
-        self.done.clear();
-        for f in &state.finished {
-            self.cols.extend_from_slice(&f.cols);
-            self.vals.extend_from_slice(&f.vals);
-            let end = self.cols.len();
-            self.done.push(DoneRow { row: f.row, end, padded_entries: f.padded_entries });
+    ///
+    /// # Errors
+    ///
+    /// [`Mismatch`] if the columns and values differ in number, or the
+    /// bytes are malformed.
+    pub(crate) fn restore(
+        &mut self,
+        r: &mut Reader<'_>,
+        tags: &mut Vec<(u64, Tag)>,
+    ) -> Result<(), Mismatch> {
+        (self.local_cursor, self.buffered_bytes) = Dec::dec(r)?;
+        r.append(&mut self.queue)?;
+        self.pending = r.count()?;
+        for _ in 0..self.pending {
+            tags.push((u64::dec(r)?, Tag::WriterAck));
         }
-        self.cols.extend_from_slice(&state.cur_cols);
-        self.vals.extend_from_slice(&state.cur_vals);
-        self.entries_pushed = state.entries_pushed;
-        self.fault_drop_append = state.fault_drop_append;
-        self.dropped_appends = state.dropped_appends;
-        self.attribution = StageBreakdown::from_array(state.attribution);
+        let (cur_row, mut cur_cols, mut cur_vals): (_, Vec<u32>, Vec<f64>) = Dec::dec(r)?;
+        self.cur_row = cur_row;
+        for _ in 0..r.count()? {
+            let row = u32::dec(r)?;
+            r.append(&mut self.cols)?;
+            r.append(&mut self.vals)?;
+            let (end, padded_entries) = (self.cols.len(), u64::dec(r)?);
+            self.done.push(DoneRow { row, end, padded_entries });
+        }
+        self.cols.append(&mut cur_cols);
+        self.vals.append(&mut cur_vals);
+        if self.cols.len() != self.vals.len() {
+            return Err(Mismatch("the writer holds another number of columns than values"));
+        }
+        (self.entries_pushed, self.fault_drop_append, self.dropped_appends) = Dec::dec(r)?;
+        self.attribution = Dec::dec(r)?;
+        Ok(())
     }
 }

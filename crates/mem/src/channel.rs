@@ -1,9 +1,9 @@
 //! A single HBM channel: queue, burst service, per-bank row state.
 
+use matraptor_sim::codec::{Dec, Enc, Mismatch, Reader};
 use matraptor_sim::stats::Counter;
-use matraptor_sim::{Cycle, Fifo};
+use matraptor_sim::{plain_struct, Cycle, Fifo};
 
-use crate::snapshot::{BankState, ChannelState, ChannelStatsState, FragmentState};
 use crate::{AddressMap, HbmConfig, MemKind, RequestId};
 
 /// One burst-sized piece of a memory request, bound to a single channel.
@@ -45,6 +45,16 @@ pub struct ChannelStats {
     pub row_misses: Counter,
 }
 
+plain_struct!(ChannelStats {
+    busy_cycles,
+    read_bytes,
+    write_bytes,
+    bursts,
+    read_bursts,
+    write_bursts,
+    row_misses,
+});
+
 impl Fragment {
     /// A fragment of request `req_id` at `addr`, with its DRAM coordinates
     /// decoded through `map`.
@@ -58,6 +68,21 @@ impl Fragment {
     ) -> Self {
         let (row, bank) = map.dram_coords(addr);
         Fragment { req_id, kind, addr, bytes, row, bank }
+    }
+
+    /// Reads a fragment a checkpoint holds, decoding its DRAM coordinates
+    /// through `map` again.
+    fn dec(map: &AddressMap, r: &mut Reader<'_>) -> Result<Self, Mismatch> {
+        Ok(Fragment::new(map, Dec::dec(r)?, Dec::dec(r)?, Dec::dec(r)?, Dec::dec(r)?))
+    }
+}
+
+/// A fragment's checkpoint form leaves out its DRAM coordinates, which
+/// [`Fragment::dec`] decodes again.
+impl Enc for Fragment {
+    fn enc(&self, out: &mut Vec<u8>) {
+        (self.req_id, self.kind, self.addr).enc(out);
+        self.bytes.enc(out);
     }
 }
 
@@ -82,6 +107,8 @@ struct Bank {
     /// Cycle at which the bank finishes its current activity.
     ready_at: Cycle,
 }
+
+plain_struct!(Bank { open_row, prep_row, ready_at });
 
 /// A single channel: an in-order data bus over banks that activate rows in
 /// parallel.
@@ -339,32 +366,14 @@ impl Channel {
         self.stats
     }
 
-    /// Captures the full mutable state as plain data.
-    pub(crate) fn snapshot(&self) -> ChannelState {
-        let (items, queue_pushed) = self.queue.snapshot();
-        ChannelState {
-            queue: items.iter().map(frag_state).collect(),
-            queue_pushed,
-            in_service: self.in_service.as_ref().map(|(f, done)| (frag_state(f), done.as_u64())),
-            banks: self
-                .banks
-                .iter()
-                .map(|b| BankState {
-                    open_row: b.open_row,
-                    prep_row: b.prep_row,
-                    ready_at: b.ready_at.as_u64(),
-                })
-                .collect(),
-            stats: ChannelStatsState {
-                busy_cycles: self.stats.busy_cycles.get(),
-                read_bytes: self.stats.read_bytes.get(),
-                write_bytes: self.stats.write_bytes.get(),
-                bursts: self.stats.bursts.get(),
-                read_bursts: self.stats.read_bursts.get(),
-                write_bursts: self.stats.write_bursts.get(),
-                row_misses: self.stats.row_misses.get(),
-            },
-        }
+    /// Writes the channel's mutable state into a checkpoint: the queue with
+    /// its push count, the burst in service with its end, every bank's row
+    /// state, and the statistics.
+    pub(crate) fn snapshot(&self, out: &mut Vec<u8>) {
+        self.queue.snapshot(out);
+        self.in_service.enc(out);
+        self.banks.enc(out);
+        self.stats.enc(out);
     }
 
     /// Returns the channel to its power-on state, keeping its storage.
@@ -377,37 +386,26 @@ impl Channel {
         self.wake = Cycle::ZERO;
     }
 
-    /// Loads a [`Channel::snapshot`] capture into this channel, built for
-    /// the same configuration.
+    /// Reads a [`Channel::snapshot`] back into this channel, built for the
+    /// same configuration.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the capture is inconsistent with the configuration (queue
-    /// deeper than its depth, bank count mismatch).
-    pub(crate) fn restore(&mut self, map: &AddressMap, state: &ChannelState) {
-        assert_eq!(state.banks.len(), self.banks.len(), "channel restore: bank count mismatch");
+    /// [`Mismatch`] if the queue is deeper than configured, the bank count
+    /// differs, or the bytes are malformed.
+    pub(crate) fn restore(&mut self, map: &AddressMap, r: &mut Reader<'_>) -> Result<(), Mismatch> {
         self.reset();
-        let fragment_of =
-            |f: &FragmentState| Fragment::new(map, RequestId(f.req_id), f.kind, f.addr, f.bytes);
-        self.queue.restore(state.queue.iter().map(fragment_of), state.queue_pushed);
-        self.in_service = state.in_service.as_ref().map(|(f, done)| (fragment_of(f), Cycle(*done)));
-        for (bank, b) in self.banks.iter_mut().zip(&state.banks) {
-            *bank =
-                Bank { open_row: b.open_row, prep_row: b.prep_row, ready_at: Cycle(b.ready_at) };
+        self.queue.restore(r, |r| Fragment::dec(map, r))?;
+        if r.tag(2)? == 1 {
+            self.in_service = Some((Fragment::dec(map, r)?, Cycle::dec(r)?));
         }
-        let stats = &mut self.stats;
-        stats.busy_cycles.add(state.stats.busy_cycles);
-        stats.read_bytes.add(state.stats.read_bytes);
-        stats.write_bytes.add(state.stats.write_bytes);
-        stats.bursts.add(state.stats.bursts);
-        stats.read_bursts.add(state.stats.read_bursts);
-        stats.write_bursts.add(state.stats.write_bursts);
-        stats.row_misses.add(state.stats.row_misses);
+        r.count_of(self.banks.len(), "a channel's bank count differs")?;
+        for bank in &mut self.banks {
+            *bank = Bank::dec(r)?;
+        }
+        self.stats = ChannelStats::dec(r)?;
+        Ok(())
     }
-}
-
-fn frag_state(f: &Fragment) -> FragmentState {
-    FragmentState { req_id: f.req_id.0, kind: f.kind, addr: f.addr, bytes: f.bytes }
 }
 
 #[cfg(test)]
@@ -418,6 +416,13 @@ mod tests {
     /// A read fragment of request `id` at flat address `addr`.
     fn frag(cfg: &HbmConfig, id: u64, addr: u64, bytes: u32) -> Fragment {
         Fragment::new(&AddressMap::new(cfg), RequestId(id), MemKind::Read, addr, bytes)
+    }
+
+    /// The channel's checkpoint bytes.
+    fn bytes(ch: &Channel) -> Vec<u8> {
+        let mut out = Vec::new();
+        ch.snapshot(&mut out);
+        out
     }
 
     fn drive(ch: &mut Channel, until: u64) -> Vec<(u64, u64)> {
@@ -554,7 +559,7 @@ mod tests {
             let case = || format!("{cfg:?} seed {seed} cycle {t}");
             assert_eq!(got, want, "completion differs: {}", case());
             assert_eq!(due_only.stats(), reference.stats(), "stats differ: {}", case());
-            assert_eq!(due_only.snapshot(), reference.snapshot(), "state differs: {}", case());
+            assert_eq!(bytes(&due_only), bytes(&reference), "state differs: {}", case());
         }
         assert!(next_id > cycles / 64, "the stream must carry traffic");
         assert!(reference.stats().row_misses.get() > 0);

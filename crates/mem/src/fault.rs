@@ -13,6 +13,8 @@
 //! of the same plan therefore perturb the exact same cycles, which is what
 //! makes fault campaigns regression-testable.
 
+use matraptor_sim::plain_struct;
+
 /// A half-open window `[start, end)` of memory-clock cycles during which a
 /// fault effect applies to one channel. `end == u64::MAX` means the fault
 /// never lifts (the deadlock-injection case).
@@ -25,6 +27,8 @@ pub struct FaultWindow {
     /// First memory cycle after the fault lifts (exclusive).
     pub end: u64,
 }
+
+plain_struct!(FaultWindow { channel, start, end });
 
 impl FaultWindow {
     /// A window that never lifts: the injected-deadlock case.
@@ -57,6 +61,8 @@ pub struct MemFaults {
     /// Admission-refusal windows.
     pub refusals: Vec<FaultWindow>,
 }
+
+plain_struct!(MemFaults { stalls, refusals });
 
 impl MemFaults {
     /// A schedule with no faults (the default).
@@ -93,6 +99,8 @@ pub struct FaultCounters {
     /// Requests bounced by a refusal window.
     pub refused_submits: u64,
 }
+
+plain_struct!(FaultCounters { stalled_cycles, refused_submits });
 
 #[cfg(test)]
 mod tests {

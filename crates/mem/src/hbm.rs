@@ -1,12 +1,12 @@
 //! The multi-channel HBM device.
 
+use matraptor_sim::codec::{Dec, Enc, Mismatch, Reader};
 use matraptor_sim::watchdog::mix_signature;
-use matraptor_sim::{Cycle, IdTable, LatencyPipe};
+use matraptor_sim::{plain_struct, Cycle, IdTable, LatencyPipe};
 
 use crate::channel::{Channel, Fragment};
 use crate::fault::{FaultCounters, MemFaults};
-use crate::snapshot::{HbmState, PendingState, ResponseState};
-use crate::{AddressMap, ChannelStats, HbmConfig, MemKind, MemRequest, MemResponse, RequestId};
+use crate::{AddressMap, ChannelStats, HbmConfig, MemKind, MemRequest, MemResponse};
 
 /// Aggregate statistics across all channels.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -87,6 +87,7 @@ pub struct Hbm {
     // conformance:allow(checkpoint-coverage): configuration is fingerprint-checked separately; restore takes it as a constructor argument
     cfg: HbmConfig,
     /// `cfg`'s address arithmetic, precomputed.
+    // conformance:allow(checkpoint-coverage): derived from the configuration; restore decodes fragments through it
     map: AddressMap,
     channels: Vec<Channel>,
     /// In-flight request bookkeeping, keyed by request id: fragments
@@ -129,6 +130,8 @@ struct PendingRequest {
     fragments_left: u32,
     submitted: Cycle,
 }
+
+plain_struct!(PendingRequest { kind, bytes, fragments_left, submitted });
 
 impl Hbm {
     /// Creates the device.
@@ -415,39 +418,23 @@ impl Hbm {
         sig
     }
 
-    /// Captures the full mutable device state as plain data for
-    /// checkpointing. The configuration is *not* captured — restore with
-    /// [`Hbm::restore`] into a device of the same [`HbmConfig`].
-    pub fn snapshot(&self) -> HbmState {
-        HbmState {
-            channels: self.channels.iter().map(Channel::snapshot).collect(),
-            pending: self
-                .pending
-                .iter()
-                .map(|(id, p)| PendingState {
-                    id,
-                    kind: p.kind,
-                    bytes: p.bytes,
-                    fragments_left: p.fragments_left,
-                    submitted: p.submitted.as_u64(),
-                })
-                .collect(),
-            responses: self
-                .response_pipe
-                .snapshot()
-                .into_iter()
-                .map(|(ready, r)| ResponseState {
-                    ready_at: ready.as_u64(),
-                    id: r.id.0,
-                    kind: r.kind,
-                    bytes: r.bytes,
-                })
-                .collect(),
-            completed_requests: self.completed_requests,
-            latency_sum: self.latency_sum,
-            faults: self.faults.clone(),
-            fault_counters: self.fault_counters,
+    /// Writes the full mutable device state into a checkpoint: every
+    /// channel, the in-flight requests in id order, the response pipe, the
+    /// counters and the fault schedule. The configuration is *not* written
+    /// — read it back with [`Hbm::restore`] into a device of the same
+    /// [`HbmConfig`].
+    pub fn snapshot(&self, out: &mut Vec<u8>) {
+        self.channels.len().enc(out);
+        self.channels.iter().for_each(|ch| ch.snapshot(out));
+        self.pending.len().enc(out);
+        for (id, p) in self.pending.iter() {
+            id.enc(out);
+            p.enc(out);
         }
+        self.response_pipe.snapshot(out);
+        (self.completed_requests, self.latency_sum).enc(out);
+        self.faults.enc(out);
+        self.fault_counters.enc(out);
     }
 
     /// Returns the device to its power-on state, keeping its storage:
@@ -466,47 +453,37 @@ impl Hbm {
         self.full = 0;
     }
 
-    /// Loads a [`Hbm::snapshot`] capture into this device, keeping its
+    /// Reads a [`Hbm::snapshot`] back into this device, keeping its
     /// storage.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the capture is inconsistent with the device's
-    /// configuration (channel or bank count mismatch, queue deeper than
-    /// configured) — a checkpoint is only meaningful against the
-    /// configuration that produced it.
-    pub fn restore(&mut self, state: &HbmState) {
-        assert_eq!(
-            state.channels.len(),
-            self.channels.len(),
-            "HBM restore: channel count mismatch"
-        );
+    /// [`Mismatch`] if the checkpoint disagrees with the device's
+    /// configuration (channel or bank count, a queue deeper than
+    /// configured), lists a request twice, or its bytes are malformed.
+    pub fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), Mismatch> {
         self.reset();
-        for (ch, c) in self.channels.iter_mut().zip(&state.channels) {
-            ch.restore(&self.map, c);
+        r.count_of(self.channels.len(), "the HBM channel count differs")?;
+        for ch in &mut self.channels {
+            ch.restore(&self.map, r)?;
         }
-        for p in &state.pending {
-            let request = PendingRequest {
-                kind: p.kind,
-                bytes: p.bytes,
-                fragments_left: p.fragments_left,
-                submitted: Cycle(p.submitted),
-            };
-            self.pending.insert(p.id, request);
+        for _ in 0..r.count()? {
+            let (id, request) = Dec::dec(r)?;
+            if self.pending.insert(id, request).is_some() {
+                return Err(Mismatch("the HBM lists a request twice"));
+            }
         }
-        self.response_pipe.restore(state.responses.iter().map(|r| {
-            (Cycle(r.ready_at), MemResponse { id: RequestId(r.id), kind: r.kind, bytes: r.bytes })
-        }));
-        self.completed_requests = state.completed_requests;
-        self.latency_sum = state.latency_sum;
-        self.faults = state.faults.clone();
-        self.fault_counters = state.fault_counters;
+        self.response_pipe.restore(r)?;
+        (self.completed_requests, self.latency_sum) = Dec::dec(r)?;
+        self.faults = MemFaults::dec(r)?;
+        self.fault_counters = FaultCounters::dec(r)?;
         self.full = self
             .channels
             .iter()
             .enumerate()
             .filter(|(_, ch)| ch.free_slots() == 0)
             .fold(0, |full, (ch, _)| full | channel_bit(ch));
+        Ok(())
     }
 
     /// Aggregate statistics.
@@ -536,6 +513,22 @@ mod tests {
     use super::*;
     use crate::FaultWindow;
     use matraptor_sparse::rng::ChaCha8Rng;
+
+    /// The device's checkpoint bytes.
+    fn bytes(hbm: &Hbm) -> Vec<u8> {
+        let mut out = Vec::new();
+        hbm.snapshot(&mut out);
+        out
+    }
+
+    /// A device of `cfg` with checkpoint `bytes` read back into it.
+    fn restored(cfg: HbmConfig, bytes: &[u8]) -> Hbm {
+        let mut hbm = Hbm::new(cfg);
+        let mut r = Reader::new(bytes);
+        hbm.restore(&mut r).expect("a device's own checkpoint restores");
+        r.finish().expect("the device reads its whole checkpoint");
+        hbm
+    }
 
     fn run_until_idle(hbm: &mut Hbm, limit: u64) -> (Vec<(u64, MemResponse)>, u64) {
         let mut responses = Vec::new();
@@ -715,10 +708,9 @@ mod tests {
             hbm.tick(Cycle(t));
             let _ = hbm.pop_response(Cycle(t));
         }
-        let state = hbm.snapshot();
-        let mut twin = Hbm::new(cfg);
-        twin.restore(&state);
-        assert_eq!(twin.snapshot(), state, "restore must round-trip");
+        let state = bytes(&hbm);
+        let mut twin = restored(cfg, &state);
+        assert_eq!(bytes(&twin), state, "restore must round-trip");
         let (orig, t1) = run_until_idle_from(&mut hbm, 10, 1000);
         let (copy, t2) = run_until_idle_from(&mut twin, 10, 1000);
         assert_eq!(orig, copy, "completion schedule must be bit-identical");
@@ -761,8 +753,7 @@ mod tests {
             paused.tick(Cycle(t));
             let _ = paused.pop_response(Cycle(t));
         }
-        let mut resumed = Hbm::new(cfg);
-        resumed.restore(&paused.snapshot());
+        let mut resumed = restored(cfg, &bytes(&paused));
         let _ = run_until_idle_from(&mut resumed, 10, 1000);
 
         assert_eq!(
@@ -867,7 +858,7 @@ mod tests {
                 next_id += u64::from(admitted.is_ok());
             }
             assert_eq!(due_only.full_channels(), reference.full_channels(), "{}", case());
-            assert_eq!(due_only.snapshot(), reference.snapshot(), "{}", case());
+            assert_eq!(bytes(&due_only), bytes(&reference), "{}", case());
         }
         assert!(reference.stats().requests_completed > 200, "the stream must carry traffic");
     }
@@ -967,7 +958,7 @@ mod tests {
                 let every = drive(&mut reference, &|_, t, _| t + 1);
                 let case = format!("lookahead {lookahead} seed {seed}");
                 assert_eq!(skipped, every, "{case}");
-                assert_eq!(skipping.snapshot(), reference.snapshot(), "{case}");
+                assert_eq!(bytes(&skipping), bytes(&reference), "{case}");
                 assert!(
                     reference.stats().requests_completed > 100,
                     "the stream must carry traffic"

@@ -34,7 +34,6 @@ pub mod fault;
 mod hbm;
 pub mod patterns;
 mod request;
-pub mod snapshot;
 
 pub use channel::ChannelStats;
 pub use config::{AddressMap, HbmConfig};

@@ -2,6 +2,9 @@
 
 use std::fmt;
 
+use matraptor_sim::codec::{Dec, Enc, Mismatch, Reader};
+use matraptor_sim::plain_struct;
+
 /// Unique id for an in-flight memory request, chosen by the requester.
 ///
 /// The accelerator encodes the requesting unit in the id so responses can
@@ -9,6 +12,17 @@ use std::fmt;
 /// match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestId(pub u64);
+
+impl Enc for RequestId {
+    fn enc(&self, out: &mut Vec<u8>) {
+        self.0.enc(out);
+    }
+}
+impl Dec for RequestId {
+    fn dec(r: &mut Reader<'_>) -> Result<Self, Mismatch> {
+        Ok(RequestId(u64::dec(r)?))
+    }
+}
 
 impl fmt::Display for RequestId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -23,6 +37,20 @@ pub enum MemKind {
     Read,
     /// Data travels requester → memory.
     Write,
+}
+
+impl Enc for MemKind {
+    fn enc(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            MemKind::Read => 0,
+            MemKind::Write => 1,
+        });
+    }
+}
+impl Dec for MemKind {
+    fn dec(r: &mut Reader<'_>) -> Result<Self, Mismatch> {
+        Ok(if r.tag(2)? == 0 { MemKind::Read } else { MemKind::Write })
+    }
 }
 
 /// A memory request over the flat, channel-interleaved address space.
@@ -62,6 +90,8 @@ pub struct MemResponse {
     /// Useful bytes transferred (echoed from the request).
     pub bytes: u32,
 }
+
+plain_struct!(MemResponse { id, kind, bytes });
 
 #[cfg(test)]
 mod tests {

@@ -24,8 +24,8 @@
 //!   worker the live run stands exactly at its last boundary, and that is
 //!   the one moment it is snapshotted;
 //! * a **crash** is detected immediately (process death is loud); a
-//!   **hang** is detected when the worker's heartbeat stays silent past
-//!   the liveness window (the per-worker [`Watchdog`] confirms); a
+//!   **hang** is detected at the worker's heartbeat deadline, once its
+//!   heartbeat has stayed silent past the liveness window; a
 //!   **slow** worker whose slice wall time breaches the window is treated
 //!   as dead-in-practice;
 //! * the failed worker's in-flight job is **re-dispatched** from its last
@@ -42,7 +42,6 @@
 //!   0 is refused at admission no matter which worker would have run it.
 //!
 //! [`Run`]: matraptor_core::Run
-//! [`Watchdog`]: matraptor_sim::Watchdog
 
 use std::collections::VecDeque;
 use std::ops::Deref;
@@ -964,15 +963,9 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
         }
     }
 
-    /// The heartbeat deadline fired for a hung worker: confirm via the
-    /// watchdog and recycle it.
+    /// The heartbeat deadline ([`Worker::heartbeat_deadline`]) fired for a
+    /// hung worker: its silence has exceeded the window, so recycle it.
     fn detect_hang(&mut self, w: usize) {
-        let now = self.clock.now();
-        // The watchdog is the detector of record; the poll time is chosen
-        // so silence has provably exceeded the window. The `expired` check
-        // is defensive totality, not a real branch.
-        let expired = self.workers[w].heartbeat_expired(now);
-        debug_assert!(expired, "liveness poll fired before the window elapsed");
         self.fleet.worker_hangs = self.fleet.worker_hangs.saturating_add(1);
         self.log(w, RecoveryKind::HangDetected);
         self.fail_worker(w);

@@ -516,7 +516,6 @@ pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, Parallel
         per_slot,
         cfg.max_restarts,
         cfg.max_degraded_restarts,
-        cfg.terminal_slow_factor,
         cfg.recovery_log_cap,
     );
     let mut counters = ParCounters::default();
@@ -718,7 +717,7 @@ mod tests {
         };
         let ctx = WorkerCtx::new(&cfg, VecDeque::from([item(0), item(1)]));
         let lanes = cfg.accel.num_lanes;
-        let mut sup = Supervisor::new(1, lanes, vec![Vec::new()], 1, 1, 8, 16);
+        let mut sup = Supervisor::new(1, lanes, vec![Vec::new()], 1, 1, 16);
         let shared = Arc::clone(&sup.slots[0].shared);
         let popped = ctx.next_item(&shared).expect("a queued job");
         assert!(sup.take_mailbox(0, &mut ParCounters::default()).is_none(), "idle mailbox");

@@ -64,6 +64,10 @@ const POLL: Duration = Duration::from_micros(200);
 /// duplicate completion is suppressed — but it burns a ladder rung).
 const HANG_POLL_BUDGET: u32 = 400;
 
+/// A worker whose published slowdown factor reaches this threshold is
+/// recycled through the ladder (terminal slowness ≈ death).
+const TERMINAL_SLOW_FACTOR: u64 = 8;
+
 /// Consecutive quiet ticks (no completion, no recovery action) before the
 /// run aborts with [`ParallelError::Stalled`] instead of hanging forever:
 /// about a minute.
@@ -97,10 +101,6 @@ pub struct ParallelConfig {
     pub max_restarts: u32,
     /// Degraded (half-lanes) restarts granted before the worker retires.
     pub max_degraded_restarts: u32,
-    /// A worker whose published slowdown factor reaches this threshold is
-    /// recycled through the ladder (terminal slowness ≈ death). Clamped
-    /// to ≥ 2.
-    pub terminal_slow_factor: u64,
     /// Cap on the retained recovery log (oldest events evicted past it,
     /// counted in [`ParReport::recovery_events_dropped`]). Clamped ≥ 2.
     pub recovery_log_cap: usize,
@@ -126,7 +126,6 @@ impl ParallelConfig {
             max_attempts: 2,
             max_restarts: 4,
             max_degraded_restarts: 1,
-            terminal_slow_factor: 8,
             recovery_log_cap: 4_096,
             worker_faults: None,
         }
@@ -136,7 +135,6 @@ impl ParallelConfig {
         self.threads = self.threads.max(1);
         self.slice_cycles = self.slice_cycles.max(1);
         self.max_attempts = self.max_attempts.max(1);
-        self.terminal_slow_factor = self.terminal_slow_factor.max(2);
         self.recovery_log_cap = self.recovery_log_cap.max(2);
         self
     }

@@ -26,7 +26,7 @@ use crate::worker::{ladder_step, LadderStep, WorkerFault, WorkerId};
 use crate::{RecoveryEvent, RecoveryKind};
 
 use super::executor::DispatchItem;
-use super::{ParCounters, HANG_POLL_BUDGET, JOIN_BUDGET_POLLS, POLL};
+use super::{ParCounters, HANG_POLL_BUDGET, JOIN_BUDGET_POLLS, POLL, TERMINAL_SLOW_FACTOR};
 
 /// State shared between one worker *generation* and the supervisor.
 #[derive(Debug, Default)]
@@ -155,7 +155,6 @@ pub(crate) struct Supervisor {
     seq: u64,
     max_restarts: u32,
     max_degraded_restarts: u32,
-    terminal_slow_factor: u64,
 }
 
 impl Supervisor {
@@ -165,7 +164,6 @@ impl Supervisor {
         per_slot_events: Vec<Vec<(u64, WorkerFault)>>,
         max_restarts: u32,
         max_degraded_restarts: u32,
-        terminal_slow_factor: u64,
         recovery_log_cap: usize,
     ) -> Self {
         let slots = per_slot_events
@@ -180,7 +178,6 @@ impl Supervisor {
             seq: 0,
             max_restarts,
             max_degraded_restarts,
-            terminal_slow_factor,
         }
     }
 
@@ -271,7 +268,7 @@ impl Supervisor {
             if slot.retired || slot.handle.is_none() {
                 continue;
             }
-            if slot.shared.slow_factor.load(Ordering::Relaxed) >= self.terminal_slow_factor {
+            if slot.shared.slow_factor.load(Ordering::Relaxed) >= TERMINAL_SLOW_FACTOR {
                 victims.push((slot.idx, FailCause::Slowness));
                 continue;
             }

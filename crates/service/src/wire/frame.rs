@@ -35,9 +35,10 @@
 //! The section sizes are derived from the 16-byte prologue with checked
 //! arithmetic and compared against the remaining payload in one shot, so
 //! a hostile length never drives an oversized allocation; structural
-//! validation (`row_ptr` monotonicity, column bounds, sortedness,
-//! finiteness) runs over the whole decoded buffers via
-//! [`Csr::from_parts`]/[`Csr::validate`].
+//! validation (`row_ptr` monotonicity, column bounds, sortedness) runs
+//! over the whole decoded buffers via [`Csr::from_parts`]. Finiteness is
+//! the job's operand check at admission, which refuses a non-finite value
+//! as a malformed submission.
 
 use matraptor_sim::trace::fnv1a64;
 use matraptor_sparse::{Csr, Index};
@@ -707,7 +708,7 @@ pub fn decode_response(raw: &RawFrame) -> Result<Response, WireError> {
 
 /// Decodes one columnar matrix block, validating section sizes as whole
 /// buffers before any allocation and the structure via [`Csr::from_parts`]
-/// + [`Csr::validate`] afterwards.
+/// afterwards.
 fn decode_matrix(t: &mut Take<'_>) -> Result<Csr<f64>, WireError> {
     let rows = t.u32("matrix rows")?;
     let cols = t.u32("matrix cols")?;
@@ -754,10 +755,10 @@ fn decode_matrix(t: &mut Take<'_>) -> Result<Csr<f64>, WireError> {
             c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
         ])));
     }
-    let m = Csr::from_parts(rows_us, cols as usize, row_ptr, col_idx, values)
-        .map_err(|_| WireError::Malformed { context: "matrix structure invalid" })?;
-    m.validate().map_err(|_| WireError::Malformed { context: "matrix values non-finite" })?;
-    Ok(m)
+    // Structure is refused here, at the boundary; a non-finite value is
+    // refused once, by admission's operand check.
+    Csr::from_parts(rows_us, cols as usize, row_ptr, col_idx, values)
+        .map_err(|_| WireError::Malformed { context: "matrix structure invalid" })
 }
 
 // ---------------------------------------------------------------------------
@@ -1016,23 +1017,6 @@ mod tests {
         let bytes = encode_frame(op, 9, &payload);
         let raw = read_one(&bytes).unwrap();
         assert!(matches!(decode_request(&raw), Err(WireError::Malformed { .. })));
-    }
-
-    #[test]
-    fn non_finite_values_are_refused() {
-        let a = gen::uniform(4, 4, 6, 5);
-        let b = gen::uniform(4, 4, 6, 6);
-        let (op, mut payload) = encode_request(&Request::Submit { tenant: 0, a, b }).unwrap();
-        // Overwrite the last 8 bytes (a value of matrix B) with NaN bits,
-        // keeping the checksum consistent by re-framing.
-        let n = payload.len();
-        payload[n - 8..].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        let bytes = encode_frame(op, 9, &payload);
-        let raw = read_one(&bytes).unwrap();
-        assert!(matches!(
-            decode_request(&raw),
-            Err(WireError::Malformed { context: "matrix values non-finite" })
-        ));
     }
 
     #[test]

@@ -753,6 +753,29 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_values_are_refused_at_admission() {
+        let server = local_server();
+        let mut client =
+            WireClient::connect(server.addr(), RetryPolicy::default_local(), 15).expect("connect");
+        let a = gen::uniform(4, 4, 6, 5);
+        let b = gen::uniform(4, 4, 6, 6);
+        let mut values = b.values().to_vec();
+        values[0] = f64::NAN;
+        let b = Csr::from_parts(4, 4, b.row_ptr().to_vec(), b.col_idx().to_vec(), values)
+            .expect("the structure is valid");
+        match client.submit(0, &a, &b).expect("submit") {
+            Response::Error { code, .. } => assert_eq!(code, RejectCode::Malformed),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        // The frame decoded; admission refused the operand.
+        assert_eq!(server.counters().malformed, 0);
+        let engine = server.shared.engine.lock().expect("engine");
+        assert_eq!(engine.service.fleet().counters().rejected_invalid, 1);
+        drop(engine);
+        assert_eq!(server.shutdown().thread_panics, 0);
+    }
+
+    #[test]
     fn unknown_job_and_cancel_taxonomy() {
         let server = local_server();
         let mut client =

@@ -5,11 +5,10 @@
 //! [`Accelerator`]) or a degraded CPU-fallback slot (the SparseZipper-style
 //! host tier — orders of magnitude slower, assumed reliable). Workers run
 //! jobs in bounded *slices* ([`slice_step`]) on a live [`Run`] started
-//! once per dispatch from the operands admission checked, heartbeating
-//! into a per-worker [`Watchdog`]
-//! at every slice boundary; a worker that stops producing slice events is
-//! detected by the fleet's liveness poll when its heartbeat goes silent
-//! for longer than the configured window. The run is snapshotted into a
+//! once per dispatch from the operands admission checked, heartbeating at
+//! every slice boundary; a worker that stops producing slice events is
+//! detected by the fleet's liveness poll at its heartbeat deadline, once
+//! its heartbeat has been silent for longer than the configured window. The run is snapshotted into a
 //! [`Checkpoint`] only when its job has to leave the worker.
 //!
 //! Worker failures are injected by a [`WorkerFaultPlan`] — seeded or
@@ -29,8 +28,7 @@ use matraptor_core::{
     classify, Accelerator, Checkpoint, FaultPlan, MatRaptorConfig, Operands, Run, RunOutcome,
     RunStart, SimError, Verdict,
 };
-use matraptor_sim::watchdog::mix_signature;
-use matraptor_sim::{Cycle, SourceId, Watchdog};
+use matraptor_sim::Cycle;
 use matraptor_sparse::rng::ChaCha8Rng;
 use matraptor_sparse::Csr;
 
@@ -348,18 +346,8 @@ pub struct WorkerStats {
     pub busy_cycles: u64,
 }
 
-/// Name registered for each worker's single heartbeat watchdog source.
-const HEARTBEAT_SOURCE: &str = "heartbeat";
-
-/// The heartbeat progress signature: strictly monotone in the beat count,
-/// so every beat registers as progress, and mixed with the worker id so
-/// two workers' signatures never collide by construction.
-fn heartbeat_signature(id: usize, beats: u64) -> u64 {
-    mix_signature(mix_signature(0x6d61_7472_6170_746f, id as u64), beats)
-}
-
 /// One fleet execution unit. The fleet owns the event loop; the worker
-/// owns its machine, its heartbeat watchdog, and its recovery-ladder
+/// owns its machine, its last heartbeat, and its recovery-ladder
 /// position. `M` is the fleet's operand handle (see
 /// [`JobSpec`](crate::JobSpec)).
 #[derive(Debug)]
@@ -373,13 +361,10 @@ pub struct Worker<M: Deref<Target = Csr<f64>> = Rc<Csr<f64>>> {
     pub(crate) assignment: Option<Assignment<M>>,
     pub(crate) run: Option<Run<M>>,
     pub(crate) pending: Option<ScheduledEvent>,
-    pub(crate) watchdog: Watchdog,
-    pub(crate) heartbeat_source: SourceId,
     pub(crate) heartbeat_window: u64,
     pub(crate) last_beat: Cycle,
     pub(crate) slow_factor: u64,
     pub(crate) slices_executed: u64,
-    pub(crate) beats: u64,
     pub(crate) restarts: u32,
     pub(crate) crash_after_complete: bool,
     pub(crate) stats: WorkerStats,
@@ -399,9 +384,6 @@ impl<M: Deref<Target = Csr<f64>>> Worker<M> {
             WorkerClass::CpuFallback => None,
         };
         let lanes = base_cfg.num_lanes;
-        let mut watchdog = Watchdog::new(heartbeat_window.max(1));
-        let heartbeat_source = watchdog.add_source(HEARTBEAT_SOURCE);
-        watchdog.observe(heartbeat_source, Cycle::ZERO, heartbeat_signature(id, 0));
         Ok(Worker {
             id,
             class,
@@ -412,13 +394,10 @@ impl<M: Deref<Target = Csr<f64>>> Worker<M> {
             assignment: None,
             run: None,
             pending: None,
-            watchdog,
-            heartbeat_source,
             heartbeat_window: heartbeat_window.max(1),
             last_beat: Cycle::ZERO,
             slow_factor: 1,
             slices_executed: 0,
-            beats: 0,
             restarts: 0,
             crash_after_complete: false,
             stats: WorkerStats::default(),
@@ -459,19 +438,13 @@ impl<M: Deref<Target = Csr<f64>>> Worker<M> {
     /// boundary.
     pub(crate) fn beat(&mut self, now: Cycle) {
         self.last_beat = now;
-        self.beats = self.beats.saturating_add(1);
-        self.watchdog.observe(self.heartbeat_source, now, heartbeat_signature(self.id, self.beats));
     }
 
     /// The fleet cycle at which this worker's silence becomes a liveness
-    /// violation (the heartbeat deadline of a hung worker).
+    /// violation (the heartbeat deadline of a hung worker): the first cycle
+    /// more than `heartbeat_window` past its last beat.
     pub(crate) fn heartbeat_deadline(&self) -> Cycle {
         Cycle(self.last_beat.0.saturating_add(self.heartbeat_window).saturating_add(1))
-    }
-
-    /// Whether the watchdog confirms the heartbeat silence at `now`.
-    pub(crate) fn heartbeat_expired(&self, now: Cycle) -> bool {
-        self.watchdog.check(now).is_some()
     }
 
     /// Whether this worker can accept a dispatch right now.
@@ -551,15 +524,15 @@ mod tests {
     }
 
     #[test]
-    fn heartbeats_keep_the_watchdog_quiet_and_silence_trips_it() {
+    fn the_heartbeat_deadline_is_the_first_cycle_past_the_window() {
         let mut w = test_worker(0, WorkerClass::Accelerator);
+        assert_eq!(w.heartbeat_window, 10_000);
+        assert_eq!(w.heartbeat_deadline(), Cycle(10_001), "silent since cycle 0");
         w.beat(Cycle(100));
-        assert!(!w.heartbeat_expired(Cycle(100 + 10_000)), "inside the window");
-        assert!(w.heartbeat_expired(Cycle(100 + 10_001)), "past the window");
-        assert_eq!(w.heartbeat_deadline(), Cycle(10_101));
+        assert_eq!(w.heartbeat_deadline(), Cycle(100 + 10_000 + 1));
         // Another beat pushes the deadline out.
         w.beat(Cycle(5_000));
-        assert!(!w.heartbeat_expired(Cycle(15_000)));
+        assert_eq!(w.heartbeat_deadline(), Cycle(15_001));
     }
 
     #[test]

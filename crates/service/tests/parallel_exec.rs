@@ -120,12 +120,12 @@ fn injected_hang_is_detected_by_the_heartbeat_budget() {
 #[test]
 fn terminal_slowdown_is_recycled() {
     let clean = parallel::run(base_cfg(2), jobs(12, u64::MAX)).expect("clean");
-    let mut cfg = faulted_cfg(WorkerFaultEvent {
+    // An injected factor of 16 passes the terminal threshold of 8.
+    let cfg = faulted_cfg(WorkerFaultEvent {
         worker: 0,
         after_slices: 2,
         kind: WorkerFault::SlowDown { factor: 16 },
     });
-    cfg.terminal_slow_factor = 4;
     let report = parallel::run(cfg, jobs(12, u64::MAX)).expect("faulted run");
     assert_eq!(report.records.len(), 12);
     assert_eq!(report.counters.injected_slowdowns, 1);

@@ -2,6 +2,8 @@
 
 use std::collections::VecDeque;
 
+use crate::codec::{Dec, Enc, Mismatch, Reader};
+
 /// A bounded hardware FIFO.
 ///
 /// Models the paper's "outstanding requests and responses queues" (64
@@ -110,28 +112,37 @@ impl<T> Fifo<T> {
         self.total_pushed = 0;
     }
 
-    /// Replaces the contents with `items` (oldest first) and the lifetime
-    /// push count with `total_pushed`, keeping the storage: restores a
-    /// [`Fifo::snapshot`] capture into a FIFO of the same capacity.
+    /// Reads a [`Fifo::snapshot`] back into this FIFO, keeping its
+    /// storage, with `item` reading each entry.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `items` exceed the capacity — a snapshot can only have
-    /// come from a FIFO that respected its own bound.
-    pub fn restore(&mut self, items: impl IntoIterator<Item = T>, total_pushed: u64) {
+    /// [`Mismatch`] if the checkpoint holds more entries than the capacity
+    /// or its bytes are malformed.
+    pub fn restore(
+        &mut self,
+        r: &mut Reader<'_>,
+        mut item: impl FnMut(&mut Reader<'_>) -> Result<T, Mismatch>,
+    ) -> Result<(), Mismatch> {
+        let n = r.count()?;
+        if n > self.capacity {
+            return Err(Mismatch("a FIFO holds more entries than its capacity"));
+        }
         self.items.clear();
-        self.items.extend(items);
-        assert!(self.items.len() <= self.capacity, "snapshot exceeds FIFO capacity");
-        self.total_pushed = total_pushed;
+        for _ in 0..n {
+            self.items.push_back(item(r)?);
+        }
+        self.total_pushed = u64::dec(r)?;
+        Ok(())
     }
 }
 
-impl<T: Clone> Fifo<T> {
-    /// Captures the queue contents (oldest first) and the lifetime push
-    /// count as plain data, for checkpointing. Load it back with
-    /// [`Fifo::restore`].
-    pub fn snapshot(&self) -> (Vec<T>, u64) {
-        (self.items.iter().cloned().collect(), self.total_pushed)
+impl<T: Enc> Fifo<T> {
+    /// Writes the contents (oldest first) and the lifetime push count into
+    /// a checkpoint. Read it back with [`Fifo::restore`].
+    pub fn snapshot(&self, out: &mut Vec<u8>) {
+        self.items.enc(out);
+        self.total_pushed.enc(out);
     }
 }
 

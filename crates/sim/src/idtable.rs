@@ -185,7 +185,7 @@ impl<T> FromIterator<(u64, T)> for IdTable<T> {
 
 /// Ascending-id iterator over an [`IdTable`]: merges the dense window with
 /// the spill map.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Iter<'a, T> {
     base: u64,
     dense: std::iter::Enumerate<std::collections::vec_deque::Iter<'a, Option<T>>>,

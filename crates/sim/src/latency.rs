@@ -2,6 +2,7 @@
 
 use std::collections::VecDeque;
 
+use crate::codec::{Dec, Enc, Mismatch, Reader};
 use crate::Cycle;
 
 /// A delay line: items inserted at cycle *t* become visible at `t +
@@ -86,32 +87,31 @@ impl<T> LatencyPipe<T> {
     pub fn clear(&mut self) {
         self.in_flight.clear();
     }
+}
 
-    /// Replaces the in-flight items with `in_flight`, `(maturity_cycle,
-    /// item)` pairs oldest first, keeping the storage: restores a
-    /// [`LatencyPipe::snapshot`] capture into a pipe of the same latency.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the entries are not in non-decreasing
-    /// maturity order — a valid snapshot always is.
-    pub fn restore(&mut self, in_flight: impl IntoIterator<Item = (Cycle, T)>) {
-        self.in_flight.clear();
-        self.in_flight.extend(in_flight);
-        debug_assert!(
-            self.in_flight.iter().zip(self.in_flight.iter().skip(1)).all(|(a, b)| a.0 <= b.0),
-            "latency pipe snapshot out of order"
-        );
+impl<T: Enc> LatencyPipe<T> {
+    /// Writes the in-flight items, oldest first, each with its maturity
+    /// cycle (`push` time plus latency), into a checkpoint.
+    pub fn snapshot(&self, out: &mut Vec<u8>) {
+        self.in_flight.enc(out);
     }
 }
 
-impl<T: Clone> LatencyPipe<T> {
-    /// Captures the in-flight items as `(maturity_cycle, item)` pairs,
-    /// oldest first, for checkpointing. Note the stored cycle is the
-    /// *maturity* time (`push` time plus latency), so
-    /// [`LatencyPipe::restore`] loads it verbatim.
-    pub fn snapshot(&self) -> Vec<(Cycle, T)> {
-        self.in_flight.iter().cloned().collect()
+impl<T: Dec> LatencyPipe<T> {
+    /// Reads a [`LatencyPipe::snapshot`] back into this pipe, keeping its
+    /// latency.
+    ///
+    /// # Errors
+    ///
+    /// [`Mismatch`] if the items are not in maturity order or the bytes are
+    /// malformed.
+    pub fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), Mismatch> {
+        self.in_flight.clear();
+        r.append(&mut self.in_flight)?;
+        if self.in_flight.iter().zip(self.in_flight.iter().skip(1)).any(|(a, b)| a.0 > b.0) {
+            return Err(Mismatch("a latency pipe's items are out of maturity order"));
+        }
+        Ok(())
     }
 }
 

@@ -28,6 +28,8 @@
 //!   structured per-source diagnostic, when no token has moved for a
 //!   configured window (the deadlock guard of the fault-injection
 //!   subsystem);
+//! * [`codec`] — the checkpoint byte walk: every unit writes its own
+//!   fields into a checkpoint and reads them back, checking them;
 //! * [`stats`] — counters and histograms for cycle accounting (Fig. 9's
 //!   busy/stall breakdown is built from these);
 //! * [`trace`] — observability primitives: the canonical per-stage
@@ -39,6 +41,7 @@
 #![warn(missing_debug_implementations)]
 
 mod clock;
+pub mod codec;
 mod divisor;
 mod fifo;
 pub mod idtable;
@@ -52,4 +55,4 @@ pub use divisor::Divisor;
 pub use fifo::Fifo;
 pub use idtable::IdTable;
 pub use latency::LatencyPipe;
-pub use watchdog::{SourceId, SourceReport, SourceState, Watchdog, WatchdogReport};
+pub use watchdog::{SourceId, SourceReport, Watchdog, WatchdogReport};

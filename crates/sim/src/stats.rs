@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use crate::plain_struct;
+
 /// A monotonically increasing event counter.
 ///
 /// # Example
@@ -134,6 +136,8 @@ pub struct CycleBreakdown {
     /// Cycles with no work available (drained pipeline, startup).
     pub idle: Counter,
 }
+
+plain_struct!(CycleBreakdown { busy, merge_stall, memory_stall, idle });
 
 impl CycleBreakdown {
     /// Total cycles accounted.

@@ -24,6 +24,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::plain_struct;
 use crate::stats::{Counter, CycleBreakdown, Histogram};
 
 /// FNV-1a 64-bit hash — the workspace's standard cheap fingerprint.
@@ -78,6 +79,8 @@ pub struct StageBreakdown {
     pub idle: Counter,
 }
 
+plain_struct!(StageBreakdown { busy, mem_stall, queue_stall, idle });
+
 impl StageBreakdown {
     /// Charges one cycle to `class`.
     pub fn charge(&mut self, class: StageClass) {
@@ -113,21 +116,9 @@ impl StageBreakdown {
         self.idle.add(other.idle.get());
     }
 
-    /// The buckets as `[busy, mem_stall, queue_stall, idle]` — the
-    /// checkpoint serialisation order.
+    /// The buckets as `[busy, mem_stall, queue_stall, idle]`.
     pub fn as_array(&self) -> [u64; 4] {
         [self.busy.get(), self.mem_stall.get(), self.queue_stall.get(), self.idle.get()]
-    }
-
-    /// Rebuilds a breakdown from [`as_array`](StageBreakdown::as_array)
-    /// order (checkpoint restore).
-    pub fn from_array(a: [u64; 4]) -> Self {
-        let mut b = StageBreakdown::default();
-        b.busy.add(a[0]);
-        b.mem_stall.add(a[1]);
-        b.queue_stall.add(a[2]);
-        b.idle.add(a[3]);
-        b
     }
 
     /// Maps a PE [`CycleBreakdown`] onto the stage vocabulary: the PE's
@@ -452,7 +443,6 @@ mod tests {
         }
         assert_eq!(b.total(), 100);
         assert_eq!(b.as_array(), [25, 25, 25, 25]);
-        assert_eq!(StageBreakdown::from_array(b.as_array()), b);
     }
 
     #[test]

@@ -38,6 +38,7 @@
 //! ```
 
 use crate::clock::Cycle;
+use crate::codec::{Dec, Enc, Mismatch, Reader};
 
 /// Mixes a value into a running signature (SplitMix64 finalizer). Useful
 /// for folding several counters and queue depths into the single `u64`
@@ -54,22 +55,6 @@ pub fn mix_signature(acc: u64, value: u64) -> u64 {
 /// Handle for a registered progress source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SourceId(usize);
-
-/// Plain-data capture of one source's progress state, for checkpointing.
-///
-/// The source *name* is deliberately absent: names are `&'static str`
-/// handed over at registration, so a restore re-registers sources in the
-/// original order and [`Watchdog::import_state`] refills only the mutable
-/// fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SourceState {
-    /// The signature last reported by this source.
-    pub last_signature: u64,
-    /// Last cycle the signature changed.
-    pub last_progress: Cycle,
-    /// Whether the source has been observed at least once.
-    pub observed: bool,
-}
 
 /// Per-source progress state.
 #[derive(Debug, Clone)]
@@ -112,6 +97,7 @@ pub struct WatchdogReport {
 /// interval), then [`Watchdog::check`] once per cycle.
 #[derive(Debug, Clone)]
 pub struct Watchdog {
+    // conformance:allow(checkpoint-coverage): configuration, fixed at construction
     window: u64,
     sources: Vec<Source>,
     last_global_progress: Cycle,
@@ -171,37 +157,32 @@ impl Watchdog {
         self.last_global_progress
     }
 
-    /// Exports the mutable progress state (per source, in registration
-    /// order, plus the global last-progress cycle) for checkpointing.
-    pub fn export_state(&self) -> (Cycle, Vec<SourceState>) {
-        (
-            self.last_global_progress,
-            self.sources
-                .iter()
-                .map(|s| SourceState {
-                    last_signature: s.last_signature,
-                    last_progress: s.last_progress,
-                    observed: s.observed,
-                })
-                .collect(),
-        )
+    /// Writes the progress state (the global last-progress cycle, then each
+    /// source's signature, last progress and observed flag, in registration
+    /// order) into a checkpoint. Names are fixed at registration, so they
+    /// stay out.
+    pub fn snapshot(&self, out: &mut Vec<u8>) {
+        self.last_global_progress.enc(out);
+        self.sources.len().enc(out);
+        for s in &self.sources {
+            (s.last_signature, s.last_progress, s.observed).enc(out);
+        }
     }
 
-    /// Restores state captured by [`Watchdog::export_state`] into a
-    /// watchdog whose sources were re-registered in the original order.
+    /// Reads a [`Watchdog::snapshot`] back into a watchdog whose sources
+    /// were registered in the same order.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the number of registered sources does not match the
-    /// capture — the restore path must rebuild the exact topology.
-    pub fn import_state(&mut self, last_global_progress: Cycle, states: &[SourceState]) {
-        assert_eq!(self.sources.len(), states.len(), "watchdog restore: source count mismatch");
-        self.last_global_progress = last_global_progress;
-        for (s, st) in self.sources.iter_mut().zip(states) {
-            s.last_signature = st.last_signature;
-            s.last_progress = st.last_progress;
-            s.observed = st.observed;
+    /// [`Mismatch`] if the checkpoint lists another number of sources or
+    /// its bytes are malformed.
+    pub fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), Mismatch> {
+        self.last_global_progress = Cycle::dec(r)?;
+        r.count_of(self.sources.len(), "the watchdog source count differs")?;
+        for s in &mut self.sources {
+            (s.last_signature, s.last_progress, s.observed) = Dec::dec(r)?;
         }
+        Ok(())
     }
 
     /// Returns a report if no source has made progress for more than the
