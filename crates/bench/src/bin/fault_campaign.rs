@@ -20,6 +20,11 @@
 //! the replay-determinism invariant of DESIGN.md §9 — and prints the
 //! FNV-1a of the checkpoint's bytes (`checkpoint_fnv1a`), which CI pins.
 //!
+//! Every campaign also prints `outcomes_fnv1a`, an FNV-1a digest of each
+//! run's exact outcome in run order ([`digest_outcome`]), which CI pins
+//! too: the counts alone do not show a run that moved from one detection
+//! path to another.
+//!
 //! Usage: `cargo run --release -p matraptor-bench --bin fault_campaign --
 //! [--scale N] [--seed N] [--seeds N] [--json] [--strict] [--no-abft]
 //! [--resume-check]`
@@ -91,6 +96,34 @@ fn run_faulted(
     plan: &FaultPlan,
 ) -> Result<RunOutcome, SimError> {
     accel.run_to_end(a, b, RunStart::Fresh { plan: Some(plan), trace: None })
+}
+
+/// Appends one run to the campaign's outcome digest: its fault kind and
+/// plan seed, then its cycle count and output (row pointers, column ids
+/// and value bits) if it completed, or its error's `Debug` text if it
+/// failed.
+fn digest_outcome(
+    out: &mut Vec<u8>,
+    kind: FaultKind,
+    seed: u64,
+    result: &Result<RunOutcome, SimError>,
+) {
+    out.extend_from_slice(kind.name().as_bytes());
+    out.extend_from_slice(&seed.to_le_bytes());
+    match result {
+        Ok(outcome) => {
+            out.push(0);
+            out.extend_from_slice(&outcome.stats.total_cycles.to_le_bytes());
+            let c = &outcome.c;
+            c.row_ptr().iter().for_each(|&p| out.extend_from_slice(&(p as u64).to_le_bytes()));
+            c.col_idx().iter().for_each(|col| out.extend_from_slice(&col.to_le_bytes()));
+            c.values().iter().for_each(|v| out.extend_from_slice(&v.to_bits().to_le_bytes()));
+        }
+        Err(e) => {
+            out.push(1);
+            out.extend_from_slice(format!("{e:?}").as_bytes());
+        }
+    }
 }
 
 /// Replays one survivable faulted run (a bounded burst refusal) from a
@@ -196,6 +229,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut kind_objects = Vec::new();
     let (mut total_survived, mut total_detected, mut total_escaped) = (0u64, 0u64, 0u64);
+    let mut outcomes = Vec::new();
     for kind in FaultKind::ALL {
         let mut survived = 0u64;
         let mut detected = 0u64;
@@ -203,6 +237,7 @@ fn main() {
         for seed in 0..opts.seeds {
             let plan = FaultPlan::sample(kind, opts.seed ^ seed, lanes);
             let result = run_faulted(&accel, &a, &b, &plan);
+            digest_outcome(&mut outcomes, kind, plan.seed, &result);
             match classify(kind, &result) {
                 Verdict::Survived => survived += 1,
                 Verdict::Detected => detected += 1,
@@ -227,6 +262,7 @@ fn main() {
         ));
     }
     print_table(&["fault kind", "survived", "detected", "escaped", "covered"], &rows);
+    println!("\noutcomes_fnv1a {:#018x}", fnv1a64(&outcomes));
 
     let resume_ok = if opts.resume_check {
         println!();

@@ -1489,6 +1489,89 @@ mod tests {
         }
     }
 
+    /// Where two in-flight SpAL reads sit in a checkpoint payload.
+    struct SpAlReads {
+        /// Where the info read's pending entry starts: its id, then its
+        /// row position.
+        info: usize,
+        /// Where the data read's starts: its id, its row position, then
+        /// its first entry and count.
+        data: usize,
+        /// The row of A the data read fetches from.
+        row: usize,
+    }
+
+    /// A checkpoint of `a * a` on `accel` taken while SpAL has an info
+    /// read and a data read in flight, its payload forged by `edit`.
+    fn forged_spal_reads(
+        accel: &Accelerator,
+        a: &Csr<f64>,
+        edit: &dyn Fn(&mut Vec<u8>, &SpAlReads),
+    ) -> Checkpoint {
+        let fresh = RunStart::Fresh { plan: None, trace: None };
+        let mut run = accel.start(ops(a, a), fresh).expect("valid operands");
+        let reads = |state: &RunState| {
+            let info = state.route.iter().find_map(|(id, r)| match r.tag {
+                Tag::SpAlInfo { row_pos } => Some((id, row_pos)),
+                _ => None,
+            });
+            let data = state.route.iter().find_map(|(id, r)| match r.tag {
+                Tag::SpAlData { row_pos, first_entry, count } => {
+                    Some((id, r.lane, row_pos, first_entry, count))
+                }
+                _ => None,
+            });
+            info.zip(data)
+        };
+        let ((info_id, info_pos), (data_id, lane, data_pos, first_entry, count)) = loop {
+            if let Some(found) = reads(&run.machine().state) {
+                break found;
+            }
+            assert!(!run.advance(run.cycle() + 1).expect("clean run"), "drained first");
+        };
+        let info = [info_id.to_le_bytes(), (info_pos as u64).to_le_bytes()].concat();
+        let data = [
+            data_id.to_le_bytes().as_slice(),
+            &(data_pos as u64).to_le_bytes(),
+            &first_entry.to_le_bytes(),
+            &count.to_le_bytes(),
+        ]
+        .concat();
+        let row = lane + data_pos * accel.cfg.num_lanes;
+        forged(&run.snapshot(), |p| {
+            let at = |bytes: &[u8]| {
+                p.windows(bytes.len()).position(|w| w == bytes).expect("the pending read")
+            };
+            let reads = SpAlReads { info: at(&info), data: at(&data), row };
+            edit(p, &reads);
+        })
+    }
+
+    #[test]
+    fn a_resume_refuses_spal_reads_that_name_no_entries_of_a() {
+        let a = gen::uniform(96, 96, 900, 24);
+        let accel = Accelerator::new(MatRaptorConfig::small_test());
+        let want = job_print(&accel, &a, &a);
+        let refused = |edit: &dyn Fn(&mut Vec<u8>, &SpAlReads)| {
+            refusal(&accel, &a, &a, &forged_spal_reads(&accel, &a, edit))
+        };
+        let far = 9_999u64.to_le_bytes();
+        assert_eq!(refused(&|_, _| {}), None, "the unedited reads restore");
+        let past_rows = Some("a pending SpAL read names a row past the lane's rows");
+        let info_far = refused(&|p, at| p[at.info + 8..at.info + 16].copy_from_slice(&far));
+        assert_eq!(info_far, past_rows);
+        let data_far = refused(&|p, at| p[at.data + 8..at.data + 16].copy_from_slice(&far));
+        assert_eq!(data_far, past_rows);
+        // The data read asks for one entry more than its row of A holds.
+        let past_row = refused(&|p, at| {
+            let first = u32::from_le_bytes(p[at.data + 16..at.data + 20].try_into().expect("u32"));
+            let count = a.row_nnz(at.row) as u32 + 1 - first;
+            p[at.data + 20..at.data + 24].copy_from_slice(&count.to_le_bytes());
+        });
+        assert_eq!(past_row, Some("a pending SpAL read runs past its row of A"));
+        assert!(job_print(&accel, &a, &a) == want, "a refused resume left a trace");
+    }
+
     /// The 2-lane template of the `par_slices` and `wire_mixed`
     /// benchmarks, with watchdog window `window` (0 turns it off).
     fn two_lane(window: u64) -> Accelerator {

@@ -246,3 +246,47 @@ fn dropped_write_is_caught_by_output_verification() {
     let clean = accel.try_run(&a, &b).expect("clean");
     assert!(clean.c.approx_eq(&spgemm::gustavson(&a, &b), 1e-9));
 }
+
+/// Which check catches each truncated A stream on the fault-campaign
+/// binary's matrix and machine (`--scale 32 --seed 7`): ABFT, naming the
+/// damaged row, for plan seeds 0-7 (the ones its CI run sweeps), and the
+/// C²SR output check for plan seeds 15 and 23, whose truncations leave the
+/// lanes' output streams out of C²SR order.
+#[test]
+fn each_truncated_stream_is_caught_by_its_pinned_check() {
+    let a = gen::uniform(128, 128, 1024, 7);
+    let b = gen::uniform(128, 128, 1024, 8);
+    let mut cfg = MatRaptorConfig::small_test();
+    cfg.watchdog_window = 5_000;
+    cfg.verify_against_reference = false;
+    cfg.abft_verification = true;
+    let lanes = cfg.num_lanes;
+    let accel = Accelerator::new(cfg);
+    let abft = |row| SimError::OutputCorrupted {
+        detail: "output fails ABFT row-checksum verification",
+        rows: vec![row],
+    };
+    let c2sr = || SimError::OutputCorrupted {
+        detail: "output violates C2SR invariants",
+        rows: Vec::new(),
+    };
+    let pins = [
+        (0, abft(127)),
+        (1, abft(121)),
+        (2, abft(81)),
+        (3, abft(71)),
+        (4, abft(1)),
+        (5, abft(49)),
+        (6, abft(76)),
+        (7, abft(2)),
+        (15, c2sr()),
+        (23, c2sr()),
+    ];
+    for (seed, want) in pins {
+        let plan = FaultPlan::sample(FaultKind::StreamTruncation, seed, lanes);
+        match run_faulted(&accel, &a, &b, Some(&plan)) {
+            Err(got) => assert_eq!(got, want, "plan seed {seed}"),
+            Ok(_) => panic!("plan seed {seed}: the truncated stream completed"),
+        }
+    }
+}
