@@ -198,15 +198,16 @@ impl Lane {
         (&self.spal_out, &self.pe_in).enc(out);
     }
 
-    /// Reads a [`Lane::snapshot`] back into a lane reset for the same job,
-    /// appending its units' in-flight requests to `tags`.
+    /// Reads a [`Lane::snapshot`] back into a lane reset for the job whose
+    /// A is `ac`, appending its units' in-flight requests to `tags`.
     fn restore(
         &mut self,
         r: &mut Reader<'_>,
         tags: &mut Vec<(u64, Tag)>,
+        ac: &C2sr<f64>,
         fifo_depth: usize,
     ) -> Result<(), Mismatch> {
-        self.spal.restore(r, tags)?;
+        self.spal.restore(r, tags, ac)?;
         self.spbl.restore(r, tags)?;
         self.pe.restore(r)?;
         self.writer.restore(r, tags)?;
@@ -684,7 +685,7 @@ impl Accelerator {
                 return Err(SimError::CheckpointMismatch { detail });
             }
         }
-        let state = &mut machine.state;
+        let Machine { state, ac, .. } = machine;
         (state.t, state.next_id) = Dec::dec(&mut r)?;
         let routes: Vec<(u64, usize)> = Dec::dec(&mut r)?;
         // The route table is rebuilt from the units' pending lists; it must
@@ -692,7 +693,7 @@ impl Accelerator {
         r.count_of(state.lanes.len(), "the lane count differs from the configuration")?;
         let mut tags = Vec::new();
         for (l, lane) in state.lanes.iter_mut().enumerate() {
-            lane.restore(&mut r, &mut tags, self.cfg.coupling_fifo_depth)?;
+            lane.restore(&mut r, &mut tags, ac, self.cfg.coupling_fifo_depth)?;
             for (id, tag) in tags.drain(..) {
                 if state.route.insert(id, Route { lane: l, tag }).is_some() {
                     return Err(SimError::CheckpointMismatch {

@@ -341,17 +341,22 @@ impl SpAl {
 
     /// Reads a [`SpAl::snapshot`] back into a loader reset for the same
     /// `(lane, config, matrix)` triple, appending the tags of its in-flight
-    /// requests to `tags` for the route table.
+    /// requests to `tags` for the route table. `a` is the job's A, which
+    /// the pending data reads are checked against.
     ///
     /// # Errors
     ///
     /// [`Mismatch`] if the checkpoint assigns the lane another number of
-    /// rows, or its bytes are malformed.
+    /// rows, a pending read names a row position past the lane's rows or
+    /// entries past its row of `a`, or the bytes are malformed.
     pub(crate) fn restore(
         &mut self,
         r: &mut Reader<'_>,
         tags: &mut Vec<(u64, Tag)>,
+        a: &C2sr<f64>,
     ) -> Result<(), Mismatch> {
+        const PAST_ROWS: Mismatch =
+            Mismatch("a pending SpAL read names a row past the lane's rows");
         (self.info_cursor, self.data_cursor) = Dec::dec(r)?;
         r.count_of(self.info_ready.len(), "SpAL's row count differs from the job's")?;
         for ready in &mut self.info_ready {
@@ -362,12 +367,19 @@ impl SpAl {
         self.pending_info = r.count()?;
         for _ in 0..self.pending_info {
             let (id, row_pos) = Dec::dec(r)?;
+            if row_pos >= self.rows.len() {
+                return Err(PAST_ROWS);
+            }
             tags.push((id, Tag::SpAlInfo { row_pos }));
         }
         self.pending_data = r.count()?;
         for _ in 0..self.pending_data {
-            let (id, row_pos) = Dec::dec(r)?;
-            let (first_entry, count) = Dec::dec(r)?;
+            let (id, row_pos): (u64, usize) = Dec::dec(r)?;
+            let (first_entry, count): (u32, u32) = Dec::dec(r)?;
+            let row = *self.rows.get(row_pos).ok_or(PAST_ROWS)?;
+            if u64::from(first_entry) + u64::from(count) > u64::from(a.row_info(row as usize).len) {
+                return Err(Mismatch("a pending SpAL read runs past its row of A"));
+            }
             tags.push((id, Tag::SpAlData { row_pos, first_entry, count }));
         }
         r.append(&mut self.staging)?;
