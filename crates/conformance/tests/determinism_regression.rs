@@ -31,5 +31,5 @@ fn same_input_same_cycles_across_instances() {
     let r2 = Accelerator::new(MatRaptorConfig::default()).run(&a, &b);
     assert_eq!(r1.stats.total_cycles, r2.stats.total_cycles);
     assert_eq!(r1.stats.per_pe_breakdown, r2.stats.per_pe_breakdown);
-    assert_eq!(r1.c2sr, r2.c2sr);
+    assert_eq!(r1.c, r2.c);
 }

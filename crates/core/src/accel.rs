@@ -27,7 +27,7 @@ use crate::spbl::SpBl;
 use crate::stats::{LaneAttribution, MatRaptorStats};
 use crate::tokens::{ATok, PeTok};
 use crate::trace::{RunTrace, TraceConfig, TraceSampler};
-use crate::writer::Writer;
+use crate::writer::{assemble_c, Writer};
 
 /// The MatRaptor accelerator (Fig. 5a): `num_lanes` rows of
 /// SpAL → SpBL → PE over a shared multi-channel HBM, with per-lane output
@@ -70,10 +70,9 @@ impl std::fmt::Debug for Accelerator {
 /// Result of one accelerator run: the output matrix plus measurements.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
-    /// The computed product in CSR form.
+    /// The computed product in CSR form, assembled from the C²SR streams
+    /// the lanes wrote once they passed the C²SR check.
     pub c: Csr<f64>,
-    /// The same product in the C²SR layout the hardware wrote.
-    pub c2sr: C2sr<f64>,
     /// Cycle counts, traffic, and breakdowns.
     pub stats: MatRaptorStats,
 }
@@ -929,27 +928,15 @@ impl Accelerator {
         let state = &machine.state;
         let lanes = &state.lanes;
 
-        // Assemble the functional output in C²SR, per-lane row order. The
-        // lane count was validated positive at construction, so a refusal
-        // here is a protocol violation, not an input problem.
+        // The functional output, checked as the C²SR the lanes wrote and
+        // assembled once, in CSR.
         let (a, b) = (operands.a(), operands.b());
-        let mut c2sr = C2sr::new_for_output(a.rows(), b.cols(), lanes_n).map_err(|_| {
-            SimError::ProtocolViolation { detail: "output C2SR rejected the validated lane count" }
-        })?;
-        for (l, lane) in lanes.iter().enumerate() {
-            // Lane `l` wrote the rows of channel `l`.
-            c2sr.reserve_channel(l, lane.writer.entries());
-            for (row, cols, vals, _) in lane.writer.finished() {
-                c2sr.append_row(row as usize, cols, vals);
-            }
-        }
-        if c2sr.validate().is_err() {
-            return Err(SimError::OutputCorrupted {
+        let c = assemble_c(a.rows(), b.cols(), lanes.iter().map(|lane| &lane.writer)).ok_or(
+            SimError::OutputCorrupted {
                 detail: "output violates C2SR invariants",
                 rows: Vec::new(),
-            });
-        }
-        let c = c2sr.to_csr();
+            },
+        )?;
 
         // ABFT first: O(nnz) row checksums localise the damage. The full
         // Gustavson cross-check (when enabled) stays as the belt-and-
@@ -1001,7 +988,6 @@ impl Accelerator {
 
         Ok(RunOutcome {
             c,
-            c2sr,
             stats: MatRaptorStats {
                 total_cycles: state.t + 1,
                 clock_ghz: cfg.clock_ghz,

@@ -5,6 +5,7 @@ use std::collections::VecDeque;
 use matraptor_sim::codec::{Dec, Enc, Mismatch, Reader};
 use matraptor_sim::trace::{StageBreakdown, StageClass};
 use matraptor_sim::watchdog::mix_signature;
+use matraptor_sparse::{check_c2sr_pointers, C2srRow, Csr};
 
 use crate::config::MatRaptorConfig;
 use crate::layout::{MatrixLayout, INFO_BYTES};
@@ -127,11 +128,6 @@ impl Writer {
         self.done.iter().zip(starts).map(|(r, start)| {
             (r.row, &self.cols[start..r.end], &self.vals[start..r.end], r.padded_entries)
         })
-    }
-
-    /// Entries of the completed rows and the row being assembled.
-    pub(crate) fn entries(&self) -> usize {
-        self.cols.len()
     }
 
     /// Whether Phase II may emit another entry this cycle.
@@ -330,5 +326,114 @@ impl Writer {
         (self.entries_pushed, self.fault_drop_append, self.dropped_appends) = Dec::dec(r)?;
         self.attribution = Dec::dec(r)?;
         Ok(())
+    }
+}
+
+/// C as the `rows` × `cols` CSR product, written once from the output
+/// streams of the lanes' `writers`, lane 0 first, if those streams hold
+/// valid C²SR with one channel per lane (lane `l` writes the rows of
+/// channel `l`). The check is [`matraptor_sparse::C2sr::validate`]'s rule,
+/// made without copying the streams: each row's *(length, pointer)* pair
+/// and each channel's total go through [`check_c2sr_pointers`], and
+/// [`Csr::from_parts`] checks each row's columns. A row past `rows`, or
+/// one finished again once its pair is set, is refused too.
+pub(crate) fn assemble_c<'w>(
+    rows: usize,
+    cols: usize,
+    writers: impl Iterator<Item = &'w Writer> + Clone,
+) -> Option<Csr<f64>> {
+    const UNSET: C2srRow = C2srRow { len: 0, offset: 0 };
+    let mut channel_entries = vec![0usize; writers.clone().count()];
+    let mut info = vec![UNSET; rows];
+    for (row, row_cols, ..) in writers.clone().flat_map(Writer::finished) {
+        let pair = info.get_mut(row as usize).filter(|pair| **pair == UNSET)?;
+        let channel = row as usize % channel_entries.len();
+        *pair = C2srRow { len: row_cols.len() as u32, offset: channel_entries[channel] as u32 };
+        channel_entries[channel] += row_cols.len();
+    }
+    check_c2sr_pointers(&info, &channel_entries).ok()?;
+    let mut row_ptr = Vec::with_capacity(rows + 1);
+    let mut nnz = 0;
+    row_ptr.push(nnz);
+    for pair in &info {
+        nnz += pair.len as usize;
+        row_ptr.push(nnz);
+    }
+    let (mut col_idx, mut values) = (vec![0; nnz], vec![0.0; nnz]);
+    for (row, row_cols, row_vals, _) in writers.flat_map(Writer::finished) {
+        let start = row_ptr[row as usize];
+        col_idx[start..start + row_cols.len()].copy_from_slice(row_cols);
+        values[start..start + row_vals.len()].copy_from_slice(row_vals);
+    }
+    Csr::from_parts(rows, cols, row_ptr, col_idx, values).ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::layout::{matrix_layout, Regions};
+
+    /// A finished row: the lane that wrote it, its index and its columns.
+    type Row<'r> = (usize, u32, &'r [u32]);
+
+    /// The writers of two lanes that finished `rows` in order, each entry
+    /// valued as its column.
+    fn writers(rows: &[Row<'_>]) -> Vec<Writer> {
+        let cfg = MatRaptorConfig::small_test();
+        let layout = matrix_layout(&cfg, Regions::DEFAULT.c_info, Regions::DEFAULT.c_data);
+        let mut writers: Vec<Writer> = (0..2).map(|l| Writer::new(l, &cfg, layout)).collect();
+        for &(lane, row, cols) in rows {
+            writers[lane].record_overflow_row(row, 0, |c, v| {
+                c.extend_from_slice(cols);
+                v.extend(cols.iter().map(|&col| f64::from(col)));
+            });
+        }
+        writers
+    }
+
+    /// C as 4 × 4 CSR from the streams of `rows`, if they are C²SR.
+    fn assembled(rows: &[Row<'_>]) -> Option<Csr<f64>> {
+        assemble_c(4, 4, writers(rows).iter())
+    }
+
+    /// Clean streams of the sparsity of Fig. 3's A: rows 0 and 2 on lane
+    /// 0, rows 1 and 3 on lane 1, which finish them independently.
+    const CLEAN: [Row<'static>; 4] =
+        [(1, 1, &[3]), (0, 0, &[0, 2, 3]), (1, 3, &[1, 2]), (0, 2, &[1])];
+
+    #[test]
+    fn clean_streams_assemble_to_the_product_in_csr() {
+        let cols = vec![0, 2, 3, 3, 1, 1, 2];
+        let vals = cols.iter().map(|&c| f64::from(c)).collect();
+        let want = Csr::from_parts(4, 4, vec![0, 3, 4, 5, 7], cols, vals).expect("valid CSR");
+        assert_eq!(assembled(&CLEAN), Some(want));
+        // Rows no lane finished are empty, if no entries precede them on
+        // their channel.
+        let late = assembled(&CLEAN[2..]).map(|c| c.row_ptr().to_vec());
+        assert_eq!(late, Some(vec![0, 0, 0, 1, 3]));
+    }
+
+    #[test]
+    fn streams_that_are_not_c2sr_are_refused() {
+        let edited = |at: usize, row: Row<'static>| {
+            let mut rows = CLEAN.to_vec();
+            rows[at] = row;
+            rows
+        };
+        let cases = [
+            ("unsorted columns", edited(1, (0, 0, &[2, 0, 3]))),
+            ("a repeated column", edited(1, (0, 0, &[0, 2, 2]))),
+            ("a column past C's", edited(2, (1, 3, &[1, 9]))),
+            ("a row past C's", [&CLEAN[..], &[(1, 5, &[1])]].concat()),
+            ("a row finished twice", [&CLEAN[..], &[(1, 3, &[1, 2])]].concat()),
+            (
+                "rows out of their channel's order",
+                [&CLEAN[..1], &CLEAN[2..], &CLEAN[1..2]].concat(),
+            ),
+            ("a row missing after its channel's entries", CLEAN[..2].to_vec()),
+        ];
+        for (what, rows) in cases {
+            assert_eq!(assembled(&rows), None, "{what}");
+        }
     }
 }

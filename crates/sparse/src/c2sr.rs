@@ -127,67 +127,6 @@ impl<T: Scalar> C2sr<T> {
         Ok(())
     }
 
-    /// Creates an empty matrix whose rows will be appended through
-    /// [`C2sr::append_row`] — the shape of write traffic the accelerator's
-    /// output path produces.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FormatError::ZeroChannels`] if `num_channels == 0`.
-    pub fn new_for_output(
-        rows: usize,
-        cols: usize,
-        num_channels: usize,
-    ) -> Result<Self, FormatError> {
-        if num_channels == 0 {
-            return Err(FormatError::ZeroChannels);
-        }
-        Ok(C2sr {
-            rows,
-            cols,
-            num_channels,
-            row_info: vec![C2srRow { len: 0, offset: 0 }; rows],
-            chan_cols: vec![Vec::new(); num_channels],
-            chan_vals: vec![Vec::new(); num_channels],
-        })
-    }
-
-    /// Reserves room for `additional` more entries on `channel`, so the
-    /// appends that follow do not regrow its storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel >= self.num_channels()`.
-    pub fn reserve_channel(&mut self, channel: usize, additional: usize) {
-        self.chan_cols[channel].reserve(additional);
-        self.chan_vals[channel].reserve(additional);
-    }
-
-    /// Appends a complete row's entries to the row's channel.
-    ///
-    /// Mirrors the hardware's write path: each PE streams finished rows to
-    /// its channel, so within one channel rows must be appended in
-    /// increasing row order — this is checked. Rows on *different* channels
-    /// may interleave arbitrarily (the PEs run asynchronously).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of bounds, if the row was already written, if
-    /// an earlier-numbered row on the same channel has not been written yet
-    /// would be violated (i.e. out-of-order append within a channel), or if
-    /// `cols` and `vals` differ in length.
-    pub fn append_row(&mut self, row: usize, cols: &[Index], vals: &[T]) {
-        assert!(row < self.rows, "row {row} out of bounds ({})", self.rows);
-        assert_eq!(cols.len(), vals.len(), "col/value length mismatch");
-        let ch = row % self.num_channels;
-        let offset = self.chan_cols[ch].len() as u32;
-        let info = &mut self.row_info[row];
-        assert!(info.len == 0 && info.offset == 0, "row {row} appended twice");
-        *info = C2srRow { len: cols.len() as u32, offset };
-        self.chan_cols[ch].extend_from_slice(cols);
-        self.chan_vals[ch].extend_from_slice(vals);
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -260,11 +199,6 @@ impl<T: Scalar> C2sr<T> {
         self.chan_cols[c].len()
     }
 
-    /// Rows assigned to channel `c`, in the order their data is laid out.
-    pub fn channel_rows(&self, c: usize) -> impl Iterator<Item = usize> + '_ {
-        (c..self.rows).step_by(self.num_channels)
-    }
-
     /// Converts back to CSR. Lossless: `C2sr::from_csr(m, k).to_csr() == m`.
     pub fn to_csr(&self) -> Csr<T> {
         let mut row_ptr = vec![0usize; self.rows + 1];
@@ -283,34 +217,57 @@ impl<T: Scalar> C2sr<T> {
     }
 
     /// Verifies the structural invariants: per-channel segments are exactly
-    /// the concatenation of that channel's rows in increasing row order, and
-    /// column ids are sorted within each row.
-    ///
-    /// Used by tests and by the accelerator's output checker.
+    /// the concatenation of that channel's rows in increasing row order
+    /// ([`check_c2sr_pointers`]), and column ids are sorted within each
+    /// row.
     ///
     /// # Errors
     ///
     /// Returns the first violated invariant as a [`FormatError`].
     pub fn validate(&self) -> Result<(), FormatError> {
-        for ch in 0..self.num_channels {
-            let mut expected_offset = 0u32;
-            for i in self.channel_rows(ch) {
-                let info = self.row_info[i];
-                if (info.len > 0 || expected_offset > 0) && info.offset != expected_offset {
-                    return Err(FormatError::MalformedPointers { at: i });
-                }
-                expected_offset += info.len;
-            }
-            if expected_offset as usize != self.chan_cols[ch].len() {
-                return Err(FormatError::MalformedPointers { at: ch });
-            }
-        }
+        let channel_entries: Vec<usize> = self.chan_cols.iter().map(Vec::len).collect();
+        check_c2sr_pointers(&self.row_info, &channel_entries)?;
         for i in 0..self.rows {
             let (cols_slice, _) = self.row_slices(i);
             crate::csr::check_row_indices(i, self.cols, cols_slice)?;
         }
         Ok(())
     }
+}
+
+/// C²SR's pointer invariant over the *(row length, row pointer)* pairs
+/// `row_info` of a matrix laid out over `channel_entries.len()` channels,
+/// the `c`-th holding `channel_entries[c]` entries: on each channel, every row
+/// with entries, and every row after one, starts where the previous rows
+/// of its channel end, and the channel's rows add up to its entries.
+///
+/// This is the check [`C2sr::validate`] makes of its own layout, which the
+/// accelerator makes of the streams its lanes wrote without building a
+/// [`C2sr`] of them.
+///
+/// # Errors
+///
+/// [`FormatError::MalformedPointers`] at the first row out of place, or at
+/// the channel whose rows do not add up to its entries.
+pub fn check_c2sr_pointers(
+    row_info: &[C2srRow],
+    channel_entries: &[usize],
+) -> Result<(), FormatError> {
+    let num_channels = channel_entries.len();
+    for (ch, &len) in channel_entries.iter().enumerate() {
+        let mut expected_offset = 0u32;
+        for i in (ch..row_info.len()).step_by(num_channels) {
+            let info = row_info[i];
+            if (info.len > 0 || expected_offset > 0) && info.offset != expected_offset {
+                return Err(FormatError::MalformedPointers { at: i });
+            }
+            expected_offset += info.len;
+        }
+        if expected_offset as usize != len {
+            return Err(FormatError::MalformedPointers { at: ch });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -375,29 +332,26 @@ mod tests {
     }
 
     #[test]
-    fn output_append_path() {
-        let csr = sample();
-        let mut out = C2sr::<f64>::new_for_output(4, 4, 2).unwrap();
-        // PEs interleave across channels, but stay ordered within a channel.
-        for row in [1usize, 0, 2, 3] {
-            let (c, v) = csr.row_slices(row);
-            out.append_row(row, c, v);
-        }
-        out.validate().unwrap();
-        assert_eq!(out.to_csr(), csr);
-    }
-
-    #[test]
-    #[should_panic(expected = "appended twice")]
-    fn double_append_panics() {
-        let mut out = C2sr::<f64>::new_for_output(2, 2, 1).unwrap();
-        out.append_row(0, &[0], &[1.0]);
-        out.append_row(0, &[1], &[2.0]);
-    }
-
-    #[test]
     fn zero_channels_rejected() {
-        assert_eq!(C2sr::<f64>::new_for_output(2, 2, 0).unwrap_err(), FormatError::ZeroChannels);
+        assert_eq!(C2sr::try_from_csr(&sample(), 0).unwrap_err(), FormatError::ZeroChannels);
+    }
+
+    #[test]
+    fn pointers_out_of_channel_order_are_refused() {
+        let m = C2sr::from_csr(&sample(), 2);
+        let mut info: Vec<C2srRow> = (0..4).map(|i| m.row_info(i)).collect();
+        let lens = [m.channel_nnz(0), m.channel_nnz(1)];
+        assert_eq!(check_c2sr_pointers(&info, &lens), Ok(()));
+        // Row 2 placed before row 0 on channel 0.
+        info.swap(0, 2);
+        assert_eq!(
+            check_c2sr_pointers(&info, &lens),
+            Err(FormatError::MalformedPointers { at: 0 })
+        );
+        info.swap(0, 2);
+        // Channel 1 holds an entry no row accounts for.
+        let short = check_c2sr_pointers(&info, &[lens[0], lens[1] + 1]);
+        assert_eq!(short, Err(FormatError::MalformedPointers { at: 1 }));
     }
 
     #[test]

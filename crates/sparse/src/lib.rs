@@ -46,7 +46,7 @@ pub mod semiring;
 pub mod spgemm;
 pub mod stats;
 
-pub use c2sr::{C2sr, C2srRow};
+pub use c2sr::{check_c2sr_pointers, C2sr, C2srRow};
 pub use coo::Coo;
 pub use csc::Csc;
 pub use csr::Csr;

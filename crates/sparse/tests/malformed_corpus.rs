@@ -3,7 +3,7 @@
 //! from untrusted parts) and `Csr::validate` (revalidation of an existing
 //! matrix, including the finiteness scan that construction does not run).
 
-use matraptor_sparse::{C2sr, Csr, SparseError};
+use matraptor_sparse::{check_c2sr_pointers, C2srRow, Csr, SparseError};
 
 /// A well-formed 3x4 matrix used as the starting point for the corpus.
 fn good_parts() -> (usize, usize, Vec<usize>, Vec<u32>, Vec<f64>) {
@@ -109,27 +109,15 @@ fn integer_matrices_are_always_finite() {
 }
 
 #[test]
-fn c2sr_append_row_with_unsorted_columns_fails_validate() {
-    // `append_row` is the hardware writer's raw append path — it does not
-    // check sortedness itself; `validate` must catch it through the same
-    // shared invariant CSR construction uses.
-    let mut out = C2sr::<f64>::new_for_output(2, 4, 1).expect("one channel");
-    out.append_row(0, &[2, 0], &[1.0, 2.0]);
-    out.append_row(1, &[1], &[3.0]);
-    assert_eq!(out.validate(), Err(SparseError::UnsortedIndices { outer: 0 }));
-
-    // Duplicated column ids violate the same (strict) invariant.
-    let mut dup = C2sr::<f64>::new_for_output(1, 4, 1).expect("one channel");
-    dup.append_row(0, &[1, 1], &[1.0, 2.0]);
-    assert_eq!(dup.validate(), Err(SparseError::UnsortedIndices { outer: 0 }));
-
-    // And out-of-range ids surface as the bounds error, not sortedness.
-    let mut oob = C2sr::<f64>::new_for_output(1, 4, 1).expect("one channel");
-    oob.append_row(0, &[9], &[1.0]);
-    assert_eq!(
-        oob.validate(),
-        Err(SparseError::IndexOutOfBounds { axis: "column", index: 9, bound: 4 })
-    );
+fn c2sr_pointers_out_of_channel_order_fail_the_check() {
+    // The accelerator checks its lanes' output streams with the pointer
+    // rule `C2sr::validate` uses: over one channel, rows 0 and 1 appended
+    // in the wrong order, then a channel with an entry no row accounts for.
+    let swapped = [C2srRow { len: 1, offset: 2 }, C2srRow { len: 2, offset: 0 }];
+    assert_eq!(check_c2sr_pointers(&swapped, &[3]), Err(SparseError::MalformedPointers { at: 0 }));
+    let rows = [C2srRow { len: 2, offset: 0 }, C2srRow { len: 1, offset: 2 }];
+    assert_eq!(check_c2sr_pointers(&rows, &[3]), Ok(()));
+    assert_eq!(check_c2sr_pointers(&rows, &[4]), Err(SparseError::MalformedPointers { at: 0 }));
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! End-to-end integration: generators → formats → accelerator → checks.
 
-use matraptor::accel::{Accelerator, MatRaptorConfig};
+use matraptor::accel::{Accelerator, FaultKind, FaultPlan, MatRaptorConfig, RunStart, SimError};
 use matraptor::baselines::{BandwidthNorm, CpuModel, GpuModel, OuterSpaceModel, Workload};
 use matraptor::energy::EnergyModel;
 use matraptor::sparse::{gen, spgemm, C2sr};
@@ -30,10 +30,33 @@ fn suite_matrices_run_end_to_end() {
 
 #[test]
 fn accelerator_output_is_valid_c2sr() {
+    // The run checks the lanes' output streams as C²SR and assembles the
+    // product from them: it lays out over the lanes' channels again.
     let a = gen::uniform(96, 96, 700, 5);
-    let outcome = small_accel().run(&a, &a);
-    outcome.c2sr.validate().expect("hardware-written C2SR must validate");
-    assert_eq!(outcome.c2sr.to_csr(), outcome.c);
+    let cfg = MatRaptorConfig::small_test();
+    let outcome = Accelerator::new(cfg.clone()).run(&a, &a);
+    assert!(outcome.c.approx_eq(&spgemm::gustavson(&a, &a), 1e-9));
+    let c2sr = C2sr::from_csr(&outcome.c, cfg.num_lanes);
+    c2sr.validate().expect("the product lays out as valid C2SR");
+    assert_eq!(c2sr.to_csr(), outcome.c);
+
+    // A truncated A stream that leaves a lane's output out of C²SR order
+    // is refused by that check (the fault campaign's matrix and machine).
+    let (a, b) = (gen::uniform(128, 128, 1024, 7), gen::uniform(128, 128, 1024, 8));
+    let cfg = MatRaptorConfig {
+        watchdog_window: 5_000,
+        verify_against_reference: false,
+        abft_verification: true,
+        ..MatRaptorConfig::small_test()
+    };
+    let plan = FaultPlan::sample(FaultKind::StreamTruncation, 15, cfg.num_lanes);
+    let start = RunStart::Fresh { plan: Some(&plan), trace: None };
+    match Accelerator::new(cfg).run_to_end(&a, &b, start) {
+        Err(SimError::OutputCorrupted { detail, rows }) => {
+            assert_eq!((detail, rows), ("output violates C2SR invariants", Vec::new()));
+        }
+        other => panic!("expected the C2SR refusal, got {other:?}"),
+    }
 }
 
 #[test]
