@@ -659,7 +659,7 @@ impl Accelerator {
         state.stream_fault.enc(&mut out);
         state.hbm.snapshot(&mut out);
         state.watchdog.snapshot(&mut out);
-        Checkpoint::seal(out, state.t)
+        Checkpoint::of_payload(out, state.t)
     }
 
     /// Reads a checkpoint into a machine reset for the run's operands,
@@ -1343,7 +1343,7 @@ mod tests {
         let header = Checkpoint::buffer().len();
         let mut payload = ck.to_bytes().split_off(header);
         edit(&mut payload);
-        let bytes = Checkpoint::seal([Checkpoint::buffer(), payload].concat(), ck.cycle());
+        let bytes = Checkpoint::of_payload([Checkpoint::buffer(), payload].concat(), ck.cycle());
         Checkpoint::from_bytes(&bytes.to_bytes()).expect("a valid envelope")
     }
 

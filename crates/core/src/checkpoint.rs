@@ -86,7 +86,9 @@ impl std::error::Error for CheckpointError {}
 /// start, which checks it against the run.
 #[derive(Clone)]
 pub struct Checkpoint {
-    /// The serialized form, header included.
+    /// The payload after room for the header, which only
+    /// [`Checkpoint::to_bytes`] fills in: a checkpoint that never leaves
+    /// memory is never hashed.
     bytes: Vec<u8>,
     cycle: u64,
 }
@@ -109,9 +111,15 @@ impl Checkpoint {
         CHECKPOINT_VERSION
     }
 
-    /// The versioned, checksummed byte form.
+    /// The versioned, checksummed byte form: the payload sealed with the
+    /// header.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.bytes.clone()
+        let mut bytes = self.bytes.clone();
+        let checksum = fnv1a64(&bytes[HEADER..]);
+        bytes[..4].copy_from_slice(&MAGIC);
+        bytes[4..8].copy_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+        bytes[8..HEADER].copy_from_slice(&checksum.to_le_bytes());
+        bytes
     }
 
     /// Takes bytes produced by [`Checkpoint::to_bytes`], checking their
@@ -153,13 +161,10 @@ impl Checkpoint {
         vec![0; HEADER]
     }
 
-    /// Seals a [`Checkpoint::buffer`] holding the payload of a machine
-    /// paused at `cycle`: writes the header over its first bytes.
-    pub(crate) fn seal(mut bytes: Vec<u8>, cycle: u64) -> Checkpoint {
-        let checksum = fnv1a64(&bytes[HEADER..]);
-        bytes[..4].copy_from_slice(&MAGIC);
-        bytes[4..8].copy_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        bytes[8..HEADER].copy_from_slice(&checksum.to_le_bytes());
+    /// The checkpoint of a machine paused at `cycle` whose payload
+    /// `bytes`, a [`Checkpoint::buffer`], holds. Its header is written only
+    /// by [`Checkpoint::to_bytes`].
+    pub(crate) fn of_payload(bytes: Vec<u8>, cycle: u64) -> Checkpoint {
         Checkpoint { bytes, cycle }
     }
 
@@ -283,14 +288,14 @@ impl Dec for VectorMode {
 mod tests {
     use super::*;
 
-    /// A sealed checkpoint of a small payload: the three fingerprints, the
+    /// A checkpoint of a small payload: the three fingerprints, the
     /// cycle 42, then one A token.
     fn tiny() -> Checkpoint {
         let mut out = Checkpoint::buffer();
         (1u64, 2u64, 3u64).enc(&mut out);
         42u64.enc(&mut out);
         ATok::Entry { val: 0.5, row: 1, col: 2, last_in_row: true }.enc(&mut out);
-        Checkpoint::seal(out, 42)
+        Checkpoint::of_payload(out, 42)
     }
 
     #[test]
@@ -357,7 +362,8 @@ mod tests {
             other => panic!("expected truncation error, got {other:?}"),
         }
         // A sealed payload too short to hold the cycle.
-        let short = Checkpoint::seal([Checkpoint::buffer(), vec![0; 31]].concat(), 0).to_bytes();
+        let short = [Checkpoint::buffer(), vec![0; 31]].concat();
+        let short = Checkpoint::of_payload(short, 0).to_bytes();
         match Checkpoint::from_bytes(&short) {
             Err(CheckpointError::Truncated) => {}
             other => panic!("expected truncation error, got {other:?}"),
