@@ -324,6 +324,14 @@ mod tests {
     }
 
     #[test]
+    fn config_fingerprints_are_pinned() {
+        // Every checkpoint carries this digest, so a change to what it
+        // hashes, or in what order, moves every checkpoint's bytes.
+        assert_eq!(fingerprint_config(&MatRaptorConfig::default()), 0xab81450236ad0b8f);
+        assert_eq!(fingerprint_config(&MatRaptorConfig::small_test()), 0x5b603b8f3e2cd693);
+    }
+
+    #[test]
     fn bad_magic_rejected() {
         let mut bytes = tiny().to_bytes();
         bytes[0] = b'X';
