@@ -75,11 +75,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut baseline = None;
     for lanes in [2usize, 4, 8] {
-        let cfg = MatRaptorConfig {
-            num_lanes: lanes,
-            mem: HbmConfig::with_channels(lanes),
-            ..base.clone()
-        };
+        let cfg = MatRaptorConfig { mem: HbmConfig::with_channels(lanes), ..base.clone() };
         let s = Accelerator::new(cfg).run(&a, &a).stats;
         let speedup = match baseline {
             None => {

@@ -216,7 +216,7 @@ fn main() {
     cfg.watchdog_window = 5_000;
     cfg.verify_against_reference = false;
     cfg.abft_verification = !opts.no_abft;
-    let lanes = cfg.num_lanes;
+    let lanes = cfg.num_lanes();
     let accel = Accelerator::new(cfg);
 
     println!(

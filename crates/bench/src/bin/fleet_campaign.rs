@@ -39,6 +39,9 @@
 use std::rc::Rc;
 use std::time::Instant;
 
+use matraptor_bench::campaign::{
+    breaker_transitions_json, pick_tenant, poison_and_burst_pairs, Pool, SPORADIC_KINDS,
+};
 use matraptor_bench::harness::percentile;
 use matraptor_bench::parse_u64;
 use matraptor_core::{FaultKind, FaultPlan, MatRaptorConfig};
@@ -48,10 +51,7 @@ use matraptor_service::{
     WorkerFaultPlan,
 };
 use matraptor_sim::trace::fnv1a64;
-use matraptor_sparse::{gen, rng::ChaCha8Rng, Csr};
-
-/// A shared (A, B) operand pair.
-type MatPair = (Rc<Csr<f64>>, Rc<Csr<f64>>);
+use matraptor_sparse::{gen, rng::ChaCha8Rng};
 
 struct Options {
     seed: u64,
@@ -196,57 +196,6 @@ fn worker_fault_script(seed: u64, jobs: u64) -> WorkerFaultPlan {
     WorkerFaultPlan::new(events)
 }
 
-/// Square matrices grouped by dimension class so any two picks from one
-/// class multiply. Smaller than the stress-campaign pool: the fleet runs
-/// an order of magnitude more jobs.
-struct Pool {
-    classes: Vec<Vec<Rc<Csr<f64>>>>,
-}
-
-impl Pool {
-    fn build(seed: u64) -> Pool {
-        let dims = [24usize, 32, 48];
-        let per_class = 4;
-        let classes = dims
-            .iter()
-            .enumerate()
-            .map(|(c, &n)| {
-                (0..per_class)
-                    .map(|i| {
-                        let s = seed
-                            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                            .wrapping_add((c * per_class + i) as u64);
-                        Rc::new(gen::uniform(n, n, n * 6, s))
-                    })
-                    .collect()
-            })
-            .collect();
-        Pool { classes }
-    }
-
-    fn pick(&self, rng: &mut ChaCha8Rng) -> MatPair {
-        let class = &self.classes[rng.gen_range(0..self.classes.len())];
-        let a = Rc::clone(&class[rng.gen_range(0..class.len())]);
-        let b = Rc::clone(&class[rng.gen_range(0..class.len())]);
-        (a, b)
-    }
-}
-
-/// Weighted tenant pick: 40% batch, 25% interactive, 20% analytics, 15%
-/// free tier.
-fn pick_tenant(rng: &mut ChaCha8Rng) -> TenantId {
-    let roll = rng.gen_range(0..100u32);
-    TenantId(match roll {
-        0..=39 => 0,
-        40..=64 => 1,
-        65..=84 => 2,
-        _ => 3,
-    })
-}
-
-const SPORADIC_KINDS: [FaultKind; 3] =
-    [FaultKind::StreamCorruption, FaultKind::DroppedWrite, FaultKind::BurstRefusal];
-
 struct CampaignResult {
     json: String,
     resolved: u64,
@@ -269,24 +218,15 @@ struct CampaignResult {
 
 fn run_campaign(opts: &Options) -> CampaignResult {
     let cfg = fleet_config(opts.seed, opts.jobs);
-    let lanes = cfg.service.accel.num_lanes;
+    let lanes = cfg.service.accel.num_lanes();
     let mut fleet = Fleet::new(cfg).expect("fleet config is valid");
-    let pool = Pool::build(opts.seed);
+    // Smaller than the stress campaign's pool: the fleet runs an order of
+    // magnitude more jobs.
+    let pool = Pool::build(opts.seed, &[24, 32, 48]);
     let mut rng = ChaCha8Rng::seed_from_u64(opts.seed);
 
-    let poison: MatPair = (
-        Rc::new(gen::uniform(32, 32, 192, opts.seed.wrapping_add(9_000))),
-        Rc::new(gen::uniform(32, 32, 192, opts.seed.wrapping_add(9_001))),
-    );
+    let (poison, burst_pairs) = poison_and_burst_pairs(opts.seed);
     let poison_plan = FaultPlan::sample(FaultKind::ChannelStall, opts.seed ^ 0x50, lanes);
-    let burst_pairs: Vec<MatPair> = (0..3)
-        .map(|i| {
-            (
-                Rc::new(gen::uniform(32, 32, 192, opts.seed.wrapping_add(9_100 + 2 * i))),
-                Rc::new(gen::uniform(32, 32, 192, opts.seed.wrapping_add(9_101 + 2 * i))),
-            )
-        })
-        .collect();
     let poison_at: Vec<u64> = [8u64, 4, 2].iter().map(|d| opts.jobs / d).collect();
     let breaker_burst_at = opts.jobs * 5 / 8;
 
@@ -436,24 +376,7 @@ fn run_campaign(opts: &Options) -> CampaignResult {
         })
         .collect();
 
-    let transitions = fleet.breaker_transitions();
-    let transition_objects: Vec<String> = transitions
-        .iter()
-        .map(|t| {
-            format!(
-                "{{\"at\":{},\"from\":\"{}\",\"to\":\"{}\"}}",
-                t.at.0,
-                t.from.label(),
-                t.to.label()
-            )
-        })
-        .collect();
-    let has_edge = |from: BreakerState, to: BreakerState| {
-        transitions.iter().any(|t| t.from == from && t.to == to)
-    };
-    let full_breaker_cycle = has_edge(BreakerState::Closed, BreakerState::Open)
-        && has_edge(BreakerState::Open, BreakerState::HalfOpen)
-        && has_edge(BreakerState::HalfOpen, BreakerState::Closed);
+    let (transitions, full_breaker_cycle) = breaker_transitions_json(fleet.breaker_transitions());
     let breaker_final = fleet.breaker_state();
     let pending_at_end = fleet.pending();
     let quarantined_inputs = fleet.quarantined_inputs();
@@ -507,7 +430,7 @@ fn run_campaign(opts: &Options) -> CampaignResult {
         percentile(&service_cycles, 50),
         percentile(&service_cycles, 99),
         breaker_final.label(),
-        transition_objects.join(","),
+        transitions,
         metrics.fingerprint(),
     );
     let json = format!("{body},\"report_fnv1a\":\"{:#018x}\"}}", fnv1a64(body.as_bytes()));

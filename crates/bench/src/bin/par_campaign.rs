@@ -38,6 +38,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
+use matraptor_bench::campaign::pool_matrices;
 use matraptor_bench::parse_u64;
 use matraptor_core::MatRaptorConfig;
 use matraptor_service::{
@@ -46,7 +47,7 @@ use matraptor_service::{
     WorkerFaultPlan,
 };
 use matraptor_sim::trace::fnv1a64;
-use matraptor_sparse::{gen, rng::ChaCha8Rng, Csr};
+use matraptor_sparse::{rng::ChaCha8Rng, Csr};
 
 struct Options {
     seed: u64,
@@ -115,9 +116,9 @@ fn accel_config() -> MatRaptorConfig {
     accel
 }
 
-/// Operand pool: square matrices grouped by dimension class so any two
-/// picks from one class multiply. Generated once, wrapped separately for
-/// the threaded executor (`Arc`) and the single-threaded oracle (`Rc`).
+/// Operand pool: the fleet campaign's matrices, generated once and
+/// wrapped separately for the threaded executor (`Arc`) and the
+/// single-threaded oracle (`Rc`).
 struct Pool {
     arcs: Vec<Vec<Arc<Csr<f64>>>>,
     rcs: Vec<Vec<Rc<Csr<f64>>>>,
@@ -125,22 +126,7 @@ struct Pool {
 
 impl Pool {
     fn build(seed: u64) -> Pool {
-        let dims = [24usize, 32, 48];
-        let per_class = 4;
-        let mats: Vec<Vec<Csr<f64>>> = dims
-            .iter()
-            .enumerate()
-            .map(|(c, &n)| {
-                (0..per_class)
-                    .map(|i| {
-                        let s = seed
-                            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                            .wrapping_add((c * per_class + i) as u64);
-                        gen::uniform(n, n, n * 6, s)
-                    })
-                    .collect()
-            })
-            .collect();
+        let mats = pool_matrices(seed, &[24, 32, 48]);
         let arcs =
             mats.iter().map(|class| class.iter().map(|m| Arc::new(m.clone())).collect()).collect();
         let rcs = mats.into_iter().map(|class| class.into_iter().map(Rc::new).collect()).collect();

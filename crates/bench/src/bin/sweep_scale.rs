@@ -48,5 +48,5 @@ fn main() {
 }
 
 fn cfg_lanes() -> f64 {
-    MatRaptorConfig::default().num_lanes as f64
+    MatRaptorConfig::default().num_lanes() as f64
 }

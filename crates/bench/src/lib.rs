@@ -6,6 +6,7 @@
 //! CLI parsing for the `--scale`/`--seed` knobs, suite loading, and table
 //! formatting.
 
+pub mod campaign;
 pub mod harness;
 pub mod json;
 

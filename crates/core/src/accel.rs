@@ -412,7 +412,7 @@ struct Machine {
 impl Machine {
     /// Builds an idle machine for `cfg`, with no job.
     fn new(cfg: &MatRaptorConfig) -> Self {
-        let lanes_n = cfg.num_lanes;
+        let lanes_n = cfg.num_lanes();
         let mut watchdog = Watchdog::new(cfg.watchdog_window);
         // One source per lane plus the HBM, in the order a checkpoint's
         // watchdog state lists them.
@@ -623,14 +623,14 @@ impl Accelerator {
         let Run { operands, machine: Some(machine), sampler, .. } = &mut run else {
             return Err(SimError::ProtocolViolation { detail: "a run without its machine" });
         };
-        machine.reset(operands.a(), operands.b(), self.cfg.num_lanes)?;
+        machine.reset(operands.a(), operands.b(), self.cfg.num_lanes())?;
         match start {
             RunStart::Fresh { plan, trace } => {
                 if let Some(plan) = plan {
-                    arm_fault(machine, plan, self.cfg.num_lanes);
+                    arm_fault(machine, plan, self.cfg.num_lanes());
                 }
                 *sampler = trace
-                    .map(|t| TraceSampler::new(t, self.cfg.mem.num_channels, self.cfg.num_lanes));
+                    .map(|t| TraceSampler::new(t, self.cfg.mem.num_channels, self.cfg.num_lanes()));
             }
             RunStart::Resume(checkpoint) => self.restore_run(operands, machine, checkpoint)?,
         }
@@ -924,7 +924,7 @@ impl Accelerator {
         machine: &Machine,
     ) -> Result<RunOutcome, SimError> {
         let cfg = &self.cfg;
-        let lanes_n = cfg.num_lanes;
+        let lanes_n = cfg.num_lanes();
         let state = &machine.state;
         let lanes = &state.lanes;
 
@@ -1524,7 +1524,7 @@ mod tests {
             &count.to_le_bytes(),
         ]
         .concat();
-        let row = lane + data_pos * accel.cfg.num_lanes;
+        let row = lane + data_pos * accel.cfg.num_lanes();
         forged(&run.snapshot(), |p| {
             let at = |bytes: &[u8]| {
                 p.windows(bytes.len()).position(|w| w == bytes).expect("the pending read")
@@ -1672,7 +1672,7 @@ mod tests {
             }
             i if i < 2 + kinds => {
                 let kind = FaultKind::ALL[i - 2];
-                let plan = FaultPlan::sample(kind, 3, accel.config().num_lanes);
+                let plan = FaultPlan::sample(kind, 3, accel.config().num_lanes());
                 let start = RunStart::Fresh { plan: Some(&plan), trace: None };
                 let _ended = accel.run_to_end(a, a, start);
                 Some(kind.name())
@@ -1727,7 +1727,7 @@ mod tests {
                 assert!(
                     prints(&accel) == want,
                     "{} lanes, watchdog {}: a clean job after one {ending} differs from a fresh one",
-                    cfg.num_lanes,
+                    cfg.num_lanes(),
                     cfg.watchdog_window
                 );
                 i += 1;

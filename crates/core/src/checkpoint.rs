@@ -177,7 +177,7 @@ impl Checkpoint {
 /// Fingerprint of a configuration: every field that affects the machine's
 /// cycle-level behaviour, folded with the watchdog's signature mixer.
 pub(crate) fn fingerprint_config(cfg: &MatRaptorConfig) -> u64 {
-    let mut s = mix_signature(0, cfg.num_lanes as u64);
+    let mut s = mix_signature(0, cfg.num_lanes() as u64);
     s = mix_signature(s, cfg.queues_per_pe as u64);
     s = mix_signature(s, cfg.queue_bytes as u64);
     s = mix_signature(s, cfg.entry_bytes as u64);

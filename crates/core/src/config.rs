@@ -10,7 +10,9 @@ use crate::layout::INFO_BYTES;
 /// Defaults reproduce the evaluated configuration of Section V: a systolic
 /// array with **eight rows (lanes)** to match the eight HBM channels, each
 /// PE with **ten 4 KB sorting queues**, 64-entry outstanding-request
-/// queues, and a 2 GHz accelerator clock over a 1 GHz HBM.
+/// queues, and a 2 GHz accelerator clock over a 1 GHz HBM. Lanes =
+/// channels: the lane count is not a field but
+/// [`num_lanes`](MatRaptorConfig::num_lanes), read from `mem.num_channels`.
 ///
 /// # Example
 ///
@@ -18,15 +20,12 @@ use crate::layout::INFO_BYTES;
 /// use matraptor_core::MatRaptorConfig;
 ///
 /// let cfg = MatRaptorConfig::default();
-/// assert_eq!(cfg.num_lanes, 8);
+/// assert_eq!(cfg.num_lanes(), 8);
 /// assert_eq!(cfg.queue_capacity_entries(), 512);
 /// assert_eq!(cfg.peak_gops(), 32.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatRaptorConfig {
-    /// Rows of the systolic array (SpAL + SpBL + PE per row). The paper
-    /// sets this equal to the HBM channel count.
-    pub num_lanes: usize,
     /// Sorting queues per PE (the paper's `Q`, must be > 2: Q−1 primaries
     /// plus one helper).
     pub queues_per_pe: usize,
@@ -46,7 +45,7 @@ pub struct MatRaptorConfig {
     pub outstanding_requests: usize,
     /// Depth of the small coupling FIFOs between SpAL→SpBL and SpBL→PE.
     pub coupling_fifo_depth: usize,
-    /// Memory configuration.
+    /// Memory configuration. Its channel count is also the lane count.
     pub mem: HbmConfig,
     /// Whether the PE's two queue sets double-buffer Phase I and Phase II
     /// (Fig. 5b). Disabling serialises the phases — the ablation for the
@@ -79,7 +78,6 @@ pub struct MatRaptorConfig {
 impl Default for MatRaptorConfig {
     fn default() -> Self {
         MatRaptorConfig {
-            num_lanes: 8,
             queues_per_pe: 10,
             queue_bytes: 4096,
             entry_bytes: 8,
@@ -101,12 +99,18 @@ impl MatRaptorConfig {
     /// shallow queues so overflow paths are reachable.
     pub fn small_test() -> Self {
         MatRaptorConfig {
-            num_lanes: 2,
             queues_per_pe: 4,
             queue_bytes: 512,
             mem: HbmConfig::with_channels(2),
             ..MatRaptorConfig::default()
         }
+    }
+
+    /// Rows of the systolic array (SpAL + SpBL + PE per row): one per HBM
+    /// channel, as in the paper, so lanes = channels and the lane count is
+    /// set through `mem.num_channels`.
+    pub fn num_lanes(&self) -> usize {
+        self.mem.num_channels
     }
 
     /// Entries each sorting queue can hold.
@@ -117,7 +121,7 @@ impl MatRaptorConfig {
     /// Peak arithmetic throughput in GOP/s: each lane retires one MAC
     /// (2 ops) per cycle. The paper's 8 lanes × 2 GHz × 2 = 32 GOP/s.
     pub fn peak_gops(&self) -> f64 {
-        self.num_lanes as f64 * 2.0 * self.clock_ghz
+        self.num_lanes() as f64 * 2.0 * self.clock_ghz
     }
 
     /// Ratio of accelerator clock to memory clock, as integer ticks: the
@@ -144,13 +148,11 @@ impl MatRaptorConfig {
     /// # Errors
     ///
     /// The first structural constraint violated (zero lanes, fewer than 3
-    /// queues, queue smaller than one entry, lane count not equal to the
-    /// channel count — the configuration the paper evaluates and this
-    /// model supports, non-integer clock ratio, invalid HBM parameters,
-    /// reads that do not tile the interleave).
+    /// queues, queue smaller than one entry, non-integer clock ratio,
+    /// invalid HBM parameters, reads that do not tile the interleave).
     #[must_use = "the Err explains why this configuration cannot be built"]
     pub fn try_validate(&self) -> Result<(), ConfigError> {
-        if self.num_lanes == 0 {
+        if self.num_lanes() == 0 {
             return Err(ConfigError::NoLanes);
         }
         if self.queues_per_pe <= 2 {
@@ -170,12 +172,6 @@ impl MatRaptorConfig {
         }
         if self.coupling_fifo_depth == 0 {
             return Err(ConfigError::ZeroCouplingFifo);
-        }
-        if self.num_lanes != self.mem.num_channels {
-            return Err(ConfigError::LaneChannelMismatch {
-                lanes: self.num_lanes,
-                channels: self.mem.num_channels,
-            });
         }
         self.mem_clock_ratio()?;
         self.mem.try_validate().map_err(|detail| ConfigError::InvalidMemConfig { detail })?;
@@ -210,13 +206,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "binds each lane")]
-    fn lane_channel_mismatch_rejected() {
-        let cfg = MatRaptorConfig { num_lanes: 4, ..MatRaptorConfig::default() };
-        crate::Accelerator::new(cfg);
-    }
-
-    #[test]
     #[should_panic(expected = "Q > 2")]
     fn too_few_queues_rejected() {
         let cfg = MatRaptorConfig { queues_per_pe: 2, ..MatRaptorConfig::default() };
@@ -238,13 +227,9 @@ mod tests {
     #[test]
     fn try_validate_reports_structured_errors() {
         assert_eq!(MatRaptorConfig::default().try_validate(), Ok(()));
-        let cfg = MatRaptorConfig { num_lanes: 0, ..MatRaptorConfig::default() };
+        let mut cfg = MatRaptorConfig::default();
+        cfg.mem.num_channels = 0;
         assert_eq!(cfg.try_validate(), Err(ConfigError::NoLanes));
-        let cfg = MatRaptorConfig { num_lanes: 4, ..MatRaptorConfig::default() };
-        assert_eq!(
-            cfg.try_validate(),
-            Err(ConfigError::LaneChannelMismatch { lanes: 4, channels: 8 })
-        );
         let cfg = MatRaptorConfig { queue_bytes: 4, ..MatRaptorConfig::default() };
         assert_eq!(
             cfg.try_validate(),

@@ -274,7 +274,7 @@ impl From<Mismatch> for SimError {
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum ConfigError {
-    /// `num_lanes == 0`.
+    /// `mem.num_channels == 0`: no lanes, as there is one per channel.
     NoLanes,
     /// Fewer than 3 sorting queues (need Q−1 primaries plus one helper).
     TooFewQueues {
@@ -294,14 +294,6 @@ pub enum ConfigError {
     ZeroOutstandingRequests,
     /// `coupling_fifo_depth == 0`.
     ZeroCouplingFifo,
-    /// Lane count differs from the HBM channel count — the evaluated
-    /// design binds each lane to one channel.
-    LaneChannelMismatch {
-        /// Configured lanes.
-        lanes: usize,
-        /// Configured channels.
-        channels: usize,
-    },
     /// The accelerator/memory clock ratio is not a positive integer.
     NonIntegerClockRatio {
         /// The offending ratio.
@@ -339,14 +331,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroOutstandingRequests => write!(f, "zero outstanding requests"),
             ConfigError::ZeroCouplingFifo => write!(f, "zero coupling FIFO depth"),
-            ConfigError::LaneChannelMismatch { lanes, channels } => write!(
-                f,
-                "the evaluated design binds each lane to one HBM channel: {lanes} lanes vs {channels} channels"
-            ),
-            ConfigError::NonIntegerClockRatio { ratio } => write!(
-                f,
-                "accelerator/memory clock ratio must be a positive integer, got {ratio}"
-            ),
+            ConfigError::NonIntegerClockRatio { ratio } => {
+                write!(f, "accelerator/memory clock ratio must be a positive integer, got {ratio}")
+            }
             ConfigError::InvalidMemConfig { detail } => {
                 write!(f, "invalid memory configuration: {detail}")
             }
@@ -438,9 +425,6 @@ mod tests {
     fn config_error_messages_match_the_legacy_assertions() {
         // `MatRaptorConfig::validate` panics with these Displays; existing
         // should_panic tests key on the quoted substrings.
-        assert!(ConfigError::LaneChannelMismatch { lanes: 4, channels: 8 }
-            .to_string()
-            .contains("binds each lane"));
         assert!(ConfigError::TooFewQueues { queues: 2 }.to_string().contains("Q > 2"));
         assert!(ConfigError::NonIntegerClockRatio { ratio: 1.5 }
             .to_string()

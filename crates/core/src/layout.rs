@@ -302,7 +302,6 @@ mod tests {
             for read_request_bytes in [0, 4, 8, 12, 16, 24, 32, 48, 64, 128] {
                 for interleave_bytes in [8, 12, 64, 128] {
                     let cfg = MatRaptorConfig {
-                        num_lanes: 4,
                         entry_bytes,
                         read_request_bytes,
                         mem: HbmConfig {

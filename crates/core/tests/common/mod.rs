@@ -30,7 +30,6 @@ pub fn cases() -> Vec<Case> {
     let paper = MatRaptorConfig { verify_against_reference: false, ..MatRaptorConfig::default() };
     let small = MatRaptorConfig::small_test();
     let odd = MatRaptorConfig {
-        num_lanes: 3,
         clock_ghz: 3.0,
         read_request_bytes: 32,
         mem: HbmConfig {

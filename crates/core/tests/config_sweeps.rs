@@ -15,11 +15,8 @@ fn check(cfg: MatRaptorConfig, seed: u64) {
 #[test]
 fn lane_counts() {
     for lanes in [1usize, 2, 3, 4, 8] {
-        let cfg = MatRaptorConfig {
-            num_lanes: lanes,
-            mem: HbmConfig::with_channels(lanes),
-            ..MatRaptorConfig::default()
-        };
+        let cfg =
+            MatRaptorConfig { mem: HbmConfig::with_channels(lanes), ..MatRaptorConfig::default() };
         check(cfg, 100 + lanes as u64);
     }
 }

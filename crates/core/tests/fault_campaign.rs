@@ -63,7 +63,7 @@ fn channel_stall_is_detected_as_deadlock_within_the_window() {
     let (a, b) = test_matrices();
     let cfg = campaign_config();
     let window = cfg.watchdog_window;
-    let lanes = cfg.num_lanes;
+    let lanes = cfg.num_lanes();
     let accel = Accelerator::new(cfg);
     let plan = FaultPlan::sample(FaultKind::ChannelStall, 3, lanes);
     match run_faulted(&accel, &a, &b, Some(&plan)) {
@@ -88,7 +88,7 @@ fn channel_stall_is_detected_as_deadlock_within_the_window() {
 fn campaign_sweep_produces_no_undetected_escapes() {
     let (a, b) = test_matrices();
     let cfg = campaign_config();
-    let lanes = cfg.num_lanes;
+    let lanes = cfg.num_lanes();
     let accel = Accelerator::new(cfg);
     for kind in FaultKind::ALL {
         for seed in 0..4u64 {
@@ -112,7 +112,7 @@ fn campaign_sweep_produces_no_undetected_escapes() {
 fn campaign_is_deterministic_across_sweeps() {
     let (a, b) = test_matrices();
     let cfg = campaign_config();
-    let lanes = cfg.num_lanes;
+    let lanes = cfg.num_lanes();
     let accel = Accelerator::new(cfg);
     let sweep = || -> Vec<(FaultKind, u64, usize, Verdict, Option<u64>)> {
         FaultKind::ALL
@@ -137,7 +137,7 @@ fn campaign_is_deterministic_across_sweeps() {
 fn forced_queue_overflow_is_reported_with_lane_and_row() {
     let (a, b) = test_matrices();
     let cfg = campaign_config();
-    let lanes = cfg.num_lanes;
+    let lanes = cfg.num_lanes();
     let accel = Accelerator::new(cfg);
     let plan = FaultPlan::sample(FaultKind::QueueOverflowForce, 1, lanes);
     match run_faulted(&accel, &a, &b, Some(&plan)) {
@@ -155,7 +155,7 @@ fn forced_queue_overflow_is_reported_with_lane_and_row() {
 fn corrupted_stream_is_rejected_at_the_spbl_boundary() {
     let (a, b) = test_matrices();
     let cfg = campaign_config();
-    let lanes = cfg.num_lanes;
+    let lanes = cfg.num_lanes();
     let accel = Accelerator::new(cfg);
     let plan = FaultPlan::sample(FaultKind::StreamCorruption, 2, lanes);
     match run_faulted(&accel, &a, &b, Some(&plan)) {
@@ -176,7 +176,7 @@ fn abft_catches_dropped_write_without_the_reference_check() {
     let mut cfg = campaign_config();
     cfg.verify_against_reference = false;
     cfg.abft_verification = true;
-    let lanes = cfg.num_lanes;
+    let lanes = cfg.num_lanes();
     let accel = Accelerator::new(cfg);
     let mut localised = 0;
     for seed in 0..4u64 {
@@ -202,7 +202,7 @@ fn silent_corruption_escapes_without_any_verification() {
     let mut cfg = campaign_config();
     cfg.verify_against_reference = false;
     cfg.abft_verification = false;
-    let lanes = cfg.num_lanes;
+    let lanes = cfg.num_lanes();
     let accel = Accelerator::new(cfg);
     let reference = spgemm::gustavson(&a, &b);
     let mut escapes = 0;
@@ -230,7 +230,7 @@ fn silent_corruption_escapes_without_any_verification() {
 fn dropped_write_is_caught_by_output_verification() {
     let (a, b) = test_matrices();
     let cfg = campaign_config();
-    let lanes = cfg.num_lanes;
+    let lanes = cfg.num_lanes();
     let accel = Accelerator::new(cfg);
     let mut caught = 0;
     for seed in 0..4u64 {
@@ -260,7 +260,7 @@ fn each_truncated_stream_is_caught_by_its_pinned_check() {
     cfg.watchdog_window = 5_000;
     cfg.verify_against_reference = false;
     cfg.abft_verification = true;
-    let lanes = cfg.num_lanes;
+    let lanes = cfg.num_lanes();
     let accel = Accelerator::new(cfg);
     let abft = |row| SimError::OutputCorrupted {
         detail: "output fails ABFT row-checksum verification",

@@ -54,7 +54,7 @@ fn simulated_results_match_the_pins() {
     assert_eq!(cases.len(), PINS.len());
     for (case, &pin) in cases.iter().zip(&PINS) {
         let accel = Accelerator::new(case.cfg.clone());
-        let plan = case.fault.map(|kind| FaultPlan::sample(kind, 42, case.cfg.num_lanes));
+        let plan = case.fault.map(|kind| FaultPlan::sample(kind, 42, case.cfg.num_lanes()));
         let run = match run_faulted(&accel, &case.a, &case.a, plan.as_ref()) {
             Ok(outcome) => format!("{:?}", (&outcome.stats, &outcome.c)),
             Err(error) => format!("{error:?}"),

@@ -12,8 +12,8 @@ mod common;
 
 use common::{cases, run_faulted, stall_case, Case};
 use matraptor_core::{
-    Accelerator, Checkpoint, Driver, DriverError, FaultPlan, MtxWrite, RunOutcome, SimError,
-    SliceRun,
+    Accelerator, Checkpoint, Driver, DriverError, FaultPlan, MtxWrite, Operands, RunOutcome,
+    RunStart, SimError, SliceRun,
 };
 use matraptor_sparse::Csr;
 
@@ -25,13 +25,16 @@ fn value_bits(c: &Csr<f64>) -> Vec<u64> {
 /// in lockstep: checks every boundary and returns how the run ended.
 fn lockstep(case: &Case, step: u64) -> Result<RunOutcome, SimError> {
     let accel = Accelerator::new(case.cfg.clone());
-    let plan = case.fault.map(|kind| FaultPlan::sample(kind, 42, case.cfg.num_lanes));
+    let plan = case.fault.map(|kind| FaultPlan::sample(kind, 42, case.cfg.num_lanes()));
     let a = &case.a;
     let mut driver = Driver::new(&accel);
     driver.mtx(MtxWrite::ARows(a.rows() as u64));
     driver.mtx(MtxWrite::BRows(a.rows() as u64));
     driver.mtx(MtxWrite::X0(1));
-    let mut run = driver.start(a, a, plan.as_ref(), None).expect("valid operands");
+    let operands = Operands::new(a, a).expect("valid operands");
+    let mut run = accel
+        .start(operands, RunStart::Fresh { plan: plan.as_ref(), trace: None })
+        .expect("a fresh start");
     let mut from: Option<Box<Checkpoint>> = None;
     let mut boundary = 0;
     loop {
@@ -69,7 +72,7 @@ fn lockstep(case: &Case, step: u64) -> Result<RunOutcome, SimError> {
 /// Checks `case` in both step sizes against its uninterrupted run.
 fn check(case: &Case) {
     let accel = Accelerator::new(case.cfg.clone());
-    let plan = case.fault.map(|kind| FaultPlan::sample(kind, 42, case.cfg.num_lanes));
+    let plan = case.fault.map(|kind| FaultPlan::sample(kind, 42, case.cfg.num_lanes()));
     let whole = run_faulted(&accel, &case.a, &case.a, plan.as_ref());
     for step in [4_096, 977] {
         match (lockstep(case, step), &whole) {

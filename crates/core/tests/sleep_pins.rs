@@ -108,7 +108,7 @@ const FAULT_PINS: [(FaultKind, u64, u64, u64); 4] = [
 fn faults_above_the_memory_match_the_pins() {
     let cfg =
         MatRaptorConfig { abft_verification: false, verify_against_reference: false, ..two_lane() };
-    let lanes = cfg.num_lanes;
+    let lanes = cfg.num_lanes();
     let accel = Accelerator::new(cfg);
     let (wa, wb) = wire_shapes(1).remove(0);
     let (ua, ub) = (gen::uniform(48, 48, 400, 11), gen::uniform(48, 48, 400, 12));

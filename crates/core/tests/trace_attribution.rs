@@ -99,7 +99,7 @@ fn traced_runs_are_bit_identical_to_untraced_runs() {
 #[test]
 fn attribution_totality_survives_every_fault_kind() {
     let cfg = campaign_config();
-    let lanes = cfg.num_lanes;
+    let lanes = cfg.num_lanes();
     let accel = Accelerator::new(cfg);
     let a: Csr<f64> = gen::uniform(48, 48, 400, 11);
     let b: Csr<f64> = gen::uniform(48, 48, 400, 12);

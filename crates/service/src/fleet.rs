@@ -1582,7 +1582,7 @@ mod tests {
         cfg.max_degraded_restarts = 2;
         let events =
             vec![WorkerFaultEvent { worker: 0, after_slices: 2, kind: WorkerFault::Crash }];
-        let full_lanes = cfg.service.accel.num_lanes;
+        let full_lanes = cfg.service.accel.num_lanes();
         let fleet = run_with_faults(events, 4, cfg);
         assert_eq!(fleet.records().len(), 4);
         let f = fleet.fleet_counters();
@@ -1634,7 +1634,7 @@ mod tests {
         cfg.service.max_attempts = 1;
         cfg.service.breaker.failure_threshold = 1;
         cfg.service.breaker.cooldown_cycles = 1_000;
-        let lanes = cfg.service.accel.num_lanes;
+        let lanes = cfg.service.accel.num_lanes();
         let mut fleet = Fleet::new(cfg).unwrap();
         let plan = FaultPlan::sample(FaultKind::ChannelStall, 1, lanes);
         fleet.submit(JobSpec { plan: Some(plan), ..spec(0, 40) }).unwrap();

@@ -176,7 +176,7 @@ impl WorkerCtx {
     fn new(cfg: &ParallelConfig, queue: VecDeque<DispatchItem>) -> Self {
         WorkerCtx {
             accel: cfg.accel.clone(),
-            template_lanes: cfg.accel.num_lanes,
+            template_lanes: cfg.accel.num_lanes(),
             slice_cycles: cfg.slice_cycles,
             max_attempts: cfg.max_attempts,
             shutdown: AtomicBool::new(false),
@@ -284,7 +284,6 @@ fn worker_loop(
     events: &mut Vec<(u64, WorkerFault)>,
 ) -> Result<(), ConfigError> {
     let mut cfg = ctx.accel.clone();
-    cfg.num_lanes = lanes;
     cfg.mem.num_channels = lanes;
     let accel = Accelerator::try_new(cfg)?;
     shared.slow_factor.store(1, Ordering::Relaxed);
@@ -686,7 +685,7 @@ fn merge(
 /// worker slot retired: the same slice loop as a worker, without the
 /// injection, mailbox, and heartbeats.
 fn run_inline(accel: &Accelerator, cfg: &ParallelConfig, mut item: DispatchItem) -> ParRecord {
-    item.adopt(cfg.accel.num_lanes);
+    item.adopt(cfg.accel.num_lanes());
     let mut run = None;
     loop {
         let (slice, attempts) = (cfg.slice_cycles, cfg.max_attempts);
@@ -716,7 +715,7 @@ mod tests {
             DispatchItem::from_job(job).expect("valid operands")
         };
         let ctx = WorkerCtx::new(&cfg, VecDeque::from([item(0), item(1)]));
-        let lanes = cfg.accel.num_lanes;
+        let lanes = cfg.accel.num_lanes();
         let mut sup = Supervisor::new(1, lanes, vec![Vec::new()], 1, 1, 16);
         let shared = Arc::clone(&sup.slots[0].shared);
         let popped = ctx.next_item(&shared).expect("a queued job");

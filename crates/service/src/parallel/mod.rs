@@ -85,7 +85,8 @@ const JOIN_BUDGET_POLLS: u32 = 2_000;
 #[derive(Debug, Clone)]
 pub struct ParallelConfig {
     /// Template accelerator configuration (full lane width). Workers on
-    /// the degraded rung halve `num_lanes`/`mem.num_channels` from this.
+    /// the degraded rung halve `mem.num_channels`, and with it the lane
+    /// count, from this.
     pub accel: MatRaptorConfig,
     /// OS-thread accelerator workers (clamped to ≥ 1).
     pub threads: usize,

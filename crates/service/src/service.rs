@@ -307,7 +307,7 @@ mod tests {
         cfg.breaker = BreakerConfig { failure_threshold: 1, cooldown_cycles: 1_000, ..cfg.breaker };
         cfg.max_attempts = 1;
         cfg.tenants[1].deadline = DeadlinePolicy { base_cycles: 50, cycles_per_flop: 0 };
-        let lanes = cfg.accel.num_lanes;
+        let lanes = cfg.accel.num_lanes();
         let mut s = Service::new(cfg).unwrap();
         s.submit(spec(0, 91, Some(FaultPlan::sample(FaultKind::ChannelStall, 5, lanes)))).unwrap();
         assert_eq!(s.step().unwrap().disposition, Disposition::Failed);
@@ -404,7 +404,7 @@ mod tests {
         let plan = FaultPlan::sample(
             FaultKind::ChannelStall,
             13,
-            ServiceConfig::small_test().accel.num_lanes,
+            ServiceConfig::small_test().accel.num_lanes(),
         );
         let poison = JobSpec { tenant: TenantId(0), a, b, plan: Some(plan) };
         s.submit(poison.clone()).unwrap();
@@ -429,7 +429,7 @@ mod tests {
         cfg.breaker =
             BreakerConfig { failure_threshold: 1, cooldown_cycles: 1 << 40, ..cfg.breaker };
         let mut s = Service::new(cfg).unwrap();
-        let lanes = ServiceConfig::small_test().accel.num_lanes;
+        let lanes = ServiceConfig::small_test().accel.num_lanes();
         let p1 = FaultPlan::sample(FaultKind::ChannelStall, 1, lanes);
         s.submit(spec(0, 21, Some(p1))).unwrap();
         let first = s.step().unwrap().clone();
@@ -454,7 +454,7 @@ mod tests {
             max_backoff_doublings: 2,
         };
         let mut s = Service::new(cfg).unwrap();
-        let lanes = ServiceConfig::small_test().accel.num_lanes;
+        let lanes = ServiceConfig::small_test().accel.num_lanes();
         s.submit(spec(0, 31, Some(FaultPlan::sample(FaultKind::ChannelStall, 2, lanes)))).unwrap();
         s.step().unwrap();
         assert_eq!(s.fleet().breaker_state(), BreakerState::Open);
@@ -637,7 +637,7 @@ mod tests {
         let mut cfg = ServiceConfig::small_test();
         cfg.breaker =
             BreakerConfig { failure_threshold: 1, cooldown_cycles: 1 << 40, ..cfg.breaker };
-        let lanes = cfg.accel.num_lanes;
+        let lanes = cfg.accel.num_lanes();
         let mut s = Service::new(cfg).unwrap();
         refused(&mut s);
         // Open the breaker: from here on every admitted job sheds to the
@@ -668,7 +668,7 @@ mod tests {
         cfg.breaker =
             BreakerConfig { failure_threshold: 1, cooldown_cycles: 1 << 40, ..cfg.breaker };
         let mut s = Service::new(cfg).unwrap();
-        let lanes = ServiceConfig::small_test().accel.num_lanes;
+        let lanes = ServiceConfig::small_test().accel.num_lanes();
         s.submit(spec(0, 91, Some(FaultPlan::sample(FaultKind::ChannelStall, 5, lanes)))).unwrap();
         s.step().unwrap();
         assert_eq!(s.fleet().breaker_state(), BreakerState::Open);

@@ -51,7 +51,8 @@ pub const MAGIC: [u8; 4] = *b"MRW1";
 pub const VERSION: u16 = 1;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 28;
-/// Default cap on a frame's declared payload length (16 MiB).
+/// Cap on a frame's declared payload length (16 MiB) that the server and
+/// the client read with.
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 /// Cap on a framed matrix dimension (rows or cols).
 pub const MAX_WIRE_DIM: u32 = 1 << 22;

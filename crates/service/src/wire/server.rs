@@ -50,7 +50,7 @@ use crate::{JobId, JobRecord, JobSpec, Rejected, TenantId};
 use super::frame::{
     begin_frame, decode_request, disposition_code, encode_frame, encode_response,
     encode_response_into, finish_frame, read_frame_into, JobState, Op, RawFrame, ReadBudget,
-    RejectCode, Request, Response, WireError,
+    RejectCode, Request, Response, WireError, DEFAULT_MAX_FRAME_LEN,
 };
 
 /// Server tunables.
@@ -58,8 +58,6 @@ use super::frame::{
 pub struct WireServerConfig {
     /// The deterministic service the wire fronts.
     pub service: ServiceConfig,
-    /// Hard cap on a frame's declared payload length, in bytes.
-    pub max_frame_len: u32,
     /// Hard cap on concurrently served connections; excess connections
     /// get an explicit [`RejectCode::Busy`] reply and are closed.
     pub max_connections: u64,
@@ -78,12 +76,11 @@ pub struct WireServerConfig {
 
 impl WireServerConfig {
     /// A loopback-friendly configuration over the given service config:
-    /// 16 MiB frames, 32 connections, 25 ms read deadline, 40 idle reads
+    /// 32 connections, 25 ms read deadline, 40 idle reads
     /// (1 s idle timeout), 200 frame reads, 50k-cycle drain slices.
     pub fn local(service: ServiceConfig) -> Self {
         WireServerConfig {
             service,
-            max_frame_len: super::frame::DEFAULT_MAX_FRAME_LEN,
             max_connections: 32,
             read_timeout_ms: 25,
             idle_reads: 40,
@@ -385,7 +382,6 @@ impl WireServer {
 
         let accept_shared = Arc::clone(&shared);
         let accept_cfg = ConnLimits {
-            max_frame_len: cfg.max_frame_len,
             max_connections: cfg.max_connections.max(1),
             read_timeout_ms: cfg.read_timeout_ms.max(1),
             budget: ReadBudget {
@@ -483,7 +479,6 @@ impl WireServer {
 /// Connection-level limits handed to each serving thread.
 #[derive(Debug, Clone, Copy)]
 struct ConnLimits {
-    max_frame_len: u32,
     max_connections: u64,
     read_timeout_ms: u64,
     budget: ReadBudget,
@@ -602,7 +597,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, limits: ConnLimits) 
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        match read_frame_into(&mut stream, limits.max_frame_len, limits.budget, &mut raw) {
+        match read_frame_into(&mut stream, DEFAULT_MAX_FRAME_LEN, limits.budget, &mut raw) {
             Ok(()) => {
                 counters.frames_ok.fetch_add(1, Ordering::Relaxed);
                 if !handle_frame(&mut stream, shared, &raw, &mut out) {

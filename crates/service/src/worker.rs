@@ -383,7 +383,7 @@ impl<M: Deref<Target = Csr<f64>>> Worker<M> {
             WorkerClass::Accelerator => Some(Accelerator::try_new(base_cfg.clone())?),
             WorkerClass::CpuFallback => None,
         };
-        let lanes = base_cfg.num_lanes;
+        let lanes = base_cfg.num_lanes();
         Ok(Worker {
             id,
             class,
@@ -465,7 +465,6 @@ impl<M: Deref<Target = Csr<f64>>> Worker<M> {
             return true;
         }
         let mut cfg = self.base_cfg.clone();
-        cfg.num_lanes = self.lanes;
         cfg.mem.num_channels = self.lanes;
         match Accelerator::try_new(cfg) {
             Ok(accel) => {
@@ -480,7 +479,7 @@ impl<M: Deref<Target = Csr<f64>>> Worker<M> {
     /// checkpoint was taken under (degraded workers cannot resume foreign
     /// checkpoints — the fleet restarts those jobs from scratch).
     pub(crate) fn matches_template(&self) -> bool {
-        self.lanes == self.base_cfg.num_lanes
+        self.lanes == self.base_cfg.num_lanes()
     }
 }
 
@@ -542,7 +541,7 @@ mod tests {
         w.lanes = (w.lanes / 2).max(1);
         assert!(w.rebuild_accel(), "halved config must still validate");
         assert!(!w.matches_template());
-        assert_eq!(w.accel.as_ref().map(|a| a.config().num_lanes), Some(w.lanes));
+        assert_eq!(w.accel.as_ref().map(|a| a.config().num_lanes()), Some(w.lanes));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Channel cyclic sparse row (C²SR) — the paper's hardware-friendly format.
 
-use crate::{Csr, FormatError, Index, Scalar, SparseError};
+use crate::{Csr, Index, Scalar, SparseError};
 
 /// Per-row metadata in C²SR: the paper's *(row length, row pointer)* pair.
 ///
@@ -223,8 +223,8 @@ impl<T: Scalar> C2sr<T> {
     ///
     /// # Errors
     ///
-    /// Returns the first violated invariant as a [`FormatError`].
-    pub fn validate(&self) -> Result<(), FormatError> {
+    /// Returns the first violated invariant as a [`SparseError`].
+    pub fn validate(&self) -> Result<(), SparseError> {
         let channel_entries: Vec<usize> = self.chan_cols.iter().map(Vec::len).collect();
         check_c2sr_pointers(&self.row_info, &channel_entries)?;
         for i in 0..self.rows {
@@ -247,24 +247,24 @@ impl<T: Scalar> C2sr<T> {
 ///
 /// # Errors
 ///
-/// [`FormatError::MalformedPointers`] at the first row out of place, or at
+/// [`SparseError::MalformedPointers`] at the first row out of place, or at
 /// the channel whose rows do not add up to its entries.
 pub fn check_c2sr_pointers(
     row_info: &[C2srRow],
     channel_entries: &[usize],
-) -> Result<(), FormatError> {
+) -> Result<(), SparseError> {
     let num_channels = channel_entries.len();
     for (ch, &len) in channel_entries.iter().enumerate() {
         let mut expected_offset = 0u32;
         for i in (ch..row_info.len()).step_by(num_channels) {
             let info = row_info[i];
             if (info.len > 0 || expected_offset > 0) && info.offset != expected_offset {
-                return Err(FormatError::MalformedPointers { at: i });
+                return Err(SparseError::MalformedPointers { at: i });
             }
             expected_offset += info.len;
         }
         if expected_offset as usize != len {
-            return Err(FormatError::MalformedPointers { at: ch });
+            return Err(SparseError::MalformedPointers { at: ch });
         }
     }
     Ok(())
@@ -333,7 +333,7 @@ mod tests {
 
     #[test]
     fn zero_channels_rejected() {
-        assert_eq!(C2sr::try_from_csr(&sample(), 0).unwrap_err(), FormatError::ZeroChannels);
+        assert_eq!(C2sr::try_from_csr(&sample(), 0).unwrap_err(), SparseError::ZeroChannels);
     }
 
     #[test]
@@ -346,12 +346,12 @@ mod tests {
         info.swap(0, 2);
         assert_eq!(
             check_c2sr_pointers(&info, &lens),
-            Err(FormatError::MalformedPointers { at: 0 })
+            Err(SparseError::MalformedPointers { at: 0 })
         );
         info.swap(0, 2);
         // Channel 1 holds an entry no row accounts for.
         let short = check_c2sr_pointers(&info, &[lens[0], lens[1] + 1]);
-        assert_eq!(short, Err(FormatError::MalformedPointers { at: 1 }));
+        assert_eq!(short, Err(SparseError::MalformedPointers { at: 1 }));
     }
 
     #[test]

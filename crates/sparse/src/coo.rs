@@ -1,6 +1,6 @@
 //! Coordinate (triplet) format.
 
-use crate::{Csr, FormatError, Index, Scalar};
+use crate::{Csr, Index, Scalar, SparseError};
 
 /// A sparse matrix in coordinate (COO / triplet) format.
 ///
@@ -46,23 +46,23 @@ impl<T: Scalar> Coo<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`FormatError::IndexOutOfBounds`] if any triplet lies outside
+    /// Returns [`SparseError::IndexOutOfBounds`] if any triplet lies outside
     /// the declared dimensions.
     pub fn from_triplets(
         rows: usize,
         cols: usize,
         entries: Vec<(Index, Index, T)>,
-    ) -> Result<Self, FormatError> {
+    ) -> Result<Self, SparseError> {
         for &(r, c, _) in &entries {
             if r as usize >= rows {
-                return Err(FormatError::IndexOutOfBounds {
+                return Err(SparseError::IndexOutOfBounds {
                     axis: "row",
                     index: r as usize,
                     bound: rows,
                 });
             }
             if c as usize >= cols {
-                return Err(FormatError::IndexOutOfBounds {
+                return Err(SparseError::IndexOutOfBounds {
                     axis: "column",
                     index: c as usize,
                     bound: cols,
@@ -190,9 +190,9 @@ mod tests {
     #[test]
     fn from_triplets_validates_bounds() {
         let err = Coo::from_triplets(2, 2, vec![(2, 0, 1.0f64)]).unwrap_err();
-        assert!(matches!(err, FormatError::IndexOutOfBounds { axis: "row", .. }));
+        assert!(matches!(err, SparseError::IndexOutOfBounds { axis: "row", .. }));
         let err = Coo::from_triplets(2, 2, vec![(0, 7, 1.0f64)]).unwrap_err();
-        assert!(matches!(err, FormatError::IndexOutOfBounds { axis: "column", .. }));
+        assert!(matches!(err, SparseError::IndexOutOfBounds { axis: "column", .. }));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Compressed sparse column format.
 
-use crate::{Csr, FormatError, Index, Scalar};
+use crate::{Csr, Index, Scalar, SparseError};
 
 /// A sparse matrix in compressed sparse column (CSC) format.
 ///
@@ -42,7 +42,7 @@ impl<T: Scalar> Csc<T> {
         col_ptr: Vec<usize>,
         row_idx: Vec<Index>,
         values: Vec<T>,
-    ) -> Result<Self, FormatError> {
+    ) -> Result<Self, SparseError> {
         // Validate by delegating to the CSR checker on the mirrored arrays:
         // a CSC matrix is exactly a CSR matrix of the transpose.
         let mirror = Csr::from_parts(cols, rows, col_ptr, row_idx, values)?;
@@ -150,9 +150,9 @@ mod tests {
     #[test]
     fn from_parts_validates() {
         let e = Csc::<f64>::from_parts(2, 2, vec![0, 1], vec![0], vec![1.0]);
-        assert!(matches!(e, Err(FormatError::PointerLength { .. })));
+        assert!(matches!(e, Err(SparseError::PointerLength { .. })));
         let e = Csc::<f64>::from_parts(2, 1, vec![0, 2], vec![1, 0], vec![1.0, 1.0]);
-        assert!(matches!(e, Err(FormatError::UnsortedIndices { .. })));
+        assert!(matches!(e, Err(SparseError::UnsortedIndices { .. })));
     }
 
     #[test]

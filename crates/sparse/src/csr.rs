@@ -1,6 +1,6 @@
 //! Compressed sparse row format.
 
-use crate::{Coo, Csc, Dense, FormatError, Index, Scalar};
+use crate::{Coo, Csc, Dense, Index, Scalar, SparseError};
 
 /// A sparse matrix in compressed sparse row (CSR) format.
 ///
@@ -50,13 +50,13 @@ impl<T: Scalar> Csr<T> {
     ///
     /// # Errors
     ///
-    /// * [`FormatError::PointerLength`] if `row_ptr.len() != rows + 1`;
-    /// * [`FormatError::MalformedPointers`] if `row_ptr` is not monotone or
+    /// * [`SparseError::PointerLength`] if `row_ptr.len() != rows + 1`;
+    /// * [`SparseError::MalformedPointers`] if `row_ptr` is not monotone or
     ///   does not start at 0 / end at `col_idx.len()`;
-    /// * [`FormatError::ArrayLengthMismatch`] if `col_idx` and `values`
+    /// * [`SparseError::ArrayLengthMismatch`] if `col_idx` and `values`
     ///   differ in length;
-    /// * [`FormatError::IndexOutOfBounds`] for any out-of-range column id;
-    /// * [`FormatError::UnsortedIndices`] if column ids within a row are not
+    /// * [`SparseError::IndexOutOfBounds`] for any out-of-range column id;
+    /// * [`SparseError::UnsortedIndices`] if column ids within a row are not
     ///   strictly increasing.
     pub fn from_parts(
         rows: usize,
@@ -64,7 +64,7 @@ impl<T: Scalar> Csr<T> {
         row_ptr: Vec<usize>,
         col_idx: Vec<Index>,
         values: Vec<T>,
-    ) -> Result<Self, FormatError> {
+    ) -> Result<Self, SparseError> {
         check_structure(rows, cols, &row_ptr, &col_idx, values.len())?;
         Ok(Csr { rows, cols, row_ptr, col_idx, values })
     }
@@ -81,14 +81,14 @@ impl<T: Scalar> Csr<T> {
     ///
     /// # Errors
     ///
-    /// Any [`FormatError`] a constructor would report, plus
-    /// [`FormatError::NonFiniteValue`] for the first NaN/∞ entry.
-    pub fn validate(&self) -> Result<(), FormatError> {
+    /// Any [`SparseError`] a constructor would report, plus
+    /// [`SparseError::NonFiniteValue`] for the first NaN/∞ entry.
+    pub fn validate(&self) -> Result<(), SparseError> {
         check_structure(self.rows, self.cols, &self.row_ptr, &self.col_idx, self.values.len())?;
         for i in 0..self.rows {
             for k in self.row_ptr[i]..self.row_ptr[i + 1] {
                 if !self.values[k].is_finite_value() {
-                    return Err(FormatError::NonFiniteValue {
+                    return Err(SparseError::NonFiniteValue {
                         row: i,
                         col: self.col_idx[k] as usize,
                     });
@@ -268,26 +268,26 @@ fn check_structure(
     row_ptr: &[usize],
     col_idx: &[Index],
     num_values: usize,
-) -> Result<(), FormatError> {
+) -> Result<(), SparseError> {
     if row_ptr.len() != rows + 1 {
-        return Err(FormatError::PointerLength { expected: rows + 1, actual: row_ptr.len() });
+        return Err(SparseError::PointerLength { expected: rows + 1, actual: row_ptr.len() });
     }
     if col_idx.len() != num_values {
-        return Err(FormatError::ArrayLengthMismatch {
+        return Err(SparseError::ArrayLengthMismatch {
             indices: col_idx.len(),
             values: num_values,
         });
     }
     if row_ptr[0] != 0 {
-        return Err(FormatError::MalformedPointers { at: 0 });
+        return Err(SparseError::MalformedPointers { at: 0 });
     }
     for i in 0..rows {
         if row_ptr[i] > row_ptr[i + 1] {
-            return Err(FormatError::MalformedPointers { at: i + 1 });
+            return Err(SparseError::MalformedPointers { at: i + 1 });
         }
     }
     if row_ptr[rows] != col_idx.len() {
-        return Err(FormatError::MalformedPointers { at: rows });
+        return Err(SparseError::MalformedPointers { at: rows });
     }
     for i in 0..rows {
         check_row_indices(i, cols, &col_idx[row_ptr[i]..row_ptr[i + 1]])?;
@@ -305,15 +305,15 @@ pub(crate) fn check_row_indices(
     outer: usize,
     bound: usize,
     col_idx: &[Index],
-) -> Result<(), FormatError> {
+) -> Result<(), SparseError> {
     let mut prev: Option<Index> = None;
     for &c in col_idx {
         if c as usize >= bound {
-            return Err(FormatError::IndexOutOfBounds { axis: "column", index: c as usize, bound });
+            return Err(SparseError::IndexOutOfBounds { axis: "column", index: c as usize, bound });
         }
         if let Some(p) = prev {
             if c <= p {
-                return Err(FormatError::UnsortedIndices { outer });
+                return Err(SparseError::UnsortedIndices { outer });
             }
         }
         prev = Some(c);
@@ -386,25 +386,25 @@ mod tests {
     #[test]
     fn validation_rejects_bad_pointers() {
         let e = Csr::<f64>::from_parts(2, 2, vec![0, 2], vec![0, 1], vec![1.0, 1.0]);
-        assert!(matches!(e, Err(FormatError::PointerLength { .. })));
+        assert!(matches!(e, Err(SparseError::PointerLength { .. })));
         let e = Csr::<f64>::from_parts(2, 2, vec![0, 2, 1], vec![0, 1], vec![1.0, 1.0]);
-        assert!(matches!(e, Err(FormatError::MalformedPointers { .. })));
+        assert!(matches!(e, Err(SparseError::MalformedPointers { .. })));
         let e = Csr::<f64>::from_parts(2, 2, vec![1, 1, 2], vec![0, 1], vec![1.0, 1.0]);
-        assert!(matches!(e, Err(FormatError::MalformedPointers { at: 0 })));
+        assert!(matches!(e, Err(SparseError::MalformedPointers { at: 0 })));
     }
 
     #[test]
     fn validation_rejects_unsorted_or_duplicate_columns() {
         let e = Csr::<f64>::from_parts(1, 3, vec![0, 2], vec![2, 1], vec![1.0, 1.0]);
-        assert!(matches!(e, Err(FormatError::UnsortedIndices { outer: 0 })));
+        assert!(matches!(e, Err(SparseError::UnsortedIndices { outer: 0 })));
         let e = Csr::<f64>::from_parts(1, 3, vec![0, 2], vec![1, 1], vec![1.0, 1.0]);
-        assert!(matches!(e, Err(FormatError::UnsortedIndices { outer: 0 })));
+        assert!(matches!(e, Err(SparseError::UnsortedIndices { outer: 0 })));
     }
 
     #[test]
     fn validation_rejects_out_of_range_columns() {
         let e = Csr::<f64>::from_parts(1, 2, vec![0, 1], vec![5], vec![1.0]);
-        assert!(matches!(e, Err(FormatError::IndexOutOfBounds { .. })));
+        assert!(matches!(e, Err(SparseError::IndexOutOfBounds { .. })));
     }
 
     #[test]

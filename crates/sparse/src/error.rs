@@ -102,10 +102,6 @@ impl fmt::Display for SparseError {
 
 impl Error for SparseError {}
 
-/// Historical name of [`SparseError`], kept so existing callers and pattern
-/// matches keep compiling (enum variants resolve through type aliases).
-pub type FormatError = SparseError;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -51,7 +51,7 @@ pub use coo::Coo;
 pub use csc::Csc;
 pub use csr::Csr;
 pub use dense::Dense;
-pub use error::{FormatError, SparseError};
+pub use error::SparseError;
 pub use scalar::Scalar;
 pub use submatrix::top_left;
 

@@ -36,7 +36,7 @@ fn accelerator_output_is_valid_c2sr() {
     let cfg = MatRaptorConfig::small_test();
     let outcome = Accelerator::new(cfg.clone()).run(&a, &a);
     assert!(outcome.c.approx_eq(&spgemm::gustavson(&a, &a), 1e-9));
-    let c2sr = C2sr::from_csr(&outcome.c, cfg.num_lanes);
+    let c2sr = C2sr::from_csr(&outcome.c, cfg.num_lanes());
     c2sr.validate().expect("the product lays out as valid C2SR");
     assert_eq!(c2sr.to_csr(), outcome.c);
 
@@ -49,7 +49,7 @@ fn accelerator_output_is_valid_c2sr() {
         abft_verification: true,
         ..MatRaptorConfig::small_test()
     };
-    let plan = FaultPlan::sample(FaultKind::StreamTruncation, 15, cfg.num_lanes);
+    let plan = FaultPlan::sample(FaultKind::StreamTruncation, 15, cfg.num_lanes());
     let start = RunStart::Fresh { plan: Some(&plan), trace: None };
     match Accelerator::new(cfg).run_to_end(&a, &b, start) {
         Err(SimError::OutputCorrupted { detail, rows }) => {

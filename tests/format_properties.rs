@@ -6,7 +6,7 @@
 //! from the printed seed.
 
 use matraptor::sparse::rng::ChaCha8Rng;
-use matraptor::sparse::{gen, C2sr, Coo, Csr, FormatError};
+use matraptor::sparse::{gen, C2sr, Coo, Csr, SparseError};
 
 const CASES: u64 = 64;
 
@@ -157,11 +157,11 @@ fn validating_constructor_rejects_garbage() {
     // A few deterministic malformed inputs.
     assert!(matches!(
         Csr::<f64>::from_parts(2, 2, vec![0, 1], vec![0], vec![1.0]),
-        Err(FormatError::PointerLength { .. })
+        Err(SparseError::PointerLength { .. })
     ));
     assert!(matches!(
         Csr::<f64>::from_parts(1, 1, vec![0, 1], vec![0], vec![]),
-        Err(FormatError::ArrayLengthMismatch { .. })
+        Err(SparseError::ArrayLengthMismatch { .. })
     ));
 }
 

@@ -20,7 +20,6 @@ fn more_lanes_make_it_faster() {
     // a balanced workload.
     let a = gen::uniform(1024, 1024, 10_000, 3);
     let cfg2 = no_verify(MatRaptorConfig {
-        num_lanes: 2,
         mem: HbmConfig::with_channels(2),
         ..MatRaptorConfig::default()
     });
