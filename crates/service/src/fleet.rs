@@ -1599,6 +1599,31 @@ mod tests {
             .any(|e| matches!(e.kind, RecoveryKind::Degraded { .. })));
     }
 
+    /// A checkpoint taken on a degraded worker does not fit a full-width
+    /// one: the job restarts from scratch there. The refused resume is
+    /// not an accelerator fault, so it costs no attempt and no retry.
+    #[test]
+    fn a_degraded_workers_checkpoint_restarts_on_a_full_width_worker_without_a_retry() {
+        let mut cfg = small_cfg();
+        cfg.accel_workers = 2;
+        cfg.max_restarts = 0;
+        cfg.max_degraded_restarts = 4;
+        let events = vec![
+            WorkerFaultEvent { worker: 0, after_slices: 1, kind: WorkerFault::Crash },
+            WorkerFaultEvent { worker: 0, after_slices: 17, kind: WorkerFault::Crash },
+        ];
+        let fleet = run_with_faults(events, 2, cfg);
+        assert_eq!(fleet.records().len(), 2);
+        let record = fleet.record(JobId(0)).expect("job 0 resolved");
+        assert_eq!(record.record.disposition, Disposition::Completed);
+        assert_eq!(record.record.attempts, 1, "a refused resume is not an attempt");
+        assert_eq!(fleet.counters().retries, 0, "a refused resume is not a retry");
+        assert_eq!(fleet.counters().failed, 0);
+        let f = fleet.fleet_counters();
+        assert_eq!(f.redispatches, 2);
+        assert_eq!(f.resumed_from_checkpoint + f.restarted_from_scratch, f.redispatches);
+    }
+
     #[test]
     fn faulty_fleet_campaigns_replay_byte_identically() {
         let mut runs = Vec::new();

@@ -102,6 +102,39 @@ fn crash_resumes_from_the_last_recovery_point() {
     assert_eq!(got.executed_cycles, want.executed_cycles);
 }
 
+/// A crash that degrades the only worker leaves job 0 with a full-width
+/// checkpoint the half-width worker cannot resume: the job restarts from
+/// scratch, and the counters, the recovery log and the record all say so.
+#[test]
+fn a_resume_is_counted_only_when_a_worker_adopts_the_checkpoint() {
+    let mut cfg = base_cfg(1);
+    cfg.slice_cycles = 64;
+    cfg.max_restarts = 0;
+    cfg.max_degraded_restarts = 2;
+    cfg.worker_faults = Some(WorkerFaultPlan::new(vec![WorkerFaultEvent {
+        worker: 0,
+        after_slices: 5,
+        kind: WorkerFault::Crash,
+    }]));
+    let report = parallel::run(cfg, jobs(4, u64::MAX)).expect("run");
+    assert_eq!(report.records.len(), 4);
+    assert_eq!(report.counters.worker_degradations, 1);
+    let record = &report.records[0];
+    assert_eq!(record.redispatches, 1);
+    assert!(!record.resumed_from_checkpoint, "record: {record:?}");
+    let c = &report.counters;
+    assert_eq!((c.resumed_from_checkpoint, c.restarted_from_scratch), (0, 1), "{c:?}");
+    let log = &report.recovery_log;
+    assert!(
+        log.iter().any(|e| e.kind == RecoveryKind::RestartedFromScratch { job: JobId(0) }),
+        "log: {log:?}"
+    );
+    assert!(
+        !log.iter().any(|e| matches!(e.kind, RecoveryKind::ResumedFromCheckpoint { .. })),
+        "log: {log:?}"
+    );
+}
+
 #[test]
 fn injected_hang_is_detected_by_the_heartbeat_budget() {
     let clean = parallel::run(base_cfg(2), jobs(12, u64::MAX)).expect("clean");
