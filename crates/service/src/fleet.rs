@@ -35,9 +35,13 @@
 //!   lost-ack crash cannot double-count;
 //! * each worker walks an escalating recovery ladder: full **restart**
 //!   (`max_restarts` times), then **reduced-lanes degradation** (lane
-//!   count halves; checkpoints from full-width peers no longer fit and
-//!   those jobs restart from scratch), then **retirement**, which
-//!   activates a CPU-fallback slot to absorb the lost capacity;
+//!   count halves), then **retirement**, which activates a CPU-fallback
+//!   slot to absorb the lost capacity;
+//! * a checkpoint resumes only on a worker as wide as the one that took
+//!   it; on any other the job restarts from scratch
+//!   ([`Assignment::adopt`](crate::worker::Assignment), the one resume
+//!   rule the threaded executor shares), and a refused resume costs no
+//!   attempt;
 //! * quarantine strikes are **fleet-wide**: a poison pair struck on worker
 //!   0 is refused at admission no matter which worker would have run it.
 //!
@@ -147,7 +151,7 @@ pub enum RecoveryKind {
     /// its share sheds to the CPU tier.
     Retired,
     /// A re-dispatched job resumed from its last checkpoint on a healthy
-    /// worker.
+    /// worker as wide as the one that took it.
     ResumedFromCheckpoint {
         /// The resumed job.
         job: JobId,
@@ -155,8 +159,8 @@ pub enum RecoveryKind {
         at_cycle: u64,
     },
     /// A re-dispatched job had no usable checkpoint (none taken yet, or
-    /// the target worker is degraded and the checkpoint no longer fits)
-    /// and restarted from cycle zero.
+    /// one taken on a machine of another lane width) and restarted from
+    /// cycle zero.
     RestartedFromScratch {
         /// The restarted job.
         job: JobId,
@@ -217,9 +221,11 @@ pub struct FleetCounters {
     pub worker_retirements: u64,
     /// In-flight jobs re-queued after a worker failure.
     pub redispatches: u64,
-    /// Re-dispatched jobs that resumed from a checkpoint.
+    /// Adoptions of a re-dispatched job by a worker as wide as the one
+    /// that took its checkpoint: the job resumed from it.
     pub resumed_from_checkpoint: u64,
-    /// Re-dispatched jobs that restarted from cycle zero.
+    /// Adoptions of a re-dispatched job with no checkpoint, or one taken
+    /// at another lane width: the job restarted from cycle zero.
     pub restarted_from_scratch: u64,
     /// Already-resolved jobs whose re-dispatch was suppressed (the
     /// at-most-once guard doing its job).
@@ -626,7 +632,7 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
     pub fn cancel(&mut self, id: JobId) -> Option<FleetRecord> {
         let job = self.sched.remove(id)?;
         self.counters.cancelled += 1;
-        let asg = fresh_assignment(job, self.clock.now());
+        let asg = Assignment::new(job, self.clock.now());
         self.resolve(&asg, self.cfg.accel_workers, Disposition::Cancelled, None);
         self.records().last()
     }
@@ -636,9 +642,10 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
     /// mid-slice finishes that slice instead), under the normal dispatch,
     /// breaker, and shedding rules. A fault in it is not retried (drain
     /// wants the machines parked, not healed). A job that pauses resolves
-    /// [`Disposition::CheckpointedAtDrain`]; its checkpoint, serialized
-    /// through the core checkpoint path so a restarted host could resume
-    /// it, is fingerprinted into the summary. Afterwards `pending() == 0`;
+    /// [`Disposition::CheckpointedAtDrain`]; its checkpoint is serialized
+    /// through the core checkpoint path, and the summary keeps only the
+    /// bytes' size and FNV-1a fingerprint — the bytes themselves are
+    /// dropped, so nothing resumes from them. Afterwards `pending() == 0`;
     /// nothing stops new submissions — a server that wants to refuse them
     /// does so at its own admission edge.
     pub fn drain(&mut self, slice_budget: u64) -> DrainSummary {
@@ -789,7 +796,7 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
                     }
                     if self.cpu_slot_active(w) {
                         if let Some(p) = self.sched.pop() {
-                            self.dispatch_cpu(w, fresh_assignment(p, now));
+                            self.dispatch_cpu(w, Assignment::new(p, now));
                         }
                     }
                 }
@@ -803,7 +810,7 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
         if let Some(asg) = self.take_redispatch(w) {
             return Some(asg);
         }
-        self.sched.pop().map(|p| fresh_assignment(p, now))
+        self.sched.pop().map(|p| Assignment::new(p, now))
     }
 
     /// Pop the re-dispatch queue, suppressing entries that already
@@ -823,31 +830,20 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
     }
 
     /// Hand an assignment to an accelerator worker and start its first
-    /// slice. Resumable checkpoints are validated against the worker's
-    /// shape here: a degraded worker cannot restore a full-width
-    /// checkpoint, so those jobs restart from scratch (logged).
+    /// slice. The worker adopts the job at its own width
+    /// ([`Assignment::adopt`]), which decides whether a re-dispatched job
+    /// resumes or restarts from scratch.
     fn dispatch_accel(&mut self, w: usize, mut asg: Assignment<M>) {
         self.workers[w].stats.dispatches = self.workers[w].stats.dispatches.saturating_add(1);
-        let job = asg.job.id;
-        if asg.checkpoint.is_some() {
-            if self.workers[w].matches_template() {
-                asg.resumed = true;
-                self.fleet.resumed_from_checkpoint =
-                    self.fleet.resumed_from_checkpoint.saturating_add(1);
-                self.log(w, RecoveryKind::ResumedFromCheckpoint { job, at_cycle: asg.executed });
-            } else {
-                asg.checkpoint = None;
-                asg.executed = 0;
-                self.fleet.restarted_from_scratch =
-                    self.fleet.restarted_from_scratch.saturating_add(1);
-                self.log(w, RecoveryKind::RestartedFromScratch { job });
+        if let Some(kind) = asg.adopt(self.workers[w].lanes()) {
+            let f = &mut self.fleet;
+            match kind {
+                RecoveryKind::ResumedFromCheckpoint { .. } => {
+                    f.resumed_from_checkpoint = f.resumed_from_checkpoint.saturating_add(1);
+                }
+                _ => f.restarted_from_scratch = f.restarted_from_scratch.saturating_add(1),
             }
-        } else if asg.redispatches > 0 {
-            self.fleet.restarted_from_scratch = self.fleet.restarted_from_scratch.saturating_add(1);
-            self.log(w, RecoveryKind::RestartedFromScratch { job });
-        }
-        if asg.attempts == 0 {
-            asg.attempts = 1;
+            self.log(w, kind);
         }
         self.workers[w].assignment = Some(asg);
         self.workers[w].status = WorkerStatus::Busy;
@@ -1043,7 +1039,7 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
             }
             SliceOutcome::Accel(SliceStep::Paused(at)) => {
                 if let Some(asg) = self.workers[w].assignment.as_mut() {
-                    asg.executed = at;
+                    asg.paused(at);
                 }
                 if wall > self.cfg.heartbeat_window {
                     // The slice took longer than the liveness window: to
@@ -1070,11 +1066,7 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
                     self.workers[w].status = WorkerStatus::Idle;
                     return;
                 };
-                // Retries restart from scratch: under the persistent-fault
-                // model the armed fault state rides the checkpoint, so a
-                // resume would refault identically.
-                asg.checkpoint = None;
-                asg.executed = 0;
+                asg.faulted();
                 if asg.attempts >= max_attempts || self.draining.is_some() {
                     self.fail_job(w);
                     return;
@@ -1142,18 +1134,17 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
         if self.probe_worker == Some(w) {
             self.probe_worker = None;
         }
-        let run = self.workers[w].run.take();
+        let (run, lanes) = (self.workers[w].run.take(), self.workers[w].lanes());
         if let Some(mut asg) = self.workers[w].assignment.take() {
-            if let Some(run) = run {
-                debug_assert_eq!(run.cycle(), asg.executed, "a job leaves at a slice boundary");
-                asg.checkpoint = Some(Box::new(run.snapshot()));
-            }
             if self.is_resolved(asg.job.id) {
                 self.fleet.duplicates_suppressed =
                     self.fleet.duplicates_suppressed.saturating_add(1);
                 self.log(w, RecoveryKind::DuplicateCompletionSuppressed { job: asg.job.id });
             } else {
-                asg.redispatches = asg.redispatches.saturating_add(1);
+                if let Some(run) = run {
+                    asg.checkpoint_at(&run, lanes);
+                }
+                asg.requeued();
                 self.fleet.redispatches = self.fleet.redispatches.saturating_add(1);
                 self.redispatch.push_back(asg);
             }
@@ -1307,19 +1298,6 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
             m.set_counter(&format!("worker.{i}.restarts"), u64::from(worker.restarts()));
         }
         m
-    }
-}
-
-/// A newly-dispatched assignment for an admitted job.
-fn fresh_assignment<M>(job: Pending<M>, now: Cycle) -> Assignment<M> {
-    Assignment {
-        job,
-        attempts: 0,
-        first_dispatch: now,
-        executed: 0,
-        checkpoint: None,
-        redispatches: 0,
-        resumed: false,
     }
 }
 

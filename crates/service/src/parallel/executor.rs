@@ -3,8 +3,9 @@
 //!
 //! Life of a job: the job queue — a `Mutex<VecDeque>` plus a `Condvar`
 //! idle workers block on — starts with the whole job list. A worker pops a
-//! [`DispatchItem`], parks a copy in its supervision mailbox, starts the
-//! job's [`Run`] once (from the item's checkpoint, if it carries one) and
+//! job's [`Assignment`], adopts it at its own lane width (which decides
+//! whether a re-queued job resumes its checkpoint), parks a copy in its
+//! supervision mailbox, starts the job's [`Run`] once and
 //! advances it slice by slice through the service layer's shared slice
 //! step. The run stays live on the worker: after the 1st, 2nd, 4th, 8th, …
 //! slice of the dispatch the worker snapshots it into the mailbox as a
@@ -36,14 +37,14 @@ use std::sync::{Arc, Condvar, Mutex, Once, PoisonError};
 use std::thread;
 use std::time::Duration;
 
-use matraptor_core::{
-    Accelerator, Checkpoint, ConfigError, FaultPlan, MatRaptorConfig, Operands, Run,
-};
+use matraptor_core::{Accelerator, ConfigError, MatRaptorConfig, Operands, Run};
+use matraptor_sim::Cycle;
 use matraptor_sparse::Csr;
 
 use crate::fleet::fingerprint_output;
-use crate::job::Disposition;
-use crate::worker::{slice_step, LadderStep, SliceStep, WorkerFault};
+use crate::job::{Disposition, TenantId};
+use crate::sched::Pending;
+use crate::worker::{slice_step, Assignment, LadderStep, SliceStep, WorkerFault};
 use crate::{JobId, RecoveryKind};
 
 use super::supervisor::{lock_unpoisoned, FailCause, GenShared, InjectStats, Supervisor};
@@ -58,63 +59,23 @@ pub const INLINE_WORKER: usize = usize::MAX;
 
 /// A job in flight through the job queue, carrying its full recovery
 /// context so any worker (or the supervisor) can pick it up statelessly.
-#[derive(Debug, Clone)]
-pub(crate) struct DispatchItem {
-    pub id: u64,
-    /// The job's operands, checked once when the run was submitted.
-    pub operands: Operands<Arc<Csr<f64>>>,
-    pub plan: Option<FaultPlan>,
-    pub deadline: u64,
-    /// Accelerator attempts consumed so far (job-level fault retries).
-    pub attempts: u32,
-    /// Accelerator cycles executed up to `checkpoint`.
-    pub executed: u64,
-    pub redispatches: u32,
-    pub resumed: bool,
-    /// Where the next dispatch resumes; consumed when a worker starts the
-    /// job's run.
-    pub checkpoint: Option<Box<Checkpoint>>,
-    /// Lane width of the worker that took `checkpoint`; a worker at a
-    /// different width restarts the job from scratch (checkpoints encode
-    /// machine shape).
-    pub checkpoint_lanes: usize,
-}
+pub(crate) type Item = Assignment<Arc<Csr<f64>>>;
 
-impl DispatchItem {
-    /// The item for `job`, or the reason its operands are refused.
-    fn from_job(job: ParJob) -> Result<Self, ParallelError> {
-        let operands =
-            Operands::new(job.a, job.b).map_err(|e| ParallelError::InvalidOperands(job.id, e))?;
-        Ok(DispatchItem {
-            id: job.id,
-            operands,
-            plan: job.plan,
-            deadline: job.deadline_cycles.max(1),
-            attempts: 1,
-            executed: 0,
-            redispatches: 0,
-            resumed: false,
-            checkpoint: None,
-            checkpoint_lanes: 0,
-        })
-    }
-
-    pub(crate) fn bump_redispatch(mut self) -> Self {
-        self.redispatches = self.redispatches.saturating_add(1);
-        self
-    }
-
-    /// Take the item onto a machine `lanes` wide. A checkpoint taken at
-    /// another lane width cannot resume there (checkpoints encode machine
-    /// shape), so the job restarts from scratch instead.
-    fn adopt(&mut self, lanes: usize) {
-        if self.checkpoint.is_some() && self.checkpoint_lanes != lanes {
-            self.checkpoint = None;
-            self.executed = 0;
-        }
-        self.checkpoint_lanes = lanes;
-        self.resumed = self.resumed || self.checkpoint.is_some();
-    }
+/// The queue entry for `job`, or the reason its operands are refused. The
+/// executor has one tenant and no simulated clock, so the job's tenant and
+/// submission cycle are zero.
+fn admit(job: ParJob) -> Result<Item, ParallelError> {
+    let operands =
+        Operands::new(job.a, job.b).map_err(|e| ParallelError::InvalidOperands(job.id, e))?;
+    let pending = Pending {
+        id: JobId(job.id),
+        tenant: TenantId(0),
+        operands,
+        plan: job.plan,
+        deadline_cycles: job.deadline_cycles,
+        submitted_at: Cycle::ZERO,
+    };
+    Ok(Assignment::new(pending, Cycle::ZERO))
 }
 
 /// Worker → main-thread message on the completion queue.
@@ -124,6 +85,9 @@ pub(crate) enum Upcall {
     /// record; the merge is generation-agnostic because the at-most-once
     /// id set subsumes staleness.
     Done { record: ParRecord },
+    /// A worker adopted a re-queued job: the recovery event
+    /// [`Assignment::adopt`] returned, resumed or restarted from scratch.
+    Adopted { worker: usize, kind: RecoveryKind },
     /// The worker thread is exiting abnormally (a panic, recorded for the
     /// census, or a failed accelerator build); its mailbox may hold an
     /// unresolved job.
@@ -164,7 +128,7 @@ struct WorkerCtx {
     max_attempts: u32,
     shutdown: AtomicBool,
     /// Jobs waiting for a worker; recovered jobs go to the front.
-    queue: Mutex<VecDeque<DispatchItem>>,
+    queue: Mutex<VecDeque<Item>>,
     /// Signalled when `queue` gains jobs, a generation is abandoned, or
     /// the run stops.
     work: Condvar,
@@ -173,7 +137,7 @@ struct WorkerCtx {
 }
 
 impl WorkerCtx {
-    fn new(cfg: &ParallelConfig, queue: VecDeque<DispatchItem>) -> Self {
+    fn new(cfg: &ParallelConfig, queue: VecDeque<Item>) -> Self {
         WorkerCtx {
             accel: cfg.accel.clone(),
             template_lanes: cfg.accel.num_lanes(),
@@ -194,7 +158,7 @@ impl WorkerCtx {
     /// generation is abandoned or the run is stopping. Both flags are read
     /// under the queue lock and every setter wakes the condvar after
     /// taking that lock, so no wake-up is lost.
-    fn next_item(&self, shared: &GenShared) -> Option<DispatchItem> {
+    fn next_item(&self, shared: &GenShared) -> Option<Item> {
         let mut queue = lock_unpoisoned(&self.queue);
         loop {
             if self.stopping() || shared.abandoned.load(Ordering::Acquire) {
@@ -209,7 +173,7 @@ impl WorkerCtx {
 
     /// Puts a recovered job (if any) at the queue front and wakes every
     /// worker: idle ones to take it, abandoned ones to see their flag.
-    fn requeue(&self, item: Option<DispatchItem>) {
+    fn requeue(&self, item: Option<Item>) {
         let mut queue = lock_unpoisoned(&self.queue);
         if let Some(item) = item {
             queue.push_front(item);
@@ -324,9 +288,10 @@ fn run_item(
     shared: &GenShared,
     stats: &InjectStats,
     events: &mut Vec<(u64, WorkerFault)>,
-    mut item: DispatchItem,
+    mut item: Item,
 ) -> ItemExit {
     let degraded = lanes != ctx.template_lanes;
+    let adopted;
     {
         let mut mailbox = lock_unpoisoned(&shared.mailbox);
         if shared.abandoned.load(Ordering::Acquire) {
@@ -334,8 +299,11 @@ fn run_item(
             ctx.requeue(Some(item));
             return ItemExit::Interrupted;
         }
-        item.adopt(lanes);
+        adopted = item.adopt(lanes);
         *mailbox = Some(item.clone());
+    }
+    if let Some(kind) = adopted {
+        ctx.push_upcall(Upcall::Adopted { worker: idx, kind });
     }
     let mut run = None;
     let mut slices = 0u64;
@@ -391,19 +359,21 @@ fn run_item(
         // is published at once; a paused run only at the doubling points.
         slices += 1;
         if run.is_none() || slices.is_power_of_two() {
-            publish(shared, &item, run.as_ref());
+            publish(shared, &item, run.as_ref(), lanes);
         }
     }
 }
 
-/// Replaces the mailbox's recovery point with `run`'s current machine (no
-/// run: a restart from scratch). The snapshot is taken before the lock.
-fn publish(shared: &GenShared, item: &DispatchItem, run: Option<&Run<Arc<Csr<f64>>>>) {
-    let checkpoint = run.map(|run| Box::new(run.snapshot()));
+/// Replaces the mailbox's recovery point with `item` at `run`'s current
+/// machine, `lanes` wide (no run: a restart from scratch). The snapshot is
+/// taken before the lock.
+fn publish(shared: &GenShared, item: &Item, run: Option<&Run<Arc<Csr<f64>>>>, lanes: usize) {
+    let mut point = item.clone();
+    if let Some(run) = run {
+        point.checkpoint_at(run, lanes);
+    }
     if let Some(parked) = lock_unpoisoned(&shared.mailbox).as_mut() {
-        parked.attempts = item.attempts;
-        parked.executed = item.executed;
-        parked.checkpoint = checkpoint;
+        *parked = point;
     }
 }
 
@@ -412,7 +382,7 @@ fn publish(shared: &GenShared, item: &DispatchItem, run: Option<&Run<Arc<Csr<f64
 /// resolves, `None` while it continues (paused at a slice boundary, or a
 /// faulted attempt being retried from scratch).
 fn advance(
-    item: &mut DispatchItem,
+    item: &mut Item,
     run: &mut Option<Run<Arc<Csr<f64>>>>,
     accel: &Accelerator,
     slice_cycles: u64,
@@ -420,9 +390,9 @@ fn advance(
     worker: usize,
     degraded_width: bool,
 ) -> Option<ParRecord> {
-    let (plan, from, deadline) = (item.plan.as_ref(), item.checkpoint.take(), item.deadline);
-    let step =
-        slice_step(run, accel, &item.operands, plan, from.as_deref(), slice_cycles, deadline);
+    let (job, from) = (&item.job, item.checkpoint.take());
+    let (plan, deadline) = (job.plan.as_ref(), job.deadline_cycles);
+    let step = slice_step(run, accel, &job.operands, plan, from.as_deref(), slice_cycles, deadline);
     let (disposition, executed_cycles, output_fingerprint) = match step {
         SliceStep::Completed(outcome) => (
             Disposition::Completed,
@@ -430,21 +400,19 @@ fn advance(
             Some(fingerprint_output(&outcome.c)),
         ),
         SliceStep::Paused(at) => {
-            item.executed = at;
+            item.paused(at);
             return None;
         }
         SliceStep::DeadlineExceeded(at) => (Disposition::DeadlineExceeded, at, None),
         SliceStep::Faulted(_) if item.attempts < max_attempts => {
-            // Retry from scratch: input-borne fault plans persist, but
-            // a transient machine state is discarded with the attempt.
             item.attempts = item.attempts.saturating_add(1);
-            item.executed = 0;
+            item.faulted();
             return None;
         }
         SliceStep::Faulted(_) => (Disposition::Failed, item.executed, None),
     };
     Some(ParRecord {
-        id: item.id,
+        id: item.job.id.0,
         disposition,
         worker,
         attempts: item.attempts,
@@ -488,8 +456,7 @@ pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, Parallel
             return Err(ParallelError::DuplicateJobId(job.id));
         }
     }
-    let queue: VecDeque<_> =
-        jobs.into_iter().map(DispatchItem::from_job).collect::<Result<_, _>>()?;
+    let queue: VecDeque<_> = jobs.into_iter().map(admit).collect::<Result<_, _>>()?;
     install_quiet_hook();
 
     let total = queue.len();
@@ -530,11 +497,14 @@ pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, Parallel
         // than deadlock on an empty fleet.
         if sup.all_retired() {
             let leftovers = std::mem::take(&mut *lock_unpoisoned(&ctx.queue));
-            for item in leftovers {
-                if records.contains_key(&item.id) {
+            for mut item in leftovers {
+                if records.contains_key(&item.job.id.0) {
                     continue;
                 }
                 counters.inline_fallbacks = counters.inline_fallbacks.saturating_add(1);
+                if let Some(kind) = item.adopt(ctx.template_lanes) {
+                    sup.adopted(INLINE_WORKER, kind, &mut counters);
+                }
                 let record = run_inline(&inline_accel, &cfg, item);
                 merge(record, &mut records, &mut counters, &mut sup);
             }
@@ -550,6 +520,7 @@ pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, Parallel
                     Upcall::Done { record } => {
                         merge(record, &mut records, &mut counters, &mut sup);
                     }
+                    Upcall::Adopted { worker, kind } => sup.adopted(worker, kind, &mut counters),
                     Upcall::Down { worker, generation, panic } => {
                         census.extend(panic);
                         // A stale generation's death rattle is census only:
@@ -602,6 +573,7 @@ pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, Parallel
     for up in ctx.take_upcalls() {
         match up {
             Upcall::Done { record } => merge(record, &mut records, &mut counters, &mut sup),
+            Upcall::Adopted { worker, kind } => sup.adopted(worker, kind, &mut counters),
             Upcall::Down { panic, .. } => census.extend(panic),
         }
     }
@@ -682,10 +654,9 @@ fn merge(
 }
 
 /// Main-thread fallback execution at full width, used only after every
-/// worker slot retired: the same slice loop as a worker, without the
-/// injection, mailbox, and heartbeats.
-fn run_inline(accel: &Accelerator, cfg: &ParallelConfig, mut item: DispatchItem) -> ParRecord {
-    item.adopt(cfg.accel.num_lanes());
+/// worker slot retired, of a job the caller has adopted: the same slice
+/// loop as a worker, without the injection, mailbox, and heartbeats.
+fn run_inline(accel: &Accelerator, cfg: &ParallelConfig, mut item: Item) -> ParRecord {
     let mut run = None;
     loop {
         let (slice, attempts) = (cfg.slice_cycles, cfg.max_attempts);
@@ -712,7 +683,7 @@ mod tests {
         let item = |id| {
             let (a, b) = (Arc::clone(&m), Arc::clone(&m));
             let job = ParJob { id, a, b, plan: None, deadline_cycles: u64::MAX };
-            DispatchItem::from_job(job).expect("valid operands")
+            admit(job).expect("valid operands")
         };
         let ctx = WorkerCtx::new(&cfg, VecDeque::from([item(0), item(1)]));
         let lanes = cfg.accel.num_lanes();
@@ -726,7 +697,7 @@ mod tests {
         let exit = run_item(&ctx, 0, lanes, &accel, &shared, &stats, &mut Vec::new(), popped);
         assert!(matches!(exit, ItemExit::Interrupted));
         assert!(lock_unpoisoned(&shared.mailbox).is_none(), "nothing parked after the take");
-        let queued: Vec<u64> = lock_unpoisoned(&ctx.queue).iter().map(|i| i.id).collect();
+        let queued: Vec<u64> = lock_unpoisoned(&ctx.queue).iter().map(|i| i.job.id.0).collect();
         assert_eq!(queued, [0, 1], "the popped job is back at the front");
     }
 }

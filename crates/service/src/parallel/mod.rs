@@ -210,9 +210,12 @@ pub struct ParCounters {
     pub worker_retirements: u64,
     /// In-flight jobs re-queued after a worker failure.
     pub redispatches: u64,
-    /// Re-queued jobs that carried a resumable checkpoint.
+    /// Adoptions of a re-queued job by a worker (or the inline fallback)
+    /// as wide as the one that took its checkpoint: the job resumed from
+    /// it. Counted when the job is adopted, not when it is re-queued.
     pub resumed_from_checkpoint: u64,
-    /// Re-queued jobs that restarted from cycle zero.
+    /// Adoptions of a re-queued job with no checkpoint, or one taken at
+    /// another lane width: the job restarted from cycle zero.
     pub restarted_from_scratch: u64,
     /// Completions for an already-resolved id, suppressed by the
     /// at-most-once merge (the lost-ack race observed and survived).

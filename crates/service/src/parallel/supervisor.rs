@@ -25,7 +25,7 @@ use crate::bounded::BoundedLog;
 use crate::worker::{ladder_step, LadderStep, WorkerFault, WorkerId};
 use crate::{RecoveryEvent, RecoveryKind};
 
-use super::executor::DispatchItem;
+use super::executor::Item;
 use super::{ParCounters, HANG_POLL_BUDGET, JOIN_BUDGET_POLLS, POLL, TERMINAL_SLOW_FACTOR};
 
 /// State shared between one worker *generation* and the supervisor.
@@ -49,7 +49,7 @@ pub(crate) struct GenShared {
     /// of the dispatch (a *recovery point*) — the supervisor recovers it
     /// from here after a failure, so a panic or hang loses at most half
     /// the dispatch's progress.
-    pub mailbox: Mutex<Option<DispatchItem>>,
+    pub mailbox: Mutex<Option<Item>>,
 }
 
 /// Locks a possibly-poisoned mutex: a worker that panicked while holding
@@ -222,40 +222,35 @@ impl Supervisor {
     }
 
     /// Abandon slot `idx`'s current generation (its thread died or is being
-    /// recycled) and take its in-flight job for re-dispatch, recording the
-    /// recovery provenance. The flag is set under the mailbox lock, so the
-    /// worker cannot park a job after this that nobody will read.
-    pub(crate) fn take_mailbox(
-        &mut self,
-        idx: usize,
-        counters: &mut ParCounters,
-    ) -> Option<DispatchItem> {
+    /// recycled) and take its in-flight job for re-dispatch. The flag is
+    /// set under the mailbox lock, so the worker cannot park a job after
+    /// this that nobody will read. Whether the job resumes is decided, and
+    /// counted, when a worker adopts it ([`adopted`](Self::adopted)).
+    pub(crate) fn take_mailbox(&mut self, idx: usize, counters: &mut ParCounters) -> Option<Item> {
         let shared = &self.slots[idx].shared;
-        let taken = {
+        let mut item = {
             let mut mailbox = lock_unpoisoned(&shared.mailbox);
             shared.abandoned.store(true, Ordering::Release);
             mailbox.take()
-        };
-        if let Some(item) = taken {
-            counters.redispatches = counters.redispatches.saturating_add(1);
-            if item.checkpoint.is_some() {
+        }?;
+        counters.redispatches = counters.redispatches.saturating_add(1);
+        item.requeued();
+        Some(item)
+    }
+
+    /// Counts and logs the recovery event of a re-queued job that slot
+    /// `idx` adopted ([`Assignment::adopt`](crate::worker::Assignment::adopt)).
+    pub(crate) fn adopted(&mut self, idx: usize, kind: RecoveryKind, counters: &mut ParCounters) {
+        match kind {
+            RecoveryKind::ResumedFromCheckpoint { .. } => {
                 counters.resumed_from_checkpoint =
                     counters.resumed_from_checkpoint.saturating_add(1);
-                self.record(
-                    idx,
-                    RecoveryKind::ResumedFromCheckpoint {
-                        job: crate::JobId(item.id),
-                        at_cycle: item.executed,
-                    },
-                );
-            } else {
-                counters.restarted_from_scratch = counters.restarted_from_scratch.saturating_add(1);
-                self.record(idx, RecoveryKind::RestartedFromScratch { job: crate::JobId(item.id) });
             }
-            Some(item.bump_redispatch())
-        } else {
-            None
+            _ => {
+                counters.restarted_from_scratch = counters.restarted_from_scratch.saturating_add(1)
+            }
         }
+        self.record(idx, kind);
     }
 
     /// One liveness poll over every live slot. Returns the slots (with

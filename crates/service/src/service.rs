@@ -164,8 +164,9 @@ pub struct ServiceCounters {
 
 /// One job a graceful drain paused instead of finishing: its bounded
 /// drain slice ran out before completion, so the in-flight state was
-/// serialized through the core checkpoint path and handed back here. A
-/// host that restarts can resume the work from these bytes.
+/// serialized through the core checkpoint path. Only the size and the
+/// fingerprint of those bytes are kept; the bytes are dropped, so the job
+/// cannot be resumed from this record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DrainedCheckpoint {
     /// The paused job.
@@ -183,9 +184,9 @@ pub struct DrainedCheckpoint {
 
 /// What a graceful drain did with every job that was still queued: each
 /// one either finished (accelerator or CPU), hit its own deadline, failed,
-/// or was checkpointed for post-restart resume. `completed_accel +
-/// completed_cpu + deadline_exceeded + failed + checkpoints.len()` equals
-/// the fleet's pending count at drain time.
+/// or was paused and checkpointed (its size and fingerprint kept).
+/// `completed_accel + completed_cpu + deadline_exceeded + failed +
+/// checkpoints.len()` equals the fleet's pending count at drain time.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DrainSummary {
     /// Jobs that finished on the accelerator inside their drain slice.

@@ -33,6 +33,7 @@ use matraptor_sparse::rng::ChaCha8Rng;
 use matraptor_sparse::Csr;
 
 use crate::sched::Pending;
+use crate::RecoveryKind;
 
 /// Stable fleet-assigned worker identifier (index into the worker table;
 /// accelerator workers first, then CPU-fallback workers).
@@ -205,12 +206,16 @@ impl WorkerFaultPlan {
 }
 
 /// An in-flight job on (or recovered from) a worker: the admitted job plus
-/// everything needed to resume it elsewhere after a worker failure.
+/// everything needed to resume it elsewhere after a worker failure. Both
+/// service engines carry their jobs in this one type: the fleet's workers
+/// and recovery queues, and the threaded executor's job queue and
+/// mailboxes.
 #[derive(Debug, Clone)]
 pub(crate) struct Assignment<M> {
     /// The admitted job (operands, plan, deadline).
     pub job: Pending<M>,
-    /// Accelerator attempts consumed (job-level fault retries).
+    /// Accelerator attempts consumed (job-level fault retries); 0 until a
+    /// machine first [adopts](Self::adopt) the job.
     pub attempts: u32,
     /// Fleet cycle of the *first* dispatch — queue-wait anchors here even
     /// across re-dispatches.
@@ -221,10 +226,74 @@ pub(crate) struct Assignment<M> {
     /// snapshotted when the job left its last worker. Consumed when a
     /// worker starts the job's run.
     pub checkpoint: Option<Box<Checkpoint>>,
+    /// Lane count of the machine that took `checkpoint`: a checkpoint
+    /// encodes its machine's shape, because C²SR deals rows to lanes by
+    /// channel, so only a machine this wide can resume it.
+    pub checkpoint_lanes: usize,
     /// Worker failures this job has survived.
     pub redispatches: u32,
     /// Whether any dispatch resumed from a checkpoint.
     pub resumed: bool,
+}
+
+impl<M: Deref<Target = Csr<f64>>> Assignment<M> {
+    /// A job not yet dispatched, first dispatched at `now`.
+    pub(crate) fn new(job: Pending<M>, now: Cycle) -> Self {
+        Assignment {
+            job,
+            attempts: 0,
+            first_dispatch: now,
+            executed: 0,
+            checkpoint: None,
+            checkpoint_lanes: 0,
+            redispatches: 0,
+            resumed: false,
+        }
+    }
+
+    /// Takes the job onto a machine `lanes` wide, the one place either
+    /// engine decides a resume: a checkpoint taken at this width resumes,
+    /// anything else restarts from scratch. Returns the recovery event of
+    /// a re-dispatched job — which of the two happened — and `None` for a
+    /// first dispatch.
+    pub(crate) fn adopt(&mut self, lanes: usize) -> Option<RecoveryKind> {
+        self.attempts = self.attempts.max(1);
+        let job = self.job.id;
+        if self.checkpoint.is_some() && self.checkpoint_lanes == lanes {
+            self.resumed = true;
+            return Some(RecoveryKind::ResumedFromCheckpoint { job, at_cycle: self.executed });
+        }
+        self.checkpoint = None;
+        self.executed = 0;
+        (self.redispatches > 0).then_some(RecoveryKind::RestartedFromScratch { job })
+    }
+
+    /// Records a slice that paused at accelerator cycle `at`.
+    pub(crate) fn paused(&mut self, at: u64) {
+        self.executed = at;
+    }
+
+    /// Drops a faulted attempt's checkpoint and cycles: a retry restarts
+    /// from scratch, because under the persistent-fault model the armed
+    /// fault state rides the checkpoint, so a resume would refault
+    /// identically.
+    pub(crate) fn faulted(&mut self) {
+        self.checkpoint = None;
+        self.executed = 0;
+    }
+
+    /// Makes `run`, standing at `executed` on a machine `lanes` wide, the
+    /// job's recovery point.
+    pub(crate) fn checkpoint_at(&mut self, run: &Run<M>, lanes: usize) {
+        debug_assert_eq!(run.cycle(), self.executed, "a job leaves at a slice boundary");
+        self.checkpoint = Some(Box::new(run.snapshot()));
+        self.checkpoint_lanes = lanes;
+    }
+
+    /// Counts a worker failure the job survived, as it goes back in line.
+    pub(crate) fn requeued(&mut self) {
+        self.redispatches = self.redispatches.saturating_add(1);
+    }
 }
 
 /// How one slice of a job ended — the classification both service
@@ -474,13 +543,6 @@ impl<M: Deref<Target = Csr<f64>>> Worker<M> {
             Err(_) => false,
         }
     }
-
-    /// Whether this worker's machine still matches the template config a
-    /// checkpoint was taken under (degraded workers cannot resume foreign
-    /// checkpoints — the fleet restarts those jobs from scratch).
-    pub(crate) fn matches_template(&self) -> bool {
-        self.lanes == self.base_cfg.num_lanes()
-    }
 }
 
 #[cfg(test)]
@@ -537,10 +599,10 @@ mod tests {
     #[test]
     fn degraded_rebuild_halves_lanes_and_rejects_invalid_shapes() {
         let mut w = test_worker(0, WorkerClass::Accelerator);
-        assert!(w.matches_template());
+        let full = w.lanes;
         w.lanes = (w.lanes / 2).max(1);
         assert!(w.rebuild_accel(), "halved config must still validate");
-        assert!(!w.matches_template());
+        assert!(w.lanes < full);
         assert_eq!(w.accel.as_ref().map(|a| a.config().num_lanes()), Some(w.lanes));
     }
 
