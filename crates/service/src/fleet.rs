@@ -38,10 +38,9 @@
 //!   count halves), then **retirement**, which activates a CPU-fallback
 //!   slot to absorb the lost capacity;
 //! * a checkpoint resumes only on a worker as wide as the one that took
-//!   it; on any other the job restarts from scratch
-//!   ([`Assignment::adopt`](crate::worker::Assignment), the one resume
-//!   rule the threaded executor shares), and a refused resume costs no
-//!   attempt;
+//!   it; on any other the job restarts from scratch (`Assignment::adopt`,
+//!   the one resume rule the threaded executor shares), and a refused
+//!   resume costs no attempt;
 //! * quarantine strikes are **fleet-wide**: a poison pair struck on worker
 //!   0 is refused at admission no matter which worker would have run it.
 //!
@@ -764,9 +763,11 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
                         // Exactly one probe flows while half-open.
                         continue;
                     }
-                    let Some(asg) = self.take_accel_work(w, now) else {
-                        continue;
-                    };
+                    // Recovery queue first (resuming beats starting), then
+                    // the DRR scheduler.
+                    let fresh = |p| Assignment::new(p, now);
+                    let next = self.take_redispatch(w).or_else(|| self.sched.pop().map(fresh));
+                    let Some(asg) = next else { continue };
                     self.dispatch_accel(w, asg);
                     if self.breaker.state() == BreakerState::HalfOpen {
                         self.probe_worker = Some(w);
@@ -802,15 +803,6 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
                 }
             }
         }
-    }
-
-    /// Next assignment for an accelerator worker: recovery queue first
-    /// (resuming beats starting), then the DRR scheduler.
-    fn take_accel_work(&mut self, w: usize, now: Cycle) -> Option<Assignment<M>> {
-        if let Some(asg) = self.take_redispatch(w) {
-            return Some(asg);
-        }
-        self.sched.pop().map(|p| Assignment::new(p, now))
     }
 
     /// Pop the re-dispatch queue, suppressing entries that already
@@ -1066,7 +1058,7 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
                     self.workers[w].status = WorkerStatus::Idle;
                     return;
                 };
-                asg.faulted();
+                asg.restart();
                 if asg.attempts >= max_attempts || self.draining.is_some() {
                     self.fail_job(w);
                     return;

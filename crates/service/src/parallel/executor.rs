@@ -37,7 +37,7 @@ use std::sync::{Arc, Condvar, Mutex, Once, PoisonError};
 use std::thread;
 use std::time::Duration;
 
-use matraptor_core::{Accelerator, ConfigError, MatRaptorConfig, Operands, Run};
+use matraptor_core::{Accelerator, ConfigError, Operands, Run};
 use matraptor_sim::Cycle;
 use matraptor_sparse::Csr;
 
@@ -122,10 +122,8 @@ fn install_quiet_hook() {
 /// Everything a worker thread needs, shared across all workers.
 #[derive(Debug)]
 struct WorkerCtx {
-    accel: MatRaptorConfig,
-    template_lanes: usize,
-    slice_cycles: u64,
-    max_attempts: u32,
+    /// The normalized run configuration.
+    cfg: ParallelConfig,
     shutdown: AtomicBool,
     /// Jobs waiting for a worker; recovered jobs go to the front.
     queue: Mutex<VecDeque<Item>>,
@@ -139,10 +137,7 @@ struct WorkerCtx {
 impl WorkerCtx {
     fn new(cfg: &ParallelConfig, queue: VecDeque<Item>) -> Self {
         WorkerCtx {
-            accel: cfg.accel.clone(),
-            template_lanes: cfg.accel.num_lanes(),
-            slice_cycles: cfg.slice_cycles,
-            max_attempts: cfg.max_attempts,
+            cfg: cfg.clone(),
             shutdown: AtomicBool::new(false),
             queue: Mutex::new(queue),
             work: Condvar::new(),
@@ -247,7 +242,7 @@ fn worker_loop(
     stats: &InjectStats,
     events: &mut Vec<(u64, WorkerFault)>,
 ) -> Result<(), ConfigError> {
-    let mut cfg = ctx.accel.clone();
+    let mut cfg = ctx.cfg.accel.clone();
     cfg.mem.num_channels = lanes;
     let accel = Accelerator::try_new(cfg)?;
     shared.slow_factor.store(1, Ordering::Relaxed);
@@ -290,7 +285,7 @@ fn run_item(
     events: &mut Vec<(u64, WorkerFault)>,
     mut item: Item,
 ) -> ItemExit {
-    let degraded = lanes != ctx.template_lanes;
+    let degraded = lanes != ctx.cfg.accel.num_lanes();
     let adopted;
     {
         let mut mailbox = lock_unpoisoned(&shared.mailbox);
@@ -348,7 +343,7 @@ fn run_item(
         if slow > 1 {
             thread::sleep(Duration::from_micros(SLOW_UNIT_US.saturating_mul(slow)));
         }
-        let (slice, attempts) = (ctx.slice_cycles, ctx.max_attempts);
+        let (slice, attempts) = (ctx.cfg.slice_cycles, ctx.cfg.max_attempts);
         let resolved = advance(&mut item, &mut run, accel, slice, attempts, idx, degraded);
         stats.slices.fetch_add(1, Ordering::Relaxed);
         shared.beats.fetch_add(1, Ordering::Relaxed);
@@ -406,7 +401,7 @@ fn advance(
         SliceStep::DeadlineExceeded(at) => (Disposition::DeadlineExceeded, at, None),
         SliceStep::Faulted(_) if item.attempts < max_attempts => {
             item.attempts = item.attempts.saturating_add(1);
-            item.faulted();
+            item.restart();
             return None;
         }
         SliceStep::Faulted(_) => (Disposition::Failed, item.executed, None),
@@ -478,7 +473,7 @@ pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, Parallel
 
     let mut sup = Supervisor::new(
         cfg.threads,
-        ctx.template_lanes,
+        cfg.accel.num_lanes(),
         per_slot,
         cfg.max_restarts,
         cfg.max_degraded_restarts,
@@ -502,7 +497,7 @@ pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, Parallel
                     continue;
                 }
                 counters.inline_fallbacks = counters.inline_fallbacks.saturating_add(1);
-                if let Some(kind) = item.adopt(ctx.template_lanes) {
+                if let Some(kind) = item.adopt(cfg.accel.num_lanes()) {
                     sup.adopted(INLINE_WORKER, kind, &mut counters);
                 }
                 let record = run_inline(&inline_accel, &cfg, item);

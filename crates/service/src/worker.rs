@@ -206,16 +206,14 @@ impl WorkerFaultPlan {
 }
 
 /// An in-flight job on (or recovered from) a worker: the admitted job plus
-/// everything needed to resume it elsewhere after a worker failure. Both
-/// service engines carry their jobs in this one type: the fleet's workers
-/// and recovery queues, and the threaded executor's job queue and
-/// mailboxes.
+/// everything needed to resume it elsewhere after a worker failure. The
+/// fleet and the threaded executor both carry their jobs in it.
 #[derive(Debug, Clone)]
 pub(crate) struct Assignment<M> {
     /// The admitted job (operands, plan, deadline).
     pub job: Pending<M>,
     /// Accelerator attempts consumed (job-level fault retries); 0 until a
-    /// machine first [adopts](Self::adopt) the job.
+    /// machine first adopts the job.
     pub attempts: u32,
     /// Fleet cycle of the *first* dispatch — queue-wait anchors here even
     /// across re-dispatches.
@@ -226,9 +224,8 @@ pub(crate) struct Assignment<M> {
     /// snapshotted when the job left its last worker. Consumed when a
     /// worker starts the job's run.
     pub checkpoint: Option<Box<Checkpoint>>,
-    /// Lane count of the machine that took `checkpoint`: a checkpoint
-    /// encodes its machine's shape, because C²SR deals rows to lanes by
-    /// channel, so only a machine this wide can resume it.
+    /// Lane count of the machine that took `checkpoint`, the only width
+    /// that can resume it: C²SR deals rows to lanes by channel.
     pub checkpoint_lanes: usize,
     /// Worker failures this job has survived.
     pub redispatches: u32,
@@ -251,11 +248,10 @@ impl<M: Deref<Target = Csr<f64>>> Assignment<M> {
         }
     }
 
-    /// Takes the job onto a machine `lanes` wide, the one place either
-    /// engine decides a resume: a checkpoint taken at this width resumes,
-    /// anything else restarts from scratch. Returns the recovery event of
-    /// a re-dispatched job — which of the two happened — and `None` for a
-    /// first dispatch.
+    /// Takes the job onto a machine `lanes` wide: the one resume rule of
+    /// both engines. A checkpoint taken at this width resumes; anything
+    /// else restarts from scratch. Returns which of the two a re-dispatched
+    /// job did, as its recovery event, and `None` for a first dispatch.
     pub(crate) fn adopt(&mut self, lanes: usize) -> Option<RecoveryKind> {
         self.attempts = self.attempts.max(1);
         let job = self.job.id;
@@ -263,8 +259,7 @@ impl<M: Deref<Target = Csr<f64>>> Assignment<M> {
             self.resumed = true;
             return Some(RecoveryKind::ResumedFromCheckpoint { job, at_cycle: self.executed });
         }
-        self.checkpoint = None;
-        self.executed = 0;
+        self.restart();
         (self.redispatches > 0).then_some(RecoveryKind::RestartedFromScratch { job })
     }
 
@@ -273,11 +268,10 @@ impl<M: Deref<Target = Csr<f64>>> Assignment<M> {
         self.executed = at;
     }
 
-    /// Drops a faulted attempt's checkpoint and cycles: a retry restarts
-    /// from scratch, because under the persistent-fault model the armed
-    /// fault state rides the checkpoint, so a resume would refault
-    /// identically.
-    pub(crate) fn faulted(&mut self) {
+    /// Drops the checkpoint and the executed cycles: the job's next slice
+    /// starts from scratch. A faulted attempt's retry must, because the
+    /// armed fault state rides the checkpoint and a resume would refault.
+    pub(crate) fn restart(&mut self) {
         self.checkpoint = None;
         self.executed = 0;
     }
