@@ -22,7 +22,8 @@
 //!   checked in both `Cargo.toml` `[dependencies]` tables and
 //!   `matraptor_*` paths in source. Dev-dependencies are exempt.
 //! * **doc-drift** — every `fig*`/`table*`/`ablation*`/`trace*` binary in
-//!   `crates/bench/src/bin/` must have a matching entry in `EXPERIMENTS.md`.
+//!   `crates/bench/src/bin/` must have a matching entry in `EXPERIMENTS.md`,
+//!   and every path the `DESIGN.md` §6 module map names must exist.
 //! * **checkpoint-coverage** — every field of a struct walked by
 //!   `snapshot`/`restore`, serialized by `plain_struct!`, or folded by a
 //!   `fingerprint*` function must actually ride that walk; transient

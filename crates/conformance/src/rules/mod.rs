@@ -397,7 +397,8 @@ fn check_source_edges(f: &SourceFile) -> Vec<Violation> {
 // ---------------------------------------------------------------------------
 
 /// Every `fig*`/`table*`/`ablation*`/`trace*` binary under
-/// `crates/bench/src/bin/` must be documented in `EXPERIMENTS.md`.
+/// `crates/bench/src/bin/` must be documented in `EXPERIMENTS.md`, and
+/// every path the module → file map of `DESIGN.md` §6 names must exist.
 pub struct DocDrift;
 
 impl Rule for DocDrift {
@@ -406,7 +407,8 @@ impl Rule for DocDrift {
     }
     fn description(&self) -> &'static str {
         "every fig*/table*/ablation*/trace* binary in crates/bench/src/bin/ must \
-         have a matching entry in EXPERIMENTS.md"
+         have a matching entry in EXPERIMENTS.md, and every path in DESIGN.md's \
+         §6 module map must exist"
     }
     fn check(&self, a: &Analysis) -> Vec<Violation> {
         let experiments =
@@ -431,6 +433,73 @@ impl Rule for DocDrift {
                 });
             }
         }
+        let design = std::fs::read_to_string(a.ws.root.join("DESIGN.md")).unwrap_or_default();
+        for (line, pattern) in module_map(&design) {
+            for path in expand_braces(pattern) {
+                if !a.ws.root.join(&path).exists() {
+                    out.push(Violation {
+                        rule: "doc-drift",
+                        file: "DESIGN.md".to_string(),
+                        line,
+                        message: format!(
+                            "the §6 module map names `{path}`, which does not exist; \
+                             update the map"
+                        ),
+                    });
+                }
+            }
+        }
         out
+    }
+}
+
+/// The path patterns of the first fenced block under `DESIGN.md`'s
+/// `## 6.` heading, one per non-blank line, with their 1-based lines.
+fn module_map(design: &str) -> Vec<(usize, &str)> {
+    let mut lines = design.lines().enumerate().skip_while(|(_, l)| !l.starts_with("## 6."));
+    let mut map = Vec::new();
+    if lines.by_ref().find(|(_, l)| l.starts_with("```")).is_none() {
+        return map;
+    }
+    for (i, l) in lines.take_while(|(_, l)| !l.starts_with("```")) {
+        let pattern = l.trim();
+        if !pattern.is_empty() {
+            map.push((i + 1, pattern));
+        }
+    }
+    map
+}
+
+/// Shell-style brace expansion of `pattern`: `a/{b,c}.rs` is `a/b.rs` and
+/// `a/c.rs`; a pattern without a complete brace group is itself.
+fn expand_braces(pattern: &str) -> Vec<String> {
+    let group = pattern.find('{').and_then(|open| Some((open, open + pattern[open..].find('}')?)));
+    let Some((open, close)) = group else {
+        return vec![pattern.to_string()];
+    };
+    let (head, tail) = (&pattern[..open], &pattern[close + 1..]);
+    pattern[open + 1..close]
+        .split(',')
+        .flat_map(|alt| expand_braces(&format!("{head}{alt}{tail}")))
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn brace_lists_expand_in_order() {
+        assert_eq!(expand_braces("a/{b,c}.rs"), ["a/b.rs", "a/c.rs"]);
+        assert_eq!(expand_braces("{x,y}/{1,2}"), ["x/1", "x/2", "y/1", "y/2"]);
+        assert_eq!(expand_braces("plain.rs"), ["plain.rs"]);
+        assert_eq!(expand_braces("open{a,b"), ["open{a,b"]);
+    }
+
+    #[test]
+    fn the_module_map_is_the_first_block_under_section_6() {
+        let design = "# D\n```\nnot/this.rs\n```\n## 6. Map\ntext\n```\na.rs\n\n b/{c,d}.rs \n```\nafter.rs\n";
+        assert_eq!(module_map(design), [(8, "a.rs"), (10, "b/{c,d}.rs")]);
+        assert!(module_map("## 5. No map\n```\nx.rs\n```\n").is_empty());
     }
 }

@@ -140,6 +140,37 @@ fn doc_drift_rule_fires_and_suppresses() {
     assert_eq!(report.suppressed, 1);
 }
 
+/// A §6 module map that names files the tree does not hold is flagged at
+/// the map's line, one finding per missing path after brace expansion;
+/// fenced blocks outside §6 are not the map.
+#[test]
+fn doc_drift_flags_module_map_paths_that_do_not_exist() {
+    let report = fixture("doc_drift_map");
+    let found: Vec<(&str, usize, &str)> =
+        report.violations.iter().map(|v| (v.file.as_str(), v.line, v.rule)).collect();
+    assert_eq!(
+        found,
+        [("DESIGN.md", 10, "doc-drift"), ("DESIGN.md", 11, "doc-drift")],
+        "expected the missing merge.rs and gone.rs:\n{}",
+        report.human()
+    );
+    assert!(report.violations[0].message.contains("crates/core/src/merge.rs"));
+    assert!(report.violations[1].message.contains("tests/gone.rs"));
+}
+
+/// The workspace's own DESIGN.md §6 map names only paths that exist.
+#[test]
+fn the_workspace_module_map_names_only_existing_paths() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let analysis = Analysis::load(&root).expect("workspace scan");
+    let rules: Vec<_> = registry().into_iter().filter(|r| r.name() == "doc-drift").collect();
+    let report = run_on(&analysis, &rules);
+    let map: Vec<_> = report.violations.iter().filter(|v| v.file == "DESIGN.md").collect();
+    assert!(map.is_empty(), "stale §6 map entries:\n{}", report.human());
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+    assert!(design.lines().any(|l| l.starts_with("## 6.")), "the map's section moved");
+}
+
 #[test]
 fn checkpoint_coverage_rule_fires_and_suppresses() {
     let report = fixture("checkpoint_coverage");

@@ -1,0 +1,1 @@
+//! A file the module map names and the tree holds.
