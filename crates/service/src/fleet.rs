@@ -39,8 +39,8 @@
 //!   slot to absorb the lost capacity;
 //! * a checkpoint resumes only on a worker as wide as the one that took
 //!   it; on any other the job restarts from scratch (`Assignment::adopt`,
-//!   the one resume rule the threaded executor shares), and a refused
-//!   resume costs no attempt;
+//!   the one resume rule the threaded executor shares), which costs no
+//!   attempt;
 //! * quarantine strikes are **fleet-wide**: a poison pair struck on worker
 //!   0 is refused at admission no matter which worker would have run it.
 //!
