@@ -254,11 +254,25 @@ pub struct FleetRecord {
     pub output_fingerprint: Option<u64>,
 }
 
-/// A [`FleetRecord`] as the fleet keeps it: 72 bytes instead of 96. A
-/// long-lived server keeps one per job it has served, so this is most of
-/// what its memory grows by. The deadline is not stored: every job's is
-/// its tenant's [`DeadlinePolicy`](crate::DeadlinePolicy) applied to its
-/// flop estimate, and [`unpack`] recomputes it.
+/// What the fleet keeps of every job it has resolved, for as long as it
+/// lives: the three values a wire Poll answers with. An
+/// `Option<Resolution>` is 16 bytes, against the 72 of a retained
+/// record, so a long-lived server that takes its records
+/// ([`Fleet::take_records`]) grows by 16 bytes per job it has served.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Resolution {
+    /// Fleet cycle at which the job resolved.
+    pub finished_at: Cycle,
+    /// Accelerator attempts the job consumed.
+    pub attempts: u32,
+    /// How the job resolved.
+    pub disposition: Disposition,
+}
+
+/// A [`FleetRecord`] as the fleet keeps it until its owner takes it: 72
+/// bytes instead of 96. The deadline is not stored: every job's is its
+/// tenant's [`DeadlinePolicy`](crate::DeadlinePolicy) applied to its flop
+/// estimate, and [`unpack`] recomputes it.
 #[derive(Debug, Clone, Copy)]
 struct PackedRecord {
     id: u64,
@@ -277,8 +291,8 @@ struct PackedRecord {
     resumed_from_checkpoint: bool,
 }
 
-/// The resolved jobs of a [`Fleet`], in resolution order. Each
-/// [`FleetRecord`] is unpacked when read.
+/// The resolved jobs of a [`Fleet`] whose records nobody has taken yet,
+/// in resolution order. Each [`FleetRecord`] is unpacked when read.
 #[derive(Debug, Clone, Copy)]
 pub struct Records<'f> {
     tenants: &'f [TenantConfig],
@@ -286,22 +300,22 @@ pub struct Records<'f> {
 }
 
 impl<'f> Records<'f> {
-    /// How many jobs have resolved.
+    /// How many records are retained.
     pub fn len(&self) -> usize {
         self.packed.len()
     }
 
-    /// Whether no job has resolved.
+    /// Whether no record is retained.
     pub fn is_empty(&self) -> bool {
         self.packed.is_empty()
     }
 
-    /// The `i`-th job to resolve.
+    /// The `i`-th retained record.
     pub fn get(&self, i: usize) -> Option<FleetRecord> {
         self.packed.get(i).map(|p| unpack(self.tenants, p))
     }
 
-    /// The latest job to resolve.
+    /// The latest retained record.
     pub fn last(&self) -> Option<FleetRecord> {
         self.packed.last().map(|p| unpack(self.tenants, p))
     }
@@ -398,12 +412,14 @@ pub struct Fleet<M: Deref<Target = Csr<f64>> = Rc<Csr<f64>>> {
     redispatch: VecDeque<Assignment<M>>,
     shed_cpu: VecDeque<Assignment<M>>,
     /// Indexed by job id (ids are issued consecutively from 0, so the
-    /// table's length is the next id): the position of the job's record
-    /// in `records`, [`UNRESOLVED`], or [`UNINDEXED`]. Four bytes per job
-    /// answer both the at-most-once guard and [`Fleet::record`] — a
-    /// long-lived server keeps this table and the records for every job it
-    /// has served.
-    record_at: Vec<u32>,
+    /// table's length is the next id): `None` while the job is
+    /// unresolved, then its [`Resolution`]. Sixteen bytes per job answer
+    /// both the at-most-once guard and [`Fleet::resolution`]; this table
+    /// is all a long-lived server keeps of the jobs it has served.
+    resolutions: Vec<Option<Resolution>>,
+    /// Jobs resolved over the fleet's lifetime, taken records included.
+    resolved: u64,
+    /// The records nobody has taken yet, in resolution order.
     records: Vec<PackedRecord>,
     recovery_log: BoundedLog<RecoveryEvent>,
     job_metrics: MetricsRegistry,
@@ -419,13 +435,6 @@ struct Drain {
     slice_budget: u64,
     checkpoints: Vec<DrainedCheckpoint>,
 }
-
-/// [`Fleet::record_at`] entry of a job that has not resolved.
-const UNRESOLVED: u32 = u32::MAX;
-
-/// [`Fleet::record_at`] entry of a resolved job whose record has no
-/// index: its position is past the table's range.
-const UNINDEXED: u32 = u32::MAX - 1;
 
 /// Bucket bounds (in cycles) for the job latency histograms recorded at
 /// resolution time.
@@ -474,7 +483,8 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
             workers,
             redispatch: VecDeque::new(),
             shed_cpu: VecDeque::new(),
-            record_at: Vec::new(),
+            resolutions: Vec::new(),
+            resolved: 0,
             records: Vec::new(),
             recovery_log,
             job_metrics: MetricsRegistry::new(),
@@ -512,21 +522,43 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
         &self.fleet
     }
 
-    /// All resolved jobs, in resolution order.
+    /// The resolved jobs whose records nobody has taken yet, in
+    /// resolution order. A fleet whose owner never calls
+    /// [`Fleet::take_records`] (the campaigns, the tests, the benchmark's
+    /// oracle) lists every job it has resolved.
     pub fn records(&self) -> Records<'_> {
         Records { tenants: &self.cfg.service.tenants, packed: &self.records }
     }
 
-    /// The record of job `id`, once it has resolved.
+    /// Hands over the retained records, in resolution order, and forgets
+    /// them, taken or not: [`Fleet::records`] is empty afterwards. What
+    /// the fleet keeps of a taken job is its [`Fleet::resolution`].
+    pub fn take_records(&mut self) -> impl ExactSizeIterator<Item = FleetRecord> + '_ {
+        let tenants = &self.cfg.service.tenants;
+        self.records.drain(..).map(move |p| unpack(tenants, &p))
+    }
+
+    /// The record of job `id`, while it is retained: a linear search of
+    /// [`Fleet::records`], for tests and one-off lookups.
     pub fn record(&self, id: JobId) -> Option<FleetRecord> {
-        let at = self.record_at.get(usize::try_from(id.0).ok()?).filter(|&&at| at < UNINDEXED)?;
-        self.records().get(usize::try_from(*at).ok()?)
+        let p = self.records.iter().find(|p| p.id == id.0)?;
+        Some(unpack(&self.cfg.service.tenants, p))
+    }
+
+    /// How job `id` resolved, once it has; kept for every job whether or
+    /// not its record was taken.
+    pub fn resolution(&self, id: JobId) -> Option<Resolution> {
+        *self.resolutions.get(usize::try_from(id.0).ok()?)?
+    }
+
+    /// Jobs resolved so far, taken records included.
+    pub fn resolved(&self) -> u64 {
+        self.resolved
     }
 
     /// Whether job `id` has resolved (the at-most-once guard).
     fn is_resolved(&self, id: JobId) -> bool {
-        let at = usize::try_from(id.0).ok().and_then(|i| self.record_at.get(i));
-        at.is_some_and(|&at| at != UNRESOLVED)
+        self.resolution(id).is_some()
     }
 
     /// The retained recovery log, in event order. Bounded by
@@ -601,7 +633,7 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
             c.rejected_quarantined += 1;
             return Err(Rejected::Quarantined { fingerprint });
         }
-        let id = JobId(self.record_at.len() as u64);
+        let id = JobId(self.resolutions.len() as u64);
         let pending = Pending {
             id,
             tenant: spec.tenant,
@@ -618,7 +650,7 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
             });
         }
         c.accepted += 1;
-        self.record_at.push(UNRESOLVED);
+        self.resolutions.push(None);
         Ok(id)
     }
 
@@ -1181,10 +1213,12 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
         disposition: Disposition,
         output_fingerprint: Option<u64>,
     ) {
-        let slot = usize::try_from(asg.job.id.0).ok().and_then(|i| self.record_at.get_mut(i));
+        let finished_at = self.clock.now();
+        let slot = usize::try_from(asg.job.id.0).ok().and_then(|i| self.resolutions.get_mut(i));
         match slot {
-            Some(at) if *at == UNRESOLVED => {
-                *at = u32::try_from(self.records.len()).map_or(UNINDEXED, |p| p.min(UNINDEXED));
+            Some(entry @ None) => {
+                *entry = Some(Resolution { finished_at, attempts: asg.attempts, disposition });
+                self.resolved = self.resolved.saturating_add(1);
             }
             _ => {
                 self.fleet.duplicate_completions =
@@ -1200,7 +1234,7 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
             id: asg.job.id.0,
             submitted_at: asg.job.submitted_at,
             started_at: asg.first_dispatch,
-            finished_at: self.clock.now(),
+            finished_at,
             estimated_flops: asg.job.operands.flops(),
             fingerprint: output_fingerprint.unwrap_or(0),
             tenant: narrow(asg.job.tenant.0),
@@ -1359,6 +1393,7 @@ mod tests {
     fn a_stored_record_is_a_quarter_smaller_than_the_record() {
         use std::mem::size_of;
         assert_eq!((size_of::<PackedRecord>(), size_of::<FleetRecord>()), (72, 96));
+        assert_eq!(size_of::<Option<Resolution>>(), 16);
     }
 
     #[test]
@@ -1522,6 +1557,18 @@ mod tests {
         assert!(f.worker_crashes >= 1);
         let ids: BTreeSet<u64> = fleet.records().iter().map(|r| r.record.id.0).collect();
         assert_eq!(ids.len(), 6, "no job id may resolve twice");
+    }
+
+    #[test]
+    fn a_taken_record_still_guards_its_id() {
+        let mut fleet = Fleet::new(small_cfg()).unwrap();
+        submit_batch(&mut fleet, 4);
+        fleet.run_to_idle();
+        let taken: Vec<JobId> = fleet.take_records().map(|r| r.record.id).collect();
+        assert_eq!(taken.len(), 4);
+        assert!(fleet.records().is_empty() && fleet.record(taken[0]).is_none());
+        assert!(taken.iter().all(|&id| fleet.is_resolved(id)), "the guard outlives the record");
+        assert_eq!(fleet.resolved(), 4);
     }
 
     #[test]

@@ -71,7 +71,7 @@ mod worker;
 pub use breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker};
 pub use fleet::{
     fingerprint_output, Fleet, FleetConfig, FleetCounters, FleetRecord, Records, RecordsIter,
-    RecoveryEvent, RecoveryKind,
+    RecoveryEvent, RecoveryKind, Resolution,
 };
 pub use job::{Disposition, JobId, JobRecord, JobSpec, Rejected, TenantId};
 pub use parallel::{

@@ -259,8 +259,8 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Service<M> {
     /// accordingly) and return its record. `None` when the service is
     /// idle.
     pub fn step(&mut self) -> Option<JobRecord> {
-        let resolved = self.fleet.records().len();
-        while self.fleet.records().len() == resolved {
+        let resolved = self.fleet.resolved();
+        while self.fleet.resolved() == resolved {
             if !self.fleet.step() {
                 return None;
             }

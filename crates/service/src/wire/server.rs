@@ -45,7 +45,7 @@ use std::time::Duration;
 use matraptor_sparse::Csr;
 
 use crate::service::{DrainSummary, Service, ServiceConfig};
-use crate::{JobId, JobRecord, JobSpec, Rejected, TenantId};
+use crate::{JobId, JobSpec, Rejected, Resolution, TenantId};
 
 use super::frame::{
     begin_frame, decode_request, disposition_code, encode_frame, encode_response,
@@ -232,9 +232,9 @@ impl Engine {
         job < self.service.fleet().counters().accepted
     }
 
-    /// The record of `job`, once it has resolved.
-    fn record(&self, job: u64) -> Option<JobRecord> {
-        self.service.fleet().record(JobId(job)).map(|r| r.record)
+    /// How `job` resolved, once it has.
+    fn resolution(&self, job: u64) -> Option<Resolution> {
+        self.service.fleet().resolution(JobId(job))
     }
 
     fn map_rejection(r: Rejected) -> Response {
@@ -248,7 +248,16 @@ impl Engine {
         Response::Error { code, detail: r.to_string() }
     }
 
+    /// Applies `req`, then drops the records it resolved: a Poll answers
+    /// from the fleet's resolution table, so the engine keeps 16 bytes of
+    /// every job it has served and no full record.
     fn handle(&mut self, req: Request) -> Response {
+        let resp = self.apply(req);
+        drop(self.service.fleet_mut().take_records());
+        resp
+    }
+
+    fn apply(&mut self, req: Request) -> Response {
         match req {
             Request::Submit { tenant, a, b } => {
                 if self.drained.is_some() {
@@ -277,13 +286,14 @@ impl Engine {
                 }
                 // Drive the service forward (in submission-stream order)
                 // until the polled job resolves or the queue empties; every
-                // record resolved along the way answers later polls.
-                while self.record(job).is_none() {
+                // job resolved along the way answers later polls from the
+                // resolution table.
+                while self.resolution(job).is_none() {
                     if self.service.step().is_none() {
                         break;
                     }
                 }
-                match self.record(job) {
+                match self.resolution(job) {
                     Some(r) => Response::Status {
                         job,
                         state: JobState::Resolved {
@@ -457,7 +467,7 @@ impl WireServer {
                 (
                     engine.drained.clone().unwrap_or_default(),
                     fleet.counters().accepted,
-                    fleet.records().len() as u64,
+                    fleet.resolved(),
                 )
             }
             Err(_) => (DrainSummary::default(), 0, 0),
@@ -984,6 +994,61 @@ mod tests {
         let down = server.shutdown();
         assert_eq!(down.jobs_accepted, CLIENTS * JOBS);
         assert_eq!(down.jobs_accepted, down.jobs_resolved);
+        assert_eq!(down.thread_panics, 0);
+    }
+
+    #[test]
+    fn old_ids_answer_byte_identically_once_their_records_are_taken() {
+        const CLIENTS: u64 = 2;
+        const JOBS: u64 = 1_000;
+        assert!(std::mem::size_of::<Option<Resolution>>() <= 16, "one table entry per job");
+        let server = local_server();
+        let addr = server.addr();
+        // Every request takes the records it resolved under the lock, so
+        // whenever the lock is free the fleet retains none.
+        let retained =
+            |shared: &Shared| shared.engine.lock().expect("engine").service.fleet().records().len();
+        let resolved_state = |client: &mut WireClient, job: u64| loop {
+            match client.poll(job).expect("clean loopback poll") {
+                Response::Status { job: j, state: JobState::Queued } if j == job => {}
+                Response::Status { job: j, state } if j == job => break state,
+                other => panic!("expected the status of {job}, got {other:?}"),
+            }
+        };
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let shared = Arc::clone(&server.shared);
+                std::thread::spawn(move || {
+                    let mut client = WireClient::connect(addr, RetryPolicy::no_retry(), 60 + c)
+                        .expect("connect");
+                    let mut first: Vec<(u64, JobState)> = Vec::new();
+                    for k in 0..JOBS {
+                        let a = gen::uniform(6, 6, 8, 10_000 * c + 2 * k);
+                        let b = gen::uniform(6, 6, 8, 10_000 * c + 2 * k + 1);
+                        let job = match client.submit((c % 2) as u32, &a, &b).expect("submit") {
+                            Response::Submitted { job } => job,
+                            other => panic!("client {c}: expected Submitted, got {other:?}"),
+                        };
+                        first.push((job, resolved_state(&mut client, job)));
+                        assert_eq!(retained(&shared), 0, "a record outlived its request");
+                    }
+                    first
+                })
+            })
+            .collect();
+        let first: Vec<(u64, JobState)> =
+            clients.into_iter().flat_map(|h| h.join().expect("client thread")).collect();
+        assert_eq!(first.len() as u64, CLIENTS * JOBS);
+        // A later poll of every id, from a fresh connection, answers what
+        // the first resolved poll did.
+        let mut late = WireClient::connect(addr, RetryPolicy::no_retry(), 70).expect("connect");
+        for &(job, state) in &first {
+            assert_eq!(resolved_state(&mut late, job), state, "job {job} answers differently");
+        }
+        assert_eq!(retained(&server.shared), 0);
+        drop(late);
+        let down = server.shutdown();
+        assert_eq!((down.jobs_accepted, down.jobs_resolved), (CLIENTS * JOBS, CLIENTS * JOBS));
         assert_eq!(down.thread_panics, 0);
     }
 }

@@ -8,8 +8,8 @@
 use std::rc::Rc;
 
 use matraptor_service::{
-    fingerprint_output, Disposition, Fleet, FleetConfig, JobSpec, TenantId, WorkerFault,
-    WorkerFaultEvent, WorkerFaultPlan,
+    fingerprint_output, Disposition, Fleet, FleetConfig, FleetRecord, JobId, JobSpec, TenantId,
+    WorkerFault, WorkerFaultEvent, WorkerFaultPlan,
 };
 use matraptor_sparse::{gen, spgemm};
 
@@ -116,4 +116,52 @@ fn hang_detection_also_preserves_byte_identity() {
     assert_eq!(disp, Disposition::Completed);
     assert!(resumed, "the hung worker's job should resume from its checkpoint");
     assert_eq!(fp, baseline_fp, "recovery from a hang must be byte-identical");
+}
+
+/// Steps a fleet through the lost-ack race (worker 0 dies after
+/// completing its first job, so its resolved job comes back as if still
+/// in flight), taking the records after every step when `take` is set.
+/// Returns every record it saw, in resolution order, and the fleet.
+fn lost_ack_run(take: bool) -> (Vec<(u64, Disposition, Option<u64>)>, Fleet) {
+    let mut c = FleetConfig::small_test();
+    c.slice_cycles = 256;
+    c.restart_cycles = 1_000;
+    c.worker_faults = Some(WorkerFaultPlan::new(vec![WorkerFaultEvent {
+        worker: 0,
+        after_slices: 0,
+        kind: WorkerFault::CrashAfterCompletion,
+    }]));
+    let mut fleet = Fleet::new(c).unwrap();
+    for seed in 1..=6 {
+        fleet.submit(job_spec(seed)).unwrap();
+    }
+    let mut seen = Vec::new();
+    let core = |r: FleetRecord| (r.record.id.0, r.record.disposition, r.output_fingerprint);
+    while fleet.step() {
+        if take {
+            seen.extend(fleet.take_records().map(core));
+            assert!(fleet.records().is_empty(), "a take forgets what it hands over");
+        }
+    }
+    seen.extend(fleet.take_records().map(core));
+    (seen, fleet)
+}
+
+#[test]
+fn taking_records_between_steps_keeps_at_most_once() {
+    let (untaken, _) = lost_ack_run(false);
+    let (taken, fleet) = lost_ack_run(true);
+    assert_eq!(taken, untaken, "taking records must not change what resolves");
+    let mut ids: Vec<u64> = taken.iter().map(|&(id, ..)| id).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..6).collect::<Vec<u64>>(), "each id is handed out exactly once");
+    let f = fleet.fleet_counters();
+    assert!(f.duplicates_suppressed >= 1, "the ghost re-dispatch must still be suppressed");
+    assert_eq!(f.duplicate_completions, 0);
+    assert!(f.worker_crashes >= 1);
+    assert_eq!(fleet.resolved(), 6, "the resolution count includes taken records");
+    for &(id, disposition, _) in &taken {
+        let r = fleet.resolution(JobId(id)).expect("resolved");
+        assert_eq!(r.disposition, disposition);
+    }
 }
