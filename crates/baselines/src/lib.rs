@@ -51,10 +51,3 @@ pub struct ModeledRun {
     /// Modelled DRAM traffic in bytes.
     pub dram_bytes: u64,
 }
-
-impl ModeledRun {
-    /// Achieved throughput in GOP/s given the workload's operation count.
-    pub fn gops(&self, total_ops: u64) -> f64 {
-        total_ops as f64 / self.time_s / 1e9
-    }
-}

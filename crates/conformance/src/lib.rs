@@ -38,8 +38,9 @@
 //!   cycle/byte counters in sim-state crates; use `saturating_*` /
 //!   `checked_*` / `try_from`.
 //! * **dead-api** — every `pub` item of a library crate is named somewhere
-//!   outside its definition, `use` lines and its own file's tests
-//!   (matching is by name, so it under-reports shared names).
+//!   outside its definition, `use` lines and its own file's tests, a
+//!   method only after `.` or `::` (matching is by name, so it
+//!   under-reports shared names).
 //!
 //! Individual findings are silenced with a justification comment on the
 //! flagged line or the line above. An allow comment that suppresses no

@@ -15,10 +15,12 @@
 //!
 //! Matching is by name, not by resolved path, so a name that two items
 //! share (`new`, `snapshot`, `len`) counts as used whenever either is:
-//! the rule under-reports shared names. It cannot see a caller outside
-//! the token stream either, so an item reached only through a doc example
-//! or a generated name, or that a same-file test checks a fast path
-//! against (a reference formula), needs
+//! the rule under-reports shared names. A method with a `self` receiver
+//! can only be called after `.` or `::`, so only those mentions count for
+//! it: a local binding that shares its name is not a call. The rule
+//! cannot see a caller outside the token stream either, so an item
+//! reached only through a doc example or a generated name, or that a
+//! same-file test checks a fast path against (a reference formula), needs
 //! `// conformance:allow(dead-api): <the caller>` on or above its
 //! definition line.
 
@@ -44,15 +46,17 @@ impl Rule for DeadApi {
     fn description(&self) -> &'static str {
         "every pub fn, method, struct, enum, trait or const in a library crate's src/ \
          must be named somewhere outside its definition, use lines and its own file's \
-         tests; matching is by name, so the rule under-reports"
+         tests (a method only after `.` or `::`); matching is by name, so the rule \
+         under-reports"
     }
     fn check(&self, a: &Analysis) -> Vec<Violation> {
-        // Name → the files (by index) whose counted tokens mention it, and
-        // whether any of those mentions is outside test code.
-        let mut uses: BTreeMap<&str, Vec<(usize, bool)>> = BTreeMap::new();
+        // Name → its counted mentions: the file (by index), whether the
+        // mention is test code, and whether it follows `.` or `::`.
+        let mut uses: BTreeMap<&str, Vec<(usize, bool, bool)>> = BTreeMap::new();
         for (fi, fm) in a.model.files.iter().enumerate() {
-            for t in counted_uses(&fm.tokens) {
-                uses.entry(&t.text).or_default().push((fi, a.is_test_line(&fm.rel, t.line)));
+            for (t, qualified) in counted_uses(&fm.tokens) {
+                let test = a.is_test_line(&fm.rel, t.line);
+                uses.entry(&t.text).or_default().push((fi, test, qualified));
             }
         }
         let mut out = Vec::new();
@@ -60,13 +64,14 @@ impl Rule for DeadApi {
             if !is_library_source(&fm.rel) {
                 continue;
             }
-            for (kind, name) in pub_items(&fm.tokens) {
+            for (kind, name, method) in pub_items(&fm.tokens) {
                 if a.is_test_line(&fm.rel, name.line) {
                     continue;
                 }
-                let used = uses
-                    .get(name.text.as_str())
-                    .is_some_and(|u| u.iter().any(|&(f, test)| f != fi || !test));
+                let used = uses.get(name.text.as_str()).is_some_and(|u| {
+                    u.iter()
+                        .any(|&(f, test, qualified)| (f != fi || !test) && (qualified || !method))
+                });
                 if !used {
                     out.push(Violation {
                         rule: "dead-api",
@@ -98,8 +103,9 @@ fn is_library_source(rel: &str) -> bool {
 }
 
 /// The identifier tokens that count as uses: every identifier except
-/// definition names and the tokens of `use` declarations.
-fn counted_uses(toks: &[Tok]) -> impl Iterator<Item = &Tok> {
+/// definition names and the tokens of `use` declarations, each with
+/// whether it follows `.` or `::` (the only place a method is called).
+fn counted_uses(toks: &[Tok]) -> impl Iterator<Item = (&Tok, bool)> {
     let mut in_use = false;
     toks.iter().enumerate().filter_map(move |(i, t)| {
         if in_use {
@@ -107,7 +113,11 @@ fn counted_uses(toks: &[Tok]) -> impl Iterator<Item = &Tok> {
             return None;
         }
         in_use = t.is_ident("use");
-        (t.kind == TokKind::Ident && !in_use && !is_definition_name(toks, i)).then_some(t)
+        if t.kind != TokKind::Ident || in_use || is_definition_name(toks, i) {
+            return None;
+        }
+        let prev = i.checked_sub(1).map(|p| &toks[p]);
+        Some((t, prev.is_some_and(|p| p.is_punct(".") || p.is_punct("::"))))
     })
 }
 
@@ -121,9 +131,10 @@ fn is_definition_name(toks: &[Tok], i: usize) -> bool {
     DEFINERS.iter().any(|d| prev.is_ident(d)) && !raw_pointer
 }
 
-/// The `pub` items of a token stream, as (kind, name token). `pub(crate)`
-/// and other restricted visibilities are not public API.
-fn pub_items(toks: &[Tok]) -> Vec<(&'static str, &Tok)> {
+/// The `pub` items of a token stream, as (kind, name token, whether it
+/// is a method with a `self` receiver). `pub(crate)` and other restricted
+/// visibilities are not public API.
+fn pub_items(toks: &[Tok]) -> Vec<(&'static str, &Tok, bool)> {
     let mut out = Vec::new();
     for (i, t) in toks.iter().enumerate() {
         if !t.is_ident("pub") || toks.get(i + 1).is_some_and(|n| n.is_punct("(")) {
@@ -149,10 +160,32 @@ fn pub_items(toks: &[Tok]) -> Vec<(&'static str, &Tok)> {
             continue;
         }
         if let Some(kind) = AUDITED.iter().find(|k| kw.is_ident(k)) {
-            out.push((*kind, name));
+            out.push((*kind, name, *kind == "fn" && has_self_receiver(&toks[j + 2..])));
         }
     }
     out
+}
+
+/// Whether the tokens after a fn's name (generics, then the parameter
+/// list) open with a `self` receiver: `self`, `&self`, `&'a mut self`,
+/// `mut self: Box<Self>`, ….
+fn has_self_receiver(after_name: &[Tok]) -> bool {
+    let mut depth = 0i32;
+    let Some(open) = after_name.iter().position(|t| {
+        depth += match t.text.as_str() {
+            "<" => 1,
+            ">" => -1,
+            ">>" => -2,
+            _ => 0,
+        };
+        depth == 0 && t.is_punct("(")
+    }) else {
+        return false;
+    };
+    after_name[open + 1..]
+        .iter()
+        .find(|t| !(t.is_punct("&") || t.is_ident("mut") || t.kind == TokKind::Lifetime))
+        .is_some_and(|t| t.is_ident("self"))
 }
 
 #[cfg(test)]
@@ -164,14 +197,24 @@ mod tests {
     fn qualified_and_restricted_items() {
         let toks = lex("pub const fn a() {} pub unsafe extern \"C\" fn b() {} \
                         pub(crate) fn c() {} pub const D: u8 = 0; pub struct E;");
-        let items: Vec<_> = pub_items(&toks).iter().map(|(k, t)| (*k, t.text.as_str())).collect();
+        let items: Vec<_> =
+            pub_items(&toks).iter().map(|(k, t, _)| (*k, t.text.as_str())).collect();
         assert_eq!(items, [("fn", "a"), ("fn", "b"), ("const", "D"), ("struct", "E")]);
+    }
+
+    #[test]
+    fn methods_are_the_fns_with_a_self_receiver() {
+        let toks = lex("pub fn a(&self) {} pub fn b<F: Fn(u8) -> u8>(&'a mut self, f: F) {} \
+                        pub fn c(x: Self) {} pub fn d() {} pub fn e(mut self: Box<Self>) {}");
+        let items: Vec<_> =
+            pub_items(&toks).iter().map(|(_, t, m)| (t.text.as_str(), *m)).collect();
+        assert_eq!(items, [("a", true), ("b", true), ("c", false), ("d", false), ("e", true)]);
     }
 
     #[test]
     fn definition_names_and_use_lines_are_not_uses() {
         let toks = lex("use a::b; fn f(p: *const T) -> S { g() }");
-        let uses: Vec<_> = counted_uses(&toks).map(|t| t.text.as_str()).collect();
+        let uses: Vec<_> = counted_uses(&toks).map(|(t, _)| t.text.as_str()).collect();
         for used in ["p", "T", "S", "g"] {
             assert!(uses.contains(&used), "{used} is a use");
         }

@@ -5,5 +5,6 @@ use matraptor_core::called_from_a_bin;
 fn main() {
     let mut total = Total::default();
     total.reset();
-    println!("{}", called_from_a_bin());
+    let level = called_from_a_bin();
+    println!("{}", level);
 }

@@ -27,6 +27,12 @@ impl Meter {
     /// Never called, but the bin calls another type's `reset`: matching is
     /// by name, so this is not flagged.
     pub fn reset(&self) {}
+
+    /// Never called: the bin's `level` is a local binding, and a method
+    /// is only called after `.` or `::`, so this is flagged.
+    pub fn level(&self) -> u64 {
+        0
+    }
 }
 
 #[cfg(test)]

@@ -57,11 +57,11 @@ use matraptor_sparse::{spgemm, Csr};
 
 use crate::bounded::BoundedLog;
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
-use crate::job::{Disposition, JobId, JobRecord, JobSpec, Rejected, TenantId};
+use crate::job::{Disposition, JobId, JobRecord, JobSpec, Rejected};
 use crate::quarantine::Quarantine;
 use crate::sched::{DrrScheduler, Pending};
 use crate::service::{
-    DrainSummary, DrainedCheckpoint, ServiceConfig, ServiceCounters, ServiceError, TenantConfig,
+    DrainSummary, DrainedCheckpoint, ServiceConfig, ServiceCounters, ServiceError,
 };
 use crate::worker::{
     escaped, ladder_step, slice_step, Assignment, LadderStep, ScheduledEvent, SliceOutcome,
@@ -96,7 +96,8 @@ pub struct FleetConfig {
     pub max_restarts: u32,
     /// Degraded restarts granted before a worker retires.
     pub max_degraded_restarts: u32,
-    /// The worker-failure schedule for this run, if any.
+    /// The worker-failure schedule for this run, if any; [`Fleet::new`]
+    /// takes it out of the configuration and fires it.
     pub worker_faults: Option<WorkerFaultPlan>,
     /// Cap on the retained recovery log. Adversarial campaigns generate
     /// recovery events without bound; past the cap the oldest half is
@@ -256,9 +257,9 @@ pub struct FleetRecord {
 
 /// What the fleet keeps of every job it has resolved, for as long as it
 /// lives: the three values a wire Poll answers with. An
-/// `Option<Resolution>` is 16 bytes, against the 72 of a retained
-/// record, so a long-lived server that takes its records
-/// ([`Fleet::take_records`]) grows by 16 bytes per job it has served.
+/// `Option<Resolution>` is 16 bytes, so a long-lived server that takes
+/// its records ([`Fleet::take_records`]) grows by 16 bytes per job it has
+/// served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Resolution {
     /// Fleet cycle at which the job resolved.
@@ -267,115 +268,6 @@ pub struct Resolution {
     pub attempts: u32,
     /// How the job resolved.
     pub disposition: Disposition,
-}
-
-/// A [`FleetRecord`] as the fleet keeps it until its owner takes it: 72
-/// bytes instead of 96. The deadline is not stored: every job's is its
-/// tenant's [`DeadlinePolicy`](crate::DeadlinePolicy) applied to its flop
-/// estimate, and [`unpack`] recomputes it.
-#[derive(Debug, Clone, Copy)]
-struct PackedRecord {
-    id: u64,
-    submitted_at: Cycle,
-    started_at: Cycle,
-    finished_at: Cycle,
-    estimated_flops: u64,
-    /// The output fingerprint when `has_fingerprint`, else 0.
-    fingerprint: u64,
-    tenant: u32,
-    worker: u32,
-    attempts: u32,
-    redispatches: u32,
-    disposition: Disposition,
-    has_fingerprint: bool,
-    resumed_from_checkpoint: bool,
-}
-
-/// The resolved jobs of a [`Fleet`] whose records nobody has taken yet,
-/// in resolution order. Each [`FleetRecord`] is unpacked when read.
-#[derive(Debug, Clone, Copy)]
-pub struct Records<'f> {
-    tenants: &'f [TenantConfig],
-    packed: &'f [PackedRecord],
-}
-
-impl<'f> Records<'f> {
-    /// How many records are retained.
-    pub fn len(&self) -> usize {
-        self.packed.len()
-    }
-
-    /// Whether no record is retained.
-    pub fn is_empty(&self) -> bool {
-        self.packed.is_empty()
-    }
-
-    /// The `i`-th retained record.
-    pub fn get(&self, i: usize) -> Option<FleetRecord> {
-        self.packed.get(i).map(|p| unpack(self.tenants, p))
-    }
-
-    /// The latest retained record.
-    pub fn last(&self) -> Option<FleetRecord> {
-        self.packed.last().map(|p| unpack(self.tenants, p))
-    }
-
-    /// The records in resolution order.
-    pub fn iter(&self) -> RecordsIter<'f> {
-        RecordsIter { tenants: self.tenants, packed: self.packed.iter() }
-    }
-}
-
-impl<'f> IntoIterator for Records<'f> {
-    type Item = FleetRecord;
-    type IntoIter = RecordsIter<'f>;
-
-    fn into_iter(self) -> RecordsIter<'f> {
-        self.iter()
-    }
-}
-
-/// Iterator over [`Records`], unpacking each record.
-#[derive(Debug, Clone)]
-pub struct RecordsIter<'f> {
-    tenants: &'f [TenantConfig],
-    packed: std::slice::Iter<'f, PackedRecord>,
-}
-
-impl Iterator for RecordsIter<'_> {
-    type Item = FleetRecord;
-
-    fn next(&mut self) -> Option<FleetRecord> {
-        self.packed.next().map(|p| unpack(self.tenants, p))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.packed.size_hint()
-    }
-}
-
-impl ExactSizeIterator for RecordsIter<'_> {}
-
-/// Widens a stored record back into its [`FleetRecord`].
-fn unpack(tenants: &[TenantConfig], p: &PackedRecord) -> FleetRecord {
-    let tenant = p.tenant as usize;
-    FleetRecord {
-        record: JobRecord {
-            id: JobId(p.id),
-            tenant: TenantId(tenant),
-            submitted_at: p.submitted_at,
-            started_at: p.started_at,
-            finished_at: p.finished_at,
-            estimated_flops: p.estimated_flops,
-            deadline_cycles: tenants[tenant].deadline.deadline_for(p.estimated_flops),
-            attempts: p.attempts,
-            disposition: p.disposition,
-        },
-        worker: WorkerId(p.worker as usize),
-        redispatches: p.redispatches,
-        resumed_from_checkpoint: p.resumed_from_checkpoint,
-        output_fingerprint: p.has_fingerprint.then_some(p.fingerprint),
-    }
 }
 
 /// FNV-1a-64 fingerprint of a CSR matrix's full contents (dimensions,
@@ -420,7 +312,7 @@ pub struct Fleet<M: Deref<Target = Csr<f64>> = Rc<Csr<f64>>> {
     /// Jobs resolved over the fleet's lifetime, taken records included.
     resolved: u64,
     /// The records nobody has taken yet, in resolution order.
-    records: Vec<PackedRecord>,
+    records: Vec<FleetRecord>,
     recovery_log: BoundedLog<RecoveryEvent>,
     job_metrics: MetricsRegistry,
     faults: Option<WorkerFaultPlan>,
@@ -470,7 +362,7 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
                 .map_err(ServiceError::InvalidAccelConfig)?;
             workers.push(worker);
         }
-        let faults = cfg.worker_faults.clone();
+        let faults = cfg.worker_faults.take();
         let recovery_log = BoundedLog::new(cfg.recovery_log_cap);
         Ok(Fleet {
             cfg,
@@ -526,23 +418,21 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
     /// resolution order. A fleet whose owner never calls
     /// [`Fleet::take_records`] (the campaigns, the tests, the benchmark's
     /// oracle) lists every job it has resolved.
-    pub fn records(&self) -> Records<'_> {
-        Records { tenants: &self.cfg.service.tenants, packed: &self.records }
+    pub fn records(&self) -> &[FleetRecord] {
+        &self.records
     }
 
     /// Hands over the retained records, in resolution order, and forgets
     /// them, taken or not: [`Fleet::records`] is empty afterwards. What
     /// the fleet keeps of a taken job is its [`Fleet::resolution`].
-    pub fn take_records(&mut self) -> impl ExactSizeIterator<Item = FleetRecord> + '_ {
-        let tenants = &self.cfg.service.tenants;
-        self.records.drain(..).map(move |p| unpack(tenants, &p))
+    pub fn take_records(&mut self) -> std::vec::Drain<'_, FleetRecord> {
+        self.records.drain(..)
     }
 
     /// The record of job `id`, while it is retained: a linear search of
     /// [`Fleet::records`], for tests and one-off lookups.
-    pub fn record(&self, id: JobId) -> Option<FleetRecord> {
-        let p = self.records.iter().find(|p| p.id == id.0)?;
-        Some(unpack(&self.cfg.service.tenants, p))
+    pub fn record(&self, id: JobId) -> Option<&FleetRecord> {
+        self.records.iter().find(|r| r.record.id == id)
     }
 
     /// How job `id` resolved, once it has; kept for every job whether or
@@ -665,7 +555,7 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
         self.counters.cancelled += 1;
         let asg = Assignment::new(job, self.clock.now());
         self.resolve(&asg, self.cfg.accel_workers, Disposition::Cancelled, None);
-        self.records().last()
+        self.records.last().cloned()
     }
 
     /// Gracefully drain the fleet: every unresolved job gets at most one
@@ -685,7 +575,8 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
         self.run_to_idle();
         let checkpoints = self.draining.take().map_or_else(Vec::new, |d| d.checkpoints);
         let drained = &self.records[first..];
-        let count = |d: Disposition| drained.iter().filter(|r| r.disposition == d).count() as u64;
+        let count =
+            |d: Disposition| drained.iter().filter(|r| r.record.disposition == d).count() as u64;
         DrainSummary {
             completed_accel: count(Disposition::Completed),
             completed_cpu: count(Disposition::CompletedOnCpu),
@@ -1226,28 +1117,23 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
                 return;
             }
         }
-        // A fleet's workers and tenants are heap objects, so their indices
-        // fit in 32 bits; a deadline is always the tenant's policy at
-        // admission, which `unpack` recomputes.
-        let narrow = |i: usize| u32::try_from(i).unwrap_or(u32::MAX);
-        let packed = PackedRecord {
-            id: asg.job.id.0,
-            submitted_at: asg.job.submitted_at,
-            started_at: asg.first_dispatch,
-            finished_at,
-            estimated_flops: asg.job.operands.flops(),
-            fingerprint: output_fingerprint.unwrap_or(0),
-            tenant: narrow(asg.job.tenant.0),
-            worker: narrow(w),
-            attempts: asg.attempts,
+        let fr = FleetRecord {
+            record: JobRecord {
+                id: asg.job.id,
+                tenant: asg.job.tenant,
+                submitted_at: asg.job.submitted_at,
+                started_at: asg.first_dispatch,
+                finished_at,
+                estimated_flops: asg.job.operands.flops(),
+                deadline_cycles: asg.job.deadline_cycles,
+                attempts: asg.attempts,
+                disposition,
+            },
+            worker: WorkerId(w),
             redispatches: asg.redispatches,
-            disposition,
-            has_fingerprint: output_fingerprint.is_some(),
             resumed_from_checkpoint: asg.resumed,
+            output_fingerprint,
         };
-        let fr = unpack(&self.cfg.service.tenants, &packed);
-        debug_assert_eq!(fr.record.deadline_cycles, asg.job.deadline_cycles);
-        debug_assert_eq!((fr.record.tenant, fr.worker), (asg.job.tenant, WorkerId(w)));
         // Fold per-job observability in here, once, instead of rebuilding
         // it from the full record history on every `metrics()` call: the
         // histogram state is bucket-bounded no matter how many jobs a
@@ -1258,7 +1144,7 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
         self.job_metrics.record("job.queue_wait", &CYCLE_BOUNDS, r.queue_wait());
         self.job_metrics.record("job.service_cycles", &CYCLE_BOUNDS, r.service_cycles());
         self.job_metrics.record("job.deadline_slack", &CYCLE_BOUNDS, r.deadline_slack());
-        self.records.push(packed);
+        self.records.push(fr);
     }
 
     fn log(&mut self, w: usize, kind: RecoveryKind) {
@@ -1330,6 +1216,7 @@ impl<M: Deref<Target = Csr<f64>> + Clone> Fleet<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::TenantId;
     use crate::worker::WorkerFaultEvent;
     use matraptor_core::{
         Accelerator, Checkpoint, Driver, FaultKind, FaultPlan, MtxWrite, SliceRun,
@@ -1390,10 +1277,8 @@ mod tests {
 
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn a_stored_record_is_a_quarter_smaller_than_the_record() {
-        use std::mem::size_of;
-        assert_eq!((size_of::<PackedRecord>(), size_of::<FleetRecord>()), (72, 96));
-        assert_eq!(size_of::<Option<Resolution>>(), 16);
+    fn a_served_job_costs_the_fleet_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Option<Resolution>>(), 16);
     }
 
     #[test]

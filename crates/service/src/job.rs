@@ -137,7 +137,7 @@ impl Disposition {
 /// Bookkeeping for one resolved job — the raw material for SLO reports
 /// (queue-wait and service-cycle percentiles). Operands are dropped at
 /// resolution; records are plain data.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct JobRecord {
     /// Service-assigned id.
     pub id: JobId,

@@ -70,8 +70,8 @@ mod worker;
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker};
 pub use fleet::{
-    fingerprint_output, Fleet, FleetConfig, FleetCounters, FleetRecord, Records, RecordsIter,
-    RecoveryEvent, RecoveryKind, Resolution,
+    fingerprint_output, Fleet, FleetConfig, FleetCounters, FleetRecord, RecoveryEvent,
+    RecoveryKind, Resolution,
 };
 pub use job::{Disposition, JobId, JobRecord, JobSpec, Rejected, TenantId};
 pub use parallel::{

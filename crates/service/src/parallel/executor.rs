@@ -44,7 +44,7 @@ use matraptor_sparse::Csr;
 use crate::fleet::fingerprint_output;
 use crate::job::{Disposition, TenantId};
 use crate::sched::Pending;
-use crate::worker::{slice_step, Assignment, LadderStep, SliceStep, WorkerFault};
+use crate::worker::{slice_step, Assignment, LadderStep, SliceStep, WorkerFault, WorkerFaultPlan};
 use crate::{JobId, RecoveryKind};
 
 use super::supervisor::{lock_unpoisoned, FailCause, GenShared, InjectStats, Supervisor};
@@ -122,8 +122,11 @@ fn install_quiet_hook() {
 /// Everything a worker thread needs, shared across all workers.
 #[derive(Debug)]
 struct WorkerCtx {
-    /// The normalized run configuration.
+    /// The normalized run configuration, its fault plan taken out.
     cfg: ParallelConfig,
+    /// The run's one fault plan, fired by every slot at its slice
+    /// boundaries; `None` (no lock ever taken) in a run without faults.
+    faults: Option<Mutex<WorkerFaultPlan>>,
     shutdown: AtomicBool,
     /// Jobs waiting for a worker; recovered jobs go to the front.
     queue: Mutex<VecDeque<Item>>,
@@ -135,9 +138,10 @@ struct WorkerCtx {
 }
 
 impl WorkerCtx {
-    fn new(cfg: &ParallelConfig, queue: VecDeque<Item>) -> Self {
+    fn new(cfg: &ParallelConfig, faults: Option<WorkerFaultPlan>, queue: VecDeque<Item>) -> Self {
         WorkerCtx {
             cfg: cfg.clone(),
+            faults: faults.map(Mutex::new),
             shutdown: AtomicBool::new(false),
             queue: Mutex::new(queue),
             work: Condvar::new(),
@@ -209,11 +213,8 @@ fn worker_thread(
     lanes: usize,
     shared: Arc<GenShared>,
     stats: Arc<InjectStats>,
-    mut events: Vec<(u64, WorkerFault)>,
 ) {
-    let body = catch_unwind(AssertUnwindSafe(|| {
-        worker_loop(&ctx, idx, lanes, &shared, &stats, &mut events)
-    }));
+    let body = catch_unwind(AssertUnwindSafe(|| worker_loop(&ctx, idx, lanes, &shared, &stats)));
     let panic = match body {
         Ok(Ok(())) => return,
         Ok(Err(_)) => None,
@@ -240,14 +241,13 @@ fn worker_loop(
     lanes: usize,
     shared: &GenShared,
     stats: &InjectStats,
-    events: &mut Vec<(u64, WorkerFault)>,
 ) -> Result<(), ConfigError> {
     let mut cfg = ctx.cfg.accel.clone();
     cfg.mem.num_channels = lanes;
     let accel = Accelerator::try_new(cfg)?;
     shared.slow_factor.store(1, Ordering::Relaxed);
     while let Some(item) = ctx.next_item(shared) {
-        match run_item(ctx, idx, lanes, &accel, shared, stats, events, item) {
+        match run_item(ctx, idx, lanes, &accel, shared, stats, item) {
             ItemExit::Resolved(record, crash_after) => {
                 if !crash_after {
                     *lock_unpoisoned(&shared.mailbox) = None;
@@ -274,7 +274,6 @@ fn worker_loop(
 /// the abandon flag that [`Supervisor::take_mailbox`] sets under the same
 /// lock; an item popped by an already-abandoned generation goes back to
 /// the queue front instead of into a mailbox nobody will read.
-#[allow(clippy::too_many_arguments)]
 fn run_item(
     ctx: &WorkerCtx,
     idx: usize,
@@ -282,7 +281,6 @@ fn run_item(
     accel: &Accelerator,
     shared: &GenShared,
     stats: &InjectStats,
-    events: &mut Vec<(u64, WorkerFault)>,
     mut item: Item,
 ) -> ItemExit {
     let degraded = lanes != ctx.cfg.accel.num_lanes();
@@ -307,13 +305,11 @@ fn run_item(
         if ctx.stopping() || shared.abandoned.load(Ordering::Acquire) {
             return ItemExit::Interrupted;
         }
-        // Fire injection events due at this slot's cumulative slice count.
-        let done_slices = stats.slices.load(Ordering::Relaxed);
-        while let Some(&(after, fault)) = events.first() {
-            if after > done_slices {
-                break;
-            }
-            events.remove(0);
+        // Fire the first event due at this slot's cumulative slice count,
+        // as the fleet does: one per boundary, in declaration order.
+        let slices_done = stats.slices.load(Ordering::Relaxed);
+        let due = ctx.faults.as_ref().and_then(|plan| lock_unpoisoned(plan).fire(idx, slices_done));
+        if let Some(fault) = due {
             match fault {
                 WorkerFault::Crash => {
                     stats.panics.fetch_add(1, Ordering::Relaxed);
@@ -440,7 +436,8 @@ fn advance(
 /// stall-abort budget (workers are then abandoned and joined under the
 /// bounded budget before the error returns).
 pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, ParallelError> {
-    let cfg = cfg.normalized();
+    let mut cfg = cfg.normalized();
+    let faults = cfg.worker_faults.take();
     // Built once up front: it validates the template and runs the inline
     // fallback if every slot retires.
     let inline_accel = Accelerator::try_new(cfg.accel.clone())
@@ -455,26 +452,10 @@ pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, Parallel
     install_quiet_hook();
 
     let total = queue.len();
-    let ctx = Arc::new(WorkerCtx::new(&cfg, queue));
-
-    // Split the injection schedule per slot (events addressed past the
-    // thread count are dropped — they have no slot to fire on).
-    let mut per_slot: Vec<Vec<(u64, WorkerFault)>> = vec![Vec::new(); cfg.threads];
-    if let Some(plan) = &cfg.worker_faults {
-        for ev in plan.events() {
-            if ev.worker < cfg.threads {
-                per_slot[ev.worker].push((ev.after_slices, ev.kind));
-            }
-        }
-        for slot_events in &mut per_slot {
-            slot_events.sort_by_key(|&(after, _)| after);
-        }
-    }
-
+    let ctx = Arc::new(WorkerCtx::new(&cfg, faults, queue));
     let mut sup = Supervisor::new(
         cfg.threads,
         cfg.accel.num_lanes(),
-        per_slot,
         cfg.max_restarts,
         cfg.max_degraded_restarts,
         cfg.recovery_log_cap,
@@ -604,10 +585,8 @@ fn spawn_worker(ctx: &Arc<WorkerCtx>, sup: &mut Supervisor, idx: usize) {
     let ctx = Arc::clone(ctx);
     let (generation, lanes) = (slot.generation, slot.lanes);
     let (shared, stats) = (Arc::clone(&slot.shared), Arc::clone(&slot.stats));
-    let events = slot.remaining_events();
-    slot.handle = Some(thread::spawn(move || {
-        worker_thread(ctx, idx, generation, lanes, shared, stats, events)
-    }));
+    slot.handle =
+        Some(thread::spawn(move || worker_thread(ctx, idx, generation, lanes, shared, stats)));
 }
 
 /// Recycles slot `idx` after its thread died or was declared hung or
@@ -680,16 +659,16 @@ mod tests {
             let job = ParJob { id, a, b, plan: None, deadline_cycles: u64::MAX };
             admit(job).expect("valid operands")
         };
-        let ctx = WorkerCtx::new(&cfg, VecDeque::from([item(0), item(1)]));
+        let ctx = WorkerCtx::new(&cfg, None, VecDeque::from([item(0), item(1)]));
         let lanes = cfg.accel.num_lanes();
-        let mut sup = Supervisor::new(1, lanes, vec![Vec::new()], 1, 1, 16);
+        let mut sup = Supervisor::new(1, lanes, 1, 1, 16);
         let shared = Arc::clone(&sup.slots[0].shared);
         let popped = ctx.next_item(&shared).expect("a queued job");
         assert!(sup.take_mailbox(0, &mut ParCounters::default()).is_none(), "idle mailbox");
 
         let accel = Accelerator::try_new(cfg.accel.clone()).expect("valid template");
         let stats = InjectStats::default();
-        let exit = run_item(&ctx, 0, lanes, &accel, &shared, &stats, &mut Vec::new(), popped);
+        let exit = run_item(&ctx, 0, lanes, &accel, &shared, &stats, popped);
         assert!(matches!(exit, ItemExit::Interrupted));
         assert!(lock_unpoisoned(&shared.mailbox).is_none(), "nothing parked after the take");
         let queued: Vec<u64> = lock_unpoisoned(&ctx.queue).iter().map(|i| i.job.id.0).collect();

@@ -105,12 +105,14 @@ pub struct ParallelConfig {
     /// Cap on the retained recovery log (oldest events evicted past it,
     /// counted in [`ParReport::recovery_events_dropped`]). Clamped ≥ 2.
     pub recovery_log_cap: usize,
-    /// Seeded worker-fault injection schedule, reusing the discrete-event
-    /// fleet's [`WorkerFaultPlan`] taxonomy. Events target worker slots by
-    /// index; `Crash` becomes a real `panic!` in the worker body, `Hang`
-    /// stops the heartbeat, `SlowDown` publishes a slowdown factor, and
-    /// `CrashAfterCompletion` panics between pushing the completion and
-    /// clearing the in-flight mailbox (the lost-ack race).
+    /// Worker-fault injection schedule, taken by [`run`] and fired by the
+    /// discrete-event fleet's rule: at each slice boundary a slot fires at
+    /// most one due event, the first in declaration order, counting the
+    /// slot's slices across its generations. Events target worker slots
+    /// by index; `Crash` becomes a real `panic!` in the worker body,
+    /// `Hang` stops the heartbeat, `SlowDown` publishes a slowdown factor,
+    /// and `CrashAfterCompletion` panics between pushing the completion
+    /// and clearing the in-flight mailbox (the lost-ack race).
     pub worker_faults: Option<WorkerFaultPlan>,
 }
 

@@ -6,9 +6,9 @@
 //! replaced by a new *generation* with a fresh [`GenShared`] (so a hung
 //! zombie of generation N can never beat, publish, or poison the state of
 //! generation N+1). Injection statistics live in the slot-level
-//! [`InjectStats`], shared across generations, because injection
-//! thresholds count cumulative slices per slot — the same contract as the
-//! discrete-event fleet's `WorkerFaultPlan`.
+//! [`InjectStats`], shared across generations, because the run's one
+//! `WorkerFaultPlan` fires on cumulative slices per slot — the same
+//! contract as the discrete-event fleet.
 //!
 //! The supervisor never blocks on a worker: detection is polling over
 //! atomics, recovery is taking the victim's mailbox and re-queueing it,
@@ -22,7 +22,7 @@ use std::thread::JoinHandle;
 use matraptor_sim::Cycle;
 
 use crate::bounded::BoundedLog;
-use crate::worker::{ladder_step, LadderStep, WorkerFault, WorkerId};
+use crate::worker::{ladder_step, LadderStep, WorkerId};
 use crate::{RecoveryEvent, RecoveryKind};
 
 use super::executor::Item;
@@ -65,8 +65,8 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Slot-level injection statistics, shared across worker generations.
 #[derive(Debug, Default)]
 pub(crate) struct InjectStats {
-    /// Cumulative slices executed by this slot (injection thresholds count
-    /// against this, like the discrete-event plan's `after_slices`).
+    /// Cumulative slices executed by this slot, across its generations:
+    /// the count the fault plan's `after_slices` thresholds compare to.
     pub slices: AtomicU64,
     /// Injected `Crash` panics fired.
     pub panics: AtomicU64,
@@ -88,8 +88,8 @@ pub(crate) enum FailCause {
     Slowness,
 }
 
-/// One worker slot: the current generation's thread + shared state, the
-/// ladder position, and the slot's remaining injection schedule.
+/// One worker slot: the current generation's thread + shared state and
+/// the ladder position.
 #[derive(Debug)]
 pub(crate) struct Slot {
     pub idx: usize,
@@ -108,16 +108,13 @@ pub(crate) struct Slot {
     pub last_beats: u64,
     /// Consecutive polls with a busy worker and no beat progress.
     pub stale_polls: u32,
-    /// Injection events not yet handed to a live generation, as
-    /// `(after_slices, fault)` sorted ascending.
-    pub events: Vec<(u64, WorkerFault)>,
     /// Handles of abandoned (hung/slow) threads still winding down; joined
     /// with the same bounded budget at shutdown.
     pub zombies: Vec<JoinHandle<()>>,
 }
 
 impl Slot {
-    pub(crate) fn new(idx: usize, lanes: usize, events: Vec<(u64, WorkerFault)>) -> Self {
+    pub(crate) fn new(idx: usize, lanes: usize) -> Self {
         Slot {
             idx,
             lanes,
@@ -129,16 +126,8 @@ impl Slot {
             handle: None,
             last_beats: 0,
             stale_polls: 0,
-            events,
             zombies: Vec::new(),
         }
-    }
-
-    /// The injection events still ahead of this slot's cumulative slice
-    /// counter (handed to the next generation at spawn).
-    pub(crate) fn remaining_events(&self) -> Vec<(u64, WorkerFault)> {
-        let done = self.stats.slices.load(Ordering::Relaxed);
-        self.events.iter().filter(|&&(after, _)| after > done).copied().collect()
     }
 }
 
@@ -161,17 +150,11 @@ impl Supervisor {
     pub(crate) fn new(
         threads: usize,
         template_lanes: usize,
-        per_slot_events: Vec<Vec<(u64, WorkerFault)>>,
         max_restarts: u32,
         max_degraded_restarts: u32,
         recovery_log_cap: usize,
     ) -> Self {
-        let slots = per_slot_events
-            .into_iter()
-            .enumerate()
-            .take(threads)
-            .map(|(i, ev)| Slot::new(i, template_lanes, ev))
-            .collect();
+        let slots = (0..threads).map(|i| Slot::new(i, template_lanes)).collect();
         Supervisor {
             slots,
             log: BoundedLog::new(recovery_log_cap),

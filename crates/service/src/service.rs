@@ -360,10 +360,10 @@ mod tests {
         let mut s = Service::new(ServiceConfig::small_test()).unwrap();
         s.submit(spec(0, 1, None)).unwrap();
         s.submit(spec(1, 2, None)).unwrap();
-        let first = s.step().unwrap().clone();
+        let first = s.step().unwrap();
         assert_eq!(first.disposition, Disposition::Completed);
         assert!(first.service_cycles() > 0);
-        let second = s.step().unwrap().clone();
+        let second = s.step().unwrap();
         assert_eq!(second.disposition, Disposition::Completed);
         assert!(second.queue_wait() > 0, "second job waited while the first ran");
         assert!(s.step().is_none());
@@ -433,7 +433,7 @@ mod tests {
         let lanes = ServiceConfig::small_test().accel.num_lanes();
         let p1 = FaultPlan::sample(FaultKind::ChannelStall, 1, lanes);
         s.submit(spec(0, 21, Some(p1))).unwrap();
-        let first = s.step().unwrap().clone();
+        let first = s.step().unwrap();
         // The first fault trips the hair-trigger breaker mid-job, so the
         // retry is shed to the CPU and the job still completes.
         assert_eq!(first.disposition, Disposition::CompletedOnCpu);
@@ -565,7 +565,7 @@ mod tests {
         let mut s = Service::new(ServiceConfig::small_test()).unwrap();
         let first = s.submit(spec(0, 1, None)).unwrap();
         let second = s.submit(spec(0, 2, None)).unwrap();
-        let record = s.fleet_mut().cancel(second).expect("queued job must cancel").record.clone();
+        let record = s.fleet_mut().cancel(second).expect("queued job must cancel").record;
         assert_eq!(record.disposition, Disposition::Cancelled);
         assert_eq!(record.attempts, 0);
         assert_eq!(record.service_cycles(), 0);
@@ -575,7 +575,7 @@ mod tests {
         assert_eq!(s.fleet().pending(), 1);
         // Unknown and already-resolved ids are not cancellable.
         assert!(s.fleet_mut().cancel(JobId(99)).is_none());
-        let done = s.step().unwrap().clone();
+        let done = s.step().unwrap();
         assert_eq!(done.id, first);
         assert_eq!(done.disposition, Disposition::Completed);
         assert!(s.fleet_mut().cancel(first).is_none(), "resolved jobs cannot be cancelled");
@@ -700,7 +700,7 @@ mod tests {
             DeadlinePolicy { base_cycles: u64::MAX, cycles_per_flop: u64::MAX };
         let mut s = Service::new(cfg).unwrap();
         s.submit(spec(0, 5, None)).unwrap();
-        let record = s.step().expect("job must be served").clone();
+        let record = s.step().expect("job must be served");
         assert_eq!(record.deadline_cycles, u64::MAX);
         assert_eq!(record.disposition, Disposition::Completed);
         assert_eq!(s.fleet().pending(), 0);

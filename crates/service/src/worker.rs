@@ -143,12 +143,14 @@ pub struct WorkerFaultEvent {
     pub kind: WorkerFault,
 }
 
-/// A deterministic schedule of worker failures for one fleet run.
+/// A deterministic schedule of worker failures for one run of either
+/// engine: the discrete-event [`Fleet`](crate::Fleet) and the threaded
+/// executor fire it by one rule.
 ///
 /// Events are consumed at most once, in declaration order; at most one
 /// event fires per slice boundary per worker (the rest wait for the next
-/// boundary), so two plans with the same events always replay the same
-/// failure history.
+/// boundary), and a worker's slices are counted across its restarts, so
+/// two plans with the same events always replay the same failure history.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerFaultPlan {
     events: Vec<WorkerFaultEvent>,
@@ -185,11 +187,6 @@ impl WorkerFaultPlan {
     /// Scheduled events (fired or not).
     pub fn events(&self) -> &[WorkerFaultEvent] {
         &self.events
-    }
-
-    /// Events that have not fired yet.
-    pub fn remaining(&self) -> usize {
-        self.consumed.iter().filter(|c| !**c).count()
     }
 
     /// Consume and return the first unfired event due for `worker` at
@@ -554,14 +551,12 @@ mod tests {
             WorkerFaultEvent { worker: 0, after_slices: 2, kind: WorkerFault::Hang },
             WorkerFaultEvent { worker: 1, after_slices: 5, kind: WorkerFault::Hang },
         ]);
-        assert_eq!(plan.remaining(), 3);
         assert_eq!(plan.fire(0, 1), None, "not due yet");
         assert_eq!(plan.fire(0, 2), Some(WorkerFault::Crash), "first due event fires first");
         assert_eq!(plan.fire(0, 2), Some(WorkerFault::Hang), "one event per call");
         assert_eq!(plan.fire(0, 99), None, "worker 0 exhausted");
         assert_eq!(plan.fire(1, 4), None);
         assert_eq!(plan.fire(1, 5), Some(WorkerFault::Hang));
-        assert_eq!(plan.remaining(), 0);
     }
 
     #[test]

@@ -39,7 +39,7 @@ fn run_one(faults: Option<WorkerFaultPlan>, workers: usize) -> (u64, Disposition
     fleet.run_to_idle();
     assert_eq!(fleet.records().len(), 1, "the job must resolve exactly once");
     assert_eq!(fleet.fleet_counters().duplicate_completions, 0);
-    let r = fleet.records().get(0).expect("one record");
+    let r = fleet.records().first().expect("one record");
     (
         r.output_fingerprint.expect("completed jobs carry an output fingerprint"),
         r.record.disposition,

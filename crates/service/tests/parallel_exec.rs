@@ -3,12 +3,14 @@
 //! thread counts, fault injection through the recovery ladder, the
 //! lost-ack duplicate race, and total-retirement inline fallback.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use matraptor_core::{FaultKind, FaultPlan, OperandError};
 use matraptor_service::parallel::{self, ParJob, ParallelConfig, ParallelError};
 use matraptor_service::{
-    Disposition, JobId, RecoveryKind, WorkerFault, WorkerFaultEvent, WorkerFaultPlan,
+    Disposition, Fleet, FleetConfig, JobId, JobSpec, RecoveryKind, TenantId, WorkerFault,
+    WorkerFaultEvent, WorkerFaultPlan,
 };
 use matraptor_sparse::{gen, Csr, SparseError};
 
@@ -164,6 +166,37 @@ fn terminal_slowdown_is_recycled() {
     assert_eq!(report.counters.injected_slowdowns, 1);
     assert!(report.counters.slowness_detections >= 1);
     assert_eq!(report.resolution_fingerprint(), clean.resolution_fingerprint());
+}
+
+/// Two events due on one slot at the same slice count fire one per slice
+/// boundary in both engines: the slowdown declared after a crash fires at
+/// the restarted slot's first boundary, as it does in the discrete-event
+/// fleet, instead of being lost with the crashed generation.
+#[test]
+fn an_event_co_due_with_a_crash_fires_in_both_engines() {
+    let events = vec![
+        WorkerFaultEvent { worker: 0, after_slices: 2, kind: WorkerFault::Crash },
+        WorkerFaultEvent { worker: 0, after_slices: 2, kind: WorkerFault::SlowDown { factor: 3 } },
+    ];
+    let mut cfg = base_cfg(1);
+    cfg.worker_faults = Some(WorkerFaultPlan::new(events.clone()));
+    let report = parallel::run(cfg, jobs(12, u64::MAX)).expect("faulted run");
+    assert_eq!(report.records.len(), 12);
+    let c = &report.counters;
+    assert_eq!((c.injected_panics, c.injected_slowdowns), (1, 1), "{c:?}");
+
+    let mut fleet_cfg = FleetConfig::small_test();
+    fleet_cfg.accel_workers = 1;
+    fleet_cfg.worker_faults = Some(WorkerFaultPlan::new(events));
+    let mut fleet = Fleet::new(fleet_cfg).expect("fleet");
+    for job in jobs(12, u64::MAX) {
+        let (a, b) = (Rc::new((*job.a).clone()), Rc::new((*job.b).clone()));
+        fleet.submit(JobSpec { tenant: TenantId(0), a, b, plan: None }).expect("admitted");
+    }
+    fleet.run_to_idle();
+    assert_eq!(fleet.records().len(), 12);
+    let f = fleet.fleet_counters();
+    assert_eq!((f.worker_crashes, f.worker_slowdowns), (1, 1), "{f:?}");
 }
 
 #[test]

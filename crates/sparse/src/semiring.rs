@@ -76,15 +76,6 @@ pub struct Tropical(pub f64);
 impl Tropical {
     /// No path.
     pub const INFINITY: Tropical = Tropical(f64::INFINITY);
-
-    /// The finite length, or `None` for "no path".
-    pub fn finite(self) -> Option<f64> {
-        if self.0.is_finite() {
-            Some(self.0)
-        } else {
-            None
-        }
-    }
 }
 
 impl fmt::Display for Tropical {
@@ -192,8 +183,6 @@ mod tests {
         assert_eq!(Tropical::ZERO.add(x), x);
         assert_eq!(Tropical::ONE.mul(x), x);
         assert!(Tropical::ZERO.mul(x).is_zero(), "inf + 7 = inf");
-        assert_eq!(Tropical::INFINITY.finite(), None);
-        assert_eq!(Tropical(1.5).finite(), Some(1.5));
     }
 
     #[test]
